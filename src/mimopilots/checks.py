@@ -86,7 +86,7 @@ def check_los_subtraction() -> tuple[str, bool, str]:
     plan = _distinct_plan(cfg)
     book = build_pilot_book(cfg.pilot_len)
     cs = assemble_channels(users, cfg, rng)
-    y = synthesize_rx(cs, plan, book, 0.0, rng)
+    y = synthesize_rx(cs, plan, book, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
     worst = 0.0
     for l in range(cfg.L):
         resid = subtract_los(y[l], users, cfg, plan, book, l)
@@ -103,7 +103,7 @@ def check_ls_exactness() -> tuple[str, bool, str]:
     plan = _distinct_plan(cfg)
     book = build_pilot_book(cfg.pilot_len)
     cs = assemble_channels(users, cfg, rng)
-    y = synthesize_rx(cs, plan, book, 0.0, rng)
+    y = synthesize_rx(cs, plan, book, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
     resid = subtract_los(y[0], users, cfg, plan, book, 0)
     ghat = ls_estimate(resid, pilot_matrix(plan, 0, book))
     dev = float(np.max(np.abs(ghat - cs.nlos_effective(0, 0))))
@@ -116,6 +116,18 @@ def check_zf_identity() -> tuple[str, bool, str]:
     w = zf_combiner(g)
     dev = float(np.max(np.abs(w.conj().T @ g - np.eye(6))))
     return "ZF combiner nulls estimated interference", dev < 1e-8, f"max dev {dev:.2e}"
+
+
+def check_zf_min_norm() -> tuple[str, bool, str]:
+    # duplicated estimate columns (intra-cell pilot reuse) take the
+    # pseudo-inverse path and split the gain evenly between the two users
+    rng = np.random.default_rng(19)
+    col = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    g = np.column_stack([col, col, rng.standard_normal(16)])
+    w = zf_combiner(g)
+    expect = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    dev = float(np.max(np.abs(w.conj().T @ g - expect)))
+    return "ZF min-norm split on duplicated columns", dev < 1e-8, f"max dev {dev:.2e}"
 
 
 def check_channel_power() -> tuple[str, bool, str]:
@@ -184,6 +196,7 @@ ALL_CHECKS = (
     check_los_subtraction,
     check_ls_exactness,
     check_zf_identity,
+    check_zf_min_norm,
     check_channel_power,
     check_detection_identity,
     check_se_formula,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelSet, crandn, steering_vector
+from .channel import ChannelSet, steering_vector
 from .model import NetworkConfig, UserRecord, group_users
 from .pilots import AllocationPlan, pilot_matrix
 
@@ -45,25 +45,26 @@ def true_los_channel(users: list[UserRecord], cfg: NetworkConfig,
 
 
 def synthesize_rx(cs: ChannelSet, plan: AllocationPlan, book: np.ndarray,
-                  noise_var: float, rng: np.random.Generator) -> np.ndarray:
+                  noise: np.ndarray) -> np.ndarray:
     """Received pilot matrices, one (M, pilot_len) block per BS.
 
-    Y_l = sum_i G_il @ Lambda_i + Z with i.i.d. complex Gaussian noise of
-    per-entry variance `noise_var` (1/rho under the unit-pilot-power
-    convention). Noise is drawn per BS in index order.
+    Y_l = sum_i G_il @ Lambda_i + Z_l, where `noise` is the caller-drawn
+    (L, M, pilot_len) block Z, already scaled (per-entry variance 1/rho under
+    the unit-pilot-power convention; zeros for a noiseless synthesis). The
+    caller draws it so that one draw can serve several plans.
     """
-    if noise_var < 0:
-        raise ValueError("noise variance must be >= 0")
     n_cells, m = cs.g.shape[0], cs.g.shape[2]
     pilot_len = book.shape[1]
+    if noise.shape != (n_cells, m, pilot_len):
+        raise ValueError(f"noise block must have shape {(n_cells, m, pilot_len)}, "
+                         f"got {noise.shape}")
     lambdas = [pilot_matrix(plan, i, book) for i in range(n_cells)]
     y = np.empty((n_cells, m, pilot_len), dtype=complex)
     for l in range(n_cells):
         acc = np.zeros((m, pilot_len), dtype=complex)
         for i in range(n_cells):
             acc += cs.g[i, l] @ lambdas[i]
-        if noise_var > 0:
-            acc += np.sqrt(noise_var) * crandn(rng, (m, pilot_len))
+        acc += noise[l]
         y[l] = acc
     return y
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -61,10 +62,15 @@ class ExperimentSpec:
             raise ConfigError("need at least one allocator")
         if self.drops < 1:
             raise ConfigError("drops must be >= 1")
+        if self.trials < 2:
+            raise ConfigError(f"need at least 2 trials, got {self.trials}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.n_worst < 1:
             raise ConfigError("n_worst must be >= 1")
+        if self.sweep is not None:
+            for value in self.values:    # a bad point fails before any drop runs
+                _sweep_cfg(self.cfg, self.sweep, value)
 
     @property
     def master_seed(self) -> int:
@@ -97,12 +103,11 @@ def _one_drop(cfg: NetworkConfig, allocators: tuple[str, ...], trials: int,
               seed: int, drop: int) -> dict[str, np.ndarray]:
     """Per-user SE of every allocator on one location drop (paired channels)."""
     users = sample_users(cfg, _rng(seed, drop, _STREAM_USERS))
-    out = {}
-    for pos, name in enumerate(allocators):
-        plan = ALLOCATORS[name](cfg, users, _rng(seed, drop, _STREAM_ALLOC + pos))
-        sinr = estimate_sinr(cfg, users, plan, trials, _rng(seed, drop, _STREAM_SINR))
-        out[name] = spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
-    return out
+    plans = [ALLOCATORS[name](cfg, users, _rng(seed, drop, _STREAM_ALLOC + pos))
+             for pos, name in enumerate(allocators)]
+    sinr = estimate_sinr(cfg, users, plans, trials, _rng(seed, drop, _STREAM_SINR))
+    se = spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
+    return dict(zip(allocators, se))
 
 
 def evaluate_drops(cfg: NetworkConfig, allocators: tuple[str, ...], drops: int,
@@ -138,9 +143,14 @@ def bootstrap_stderr(values: np.ndarray, n_boot: int = 1000,
 
 
 def _sweep_cfg(cfg: NetworkConfig, sweep: str | None, value) -> NetworkConfig:
+    """The config at one sweep point; raises ConfigError for a bad value."""
     if sweep is None:
         return cfg
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{sweep} sweep values must be numbers, got {value!r}")
     if sweep == "M":
+        if not float(value).is_integer():
+            raise ConfigError(f"M sweep values must be integers, got {value!r}")
         return replace(cfg, M=int(value))
     return replace(cfg, loc_err_var=float(value))
 
@@ -250,8 +260,8 @@ def run_oracle_compare(spec: ExperimentSpec,
         users = sample_users(cfg, _rng(seed, d, _STREAM_USERS))
 
         def evaluator(plan) -> float:
-            sinr = estimate_sinr(cfg, users, plan, spec.trials,
-                                 _rng(seed, d, _STREAM_SINR))
+            sinr = estimate_sinr(cfg, users, [plan], spec.trials,
+                                 _rng(seed, d, _STREAM_SINR))[0]
             se = spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
             return float(se[0].sum())
 

@@ -82,9 +82,9 @@ class NetworkConfig:
             raise ConfigError(f"N must be >= 1, got {self.N}")
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
-        if not 1 <= self.pilot_len <= self.coherence_len:
+        if not 1 <= self.pilot_len < self.coherence_len:
             raise ConfigError(
-                f"need 1 <= pilot_len <= coherence_len, got "
+                f"need 1 <= pilot_len < coherence_len, got "
                 f"{self.pilot_len}, {self.coherence_len}"
             )
         if not 0.0 < self.min_dist < self.cell_radius:

@@ -54,7 +54,8 @@ def pilot_matrix(plan: AllocationPlan, cell: int, book: np.ndarray) -> np.ndarra
     """Stack the assigned sequences of one cell into an (N, pilot_len) matrix."""
     idx = plan.cells[cell]
     n_pilots = book.shape[0]
-    if np.any(idx < 0) or np.any(idx >= n_pilots):
+    # min/max: this runs once per cell, plan and trial inside estimate_sinr
+    if idx.size and (idx.min() < 0 or idx.max() >= n_pilots):
         raise ValueError(
             f"pilot index out of range [0, {n_pilots}) in cell {cell}: {idx.tolist()}")
     return book[idx]

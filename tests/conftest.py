@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from mimopilots.channel import crandn
 from mimopilots.model import NetworkConfig, UserRecord, _finalize_user, bs_positions
 
 
@@ -36,3 +37,13 @@ def make_cell_users(cfg: NetworkConfig, placements, cell: int = 0) -> list[UserR
     for index, spec in enumerate(placements):
         users.append(make_user(cfg, cell, index, *spec))
     return users
+
+
+def noise_block(cfg: NetworkConfig, noise_var: float = 0.0,
+                rng: np.random.Generator | None = None) -> np.ndarray:
+    """Pilot-phase noise for `synthesize_rx`: per-entry variance `noise_var`,
+    all zeros (and no draw) when it is 0."""
+    shape = (cfg.L, cfg.M, cfg.pilot_len)
+    if noise_var == 0.0:
+        return np.zeros(shape, dtype=complex)
+    return np.sqrt(noise_var) * crandn(rng, shape)

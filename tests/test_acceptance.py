@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import noise_block
 from mimopilots.channel import assemble_channels, steering_vector
 from mimopilots.detection import estimate_sinr
 from mimopilots.estimation import ls_estimate, subtract_los, synthesize_rx
@@ -107,7 +108,7 @@ def test_criterion_04_los_subtraction_exact_at_zero_error():
     for _ in range(20):
         users = sample_users(cfg, rng)
         cs = assemble_channels(users, cfg, rng)
-        y = synthesize_rx(cs, plan, book, 0.0, rng)
+        y = synthesize_rx(cs, plan, book, noise_block(cfg))
         for l in range(cfg.L):
             resid = subtract_los(y[l], users, cfg, plan, book, l)
             ref = sum(cs.nlos_effective(i, l) @ pilot_matrix(plan, i, book)
@@ -124,7 +125,7 @@ def test_criterion_05_ls_exact_for_orthogonal_pilots():
     rng = np.random.default_rng(105)
     users = sample_users(cfg, rng)
     cs = assemble_channels(users, cfg, rng)
-    y = synthesize_rx(cs, plan, book, 0.0, rng)
+    y = synthesize_rx(cs, plan, book, noise_block(cfg))
     resid = subtract_los(y[0], users, cfg, plan, book, 0)
     ghat = ls_estimate(resid, pilot_matrix(plan, 0, book))
     dev = float(np.max(np.abs(ghat - cs.nlos_effective(0, 0))))
@@ -136,8 +137,8 @@ def test_criterion_06_zf_beamforming_gain():
     cfg = NetworkConfig(L=1, N=1, M=32, pilot_len=32, k_db=120.0, seed=106)
     users = sample_users(cfg, np.random.default_rng(106))
     plan = AllocationPlan(np.array([[0]]), "t")
-    sinr = float(estimate_sinr(cfg, users, plan, 500,
-                               np.random.default_rng(107))[0, 0])
+    sinr = float(estimate_sinr(cfg, users, [plan], 500,
+                               np.random.default_rng(107))[0, 0, 0])
     expect = cfg.rho * float(users[0].alpha[0]) * cfg.M
     rel = abs(sinr - expect) / expect
     assert rel < 0.10

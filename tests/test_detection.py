@@ -3,17 +3,22 @@
 import numpy as np
 import pytest
 
-from conftest import make_cell_users
+from conftest import make_cell_users, noise_block
 from mimopilots.channel import assemble_channels
 from mimopilots.detection import (SEReport, estimate_sinr, spectral_efficiency,
                                   zf_combiner)
-from mimopilots.estimation import estimated_los_channel, ls_estimate, subtract_los, synthesize_rx
+from mimopilots.estimation import (estimated_los_channel, ls_estimate, subtract_los,
+                                   synthesize_rx)
 from mimopilots.model import ConfigError, NetworkConfig, sample_users
 from mimopilots.pilots import AllocationPlan, build_pilot_book, pilot_matrix
 
 
 def crand(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def pinv_combiner(g):
+    return np.linalg.pinv(g, rcond=1e-8).conj().T
 
 
 class TestZfCombiner:
@@ -53,6 +58,33 @@ class TestZfCombiner:
     def test_all_zero_estimate_rejected(self):
         with pytest.raises(ValueError, match="degenerate estimate"):
             zf_combiner(np.zeros((8, 2), dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(8, 1), (24, 6), (64, 12), (100, 36)])
+    def test_full_rank_matches_pinv(self, shape):
+        # well-conditioned inputs take the Gram-Cholesky path
+        rng = np.random.default_rng(shape[1])
+        for _ in range(5):
+            g = crand(rng, shape)
+            ref = pinv_combiner(g)
+            w = zf_combiner(g)
+            assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-10])
+    def test_ill_conditioned_takes_pinv(self, ratio):
+        # cond 1e6 is full rank but above the certificate; 1e-10 is below
+        # the pseudo-inverse cutoff, so one singular value is dropped
+        rng = np.random.default_rng(5)
+        u, _ = np.linalg.qr(crand(rng, (40, 6)))
+        v, _ = np.linalg.qr(crand(rng, (6, 6)))
+        g = (u * np.logspace(0, np.log10(ratio), 6)) @ v.conj().T
+        assert np.array_equal(zf_combiner(g), pinv_combiner(g))
+
+    def test_duplicated_columns_take_pinv(self):
+        rng = np.random.default_rng(6)
+        g = crand(rng, (64, 12))
+        g[:, 7] = g[:, 2]
+        g[:, 9] = g[:, 2]
+        assert np.array_equal(zf_combiner(g), pinv_combiner(g))
 
 
 class TestSpectralEfficiency:
@@ -104,14 +136,14 @@ class TestEstimateSinr:
         users = sample_users(cfg, np.random.default_rng(7))
         plan = AllocationPlan(np.array([[0]]), "t")
         with pytest.raises(ConfigError):
-            estimate_sinr(cfg, users, plan, 1, np.random.default_rng(8))
+            estimate_sinr(cfg, users, [plan], 1, np.random.default_rng(8))
 
     def test_pure_los_beamforming_gain(self):
         # no interferers: sinr approaches rho * alpha * M
         cfg = NetworkConfig(L=1, N=1, M=32, pilot_len=32, k_db=120.0, seed=9)
         users = sample_users(cfg, np.random.default_rng(9))
         plan = AllocationPlan(np.array([[0]]), "t")
-        sinr = estimate_sinr(cfg, users, plan, 500, np.random.default_rng(10))
+        sinr = estimate_sinr(cfg, users, [plan], 500, np.random.default_rng(10))[0]
         expect = cfg.rho * users[0].alpha[0] * cfg.M
         assert sinr[0, 0] == pytest.approx(expect, rel=0.10)
 
@@ -120,16 +152,16 @@ class TestEstimateSinr:
         cfg = NetworkConfig(L=1, N=2, M=16, pilot_len=2, k_db=10.0, seed=11)
         users = make_cell_users(cfg, [(250.0, 1.1), (250.0, 1.1)])
         plan = AllocationPlan(np.array([[0, 0]]), "t")
-        sinr = estimate_sinr(cfg, users, plan, 300, np.random.default_rng(12))
+        sinr = estimate_sinr(cfg, users, [plan], 300, np.random.default_rng(12))[0]
         assert np.all(sinr[0] < 1.1)
 
     def test_input_order_invariance(self):
         cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=2, seed=13)
         users = sample_users(cfg, np.random.default_rng(13))
         plan = AllocationPlan(np.array([[0, 1, 0], [1, 0, 1]]), "t")
-        a = estimate_sinr(cfg, users, plan, 20, np.random.default_rng(14))
+        a = estimate_sinr(cfg, users, [plan], 20, np.random.default_rng(14))
         shuffled = [users[i] for i in np.random.default_rng(15).permutation(len(users))]
-        b = estimate_sinr(cfg, shuffled, plan, 20, np.random.default_rng(14))
+        b = estimate_sinr(cfg, shuffled, [plan], 20, np.random.default_rng(14))
         assert np.array_equal(a, b)
 
     def test_denominator_clamp_engages_at_extreme_snr(self):
@@ -139,7 +171,7 @@ class TestEstimateSinr:
                             snr_db=310.0, seed=23)
         users = sample_users(cfg, np.random.default_rng(23))
         plan = AllocationPlan(np.array([[0]]), "t")
-        sinr = estimate_sinr(cfg, users, plan, 5, np.random.default_rng(24))
+        sinr = estimate_sinr(cfg, users, [plan], 5, np.random.default_rng(24))[0]
         assert np.isfinite(sinr).all()
         assert sinr[0, 0] == pytest.approx(1e12, rel=1e-3)
 
@@ -149,10 +181,26 @@ class TestEstimateSinr:
         plan = AllocationPlan(np.array([[0, 1]]), "t")
         sinrs = [estimate_sinr(NetworkConfig(L=1, N=2, M=8, pilot_len=2, k_db=5.0,
                                              seed=16, snr_db=snr),
-                               users, plan, 50, np.random.default_rng(17))
+                               users, [plan], 50, np.random.default_rng(17))[0]
                  for snr in (0.0, 10.0, 20.0)]
         assert np.all(sinrs[1] >= sinrs[0])
         assert np.all(sinrs[2] >= sinrs[1])
+
+    def test_plans_share_draws_without_changing_results(self):
+        # every plan of a call sees the same channel and noise draws, and a
+        # plan's SINR does not depend on which other plans share the call
+        cfg = NetworkConfig(L=2, N=4, M=8, pilot_len=2, k_db=5.0, seed=25)
+        users = sample_users(cfg, np.random.default_rng(25))
+        plans = [AllocationPlan(cells, "t") for cells in (
+            [[0, 1, 0, 1], [1, 0, 1, 0]],
+            [[0, 0, 1, 1], [0, 1, 1, 0]],
+            [[1, 1, 1, 0], [0, 0, 0, 1]])]
+        together = estimate_sinr(cfg, users, plans, 7, np.random.default_rng(26))
+        assert together.shape == (3, cfg.L, cfg.N)
+        for k, plan in enumerate(plans):
+            alone = estimate_sinr(cfg, users, [plan], 7, np.random.default_rng(26))
+            assert np.array_equal(together[k], alone[0])
+        assert not np.array_equal(together[0], together[1])
 
     def test_zf_nulls_estimated_interference_inside_chain(self):
         # the combiner built inside the chain nulls co-scheduled estimates
@@ -161,7 +209,8 @@ class TestEstimateSinr:
         plan = AllocationPlan(np.arange(4)[None, :], "t")
         book = build_pilot_book(cfg.pilot_len)
         cs = assemble_channels(users, cfg, np.random.default_rng(19))
-        y = synthesize_rx(cs, plan, book, 1.0 / cfg.rho, np.random.default_rng(20))
+        y = synthesize_rx(cs, plan, book,
+                          noise_block(cfg, 1.0 / cfg.rho, np.random.default_rng(20)))
         ghat = (estimated_los_channel(users, cfg, 0, 0)
                 + ls_estimate(subtract_los(y[0], users, cfg, plan, book, 0),
                               pilot_matrix(plan, 0, book)))

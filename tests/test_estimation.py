@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_user
+from conftest import make_user, noise_block
 from mimopilots.channel import assemble_channels, steering_vector
 from mimopilots.estimation import (estimated_los_channel, estimated_los_rx,
                                    los_mismatch, ls_estimate, subtract_los,
@@ -28,7 +28,7 @@ class TestSynthesizeRx:
         cs = assemble_channels(users, cfg, np.random.default_rng(1))
         book = build_pilot_book(cfg.pilot_len)
         plan = AllocationPlan(np.array([[2]]), "t")
-        y = synthesize_rx(cs, plan, book, 0.0, np.random.default_rng(2))
+        y = synthesize_rx(cs, plan, book, noise_block(cfg))
         expect = np.outer(cs.g[0, 0][:, 0], book[2])
         assert np.allclose(y[0], expect, atol=1e-12)
 
@@ -40,7 +40,8 @@ class TestSynthesizeRx:
         noise_var = 0.37
         rng = np.random.default_rng(5)
         samples = [synthesize_rx(cs, distinct_plan(cfg), build_pilot_book(16),
-                                 noise_var, rng)[0] for _ in range(30)]
+                                 noise_block(cfg, noise_var, rng))[0]
+                   for _ in range(30)]
         power = np.mean([np.mean(np.abs(s) ** 2) for s in samples])
         assert power == pytest.approx(noise_var, rel=0.03)
 
@@ -59,19 +60,20 @@ class TestSynthesizeRx:
         cs1.g[0] = 0.0
         silent.g[:] = 0.0
 
-        full = synthesize_rx(cs, plan, book, noise_var, np.random.default_rng(8))
-        part0 = synthesize_rx(cs0, plan, book, 0.0, np.random.default_rng(9))
-        part1 = synthesize_rx(cs1, plan, book, 0.0, np.random.default_rng(9))
-        noise = synthesize_rx(silent, plan, book, noise_var, np.random.default_rng(8))
+        z = noise_block(cfg, noise_var, np.random.default_rng(8))
+        full = synthesize_rx(cs, plan, book, z)
+        part0 = synthesize_rx(cs0, plan, book, noise_block(cfg))
+        part1 = synthesize_rx(cs1, plan, book, noise_block(cfg))
+        noise = synthesize_rx(silent, plan, book, z)
         assert np.allclose(full, part0 + part1 + noise, atol=1e-10)
 
-    def test_negative_noise_rejected(self):
-        cfg = NetworkConfig(L=1, N=1, M=2, pilot_len=1, seed=0)
+    def test_misshaped_noise_rejected(self):
+        cfg = NetworkConfig(L=1, N=1, M=2, pilot_len=2, seed=0)
         users = sample_users(cfg, np.random.default_rng(0))
         cs = assemble_channels(users, cfg, np.random.default_rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="noise block"):
             synthesize_rx(cs, AllocationPlan(np.array([[0]]), "t"),
-                          build_pilot_book(1), -0.1, np.random.default_rng(0))
+                          build_pilot_book(2), np.zeros((1, 2, 1)))
 
 
 class TestSubtractLos:
@@ -81,7 +83,7 @@ class TestSubtractLos:
         cs = assemble_channels(users, cfg, np.random.default_rng(3))
         book = build_pilot_book(cfg.pilot_len)
         plan = distinct_plan(cfg)
-        y = synthesize_rx(cs, plan, book, 0.0, np.random.default_rng(4))
+        y = synthesize_rx(cs, plan, book, noise_block(cfg))
         for l in range(cfg.L):
             resid = subtract_los(y[l], users, cfg, plan, book, l)
             assert np.max(np.abs(resid - nlos_synthesis(cs, plan, book, l, cfg.L))) < 1e-9
@@ -96,7 +98,7 @@ class TestSubtractLos:
         cs = assemble_channels(users, cfg, np.random.default_rng(6))
         book = build_pilot_book(cfg.pilot_len)
         plan = distinct_plan(cfg)
-        y = synthesize_rx(cs, plan, book, 0.3, np.random.default_rng(7))
+        y = synthesize_rx(cs, plan, book, noise_block(cfg, 0.3, np.random.default_rng(7)))
         resid = subtract_los(y[0], users, cfg, plan, book, 0)
         assert np.array_equal(resid, y[0] - 0.0)
 
@@ -106,7 +108,7 @@ class TestSubtractLos:
         cs = assemble_channels(users, cfg, np.random.default_rng(9))
         book = build_pilot_book(cfg.pilot_len)
         plan = distinct_plan(cfg)
-        y = synthesize_rx(cs, plan, book, 0.0, np.random.default_rng(10))
+        y = synthesize_rx(cs, plan, book, noise_block(cfg))
         for l in range(cfg.L):
             resid = subtract_los(y[l], users, cfg, plan, book, l)
             gap = resid - nlos_synthesis(cs, plan, book, l, cfg.L)
@@ -138,7 +140,7 @@ class TestLsEstimate:
         cs = assemble_channels(users, cfg, np.random.default_rng(14))
         book = build_pilot_book(cfg.pilot_len)
         plan = distinct_plan(cfg)
-        y = synthesize_rx(cs, plan, book, 0.0, np.random.default_rng(15))
+        y = synthesize_rx(cs, plan, book, noise_block(cfg))
         resid = subtract_los(y[0], users, cfg, plan, book, 0)
         ghat = ls_estimate(resid, pilot_matrix(plan, 0, book))
         assert np.max(np.abs(ghat - cs.nlos_effective(0, 0))) < 1e-9
@@ -149,7 +151,7 @@ class TestLsEstimate:
         cs = assemble_channels(users, cfg, np.random.default_rng(17))
         book = build_pilot_book(cfg.pilot_len)
         plan = AllocationPlan(np.array([[0, 0, 1, 1]]), "t")
-        y = synthesize_rx(cs, plan, book, 0.05, np.random.default_rng(18))
+        y = synthesize_rx(cs, plan, book, noise_block(cfg, 0.05, np.random.default_rng(18)))
         resid = subtract_los(y[0], users, cfg, plan, book, 0)
         ghat = ls_estimate(resid, pilot_matrix(plan, 0, book))
         assert np.allclose(ghat[:, 0], ghat[:, 1])
@@ -161,7 +163,7 @@ class TestLsEstimate:
         cs = assemble_channels(users, cfg, np.random.default_rng(20))
         book = build_pilot_book(cfg.pilot_len)
         plan = distinct_plan(cfg)  # same plan in both cells
-        y = synthesize_rx(cs, plan, book, 0.0, np.random.default_rng(21))
+        y = synthesize_rx(cs, plan, book, noise_block(cfg))
         resid = subtract_los(y[0], users, cfg, plan, book, 0)
         ghat = ls_estimate(resid, pilot_matrix(plan, 0, book))
         expect = cs.nlos_effective(0, 0) + cs.nlos_effective(1, 0)
@@ -185,7 +187,8 @@ class TestLsEstimate:
         cs = assemble_channels(users, cfg, np.random.default_rng(24))
         book = build_pilot_book(cfg.pilot_len)
         plan = AllocationPlan(np.array([[0, 0, 1, 1], [0, 1, 1, 0]]), "t")
-        y = synthesize_rx(cs, plan, book, 0.02, np.random.default_rng(25))
+        z = noise_block(cfg, 0.02, np.random.default_rng(25))
+        y = synthesize_rx(cs, plan, book, z)
 
         watched = 0  # user (0, 0), pilot 0
         pilot = plan.cells[0][watched]
@@ -194,8 +197,7 @@ class TestLsEstimate:
             for j in range(cfg.N):
                 if plan.cells[i][j] != pilot:
                     cs_zeroed.g[i, :, :, j] = 0.0
-        y_zeroed = synthesize_rx(cs_zeroed, plan, book, 0.02,
-                                 np.random.default_rng(25))
+        y_zeroed = synthesize_rx(cs_zeroed, plan, book, z)
         col_full = ls_estimate(subtract_los(y[0], users, cfg, plan, book, 0),
                                pilot_matrix(plan, 0, book))[:, watched]
         col_zeroed = ls_estimate(subtract_los(y_zeroed[0], users, cfg, plan, book, 0),

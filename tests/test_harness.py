@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from mimopilots import harness
 from mimopilots.cli import cli_main
 from mimopilots.harness import (CSV_HEADER, ExperimentSpec, bootstrap_stderr,
                                 empirical_cdf, evaluate_drops, load_spec,
@@ -38,6 +39,12 @@ class TestExperimentSpec:
             ExperimentSpec(cfg=tiny_cfg(), allocators=("nope",))
         with pytest.raises(ConfigError):
             ExperimentSpec(cfg=tiny_cfg(), drops=0)
+        with pytest.raises(ConfigError, match="2 trials"):
+            ExperimentSpec(cfg=tiny_cfg(), trials=1)
+        with pytest.raises(ConfigError, match="integers"):
+            ExperimentSpec(cfg=tiny_cfg(), sweep="M", values=(8, 8.5))
+        with pytest.raises(ConfigError, match="numbers"):
+            ExperimentSpec(cfg=tiny_cfg(), sweep="loc_err_var", values=(0.0, "x"))
 
     def test_master_seed_defaults_to_config(self):
         assert tiny_spec().master_seed == 3
@@ -146,7 +153,7 @@ class TestOracleCompare:
         users = sample_users(cfg, np.random.default_rng(6))
 
         def evaluator(plan):
-            sinr = estimate_sinr(cfg, users, plan, 6, np.random.default_rng(7))
+            sinr = estimate_sinr(cfg, users, [plan], 6, np.random.default_rng(7))[0]
             return float(spectral_efficiency(
                 sinr, cfg.pilot_len, cfg.coherence_len)[0].sum())
 
@@ -256,6 +263,26 @@ class TestCli:
         assert cli_main(["oracle", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert "mean=" in out and "min=" in out and "max=" in out
+
+    @pytest.mark.parametrize("cfg_keys, exp_keys", [
+        ({"pilot_len": 4, "coherence_len": 4}, {}),
+        ({}, {"trials": 1}),
+        ({}, {"values": [8, 12.5]}),
+    ], ids=["pilot_len_fills_coherence_block", "one_trial", "fractional_m"])
+    def test_boundary_error_exits_two_before_any_drop(self, tmp_path, capsys,
+                                                      monkeypatch, cfg_keys, exp_keys):
+        def no_monte_carlo(*args, **kwargs):
+            raise RuntimeError("a drop ran before the config was rejected")
+
+        monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        doc = {"L": 1, "N": 2, "M": 8, "pilot_len": 2, "seed": 3, **cfg_keys,
+               "experiment": {"sweep": "M", "values": [8], "drops": 1, "trials": 2,
+                              "allocators": ["loc_aware"], **exp_keys}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["fig3a", "--config", str(path),
+                         "--out", str(tmp_path / "a.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

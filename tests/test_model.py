@@ -32,6 +32,7 @@ class TestNetworkConfig:
         dict(min_dist=400.0), dict(min_dist=0.0),
         dict(pathloss_sign=2), dict(k_model="bogus"), dict(los_model="bogus"),
         dict(antenna_spacing=0.0), dict(loc_err_var=-1.0), dict(seed=-1),
+        dict(pilot_len=100, coherence_len=100),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
