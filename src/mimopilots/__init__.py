@@ -1,23 +1,19 @@
 """Multi-cell massive-MIMO uplink simulator with location-aware pilot allocation."""
 
-from .allocators import (ALLOCATORS, TierPartition, allocate_greedy,
-                         allocate_loc_aware, allocate_random, allocate_sector,
-                         exhaustive_search, partition_tiers)
-from .channel import (ChannelSampler, ChannelSet, assemble_channels,
-                      draw_channel, steering_vector)
-from .detection import SEReport, estimate_sinr, spectral_efficiency, zf_combiner
+from .allocators import (ALLOCATORS, allocate_greedy, allocate_loc_aware,
+                         allocate_random, allocate_sector, exhaustive_search,
+                         partition_tiers)
+from .channel import ChannelSampler, ChannelSet, assemble_channels, steering_vector
+from .detection import estimate_sinr, spectral_efficiency, zf_combiner
 from .estimation import (estimated_los_channel, estimated_los_rx, ls_estimate,
-                         los_mismatch, subtract_los, synthesize_rx)
+                         subtract_los, synthesize_rx)
 from .harness import (ExperimentSpec, OracleCompareReport, ResultRow,
                       evaluate_drops, run_locerr_sweep, run_oracle_compare,
                       run_sum_se_sweep, run_worst_user_cdf)
-from .los_metric import (LosInterference, asymptotic_los_interference,
-                         dirichlet_kernel_sq, los_interference,
+from .los_metric import (dirichlet_kernel_sq, los_interference,
                          los_interference_from_params, mutual_aoa)
-from .model import (ConfigError, NetworkConfig, UserRecord,
-                    apply_localization_error, bs_positions, k_factor,
-                    pathloss, sample_los_state, sample_users)
-from .pilots import (AllocationPlan, build_pilot_book, correlation,
-                     is_balanced, pilot_matrix)
+from .model import (ConfigError, Drop, NetworkConfig, bs_positions, k_factor,
+                    pathloss, sample_users)
+from .pilots import AllocationPlan, build_pilot_book, correlation, pilot_matrix
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Pilot allocation strategies.
 
-Five allocators share one output type:
+Five allocators share one signature, (cfg, drop, rng) -> AllocationPlan:
 
 * loc_aware  — tiered location-aware assignment driven by the pairwise LOS
                interference score (the main algorithm).
@@ -10,63 +10,38 @@ Five allocators share one output type:
 * sector     — equal angular sectors, one pilot per sector.
 * exhaustive — brute-force argmax of an evaluator over every assignment
                (small scenarios only).
+
+loc_aware and greedy read the (L*N, L*N) pair-score matrix that
+`los_metric.los_interference` returns per BS; users are flattened
+cell-major there (cell * N + user).
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .los_metric import los_interference
-from .model import ConfigError, NetworkConfig, UserRecord, group_users
+from .model import TWO_PI, ConfigError, Drop, NetworkConfig
 from .pilots import AllocationPlan
 
-logger = logging.getLogger(__name__)
 
-TWO_PI = 2.0 * np.pi
+def partition_tiers(drop: Drop, cell: int, pilot_len: int) -> list[np.ndarray]:
+    """One cell's user indices in tiers of pilot_len, closest first.
 
-
-@dataclass
-class TierPartition:
-    """Users of one cell grouped by estimated distance.
-
-    Tiers hold local user indices; every tier except possibly the last has
-    exactly pilot_len members, and their concatenation enumerates the cell
-    sorted by estimated distance.
+    Users are sorted by estimated distance at the serving BS; ties break on
+    estimated angle and then the user index. Every tier except possibly the
+    last has exactly pilot_len members.
     """
-
-    tiers: list[np.ndarray]
-
-    @property
-    def n_tiers(self) -> int:
-        return len(self.tiers)
+    dist, aoa = drop.dist_est[cell, :, cell], drop.aoa_est[cell, :, cell]
+    order = np.lexsort((np.arange(dist.size), aoa, dist))
+    return [order[start:start + pilot_len] for start in range(0, dist.size, pilot_len)]
 
 
-def _distance_order(cell_users: list[UserRecord]) -> list[int]:
-    """Local indices sorted by estimated distance at the serving BS.
-
-    Ties break on estimated angle and then the stable index, so the order
-    depends on locations rather than on how the input list was built.
-    """
-    return sorted(range(len(cell_users)),
-                  key=lambda j: (cell_users[j].d_est, cell_users[j].theta_est,
-                                 cell_users[j].index))
-
-
-def partition_tiers(cell_users: list[UserRecord], pilot_len: int) -> TierPartition:
-    """Chunk one cell's users, sorted by estimated distance, into tiers."""
-    order = _distance_order(cell_users)
-    tiers = [np.array(order[start:start + pilot_len])
-             for start in range(0, len(order), pilot_len)]
-    return TierPartition(tiers=tiers)
-
-
-def allocate_loc_aware(cfg: NetworkConfig, users: list[UserRecord],
+def allocate_loc_aware(cfg: NetworkConfig, drop: Drop,
                        rng: np.random.Generator | None = None) -> AllocationPlan:
     """Tiered assignment minimizing average LOS interference.
 
@@ -77,39 +52,34 @@ def allocate_loc_aware(cfg: NetworkConfig, users: list[UserRecord],
     every previously finished cell — have the smallest mean interference
     score toward it. Ties go to the lowest pilot index. Deterministic.
     """
-    groups = group_users(users, cfg)
-    n_pilots = cfg.pilot_len
-    plan = np.full((cfg.L, cfg.N), -1, dtype=int)
-    holders: list[list[UserRecord]] = [[] for _ in range(n_pilots)]
+    n_pilots, N = cfg.pilot_len, cfg.N
+    plan = np.full((cfg.L, N), -1, dtype=int)
+    holders: list[list[int]] = [[] for _ in range(n_pilots)]   # flat user indices
 
     for cell in range(cfg.L):
-        tiers = partition_tiers(groups[cell], n_pilots)
-        for slot, j in enumerate(tiers.tiers[0]):
+        tiers = partition_tiers(drop, cell, n_pilots)
+        # [reference, interferer]: a row per user of this cell
+        scores = los_interference(drop, cell, cfg.M).T
+        for slot, j in enumerate(tiers[0]):
             plan[cell, j] = slot
-            holders[slot].append(groups[cell][j])
-        for tier in tiers.tiers[1:]:
-            used: set[int] = set()
-            for j in tier:
-                u = groups[cell][j]
-                best_pilot = -1
-                best_score = np.inf
-                for p in range(n_pilots):
-                    if p in used:
-                        continue
-                    score = float(np.mean([
-                        los_interference(other, u, bs=cell, m=cfg.M).score
-                        for other in holders[p]]))
-                    if score < best_score:
-                        best_score = score
-                        best_pilot = p
-                plan[cell, j] = best_pilot
-                used.add(best_pilot)
-                holders[best_pilot].append(u)
+            holders[slot].append(cell * N + j)
+        for tier in tiers[1:]:
+            # a tier's own picks land on pilots closed to the rest of the
+            # tier, so every mean the tier compares is fixed before it starts
+            means = np.array([scores[np.ix_(cell * N + tier, h)].mean(axis=1)
+                              for h in holders])          # (n_pilots, tier)
+            free = np.ones(n_pilots, dtype=bool)
+            for col, j in enumerate(tier):
+                open_pilots = np.flatnonzero(free)
+                pilot = int(open_pilots[np.argmin(means[open_pilots, col])])
+                plan[cell, j] = pilot
+                free[pilot] = False
+                holders[pilot].append(cell * N + j)
 
     return AllocationPlan(cells=plan, allocator="loc_aware")
 
 
-def allocate_random(cfg: NetworkConfig, users: list[UserRecord],
+def allocate_random(cfg: NetworkConfig, drop: Drop | None,
                     rng: np.random.Generator,
                     balanced: bool = True) -> AllocationPlan:
     """Random assignment, balanced by default.
@@ -134,85 +104,80 @@ def allocate_random(cfg: NetworkConfig, users: list[UserRecord],
     return AllocationPlan(cells=plan, allocator="random")
 
 
-def allocate_sector(cfg: NetworkConfig, users: list[UserRecord],
+def allocate_sector(cfg: NetworkConfig, drop: Drop,
                     rng: np.random.Generator | None = None) -> AllocationPlan:
     """One pilot per equal angular sector, same grid in every cell.
 
     Sector plans need not be balanced: co-located users share a pilot by
     construction.
     """
-    groups = group_users(users, cfg)
     width = TWO_PI / cfg.pilot_len
-    plan = np.empty((cfg.L, cfg.N), dtype=int)
-    for cell in range(cfg.L):
-        for j, u in enumerate(groups[cell]):
-            plan[cell, j] = min(int(u.theta_est // width), cfg.pilot_len - 1)
-    return AllocationPlan(cells=plan, allocator="sector")
+    sectors = (Drop.serving(drop.aoa_est) // width).astype(int)
+    return AllocationPlan(cells=np.minimum(sectors, cfg.pilot_len - 1),
+                          allocator="sector")
 
 
-def _copilot_proxy(cfg: NetworkConfig, groups: list[list[UserRecord]],
-                   plan: np.ndarray, cell: int, j: int, pilot: int) -> float:
-    """Large-scale interference proxy of user (cell, j) if it held `pilot`.
+def proxy_weights(cfg: NetworkConfig, drop: Drop) -> np.ndarray:
+    """Greedy's (L*N, L*N) interference weights [interferer, reference].
 
-    Sums, over every co-pilot user in the network, the estimated-gain ratio
-    at the victim's BS plus the pair's LOS interference score.
+    At the reference user's serving BS: the interferer's estimated gain over
+    the reference's own, plus the pair's LOS interference score. Zero on the
+    diagonal, so a user never counts against itself.
     """
-    u = groups[cell][j]
-    own = float(u.alpha_est[cell])
-    total = 0.0
-    for i in range(cfg.L):
-        row = plan[i]
-        for jj in np.flatnonzero(row == pilot):
-            if i == cell and jj == j:
-                continue
-            other = groups[i][jj]
-            total += float(other.alpha_est[cell]) / own
-            total += los_interference(other, u, bs=cell, m=cfg.M).score
-    return total
+    N = cfg.N
+    weights = np.empty((cfg.L * N, cfg.L * N))
+    for cell in range(cfg.L):
+        refs = slice(cell * N, (cell + 1) * N)
+        gain = drop.alpha_est[:, :, cell].reshape(-1)
+        weights[:, refs] = (gain[:, None] / gain[None, refs]
+                            + los_interference(drop, cell, cfg.M)[:, refs])
+    np.fill_diagonal(weights, 0.0)
+    return weights
 
 
-def allocate_greedy(cfg: NetworkConfig, users: list[UserRecord],
+def candidate_proxies(weights: np.ndarray, plan: np.ndarray,
+                      n_pilots: int) -> np.ndarray:
+    """(L*N, n_pilots) proxy of every user if it held each pilot, summed over
+    the co-pilot users of `plan`."""
+    holds = plan.reshape(-1, 1) == np.arange(n_pilots)
+    return weights.T @ holds.astype(float)
+
+
+def allocate_greedy(cfg: NetworkConfig, drop: Drop,
                     rng: np.random.Generator, max_iters: int = 10) -> AllocationPlan:
     """Iterative repair: move the worst-proxy user to its best pilot.
 
     Starts from a random balanced plan. Each iteration scores every user
     with the co-pilot interference proxy, picks the worst, and reassigns it
-    to the pilot minimizing its own proxy; if the move would unbalance the
-    cell, the displaced pilot is swapped onto the cell member of the target
-    pilot with the cheapest proxy under it. Stops on no strict improvement
-    or after max_iters.
+    to the pilot minimizing its own proxy (ties to the lowest pilot); if the
+    move would unbalance the cell, the displaced pilot is swapped onto the
+    cell member of the target pilot with the cheapest proxy under it. Stops
+    on no strict improvement or after max_iters.
     """
     if max_iters < 1:
         raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
-    groups = group_users(users, cfg)
-    plan = allocate_random(cfg, users, rng).cells.copy()
-    n_pilots = cfg.pilot_len
-    lo, hi = cfg.N // n_pilots, -(-cfg.N // n_pilots)
+    plan = allocate_random(cfg, drop, rng).cells
+    n_pilots, N = cfg.pilot_len, cfg.N
+    lo, hi = N // n_pilots, -(-N // n_pilots)
+    weights = proxy_weights(cfg, drop)
 
     for _ in range(max_iters):
-        proxies = np.array([[_copilot_proxy(cfg, groups, plan, cell, j, plan[cell, j])
-                             for j in range(cfg.N)] for cell in range(cfg.L)])
-        cell, j = np.unravel_index(int(np.argmax(proxies)), proxies.shape)
+        cand = candidate_proxies(weights, plan, n_pilots)
+        proxies = cand[np.arange(cand.shape[0]), plan.ravel()]
+        worst = int(np.argmax(proxies))
+        cell, j = divmod(worst, N)
         current = plan[cell, j]
-        current_score = proxies[cell, j]
-        best_pilot, best_score = current, current_score
-        for p in range(n_pilots):
-            if p == current:
-                continue
-            s = _copilot_proxy(cfg, groups, plan, cell, j, p)
-            if s < best_score:
-                best_score, best_pilot = s, p
-        if best_pilot == current:
+        best_pilot = int(np.argmin(cand[worst]))
+        if not cand[worst, best_pilot] < proxies[worst]:
             break
         counts = np.bincount(plan[cell], minlength=n_pilots)
         counts[current] -= 1
         counts[best_pilot] += 1
         if counts[current] < lo or counts[best_pilot] > hi:
             # keep the cell balanced: hand `current` to the cheapest holder
-            partners = [jj for jj in np.flatnonzero(plan[cell] == best_pilot) if jj != j]
-            swap = min(partners, key=lambda jj: (_copilot_proxy(
-                cfg, groups, plan, cell, jj, current), jj))
-            plan[cell, swap] = current
+            partners = np.flatnonzero(plan[cell] == best_pilot)
+            partners = partners[partners != j]
+            plan[cell, partners[np.argmin(cand[cell * N + partners, current])]] = current
         plan[cell, j] = best_pilot
 
     return AllocationPlan(cells=plan, allocator="greedy")
@@ -248,7 +213,7 @@ def _count_balanced(n_users: int, n_pilots: int) -> int:
     return total
 
 
-def exhaustive_search(cfg: NetworkConfig, users: list[UserRecord],
+def exhaustive_search(cfg: NetworkConfig, drop: Drop | None,
                       evaluator: Callable[[AllocationPlan], float],
                       balanced_only: bool = False,
                       max_plans: int = 10 ** 6) -> tuple[AllocationPlan, float]:
@@ -270,10 +235,6 @@ def exhaustive_search(cfg: NetworkConfig, users: list[UserRecord],
         raise ConfigError(
             f"exhaustive search space has {total} plans "
             f"({per_cell_count} per cell over {cfg.L} cells), limit {max_plans}")
-    logger.info("exhaustive search over %d plans (%d per cell); "
-                "users**pilot_len bookkeeping would give %d per cell",
-                total, per_cell_count, cfg.N ** n_pilots)
-
     if balanced_only:
         per_cell = list(_balanced_assignments(cfg.N, n_pilots))
     else:
@@ -291,8 +252,8 @@ def exhaustive_search(cfg: NetworkConfig, users: list[UserRecord],
     return best_plan, best_score
 
 
-def _allocate_random_iid(cfg, users, rng):
-    return allocate_random(cfg, users, rng, balanced=False)
+def _allocate_random_iid(cfg, drop, rng):
+    return allocate_random(cfg, drop, rng, balanced=False)
 
 
 ALLOCATORS: dict[str, Callable] = {

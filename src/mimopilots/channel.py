@@ -2,18 +2,17 @@
 
 Each uplink channel is sqrt(alpha) * (sqrt(K/(1+K)) * steering(theta)
 + sqrt(1/(1+K)) * h_scatter) with h_scatter i.i.d. unit-variance complex
-Gaussian. The deterministic LOS part uses the *true* geometry; BS-side
-estimates of it live in `estimation`.
+Gaussian. The deterministic LOS part uses the *true* geometry of a `Drop`;
+BS-side estimates of it live in `estimation`.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkConfig, UserRecord, group_users
+from .model import Drop, NetworkConfig
 
 
 def crandn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -26,35 +25,16 @@ def crandn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
 
 
-def steering_vector(m: int, theta: float, spacing: float = 0.5) -> np.ndarray:
+def steering_vector(m: int, theta, spacing: float = 0.5) -> np.ndarray:
     """Uniform-linear-array response: entry i = exp(-1j*i*2*pi*spacing*sin(theta)).
 
     Every entry has unit modulus, entry 0 is 1, and the squared norm is m.
+    An array of angles gives one response per angle along a new last axis.
     """
     if m < 1:
         raise ValueError("need at least one antenna")
     phase = -2.0 * np.pi * spacing * np.sin(theta)
-    return np.exp(1j * phase * np.arange(m))
-
-
-def draw_channel(user: UserRecord, bs: int, m: int, rng: np.random.Generator,
-                 spacing: float = 0.5) -> np.ndarray:
-    """One realization of the uplink channel from `user` to BS `bs`.
-
-    Weights are folded into the two components (w_los = sqrt(alpha*K/(1+K)),
-    w_nlos = sqrt(alpha/(1+K))) with the same expressions the matrix
-    assembly uses, so shared-stream draws agree bit for bit.
-    """
-    alpha = float(user.alpha[bs])
-    k = float(user.k[bs])
-    if alpha <= 0:
-        raise ValueError("large-scale gain must be positive")
-    if k < 0:
-        raise ValueError("K-factor must be non-negative")
-    h_los = steering_vector(m, float(user.aoa[bs]), spacing)
-    h_nlos = crandn(rng, (m,))
-    return (h_los * np.sqrt(alpha * k / (1.0 + k))
-            + h_nlos * np.sqrt(alpha / (1.0 + k)))
+    return np.exp(1j * np.multiply.outer(phase, np.arange(m)))
 
 
 @dataclass
@@ -77,33 +57,21 @@ class ChannelSet:
         w = np.sqrt(self.alpha[i, l] / (1.0 + self.k[i, l]))
         return self.htilde[i, l] * w[None, :]
 
-    def los_effective(self, i: int, l: int) -> np.ndarray:
-        """Deterministic component scaled as it enters the received pilots."""
-        w = np.sqrt(self.alpha[i, l] * self.k[i, l] / (1.0 + self.k[i, l]))
-        return self.hbar[i, l] * w[None, :]
-
 
 class ChannelSampler:
     """Precomputes the location-dependent pieces, then draws realizations.
 
     The scatter block for cell pair (i, l) is drawn user-by-user in index
-    order, so a column of g[i, l] matches `draw_channel` on a shared stream.
+    order, one (M,) vector per user, from a shared stream.
     """
 
-    def __init__(self, users: list[UserRecord], cfg: NetworkConfig):
+    def __init__(self, drop: Drop, cfg: NetworkConfig):
         self.cfg = cfg
-        groups = group_users(users, cfg)
-        L, N, M = cfg.L, cfg.N, cfg.M
-        self.hbar = np.empty((L, L, M, N), dtype=complex)
-        self.alpha = np.empty((L, L, N))
-        self.k = np.empty((L, L, N))
-        for i in range(L):
-            for j, u in enumerate(groups[i]):
-                for l in range(L):
-                    self.hbar[i, l, :, j] = steering_vector(
-                        M, float(u.aoa[l]), cfg.antenna_spacing)
-                    self.alpha[i, l, j] = u.alpha[l]
-                    self.k[i, l, j] = u.k[l]
+        # [cell, user, BS] -> [cell, BS, user], laid out C-contiguous
+        self.alpha = np.ascontiguousarray(drop.alpha.transpose(0, 2, 1))
+        self.k = np.ascontiguousarray(drop.k.transpose(0, 2, 1))
+        self.hbar = np.ascontiguousarray(np.swapaxes(steering_vector(
+            cfg.M, drop.aoa.transpose(0, 2, 1), cfg.antenna_spacing), -1, -2))
         self.w_los = np.sqrt(self.alpha * self.k / (1.0 + self.k))
         self.w_nlos = np.sqrt(self.alpha / (1.0 + self.k))
 
@@ -118,27 +86,7 @@ class ChannelSampler:
                           alpha=self.alpha, k=self.k)
 
 
-def assemble_channels(users: list[UserRecord], cfg: NetworkConfig,
+def assemble_channels(drop: Drop, cfg: NetworkConfig,
                       rng: np.random.Generator) -> ChannelSet:
     """Draw one full set of channel matrices for the scenario."""
-    return ChannelSampler(users, cfg).draw(rng)
-
-
-_DUMP_HEADER = struct.Struct("<4i")
-
-
-def dump_channel_matrix(path, cs: ChannelSet, i: int, l: int) -> None:
-    """Debug dump of one matrix: 16-byte header (M, N, i, l as int32,
-    little-endian) followed by row-major little-endian complex64 pairs."""
-    mat = np.ascontiguousarray(cs.g[i, l], dtype="<c8")
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_HEADER.pack(mat.shape[0], mat.shape[1], i, l))
-        fh.write(mat.tobytes(order="C"))
-
-
-def load_channel_matrix(path) -> tuple[np.ndarray, int, int]:
-    """Read back a debug dump; returns (matrix, i, l)."""
-    with open(path, "rb") as fh:
-        m, n, i, l = _DUMP_HEADER.unpack(fh.read(_DUMP_HEADER.size))
-        mat = np.frombuffer(fh.read(), dtype="<c8").reshape(m, n)
-    return mat.astype(complex), i, l
+    return ChannelSampler(drop, cfg).draw(rng)

@@ -14,7 +14,7 @@ from .channel import ChannelSampler, assemble_channels, steering_vector
 from .detection import spectral_efficiency, zf_combiner
 from .estimation import (estimated_los_channel, ls_estimate, subtract_los,
                          synthesize_rx)
-from .los_metric import dirichlet_kernel_sq, los_interference_from_params
+from .los_metric import dirichlet_kernel_sq, los_interference
 from .model import NetworkConfig, sample_users
 from .pilots import AllocationPlan, build_pilot_book, correlation, pilot_matrix
 
@@ -58,40 +58,50 @@ def check_dirichlet_kernel() -> tuple[str, bool, str]:
 
 
 def check_los_interference_oracle() -> tuple[str, bool, str]:
-    rng = np.random.default_rng(13)
+    # whole drops, NLOS links and location errors included, scored through
+    # los_interference as the allocators score them
     worst = 0.0
-    for _ in range(300):
-        m = int(rng.integers(1, 65))
-        alpha = rng.uniform(0.05, 5.0, size=2)
-        k = rng.uniform(0.1, 20.0, size=2)
-        theta = rng.uniform(0, 2 * np.pi, size=2)
-        res = los_interference_from_params(alpha[0], k[0], theta[0],
-                                           alpha[1], k[1], theta[1], m)
-        g_a = np.sqrt(alpha[0] * k[0] / (1 + k[0])) * steering_vector(m, theta[0])
-        g_b = np.sqrt(alpha[1] * k[1] / (1 + k[1])) * steering_vector(m, theta[1])
-        ref = abs(np.vdot(g_b, g_a)) ** 2 / abs(np.vdot(g_b, g_b)) ** 2
-        worst = max(worst, abs(res.score - ref) / max(ref, 1e-30))
-    return "pair score vs explicit steering vectors", worst < 1e-9, f"worst rel dev {worst:.2e}"
+    for m, seed in ((1, 13), (8, 14), (33, 15), (64, 16)):
+        cfg = NetworkConfig(L=2, N=6, M=m, pilot_len=6, k_model="distance",
+                            los_model="linear_prob", loc_err_var=9.0, seed=seed)
+        drop = sample_users(cfg, np.random.default_rng(seed))
+        for bs in range(cfg.L):
+            scores = los_interference(drop, bs, m)
+            alpha, k, theta = (x[:, :, bs].ravel()
+                               for x in (drop.alpha_est, drop.k_est, drop.aoa_est))
+            for a in range(scores.shape[0]):
+                for b in range(scores.shape[1]):
+                    v_a, v_b = steering_vector(m, theta[a]), steering_vector(m, theta[b])
+                    if k[a] > 0 and k[b] > 0:
+                        g_a = np.sqrt(alpha[a] * k[a] / (1 + k[a])) * v_a
+                        g_b = np.sqrt(alpha[b] * k[b] / (1 + k[b])) * v_b
+                        ref = abs(np.vdot(g_b, g_a)) ** 2 / abs(np.vdot(g_b, g_b)) ** 2
+                    else:   # an NLOS link: the steering overlap alone
+                        ref = abs(np.vdot(v_b, v_a)) ** 2 / m ** 2
+                    worst = max(worst, abs(scores[a, b] - ref) / max(ref, 1e-30))
+    return "drop pair scores vs explicit steering vectors", worst < 1e-9, \
+        f"worst rel dev {worst:.2e}"
 
 
-def _distinct_plan(cfg: NetworkConfig) -> AllocationPlan:
-    return AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)),
+def _distinct_plan(cfg: NetworkConfig) -> list[np.ndarray]:
+    """Pilot matrices of the plan giving user j pilot j mod pilot_len."""
+    plan = AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)),
                           "check")
+    book = build_pilot_book(cfg.pilot_len)
+    return [pilot_matrix(plan, i, book) for i in range(cfg.L)]
 
 
 def check_los_subtraction() -> tuple[str, bool, str]:
     cfg = NetworkConfig(L=2, N=6, M=16, pilot_len=6, loc_err_var=0.0, seed=3)
     rng = np.random.default_rng(cfg.seed)
-    users = sample_users(cfg, rng)
-    plan = _distinct_plan(cfg)
-    book = build_pilot_book(cfg.pilot_len)
-    cs = assemble_channels(users, cfg, rng)
-    y = synthesize_rx(cs, plan, book, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
+    drop = sample_users(cfg, rng)
+    lambdas = _distinct_plan(cfg)
+    cs = assemble_channels(drop, cfg, rng)
+    y = synthesize_rx(cs, lambdas, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
     worst = 0.0
     for l in range(cfg.L):
-        resid = subtract_los(y[l], users, cfg, plan, book, l)
-        ref = sum(cs.nlos_effective(i, l) @ pilot_matrix(plan, i, book)
-                  for i in range(cfg.L))
+        resid = subtract_los(y[l], drop, cfg, lambdas, l)
+        ref = sum(cs.nlos_effective(i, l) @ lambdas[i] for i in range(cfg.L))
         worst = max(worst, float(np.max(np.abs(resid - ref))))
     return "LOS subtraction exact at zero location error", worst < 1e-9, f"max dev {worst:.2e}"
 
@@ -99,13 +109,12 @@ def check_los_subtraction() -> tuple[str, bool, str]:
 def check_ls_exactness() -> tuple[str, bool, str]:
     cfg = NetworkConfig(L=1, N=8, M=32, pilot_len=8, seed=5)
     rng = np.random.default_rng(cfg.seed)
-    users = sample_users(cfg, rng)
-    plan = _distinct_plan(cfg)
-    book = build_pilot_book(cfg.pilot_len)
-    cs = assemble_channels(users, cfg, rng)
-    y = synthesize_rx(cs, plan, book, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
-    resid = subtract_los(y[0], users, cfg, plan, book, 0)
-    ghat = ls_estimate(resid, pilot_matrix(plan, 0, book))
+    drop = sample_users(cfg, rng)
+    lambdas = _distinct_plan(cfg)
+    cs = assemble_channels(drop, cfg, rng)
+    y = synthesize_rx(cs, lambdas, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
+    resid = subtract_los(y[0], drop, cfg, lambdas, 0)
+    ghat = ls_estimate(resid, lambdas[0])
     dev = float(np.max(np.abs(ghat - cs.nlos_effective(0, 0))))
     return "LS estimate exact for orthogonal pilots", dev < 1e-9, f"max dev {dev:.2e}"
 
@@ -133,8 +142,7 @@ def check_zf_min_norm() -> tuple[str, bool, str]:
 def check_channel_power() -> tuple[str, bool, str]:
     cfg = NetworkConfig(L=1, N=2, M=16, pilot_len=2, k_db=3.0, seed=23)
     rng = np.random.default_rng(cfg.seed)
-    users = sample_users(cfg, rng)
-    sampler = ChannelSampler(users, cfg)
+    sampler = ChannelSampler(sample_users(cfg, rng), cfg)
     acc = np.zeros(cfg.N)
     trials = 2000
     for _ in range(trials):
@@ -149,10 +157,10 @@ def check_detection_identity() -> tuple[str, bool, str]:
     # the four received-signal terms must reassemble w^H y exactly
     rng = np.random.default_rng(29)
     cfg = NetworkConfig(L=2, N=4, M=12, pilot_len=4, seed=29)
-    users = sample_users(cfg, rng)
-    cs = assemble_channels(users, cfg, rng)
+    drop = sample_users(cfg, rng)
+    cs = assemble_channels(drop, cfg, rng)
     l = 0
-    ghat = estimated_los_channel(users, cfg, l, l)
+    ghat = estimated_los_channel(drop, cfg, l, l)
     w = zf_combiner(ghat)
     x = (rng.standard_normal((cfg.L, cfg.N)) + 1j * rng.standard_normal((cfg.L, cfg.N)))
     noise = (rng.standard_normal(cfg.M) + 1j * rng.standard_normal(cfg.M))
@@ -178,9 +186,7 @@ def check_se_formula() -> tuple[str, bool, str]:
 
 def check_correlation_structure() -> tuple[str, bool, str]:
     cfg = NetworkConfig(L=1, N=36, M=4, pilot_len=12, seed=31)
-    book = build_pilot_book(cfg.pilot_len)
-    plan = _distinct_plan(cfg)
-    lam = pilot_matrix(plan, 0, book)
+    lam = _distinct_plan(cfg)[0]
     r = correlation(lam, lam)
     hits = np.isclose(np.abs(r), cfg.pilot_len, atol=1e-9).sum(axis=1)
     zeros = np.isclose(np.abs(r), 0.0, atol=1e-9).sum(axis=1)

@@ -12,14 +12,13 @@ the true channels used as ground truth.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelSampler, crandn
 from .estimation import (estimated_los_channel, estimated_los_rx, ls_estimate,
                          synthesize_rx)
-from .model import ConfigError, NetworkConfig, UserRecord
+from .model import ConfigError, Drop, NetworkConfig
 from .pilots import AllocationPlan, build_pilot_book, pilot_matrix
 
 # floor for the SINR denominator when the sample variance underflows
@@ -74,7 +73,7 @@ def spectral_efficiency(sinr, pilot_len: int, coherence_len: int):
     return out if out.ndim else float(out)
 
 
-def estimate_sinr(cfg: NetworkConfig, users: list[UserRecord],
+def estimate_sinr(cfg: NetworkConfig, drop: Drop,
                   plans: Sequence[AllocationPlan], trials: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Per-user SINR of each plan, shape (P, L, N), for fixed locations.
@@ -93,13 +92,13 @@ def estimate_sinr(cfg: NetworkConfig, users: list[UserRecord],
     P = len(plans)
     book = build_pilot_book(cfg.pilot_len)
     lambdas = [[pilot_matrix(plan, i, book) for i in range(L)] for plan in plans]
-    sampler = ChannelSampler(users, cfg)
+    sampler = ChannelSampler(drop, cfg)
     noise_var = 1.0 / cfg.rho
 
     # location-only pieces, constant across trials
-    ghat_los = [estimated_los_channel(users, cfg, cell=l, bs=l) for l in range(L)]
-    ybar = [[estimated_los_rx(users, cfg, plan, book, bs=l) for l in range(L)]
-            for plan in plans]
+    ghat_los = [estimated_los_channel(drop, cfg, cell=l, bs=l) for l in range(L)]
+    ybar = [[estimated_los_rx(drop, cfg, lam, bs=l) for l in range(L)]
+            for lam in lambdas]
 
     sum_sig = np.zeros((P, L, N), dtype=complex)  # w^H g of the own user
     sum_pow = np.zeros((P, L, N, L * N))          # |w^H g|^2, all users
@@ -110,8 +109,8 @@ def estimate_sinr(cfg: NetworkConfig, users: list[UserRecord],
         noise = np.sqrt(noise_var) * crandn(rng, (L, M, cfg.pilot_len))
         g_all = [np.concatenate([cs.g[i, l] for i in range(L)], axis=1)
                  for l in range(L)]                # (M, L*N) per BS
-        for p, plan in enumerate(plans):
-            y = synthesize_rx(cs, plan, book, noise)
+        for p in range(P):
+            y = synthesize_rx(cs, lambdas[p], noise)
             for l in range(L):
                 gtilde_hat = ls_estimate(y[l] - ybar[p][l], lambdas[p][l])
                 w = zf_combiner(ghat_los[l] + gtilde_hat)
@@ -124,22 +123,3 @@ def estimate_sinr(cfg: NetworkConfig, users: list[UserRecord],
     denom = (sum_pow.sum(axis=3) / trials - mean_sig_sq
              + noise_var * sum_wsq / trials)
     return mean_sig_sq / np.maximum(denom, _DENOM_FLOOR)
-
-
-@dataclass
-class SEReport:
-    """Per-user SINR/SE with per-cell sums and Monte-Carlo bookkeeping."""
-
-    sinr: np.ndarray            # (L, N) linear
-    se: np.ndarray              # (L, N) bits/s/Hz
-    sum_se: np.ndarray          # (L,)
-    trials: int
-    drops: int = 1
-    stderr: np.ndarray | None = None   # (L,) std error of sum_se, if known
-
-    @classmethod
-    def from_sinr(cls, sinr: np.ndarray, cfg: NetworkConfig, trials: int,
-                  drops: int = 1, stderr: np.ndarray | None = None) -> "SEReport":
-        se = spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
-        return cls(sinr=sinr, se=se, sum_se=se.sum(axis=1), trials=trials,
-                   drops=drops, stderr=stderr)

@@ -60,6 +60,12 @@ class ExperimentSpec:
                               f"valid: {sorted(ALLOCATORS)}")
         if not self.allocators:
             raise ConfigError("need at least one allocator")
+        for name in ("drops", "trials", "threads", "n_worst", "seed"):
+            value = getattr(self, name)
+            if name == "seed" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.drops < 1:
             raise ConfigError("drops must be >= 1")
         if self.trials < 2:
@@ -100,12 +106,12 @@ def _rng(*key: int) -> np.random.Generator:
 
 
 def _one_drop(cfg: NetworkConfig, allocators: tuple[str, ...], trials: int,
-              seed: int, drop: int) -> dict[str, np.ndarray]:
-    """Per-user SE of every allocator on one location drop (paired channels)."""
-    users = sample_users(cfg, _rng(seed, drop, _STREAM_USERS))
-    plans = [ALLOCATORS[name](cfg, users, _rng(seed, drop, _STREAM_ALLOC + pos))
+              seed: int, d: int) -> dict[str, np.ndarray]:
+    """Per-user SE of every allocator on location drop d (paired channels)."""
+    drop = sample_users(cfg, _rng(seed, d, _STREAM_USERS))
+    plans = [ALLOCATORS[name](cfg, drop, _rng(seed, d, _STREAM_ALLOC + pos))
              for pos, name in enumerate(allocators)]
-    sinr = estimate_sinr(cfg, users, plans, trials, _rng(seed, drop, _STREAM_SINR))
+    sinr = estimate_sinr(cfg, drop, plans, trials, _rng(seed, d, _STREAM_SINR))
     se = spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
     return dict(zip(allocators, se))
 
@@ -257,16 +263,16 @@ def run_oracle_compare(spec: ExperimentSpec,
     ratios = np.empty(spec.drops)
 
     def work(d: int) -> None:
-        users = sample_users(cfg, _rng(seed, d, _STREAM_USERS))
+        drop = sample_users(cfg, _rng(seed, d, _STREAM_USERS))
 
         def evaluator(plan) -> float:
-            sinr = estimate_sinr(cfg, users, [plan], spec.trials,
+            sinr = estimate_sinr(cfg, drop, [plan], spec.trials,
                                  _rng(seed, d, _STREAM_SINR))[0]
             se = spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
             return float(se[0].sum())
 
-        own = evaluator(allocate_loc_aware(cfg, users))
-        _, best = exhaustive_search(cfg, users, evaluator, max_plans=max_plans)
+        own = evaluator(allocate_loc_aware(cfg, drop))
+        _, best = exhaustive_search(cfg, drop, evaluator, max_plans=max_plans)
         ratios[d] = own / best
 
     if spec.threads > 1:

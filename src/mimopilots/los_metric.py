@@ -4,31 +4,31 @@ The score for an (interferer, reference) pair factors into a power-ratio
 part built from estimated gains and K-factors, and an AoA part equal to the
 normalized squared overlap of the two estimated steering vectors. The AoA
 part is a Dirichlet kernel in the "mutual AoA" pi*(sin a - sin b).
+
+Every function here is elementwise over broadcast arrays; `los_interference`
+evaluates it for every user pair of a `Drop` at one BS.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import numpy as np
 
-from .model import UserRecord
-
-TWO_PI = 2.0 * math.pi
+from .model import TWO_PI, Drop
 
 # below this, sin(theta/2)**2 is replaced by a series to avoid 0/0
 _SIN_GUARD = 1e-6
 
 
-def mutual_aoa(theta_a: float, theta_b: float) -> float:
+def mutual_aoa(theta_a, theta_b):
     """Phase-per-antenna gap pi*(sin(theta_a) - sin(theta_b)), in [-2pi, 2pi].
 
     Zero iff the two users overlap in sine (equal angles, or angles summing
     to pi); the +-2pi endpoints alias back to total overlap.
     """
-    return math.pi * (math.sin(theta_a) - math.sin(theta_b))
+    return np.pi * (np.sin(theta_a) - np.sin(theta_b))
 
 
-def dirichlet_kernel_sq(m: int, theta: float) -> float:
+def dirichlet_kernel_sq(m: int, theta):
     """|sum_{i=0}^{m-1} exp(-1j*i*theta)|^2 in closed form.
 
     Equals m**2 when theta is a multiple of 2*pi and
@@ -37,80 +37,49 @@ def dirichlet_kernel_sq(m: int, theta: float) -> float:
     """
     if m < 1:
         raise ValueError("need at least one antenna")
-    # exact 2*pi periodicity; fold to (-pi, pi] where sin(theta/2) is tame
-    t = math.remainder(theta, TWO_PI)
-    s = math.sin(0.5 * t)
-    if abs(s) < _SIN_GUARD:
+    # exact 2*pi periodicity; fold to [-pi, pi] where sin(theta/2) is tame
+    # (fmod and the one subtraction are exact, as in IEEE remainder)
+    t = np.fmod(theta, TWO_PI)
+    t = np.where(np.abs(t) > np.pi, t - np.copysign(TWO_PI, t), t)
+    s = np.sin(0.5 * t)
+    num = np.sin(0.5 * m * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
         # sin(m*a)/sin(a) = m*(1 - (m^2-1)*a^2/6 + O(a^4)) with a = t/2
-        return m * m * (1.0 - (m * m - 1.0) * t * t / 12.0)
-    num = math.sin(0.5 * m * t)
-    return (num * num) / (s * s)
+        out = np.where(np.abs(s) < _SIN_GUARD,
+                       m * m * (1.0 - (m * m - 1.0) * t * t / 12.0),
+                       (num * num) / (s * s))
+    return out[()]
 
 
-@dataclass(frozen=True)
-class LosInterference:
-    """LOS interference of an interferer onto a reference user at one BS.
-
-    score       : comparison value; gain_ratio * aoa_overlap when both links
-                  carry a LOS component, aoa_overlap alone otherwise.
-    gain_ratio  : power-ratio factor; None when either K is zero.
-    aoa_overlap : normalized squared steering overlap, in [0, 1].
-    mutual_aoa  : the kernel argument for the pair.
-    """
-
-    score: float
-    gain_ratio: float | None
-    aoa_overlap: float
-    mutual_aoa: float
-
-
-def los_interference_from_params(alpha_a: float, k_a: float, theta_a: float,
-                                 alpha_b: float, k_b: float, theta_b: float,
-                                 m: int) -> LosInterference:
-    """Pair score from raw estimated parameters.
+def los_interference_from_params(alpha_a, k_a, theta_a, alpha_b, k_b, theta_b,
+                                 m: int):
+    """Pair score from raw estimated parameters, elementwise.
 
     `a` is the interferer, `b` the reference user whose serving BS observes
-    the pair. The power-ratio factor is
-    (alpha_a * k_a * (1 + k_b)) / (alpha_b * k_b * (1 + k_a)); the AoA factor
-    is dirichlet_kernel_sq(m, mutual) / m**2. Either K being zero drops the
-    ratio and the AoA factor alone becomes the score.
+    the pair. The AoA factor is dirichlet_kernel_sq(m, mutual) / m**2. When
+    both K-factors are positive it is multiplied by the power ratio
+    (alpha_a * k_a * (1 + k_b)) / (alpha_b * k_b * (1 + k_a)); when either
+    is zero (an NLOS link) the AoA factor alone is the score.
     """
-    if alpha_b <= 0 or alpha_a <= 0:
+    alpha_a, k_a, alpha_b, k_b = map(np.asarray, (alpha_a, k_a, alpha_b, k_b))
+    if np.any(alpha_a <= 0) or np.any(alpha_b <= 0):
         raise ValueError("large-scale gains must be positive")
-    if k_a < 0 or k_b < 0:
+    if np.any(k_a < 0) or np.any(k_b < 0):
         raise ValueError("K-factors must be non-negative")
-    mut = mutual_aoa(theta_a, theta_b)
-    overlap = dirichlet_kernel_sq(m, mut) / (m * m)
-    if k_a == 0 or k_b == 0:
-        return LosInterference(score=overlap, gain_ratio=None,
-                               aoa_overlap=overlap, mutual_aoa=mut)
-    ratio = (alpha_a * k_a * (1.0 + k_b)) / (alpha_b * k_b * (1.0 + k_a))
-    return LosInterference(score=ratio * overlap, gain_ratio=ratio,
-                           aoa_overlap=overlap, mutual_aoa=mut)
+    overlap = dirichlet_kernel_sq(m, mutual_aoa(theta_a, theta_b)) / (m * m)
+    num = alpha_a * k_a * (1.0 + k_b)
+    den = alpha_b * k_b * (1.0 + k_a)
+    both_los = (k_a != 0) & (k_b != 0)
+    ratio = np.divide(num, den, out=np.ones(np.shape(both_los)), where=both_los)
+    return (ratio * overlap)[()]
 
 
-def los_interference(user_a: UserRecord, user_b: UserRecord, bs: int,
-                     m: int) -> LosInterference:
-    """Pair score from the records' estimated quantities at BS `bs`."""
-    return los_interference_from_params(
-        float(user_a.alpha_est[bs]), float(user_a.k_est[bs]), float(user_a.aoa_est[bs]),
-        float(user_b.alpha_est[bs]), float(user_b.k_est[bs]), float(user_b.aoa_est[bs]),
-        m)
+def los_interference(drop: Drop, bs: int, m: int) -> np.ndarray:
+    """Scores of every user pair at BS `bs`, from the estimated quantities.
 
-
-def asymptotic_los_interference(user_a: UserRecord, user_b: UserRecord,
-                                bs: int) -> float:
-    """Large-array limit of the pair score.
-
-    The AoA factor vanishes unless the two sines coincide, in which case the
-    power-ratio factor survives. Pairs without LOS on either link go to zero.
+    Returns an (L*N, L*N) matrix indexed [interferer, reference], users
+    flattened cell-major (cell * N + user).
     """
-    k_a = float(user_a.k_est[bs])
-    k_b = float(user_b.k_est[bs])
-    if k_a == 0 or k_b == 0:
-        return 0.0
-    if mutual_aoa(float(user_a.aoa_est[bs]), float(user_b.aoa_est[bs])) != 0.0:
-        return 0.0
-    alpha_a = float(user_a.alpha_est[bs])
-    alpha_b = float(user_b.alpha_est[bs])
-    return (alpha_a * k_a * (1.0 + k_b)) / (alpha_b * k_b * (1.0 + k_a))
+    alpha, k, theta = (x[:, :, bs].reshape(-1, 1)
+                       for x in (drop.alpha_est, drop.k_est, drop.aoa_est))
+    return los_interference_from_params(alpha, k, theta, alpha.T, k.T, theta.T, m)

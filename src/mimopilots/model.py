@@ -5,12 +5,17 @@ A scenario is a set of cells laid out on a line, each with one base station
 angle around their serving BS. Every quantity the BSs are allowed to know is
 derived from the *estimated* user position (the true position plus a bounded
 uniform error); the true position drives the actual channels.
+
+One drop is a `Drop`: per-link arrays of shape (L, N, L) indexed
+[cell, user, BS], which the channel, estimation and allocation stages index
+directly.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -19,6 +24,10 @@ TWO_PI = 2.0 * math.pi
 
 K_MODELS = ("fixed", "distance")
 LOS_MODELS = ("always", "linear_prob")
+
+# Signal amplitudes scale with sqrt(gain); beyond this gain spread the
+# weakest user's pilot signal is below the rounding error of the strongest.
+_GAIN_SPREAD_LIMIT = 1.0 / np.finfo(float).eps ** 2
 
 
 class ConfigError(ValueError):
@@ -76,6 +85,15 @@ class NetworkConfig:
         return 10.0 ** (self.snr_db / 10.0)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real)
+                                      or not math.isfinite(value)):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.L < 1:
             raise ConfigError(f"L must be >= 1, got {self.L}")
         if self.N < 1:
@@ -92,8 +110,6 @@ class NetworkConfig:
                 f"need 0 < min_dist < cell_radius, got "
                 f"{self.min_dist}, {self.cell_radius}"
             )
-        if not math.isfinite(self.snr_db):
-            raise ConfigError("snr_db must be finite")
         if self.pathloss_sign not in (-1, 1):
             raise ConfigError(f"pathloss_sign must be -1 or +1, got {self.pathloss_sign}")
         if self.k_model not in K_MODELS:
@@ -106,6 +122,43 @@ class NetworkConfig:
             raise ConfigError("loc_err_var must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        self._check_gains()
+
+    def _check_gains(self) -> None:
+        """Gains, K-factors and the linear SNR must be finite and positive
+        over every distance a drop can produce: true distances up to the far
+        edge of the last cell, estimated ones moved by up to sqrt(2) error
+        half-widths and clamped to >= 1 m. Both models are monotone in
+        distance, so the two ends of that range bound them."""
+        reach = math.sqrt(2.0) * error_half_width(self.loc_err_var)
+        ends = np.array([min(self.min_dist, max(1.0, self.min_dist - reach)),
+                         max((2 * self.L - 1) * self.cell_radius + reach, 1.0)])
+        span = f"between {ends[0]:g} m and {ends[1]:g} m"
+        with np.errstate(all="ignore"):
+            gain, k = pathloss(ends, self), k_factor(ends, self)
+            rho = np.power(10.0, self.snr_db / 10.0)
+            spread = gain.max() / gain.min()
+            # the pair score's numerator alpha*K*(1+K) at its largest over its
+            # denominator at its smallest, plus the gain ratio beside it,
+            # summed over every user as the allocators sum them
+            score_sum = (2.0 * self.L * self.N * gain.max() * k.max() * (1.0 + k.max())
+                         / (gain.min() * k.min() * (1.0 + k.min())))
+        if not (np.all(np.isfinite(gain)) and np.all(gain > 0)):
+            raise ConfigError(f"pathloss leaves the positive finite range {span}: "
+                              f"{gain.tolist()} (pathloss_exp={self.pathloss_exp})")
+        if spread > _GAIN_SPREAD_LIMIT:
+            raise ConfigError(
+                f"pathloss spreads by {spread:.3g} {span}, more "
+                f"than {_GAIN_SPREAD_LIMIT:.3g}: the weakest signal would drop "
+                f"below the rounding error of the strongest")
+        if not (np.all(np.isfinite(k)) and np.all(k > 0)):
+            raise ConfigError(f"K-factor leaves the positive finite range {span}: "
+                              f"{k.tolist()}")
+        if not np.isfinite(score_sum):
+            raise ConfigError(f"gain and K-factor spread {span} overflows the "
+                              f"allocators' interference sums")
+        if not (np.isfinite(rho) and rho > 0):
+            raise ConfigError(f"snr_db={self.snr_db} gives a linear SNR of {rho}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -133,49 +186,6 @@ class NetworkConfig:
 
     def with_updates(self, **kwargs) -> "NetworkConfig":
         return replace(self, **kwargs)
-
-
-@dataclass
-class UserRecord:
-    """One user, with true and BS-side (estimated) geometry per BS.
-
-    All per-BS arrays have length L and are indexed by BS. `k` is zero toward
-    any BS the user has no line of sight to; the estimated `k_est` is zeroed
-    on the same links (the LOS/NLOS condition is channel state, not part of
-    the position estimate).
-    """
-
-    cell: int
-    index: int
-    pos: np.ndarray        # true (x, y), meters
-    pos_est: np.ndarray    # estimated (x, y)
-    dist: np.ndarray       # true distance to each BS
-    aoa: np.ndarray        # true angle of arrival at each BS, in [0, 2*pi)
-    dist_est: np.ndarray   # estimated distance, clamped to >= 1 m
-    aoa_est: np.ndarray    # estimated angle of arrival
-    alpha: np.ndarray      # large-scale gain from the true distance
-    alpha_est: np.ndarray  # large-scale gain from the estimated distance
-    k: np.ndarray          # Rice factor (linear) from the true distance
-    k_est: np.ndarray      # Rice factor from the estimated distance
-    los: np.ndarray        # bool, LOS condition toward each BS
-
-    @property
-    def d(self) -> float:
-        """True distance to the serving BS."""
-        return float(self.dist[self.cell])
-
-    @property
-    def theta(self) -> float:
-        """True angle at the serving BS."""
-        return float(self.aoa[self.cell])
-
-    @property
-    def d_est(self) -> float:
-        return float(self.dist_est[self.cell])
-
-    @property
-    def theta_est(self) -> float:
-        return float(self.aoa_est[self.cell])
 
 
 def bs_positions(cfg: NetworkConfig) -> np.ndarray:
@@ -224,18 +234,6 @@ def los_probability(d: float | np.ndarray, cfg: NetworkConfig):
     return p if p.ndim else float(p)
 
 
-def sample_los_state(d: float, cfg: NetworkConfig, rng: np.random.Generator) -> bool:
-    """Draw the LOS/NLOS condition for one link.
-
-    In "always" mode this is True without consuming randomness; in
-    "linear_prob" mode the link is LOS with probability 1 - d/cell_radius
-    (clamped). An NLOS link forces the user's K toward that BS to zero.
-    """
-    if cfg.los_model == "always":
-        return True
-    return bool(rng.random() < los_probability(d, cfg))
-
-
 def error_half_width(var: float) -> float:
     """Per-axis half-width of the uniform position error.
 
@@ -258,78 +256,72 @@ def sample_position_error(var: float, rng: np.random.Generator, n: int | None = 
     return a * rng.uniform(-1.0, 1.0, size=size)
 
 
-def _finalize_user(cell: int, index: int, pos: np.ndarray, pos_est: np.ndarray,
-                   los: np.ndarray, cfg: NetworkConfig) -> UserRecord:
-    """Derive all per-BS quantities from the true and estimated positions."""
-    bs = bs_positions(cfg)
-    rel = pos[None, :] - bs
-    dist = np.hypot(rel[:, 0], rel[:, 1])
-    aoa = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), TWO_PI)
-    rel_e = pos_est[None, :] - bs
-    dist_est = np.maximum(np.hypot(rel_e[:, 0], rel_e[:, 1]), 1.0)
-    aoa_est = np.mod(np.arctan2(rel_e[:, 1], rel_e[:, 0]), TWO_PI)
-    los = np.asarray(los, dtype=bool)
-    alpha = pathloss(dist, cfg)
-    alpha_est = pathloss(dist_est, cfg)
-    k = np.where(los, k_factor(dist, cfg), 0.0)
-    k_est = np.where(los, k_factor(dist_est, cfg), 0.0)
-    return UserRecord(cell=cell, index=index, pos=pos, pos_est=pos_est,
-                      dist=dist, aoa=aoa, dist_est=dist_est, aoa_est=aoa_est,
-                      alpha=alpha, alpha_est=alpha_est, k=k, k_est=k_est, los=los)
 
 
-def apply_localization_error(user: UserRecord, cfg: NetworkConfig,
-                             rng: np.random.Generator,
-                             var: float | None = None) -> UserRecord:
-    """Re-draw the user's estimated position and re-derive BS-side knowledge.
+@dataclass
+class Drop:
+    """User geometry of one drop; every array is (L, N, L), [cell, user, BS].
 
-    The true position is perturbed by independent Uniform[-a, a] offsets per
-    axis (a = sqrt(1.5 * var)); estimated distances are clamped to >= 1 m and
-    alpha_est / k_est are recomputed from them. var == 0 reproduces the true
-    position exactly.
+    The estimated quantities are what the BSs know, derived from the
+    estimated positions (distances clamped to >= 1 m). `k` is zero toward
+    any BS the user has no line of sight to, and `k_est` is zeroed on the
+    same links: the LOS/NLOS condition is channel state, not part of the
+    position estimate.
     """
-    if var is None:
-        var = cfg.loc_err_var
-    offset = sample_position_error(var, rng)
-    return _finalize_user(user.cell, user.index, user.pos, user.pos + offset,
-                          user.los, cfg)
+
+    dist: np.ndarray       # true distance
+    aoa: np.ndarray        # true angle of arrival, in [0, 2*pi)
+    dist_est: np.ndarray   # estimated distance
+    aoa_est: np.ndarray    # estimated angle of arrival
+    alpha: np.ndarray      # large-scale gain from the true distance
+    alpha_est: np.ndarray  # large-scale gain from the estimated distance
+    k: np.ndarray          # Rice factor (linear) from the true distance
+    k_est: np.ndarray      # Rice factor from the estimated distance
+    los: np.ndarray        # bool, LOS condition
+
+    @classmethod
+    def from_positions(cls, cfg: NetworkConfig, pos: np.ndarray,
+                       pos_est: np.ndarray, los: np.ndarray) -> "Drop":
+        """Derive every per-BS quantity from (L, N, 2) true and estimated
+        positions and the (L, N, L) LOS flags."""
+        rel = pos[:, :, None, :] - bs_positions(cfg)
+        rel_e = pos_est[:, :, None, :] - bs_positions(cfg)
+        dist = np.hypot(rel[..., 0], rel[..., 1])
+        dist_est = np.maximum(np.hypot(rel_e[..., 0], rel_e[..., 1]), 1.0)
+        los = np.array(los, dtype=bool)
+        return cls(dist=dist, aoa=np.mod(np.arctan2(rel[..., 1], rel[..., 0]), TWO_PI),
+                   dist_est=dist_est,
+                   aoa_est=np.mod(np.arctan2(rel_e[..., 1], rel_e[..., 0]), TWO_PI),
+                   alpha=pathloss(dist, cfg), alpha_est=pathloss(dist_est, cfg),
+                   k=np.where(los, k_factor(dist, cfg), 0.0),
+                   k_est=np.where(los, k_factor(dist_est, cfg), 0.0), los=los)
+
+    @staticmethod
+    def serving(x: np.ndarray) -> np.ndarray:
+        """The (L, N) entries of an (L, N, L) array at each user's own BS."""
+        cells = np.arange(x.shape[0])
+        return x[cells, :, cells]
 
 
-def sample_users(cfg: NetworkConfig, rng: np.random.Generator) -> list[UserRecord]:
-    """Drop N users per cell and populate all per-BS quantities.
+def sample_users(cfg: NetworkConfig, rng: np.random.Generator) -> Drop:
+    """Drop N users per cell and derive every per-BS quantity.
 
-    Per user, the draw order is fixed: serving distance, serving angle, two
-    position-error uniforms, then (in "linear_prob" mode) one LOS uniform per
-    BS. The result is a pure function of (cfg, rng state).
+    Per user, in cell then user order, the draw order is fixed: serving
+    distance, serving angle, two position-error uniforms, then (in
+    "linear_prob" mode) one LOS uniform per BS. The result is a pure
+    function of (cfg, rng state).
     """
     bs = bs_positions(cfg)
-    users: list[UserRecord] = []
+    pos = np.empty((cfg.L, cfg.N, 2))
+    pos_est = np.empty((cfg.L, cfg.N, 2))
+    los = np.ones((cfg.L, cfg.N, cfg.L), dtype=bool)
     for cell in range(cfg.L):
-        for index in range(cfg.N):
+        for j in range(cfg.N):
             d = rng.uniform(cfg.min_dist, cfg.cell_radius)
             theta = rng.uniform(0.0, TWO_PI)
-            pos = bs[cell] + d * np.array([math.cos(theta), math.sin(theta)])
-            pos_est = pos + sample_position_error(cfg.loc_err_var, rng)
-            if cfg.los_model == "always":
-                los = np.ones(cfg.L, dtype=bool)
-            else:
-                dist = np.hypot(*(pos[None, :] - bs).T)
-                los = rng.random(cfg.L) < los_probability(dist, cfg)
-            users.append(_finalize_user(cell, index, pos, pos_est, los, cfg))
-    return users
-
-
-def group_users(users: list[UserRecord], cfg: NetworkConfig) -> list[list[UserRecord]]:
-    """Arrange records into groups[cell][index], validating coverage."""
-    groups: list[list[UserRecord | None]] = [[None] * cfg.N for _ in range(cfg.L)]
-    for u in users:
-        if not (0 <= u.cell < cfg.L) or not (0 <= u.index < cfg.N):
-            raise ValueError(f"user ({u.cell}, {u.index}) outside the scenario grid")
-        if groups[u.cell][u.index] is not None:
-            raise ValueError(f"duplicate user ({u.cell}, {u.index})")
-        groups[u.cell][u.index] = u
-    for cell in range(cfg.L):
-        for index in range(cfg.N):
-            if groups[cell][index] is None:
-                raise ValueError(f"missing user ({cell}, {index})")
-    return groups  # type: ignore[return-value]
+            pos[cell, j] = bs[cell] + d * np.array([math.cos(theta), math.sin(theta)])
+            pos_est[cell, j] = pos[cell, j] + sample_position_error(cfg.loc_err_var, rng)
+            if cfg.los_model != "always":
+                dist = np.hypot(*(pos[cell, j][None, :] - bs).T)
+                los[cell, j] = rng.random(cfg.L) < los_probability(dist, cfg)
+    return Drop.from_positions(cfg, pos, pos_est, los)

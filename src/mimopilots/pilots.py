@@ -54,7 +54,6 @@ def pilot_matrix(plan: AllocationPlan, cell: int, book: np.ndarray) -> np.ndarra
     """Stack the assigned sequences of one cell into an (N, pilot_len) matrix."""
     idx = plan.cells[cell]
     n_pilots = book.shape[0]
-    # min/max: this runs once per cell, plan and trial inside estimate_sinr
     if idx.size and (idx.min() < 0 or idx.max() >= n_pilots):
         raise ValueError(
             f"pilot index out of range [0, {n_pilots}) in cell {cell}: {idx.tolist()}")
@@ -71,9 +70,3 @@ def correlation(lam_a: np.ndarray, lam_b: np.ndarray) -> np.ndarray:
         raise ValueError("pilot matrices must share the sequence length")
     return lam_a @ lam_b.conj().T
 
-
-def is_balanced(cell_assignment: np.ndarray, n_pilots: int) -> bool:
-    """True when every pilot is used floor(N/n) or ceil(N/n) times."""
-    counts = np.bincount(np.asarray(cell_assignment, dtype=int), minlength=n_pilots)
-    n = len(cell_assignment)
-    return bool(counts.min() >= n // n_pilots and counts.max() <= -(-n // n_pilots))

@@ -4,39 +4,65 @@ from __future__ import annotations
 
 import numpy as np
 
-from mimopilots.channel import crandn
-from mimopilots.model import NetworkConfig, UserRecord, _finalize_user, bs_positions
+from mimopilots.channel import crandn, steering_vector
+from mimopilots.model import Drop, NetworkConfig, bs_positions
+from mimopilots.pilots import pilot_matrix
 
 
-def make_user(cfg: NetworkConfig, cell: int, index: int, d: float, theta: float,
-              d_est: float | None = None, theta_est: float | None = None,
-              los=None) -> UserRecord:
-    """Place a user at polar (d, theta) around its serving BS.
+def make_drop(cfg: NetworkConfig, *cells, los=None) -> Drop:
+    """A drop from one list of placements per cell, each placement a
+    (d, theta) or (d, theta, d_est, theta_est) tuple around the serving BS.
 
-    Estimated location defaults to the true one; `los` may be a bool or a
-    per-BS array.
+    Estimated locations default to the true ones; `los` may be a bool or an
+    (L, N, L) array (default: every link LOS).
     """
     bs = bs_positions(cfg)
-    pos = bs[cell] + d * np.array([np.cos(theta), np.sin(theta)])
-    if d_est is None and theta_est is None:
-        pos_est = pos.copy()
-    else:
-        d_est = d if d_est is None else d_est
-        theta_est = theta if theta_est is None else theta_est
-        pos_est = bs[cell] + d_est * np.array([np.cos(theta_est), np.sin(theta_est)])
+    pos = np.empty((cfg.L, cfg.N, 2))
+    pos_est = np.empty((cfg.L, cfg.N, 2))
+    for cell, placements in enumerate(cells):
+        for j, (d, theta, *est) in enumerate(placements):
+            d_est, theta_est = est or (d, theta)
+            pos[cell, j] = bs[cell] + d * np.array([np.cos(theta), np.sin(theta)])
+            pos_est[cell, j] = bs[cell] + d_est * np.array([np.cos(theta_est),
+                                                            np.sin(theta_est)])
     if los is None:
-        los = np.ones(cfg.L, dtype=bool)
-    elif np.isscalar(los):
-        los = np.full(cfg.L, bool(los))
-    return _finalize_user(cell, index, pos, pos_est, los, cfg)
+        los = True
+    return Drop.from_positions(cfg, pos, pos_est,
+                               np.broadcast_to(los, (cfg.L, cfg.N, cfg.L)))
 
 
-def make_cell_users(cfg: NetworkConfig, placements, cell: int = 0) -> list[UserRecord]:
-    """Users from a list of (d, theta) or (d, theta, d_est, theta_est) tuples."""
-    users = []
-    for index, spec in enumerate(placements):
-        users.append(make_user(cfg, cell, index, *spec))
-    return users
+def set_all_nlos(drop: Drop) -> None:
+    """Turn every link of a drop NLOS (K = 0, true and estimated)."""
+    drop.los[:] = False
+    drop.k[:] = 0.0
+    drop.k_est[:] = 0.0
+
+
+def is_balanced(cell_assignment: np.ndarray, n_pilots: int) -> bool:
+    """True when every pilot is used floor(N/n) or ceil(N/n) times."""
+    counts = np.bincount(np.asarray(cell_assignment, dtype=int), minlength=n_pilots)
+    n = len(cell_assignment)
+    return bool(counts.min() >= n // n_pilots and counts.max() <= -(-n // n_pilots))
+
+
+def draw_channel(drop: Drop, cell: int, j: int, bs: int, m: int,
+                 rng: np.random.Generator, spacing: float = 0.5) -> np.ndarray:
+    """Oracle: one realization of user (cell, j)'s channel to BS `bs`.
+
+    Weights are folded into the two components (w_los = sqrt(alpha*K/(1+K)),
+    w_nlos = sqrt(alpha/(1+K))) with the same expressions the matrix
+    assembly uses, so shared-stream draws agree bit for bit.
+    """
+    alpha, k = float(drop.alpha[cell, j, bs]), float(drop.k[cell, j, bs])
+    h_los = steering_vector(m, float(drop.aoa[cell, j, bs]), spacing)
+    h_nlos = crandn(rng, (m,))
+    return (h_los * np.sqrt(alpha * k / (1.0 + k))
+            + h_nlos * np.sqrt(alpha / (1.0 + k)))
+
+
+def pilot_mats(plan, book: np.ndarray) -> list[np.ndarray]:
+    """Every cell's pilot matrix of a plan, as `estimate_sinr` builds them."""
+    return [pilot_matrix(plan, i, book) for i in range(plan.n_cells)]
 
 
 def noise_block(cfg: NetworkConfig, noise_var: float = 0.0,

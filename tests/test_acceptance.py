@@ -11,16 +11,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import noise_block
+from conftest import noise_block, pilot_mats
 from mimopilots.channel import assemble_channels, steering_vector
 from mimopilots.detection import estimate_sinr
 from mimopilots.estimation import ls_estimate, subtract_los, synthesize_rx
 from mimopilots.harness import (ExperimentSpec, evaluate_drops,
                                 run_oracle_compare, run_sum_se_sweep,
                                 worst_user_sums, write_rows_csv)
-from mimopilots.los_metric import dirichlet_kernel_sq, los_interference_from_params
+from mimopilots.los_metric import (dirichlet_kernel_sq, los_interference_from_params,
+                                   mutual_aoa)
 from mimopilots.model import NetworkConfig, sample_users
-from mimopilots.pilots import AllocationPlan, build_pilot_book, pilot_matrix
+from mimopilots.pilots import AllocationPlan, build_pilot_book
 
 
 def report(criterion: int, detail: str) -> None:
@@ -32,7 +33,13 @@ def los_vector(alpha, k, theta, m):
 
 
 def distinct_plan(cfg):
-    return AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)), "t")
+    """Pilot matrices of the plan giving user j pilot j mod pilot_len."""
+    plan = AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)), "t")
+    return pilot_mats(plan, build_pilot_book(cfg.pilot_len))
+
+
+def gain_ratio(aa, ka, ab, kb):
+    return (aa * ka * (1.0 + kb)) / (ab * kb * (1.0 + ka))
 
 
 def test_criterion_01_kernel_closed_form_vs_brute_force():
@@ -64,13 +71,13 @@ def test_criterion_02_pair_score_vs_explicit_vector_oracle():
         aa, ab = rng.uniform(0.02, 8.0, size=2)
         ka, kb = rng.uniform(0.05, 30.0, size=2)
         ta, tb = rng.uniform(0.0, 2 * np.pi, size=2)
-        score = los_interference_from_params(aa, ka, ta, ab, kb, tb, m).score
+        score = los_interference_from_params(aa, ka, ta, ab, kb, tb, m)
         ga = los_vector(aa, ka, ta, m)
         gb = los_vector(ab, kb, tb, m)
         ref = abs(np.vdot(gb, ga)) ** 2 / abs(np.vdot(gb, gb)) ** 2
         worst = max(worst, abs(score - ref) / max(ref, 1e-30))
     self_pair = los_interference_from_params(1.3, 4.0, 0.8, 1.3, 4.0, 0.8, m=32)
-    assert self_pair.score == 1.0
+    assert self_pair == 1.0
     assert worst <= 1e-9
     report(2, f"1000 pairs, worst rel dev {worst:.2e}; self pair exactly 1")
 
@@ -84,35 +91,34 @@ def test_criterion_03_large_array_limit():
         # split the sine gap evenly so both angles stay in the arcsin domain
         theta_a = float(np.arcsin(0.5 * mut / np.pi))
         theta_b = float(np.arcsin(-0.5 * mut / np.pi))
+        assert mutual_aoa(theta_a, theta_b) == pytest.approx(mut, rel=1e-12)
         for aa, ab, ka, kb in params:
+            ratio = gain_ratio(aa, ka, ab, kb)
             for m in ms:
-                res = los_interference_from_params(aa, ka, theta_a, ab, kb, theta_b, m)
-                assert res.mutual_aoa == pytest.approx(mut, rel=1e-12)
-                bound = res.gain_ratio / (m ** 2 * np.sin(res.mutual_aoa / 2) ** 2)
-                assert res.score <= bound * (1 + 1e-12)
-            assert res.score < 1e-3 * res.gain_ratio  # m == 512 here
+                score = los_interference_from_params(aa, ka, theta_a, ab, kb, theta_b, m)
+                bound = ratio / (m ** 2 * np.sin(mutual_aoa(theta_a, theta_b) / 2) ** 2)
+                assert score <= bound * (1 + 1e-12)
+            assert score < 1e-3 * ratio  # m == 512 here
     for theta in (0.2, 1.0, 2.7):
         for aa, ab, ka, kb in params:
             for m in ms:
-                res = los_interference_from_params(aa, ka, theta, ab, kb, theta, m)
-                assert res.score == res.gain_ratio
+                score = los_interference_from_params(aa, ka, theta, ab, kb, theta, m)
+                assert score == gain_ratio(aa, ka, ab, kb)
     report(3, "decay envelope and equal-AoA fixed point hold for M in 4..512")
 
 
 def test_criterion_04_los_subtraction_exact_at_zero_error():
     cfg = NetworkConfig(L=2, N=8, M=32, pilot_len=4, loc_err_var=0.0, seed=104)
-    book = build_pilot_book(cfg.pilot_len)
-    plan = distinct_plan(cfg)
+    lams = distinct_plan(cfg)
     worst = 0.0
     rng = np.random.default_rng(104)
     for _ in range(20):
-        users = sample_users(cfg, rng)
-        cs = assemble_channels(users, cfg, rng)
-        y = synthesize_rx(cs, plan, book, noise_block(cfg))
+        drop = sample_users(cfg, rng)
+        cs = assemble_channels(drop, cfg, rng)
+        y = synthesize_rx(cs, lams, noise_block(cfg))
         for l in range(cfg.L):
-            resid = subtract_los(y[l], users, cfg, plan, book, l)
-            ref = sum(cs.nlos_effective(i, l) @ pilot_matrix(plan, i, book)
-                      for i in range(cfg.L))
+            resid = subtract_los(y[l], drop, cfg, lams, l)
+            ref = sum(cs.nlos_effective(i, l) @ lams[i] for i in range(cfg.L))
             worst = max(worst, float(np.max(np.abs(resid - ref))))
     assert worst < 1e-9
     report(4, f"20 trials, max abs residual mismatch {worst:.2e}")
@@ -120,14 +126,13 @@ def test_criterion_04_los_subtraction_exact_at_zero_error():
 
 def test_criterion_05_ls_exact_for_orthogonal_pilots():
     cfg = NetworkConfig(L=1, N=8, M=32, pilot_len=8, seed=105)
-    book = build_pilot_book(cfg.pilot_len)
-    plan = distinct_plan(cfg)
+    lams = distinct_plan(cfg)
     rng = np.random.default_rng(105)
-    users = sample_users(cfg, rng)
-    cs = assemble_channels(users, cfg, rng)
-    y = synthesize_rx(cs, plan, book, noise_block(cfg))
-    resid = subtract_los(y[0], users, cfg, plan, book, 0)
-    ghat = ls_estimate(resid, pilot_matrix(plan, 0, book))
+    drop = sample_users(cfg, rng)
+    cs = assemble_channels(drop, cfg, rng)
+    y = synthesize_rx(cs, lams, noise_block(cfg))
+    resid = subtract_los(y[0], drop, cfg, lams, 0)
+    ghat = ls_estimate(resid, lams[0])
     dev = float(np.max(np.abs(ghat - cs.nlos_effective(0, 0))))
     assert dev < 1e-9
     report(5, f"max abs deviation {dev:.2e}")
@@ -135,11 +140,11 @@ def test_criterion_05_ls_exact_for_orthogonal_pilots():
 
 def test_criterion_06_zf_beamforming_gain():
     cfg = NetworkConfig(L=1, N=1, M=32, pilot_len=32, k_db=120.0, seed=106)
-    users = sample_users(cfg, np.random.default_rng(106))
+    drop = sample_users(cfg, np.random.default_rng(106))
     plan = AllocationPlan(np.array([[0]]), "t")
-    sinr = float(estimate_sinr(cfg, users, [plan], 500,
+    sinr = float(estimate_sinr(cfg, drop, [plan], 500,
                                np.random.default_rng(107))[0, 0, 0])
-    expect = cfg.rho * float(users[0].alpha[0]) * cfg.M
+    expect = cfg.rho * float(drop.alpha[0, 0, 0]) * cfg.M
     rel = abs(sinr - expect) / expect
     assert rel < 0.10
     report(6, f"measured {sinr:.1f} vs rho*alpha*M {expect:.1f} (rel {rel:.3f})")

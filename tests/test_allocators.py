@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import make_cell_users
-from mimopilots.allocators import (ALLOCATORS, _copilot_proxy, allocate_greedy,
-                                   allocate_loc_aware, allocate_random,
-                                   allocate_sector, exhaustive_search,
-                                   partition_tiers)
-from mimopilots.los_metric import los_interference
-from mimopilots.model import ConfigError, NetworkConfig, group_users, sample_users
-from mimopilots.pilots import is_balanced
+from conftest import is_balanced, make_drop, set_all_nlos
+from mimopilots.allocators import (ALLOCATORS, allocate_greedy, allocate_loc_aware,
+                                   allocate_random, allocate_sector,
+                                   candidate_proxies, exhaustive_search,
+                                   partition_tiers, proxy_weights)
+from mimopilots.los_metric import los_interference, los_interference_from_params
+from mimopilots.model import ConfigError, NetworkConfig, sample_users
 
 
 def cfg_for(**kw):
@@ -19,39 +18,56 @@ def cfg_for(**kw):
     return NetworkConfig(**base)
 
 
+def copilot_proxy(cfg, drop, plan, cell, j, pilot):
+    """Oracle: greedy's proxy of user (cell, j) if it held `pilot`, one
+    co-pilot user at a time: the estimated-gain ratio at the victim's BS
+    plus the pair's LOS interference score."""
+    own = float(drop.alpha_est[cell, j, cell])
+    est = (drop.alpha_est[..., cell], drop.k_est[..., cell], drop.aoa_est[..., cell])
+    total = 0.0
+    for i in range(cfg.L):
+        for jj in np.flatnonzero(plan[i] == pilot):
+            if i == cell and jj == j:
+                continue
+            total += float(drop.alpha_est[i, jj, cell]) / own
+            total += float(los_interference_from_params(
+                *(x[i, jj] for x in est), *(x[cell, j] for x in est), cfg.M))
+    return total
+
+
 class TestPartitionTiers:
     def test_table_scale(self):
         cfg = NetworkConfig(L=1, N=36, M=4, pilot_len=12, seed=0)
-        users = sample_users(cfg, np.random.default_rng(0))
-        tiers = partition_tiers(users, cfg.pilot_len)
-        assert tiers.n_tiers == 3
-        assert all(len(t) == 12 for t in tiers.tiers)
+        drop = sample_users(cfg, np.random.default_rng(0))
+        tiers = partition_tiers(drop, 0, cfg.pilot_len)
+        assert len(tiers) == 3
+        assert all(len(t) == 12 for t in tiers)
 
     def test_single_tier_when_n_equals_pilot_len(self):
         cfg = cfg_for(N=2)
-        users = sample_users(cfg, np.random.default_rng(1))
-        tiers = partition_tiers(users, cfg.pilot_len)
-        assert tiers.n_tiers == 1
+        drop = sample_users(cfg, np.random.default_rng(1))
+        assert len(partition_tiers(drop, 0, cfg.pilot_len)) == 1
 
     def test_remainder_tier(self):
         cfg = cfg_for(N=5)
-        users = sample_users(cfg, np.random.default_rng(2))
-        tiers = partition_tiers(users, 2)
-        assert [len(t) for t in tiers.tiers] == [2, 2, 1]
+        drop = sample_users(cfg, np.random.default_rng(2))
+        assert [len(t) for t in partition_tiers(drop, 0, 2)] == [2, 2, 1]
 
     def test_sorted_by_estimated_distance(self):
-        cfg = cfg_for(N=6, pilot_len=3, loc_err_var=25.0)
-        users = sample_users(cfg, np.random.default_rng(3))
-        tiers = partition_tiers(users, 3)
-        flat = [users[j].d_est for t in tiers.tiers for j in t]
-        assert flat == sorted(flat)
+        cfg = cfg_for(L=2, N=6, pilot_len=3, loc_err_var=25.0)
+        drop = sample_users(cfg, np.random.default_rng(3))
+        for cell in range(cfg.L):
+            tiers = partition_tiers(drop, cell, 3)
+            flat = drop.dist_est[cell, np.concatenate(tiers), cell].tolist()
+            assert flat == sorted(flat)
+            assert sorted(np.concatenate(tiers).tolist()) == list(range(cfg.N))
 
 
 class TestLocAware:
     def test_single_tier_identity_on_sorted_order(self):
         cfg = cfg_for(N=2)
-        users = make_cell_users(cfg, [(300.0, 1.0), (120.0, 2.0)])
-        plan = allocate_loc_aware(cfg, users)
+        drop = make_drop(cfg, [(300.0, 1.0), (120.0, 2.0)])
+        plan = allocate_loc_aware(cfg, drop)
         # closer user takes pilot 0
         assert list(plan.cells[0]) == [1, 0]
         assert plan.allocator == "loc_aware"
@@ -61,40 +77,42 @@ class TestLocAware:
         # angle must avoid its pilot, the last user takes the leftover
         cfg = cfg_for()
         theta4 = float(np.arcsin(0.75))  # kernel zero against the 30-degree user
-        users = make_cell_users(cfg, [
+        drop = make_drop(cfg, [
             (100.0, 0.0), (150.0, np.pi / 6), (300.0, 0.0), (350.0, theta4)])
-        plan = allocate_loc_aware(cfg, users)
+        plan = allocate_loc_aware(cfg, drop)
         assert list(plan.cells[0]) == [0, 1, 1, 0]
 
     def test_deterministic(self):
         cfg = cfg_for(L=2, N=6, pilot_len=3)
-        users = sample_users(cfg, np.random.default_rng(4))
-        a = allocate_loc_aware(cfg, users)
-        b = allocate_loc_aware(cfg, users)
+        drop = sample_users(cfg, np.random.default_rng(4))
+        a = allocate_loc_aware(cfg, drop)
+        b = allocate_loc_aware(cfg, drop)
         assert np.array_equal(a.cells, b.cells)
 
     def test_input_order_invariance(self):
+        # the plan follows locations, not user indices: permuting the users of
+        # every cell permutes the plan the same way
         cfg = cfg_for(L=2, N=6, pilot_len=3)
-        users = sample_users(cfg, np.random.default_rng(5))
-        a = allocate_loc_aware(cfg, users)
-        shuffled = [users[i] for i in np.random.default_rng(6).permutation(len(users))]
+        drop = sample_users(cfg, np.random.default_rng(5))
+        perm = np.random.default_rng(6).permutation(cfg.N)
+        shuffled = type(drop)(**{name: value[:, perm] for name, value in vars(drop).items()})
+        a = allocate_loc_aware(cfg, drop)
         b = allocate_loc_aware(cfg, shuffled)
-        assert np.array_equal(a.cells, b.cells)
+        assert np.array_equal(a.cells[:, perm], b.cells)
 
     def test_no_pilot_repeats_inside_a_tier(self):
         cfg = NetworkConfig(L=2, N=10, M=16, pilot_len=3, seed=7)
-        users = sample_users(cfg, np.random.default_rng(7))
-        plan = allocate_loc_aware(cfg, users)
+        drop = sample_users(cfg, np.random.default_rng(7))
+        plan = allocate_loc_aware(cfg, drop)
         for cell in range(cfg.L):
-            tiers = partition_tiers(group_users(users, cfg)[cell], cfg.pilot_len)
-            for tier in tiers.tiers:
+            for tier in partition_tiers(drop, cell, cfg.pilot_len):
                 pilots = plan.cells[cell][tier]
                 assert len(set(pilots.tolist())) == len(pilots)
 
     def test_balanced_per_cell(self):
         cfg = NetworkConfig(L=2, N=10, M=16, pilot_len=3, seed=8)
-        users = sample_users(cfg, np.random.default_rng(8))
-        plan = allocate_loc_aware(cfg, users)
+        drop = sample_users(cfg, np.random.default_rng(8))
+        plan = allocate_loc_aware(cfg, drop)
         for cell in range(cfg.L):
             assert is_balanced(plan.cells[cell], cfg.pilot_len)
 
@@ -104,24 +122,20 @@ class TestLocAware:
         t2 = float(np.arcsin(0.6))
         t3 = float(np.arcsin(-0.25))  # zero against the 0-radian user (b=1)
         t4 = float(np.arcsin(0.1))    # zero against the t2 user (b=2)
-        users = make_cell_users(cfg, [
+        drop = make_drop(cfg, [
             (100.0, 0.0), (150.0, t2), (300.0, t3), (350.0, t4)])
-        plan = allocate_loc_aware(cfg, users)
+        plan = allocate_loc_aware(cfg, drop)
         assert list(plan.cells[0]) == [0, 1, 0, 1]
-        s1 = los_interference(users[0], users[2], bs=0, m=cfg.M).score
-        s2 = los_interference(users[1], users[3], bs=0, m=cfg.M).score
-        assert s1 + s2 < 1e-20
+        scores = los_interference(drop, bs=0, m=cfg.M)
+        assert scores[0, 2] + scores[1, 3] < 1e-20
 
     def test_rayleigh_pairs_scored_by_overlap_only(self):
         # all-NLOS scenario still allocates (scores fall back to the AoA part)
         cfg = cfg_for(N=4, los_model="linear_prob")
-        users = make_cell_users(cfg, [(100.0, 0.1), (150.0, 1.3),
-                                      (300.0, 2.1), (350.0, 4.0)])
-        for u in users:
-            u.los[:] = False
-            u.k[:] = 0.0
-            u.k_est[:] = 0.0
-        plan = allocate_loc_aware(cfg, users)
+        drop = make_drop(cfg, [(100.0, 0.1), (150.0, 1.3),
+                               (300.0, 2.1), (350.0, 4.0)])
+        set_all_nlos(drop)
+        plan = allocate_loc_aware(cfg, drop)
         assert is_balanced(plan.cells[0], cfg.pilot_len)
 
 
@@ -166,24 +180,23 @@ class TestRandom:
 class TestSector:
     def test_thirty_degree_sectors(self):
         cfg = cfg_for(N=3, pilot_len=12)
-        users = make_cell_users(cfg, [
+        drop = make_drop(cfg, [
             (200.0, np.deg2rad(45.0)), (250.0, 0.0), (300.0, np.deg2rad(44.0))])
-        plan = allocate_sector(cfg, users)
+        plan = allocate_sector(cfg, drop)
         assert plan.cells[0][0] == 1   # 45 deg -> sector 1
         assert plan.cells[0][1] == 0   # boundary angle -> sector 0
         assert plan.cells[0][2] == 1   # same sector, same pilot
 
     def test_identical_grid_across_cells(self):
         cfg = cfg_for(L=2, N=2, pilot_len=4)
-        users = (make_cell_users(cfg, [(150.0, 1.0), (200.0, 1.0)], cell=0)
-                 + make_cell_users(cfg, [(150.0, 1.0), (200.0, 1.0)], cell=1))
-        plan = allocate_sector(cfg, users)
+        drop = make_drop(cfg, [(150.0, 1.0), (200.0, 1.0)], [(150.0, 1.0), (200.0, 1.0)])
+        plan = allocate_sector(cfg, drop)
         assert np.array_equal(plan.cells[0], plan.cells[1])
 
     def test_unbalanced_allowed(self):
         cfg = cfg_for(N=3, pilot_len=3)
-        users = make_cell_users(cfg, [(150.0, 0.1), (200.0, 0.2), (250.0, 0.3)])
-        plan = allocate_sector(cfg, users)
+        drop = make_drop(cfg, [(150.0, 0.1), (200.0, 0.2), (250.0, 0.3)])
+        plan = allocate_sector(cfg, drop)
         assert np.all(plan.cells[0] == 0)  # all in the first sector
 
 
@@ -191,42 +204,58 @@ class TestGreedy:
     def fixture(self):
         cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2, k_db=10.0, seed=0)
         # near and far user share an angle; seed 0 initializes them co-pilot
-        users = make_cell_users(cfg, [(100.0, 0.7), (390.0, 0.7), (250.0, 2.5)])
-        return cfg, users
+        drop = make_drop(cfg, [(100.0, 0.7), (390.0, 0.7), (250.0, 2.5)])
+        return cfg, drop
 
     def test_moves_crowded_user_in_first_iteration(self):
-        cfg, users = self.fixture()
-        init = allocate_random(cfg, users, np.random.default_rng(0))
+        cfg, drop = self.fixture()
+        init = allocate_random(cfg, drop, np.random.default_rng(0))
         assert list(init.cells[0]) == [0, 0, 1]
-        plan = allocate_greedy(cfg, users, np.random.default_rng(0), max_iters=1)
+        plan = allocate_greedy(cfg, drop, np.random.default_rng(0), max_iters=1)
         assert list(plan.cells[0]) == [0, 1, 1]
 
     def test_proxy_strictly_improves(self):
-        cfg, users = self.fixture()
-        groups = group_users(users, cfg)
-        init = allocate_random(cfg, users, np.random.default_rng(0))
-        plan = allocate_greedy(cfg, users, np.random.default_rng(0), max_iters=1)
-        before = _copilot_proxy(cfg, groups, init.cells, 0, 1, init.cells[0][1])
-        after = _copilot_proxy(cfg, groups, plan.cells, 0, 1, plan.cells[0][1])
+        cfg, drop = self.fixture()
+        init = allocate_random(cfg, drop, np.random.default_rng(0))
+        plan = allocate_greedy(cfg, drop, np.random.default_rng(0), max_iters=1)
+        before = copilot_proxy(cfg, drop, init.cells, 0, 1, init.cells[0][1])
+        after = copilot_proxy(cfg, drop, plan.cells, 0, 1, plan.cells[0][1])
         assert after < before
 
+    @pytest.mark.parametrize("kw", [
+        dict(L=2, N=9, M=16, pilot_len=3, k_db=10.0),
+        dict(L=2, N=12, M=64, pilot_len=4, k_model="distance",
+             los_model="linear_prob", loc_err_var=9.0),
+    ], ids=["fixed_k", "nlos_and_location_error"])
+    def test_candidates_match_per_pair_oracle(self, kw):
+        cfg = NetworkConfig(**kw)
+        drop = sample_users(cfg, np.random.default_rng(20))
+        weights = proxy_weights(cfg, drop)
+        for seed in range(3):
+            plan = allocate_random(cfg, drop, np.random.default_rng(seed), balanced=False).cells
+            cand = candidate_proxies(weights, plan, cfg.pilot_len)
+            assert cand.shape == (cfg.L * cfg.N, cfg.pilot_len)
+            for cell, j, p in np.ndindex(cfg.L, cfg.N, cfg.pilot_len):
+                assert cand[cell * cfg.N + j, p] == pytest.approx(
+                    copilot_proxy(cfg, drop, plan, cell, j, p), rel=1e-12, abs=1e-300)
+
     def test_zero_iters_rejected(self):
-        cfg, users = self.fixture()
+        cfg, drop = self.fixture()
         with pytest.raises(ConfigError):
-            allocate_greedy(cfg, users, np.random.default_rng(0), max_iters=0)
+            allocate_greedy(cfg, drop, np.random.default_rng(0), max_iters=0)
 
     def test_deterministic_given_seed(self):
         cfg = NetworkConfig(L=2, N=9, M=16, pilot_len=3, k_db=10.0, seed=1)
-        users = sample_users(cfg, np.random.default_rng(12))
-        a = allocate_greedy(cfg, users, np.random.default_rng(13))
-        b = allocate_greedy(cfg, users, np.random.default_rng(13))
+        drop = sample_users(cfg, np.random.default_rng(12))
+        a = allocate_greedy(cfg, drop, np.random.default_rng(13))
+        b = allocate_greedy(cfg, drop, np.random.default_rng(13))
         assert np.array_equal(a.cells, b.cells)
 
     def test_stays_balanced(self):
         for seed in range(10):
             cfg = NetworkConfig(L=2, N=9, M=16, pilot_len=3, k_db=10.0, seed=seed)
-            users = sample_users(cfg, np.random.default_rng(seed))
-            plan = allocate_greedy(cfg, users, np.random.default_rng(seed + 100))
+            drop = sample_users(cfg, np.random.default_rng(seed))
+            plan = allocate_greedy(cfg, drop, np.random.default_rng(seed + 100))
             for cell in range(cfg.L):
                 assert is_balanced(plan.cells[cell], cfg.pilot_len)
 
@@ -234,9 +263,9 @@ class TestGreedy:
 class TestExhaustive:
     def test_enumerates_sixteen_plans(self):
         cfg = cfg_for()
-        users = sample_users(cfg, np.random.default_rng(14))
+        drop = sample_users(cfg, np.random.default_rng(14))
         seen = []
-        plan, score = exhaustive_search(cfg, users, lambda p: float(
+        plan, score = exhaustive_search(cfg, drop, lambda p: float(
             seen.append(p.cells.copy()) or 0.0))
         assert len(seen) == 16
         assert score == 0.0
@@ -245,30 +274,30 @@ class TestExhaustive:
 
     def test_single_user_space(self):
         cfg = cfg_for(N=1)
-        users = sample_users(cfg, np.random.default_rng(15))
+        drop = sample_users(cfg, np.random.default_rng(15))
         calls = []
-        plan, _ = exhaustive_search(cfg, users, lambda p: float(
+        plan, _ = exhaustive_search(cfg, drop, lambda p: float(
             calls.append(1) or 0.0))
         assert len(calls) == cfg.pilot_len
         assert plan.cells[0][0] == 0
 
     def test_balanced_only_restriction(self):
         cfg = cfg_for()
-        users = sample_users(cfg, np.random.default_rng(16))
+        drop = sample_users(cfg, np.random.default_rng(16))
         seen = []
-        exhaustive_search(cfg, users, lambda p: float(seen.append(1) or 0.0),
+        exhaustive_search(cfg, drop, lambda p: float(seen.append(1) or 0.0),
                           balanced_only=True)
         assert len(seen) == 6  # C(4, 2) balanced assignments
 
     def test_space_guard(self):
         cfg = cfg_for(N=10, pilot_len=4)
-        users = sample_users(cfg, np.random.default_rng(17))
+        drop = sample_users(cfg, np.random.default_rng(17))
         with pytest.raises(ConfigError, match="1048576"):
-            exhaustive_search(cfg, users, lambda p: 0.0)
+            exhaustive_search(cfg, drop, lambda p: 0.0)
 
     def test_argmax_returned_with_its_score(self):
         cfg = cfg_for(N=3)
-        users = sample_users(cfg, np.random.default_rng(18))
+        drop = sample_users(cfg, np.random.default_rng(18))
         rng = np.random.default_rng(19)
         table = {}
 
@@ -278,7 +307,7 @@ class TestExhaustive:
                 table[key] = float(rng.uniform())
             return table[key]
 
-        plan, score = exhaustive_search(cfg, users, evaluator)
+        plan, score = exhaustive_search(cfg, drop, evaluator)
         best_key = max(table, key=table.get)
         assert tuple(plan.cells[0].tolist()) == best_key
         assert score == table[best_key]

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_user
+from conftest import draw_channel, make_drop, set_all_nlos
 from mimopilots.channel import (ChannelSampler, assemble_channels, crandn,
-                                draw_channel, dump_channel_matrix,
-                                load_channel_matrix, steering_vector)
+                                steering_vector)
 from mimopilots.model import NetworkConfig, sample_users
 
 
@@ -42,42 +41,51 @@ class TestSteeringVector:
         with pytest.raises(ValueError):
             steering_vector(0, 0.0)
 
+    def test_angle_array_gives_one_response_per_angle(self):
+        thetas = np.array([[0.3, 1.1], [2.0, 4.5]])
+        v = steering_vector(8, thetas, spacing=0.7)
+        assert v.shape == (2, 2, 8)
+        for idx in np.ndindex(thetas.shape):
+            assert np.array_equal(v[idx], steering_vector(8, float(thetas[idx]), 0.7))
+
 
 class TestDrawChannel:
+    """One user's channel as `ChannelSampler.draw` produces it."""
+
+    @staticmethod
+    def single_user(cfg, los=True):
+        return make_drop(cfg, [(200.0, 0.7)], los=los)
+
     def test_pure_los_limit(self):
-        cfg = cfg_for(L=1, k_db=120.0)  # K = 1e12
-        u = make_user(cfg, 0, 0, d=200.0, theta=0.7)
-        g = draw_channel(u, 0, cfg.M, np.random.default_rng(0))
-        ref = np.sqrt(u.alpha[0]) * steering_vector(cfg.M, u.theta)
+        cfg = cfg_for(L=1, N=1, pilot_len=1, k_db=120.0)  # K = 1e12
+        drop = self.single_user(cfg)
+        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(0)).g[0, 0][:, 0]
+        ref = np.sqrt(drop.alpha[0, 0, 0]) * steering_vector(cfg.M, drop.aoa[0, 0, 0])
         assert np.linalg.norm(g - ref) / np.linalg.norm(g) < 1e-5
 
     def test_rayleigh_power(self):
-        cfg = cfg_for(L=1, k_db=0.0)
-        u = make_user(cfg, 0, 0, d=250.0, theta=1.0, los=False)  # K forced 0
-        assert u.k[0] == 0.0
-        rng = np.random.default_rng(1)
-        acc = 0.0
-        for _ in range(10_000):
-            g = draw_channel(u, 0, cfg.M, rng)
-            acc += np.vdot(g, g).real
-        assert acc / 10_000 / cfg.M == pytest.approx(u.alpha[0], rel=0.02)
+        cfg = cfg_for(L=1, N=1, pilot_len=1, k_db=0.0)
+        drop = self.single_user(cfg, los=False)  # K forced 0
+        assert drop.k[0, 0, 0] == 0.0
+        sampler, rng = ChannelSampler(drop, cfg), np.random.default_rng(1)
+        acc = sum(np.vdot(g, g).real for g in
+                  (sampler.draw(rng).g[0, 0][:, 0] for _ in range(10_000)))
+        assert acc / 10_000 / cfg.M == pytest.approx(drop.alpha[0, 0, 0], rel=0.02)
 
     def test_rician_power_normalization(self):
-        cfg = cfg_for(L=1, k_db=7.0)
-        u = make_user(cfg, 0, 0, d=150.0, theta=2.2)
-        rng = np.random.default_rng(2)
-        acc = 0.0
-        for _ in range(10_000):
-            g = draw_channel(u, 0, cfg.M, rng)
-            acc += np.vdot(g, g).real
-        assert acc / 10_000 / cfg.M == pytest.approx(u.alpha[0], rel=0.02)
+        cfg = cfg_for(L=1, N=1, pilot_len=1, k_db=7.0)
+        drop = self.single_user(cfg)
+        sampler, rng = ChannelSampler(drop, cfg), np.random.default_rng(2)
+        acc = sum(np.vdot(g, g).real for g in
+                  (sampler.draw(rng).g[0, 0][:, 0] for _ in range(10_000)))
+        assert acc / 10_000 / cfg.M == pytest.approx(drop.alpha[0, 0, 0], rel=0.02)
 
 
 class TestAssembleChannels:
     def test_shapes_at_table_scale(self):
         cfg = NetworkConfig(L=2, N=36, M=100, pilot_len=12)
-        users = sample_users(cfg, np.random.default_rng(3))
-        cs = assemble_channels(users, cfg, np.random.default_rng(4))
+        drop = sample_users(cfg, np.random.default_rng(3))
+        cs = assemble_channels(drop, cfg, np.random.default_rng(4))
         assert cs.g.shape == (2, 2, 100, 36)
         for i in range(2):
             for l in range(2):
@@ -85,36 +93,30 @@ class TestAssembleChannels:
 
     def test_all_rayleigh_reduces_to_scatter(self):
         cfg = cfg_for(los_model="linear_prob", cell_radius=400.0)
-        users = sample_users(cfg, np.random.default_rng(5))
-        for u in users:
-            u.los[:] = False
-            u.k[:] = 0.0
-            u.k_est[:] = 0.0
-        cs = assemble_channels(users, cfg, np.random.default_rng(6))
+        drop = sample_users(cfg, np.random.default_rng(5))
+        set_all_nlos(drop)
+        cs = assemble_channels(drop, cfg, np.random.default_rng(6))
+        assert np.all(cs.k == 0.0)
         for i in range(cfg.L):
             for l in range(cfg.L):
                 expect = cs.htilde[i, l] * np.sqrt(cs.alpha[i, l])[None, :]
                 assert np.allclose(cs.g[i, l], expect)
-                assert np.allclose(cs.los_effective(i, l), 0.0)
 
     def test_matches_per_user_draws_exactly(self):
         # matrix assembly consumes the stream identically to per-user draws
         cfg = cfg_for(k_db=5.0)
-        users = sample_users(cfg, np.random.default_rng(7))
-        cs = assemble_channels(users, cfg, np.random.default_rng(99))
+        drop = sample_users(cfg, np.random.default_rng(7))
+        cs = assemble_channels(drop, cfg, np.random.default_rng(99))
         rng = np.random.default_rng(99)
-        from mimopilots.model import group_users
-        groups = group_users(users, cfg)
         for i in range(cfg.L):
             for l in range(cfg.L):
-                for j, u in enumerate(groups[i]):
-                    g = draw_channel(u, l, cfg.M, rng, cfg.antenna_spacing)
+                for j in range(cfg.N):
+                    g = draw_channel(drop, i, j, l, cfg.M, rng, cfg.antenna_spacing)
                     assert np.array_equal(cs.g[i, l][:, j], g)
 
     def test_second_moment_per_user(self):
         cfg = cfg_for(L=1, N=2, M=8, k_db=10.0)
-        users = sample_users(cfg, np.random.default_rng(8))
-        sampler = ChannelSampler(users, cfg)
+        sampler = ChannelSampler(sample_users(cfg, np.random.default_rng(8)), cfg)
         rng = np.random.default_rng(9)
         acc = np.zeros(cfg.N)
         for _ in range(10_000):
@@ -125,27 +127,3 @@ class TestAssembleChannels:
     def test_crandn_unit_variance(self):
         z = crandn(np.random.default_rng(10), (200_000,))
         assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.01)
-
-
-class TestDebugDump:
-    def test_round_trip(self, tmp_path):
-        cfg = cfg_for()
-        users = sample_users(cfg, np.random.default_rng(11))
-        cs = assemble_channels(users, cfg, np.random.default_rng(12))
-        path = tmp_path / "g01.bin"
-        dump_channel_matrix(path, cs, 0, 1)
-        mat, i, l = load_channel_matrix(path)
-        assert (i, l) == (0, 1)
-        assert mat.shape == (cfg.M, cfg.N)
-        assert np.allclose(mat, cs.g[0, 1], atol=1e-6)  # complex64 precision
-
-    def test_header_layout(self, tmp_path):
-        cfg = cfg_for()
-        users = sample_users(cfg, np.random.default_rng(13))
-        cs = assemble_channels(users, cfg, np.random.default_rng(14))
-        path = tmp_path / "g10.bin"
-        dump_channel_matrix(path, cs, 1, 0)
-        raw = path.read_bytes()
-        header = np.frombuffer(raw[:16], dtype="<i4")
-        assert list(header) == [cfg.M, cfg.N, 1, 0]
-        assert len(raw) == 16 + cfg.M * cfg.N * 8

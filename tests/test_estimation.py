@@ -3,43 +3,52 @@
 import numpy as np
 import pytest
 
-from conftest import make_user, noise_block
-from mimopilots.channel import assemble_channels, steering_vector
+from conftest import make_drop, noise_block, pilot_mats, set_all_nlos
+from mimopilots.channel import ChannelSampler, assemble_channels, steering_vector
 from mimopilots.estimation import (estimated_los_channel, estimated_los_rx,
-                                   los_mismatch, ls_estimate, subtract_los,
-                                   synthesize_rx, true_los_channel)
-from mimopilots.model import NetworkConfig, apply_localization_error, sample_users
-from mimopilots.pilots import AllocationPlan, build_pilot_book, pilot_matrix
+                                   ls_estimate, subtract_los, synthesize_rx)
+from mimopilots.model import (Drop, NetworkConfig, bs_positions, sample_position_error,
+                              sample_users)
+from mimopilots.pilots import AllocationPlan, build_pilot_book
 
 
 def distinct_plan(cfg):
-    return AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)), "t")
+    """Pilot matrices of the plan giving user j pilot j mod pilot_len."""
+    plan = AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)), "t")
+    return pilot_mats(plan, build_pilot_book(cfg.pilot_len))
 
 
-def nlos_synthesis(cs, plan, book, bs, n_cells):
-    return sum(cs.nlos_effective(i, bs) @ pilot_matrix(plan, i, book)
-               for i in range(n_cells))
+def nlos_synthesis(cs, lams, bs, n_cells):
+    return sum(cs.nlos_effective(i, bs) @ lams[i] for i in range(n_cells))
+
+
+def los_mismatch(drop, cfg, lams, bs):
+    """Per source cell i: (true LOS of cell i - reconstructed LOS) @ Lambda_i."""
+    sampler = ChannelSampler(drop, cfg)
+    return np.array([(sampler.hbar[i, bs] * sampler.w_los[i, bs]
+                      - estimated_los_channel(drop, cfg, i, bs)) @ lams[i]
+                     for i in range(cfg.L)])
 
 
 class TestSynthesizeRx:
     def test_single_user_rank_one(self):
         cfg = NetworkConfig(L=1, N=1, M=8, pilot_len=4, seed=0)
-        users = sample_users(cfg, np.random.default_rng(0))
-        cs = assemble_channels(users, cfg, np.random.default_rng(1))
+        drop = sample_users(cfg, np.random.default_rng(0))
+        cs = assemble_channels(drop, cfg, np.random.default_rng(1))
         book = build_pilot_book(cfg.pilot_len)
         plan = AllocationPlan(np.array([[2]]), "t")
-        y = synthesize_rx(cs, plan, book, noise_block(cfg))
+        y = synthesize_rx(cs, pilot_mats(plan, book), noise_block(cfg))
         expect = np.outer(cs.g[0, 0][:, 0], book[2])
         assert np.allclose(y[0], expect, atol=1e-12)
 
     def test_noise_only_calibration(self):
         cfg = NetworkConfig(L=1, N=2, M=64, pilot_len=16, seed=0)
-        users = sample_users(cfg, np.random.default_rng(3))
-        cs = assemble_channels(users, cfg, np.random.default_rng(4))
+        drop = sample_users(cfg, np.random.default_rng(3))
+        cs = assemble_channels(drop, cfg, np.random.default_rng(4))
         cs.g[:] = 0.0
         noise_var = 0.37
         rng = np.random.default_rng(5)
-        samples = [synthesize_rx(cs, distinct_plan(cfg), build_pilot_book(16),
+        samples = [synthesize_rx(cs, distinct_plan(cfg),
                                  noise_block(cfg, noise_var, rng))[0]
                    for _ in range(30)]
         power = np.mean([np.mean(np.abs(s) ** 2) for s in samples])
@@ -49,10 +58,9 @@ class TestSynthesizeRx:
         # full receive matrix = per-cell noiseless parts + the shared noise draw
         import copy
         cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3, seed=0)
-        users = sample_users(cfg, np.random.default_rng(6))
-        cs = assemble_channels(users, cfg, np.random.default_rng(7))
-        book = build_pilot_book(cfg.pilot_len)
-        plan = distinct_plan(cfg)
+        drop = sample_users(cfg, np.random.default_rng(6))
+        cs = assemble_channels(drop, cfg, np.random.default_rng(7))
+        lams = distinct_plan(cfg)
         noise_var = 0.1
 
         cs0, cs1, silent = (copy.deepcopy(cs) for _ in range(3))
@@ -61,73 +69,68 @@ class TestSynthesizeRx:
         silent.g[:] = 0.0
 
         z = noise_block(cfg, noise_var, np.random.default_rng(8))
-        full = synthesize_rx(cs, plan, book, z)
-        part0 = synthesize_rx(cs0, plan, book, noise_block(cfg))
-        part1 = synthesize_rx(cs1, plan, book, noise_block(cfg))
-        noise = synthesize_rx(silent, plan, book, z)
+        full = synthesize_rx(cs, lams, z)
+        part0 = synthesize_rx(cs0, lams, noise_block(cfg))
+        part1 = synthesize_rx(cs1, lams, noise_block(cfg))
+        noise = synthesize_rx(silent, lams, z)
         assert np.allclose(full, part0 + part1 + noise, atol=1e-10)
 
     def test_misshaped_noise_rejected(self):
         cfg = NetworkConfig(L=1, N=1, M=2, pilot_len=2, seed=0)
-        users = sample_users(cfg, np.random.default_rng(0))
-        cs = assemble_channels(users, cfg, np.random.default_rng(0))
+        drop = sample_users(cfg, np.random.default_rng(0))
+        cs = assemble_channels(drop, cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="noise block"):
-            synthesize_rx(cs, AllocationPlan(np.array([[0]]), "t"),
-                          build_pilot_book(2), np.zeros((1, 2, 1)))
+            synthesize_rx(cs, pilot_mats(AllocationPlan(np.array([[0]]), "t"),
+                                         build_pilot_book(2)), np.zeros((1, 2, 1)))
 
 
 class TestSubtractLos:
     def test_perfect_locations_leave_scatter_only(self):
         cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4, loc_err_var=0.0, seed=2)
-        users = sample_users(cfg, np.random.default_rng(2))
-        cs = assemble_channels(users, cfg, np.random.default_rng(3))
-        book = build_pilot_book(cfg.pilot_len)
-        plan = distinct_plan(cfg)
-        y = synthesize_rx(cs, plan, book, noise_block(cfg))
+        drop = sample_users(cfg, np.random.default_rng(2))
+        cs = assemble_channels(drop, cfg, np.random.default_rng(3))
+        lams = distinct_plan(cfg)
+        y = synthesize_rx(cs, lams, noise_block(cfg))
         for l in range(cfg.L):
-            resid = subtract_los(y[l], users, cfg, plan, book, l)
-            assert np.max(np.abs(resid - nlos_synthesis(cs, plan, book, l, cfg.L))) < 1e-9
+            resid = subtract_los(y[l], drop, cfg, lams, l)
+            assert np.max(np.abs(resid - nlos_synthesis(cs, lams, l, cfg.L))) < 1e-9
 
     def test_rayleigh_users_make_subtraction_a_noop(self):
         cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=3, seed=3)
-        users = sample_users(cfg, np.random.default_rng(5))
-        for u in users:
-            u.los[:] = False
-            u.k[:] = 0.0
-            u.k_est[:] = 0.0
-        cs = assemble_channels(users, cfg, np.random.default_rng(6))
-        book = build_pilot_book(cfg.pilot_len)
-        plan = distinct_plan(cfg)
-        y = synthesize_rx(cs, plan, book, noise_block(cfg, 0.3, np.random.default_rng(7)))
-        resid = subtract_los(y[0], users, cfg, plan, book, 0)
+        drop = sample_users(cfg, np.random.default_rng(5))
+        set_all_nlos(drop)
+        cs = assemble_channels(drop, cfg, np.random.default_rng(6))
+        lams = distinct_plan(cfg)
+        y = synthesize_rx(cs, lams, noise_block(cfg, 0.3, np.random.default_rng(7)))
+        resid = subtract_los(y[0], drop, cfg, lams, 0)
         assert np.array_equal(resid, y[0] - 0.0)
 
     def test_location_errors_leave_exactly_the_mismatch(self):
         cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4, loc_err_var=9.0, seed=4)
-        users = sample_users(cfg, np.random.default_rng(8))
-        cs = assemble_channels(users, cfg, np.random.default_rng(9))
-        book = build_pilot_book(cfg.pilot_len)
-        plan = distinct_plan(cfg)
-        y = synthesize_rx(cs, plan, book, noise_block(cfg))
+        drop = sample_users(cfg, np.random.default_rng(8))
+        cs = assemble_channels(drop, cfg, np.random.default_rng(9))
+        lams = distinct_plan(cfg)
+        y = synthesize_rx(cs, lams, noise_block(cfg))
         for l in range(cfg.L):
-            resid = subtract_los(y[l], users, cfg, plan, book, l)
-            gap = resid - nlos_synthesis(cs, plan, book, l, cfg.L)
-            xi = los_mismatch(users, cfg, plan, book, l)
+            resid = subtract_los(y[l], drop, cfg, lams, l)
+            gap = resid - nlos_synthesis(cs, lams, l, cfg.L)
+            xi = los_mismatch(drop, cfg, lams, l)
             assert np.linalg.norm(gap) > 1e-3
             assert np.allclose(gap, xi.sum(axis=0), atol=1e-9)
 
     def test_mismatch_shrinks_with_error_variance(self):
         cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4, seed=5)
-        book = build_pilot_book(cfg.pilot_len)
-        plan = distinct_plan(cfg)
+        lams = distinct_plan(cfg)
         base = sample_users(cfg, np.random.default_rng(11))
+        d, theta = Drop.serving(base.dist), Drop.serving(base.aoa)
+        pos = bs_positions(cfg)[:, None, :] + np.stack(
+            [d * np.cos(theta), d * np.sin(theta)], axis=-1)
         norms = []
         for var in (1.0, 0.1, 0.01):
             # same offset draws, scaled by the half-width of each variance
-            rng = np.random.default_rng(12)
-            users = [apply_localization_error(u, cfg, rng, var=var) for u in base]
-            xi = los_mismatch(users, cfg, plan, book, 0)
-            norms.append(np.linalg.norm(xi))
+            offsets = sample_position_error(var, np.random.default_rng(12), n=cfg.L * cfg.N)
+            drop = Drop.from_positions(cfg, pos, pos + offsets.reshape(pos.shape), base.los)
+            norms.append(np.linalg.norm(los_mismatch(drop, cfg, lams, 0)))
         assert norms[0] > norms[1] > norms[2]
         # first order, the mismatch scales with the offset ~ sqrt(var)
         assert norms[2] < 0.15 * norms[0]
@@ -136,36 +139,34 @@ class TestSubtractLos:
 class TestLsEstimate:
     def test_exact_for_orthogonal_pilots(self):
         cfg = NetworkConfig(L=1, N=8, M=32, pilot_len=8, seed=6)
-        users = sample_users(cfg, np.random.default_rng(13))
-        cs = assemble_channels(users, cfg, np.random.default_rng(14))
-        book = build_pilot_book(cfg.pilot_len)
-        plan = distinct_plan(cfg)
-        y = synthesize_rx(cs, plan, book, noise_block(cfg))
-        resid = subtract_los(y[0], users, cfg, plan, book, 0)
-        ghat = ls_estimate(resid, pilot_matrix(plan, 0, book))
+        drop = sample_users(cfg, np.random.default_rng(13))
+        cs = assemble_channels(drop, cfg, np.random.default_rng(14))
+        lams = distinct_plan(cfg)
+        y = synthesize_rx(cs, lams, noise_block(cfg))
+        resid = subtract_los(y[0], drop, cfg, lams, 0)
+        ghat = ls_estimate(resid, lams[0])
         assert np.max(np.abs(ghat - cs.nlos_effective(0, 0))) < 1e-9
 
     def test_intra_cell_copilots_share_columns(self):
         cfg = NetworkConfig(L=1, N=4, M=8, pilot_len=2, seed=7)
-        users = sample_users(cfg, np.random.default_rng(16))
-        cs = assemble_channels(users, cfg, np.random.default_rng(17))
-        book = build_pilot_book(cfg.pilot_len)
-        plan = AllocationPlan(np.array([[0, 0, 1, 1]]), "t")
-        y = synthesize_rx(cs, plan, book, noise_block(cfg, 0.05, np.random.default_rng(18)))
-        resid = subtract_los(y[0], users, cfg, plan, book, 0)
-        ghat = ls_estimate(resid, pilot_matrix(plan, 0, book))
+        drop = sample_users(cfg, np.random.default_rng(16))
+        cs = assemble_channels(drop, cfg, np.random.default_rng(17))
+        lams = pilot_mats(AllocationPlan(np.array([[0, 0, 1, 1]]), "t"),
+                          build_pilot_book(cfg.pilot_len))
+        y = synthesize_rx(cs, lams, noise_block(cfg, 0.05, np.random.default_rng(18)))
+        resid = subtract_los(y[0], drop, cfg, lams, 0)
+        ghat = ls_estimate(resid, lams[0])
         assert np.allclose(ghat[:, 0], ghat[:, 1])
         assert np.allclose(ghat[:, 2], ghat[:, 3])
 
     def test_cross_cell_contamination_sums_effective_channels(self):
         cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3, seed=8)
-        users = sample_users(cfg, np.random.default_rng(19))
-        cs = assemble_channels(users, cfg, np.random.default_rng(20))
-        book = build_pilot_book(cfg.pilot_len)
-        plan = distinct_plan(cfg)  # same plan in both cells
-        y = synthesize_rx(cs, plan, book, noise_block(cfg))
-        resid = subtract_los(y[0], users, cfg, plan, book, 0)
-        ghat = ls_estimate(resid, pilot_matrix(plan, 0, book))
+        drop = sample_users(cfg, np.random.default_rng(19))
+        cs = assemble_channels(drop, cfg, np.random.default_rng(20))
+        lams = distinct_plan(cfg)  # same plan in both cells
+        y = synthesize_rx(cs, lams, noise_block(cfg))
+        resid = subtract_los(y[0], drop, cfg, lams, 0)
+        ghat = ls_estimate(resid, lams[0])
         expect = cs.nlos_effective(0, 0) + cs.nlos_effective(1, 0)
         assert np.allclose(ghat, expect, atol=1e-9)
 
@@ -183,12 +184,12 @@ class TestLsEstimate:
         # (up to pilot-book orthogonality round-off), noise seed fixed
         import copy
         cfg = NetworkConfig(L=2, N=4, M=8, pilot_len=2, seed=9)
-        users = sample_users(cfg, np.random.default_rng(23))
-        cs = assemble_channels(users, cfg, np.random.default_rng(24))
-        book = build_pilot_book(cfg.pilot_len)
+        drop = sample_users(cfg, np.random.default_rng(23))
+        cs = assemble_channels(drop, cfg, np.random.default_rng(24))
         plan = AllocationPlan(np.array([[0, 0, 1, 1], [0, 1, 1, 0]]), "t")
+        lams = pilot_mats(plan, build_pilot_book(cfg.pilot_len))
         z = noise_block(cfg, 0.02, np.random.default_rng(25))
-        y = synthesize_rx(cs, plan, book, z)
+        y = synthesize_rx(cs, lams, z)
 
         watched = 0  # user (0, 0), pilot 0
         pilot = plan.cells[0][watched]
@@ -197,31 +198,33 @@ class TestLsEstimate:
             for j in range(cfg.N):
                 if plan.cells[i][j] != pilot:
                     cs_zeroed.g[i, :, :, j] = 0.0
-        y_zeroed = synthesize_rx(cs_zeroed, plan, book, z)
-        col_full = ls_estimate(subtract_los(y[0], users, cfg, plan, book, 0),
-                               pilot_matrix(plan, 0, book))[:, watched]
-        col_zeroed = ls_estimate(subtract_los(y_zeroed[0], users, cfg, plan, book, 0),
-                                 pilot_matrix(plan, 0, book))[:, watched]
+        y_zeroed = synthesize_rx(cs_zeroed, lams, z)
+        col_full = ls_estimate(subtract_los(y[0], drop, cfg, lams, 0),
+                               lams[0])[:, watched]
+        col_zeroed = ls_estimate(subtract_los(y_zeroed[0], drop, cfg, lams, 0),
+                                 lams[0])[:, watched]
         assert np.allclose(col_full, col_zeroed, atol=1e-9)
 
 
 class TestLosChannelBuilders:
     def test_estimated_uses_estimates_true_uses_truth(self):
         cfg = NetworkConfig(L=1, N=1, M=8, pilot_len=1, seed=10)
-        u = make_user(cfg, 0, 0, d=200.0, theta=0.3, d_est=120.0, theta_est=0.8)
-        est = estimated_los_channel([u], cfg, 0, 0)[:, 0]
-        tru = true_los_channel([u], cfg, 0, 0)[:, 0]
-        w_est = np.sqrt(u.alpha_est[0] * u.k_est[0] / (1 + u.k_est[0]))
-        w_tru = np.sqrt(u.alpha[0] * u.k[0] / (1 + u.k[0]))
-        assert np.allclose(est, w_est * steering_vector(cfg.M, u.aoa_est[0]))
-        assert np.allclose(tru, w_tru * steering_vector(cfg.M, u.aoa[0]))
+        drop = make_drop(cfg, [(200.0, 0.3, 120.0, 0.8)])
+        est = estimated_los_channel(drop, cfg, 0, 0)[:, 0]
+        sampler = ChannelSampler(drop, cfg)
+        tru = sampler.hbar[0, 0][:, 0] * sampler.w_los[0, 0, 0]
+        a_e, k_e = drop.alpha_est[0, 0, 0], drop.k_est[0, 0, 0]
+        a, k = drop.alpha[0, 0, 0], drop.k[0, 0, 0]
+        assert np.allclose(est, np.sqrt(a_e * k_e / (1 + k_e))
+                           * steering_vector(cfg.M, drop.aoa_est[0, 0, 0]))
+        assert np.allclose(tru, np.sqrt(a * k / (1 + k))
+                           * steering_vector(cfg.M, drop.aoa[0, 0, 0]))
+        assert not np.allclose(est, tru)
 
     def test_estimated_rx_stacks_all_cells(self):
         cfg = NetworkConfig(L=2, N=2, M=4, pilot_len=2, seed=11)
-        users = sample_users(cfg, np.random.default_rng(26))
-        book = build_pilot_book(cfg.pilot_len)
-        plan = distinct_plan(cfg)
-        ybar = estimated_los_rx(users, cfg, plan, book, bs=1)
-        expect = sum(estimated_los_channel(users, cfg, i, 1)
-                     @ pilot_matrix(plan, i, book) for i in range(2))
+        drop = sample_users(cfg, np.random.default_rng(26))
+        lams = distinct_plan(cfg)
+        ybar = estimated_los_rx(drop, cfg, lams, bs=1)
+        expect = sum(estimated_los_channel(drop, cfg, i, 1) @ lams[i] for i in range(2))
         assert np.array_equal(ybar, expect)

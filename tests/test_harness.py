@@ -2,9 +2,14 @@
 
 import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimopilots import harness
 from mimopilots.cli import cli_main
@@ -45,6 +50,10 @@ class TestExperimentSpec:
             ExperimentSpec(cfg=tiny_cfg(), sweep="M", values=(8, 8.5))
         with pytest.raises(ConfigError, match="numbers"):
             ExperimentSpec(cfg=tiny_cfg(), sweep="loc_err_var", values=(0.0, "x"))
+        for bad in (dict(drops=2.0), dict(trials="3"), dict(threads=True),
+                    dict(seed=1.5)):
+            with pytest.raises(ConfigError, match="integer"):
+                ExperimentSpec(cfg=tiny_cfg(), **bad)
 
     def test_master_seed_defaults_to_config(self):
         assert tiny_spec().master_seed == 3
@@ -150,16 +159,16 @@ class TestOracleCompare:
         from mimopilots.detection import estimate_sinr, spectral_efficiency
         from mimopilots.model import sample_users
         cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2, k_db=10.0, seed=6)
-        users = sample_users(cfg, np.random.default_rng(6))
+        drop = sample_users(cfg, np.random.default_rng(6))
 
         def evaluator(plan):
-            sinr = estimate_sinr(cfg, users, [plan], 6, np.random.default_rng(7))[0]
+            sinr = estimate_sinr(cfg, drop, [plan], 6, np.random.default_rng(7))[0]
             return float(spectral_efficiency(
                 sinr, cfg.pilot_len, cfg.coherence_len)[0].sum())
 
-        _, best = exhaustive_search(cfg, users, evaluator)
+        _, best = exhaustive_search(cfg, drop, evaluator)
         for name in ("loc_aware", "random", "greedy", "sector", "random_iid"):
-            plan = ALLOCATORS[name](cfg, users, np.random.default_rng(8))
+            plan = ALLOCATORS[name](cfg, drop, np.random.default_rng(8))
             assert evaluator(plan) <= best + 1e-12
 
 
@@ -268,7 +277,21 @@ class TestCli:
         ({"pilot_len": 4, "coherence_len": 4}, {}),
         ({}, {"trials": 1}),
         ({}, {"values": [8, 12.5]}),
-    ], ids=["pilot_len_fills_coherence_block", "one_trial", "fractional_m"])
+        ({"pathloss_exp": math.nan}, {}),
+        ({"pathloss_exp": math.inf}, {}),
+        ({"k_db": math.nan}, {}),
+        ({"k_db": math.inf}, {}),
+        ({"loc_err_var": math.nan}, {}),
+        ({"loc_err_var": math.inf}, {}),
+        ({"antenna_spacing": math.nan}, {}),
+        ({"N": 4.0}, {}),
+        ({"M": "8"}, {}),
+        ({"L": 2, "N": 12, "pathloss_exp": 600.0}, {}),
+        ({}, {"drops": 2.0}),
+    ], ids=["pilot_len_fills_coherence_block", "one_trial", "fractional_m",
+            "nan_pathloss_exp", "inf_pathloss_exp", "nan_k_db", "inf_k_db",
+            "nan_loc_err_var", "inf_loc_err_var", "nan_antenna_spacing",
+            "float_n", "string_m", "gain_overflow", "float_drops"])
     def test_boundary_error_exits_two_before_any_drop(self, tmp_path, capsys,
                                                       monkeypatch, cfg_keys, exp_keys):
         def no_monte_carlo(*args, **kwargs):
@@ -293,3 +316,61 @@ class TestCli:
         assert cli_main(["check"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+
+INT_FIELDS = ("L", "N", "M", "pilot_len", "coherence_len", "pathloss_sign", "seed")
+FLOAT_FIELDS = ("snr_db", "cell_radius", "min_dist", "pathloss_exp", "k_db",
+                "k_intercept_db", "k_slope_db_per_m", "antenna_spacing", "loc_err_var")
+
+
+@st.composite
+def tiny_config_fields(draw):
+    radius = draw(st.floats(1.0, 1e4))
+    return {
+        "L": draw(st.integers(1, 2)), "N": draw(st.integers(1, 4)),
+        "M": draw(st.integers(1, 8)), "pilot_len": draw(st.integers(1, 4)),
+        "coherence_len": draw(st.integers(2, 300)),
+        "snr_db": draw(st.floats(-400.0, 400.0)),
+        "cell_radius": radius, "min_dist": radius * draw(st.floats(0.001, 0.999)),
+        "pathloss_exp": draw(st.floats(0.0, 400.0)),
+        "pathloss_sign": draw(st.sampled_from([-1, 1])),
+        "k_model": draw(st.sampled_from(["fixed", "distance"])),
+        "k_db": draw(st.floats(-400.0, 400.0)),
+        "k_intercept_db": draw(st.floats(-100.0, 100.0)),
+        "k_slope_db_per_m": draw(st.floats(-1.0, 1.0)),
+        "los_model": draw(st.sampled_from(["always", "linear_prob"])),
+        "antenna_spacing": draw(st.floats(0.01, 10.0)),
+        "loc_err_var": draw(st.floats(0.0, 1e4)),
+        "seed": draw(st.integers(0, 2 ** 32)),
+    }
+
+
+class TestConfigProperty:
+    @given(tiny_config_fields())
+    @settings(max_examples=60, deadline=None)
+    def test_validated_config_gives_finite_csv(self, fields):
+        try:
+            cfg = NetworkConfig(**fields)
+        except ConfigError:
+            return                       # rejected at the boundary
+        spec = ExperimentSpec(cfg=cfg, name="prop", sweep="M", values=(cfg.M,),
+                              allocators=("loc_aware", "random", "random_iid",
+                                          "greedy", "sector"), drops=1, trials=2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            write_rows_csv(run_sum_se_sweep(spec, clock=lambda: 0.0), path)
+            with open(path) as fh:
+                body = list(csv.DictReader(fh))
+        assert len(body) == 5 * cfg.L
+        for row in body:
+            assert math.isfinite(float(row["sum_se_bits_hz"]))
+            assert math.isfinite(float(row["stderr"]))
+
+    @given(st.sampled_from(INT_FIELDS + FLOAT_FIELDS), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_nonfinite_or_mistyped_field_rejected(self, name, data):
+        bad = (st.sampled_from([4.0, "4", True, None, 2.5]) if name in INT_FIELDS
+               else st.sampled_from([math.nan, math.inf, -math.inf, "1.0", None, True]))
+        doc = {"L": 1, "N": 2, "M": 4, "pilot_len": 2, name: data.draw(bad)}
+        with pytest.raises(ConfigError):
+            NetworkConfig.from_json(json.dumps(doc))

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_user
+from conftest import make_drop
 from mimopilots.channel import steering_vector
-from mimopilots.los_metric import (asymptotic_los_interference,
-                                   dirichlet_kernel_sq, los_interference,
+from mimopilots.los_metric import (dirichlet_kernel_sq, los_interference,
                                    los_interference_from_params, mutual_aoa)
 from mimopilots.model import NetworkConfig
 
@@ -19,6 +18,14 @@ def brute_kernel_sq(m: int, theta: float) -> float:
 
 def los_vector(alpha: float, k: float, theta: float, m: int) -> np.ndarray:
     return np.sqrt(alpha * k / (1 + k)) * steering_vector(m, theta)
+
+
+def gain_ratio(alpha_a, k_a, alpha_b, k_b):
+    return (alpha_a * k_a * (1.0 + k_b)) / (alpha_b * k_b * (1.0 + k_a))
+
+
+def overlap(m, theta_a, theta_b):
+    return dirichlet_kernel_sq(m, mutual_aoa(theta_a, theta_b)) / (m * m)
 
 
 class TestMutualAoa:
@@ -75,6 +82,15 @@ class TestDirichletKernel:
                 assert dirichlet_kernel_sq(m, t) == pytest.approx(
                     brute_kernel_sq(m, t), rel=1e-9)
 
+    def test_array_input_matches_scalar_calls(self):
+        thetas = np.random.default_rng(4).uniform(-2 * np.pi, 2 * np.pi, size=(3, 50))
+        thetas[0, :5] = [0.0, 1e-9, 2 * np.pi, -np.pi, np.pi]
+        for m in (1, 7, 64):
+            out = dirichlet_kernel_sq(m, thetas)
+            assert out.shape == thetas.shape
+            assert all(out[idx] == dirichlet_kernel_sq(m, float(thetas[idx]))
+                       for idx in np.ndindex(thetas.shape))
+
     def test_even_in_angle(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
@@ -86,27 +102,24 @@ class TestDirichletKernel:
 
 class TestLosInterference:
     def test_self_pair_is_exactly_one(self):
-        res = los_interference_from_params(1.7, 3.0, 0.9, 1.7, 3.0, 0.9, m=16)
-        assert res.score == 1.0
-        assert res.gain_ratio == 1.0
-        assert res.aoa_overlap == 1.0
+        assert los_interference_from_params(1.7, 3.0, 0.9, 1.7, 3.0, 0.9, m=16) == 1.0
 
     def test_zero_at_kernel_zero_with_equal_params(self):
         m = 8
         # sines differing by 2/m put the mutual angle on the first kernel zero
         theta_a = np.arcsin(0.25 + 2.0 / m)
         theta_b = np.arcsin(0.25)
-        res = los_interference_from_params(0.5, 2.0, theta_a, 0.5, 2.0, theta_b, m=m)
-        assert res.score < 1e-15
+        assert los_interference_from_params(0.5, 2.0, theta_a, 0.5, 2.0, theta_b,
+                                            m=m) < 1e-15
 
     def test_hand_worked_example(self):
         # ratio (0.1*1*2)/(0.4*1*2) = 0.25; overlap sin^2(pi/2)/sin^2(pi/4)/4 = 0.5
         theta_b = 0.0
         theta_a = np.arcsin(0.5)  # mutual = pi/2
-        res = los_interference_from_params(0.1, 1.0, theta_a, 0.4, 1.0, theta_b, m=2)
-        assert res.gain_ratio == pytest.approx(0.25, rel=1e-12)
-        assert res.aoa_overlap == pytest.approx(0.5, rel=1e-12)
-        assert res.score == pytest.approx(0.125, rel=1e-12)
+        assert gain_ratio(0.1, 1.0, 0.4, 1.0) == pytest.approx(0.25, rel=1e-12)
+        assert overlap(2, theta_a, theta_b) == pytest.approx(0.5, rel=1e-12)
+        score = los_interference_from_params(0.1, 1.0, theta_a, 0.4, 1.0, theta_b, m=2)
+        assert score == pytest.approx(0.125, rel=1e-12)
 
     def test_matches_explicit_vector_ratio(self):
         rng = np.random.default_rng(2)
@@ -115,11 +128,22 @@ class TestLosInterference:
             aa, ab = rng.uniform(0.05, 5.0, size=2)
             ka, kb = rng.uniform(0.1, 20.0, size=2)
             ta, tb = rng.uniform(0, 2 * np.pi, size=2)
-            res = los_interference_from_params(aa, ka, ta, ab, kb, tb, m)
+            score = los_interference_from_params(aa, ka, ta, ab, kb, tb, m)
             ga = los_vector(aa, ka, ta, m)
             gb = los_vector(ab, kb, tb, m)
             ref = abs(np.vdot(gb, ga)) ** 2 / abs(np.vdot(gb, gb)) ** 2
-            assert res.score == pytest.approx(ref, rel=1e-9, abs=1e-25)
+            assert score == pytest.approx(ref, rel=1e-9, abs=1e-25)
+
+    def test_broadcast_matches_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        alpha, k, theta = (rng.uniform(lo, hi, size=(6, 1)) for lo, hi in
+                           ((0.05, 5.0), (0.0, 20.0), (0.0, 2 * np.pi)))
+        k[2] = 0.0
+        scores = los_interference_from_params(alpha, k, theta, alpha.T, k.T, theta.T, 16)
+        assert scores.shape == (6, 6)
+        for a, b in np.ndindex(6, 6):
+            assert scores[a, b] == los_interference_from_params(
+                alpha[a, 0], k[a, 0], theta[a, 0], alpha[b, 0], k[b, 0], theta[b, 0], 16)
 
     def test_reference_norm_identity(self):
         # |g|^2 = m * alpha * K / (1 + K) for the constructed LOS vector
@@ -129,11 +153,9 @@ class TestLosInterference:
                 m * 0.7 * 4.0 / 5.0, rel=1e-12)
 
     def test_k_zero_falls_back_to_overlap(self):
-        res = los_interference_from_params(0.3, 0.0, 1.0, 0.8, 2.0, 0.2, m=4)
-        assert res.gain_ratio is None
-        assert res.score == res.aoa_overlap
-        res2 = los_interference_from_params(0.3, 2.0, 1.0, 0.8, 0.0, 0.2, m=4)
-        assert res2.gain_ratio is None
+        expect = overlap(4, 1.0, 0.2)
+        assert los_interference_from_params(0.3, 0.0, 1.0, 0.8, 2.0, 0.2, m=4) == expect
+        assert los_interference_from_params(0.3, 2.0, 1.0, 0.8, 0.0, 0.2, m=4) == expect
 
     def test_zero_reference_gain_rejected(self):
         with pytest.raises(ValueError):
@@ -143,55 +165,89 @@ class TestLosInterference:
         rng = np.random.default_rng(3)
         for _ in range(200):
             m = int(rng.integers(1, 64))
-            aa, ab = rng.uniform(0.1, 2.0, size=2)
+            a = rng.uniform(0.1, 2.0)
             ta, tb = rng.uniform(0, 2 * np.pi, size=2)
-            r1 = los_interference_from_params(aa, 1.0, ta, ab, 1.0, tb, m)
-            r2 = los_interference_from_params(ab, 1.0, tb, aa, 1.0, ta, m)
-            assert r1.aoa_overlap == pytest.approx(r2.aoa_overlap, rel=1e-12)
+            # equal gains and K: the score is the overlap alone
+            r1 = los_interference_from_params(a, 1.0, ta, a, 1.0, tb, m)
+            r2 = los_interference_from_params(a, 1.0, tb, a, 1.0, ta, m)
+            assert r1 == overlap(m, ta, tb)
+            assert r1 == pytest.approx(r2, rel=1e-12)
 
     def test_decay_envelope(self):
         # off the alignment set, overlap <= 1/(m^2 sin^2(theta/2)) -> 0
         for mut in (0.5, 1.0, 2.5):
             theta_a = np.arcsin(mut / np.pi)
             for m in (4, 16, 64, 256):
-                res = los_interference_from_params(1.0, 1.0, theta_a, 1.0, 1.0, 0.0, m)
-                bound = 1.0 / (m ** 2 * np.sin(res.mutual_aoa / 2) ** 2)
-                assert res.aoa_overlap <= bound * (1 + 1e-12)
-            assert res.aoa_overlap < 1e-3
+                score = los_interference_from_params(1.0, 1.0, theta_a, 1.0, 1.0, 0.0, m)
+                bound = 1.0 / (m ** 2 * np.sin(mutual_aoa(theta_a, 0.0) / 2) ** 2)
+                assert score <= bound * (1 + 1e-12)
+            assert score < 1e-3
 
     def test_record_based_wrapper_uses_estimates(self):
         cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2)
-        ua = make_user(cfg, 0, 0, d=200.0, theta=0.4, d_est=150.0, theta_est=0.5)
-        ub = make_user(cfg, 0, 1, d=300.0, theta=1.4, d_est=320.0, theta_est=1.3)
-        res = los_interference(ua, ub, bs=0, m=cfg.M)
-        ref = los_interference_from_params(
-            ua.alpha_est[0], ua.k_est[0], ua.aoa_est[0],
-            ub.alpha_est[0], ub.k_est[0], ub.aoa_est[0], cfg.M)
-        assert res == ref
+        drop = make_drop(cfg, [(200.0, 0.4, 150.0, 0.5), (300.0, 1.4, 320.0, 1.3)])
+        scores = los_interference(drop, bs=0, m=cfg.M)
+        a, k, t = drop.alpha_est[0, :, 0], drop.k_est[0, :, 0], drop.aoa_est[0, :, 0]
+        for i, j in np.ndindex(2, 2):
+            assert scores[i, j] == los_interference_from_params(
+                a[i], k[i], t[i], a[j], k[j], t[j], cfg.M)
+
+    def test_drop_matrix_vs_explicit_vectors(self):
+        # two cells, every pair at both BSs: LOS pairs by the normalized
+        # overlap of the weighted LOS vectors, NLOS pairs by the bare steering
+        # overlap, and the equal-angle pair (users 0, 2) by the gain ratio
+        cfg = NetworkConfig(L=2, N=3, M=12, pilot_len=3)
+        los = np.ones((2, 3, 2), dtype=bool)
+        los[0, 1, :] = False       # one user NLOS everywhere
+        los[1, 2, 0] = False       # one cross link NLOS
+        drop = make_drop(cfg, [(150.0, 0.6, 160.0, 0.7), (220.0, 2.0), (330.0, 0.7)],
+                         [(180.0, 3.5), (260.0, 1.2, 250.0, 1.25), (390.0, 5.0)],
+                         los=los)
+        for bs in range(cfg.L):
+            scores = los_interference(drop, bs, cfg.M)
+            assert scores.shape == (6, 6)
+            a, k, t = (x[:, :, bs].ravel() for x in (drop.alpha_est, drop.k_est,
+                                                     drop.aoa_est))
+            for i, j in np.ndindex(6, 6):
+                v_i, v_j = steering_vector(cfg.M, t[i]), steering_vector(cfg.M, t[j])
+                if k[i] > 0 and k[j] > 0:
+                    g_i, g_j = los_vector(a[i], k[i], t[i], cfg.M), los_vector(
+                        a[j], k[j], t[j], cfg.M)
+                    ref = abs(np.vdot(g_j, g_i)) ** 2 / abs(np.vdot(g_j, g_j)) ** 2
+                else:
+                    ref = abs(np.vdot(v_j, v_i)) ** 2 / cfg.M ** 2
+                assert scores[i, j] == pytest.approx(ref, rel=1e-9, abs=1e-25)
+            assert np.all(np.diag(scores) == 1.0)
+        assert drop.aoa_est[0, 0, 0] == drop.aoa_est[0, 2, 0]
+        scores = los_interference(drop, 0, cfg.M)
+        assert scores[0, 2] == gain_ratio(drop.alpha_est[0, 0, 0], drop.k_est[0, 0, 0],
+                                          drop.alpha_est[0, 2, 0], drop.k_est[0, 2, 0])
+        assert scores[1, 4] == overlap(cfg.M, drop.aoa_est[0, 1, 0], drop.aoa_est[1, 1, 0])
 
 
 class TestAsymptoticLimit:
-    def test_equal_angles_keep_gain_ratio(self):
+    """Large-array behavior of the drop score matrix."""
+
+    @staticmethod
+    def pair(theta_b):
         cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2)
-        ua = make_user(cfg, 0, 0, d=150.0, theta=0.9)
-        ub = make_user(cfg, 0, 1, d=350.0, theta=0.9)
-        limit = asymptotic_los_interference(ua, ub, bs=0)
-        res = los_interference(ua, ub, bs=0, m=cfg.M)
-        assert limit == res.gain_ratio
+        drop = make_drop(cfg, [(150.0, 0.9), (350.0, theta_b)])
+        ratio = gain_ratio(drop.alpha_est[0, 0, 0], drop.k_est[0, 0, 0],
+                           drop.alpha_est[0, 1, 0], drop.k_est[0, 1, 0])
+        return drop, ratio
+
+    def test_equal_angles_keep_gain_ratio(self):
+        drop, ratio = self.pair(0.9)
+        for m in (8, 64, 512, 4096):
+            assert los_interference(drop, 0, m)[0, 1] == ratio
 
     def test_distinct_angles_vanish(self):
-        cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2)
-        ua = make_user(cfg, 0, 0, d=150.0, theta=0.9)
-        ub = make_user(cfg, 0, 1, d=350.0, theta=1.0)
-        assert asymptotic_los_interference(ua, ub, bs=0) == 0.0
+        drop, ratio = self.pair(1.0)
+        scores = [los_interference(drop, 0, m)[0, 1] for m in (64, 512, 4096)]
+        # envelope ratio / (m^2 sin^2(mutual/2)) ~ 7e-6 * ratio at m = 4096
+        assert scores[-1] < 1e-5 * ratio
 
     def test_self_pair(self):
-        cfg = NetworkConfig(L=1, N=1, M=8, pilot_len=1)
-        u = make_user(cfg, 0, 0, d=150.0, theta=0.9)
-        assert asymptotic_los_interference(u, u, bs=0) == 1.0
-
-    def test_no_los_vanishes(self):
-        cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2)
-        ua = make_user(cfg, 0, 0, d=150.0, theta=0.9, los=False)
-        ub = make_user(cfg, 0, 1, d=350.0, theta=0.9)
-        assert asymptotic_los_interference(ua, ub, bs=0) == 0.0
+        drop, _ = self.pair(1.0)
+        for m in (8, 4096):
+            assert np.all(np.diag(los_interference(drop, 0, m)) == 1.0)

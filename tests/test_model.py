@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mimopilots.model import (ConfigError, NetworkConfig, apply_localization_error,
-                              bs_positions, error_half_width, group_users, k_factor,
-                              los_probability, pathloss, sample_los_state,
+from mimopilots.model import (ConfigError, Drop, NetworkConfig, bs_positions,
+                              error_half_width, k_factor, los_probability, pathloss,
                               sample_position_error, sample_users)
 
 
@@ -33,6 +32,14 @@ class TestNetworkConfig:
         dict(pathloss_sign=2), dict(k_model="bogus"), dict(los_model="bogus"),
         dict(antenna_spacing=0.0), dict(loc_err_var=-1.0), dict(seed=-1),
         dict(pilot_len=100, coherence_len=100),
+        dict(pathloss_exp=float("nan")), dict(pathloss_exp=float("inf")),
+        dict(k_db=float("nan")), dict(k_db=float("-inf")),
+        dict(loc_err_var=float("nan")), dict(loc_err_var=float("inf")),
+        dict(antenna_spacing=float("nan")), dict(snr_db=float("nan")),
+        dict(N=4.0), dict(M="8"), dict(L=True), dict(k_db="10"),
+        dict(L=2, N=12, pathloss_exp=600.0),
+        dict(k_model="distance", k_slope_db_per_m=-10.0),
+        dict(snr_db=4000.0),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -116,18 +123,23 @@ class TestLosState:
         assert los_probability(10 * cfg.cell_radius, cfg) == 0.0
 
     def test_always_mode_consumes_no_randomness(self):
+        # four uniforms per user (distance, angle, two offsets), no LOS draws
         cfg = small_cfg(los_model="always")
         rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        assert sample_los_state(399.0, cfg, rng) is True
-        assert rng.bit_generator.state == before
+        drop = sample_users(cfg, rng)
+        ref = np.random.default_rng(0)
+        ref.random(4 * cfg.L * cfg.N)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert drop.los.all()
 
     def test_empirical_frequency(self):
-        # d=100, radius=400 -> p = 0.75; binomial std at 1e5 draws ~ 0.0014
-        cfg = small_cfg(los_model="linear_prob")
-        rng = np.random.default_rng(123)
-        hits = sum(sample_los_state(100.0, cfg, rng) for _ in range(100_000))
-        assert hits / 100_000 == pytest.approx(0.75, abs=0.01)
+        # serving links are LOS with probability 1 - d/radius, d ~ U[100, 400]:
+        # 0.375 overall (binomial std ~ 0.0024 at 4e4 users), 0.7125 near 115 m
+        cfg = NetworkConfig(L=1, N=40_000, M=1, pilot_len=1, los_model="linear_prob")
+        drop = sample_users(cfg, np.random.default_rng(123))
+        los, d = drop.los[0, :, 0], drop.dist[0, :, 0]
+        assert los.mean() == pytest.approx(0.375, abs=0.01)
+        assert los[d < 130.0].mean() == pytest.approx(0.7125, abs=0.03)
 
 
 class TestLocalizationError:
@@ -146,90 +158,89 @@ class TestLocalizationError:
         assert mse == pytest.approx(3.0, abs=0.05)
 
     def test_zero_variance_is_identity(self):
-        cfg = small_cfg()
-        rng = np.random.default_rng(3)
-        users = sample_users(cfg, rng)
-        perturbed = apply_localization_error(users[0], cfg, rng, var=0.0)
-        assert np.array_equal(perturbed.pos_est, users[0].pos)
-        assert perturbed.d_est == users[0].d
-        assert perturbed.theta_est == users[0].theta
+        drop = sample_users(small_cfg(loc_err_var=0.0), np.random.default_rng(3))
+        assert np.array_equal(drop.dist_est, drop.dist)
+        assert np.array_equal(drop.aoa_est, drop.aoa)
+        assert np.array_equal(drop.alpha_est, drop.alpha)
 
     def test_estimates_rederived_from_estimated_distance(self):
-        cfg = small_cfg()
-        rng = np.random.default_rng(4)
-        users = sample_users(cfg, rng)
-        u = apply_localization_error(users[0], cfg, rng, var=25.0)
-        assert np.allclose(u.alpha_est, pathloss(u.dist_est, cfg))
-        assert np.allclose(u.k_est, np.where(u.los, k_factor(u.dist_est, cfg), 0.0))
+        cfg = small_cfg(loc_err_var=25.0, los_model="linear_prob", k_model="distance")
+        drop = sample_users(cfg, np.random.default_rng(4))
+        assert not np.allclose(drop.dist_est, drop.dist)
+        assert np.allclose(drop.alpha_est, pathloss(drop.dist_est, cfg))
+        assert np.allclose(drop.k_est,
+                           np.where(drop.los, k_factor(drop.dist_est, cfg), 0.0))
 
     def test_distance_clamped_to_one_meter(self):
-        # a user almost on top of the BS, perturbed hard, never estimates < 1 m
-        from conftest import make_user
-        cfg = NetworkConfig(L=1, N=1, M=4, pilot_len=1, min_dist=1.0,
+        # users almost on top of the BS, perturbed hard, never estimate < 1 m
+        cfg = NetworkConfig(L=1, N=500, M=4, pilot_len=1, min_dist=1.0,
                             cell_radius=400.0)
-        base = make_user(cfg, cell=0, index=0, d=1.5, theta=0.3)
-        rng = np.random.default_rng(5)
-        dists = [apply_localization_error(base, cfg, rng, var=50.0).dist_est[0]
-                 for _ in range(500)]
-        assert min(dists) == 1.0  # the clamp engaged at least once
-        assert all(d >= 1.0 for d in dists)
+        pos = np.tile([1.5, 0.0], (1, cfg.N, 1))
+        offsets = sample_position_error(50.0, np.random.default_rng(5), n=cfg.N)
+        drop = Drop.from_positions(cfg, pos, pos + offsets[None],
+                                   np.ones((1, cfg.N, 1), dtype=bool))
+        dists = drop.dist_est[0, :, 0]
+        assert dists.min() == 1.0  # the clamp engaged at least once
+        assert np.all(dists >= 1.0)
 
 
 class TestSampleUsers:
     def test_counts_and_shapes(self):
         cfg = NetworkConfig(L=2, N=36, M=4, pilot_len=12, seed=1)
-        users = sample_users(cfg, np.random.default_rng(1))
-        assert len(users) == 72
-        assert all(u.alpha.shape == (2,) for u in users)
-        assert all(cfg.min_dist <= u.d <= cfg.cell_radius for u in users)
-        assert all(0.0 <= u.theta < 2 * np.pi for u in users)
+        drop = sample_users(cfg, np.random.default_rng(1))
+        for name in ("dist", "aoa", "dist_est", "aoa_est", "alpha", "alpha_est",
+                     "k", "k_est", "los"):
+            assert getattr(drop, name).shape == (2, 36, 2)
+        d = Drop.serving(drop.dist)
+        assert np.all((cfg.min_dist <= d) & (d <= cfg.cell_radius))
+        assert np.all((0.0 <= drop.aoa) & (drop.aoa < 2 * np.pi))
 
     def test_degenerate_distance_interval(self):
         eps = 1e-6
         cfg = small_cfg(min_dist=400.0 - eps, cell_radius=400.0)
-        users = sample_users(cfg, np.random.default_rng(2))
-        assert all(400.0 - eps <= u.d <= 400.0 for u in users)
+        d = Drop.serving(sample_users(cfg, np.random.default_rng(2)).dist)
+        assert np.all((400.0 - eps <= d) & (d <= 400.0))
 
     def test_deterministic_given_seed(self):
         cfg = small_cfg(loc_err_var=4.0, los_model="linear_prob",
                         k_model="distance")
         a = sample_users(cfg, np.random.default_rng(42))
         b = sample_users(cfg, np.random.default_rng(42))
-        for ua, ub in zip(a, b):
-            assert np.array_equal(ua.pos, ub.pos)
-            assert np.array_equal(ua.pos_est, ub.pos_est)
-            assert np.array_equal(ua.los, ub.los)
+        for name in ("dist", "aoa", "dist_est", "aoa_est", "k_est", "los"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_per_user_draw_order(self):
+        # per user, cell-major: distance, angle, two offsets, one LOS uniform per BS
+        cfg = small_cfg(loc_err_var=4.0, los_model="linear_prob")
+        drop = sample_users(cfg, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        for cell in range(cfg.L):
+            for j in range(cfg.N):
+                d = rng.uniform(cfg.min_dist, cfg.cell_radius)
+                theta = rng.uniform(0.0, 2 * np.pi)
+                rng.uniform(-1.0, 1.0, size=2)
+                los = rng.random(cfg.L) < los_probability(drop.dist[cell, j], cfg)
+                assert drop.dist[cell, j, cell] == pytest.approx(d, rel=1e-12)
+                assert drop.aoa[cell, j, cell] == pytest.approx(theta, abs=1e-9)
+                assert np.array_equal(drop.los[cell, j], los)
 
     def test_geometry_consistency(self):
         cfg = small_cfg(loc_err_var=9.0)
-        users = sample_users(cfg, np.random.default_rng(8))
+        drop = sample_users(cfg, np.random.default_rng(8))
         bs = bs_positions(cfg)
-        for u in users:
-            for l in range(cfg.L):
-                rel = u.pos - bs[l]
-                assert u.dist[l] == pytest.approx(np.hypot(*rel), rel=1e-9)
-                assert math.sin(u.aoa[l]) == pytest.approx(
-                    rel[1] / u.dist[l], abs=1e-9)
+        for cell in range(cfg.L):
+            for j in range(cfg.N):
+                d, theta = drop.dist[cell, j, cell], drop.aoa[cell, j, cell]
+                pos = bs[cell] + d * np.array([np.cos(theta), np.sin(theta)])
+                for l in range(cfg.L):
+                    rel = pos - bs[l]
+                    assert drop.dist[cell, j, l] == pytest.approx(np.hypot(*rel), rel=1e-9)
+                    assert math.sin(drop.aoa[cell, j, l]) == pytest.approx(
+                        rel[1] / drop.dist[cell, j, l], abs=1e-9)
 
     def test_nlos_forces_zero_k(self):
         cfg = small_cfg(los_model="linear_prob", k_model="distance", N=16)
-        users = sample_users(cfg, np.random.default_rng(9))
-        saw_nlos = False
-        for u in users:
-            for l in range(cfg.L):
-                if not u.los[l]:
-                    saw_nlos = True
-                    assert u.k[l] == 0.0 and u.k_est[l] == 0.0
-                else:
-                    assert u.k[l] > 0.0
-        assert saw_nlos
-
-    def test_group_users_validates_coverage(self):
-        cfg = small_cfg()
-        users = sample_users(cfg, np.random.default_rng(10))
-        groups = group_users(users, cfg)
-        assert groups[1][2].cell == 1 and groups[1][2].index == 2
-        with pytest.raises(ValueError):
-            group_users(users[:-1], cfg)
-        with pytest.raises(ValueError):
-            group_users(users + [users[0]], cfg)
+        drop = sample_users(cfg, np.random.default_rng(9))
+        assert not drop.los.all()
+        assert np.all(drop.k[~drop.los] == 0.0) and np.all(drop.k_est[~drop.los] == 0.0)
+        assert np.all(drop.k[drop.los] > 0.0)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mimopilots.pilots import (AllocationPlan, build_pilot_book, correlation,
-                               is_balanced, pilot_matrix)
+from conftest import is_balanced
+from mimopilots.pilots import AllocationPlan, build_pilot_book, correlation, pilot_matrix
 
 
 class TestPilotBook:
