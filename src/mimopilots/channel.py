@@ -22,7 +22,8 @@ def crandn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     block consumes the stream exactly like N consecutive (M,) draws.
     """
     z = rng.standard_normal((*shape, 2))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    z *= 1.0 / np.sqrt(2.0)
+    return z.view(complex)[..., 0]
 
 
 def steering_vector(m: int, theta, spacing: float = 0.5) -> np.ndarray:
@@ -61,8 +62,9 @@ class ChannelSet:
 class ChannelSampler:
     """Precomputes the location-dependent pieces, then draws realizations.
 
-    The scatter block for cell pair (i, l) is drawn user-by-user in index
-    order, one (M,) vector per user, from a shared stream.
+    The scatter blocks are drawn cell pair by cell pair in (i, l) order and,
+    within a pair, user by user, one (M,) vector per user, from a shared
+    stream.
     """
 
     def __init__(self, drop: Drop, cfg: NetworkConfig):
@@ -77,10 +79,7 @@ class ChannelSampler:
 
     def draw(self, rng: np.random.Generator) -> ChannelSet:
         L, N, M = self.cfg.L, self.cfg.N, self.cfg.M
-        htilde = np.empty((L, L, M, N), dtype=complex)
-        for i in range(L):
-            for l in range(L):
-                htilde[i, l] = crandn(rng, (N, M)).T
+        htilde = crandn(rng, (L, L, N, M)).swapaxes(-1, -2)
         g = self.hbar * self.w_los[:, :, None, :] + htilde * self.w_nlos[:, :, None, :]
         return ChannelSet(g=g, hbar=self.hbar, htilde=htilde,
                           alpha=self.alpha, k=self.k)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelSampler, assemble_channels, steering_vector
-from .detection import spectral_efficiency, zf_combiner
-from .estimation import (estimated_los_channel, ls_estimate, subtract_los,
-                         synthesize_rx)
+from .channel import ChannelSampler, assemble_channels, crandn, steering_vector
+from .detection import CopilotGroups, spectral_efficiency, zf_combiner
+from .estimation import (estimated_los_channel, estimated_los_rx, ls_estimate,
+                         subtract_los, synthesize_rx)
 from .los_metric import dirichlet_kernel_sq, los_interference
 from .model import NetworkConfig, sample_users
 from .pilots import AllocationPlan, build_pilot_book, correlation, pilot_matrix
@@ -91,6 +91,11 @@ def _distinct_plan(cfg: NetworkConfig) -> list[np.ndarray]:
     return [pilot_matrix(plan, i, book) for i in range(cfg.L)]
 
 
+def _los_at(drop, cfg: NetworkConfig, bs: int) -> list[np.ndarray]:
+    """Every cell's reconstructed LOS channel at BS `bs`."""
+    return [estimated_los_channel(drop, cfg, i, bs) for i in range(cfg.L)]
+
+
 def check_los_subtraction() -> tuple[str, bool, str]:
     cfg = NetworkConfig(L=2, N=6, M=16, pilot_len=6, loc_err_var=0.0, seed=3)
     rng = np.random.default_rng(cfg.seed)
@@ -100,7 +105,7 @@ def check_los_subtraction() -> tuple[str, bool, str]:
     y = synthesize_rx(cs, lambdas, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
     worst = 0.0
     for l in range(cfg.L):
-        resid = subtract_los(y[l], drop, cfg, lambdas, l)
+        resid = subtract_los(y[l], _los_at(drop, cfg, l), lambdas)
         ref = sum(cs.nlos_effective(i, l) @ lambdas[i] for i in range(cfg.L))
         worst = max(worst, float(np.max(np.abs(resid - ref))))
     return "LOS subtraction exact at zero location error", worst < 1e-9, f"max dev {worst:.2e}"
@@ -113,7 +118,7 @@ def check_ls_exactness() -> tuple[str, bool, str]:
     lambdas = _distinct_plan(cfg)
     cs = assemble_channels(drop, cfg, rng)
     y = synthesize_rx(cs, lambdas, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
-    resid = subtract_los(y[0], drop, cfg, lambdas, 0)
+    resid = subtract_los(y[0], _los_at(drop, cfg, 0), lambdas)
     ghat = ls_estimate(resid, lambdas[0])
     dev = float(np.max(np.abs(ghat - cs.nlos_effective(0, 0))))
     return "LS estimate exact for orthogonal pilots", dev < 1e-9, f"max dev {dev:.2e}"
@@ -137,6 +142,35 @@ def check_zf_min_norm() -> tuple[str, bool, str]:
     expect = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
     dev = float(np.max(np.abs(w.conj().T @ g - expect)))
     return "ZF min-norm split on duplicated columns", dev < 1e-8, f"max dev {dev:.2e}"
+
+
+def check_grouped_zf() -> tuple[str, bool, str]:
+    # co-pilot NLOS users share an estimate column; the combiner solved on
+    # the distinct columns and expanded, as estimate_sinr builds it, must be
+    # the pseudo-inverse combiner of the full estimate
+    cfg = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
+                        los_model="linear_prob", loc_err_var=9.0, seed=37)
+    rng = np.random.default_rng(cfg.seed)
+    drop = sample_users(cfg, rng)
+    plan = AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)),
+                          "check")
+    book = build_pilot_book(cfg.pilot_len)
+    lambdas = [pilot_matrix(plan, i, book) for i in range(cfg.L)]
+    noise = np.sqrt(1.0 / cfg.rho) * crandn(rng, (cfg.L, cfg.M, cfg.pilot_len))
+    y = synthesize_rx(assemble_channels(drop, cfg, rng), lambdas, noise)
+    worst, merged = 0.0, 0
+    for l in range(cfg.L):
+        los = _los_at(drop, cfg, l)
+        groups = CopilotGroups(los[l], plan.cells[l], cfg.pilot_len)
+        if groups.inv is not None:
+            merged += cfg.N - groups.los_u.shape[1]
+        resid = y[l] - estimated_los_rx(los, lambdas)
+        w = groups.combiner(ls_estimate(resid, book))
+        ref = np.linalg.pinv(los[l] + ls_estimate(resid, lambdas[l])).conj().T
+        worst = max(worst, float(np.linalg.norm(w - ref) / np.linalg.norm(ref)))
+    ok = merged > 0 and worst < 1e-12
+    return "grouped ZF on distinct columns = full pinv", ok, \
+        f"{merged} columns merged, worst rel dev {worst:.2e}"
 
 
 def check_channel_power() -> tuple[str, bool, str]:
@@ -203,6 +237,7 @@ ALL_CHECKS = (
     check_ls_exactness,
     check_zf_identity,
     check_zf_min_norm,
+    check_grouped_zf,
     check_channel_power,
     check_detection_identity,
     check_se_formula,

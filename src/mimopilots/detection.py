@@ -1,12 +1,15 @@
 """Zero-forcing detection, Monte-Carlo SINR estimation, and spectral efficiency.
 
 The detector at each BS combines with the zero-forcing combiner of its
-channel estimate (reconstructed LOS plus least-squares scatter estimate),
-solved on the Gram matrix by Cholesky when that is certified accurate and
-by the pseudo-inverse otherwise. SINRs are conditional on user locations:
-expectations over small-scale fading are sample means over fresh channel
-realizations, with the combiner rebuilt from estimates every realization and
-the true channels used as ground truth.
+channel estimate (reconstructed LOS plus least-squares scatter estimate).
+Users of a cell who share a pilot and whose links the BS takes for NLOS get
+identical estimate columns; the combiner is solved on the distinct columns
+only and expanded in closed form to the minimum-norm combiner of the full
+estimate. Each solve inverts the Gram matrix when a condition bound
+certifies it and takes the pseudo-inverse otherwise. SINRs are conditional
+on user locations: expectations over small-scale fading are sample means
+over fresh channel realizations, with the combiner rebuilt from estimates
+every realization and the true channels used as ground truth.
 """
 
 from __future__ import annotations
@@ -27,39 +30,95 @@ _DENOM_FLOOR = 1e-12
 # relative singular-value cutoff for the rank-revealing pseudo-inverse
 _ZF_RCOND = 1e-8
 
-# The Gram-Cholesky combiner is used only when ||R||_F * ||R^-1||_F, an upper
-# bound on cond2(Ghat), stays below this. The pseudo-inverse then drops no
-# singular value, and the squared condition number of the Gram solve still
-# leaves about 1e-8 relative accuracy.
+# The Gram-inverse combiner is used only when ||A||_F * ||A^-1||_F for the
+# Gram matrix A = Ghat^H Ghat, an upper bound on cond2(Ghat)^2, stays below
+# this squared. The pseudo-inverse then drops no singular value, and the
+# squared condition number of the Gram solve still leaves about 1e-8
+# relative accuracy.
 _ZF_COND_BOUND = 1e4
+
+
+def gram_condition(gram: np.ndarray, gram_inv: np.ndarray) -> float:
+    """||A||_F * ||X||_F for a Gram matrix A and its computed inverse X.
+
+    For the exact inverse this bounds cond2(A) from above. A computed X can
+    only score below a bound B if it really inverts A: the LU residual
+    ||X A - I|| is of order eps * ||X|| * ||A||, so a numerically singular
+    A, whose computed inverse is garbage of norm about 1 / (eps * ||A||),
+    scores about 1 / eps.
+    """
+    return float(np.sqrt(np.vdot(gram, gram).real * np.vdot(gram_inv, gram_inv).real))
 
 
 def zf_combiner(ghat: np.ndarray) -> np.ndarray:
     """Zero-forcing combiner W = Ghat @ pinv(Ghat^H Ghat).
 
-    Fast path: Cholesky-factor the Gram matrix Ghat^H Ghat = R R^H and
-    return Ghat @ R^-H @ R^-1, used only when the bound
-    ||R||_F * ||R^-1||_F on cond2(Ghat) certifies it. Otherwise (Cholesky
-    failure, rank-deficient or ill-conditioned estimates) the SVD
+    Fast path: W = Ghat @ inv(Ghat^H Ghat), used only when
+    `gram_condition` certifies cond2(Ghat) < 1e4. Otherwise (a singular
+    Gram matrix, rank-deficient or ill-conditioned estimates) the SVD
     pseudo-inverse with singular values below 1e-8 * sigma_max treated as
-    zero, so duplicated estimate columns (intra-cell pilot reuse) resolve to
-    the minimum-norm combiner instead of blowing up. For a single column
-    this is g / (g^H g); for full-rank estimates W^H @ Ghat == I.
+    zero, so duplicated estimate columns resolve to the minimum-norm
+    combiner instead of blowing up. For a single column this is
+    g / (g^H g); for full-rank estimates W^H @ Ghat == I.
     """
     ghat = np.asarray(ghat)
     if ghat.ndim != 2:
         raise ValueError("channel estimate must be a 2-D matrix")
-    if not np.any(ghat):
+    if not ghat.any():
         raise ValueError("degenerate estimate: all-zero channel matrix")
+    gram = ghat.conj().T @ ghat
     try:
-        chol = np.linalg.cholesky(ghat.conj().T @ ghat)
-        chol_inv = np.linalg.inv(chol)
+        gram_inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
-        pass                    # Gram matrix not positive definite
+        pass                    # Gram matrix exactly singular
     else:
-        if np.linalg.norm(chol) * np.linalg.norm(chol_inv) < _ZF_COND_BOUND:
-            return ghat @ (chol_inv.conj().T @ chol_inv)
+        if gram_condition(gram, gram_inv) < _ZF_COND_BOUND ** 2:
+            return ghat @ gram_inv
     return np.linalg.pinv(ghat, rcond=_ZF_RCOND).conj().T
+
+
+class CopilotGroups:
+    """One cell's estimate at its own BS, reduced to its distinct columns.
+
+    The estimate is Ghat = ghat_los + est[:, pilots], with `ghat_los` the
+    cell's reconstructed LOS channel at its BS, `pilots` the cell's pilot
+    indices and `est` the LS estimate with one column per pilot. Users who
+    share a pilot and whose LOS column is exactly zero (an NLOS link) get
+    identical columns and form one group; every other user is a group of
+    one. `inv` maps each user to its group and is None when every group has
+    one user, and then the full estimate is solved as it is.
+    """
+
+    def __init__(self, ghat_los: np.ndarray, pilots: np.ndarray, pilot_len: int):
+        self.ghat_los, self.pilots, self.inv = ghat_los, pilots, None
+        nlos = ~ghat_los.any(axis=0)
+        if np.count_nonzero(nlos) < 2:
+            return
+        key = np.where(nlos, pilots, pilot_len + np.arange(pilots.size))
+        _, keep, inv, size = np.unique(key, return_index=True,
+                                       return_inverse=True, return_counts=True)
+        if keep.size == pilots.size:
+            return
+        root = np.sqrt(size)
+        self.inv = inv
+        self.los_u = ghat_los[:, keep] * root             # (M, U)
+        self.pick = np.zeros((pilot_len, keep.size), dtype=complex)
+        self.pick[pilots[keep], np.arange(keep.size)] = root
+        self.scale = 1.0 / root[inv]                      # (N,)
+
+    def combiner(self, est: np.ndarray) -> np.ndarray:
+        """ZF combiner of Ghat = ghat_los + est[:, pilots], shape (M, N).
+
+        With groups, Ghat = Gu @ E for the distinct columns Gu and the 0/1
+        group-to-user map E with E E^T = D, the group sizes. F = D^-1/2 E
+        has orthonormal rows, so pinv(Ghat)^H = zf(Gu D^1/2) D^-1/2 E
+        exactly, whatever the rank of Gu: each user gets its group's
+        combiner of the root-scaled columns divided by the root of the
+        group size, from one `zf_combiner` call on U <= N columns.
+        """
+        if self.inv is None:
+            return zf_combiner(self.ghat_los + est[:, self.pilots])
+        return zf_combiner(self.los_u + est @ self.pick)[:, self.inv] * self.scale
 
 
 def spectral_efficiency(sinr, pilot_len: int, coherence_len: int):
@@ -80,11 +139,13 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
 
     Each trial draws fresh channels and one pilot-phase noise block, and
     every plan reuses them (common random numbers): per plan it synthesizes
-    the pilot phase, subtracts the reconstructed LOS, forms LS estimates,
-    and rebuilds the ZF combiner. A plan's result is therefore the same
-    whichever other plans share the call. Sample means over trials estimate
-    the useful-signal mean, all interference second moments, and the
-    combiner norm; the denominator is floored at 1e-12.
+    the pilot phase, subtracts the reconstructed LOS, forms one LS estimate
+    per pilot, and rebuilds the ZF combiner from the distinct estimate
+    columns. A plan's result is therefore the same whichever other plans
+    share the call. Sample means over trials estimate the useful-signal
+    mean, all interference second moments, and the combiner norm; the
+    denominator is floored at 1e-12. A non-finite SINR raises
+    FloatingPointError rather than reaching the SE and the CSV.
     """
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
@@ -95,10 +156,13 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     sampler = ChannelSampler(drop, cfg)
     noise_var = 1.0 / cfg.rho
 
-    # location-only pieces, constant across trials
-    ghat_los = [estimated_los_channel(drop, cfg, cell=l, bs=l) for l in range(L)]
-    ybar = [[estimated_los_rx(drop, cfg, lam, bs=l) for l in range(L)]
-            for lam in lambdas]
+    # location-only pieces, constant across trials; los[l][i] is cell i's
+    # reconstructed LOS channel at BS l
+    los = [[estimated_los_channel(drop, cfg, i, l) for i in range(L)]
+           for l in range(L)]
+    ybar = [[estimated_los_rx(los[l], lam) for l in range(L)] for lam in lambdas]
+    groups = [[CopilotGroups(los[l][l], plan.cells[l], cfg.pilot_len)
+               for l in range(L)] for plan in plans]
 
     sum_sig = np.zeros((P, L, N), dtype=complex)  # w^H g of the own user
     sum_pow = np.zeros((P, L, N, L * N))          # |w^H g|^2, all users
@@ -112,8 +176,8 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
         for p in range(P):
             y = synthesize_rx(cs, lambdas[p], noise)
             for l in range(L):
-                gtilde_hat = ls_estimate(y[l] - ybar[p][l], lambdas[p][l])
-                w = zf_combiner(ghat_los[l] + gtilde_hat)
+                est = ls_estimate(y[l] - ybar[p][l], book)  # one column per pilot
+                w = groups[p][l].combiner(est)
                 prod = w.conj().T @ g_all[l]       # (N, L*N)
                 sum_pow[p, l] += np.abs(prod) ** 2
                 sum_sig[p, l] += prod[np.arange(N), l * N + np.arange(N)]
@@ -122,4 +186,9 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     mean_sig_sq = np.abs(sum_sig / trials) ** 2
     denom = (sum_pow.sum(axis=3) / trials - mean_sig_sq
              + noise_var * sum_wsq / trials)
-    return mean_sig_sq / np.maximum(denom, _DENOM_FLOOR)
+    sinr = mean_sig_sq / np.maximum(denom, _DENOM_FLOOR)
+    if not np.all(np.isfinite(sinr)):
+        bad = sorted({plans[p].allocator or str(p)
+                      for p in np.nonzero(~np.isfinite(sinr))[0]})
+        raise FloatingPointError(f"non-finite SINR for plans {bad}")
+    return sinr

@@ -7,7 +7,9 @@ its own cell's pilots. The 1/pilot_len scale makes a co-pilot channel enter
 the estimate with coefficient exactly one.
 
 Pilot matrices are passed in as `lambdas`, one (N, pilot_len) matrix per
-cell as `pilots.pilot_matrix` builds them once per plan.
+cell as `pilots.pilot_matrix` builds them once per plan; the reconstructed
+LOS matrices are passed in as `los`, one (M, N) matrix per cell at the BS,
+as `estimated_los_channel` builds them once per drop.
 """
 
 from __future__ import annotations
@@ -54,31 +56,36 @@ def synthesize_rx(cs: ChannelSet, lambdas: Sequence[np.ndarray],
     return y
 
 
-def estimated_los_rx(drop: Drop, cfg: NetworkConfig,
-                     lambdas: Sequence[np.ndarray], bs: int) -> np.ndarray:
-    """The pilot-phase receive matrix the BS attributes to LOS propagation."""
-    out = np.zeros((cfg.M, lambdas[0].shape[1]), dtype=complex)
-    for i in range(cfg.L):
-        out += estimated_los_channel(drop, cfg, i, bs) @ lambdas[i]
+def estimated_los_rx(los: Sequence[np.ndarray],
+                     lambdas: Sequence[np.ndarray]) -> np.ndarray:
+    """The pilot-phase receive matrix a BS attributes to LOS propagation,
+    sum_i los[i] @ lambdas[i], where los[i] is cell i's
+    `estimated_los_channel` at that BS."""
+    out = np.zeros((los[0].shape[0], lambdas[0].shape[1]), dtype=complex)
+    for los_i, lam_i in zip(los, lambdas, strict=True):
+        out += los_i @ lam_i
     return out
 
 
-def subtract_los(y: np.ndarray, drop: Drop, cfg: NetworkConfig,
-                 lambdas: Sequence[np.ndarray], bs: int) -> np.ndarray:
+def subtract_los(y: np.ndarray, los: Sequence[np.ndarray],
+                 lambdas: Sequence[np.ndarray]) -> np.ndarray:
     """Remove the reconstructed LOS contribution from one BS's receive matrix.
 
-    With perfect location estimates the residual is exactly the scatter-only
-    synthesis plus noise; location errors leave the gap between the true
-    and the reconstructed LOS receive matrices behind.
+    `los` holds every cell's `estimated_los_channel` at that BS. With perfect
+    location estimates the residual is exactly the scatter-only synthesis
+    plus noise; location errors leave the gap between the true and the
+    reconstructed LOS receive matrices behind.
     """
-    return y - estimated_los_rx(drop, cfg, lambdas, bs)
+    return y - estimated_los_rx(los, lambdas)
 
 
 def ls_estimate(y_clean: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Least-squares scatter-channel estimate (1/pilot_len) * Y~ @ Lambda^H.
 
     Column k collects, with unit coefficient, every channel whose pilot
-    collides with user k's pilot, plus filtered noise.
+    collides with row k of `lam`, plus filtered noise. With a cell's pilot
+    matrix that is one column per user; with the whole pilot book it is one
+    column per pilot, and a user's column is the one of its pilot.
     """
     pilot_len = lam.shape[1]
     if y_clean.shape[1] != pilot_len:

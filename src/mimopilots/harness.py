@@ -21,6 +21,7 @@ import numpy as np
 from .allocators import ALLOCATORS, allocate_loc_aware, exhaustive_search
 from .detection import estimate_sinr, spectral_efficiency
 from .model import ConfigError, NetworkConfig, sample_users
+from .pilots import AllocationPlan
 
 CSV_HEADER = ("experiment", "allocator", "sweep_name", "sweep_value", "cell",
               "sum_se_bits_hz", "stderr", "drops", "trials", "seed", "wall_ms")
@@ -105,12 +106,25 @@ def _rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
+def _check_plan(cfg: NetworkConfig, name: str, plan: AllocationPlan) -> None:
+    """Raise unless allocator `name`'s plan gives every user a pilot in range."""
+    cells = plan.cells
+    if cells.shape != (cfg.L, cfg.N):
+        raise RuntimeError(f"allocator {name!r} returned a plan of shape "
+                           f"{cells.shape}, expected {(cfg.L, cfg.N)}")
+    if cells.min() < 0 or cells.max() >= cfg.pilot_len:
+        raise RuntimeError(f"allocator {name!r} assigned a pilot outside "
+                           f"[0, {cfg.pilot_len}): {cells.tolist()}")
+
+
 def _one_drop(cfg: NetworkConfig, allocators: tuple[str, ...], trials: int,
               seed: int, d: int) -> dict[str, np.ndarray]:
     """Per-user SE of every allocator on location drop d (paired channels)."""
     drop = sample_users(cfg, _rng(seed, d, _STREAM_USERS))
     plans = [ALLOCATORS[name](cfg, drop, _rng(seed, d, _STREAM_ALLOC + pos))
              for pos, name in enumerate(allocators)]
+    for name, plan in zip(allocators, plans):
+        _check_plan(cfg, name, plan)
     sinr = estimate_sinr(cfg, drop, plans, trials, _rng(seed, d, _STREAM_SINR))
     se = spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
     return dict(zip(allocators, se))

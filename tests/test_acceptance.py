@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import noise_block, pilot_mats
+from conftest import los_mats, noise_block, pilot_mats
 from mimopilots.channel import assemble_channels, steering_vector
 from mimopilots.detection import estimate_sinr
 from mimopilots.estimation import ls_estimate, subtract_los, synthesize_rx
@@ -117,7 +117,7 @@ def test_criterion_04_los_subtraction_exact_at_zero_error():
         cs = assemble_channels(drop, cfg, rng)
         y = synthesize_rx(cs, lams, noise_block(cfg))
         for l in range(cfg.L):
-            resid = subtract_los(y[l], drop, cfg, lams, l)
+            resid = subtract_los(y[l], los_mats(drop, cfg, l), lams)
             ref = sum(cs.nlos_effective(i, l) @ lams[i] for i in range(cfg.L))
             worst = max(worst, float(np.max(np.abs(resid - ref))))
     assert worst < 1e-9
@@ -131,7 +131,7 @@ def test_criterion_05_ls_exact_for_orthogonal_pilots():
     drop = sample_users(cfg, rng)
     cs = assemble_channels(drop, cfg, rng)
     y = synthesize_rx(cs, lams, noise_block(cfg))
-    resid = subtract_los(y[0], drop, cfg, lams, 0)
+    resid = subtract_los(y[0], los_mats(drop, cfg, 0), lams)
     ghat = ls_estimate(resid, lams[0])
     dev = float(np.max(np.abs(ghat - cs.nlos_effective(0, 0))))
     assert dev < 1e-9

@@ -124,6 +124,17 @@ class TestAssembleChannels:
         ratio = acc / 10_000 / cfg.M / sampler.alpha[0, 0]
         assert np.all(np.abs(ratio - 1.0) < 0.03)
 
+    @pytest.mark.parametrize("shape", [(1,), (36, 100), (2, 2, 12, 64)])
+    def test_crandn_matches_pair_formula(self, shape):
+        # scaling in place and viewing the pairs as complex is bit-equal to
+        # building re + 1j*im and dividing, signs of zero included
+        z = np.random.default_rng(11).standard_normal((*shape, 2))
+        ref = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+        got = crandn(np.random.default_rng(11), shape)
+        assert got.shape == shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(ref.view(float)))
+
     def test_crandn_unit_variance(self):
         z = crandn(np.random.default_rng(10), (200_000,))
         assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.01)

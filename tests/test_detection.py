@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import make_drop, noise_block, pilot_mats
+from conftest import los_mats, make_drop, noise_block, pilot_mats
+from mimopilots import detection
+from mimopilots.allocators import allocate_loc_aware
 from mimopilots.channel import assemble_channels
-from mimopilots.detection import estimate_sinr, spectral_efficiency, zf_combiner
+from mimopilots.detection import (CopilotGroups, estimate_sinr, gram_condition,
+                                  spectral_efficiency, zf_combiner)
 from mimopilots.estimation import (estimated_los_channel, ls_estimate, subtract_los,
                                    synthesize_rx)
 from mimopilots.model import ConfigError, NetworkConfig, sample_users
@@ -84,6 +87,117 @@ class TestZfCombiner:
         g[:, 7] = g[:, 2]
         g[:, 9] = g[:, 2]
         assert np.array_equal(zf_combiner(g), pinv_combiner(g))
+
+
+    @pytest.mark.parametrize("cond", [1e1, 1e2, 1e3, 5e3])
+    def test_gram_condition_is_the_frobenius_condition_of_the_gram(self, cond):
+        # the certificate equals ||A||_F ||A^-1||_F of A = Ghat^H Ghat, which
+        # lies between cond2(Ghat)^2 and the Cholesky bound (||R||_F ||R^-1||_F)^2
+        rng = np.random.default_rng(int(cond))
+        u, _ = np.linalg.qr(crand(rng, (40, 6)))
+        v, _ = np.linalg.qr(crand(rng, (6, 6)))
+        s = np.logspace(0, -np.log10(cond), 6)
+        g = (u * s) @ v.conj().T
+        gram = g.conj().T @ g
+        value = gram_condition(gram, np.linalg.inv(gram))
+        exact = np.sqrt(np.sum(s ** 4) * np.sum(s ** -4.0))
+        assert value == pytest.approx(exact, rel=1e-6)
+        chol = np.linalg.cholesky(gram)
+        assert cond ** 2 * (1 - 1e-6) <= value
+        assert value <= (np.linalg.norm(chol) * np.linalg.norm(np.linalg.inv(chol))) ** 2
+
+    def test_rank_deficient_inputs_never_take_the_gram_inverse(self):
+        # copies and multiples of columns make the Gram matrix singular; its
+        # computed inverse scores about 1/eps and every such input takes pinv
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            m = int(rng.integers(4, 65))
+            n = int(rng.integers(2, min(m, 16) + 1))
+            g = crand(rng, (m, n))
+            src, dst = rng.choice(n, size=2, replace=False)
+            g[:, dst] = g[:, src] * (1.0 if rng.random() < 0.5 else rng.standard_normal())
+            assert np.array_equal(zf_combiner(g), pinv_combiner(g))
+
+
+class TestCopilotGroups:
+    @staticmethod
+    def desk_cell(seed):
+        """A desk-scale drop, the plan j -> j mod pilot_len and cell 0's LOS
+        channels and groups at BS 0."""
+        cfg = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
+                            los_model="linear_prob", loc_err_var=9.0, seed=seed)
+        drop = sample_users(cfg, np.random.default_rng(seed))
+        plan = AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)), "t")
+        los = los_mats(drop, cfg, 0)
+        return cfg, drop, plan, los, CopilotGroups(los[0], plan.cells[0], cfg.pilot_len)
+
+    def test_grouped_combiner_matches_full_pinv(self):
+        cfg, drop, plan, los, groups = self.desk_cell(41)
+        nlos = ~los[0].any(axis=0)
+        assert np.max(np.bincount(plan.cells[0][nlos])) >= 2   # co-pilot NLOS users
+        assert groups.inv is not None
+        rng = np.random.default_rng(42)
+        book = build_pilot_book(cfg.pilot_len)
+        lams = pilot_mats(plan, book)
+        cs = assemble_channels(drop, cfg, rng)
+        for noise_var in (0.0, 1.0 / cfg.rho):
+            y = synthesize_rx(cs, lams, noise_block(cfg, noise_var, rng))
+            resid = subtract_los(y[0], los, lams)
+            ghat = los[0] + ls_estimate(resid, lams[0])
+            w = groups.combiner(ls_estimate(resid, book))
+            ref = pinv_combiner(ghat)
+            assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.allclose(w.conj().T @ ghat, ref.conj().T @ ghat, atol=1e-12)
+
+    def test_uncaught_duplicate_columns_still_give_the_full_pinv(self):
+        # a LOS user whose column equals a co-pilot NLOS group's column stays
+        # a group of its own, so the distinct columns are rank deficient;
+        # the root-scaled expansion is still the full pseudo-inverse combiner
+        cfg, drop, plan, los, _ = self.desk_cell(41)
+        pilots, nlos = plan.cells[0], ~los[0].any(axis=0)
+        p = np.flatnonzero(np.bincount(pilots[nlos], minlength=cfg.pilot_len) >= 2)[0]
+        b = np.flatnonzero(~nlos & (pilots != p))[0]
+        # integer entries keep (est_p - est_q) + est_q == est_p exact
+        parts = np.random.default_rng(43).integers(-8, 9, (cfg.M, cfg.pilot_len, 2))
+        est = parts @ np.array([1.0, 1.0j])
+        los[0][:, b] = est[:, p] - est[:, pilots[b]]
+        groups = CopilotGroups(los[0], pilots, cfg.pilot_len)
+        assert np.sum(groups.inv == groups.inv[b]) == 1
+        ghat = los[0] + est[:, pilots]
+        assert np.array_equal(ghat[:, b], est[:, p])
+        w = groups.combiner(est)
+        ref = pinv_combiner(ghat)
+        assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_per_pilot_estimate_indexed_by_plan_is_the_per_user_estimate(self):
+        cfg, drop, plan, los, _ = self.desk_cell(44)
+        book = build_pilot_book(cfg.pilot_len)
+        lams = pilot_mats(plan, book)
+        rng = np.random.default_rng(45)
+        y = synthesize_rx(assemble_channels(drop, cfg, rng), lams,
+                          noise_block(cfg, 1.0 / cfg.rho, rng))
+        for l in range(cfg.L):
+            per_user = ls_estimate(y[l], lams[l])
+            per_pilot = ls_estimate(y[l], book)[:, plan.cells[l]]
+            dev = np.max(np.abs(per_pilot - per_user))
+            assert dev <= 1e-14 * np.max(np.abs(per_user))
+
+    def test_table_plan_takes_the_ungrouped_path(self):
+        # every link is LOS at Table scale, so no two estimate columns coincide
+        cfg = NetworkConfig()
+        drop = sample_users(cfg, np.random.default_rng(46))
+        plan = allocate_loc_aware(cfg, drop)
+        for l in range(cfg.L):
+            groups = CopilotGroups(estimated_los_channel(drop, cfg, l, l),
+                                   plan.cells[l], cfg.pilot_len)
+            assert groups.inv is None
+
+    def test_nlos_users_on_distinct_pilots_stay_ungrouped(self):
+        cfg, drop, plan, los, _ = self.desk_cell(41)
+        los[0][:, :4] = 0.0                  # NLOS users on pilots 0..3
+        los[0][:, 4:] += 1.0
+        groups = CopilotGroups(los[0], plan.cells[0], cfg.pilot_len)
+        assert groups.inv is None
 
 
 class TestSpectralEfficiency:
@@ -192,6 +306,15 @@ class TestEstimateSinr:
             assert np.array_equal(together[k], alone[0])
         assert not np.array_equal(together[0], together[1])
 
+    def test_non_finite_sinr_raises(self, monkeypatch):
+        cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2, seed=27)
+        drop = sample_users(cfg, np.random.default_rng(27))
+        plan = AllocationPlan(np.array([[0, 1]]), "nan-plan")
+        monkeypatch.setattr(detection, "zf_combiner",
+                            lambda ghat: np.full(ghat.shape, np.nan, dtype=complex))
+        with pytest.raises(FloatingPointError, match="nan-plan"):
+            estimate_sinr(cfg, drop, [plan], 3, np.random.default_rng(28))
+
     def test_zf_nulls_estimated_interference_inside_chain(self):
         # the combiner built inside the chain nulls co-scheduled estimates
         cfg = NetworkConfig(L=1, N=4, M=16, pilot_len=4, seed=18)
@@ -201,6 +324,6 @@ class TestEstimateSinr:
         cs = assemble_channels(drop, cfg, np.random.default_rng(19))
         y = synthesize_rx(cs, lams, noise_block(cfg, 1.0 / cfg.rho, np.random.default_rng(20)))
         ghat = (estimated_los_channel(drop, cfg, 0, 0)
-                + ls_estimate(subtract_los(y[0], drop, cfg, lams, 0), lams[0]))
+                + ls_estimate(subtract_los(y[0], los_mats(drop, cfg, 0), lams), lams[0]))
         w = zf_combiner(ghat)
         assert np.max(np.abs(w.conj().T @ ghat - np.eye(4))) < 1e-8

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_drop, noise_block, pilot_mats, set_all_nlos
+from conftest import los_mats, make_drop, noise_block, pilot_mats, set_all_nlos
 from mimopilots.channel import ChannelSampler, assemble_channels, steering_vector
 from mimopilots.estimation import (estimated_los_channel, estimated_los_rx,
                                    ls_estimate, subtract_los, synthesize_rx)
@@ -92,7 +92,7 @@ class TestSubtractLos:
         lams = distinct_plan(cfg)
         y = synthesize_rx(cs, lams, noise_block(cfg))
         for l in range(cfg.L):
-            resid = subtract_los(y[l], drop, cfg, lams, l)
+            resid = subtract_los(y[l], los_mats(drop, cfg, l), lams)
             assert np.max(np.abs(resid - nlos_synthesis(cs, lams, l, cfg.L))) < 1e-9
 
     def test_rayleigh_users_make_subtraction_a_noop(self):
@@ -102,7 +102,7 @@ class TestSubtractLos:
         cs = assemble_channels(drop, cfg, np.random.default_rng(6))
         lams = distinct_plan(cfg)
         y = synthesize_rx(cs, lams, noise_block(cfg, 0.3, np.random.default_rng(7)))
-        resid = subtract_los(y[0], drop, cfg, lams, 0)
+        resid = subtract_los(y[0], los_mats(drop, cfg, 0), lams)
         assert np.array_equal(resid, y[0] - 0.0)
 
     def test_location_errors_leave_exactly_the_mismatch(self):
@@ -112,7 +112,7 @@ class TestSubtractLos:
         lams = distinct_plan(cfg)
         y = synthesize_rx(cs, lams, noise_block(cfg))
         for l in range(cfg.L):
-            resid = subtract_los(y[l], drop, cfg, lams, l)
+            resid = subtract_los(y[l], los_mats(drop, cfg, l), lams)
             gap = resid - nlos_synthesis(cs, lams, l, cfg.L)
             xi = los_mismatch(drop, cfg, lams, l)
             assert np.linalg.norm(gap) > 1e-3
@@ -143,7 +143,7 @@ class TestLsEstimate:
         cs = assemble_channels(drop, cfg, np.random.default_rng(14))
         lams = distinct_plan(cfg)
         y = synthesize_rx(cs, lams, noise_block(cfg))
-        resid = subtract_los(y[0], drop, cfg, lams, 0)
+        resid = subtract_los(y[0], los_mats(drop, cfg, 0), lams)
         ghat = ls_estimate(resid, lams[0])
         assert np.max(np.abs(ghat - cs.nlos_effective(0, 0))) < 1e-9
 
@@ -154,7 +154,7 @@ class TestLsEstimate:
         lams = pilot_mats(AllocationPlan(np.array([[0, 0, 1, 1]]), "t"),
                           build_pilot_book(cfg.pilot_len))
         y = synthesize_rx(cs, lams, noise_block(cfg, 0.05, np.random.default_rng(18)))
-        resid = subtract_los(y[0], drop, cfg, lams, 0)
+        resid = subtract_los(y[0], los_mats(drop, cfg, 0), lams)
         ghat = ls_estimate(resid, lams[0])
         assert np.allclose(ghat[:, 0], ghat[:, 1])
         assert np.allclose(ghat[:, 2], ghat[:, 3])
@@ -165,7 +165,7 @@ class TestLsEstimate:
         cs = assemble_channels(drop, cfg, np.random.default_rng(20))
         lams = distinct_plan(cfg)  # same plan in both cells
         y = synthesize_rx(cs, lams, noise_block(cfg))
-        resid = subtract_los(y[0], drop, cfg, lams, 0)
+        resid = subtract_los(y[0], los_mats(drop, cfg, 0), lams)
         ghat = ls_estimate(resid, lams[0])
         expect = cs.nlos_effective(0, 0) + cs.nlos_effective(1, 0)
         assert np.allclose(ghat, expect, atol=1e-9)
@@ -199,9 +199,9 @@ class TestLsEstimate:
                 if plan.cells[i][j] != pilot:
                     cs_zeroed.g[i, :, :, j] = 0.0
         y_zeroed = synthesize_rx(cs_zeroed, lams, z)
-        col_full = ls_estimate(subtract_los(y[0], drop, cfg, lams, 0),
+        col_full = ls_estimate(subtract_los(y[0], los_mats(drop, cfg, 0), lams),
                                lams[0])[:, watched]
-        col_zeroed = ls_estimate(subtract_los(y_zeroed[0], drop, cfg, lams, 0),
+        col_zeroed = ls_estimate(subtract_los(y_zeroed[0], los_mats(drop, cfg, 0), lams),
                                  lams[0])[:, watched]
         assert np.allclose(col_full, col_zeroed, atol=1e-9)
 
@@ -225,6 +225,6 @@ class TestLosChannelBuilders:
         cfg = NetworkConfig(L=2, N=2, M=4, pilot_len=2, seed=11)
         drop = sample_users(cfg, np.random.default_rng(26))
         lams = distinct_plan(cfg)
-        ybar = estimated_los_rx(drop, cfg, lams, bs=1)
+        ybar = estimated_los_rx(los_mats(drop, cfg, 1), lams)
         expect = sum(estimated_los_channel(drop, cfg, i, 1) @ lams[i] for i in range(2))
         assert np.array_equal(ybar, expect)

@@ -19,6 +19,7 @@ from mimopilots.harness import (CSV_HEADER, ExperimentSpec, bootstrap_stderr,
                                 run_sum_se_sweep, run_sweep, run_worst_user_cdf,
                                 worst_user_sums, write_cdf_csv, write_rows_csv)
 from mimopilots.model import ConfigError, NetworkConfig
+from mimopilots.pilots import AllocationPlan
 
 
 def tiny_cfg(**kw):
@@ -185,6 +186,19 @@ class TestThreadsAndDeterminism:
         write_rows_csv(run_sum_se_sweep(tiny_spec(), clock=lambda: 0.0), p1)
         write_rows_csv(run_sum_se_sweep(tiny_spec(), clock=lambda: 0.0), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestPostConditions:
+    @pytest.mark.parametrize("cells", [
+        [[0, 1, 0], [1, 0, 1]],             # one user of each cell left out
+        [[0, 1, 0, 2], [1, 0, 1, 0]],       # pilot 2 with pilot_len 2
+        [[0, 1, 0, -1], [1, 0, 1, 0]],
+    ])
+    def test_bad_plan_names_its_allocator(self, monkeypatch, cells):
+        monkeypatch.setitem(harness.ALLOCATORS, "fake",
+                            lambda cfg, drop, rng=None: AllocationPlan(cells, "fake"))
+        with pytest.raises(RuntimeError, match="allocator 'fake'"):
+            evaluate_drops(tiny_cfg(), ("random", "fake"), 1, 2, seed=1)
 
 
 class TestLoadSpec:
