@@ -5,8 +5,7 @@ from .allocators import (ALLOCATORS, allocate_greedy, allocate_loc_aware,
                          partition_tiers)
 from .channel import ChannelSampler, ChannelSet, assemble_channels, steering_vector
 from .detection import estimate_sinr, spectral_efficiency, zf_combiner
-from .estimation import (estimated_los_channel, estimated_los_rx, ls_estimate,
-                         subtract_los, synthesize_rx)
+from .estimation import estimated_los_channel, ls_estimate, synthesize_rx
 from .harness import (ExperimentSpec, OracleCompareReport, ResultRow,
                       evaluate_drops, run_locerr_sweep, run_oracle_compare,
                       run_sum_se_sweep, run_worst_user_cdf)

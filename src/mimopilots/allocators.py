@@ -19,7 +19,6 @@ cell-major there (cell * N + user).
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable
 
 import numpy as np
@@ -27,6 +26,9 @@ import numpy as np
 from .los_metric import los_interference
 from .model import TWO_PI, ConfigError, Drop, NetworkConfig
 from .pilots import AllocationPlan
+
+# largest search space `exhaustive_search` enumerates
+MAX_PLANS = 10 ** 6
 
 
 def partition_tiers(drop: Drop, cell: int, pilot_len: int) -> list[np.ndarray]:
@@ -183,62 +185,24 @@ def allocate_greedy(cfg: NetworkConfig, drop: Drop,
     return AllocationPlan(cells=plan, allocator="greedy")
 
 
-def _balanced_assignments(n_users: int, n_pilots: int):
-    """Distinct permutations of the balanced pilot multiset, lexicographic."""
-    base = [t % n_pilots for t in range(n_users)]
-    counts = np.bincount(base, minlength=n_pilots)
-
-    def rec(prefix, counts):
-        if len(prefix) == n_users:
-            yield tuple(prefix)
-            return
-        for p in range(n_pilots):
-            if counts[p] > 0:
-                counts[p] -= 1
-                prefix.append(p)
-                yield from rec(prefix, counts)
-                prefix.pop()
-                counts[p] += 1
-
-    yield from rec([], list(counts))
-
-
-def _count_balanced(n_users: int, n_pilots: int) -> int:
-    counts = [len(range(t, n_users, n_pilots)) for t in range(n_pilots)]
-    total = 1
-    remaining = n_users
-    for c in counts:
-        total *= math.comb(remaining, c)
-        remaining -= c
-    return total
-
-
 def exhaustive_search(cfg: NetworkConfig, drop: Drop | None,
-                      evaluator: Callable[[AllocationPlan], float],
-                      balanced_only: bool = False,
-                      max_plans: int = 10 ** 6) -> tuple[AllocationPlan, float]:
+                      evaluator: Callable[[AllocationPlan], float]
+                      ) -> tuple[AllocationPlan, float]:
     """Brute-force argmax of `evaluator` over every per-cell assignment.
 
-    Evaluates pilots**N assignments per cell (their product across cells),
-    or only the balanced ones when requested, in lexicographic order; ties
-    keep the first (lowest) plan. The evaluator should fix its own RNG seed
-    so candidates are scored on common random numbers. Refuses search spaces
-    larger than max_plans.
+    Evaluates pilots**N assignments per cell (their product across cells)
+    in lexicographic order; ties keep the first (lowest) plan. The evaluator
+    should fix its own RNG seed so candidates are scored on common random
+    numbers. Refuses search spaces larger than MAX_PLANS.
     """
     n_pilots = cfg.pilot_len
-    if balanced_only:
-        per_cell_count = _count_balanced(cfg.N, n_pilots)
-    else:
-        per_cell_count = n_pilots ** cfg.N
+    per_cell_count = n_pilots ** cfg.N
     total = per_cell_count ** cfg.L
-    if total > max_plans:
+    if total > MAX_PLANS:
         raise ConfigError(
             f"exhaustive search space has {total} plans "
-            f"({per_cell_count} per cell over {cfg.L} cells), limit {max_plans}")
-    if balanced_only:
-        per_cell = list(_balanced_assignments(cfg.N, n_pilots))
-    else:
-        per_cell = list(itertools.product(range(n_pilots), repeat=cfg.N))
+            f"({per_cell_count} per cell over {cfg.L} cells), limit {MAX_PLANS}")
+    per_cell = list(itertools.product(range(n_pilots), repeat=cfg.N))
 
     best_plan = None
     best_score = -np.inf

@@ -4,6 +4,9 @@ Each uplink channel is sqrt(alpha) * (sqrt(K/(1+K)) * steering(theta)
 + sqrt(1/(1+K)) * h_scatter) with h_scatter i.i.d. unit-variance complex
 Gaussian. The deterministic LOS part uses the *true* geometry of a `Drop`;
 BS-side estimates of it live in `estimation`.
+
+Users are indexed cell-major, cell * N + user, as in `los_metric` and the
+allocators: a realization is one (L, M, L*N) array [BS, antenna, user].
 """
 
 from __future__ import annotations
@@ -38,51 +41,63 @@ def steering_vector(m: int, theta, spacing: float = 0.5) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(phase, np.arange(m)))
 
 
+def _by_bs(x: np.ndarray) -> np.ndarray:
+    """A per-link [cell, user, BS] array as [BS, cell*N + user]."""
+    n_cells, n_users, n_bs = x.shape
+    return x.transpose(2, 0, 1).reshape(n_bs, n_cells * n_users)
+
+
+def los_channels(alpha: np.ndarray, k: np.ndarray, aoa: np.ndarray,
+                 cfg: NetworkConfig) -> np.ndarray:
+    """LOS channels sqrt(alpha*K/(1+K)) * steering(aoa) of every user at
+    every BS, (L, M, L*N), from [cell, user, BS] gains, K-factors and
+    angles; all-zero columns where K = 0."""
+    alpha, k = _by_bs(alpha), _by_bs(k)
+    steer = steering_vector(cfg.M, _by_bs(aoa), cfg.antenna_spacing)  # (L, L*N, M)
+    return (np.ascontiguousarray(steer.swapaxes(1, 2))
+            * np.sqrt(alpha * k / (1.0 + k))[:, None, :])
+
+
 @dataclass
 class ChannelSet:
-    """Channels for one realization; index [i, l] = cell-i users at BS l.
+    """Channels of one realization; g[l][:, i*N + j] is user j of cell i at BS l.
 
-    g = (hbar * w_los + htilde * w_nlos) column-scaled, where w_los and
-    w_nlos carry the Rician weights and sqrt(alpha). The pieces are kept so
-    tests and the estimator can reconstruct either component exactly.
+    g = los + scatter * w_nlos per column, with `los` the sampler's true LOS
+    channels and w_nlos = sqrt(alpha / (1 + K)). The raw scatter draw is kept
+    so tests can reconstruct the scatter component exactly.
     """
 
-    g: np.ndarray       # (L, L, M, N) complex
-    hbar: np.ndarray    # (L, L, M, N) steering columns at true angles
-    htilde: np.ndarray  # (L, L, M, N) scatter draws
-    alpha: np.ndarray   # (L, L, N) true large-scale gains
-    k: np.ndarray       # (L, L, N) true K-factors
+    g: np.ndarray       # (L, M, L*N) complex [BS, antenna, cell*N + user]
+    htilde: np.ndarray  # (L, L, N, M) scatter draw [cell, BS, user, antenna]
+    w_nlos: np.ndarray  # (L, 1, L*N) scatter weights
 
-    def nlos_effective(self, i: int, l: int) -> np.ndarray:
-        """Scatter component scaled as it enters the received pilots."""
-        w = np.sqrt(self.alpha[i, l] / (1.0 + self.k[i, l]))
-        return self.htilde[i, l] * w[None, :]
+    def nlos_effective(self) -> np.ndarray:
+        """Scatter component scaled as it enters the received pilots, (L, M, L*N)."""
+        return self.htilde.transpose(1, 3, 0, 2).reshape(self.g.shape) * self.w_nlos
 
 
 class ChannelSampler:
     """Precomputes the location-dependent pieces, then draws realizations.
 
-    The scatter blocks are drawn cell pair by cell pair in (i, l) order and,
-    within a pair, user by user, one (M,) vector per user, from a shared
-    stream.
+    The scatter block is drawn in [cell, BS, user, antenna] order, so the
+    stream is consumed cell pair by cell pair in (i, l) order and, within a
+    pair, user by user, one (M,) vector per user.
     """
 
     def __init__(self, drop: Drop, cfg: NetworkConfig):
         self.cfg = cfg
-        # [cell, user, BS] -> [cell, BS, user], laid out C-contiguous
-        self.alpha = np.ascontiguousarray(drop.alpha.transpose(0, 2, 1))
-        self.k = np.ascontiguousarray(drop.k.transpose(0, 2, 1))
-        self.hbar = np.ascontiguousarray(np.swapaxes(steering_vector(
-            cfg.M, drop.aoa.transpose(0, 2, 1), cfg.antenna_spacing), -1, -2))
-        self.w_los = np.sqrt(self.alpha * self.k / (1.0 + self.k))
-        self.w_nlos = np.sqrt(self.alpha / (1.0 + self.k))
+        self.los = los_channels(drop.alpha, drop.k, drop.aoa, cfg)
+        alpha, k = _by_bs(drop.alpha), _by_bs(drop.k)
+        self.w_nlos = np.sqrt(alpha / (1.0 + k))[:, None, :]
 
     def draw(self, rng: np.random.Generator) -> ChannelSet:
         L, N, M = self.cfg.L, self.cfg.N, self.cfg.M
-        htilde = crandn(rng, (L, L, N, M)).swapaxes(-1, -2)
-        g = self.hbar * self.w_los[:, :, None, :] + htilde * self.w_nlos[:, :, None, :]
-        return ChannelSet(g=g, hbar=self.hbar, htilde=htilde,
-                          alpha=self.alpha, k=self.k)
+        htilde = crandn(rng, (L, L, N, M))
+        g = np.empty((L, M, L, N), dtype=complex)
+        np.multiply(htilde.transpose(1, 3, 0, 2), self.w_nlos.reshape(L, 1, L, N), out=g)
+        g = g.reshape(L, M, L * N)
+        g += self.los
+        return ChannelSet(g=g, htilde=htilde, w_nlos=self.w_nlos)
 
 
 def assemble_channels(drop: Drop, cfg: NetworkConfig,

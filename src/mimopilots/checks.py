@@ -12,8 +12,7 @@ import numpy as np
 
 from .channel import ChannelSampler, assemble_channels, crandn, steering_vector
 from .detection import CopilotGroups, spectral_efficiency, zf_combiner
-from .estimation import (estimated_los_channel, estimated_los_rx, ls_estimate,
-                         subtract_los, synthesize_rx)
+from .estimation import estimated_los_channel, ls_estimate, synthesize_rx
 from .los_metric import dirichlet_kernel_sq, los_interference
 from .model import NetworkConfig, sample_users
 from .pilots import AllocationPlan, build_pilot_book, correlation, pilot_matrix
@@ -83,31 +82,20 @@ def check_los_interference_oracle() -> tuple[str, bool, str]:
         f"worst rel dev {worst:.2e}"
 
 
-def _distinct_plan(cfg: NetworkConfig) -> list[np.ndarray]:
-    """Pilot matrices of the plan giving user j pilot j mod pilot_len."""
-    plan = AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)),
-                          "check")
-    book = build_pilot_book(cfg.pilot_len)
-    return [pilot_matrix(plan, i, book) for i in range(cfg.L)]
-
-
-def _los_at(drop, cfg: NetworkConfig, bs: int) -> list[np.ndarray]:
-    """Every cell's reconstructed LOS channel at BS `bs`."""
-    return [estimated_los_channel(drop, cfg, i, bs) for i in range(cfg.L)]
+def _distinct_plan(cfg: NetworkConfig) -> AllocationPlan:
+    """The plan giving user j pilot j mod pilot_len in every cell."""
+    return AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)), "check")
 
 
 def check_los_subtraction() -> tuple[str, bool, str]:
     cfg = NetworkConfig(L=2, N=6, M=16, pilot_len=6, loc_err_var=0.0, seed=3)
     rng = np.random.default_rng(cfg.seed)
     drop = sample_users(cfg, rng)
-    lambdas = _distinct_plan(cfg)
+    lam = pilot_matrix(_distinct_plan(cfg), build_pilot_book(cfg.pilot_len))
     cs = assemble_channels(drop, cfg, rng)
-    y = synthesize_rx(cs, lambdas, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
-    worst = 0.0
-    for l in range(cfg.L):
-        resid = subtract_los(y[l], _los_at(drop, cfg, l), lambdas)
-        ref = sum(cs.nlos_effective(i, l) @ lambdas[i] for i in range(cfg.L))
-        worst = max(worst, float(np.max(np.abs(resid - ref))))
+    y = synthesize_rx(cs, lam, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
+    resid = y - estimated_los_channel(drop, cfg) @ lam
+    worst = float(np.max(np.abs(resid - cs.nlos_effective() @ lam)))
     return "LOS subtraction exact at zero location error", worst < 1e-9, f"max dev {worst:.2e}"
 
 
@@ -115,12 +103,12 @@ def check_ls_exactness() -> tuple[str, bool, str]:
     cfg = NetworkConfig(L=1, N=8, M=32, pilot_len=8, seed=5)
     rng = np.random.default_rng(cfg.seed)
     drop = sample_users(cfg, rng)
-    lambdas = _distinct_plan(cfg)
+    plan, book = _distinct_plan(cfg), build_pilot_book(cfg.pilot_len)
+    lam = pilot_matrix(plan, book)
     cs = assemble_channels(drop, cfg, rng)
-    y = synthesize_rx(cs, lambdas, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
-    resid = subtract_los(y[0], _los_at(drop, cfg, 0), lambdas)
-    ghat = ls_estimate(resid, lambdas[0])
-    dev = float(np.max(np.abs(ghat - cs.nlos_effective(0, 0))))
+    y = synthesize_rx(cs, lam, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
+    est = ls_estimate(y - estimated_los_channel(drop, cfg) @ lam, book)
+    dev = float(np.max(np.abs(est[0][:, plan.cells[0]] - cs.nlos_effective()[0])))
     return "LS estimate exact for orthogonal pilots", dev < 1e-9, f"max dev {dev:.2e}"
 
 
@@ -152,21 +140,20 @@ def check_grouped_zf() -> tuple[str, bool, str]:
                         los_model="linear_prob", loc_err_var=9.0, seed=37)
     rng = np.random.default_rng(cfg.seed)
     drop = sample_users(cfg, rng)
-    plan = AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)),
-                          "check")
-    book = build_pilot_book(cfg.pilot_len)
-    lambdas = [pilot_matrix(plan, i, book) for i in range(cfg.L)]
+    plan, book = _distinct_plan(cfg), build_pilot_book(cfg.pilot_len)
+    lam = pilot_matrix(plan, book)
     noise = np.sqrt(1.0 / cfg.rho) * crandn(rng, (cfg.L, cfg.M, cfg.pilot_len))
-    y = synthesize_rx(assemble_channels(drop, cfg, rng), lambdas, noise)
+    los = estimated_los_channel(drop, cfg)
+    est = ls_estimate(synthesize_rx(assemble_channels(drop, cfg, rng), lam, noise)
+                      - los @ lam, book)
     worst, merged = 0.0, 0
     for l in range(cfg.L):
-        los = _los_at(drop, cfg, l)
-        groups = CopilotGroups(los[l], plan.cells[l], cfg.pilot_len)
+        own = los[l][:, l * cfg.N:(l + 1) * cfg.N]
+        groups = CopilotGroups(own, plan.cells[l], cfg.pilot_len)
         if groups.inv is not None:
             merged += cfg.N - groups.los_u.shape[1]
-        resid = y[l] - estimated_los_rx(los, lambdas)
-        w = groups.combiner(ls_estimate(resid, book))
-        ref = np.linalg.pinv(los[l] + ls_estimate(resid, lambdas[l])).conj().T
+        w = groups.combiner(est[l])
+        ref = np.linalg.pinv(own + est[l][:, plan.cells[l]]).conj().T
         worst = max(worst, float(np.linalg.norm(w - ref) / np.linalg.norm(ref)))
     ok = merged > 0 and worst < 1e-12
     return "grouped ZF on distinct columns = full pinv", ok, \
@@ -176,13 +163,14 @@ def check_grouped_zf() -> tuple[str, bool, str]:
 def check_channel_power() -> tuple[str, bool, str]:
     cfg = NetworkConfig(L=1, N=2, M=16, pilot_len=2, k_db=3.0, seed=23)
     rng = np.random.default_rng(cfg.seed)
-    sampler = ChannelSampler(sample_users(cfg, rng), cfg)
+    drop = sample_users(cfg, rng)
+    sampler = ChannelSampler(drop, cfg)
     acc = np.zeros(cfg.N)
     trials = 2000
     for _ in range(trials):
         cs = sampler.draw(rng)
-        acc += np.sum(np.abs(cs.g[0, 0]) ** 2, axis=0)
-    rel = np.abs(acc / trials / cfg.M / sampler.alpha[0, 0] - 1.0)
+        acc += np.sum(np.abs(cs.g[0]) ** 2, axis=0)
+    rel = np.abs(acc / trials / cfg.M / drop.alpha[0, :, 0] - 1.0)
     worst = float(rel.max())
     return "channel second moment = alpha * M", worst < 0.05, f"worst rel dev {worst:.2e}"
 
@@ -193,19 +181,19 @@ def check_detection_identity() -> tuple[str, bool, str]:
     cfg = NetworkConfig(L=2, N=4, M=12, pilot_len=4, seed=29)
     drop = sample_users(cfg, rng)
     cs = assemble_channels(drop, cfg, rng)
-    l = 0
-    ghat = estimated_los_channel(drop, cfg, l, l)
-    w = zf_combiner(ghat)
+    l, N = 0, cfg.N
+    g = cs.g[l]                                  # (M, L*N), user i*N + j
+    w = zf_combiner(estimated_los_channel(drop, cfg)[l][:, l * N:(l + 1) * N])
     x = (rng.standard_normal((cfg.L, cfg.N)) + 1j * rng.standard_normal((cfg.L, cfg.N)))
     noise = (rng.standard_normal(cfg.M) + 1j * rng.standard_normal(cfg.M))
-    y = sum(cs.g[i, l] @ x[i] for i in range(cfg.L)) + noise / np.sqrt(cfg.rho)
+    y = g @ x.ravel() + noise / np.sqrt(cfg.rho)
     worst = 0.0
     for k in range(cfg.N):
         wk = w[:, k]
-        mean_gain = np.vdot(wk, cs.g[l, l][:, k])  # stands in for the fading mean
+        mean_gain = np.vdot(wk, g[:, l * N + k])  # stands in for the fading mean
         t1 = mean_gain * x[l, k]
-        t2 = (np.vdot(wk, cs.g[l, l][:, k]) - mean_gain) * x[l, k]
-        t3 = sum(np.vdot(wk, cs.g[i, l][:, j]) * x[i, j]
+        t2 = (np.vdot(wk, g[:, l * N + k]) - mean_gain) * x[l, k]
+        t3 = sum(np.vdot(wk, g[:, i * N + j]) * x[i, j]
                  for i in range(cfg.L) for j in range(cfg.N) if (i, j) != (l, k))
         t4 = np.vdot(wk, noise) / np.sqrt(cfg.rho)
         worst = max(worst, abs(np.vdot(wk, y) - (t1 + t2 + t3 + t4)))
@@ -220,7 +208,7 @@ def check_se_formula() -> tuple[str, bool, str]:
 
 def check_correlation_structure() -> tuple[str, bool, str]:
     cfg = NetworkConfig(L=1, N=36, M=4, pilot_len=12, seed=31)
-    lam = _distinct_plan(cfg)[0]
+    lam = pilot_matrix(_distinct_plan(cfg), build_pilot_book(cfg.pilot_len))
     r = correlation(lam, lam)
     hits = np.isclose(np.abs(r), cfg.pilot_len, atol=1e-9).sum(axis=1)
     zeros = np.isclose(np.abs(r), 0.0, atol=1e-9).sum(axis=1)

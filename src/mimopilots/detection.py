@@ -10,6 +10,11 @@ certifies it and takes the pseudo-inverse otherwise. SINRs are conditional
 on user locations: expectations over small-scale fading are sample means
 over fresh channel realizations, with the combiner rebuilt from estimates
 every realization and the true channels used as ground truth.
+
+Users are indexed cell-major, cell * N + user: channels and reconstructed
+LOS channels are (L, M, L*N) arrays [BS, antenna, user] and a plan's
+pilots one (L*N, pilot_len) matrix, so a plan's pilot phase, LOS
+subtraction and LS estimate at every BS are one array expression per trial.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .channel import ChannelSampler, crandn
-from .estimation import (estimated_los_channel, estimated_los_rx, ls_estimate,
-                         synthesize_rx)
+from .estimation import estimated_los_channel, ls_estimate, synthesize_rx
 from .model import ConfigError, Drop, NetworkConfig
 from .pilots import AllocationPlan, build_pilot_book, pilot_matrix
 
@@ -152,39 +156,38 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     L, N, M = cfg.L, cfg.N, cfg.M
     P = len(plans)
     book = build_pilot_book(cfg.pilot_len)
-    lambdas = [[pilot_matrix(plan, i, book) for i in range(L)] for plan in plans]
     sampler = ChannelSampler(drop, cfg)
     noise_var = 1.0 / cfg.rho
 
-    # location-only pieces, constant across trials; los[l][i] is cell i's
-    # reconstructed LOS channel at BS l
-    los = [[estimated_los_channel(drop, cfg, i, l) for i in range(L)]
-           for l in range(L)]
-    ybar = [[estimated_los_rx(los[l], lam) for l in range(L)] for lam in lambdas]
-    groups = [[CopilotGroups(los[l][l], plan.cells[l], cfg.pilot_len)
+    # location-only pieces, constant across trials: the reconstructed LOS
+    # channels (L, M, L*N), each plan's pilots (L*N, pilot_len) and their
+    # LOS receive matrices (L, M, pilot_len)
+    los = estimated_los_channel(drop, cfg)
+    lams = [pilot_matrix(plan, book) for plan in plans]
+    ybar = [los @ lam for lam in lams]
+    groups = [[CopilotGroups(los[l][:, l * N:(l + 1) * N], plan.cells[l], cfg.pilot_len)
                for l in range(L)] for plan in plans]
 
     sum_sig = np.zeros((P, L, N), dtype=complex)  # w^H g of the own user
-    sum_pow = np.zeros((P, L, N, L * N))          # |w^H g|^2, all users
+    sum_pow = np.zeros((P, L, N))                 # |w^H g|^2 summed over users
     sum_wsq = np.zeros((P, L, N))                 # ||w||^2
+    diag = np.arange(N)
     for _ in range(trials):
         cs = sampler.draw(rng)
         # one block consumes the stream like L per-BS (M, pilot_len) draws
         noise = np.sqrt(noise_var) * crandn(rng, (L, M, cfg.pilot_len))
-        g_all = [np.concatenate([cs.g[i, l] for i in range(L)], axis=1)
-                 for l in range(L)]                # (M, L*N) per BS
         for p in range(P):
-            y = synthesize_rx(cs, lambdas[p], noise)
+            # one column per pilot at every BS
+            est = ls_estimate(synthesize_rx(cs, lams[p], noise) - ybar[p], book)
             for l in range(L):
-                est = ls_estimate(y[l] - ybar[p][l], book)  # one column per pilot
-                w = groups[p][l].combiner(est)
-                prod = w.conj().T @ g_all[l]       # (N, L*N)
-                sum_pow[p, l] += np.abs(prod) ** 2
-                sum_sig[p, l] += prod[np.arange(N), l * N + np.arange(N)]
+                w = groups[p][l].combiner(est[l])
+                prod = w.conj().T @ cs.g[l]        # (N, L*N)
+                sum_pow[p, l] += np.sum(np.abs(prod) ** 2, axis=1)
+                sum_sig[p, l] += prod[diag, l * N + diag]
                 sum_wsq[p, l] += np.sum(np.abs(w) ** 2, axis=0)
 
     mean_sig_sq = np.abs(sum_sig / trials) ** 2
-    denom = (sum_pow.sum(axis=3) / trials - mean_sig_sq
+    denom = (sum_pow / trials - mean_sig_sq
              + noise_var * sum_wsq / trials)
     sinr = mean_sig_sq / np.maximum(denom, _DENOM_FLOOR)
     if not np.all(np.isfinite(sinr)):

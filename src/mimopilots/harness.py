@@ -130,6 +130,16 @@ def _one_drop(cfg: NetworkConfig, allocators: tuple[str, ...], trials: int,
     return dict(zip(allocators, se))
 
 
+def _for_each_drop(work, drops: int, threads: int) -> None:
+    """Run work(d) for every drop d, on `threads` worker threads when above one."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work, range(drops)))
+    else:
+        for d in range(drops):
+            work(d)
+
+
 def evaluate_drops(cfg: NetworkConfig, allocators: tuple[str, ...], drops: int,
                    trials: int, seed: int, threads: int = 1) -> dict[str, np.ndarray]:
     """Per-user SE arrays of shape (drops, L, N) for each allocator.
@@ -144,12 +154,7 @@ def evaluate_drops(cfg: NetworkConfig, allocators: tuple[str, ...], drops: int,
         for name, se in drop_se.items():
             results[name][d] = se
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(drops)))
-    else:
-        for d in range(drops):
-            work(d)
+    _for_each_drop(work, drops, threads)
     return results
 
 
@@ -264,8 +269,7 @@ class OracleCompareReport:
     searched_plans: int
 
 
-def run_oracle_compare(spec: ExperimentSpec,
-                       max_plans: int = 10 ** 6) -> OracleCompareReport:
+def run_oracle_compare(spec: ExperimentSpec) -> OracleCompareReport:
     """Per drop: location-aware sum SE over the exhaustive-search optimum.
 
     Both sides are scored by the same fixed-seed evaluator (common random
@@ -285,16 +289,13 @@ def run_oracle_compare(spec: ExperimentSpec,
             se = spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
             return float(se[0].sum())
 
-        own = evaluator(allocate_loc_aware(cfg, drop))
-        _, best = exhaustive_search(cfg, drop, evaluator, max_plans=max_plans)
+        plan = allocate_loc_aware(cfg, drop)
+        _check_plan(cfg, "loc_aware", plan)
+        own = evaluator(plan)
+        _, best = exhaustive_search(cfg, drop, evaluator)
         ratios[d] = own / best
 
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            list(pool.map(work, range(spec.drops)))
-    else:
-        for d in range(spec.drops):
-            work(d)
+    _for_each_drop(work, spec.drops, spec.threads)
     return OracleCompareReport(ratios=ratios, mean=float(ratios.mean()),
                                min=float(ratios.min()), max=float(ratios.max()),
                                drops=spec.drops, searched_plans=n_plans)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -183,9 +183,6 @@ class NetworkConfig:
         if not isinstance(data, dict):
             raise ConfigError("config JSON must be an object")
         return cls.from_dict(data)
-
-    def with_updates(self, **kwargs) -> "NetworkConfig":
-        return replace(self, **kwargs)
 
 
 def bs_positions(cfg: NetworkConfig) -> np.ndarray:

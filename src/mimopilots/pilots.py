@@ -1,8 +1,9 @@
-"""Orthogonal pilot book, per-cell pilot matrices, and allocation plans."""
+"""Orthogonal pilot book, plan pilot matrices, and allocation plans."""
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,15 @@ class AllocationPlan:
     allocator: str = ""
 
     def __post_init__(self):
-        self.cells = np.asarray(self.cells, dtype=int)
+        # an integer array passes as is; anything else is checked entry by
+        # entry, so floats are not truncated and bools are not read as 0/1
+        cells = self.cells
+        if not (isinstance(cells, np.ndarray) and cells.dtype.kind in "iu"):
+            bad = [x for x in np.asarray(cells, dtype=object).flat
+                   if isinstance(x, bool) or not isinstance(x, numbers.Integral)]
+            if bad:
+                raise ValueError(f"pilot indices must be integers, got {bad[0]!r}")
+        self.cells = np.asarray(cells, dtype=int)
         if self.cells.ndim != 2:
             raise ValueError("plan must be a (cells, users) index table")
 
@@ -46,17 +55,16 @@ class AllocationPlan:
     @classmethod
     def from_json(cls, text: str) -> "AllocationPlan":
         data = json.loads(text)
-        return cls(cells=np.array(data["cells"], dtype=int),
-                   allocator=data.get("allocator", ""))
+        return cls(cells=data["cells"], allocator=data.get("allocator", ""))
 
 
-def pilot_matrix(plan: AllocationPlan, cell: int, book: np.ndarray) -> np.ndarray:
-    """Stack the assigned sequences of one cell into an (N, pilot_len) matrix."""
-    idx = plan.cells[cell]
+def pilot_matrix(plan: AllocationPlan, book: np.ndarray) -> np.ndarray:
+    """Every user's assigned sequence, (L*N, pilot_len), row cell * N + user."""
+    idx = plan.cells.ravel()
     n_pilots = book.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n_pilots):
         raise ValueError(
-            f"pilot index out of range [0, {n_pilots}) in cell {cell}: {idx.tolist()}")
+            f"pilot index out of range [0, {n_pilots}): {plan.cells.tolist()}")
     return book[idx]
 
 

@@ -5,9 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from mimopilots.channel import crandn, steering_vector
-from mimopilots.estimation import estimated_los_channel
 from mimopilots.model import Drop, NetworkConfig, bs_positions
-from mimopilots.pilots import pilot_matrix
 
 
 def make_drop(cfg: NetworkConfig, *cells, los=None) -> Drop:
@@ -59,17 +57,6 @@ def draw_channel(drop: Drop, cell: int, j: int, bs: int, m: int,
     h_nlos = crandn(rng, (m,))
     return (h_los * np.sqrt(alpha * k / (1.0 + k))
             + h_nlos * np.sqrt(alpha / (1.0 + k)))
-
-
-def pilot_mats(plan, book: np.ndarray) -> list[np.ndarray]:
-    """Every cell's pilot matrix of a plan, as `estimate_sinr` builds them."""
-    return [pilot_matrix(plan, i, book) for i in range(plan.n_cells)]
-
-
-def los_mats(drop: Drop, cfg: NetworkConfig, bs: int) -> list[np.ndarray]:
-    """Every cell's reconstructed LOS channel at BS `bs`, as `estimate_sinr`
-    builds them once per drop."""
-    return [estimated_los_channel(drop, cfg, i, bs) for i in range(cfg.L)]
 
 
 def noise_block(cfg: NetworkConfig, noise_var: float = 0.0,

@@ -6,22 +6,23 @@ one-line verdict; run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import los_mats, noise_block, pilot_mats
+from conftest import noise_block
 from mimopilots.channel import assemble_channels, steering_vector
 from mimopilots.detection import estimate_sinr
-from mimopilots.estimation import ls_estimate, subtract_los, synthesize_rx
+from mimopilots.estimation import estimated_los_channel, ls_estimate, synthesize_rx
 from mimopilots.harness import (ExperimentSpec, evaluate_drops,
                                 run_oracle_compare, run_sum_se_sweep,
                                 worst_user_sums, write_rows_csv)
 from mimopilots.los_metric import (dirichlet_kernel_sq, los_interference_from_params,
                                    mutual_aoa)
 from mimopilots.model import NetworkConfig, sample_users
-from mimopilots.pilots import AllocationPlan, build_pilot_book
+from mimopilots.pilots import AllocationPlan, build_pilot_book, pilot_matrix
 
 
 def report(criterion: int, detail: str) -> None:
@@ -33,9 +34,8 @@ def los_vector(alpha, k, theta, m):
 
 
 def distinct_plan(cfg):
-    """Pilot matrices of the plan giving user j pilot j mod pilot_len."""
-    plan = AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)), "t")
-    return pilot_mats(plan, build_pilot_book(cfg.pilot_len))
+    """The plan giving user j pilot j mod pilot_len in every cell."""
+    return AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)), "t")
 
 
 def gain_ratio(aa, ka, ab, kb):
@@ -109,31 +109,30 @@ def test_criterion_03_large_array_limit():
 
 def test_criterion_04_los_subtraction_exact_at_zero_error():
     cfg = NetworkConfig(L=2, N=8, M=32, pilot_len=4, loc_err_var=0.0, seed=104)
-    lams = distinct_plan(cfg)
+    lam = pilot_matrix(distinct_plan(cfg), build_pilot_book(cfg.pilot_len))
     worst = 0.0
     rng = np.random.default_rng(104)
     for _ in range(20):
         drop = sample_users(cfg, rng)
         cs = assemble_channels(drop, cfg, rng)
-        y = synthesize_rx(cs, lams, noise_block(cfg))
-        for l in range(cfg.L):
-            resid = subtract_los(y[l], los_mats(drop, cfg, l), lams)
-            ref = sum(cs.nlos_effective(i, l) @ lams[i] for i in range(cfg.L))
-            worst = max(worst, float(np.max(np.abs(resid - ref))))
+        resid = (synthesize_rx(cs, lam, noise_block(cfg))
+                 - estimated_los_channel(drop, cfg) @ lam)
+        worst = max(worst, float(np.max(np.abs(resid - cs.nlos_effective() @ lam))))
     assert worst < 1e-9
     report(4, f"20 trials, max abs residual mismatch {worst:.2e}")
 
 
 def test_criterion_05_ls_exact_for_orthogonal_pilots():
     cfg = NetworkConfig(L=1, N=8, M=32, pilot_len=8, seed=105)
-    lams = distinct_plan(cfg)
+    plan, book = distinct_plan(cfg), build_pilot_book(cfg.pilot_len)
+    lam = pilot_matrix(plan, book)
     rng = np.random.default_rng(105)
     drop = sample_users(cfg, rng)
     cs = assemble_channels(drop, cfg, rng)
-    y = synthesize_rx(cs, lams, noise_block(cfg))
-    resid = subtract_los(y[0], los_mats(drop, cfg, 0), lams)
-    ghat = ls_estimate(resid, lams[0])
-    dev = float(np.max(np.abs(ghat - cs.nlos_effective(0, 0))))
+    est = ls_estimate(synthesize_rx(cs, lam, noise_block(cfg))
+                      - estimated_los_channel(drop, cfg) @ lam, book)
+    ghat = est[0][:, plan.cells[0]]
+    dev = float(np.max(np.abs(ghat - cs.nlos_effective()[0])))
     assert dev < 1e-9
     report(5, f"max abs deviation {dev:.2e}")
 
@@ -183,7 +182,7 @@ def test_criterion_09_localization_error_degradation():
                          los_model="linear_prob", seed=109)
     sums = {}
     for var in (0.0, 3.0, 15.0):
-        cfg = base.with_updates(loc_err_var=var)
+        cfg = replace(base, loc_err_var=var)
         se = evaluate_drops(cfg, ("loc_aware", "random"), drops=150, trials=60,
                             seed=109)
         sums[var] = {name: se[name].sum(axis=2)[:, 0] for name in se}

@@ -281,14 +281,6 @@ class TestExhaustive:
         assert len(calls) == cfg.pilot_len
         assert plan.cells[0][0] == 0
 
-    def test_balanced_only_restriction(self):
-        cfg = cfg_for()
-        drop = sample_users(cfg, np.random.default_rng(16))
-        seen = []
-        exhaustive_search(cfg, drop, lambda p: float(seen.append(1) or 0.0),
-                          balanced_only=True)
-        assert len(seen) == 6  # C(4, 2) balanced assignments
-
     def test_space_guard(self):
         cfg = cfg_for(N=10, pilot_len=4)
         drop = sample_users(cfg, np.random.default_rng(17))

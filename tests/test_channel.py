@@ -59,7 +59,7 @@ class TestDrawChannel:
     def test_pure_los_limit(self):
         cfg = cfg_for(L=1, N=1, pilot_len=1, k_db=120.0)  # K = 1e12
         drop = self.single_user(cfg)
-        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(0)).g[0, 0][:, 0]
+        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(0)).g[0][:, 0]
         ref = np.sqrt(drop.alpha[0, 0, 0]) * steering_vector(cfg.M, drop.aoa[0, 0, 0])
         assert np.linalg.norm(g - ref) / np.linalg.norm(g) < 1e-5
 
@@ -69,7 +69,7 @@ class TestDrawChannel:
         assert drop.k[0, 0, 0] == 0.0
         sampler, rng = ChannelSampler(drop, cfg), np.random.default_rng(1)
         acc = sum(np.vdot(g, g).real for g in
-                  (sampler.draw(rng).g[0, 0][:, 0] for _ in range(10_000)))
+                  (sampler.draw(rng).g[0][:, 0] for _ in range(10_000)))
         assert acc / 10_000 / cfg.M == pytest.approx(drop.alpha[0, 0, 0], rel=0.02)
 
     def test_rician_power_normalization(self):
@@ -77,7 +77,7 @@ class TestDrawChannel:
         drop = self.single_user(cfg)
         sampler, rng = ChannelSampler(drop, cfg), np.random.default_rng(2)
         acc = sum(np.vdot(g, g).real for g in
-                  (sampler.draw(rng).g[0, 0][:, 0] for _ in range(10_000)))
+                  (sampler.draw(rng).g[0][:, 0] for _ in range(10_000)))
         assert acc / 10_000 / cfg.M == pytest.approx(drop.alpha[0, 0, 0], rel=0.02)
 
 
@@ -86,21 +86,20 @@ class TestAssembleChannels:
         cfg = NetworkConfig(L=2, N=36, M=100, pilot_len=12)
         drop = sample_users(cfg, np.random.default_rng(3))
         cs = assemble_channels(drop, cfg, np.random.default_rng(4))
-        assert cs.g.shape == (2, 2, 100, 36)
-        for i in range(2):
-            for l in range(2):
-                assert cs.g[i, l].shape == (100, 36)
+        assert cs.g.shape == (2, 100, 72)
+        for l in range(2):
+            assert cs.g[l].shape == (100, 72)
 
     def test_all_rayleigh_reduces_to_scatter(self):
         cfg = cfg_for(los_model="linear_prob", cell_radius=400.0)
         drop = sample_users(cfg, np.random.default_rng(5))
         set_all_nlos(drop)
         cs = assemble_channels(drop, cfg, np.random.default_rng(6))
-        assert np.all(cs.k == 0.0)
+        assert np.array_equal(cs.g, cs.nlos_effective())
         for i in range(cfg.L):
             for l in range(cfg.L):
-                expect = cs.htilde[i, l] * np.sqrt(cs.alpha[i, l])[None, :]
-                assert np.allclose(cs.g[i, l], expect)
+                expect = cs.htilde[i, l].T * np.sqrt(drop.alpha[i, :, l])[None, :]
+                assert np.allclose(cs.g[l][:, i * cfg.N:(i + 1) * cfg.N], expect)
 
     def test_matches_per_user_draws_exactly(self):
         # matrix assembly consumes the stream identically to per-user draws
@@ -112,16 +111,17 @@ class TestAssembleChannels:
             for l in range(cfg.L):
                 for j in range(cfg.N):
                     g = draw_channel(drop, i, j, l, cfg.M, rng, cfg.antenna_spacing)
-                    assert np.array_equal(cs.g[i, l][:, j], g)
+                    assert np.array_equal(cs.g[l][:, i * cfg.N + j], g)
 
     def test_second_moment_per_user(self):
         cfg = cfg_for(L=1, N=2, M=8, k_db=10.0)
-        sampler = ChannelSampler(sample_users(cfg, np.random.default_rng(8)), cfg)
+        drop = sample_users(cfg, np.random.default_rng(8))
+        sampler = ChannelSampler(drop, cfg)
         rng = np.random.default_rng(9)
         acc = np.zeros(cfg.N)
         for _ in range(10_000):
-            acc += np.sum(np.abs(sampler.draw(rng).g[0, 0]) ** 2, axis=0)
-        ratio = acc / 10_000 / cfg.M / sampler.alpha[0, 0]
+            acc += np.sum(np.abs(sampler.draw(rng).g[0]) ** 2, axis=0)
+        ratio = acc / 10_000 / cfg.M / drop.alpha[0, :, 0]
         assert np.all(np.abs(ratio - 1.0) < 0.03)
 
     @pytest.mark.parametrize("shape", [(1,), (36, 100), (2, 2, 12, 64)])

@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from conftest import los_mats, make_drop, noise_block, pilot_mats
+from conftest import make_drop, noise_block
 from mimopilots import detection
 from mimopilots.allocators import allocate_loc_aware
 from mimopilots.channel import assemble_channels
 from mimopilots.detection import (CopilotGroups, estimate_sinr, gram_condition,
                                   spectral_efficiency, zf_combiner)
-from mimopilots.estimation import (estimated_los_channel, ls_estimate, subtract_los,
-                                   synthesize_rx)
+from mimopilots.estimation import estimated_los_channel, ls_estimate, synthesize_rx
 from mimopilots.model import ConfigError, NetworkConfig, sample_users
-from mimopilots.pilots import AllocationPlan, build_pilot_book
+from mimopilots.pilots import AllocationPlan, build_pilot_book, pilot_matrix
 
 
 def crand(rng, shape):
@@ -122,29 +121,31 @@ class TestZfCombiner:
 class TestCopilotGroups:
     @staticmethod
     def desk_cell(seed):
-        """A desk-scale drop, the plan j -> j mod pilot_len and cell 0's LOS
-        channels and groups at BS 0."""
+        """A desk-scale drop, the plan j -> j mod pilot_len, the LOS channels
+        and cell 0's groups at BS 0. los[0][:, :N] is cell 0 at BS 0."""
         cfg = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
                             los_model="linear_prob", loc_err_var=9.0, seed=seed)
         drop = sample_users(cfg, np.random.default_rng(seed))
         plan = AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)), "t")
-        los = los_mats(drop, cfg, 0)
-        return cfg, drop, plan, los, CopilotGroups(los[0], plan.cells[0], cfg.pilot_len)
+        los = estimated_los_channel(drop, cfg)
+        return cfg, drop, plan, los, CopilotGroups(los[0][:, :cfg.N], plan.cells[0],
+                                                   cfg.pilot_len)
 
     def test_grouped_combiner_matches_full_pinv(self):
         cfg, drop, plan, los, groups = self.desk_cell(41)
-        nlos = ~los[0].any(axis=0)
+        own = los[0][:, :cfg.N]
+        nlos = ~own.any(axis=0)
         assert np.max(np.bincount(plan.cells[0][nlos])) >= 2   # co-pilot NLOS users
         assert groups.inv is not None
         rng = np.random.default_rng(42)
         book = build_pilot_book(cfg.pilot_len)
-        lams = pilot_mats(plan, book)
+        lam = pilot_matrix(plan, book)
         cs = assemble_channels(drop, cfg, rng)
         for noise_var in (0.0, 1.0 / cfg.rho):
-            y = synthesize_rx(cs, lams, noise_block(cfg, noise_var, rng))
-            resid = subtract_los(y[0], los, lams)
-            ghat = los[0] + ls_estimate(resid, lams[0])
-            w = groups.combiner(ls_estimate(resid, book))
+            y = synthesize_rx(cs, lam, noise_block(cfg, noise_var, rng))
+            est = ls_estimate(y - los @ lam, book)
+            ghat = own + est[0][:, plan.cells[0]]
+            w = groups.combiner(est[0])
             ref = pinv_combiner(ghat)
             assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
             assert np.allclose(w.conj().T @ ghat, ref.conj().T @ ghat, atol=1e-12)
@@ -154,16 +155,17 @@ class TestCopilotGroups:
         # a group of its own, so the distinct columns are rank deficient;
         # the root-scaled expansion is still the full pseudo-inverse combiner
         cfg, drop, plan, los, _ = self.desk_cell(41)
-        pilots, nlos = plan.cells[0], ~los[0].any(axis=0)
+        own = los[0][:, :cfg.N]
+        pilots, nlos = plan.cells[0], ~own.any(axis=0)
         p = np.flatnonzero(np.bincount(pilots[nlos], minlength=cfg.pilot_len) >= 2)[0]
         b = np.flatnonzero(~nlos & (pilots != p))[0]
         # integer entries keep (est_p - est_q) + est_q == est_p exact
         parts = np.random.default_rng(43).integers(-8, 9, (cfg.M, cfg.pilot_len, 2))
         est = parts @ np.array([1.0, 1.0j])
-        los[0][:, b] = est[:, p] - est[:, pilots[b]]
-        groups = CopilotGroups(los[0], pilots, cfg.pilot_len)
+        own[:, b] = est[:, p] - est[:, pilots[b]]
+        groups = CopilotGroups(own, pilots, cfg.pilot_len)
         assert np.sum(groups.inv == groups.inv[b]) == 1
-        ghat = los[0] + est[:, pilots]
+        ghat = own + est[:, pilots]
         assert np.array_equal(ghat[:, b], est[:, p])
         w = groups.combiner(est)
         ref = pinv_combiner(ghat)
@@ -172,12 +174,12 @@ class TestCopilotGroups:
     def test_per_pilot_estimate_indexed_by_plan_is_the_per_user_estimate(self):
         cfg, drop, plan, los, _ = self.desk_cell(44)
         book = build_pilot_book(cfg.pilot_len)
-        lams = pilot_mats(plan, book)
+        lam = pilot_matrix(plan, book)
         rng = np.random.default_rng(45)
-        y = synthesize_rx(assemble_channels(drop, cfg, rng), lams,
+        y = synthesize_rx(assemble_channels(drop, cfg, rng), lam,
                           noise_block(cfg, 1.0 / cfg.rho, rng))
         for l in range(cfg.L):
-            per_user = ls_estimate(y[l], lams[l])
+            per_user = ls_estimate(y[l], lam[l * cfg.N:(l + 1) * cfg.N])
             per_pilot = ls_estimate(y[l], book)[:, plan.cells[l]]
             dev = np.max(np.abs(per_pilot - per_user))
             assert dev <= 1e-14 * np.max(np.abs(per_user))
@@ -187,16 +189,18 @@ class TestCopilotGroups:
         cfg = NetworkConfig()
         drop = sample_users(cfg, np.random.default_rng(46))
         plan = allocate_loc_aware(cfg, drop)
+        los = estimated_los_channel(drop, cfg)
         for l in range(cfg.L):
-            groups = CopilotGroups(estimated_los_channel(drop, cfg, l, l),
+            groups = CopilotGroups(los[l][:, l * cfg.N:(l + 1) * cfg.N],
                                    plan.cells[l], cfg.pilot_len)
             assert groups.inv is None
 
     def test_nlos_users_on_distinct_pilots_stay_ungrouped(self):
         cfg, drop, plan, los, _ = self.desk_cell(41)
-        los[0][:, :4] = 0.0                  # NLOS users on pilots 0..3
-        los[0][:, 4:] += 1.0
-        groups = CopilotGroups(los[0], plan.cells[0], cfg.pilot_len)
+        own = los[0][:, :cfg.N]
+        own[:, :4] = 0.0                     # NLOS users on pilots 0..3
+        own[:, 4:] += 1.0
+        groups = CopilotGroups(own, plan.cells[0], cfg.pilot_len)
         assert groups.inv is None
 
 
@@ -225,18 +229,19 @@ class TestUseAndForgetDecomposition:
         drop = sample_users(cfg, np.random.default_rng(4))
         cs = assemble_channels(drop, cfg, np.random.default_rng(5))
         rng = np.random.default_rng(6)
-        l = 1
-        w = zf_combiner(estimated_los_channel(drop, cfg, l, l))
+        l, N = 1, cfg.N
+        g = cs.g[l]                          # (M, L*N), user i*N + j
+        w = zf_combiner(estimated_los_channel(drop, cfg)[l][:, l * N:(l + 1) * N])
         x = crand(rng, (cfg.L, cfg.N))
         noise = crand(rng, (cfg.M,))
-        y = sum(cs.g[i, l] @ x[i] for i in range(cfg.L)) + noise / np.sqrt(cfg.rho)
+        y = g @ x.ravel() + noise / np.sqrt(cfg.rho)
         for k in range(cfg.N):
             wk = w[:, k]
-            gain = np.vdot(wk, cs.g[l, l][:, k])
+            gain = np.vdot(wk, g[:, l * N + k])
             mean_gain = 0.5 * gain  # any reference value closes the identity
             terms = (mean_gain * x[l, k]
                      + (gain - mean_gain) * x[l, k]
-                     + sum(np.vdot(wk, cs.g[i, l][:, j]) * x[i, j]
+                     + sum(np.vdot(wk, g[:, i * N + j]) * x[i, j]
                            for i in range(cfg.L) for j in range(cfg.N)
                            if (i, j) != (l, k))
                      + np.vdot(wk, noise) / np.sqrt(cfg.rho))
@@ -320,10 +325,11 @@ class TestEstimateSinr:
         cfg = NetworkConfig(L=1, N=4, M=16, pilot_len=4, seed=18)
         drop = sample_users(cfg, np.random.default_rng(18))
         plan = AllocationPlan(np.arange(4)[None, :], "t")
-        lams = pilot_mats(plan, build_pilot_book(cfg.pilot_len))
+        book = build_pilot_book(cfg.pilot_len)
+        lam = pilot_matrix(plan, book)
         cs = assemble_channels(drop, cfg, np.random.default_rng(19))
-        y = synthesize_rx(cs, lams, noise_block(cfg, 1.0 / cfg.rho, np.random.default_rng(20)))
-        ghat = (estimated_los_channel(drop, cfg, 0, 0)
-                + ls_estimate(subtract_los(y[0], los_mats(drop, cfg, 0), lams), lams[0]))
+        y = synthesize_rx(cs, lam, noise_block(cfg, 1.0 / cfg.rho, np.random.default_rng(20)))
+        los = estimated_los_channel(drop, cfg)
+        ghat = los[0] + ls_estimate(y - los @ lam, book)[0][:, plan.cells[0]]
         w = zf_combiner(ghat)
         assert np.max(np.abs(w.conj().T @ ghat - np.eye(4))) < 1e-8

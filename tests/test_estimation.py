@@ -3,31 +3,30 @@
 import numpy as np
 import pytest
 
-from conftest import los_mats, make_drop, noise_block, pilot_mats, set_all_nlos
+from conftest import make_drop, noise_block, set_all_nlos
 from mimopilots.channel import ChannelSampler, assemble_channels, steering_vector
-from mimopilots.estimation import (estimated_los_channel, estimated_los_rx,
-                                   ls_estimate, subtract_los, synthesize_rx)
+from mimopilots.estimation import estimated_los_channel, ls_estimate, synthesize_rx
 from mimopilots.model import (Drop, NetworkConfig, bs_positions, sample_position_error,
                               sample_users)
-from mimopilots.pilots import AllocationPlan, build_pilot_book
+from mimopilots.pilots import AllocationPlan, build_pilot_book, pilot_matrix
 
 
 def distinct_plan(cfg):
-    """Pilot matrices of the plan giving user j pilot j mod pilot_len."""
+    """Pilot matrix of the plan giving user j pilot j mod pilot_len."""
     plan = AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)), "t")
-    return pilot_mats(plan, build_pilot_book(cfg.pilot_len))
+    return pilot_matrix(plan, build_pilot_book(cfg.pilot_len))
 
 
-def nlos_synthesis(cs, lams, bs, n_cells):
-    return sum(cs.nlos_effective(i, bs) @ lams[i] for i in range(n_cells))
+def los_residual(y, drop, cfg, lam):
+    """The LOS-free residual at every BS, as `estimate_sinr` forms it."""
+    return y - estimated_los_channel(drop, cfg) @ lam
 
 
-def los_mismatch(drop, cfg, lams, bs):
+def los_mismatch(drop, cfg, lam, bs):
     """Per source cell i: (true LOS of cell i - reconstructed LOS) @ Lambda_i."""
-    sampler = ChannelSampler(drop, cfg)
-    return np.array([(sampler.hbar[i, bs] * sampler.w_los[i, bs]
-                      - estimated_los_channel(drop, cfg, i, bs)) @ lams[i]
-                     for i in range(cfg.L)])
+    gap = ChannelSampler(drop, cfg).los[bs] - estimated_los_channel(drop, cfg)[bs]
+    cells = [slice(i * cfg.N, (i + 1) * cfg.N) for i in range(cfg.L)]
+    return np.array([gap[:, c] @ lam[c] for c in cells])
 
 
 class TestSynthesizeRx:
@@ -37,8 +36,8 @@ class TestSynthesizeRx:
         cs = assemble_channels(drop, cfg, np.random.default_rng(1))
         book = build_pilot_book(cfg.pilot_len)
         plan = AllocationPlan(np.array([[2]]), "t")
-        y = synthesize_rx(cs, pilot_mats(plan, book), noise_block(cfg))
-        expect = np.outer(cs.g[0, 0][:, 0], book[2])
+        y = synthesize_rx(cs, pilot_matrix(plan, book), noise_block(cfg))
+        expect = np.outer(cs.g[0][:, 0], book[2])
         assert np.allclose(y[0], expect, atol=1e-12)
 
     def test_noise_only_calibration(self):
@@ -64,8 +63,8 @@ class TestSynthesizeRx:
         noise_var = 0.1
 
         cs0, cs1, silent = (copy.deepcopy(cs) for _ in range(3))
-        cs0.g[1] = 0.0
-        cs1.g[0] = 0.0
+        cs0.g[:, :, cfg.N:] = 0.0      # cell 1's users
+        cs1.g[:, :, :cfg.N] = 0.0      # cell 0's users
         silent.g[:] = 0.0
 
         z = noise_block(cfg, noise_var, np.random.default_rng(8))
@@ -80,8 +79,28 @@ class TestSynthesizeRx:
         drop = sample_users(cfg, np.random.default_rng(0))
         cs = assemble_channels(drop, cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="noise block"):
-            synthesize_rx(cs, pilot_mats(AllocationPlan(np.array([[0]]), "t"),
-                                         build_pilot_book(2)), np.zeros((1, 2, 1)))
+            synthesize_rx(cs, pilot_matrix(AllocationPlan(np.array([[0]]), "t"),
+                                           build_pilot_book(2)), np.zeros((1, 2, 1)))
+
+    def test_three_cells_sum_every_cells_pilots(self):
+        # Y_l = sum_i G_il Lambda_i + Z_l written out per cell pair, with the
+        # cell * N offset running past two cells
+        cfg = NetworkConfig(L=3, N=4, M=8, pilot_len=3, seed=0)
+        drop = sample_users(cfg, np.random.default_rng(30))
+        rng = np.random.default_rng(31)
+        cs = assemble_channels(drop, cfg, rng)
+        plan = AllocationPlan(rng.integers(0, cfg.pilot_len, (cfg.L, cfg.N)), "t")
+        book = build_pilot_book(cfg.pilot_len)
+        z = noise_block(cfg, 0.2, rng)
+        y = synthesize_rx(cs, pilot_matrix(plan, book), z)
+        for l in range(cfg.L):
+            expect = z[l].copy()
+            for i in range(cfg.L):
+                g_il = np.column_stack([
+                    cs.g[l][:, i * cfg.N + j] for j in range(cfg.N)])
+                expect += g_il @ book[plan.cells[i]]
+            assert np.allclose(y[l], expect, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(expect)))
 
 
 class TestSubtractLos:
@@ -91,9 +110,9 @@ class TestSubtractLos:
         cs = assemble_channels(drop, cfg, np.random.default_rng(3))
         lams = distinct_plan(cfg)
         y = synthesize_rx(cs, lams, noise_block(cfg))
+        resid = los_residual(y, drop, cfg, lams)
         for l in range(cfg.L):
-            resid = subtract_los(y[l], los_mats(drop, cfg, l), lams)
-            assert np.max(np.abs(resid - nlos_synthesis(cs, lams, l, cfg.L))) < 1e-9
+            assert np.max(np.abs(resid[l] - cs.nlos_effective()[l] @ lams)) < 1e-9
 
     def test_rayleigh_users_make_subtraction_a_noop(self):
         cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=3, seed=3)
@@ -102,8 +121,8 @@ class TestSubtractLos:
         cs = assemble_channels(drop, cfg, np.random.default_rng(6))
         lams = distinct_plan(cfg)
         y = synthesize_rx(cs, lams, noise_block(cfg, 0.3, np.random.default_rng(7)))
-        resid = subtract_los(y[0], los_mats(drop, cfg, 0), lams)
-        assert np.array_equal(resid, y[0] - 0.0)
+        resid = los_residual(y, drop, cfg, lams)
+        assert np.array_equal(resid, y - 0.0)
 
     def test_location_errors_leave_exactly_the_mismatch(self):
         cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4, loc_err_var=9.0, seed=4)
@@ -111,9 +130,9 @@ class TestSubtractLos:
         cs = assemble_channels(drop, cfg, np.random.default_rng(9))
         lams = distinct_plan(cfg)
         y = synthesize_rx(cs, lams, noise_block(cfg))
+        resid = los_residual(y, drop, cfg, lams)
         for l in range(cfg.L):
-            resid = subtract_los(y[l], los_mats(drop, cfg, l), lams)
-            gap = resid - nlos_synthesis(cs, lams, l, cfg.L)
+            gap = resid[l] - cs.nlos_effective()[l] @ lams
             xi = los_mismatch(drop, cfg, lams, l)
             assert np.linalg.norm(gap) > 1e-3
             assert np.allclose(gap, xi.sum(axis=0), atol=1e-9)
@@ -143,19 +162,17 @@ class TestLsEstimate:
         cs = assemble_channels(drop, cfg, np.random.default_rng(14))
         lams = distinct_plan(cfg)
         y = synthesize_rx(cs, lams, noise_block(cfg))
-        resid = subtract_los(y[0], los_mats(drop, cfg, 0), lams)
-        ghat = ls_estimate(resid, lams[0])
-        assert np.max(np.abs(ghat - cs.nlos_effective(0, 0))) < 1e-9
+        ghat = ls_estimate(los_residual(y, drop, cfg, lams), lams)[0]
+        assert np.max(np.abs(ghat - cs.nlos_effective()[0])) < 1e-9
 
     def test_intra_cell_copilots_share_columns(self):
         cfg = NetworkConfig(L=1, N=4, M=8, pilot_len=2, seed=7)
         drop = sample_users(cfg, np.random.default_rng(16))
         cs = assemble_channels(drop, cfg, np.random.default_rng(17))
-        lams = pilot_mats(AllocationPlan(np.array([[0, 0, 1, 1]]), "t"),
-                          build_pilot_book(cfg.pilot_len))
+        lams = pilot_matrix(AllocationPlan(np.array([[0, 0, 1, 1]]), "t"),
+                            build_pilot_book(cfg.pilot_len))
         y = synthesize_rx(cs, lams, noise_block(cfg, 0.05, np.random.default_rng(18)))
-        resid = subtract_los(y[0], los_mats(drop, cfg, 0), lams)
-        ghat = ls_estimate(resid, lams[0])
+        ghat = ls_estimate(los_residual(y, drop, cfg, lams), lams)[0]
         assert np.allclose(ghat[:, 0], ghat[:, 1])
         assert np.allclose(ghat[:, 2], ghat[:, 3])
 
@@ -165,9 +182,9 @@ class TestLsEstimate:
         cs = assemble_channels(drop, cfg, np.random.default_rng(20))
         lams = distinct_plan(cfg)  # same plan in both cells
         y = synthesize_rx(cs, lams, noise_block(cfg))
-        resid = subtract_los(y[0], los_mats(drop, cfg, 0), lams)
-        ghat = ls_estimate(resid, lams[0])
-        expect = cs.nlos_effective(0, 0) + cs.nlos_effective(1, 0)
+        ghat = ls_estimate(los_residual(y, drop, cfg, lams), lams)[0][:, :cfg.N]
+        nlos = cs.nlos_effective()[0]
+        expect = nlos[:, :cfg.N] + nlos[:, cfg.N:]
         assert np.allclose(ghat, expect, atol=1e-9)
 
     def test_linearity(self):
@@ -187,7 +204,7 @@ class TestLsEstimate:
         drop = sample_users(cfg, np.random.default_rng(23))
         cs = assemble_channels(drop, cfg, np.random.default_rng(24))
         plan = AllocationPlan(np.array([[0, 0, 1, 1], [0, 1, 1, 0]]), "t")
-        lams = pilot_mats(plan, build_pilot_book(cfg.pilot_len))
+        lams = pilot_matrix(plan, build_pilot_book(cfg.pilot_len))
         z = noise_block(cfg, 0.02, np.random.default_rng(25))
         y = synthesize_rx(cs, lams, z)
 
@@ -197,22 +214,32 @@ class TestLsEstimate:
         for i in range(cfg.L):
             for j in range(cfg.N):
                 if plan.cells[i][j] != pilot:
-                    cs_zeroed.g[i, :, :, j] = 0.0
+                    cs_zeroed.g[:, :, i * cfg.N + j] = 0.0
         y_zeroed = synthesize_rx(cs_zeroed, lams, z)
-        col_full = ls_estimate(subtract_los(y[0], los_mats(drop, cfg, 0), lams),
-                               lams[0])[:, watched]
-        col_zeroed = ls_estimate(subtract_los(y_zeroed[0], los_mats(drop, cfg, 0), lams),
-                                 lams[0])[:, watched]
+        col_full = ls_estimate(los_residual(y, drop, cfg, lams), lams)[0][:, watched]
+        col_zeroed = ls_estimate(los_residual(y_zeroed, drop, cfg, lams),
+                                 lams)[0][:, watched]
         assert np.allclose(col_full, col_zeroed, atol=1e-9)
+
+    def test_stacked_estimate_matches_per_bs_calls(self):
+        cfg = NetworkConfig(L=3, N=4, M=8, pilot_len=3, seed=10)
+        drop = sample_users(cfg, np.random.default_rng(27))
+        rng = np.random.default_rng(28)
+        book = build_pilot_book(cfg.pilot_len)
+        y = synthesize_rx(assemble_channels(drop, cfg, rng), distinct_plan(cfg),
+                          noise_block(cfg, 0.1, rng))
+        stacked = ls_estimate(y, book)
+        assert stacked.shape == (cfg.L, cfg.M, cfg.pilot_len)
+        for l in range(cfg.L):
+            assert np.array_equal(stacked[l], ls_estimate(y[l], book))
 
 
 class TestLosChannelBuilders:
     def test_estimated_uses_estimates_true_uses_truth(self):
         cfg = NetworkConfig(L=1, N=1, M=8, pilot_len=1, seed=10)
         drop = make_drop(cfg, [(200.0, 0.3, 120.0, 0.8)])
-        est = estimated_los_channel(drop, cfg, 0, 0)[:, 0]
-        sampler = ChannelSampler(drop, cfg)
-        tru = sampler.hbar[0, 0][:, 0] * sampler.w_los[0, 0, 0]
+        est = estimated_los_channel(drop, cfg)[0][:, 0]
+        tru = ChannelSampler(drop, cfg).los[0][:, 0]
         a_e, k_e = drop.alpha_est[0, 0, 0], drop.k_est[0, 0, 0]
         a, k = drop.alpha[0, 0, 0], drop.k[0, 0, 0]
         assert np.allclose(est, np.sqrt(a_e * k_e / (1 + k_e))
@@ -222,9 +249,35 @@ class TestLosChannelBuilders:
         assert not np.allclose(est, tru)
 
     def test_estimated_rx_stacks_all_cells(self):
+        # BS 1's LOS receive matrix is formed from every cell's columns
         cfg = NetworkConfig(L=2, N=2, M=4, pilot_len=2, seed=11)
         drop = sample_users(cfg, np.random.default_rng(26))
         lams = distinct_plan(cfg)
-        ybar = estimated_los_rx(los_mats(drop, cfg, 1), lams)
-        expect = sum(estimated_los_channel(drop, cfg, i, 1) @ lams[i] for i in range(2))
-        assert np.array_equal(ybar, expect)
+        los = estimated_los_channel(drop, cfg)
+        per_cell = [np.ascontiguousarray(steering_vector(cfg.M, drop.aoa_est[i, :, 1]).T)
+                    * np.sqrt(drop.alpha_est[i, :, 1] * drop.k_est[i, :, 1]
+                              / (1.0 + drop.k_est[i, :, 1]))
+                    for i in range(cfg.L)]
+        assert np.array_equal(los[1], np.concatenate(per_cell, axis=1))
+        assert np.array_equal((los @ lams)[1], np.concatenate(per_cell, axis=1) @ lams)
+
+    def test_flat_columns_match_explicit_steering(self):
+        # column i*N + j at BS l is user (i, j)'s reconstructed LOS channel,
+        # and exactly zero on an NLOS link
+        cfg = NetworkConfig(L=3, N=5, M=16, pilot_len=5, k_model="distance",
+                            los_model="linear_prob", loc_err_var=9.0, seed=12)
+        drop = sample_users(cfg, np.random.default_rng(29))
+        assert 0 < np.count_nonzero(~drop.los) < drop.los.size
+        los = estimated_los_channel(drop, cfg)
+        assert los.shape == (cfg.L, cfg.M, cfg.L * cfg.N)
+        for l in range(cfg.L):
+            for i in range(cfg.L):
+                for j in range(cfg.N):
+                    col = los[l][:, i * cfg.N + j]
+                    if not drop.los[i, j, l]:
+                        assert not col.any()
+                        continue
+                    a, k = drop.alpha_est[i, j, l], drop.k_est[i, j, l]
+                    ref = (np.sqrt(a * k / (1 + k))
+                           * steering_vector(cfg.M, drop.aoa_est[i, j, l]))
+                    assert np.max(np.abs(col - ref)) <= 1e-12 * np.max(np.abs(ref))

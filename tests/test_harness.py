@@ -173,6 +173,15 @@ class TestOracleCompare:
             assert evaluator(plan) <= best + 1e-12
 
 
+    def test_out_of_range_plan_names_loc_aware(self, monkeypatch):
+        cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2, seed=5)
+        monkeypatch.setattr(harness, "allocate_loc_aware",
+                            lambda cfg, drop: AllocationPlan([[0, 1, 2]], "loc_aware"))
+        spec = ExperimentSpec(cfg=cfg, drops=1, trials=2, allocators=("loc_aware",))
+        with pytest.raises(RuntimeError, match="allocator 'loc_aware'"):
+            run_oracle_compare(spec)
+
+
 class TestThreadsAndDeterminism:
     def test_thread_count_does_not_change_results(self):
         cfg = tiny_cfg()

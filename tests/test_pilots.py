@@ -35,12 +35,12 @@ class TestPilotMatrix:
     def test_identity_permutation_reproduces_book(self):
         book = build_pilot_book(4)
         plan = AllocationPlan(np.arange(4)[None, :], "t")
-        assert np.array_equal(pilot_matrix(plan, 0, book), book)
+        assert np.array_equal(pilot_matrix(plan, book), book)
 
     def test_reuse_duplicates_rows(self):
         book = build_pilot_book(2)
         plan = AllocationPlan(np.array([[0, 0, 1, 1]]), "t")
-        lam = pilot_matrix(plan, 0, book)
+        lam = pilot_matrix(plan, book)
         assert np.array_equal(lam[0], lam[1])
         assert np.array_equal(lam[2], lam[3])
         assert not np.array_equal(lam[0], lam[2])
@@ -49,7 +49,7 @@ class TestPilotMatrix:
         book = build_pilot_book(2)
         plan = AllocationPlan(np.array([[0, 2]]), "t")
         with pytest.raises(ValueError, match="out of range"):
-            pilot_matrix(plan, 0, book)
+            pilot_matrix(plan, book)
 
     @given(st.integers(min_value=1, max_value=16),
            st.integers(min_value=1, max_value=24),
@@ -58,7 +58,7 @@ class TestPilotMatrix:
         rng = np.random.default_rng(seed)
         book = build_pilot_book(n_pilots)
         s = rng.integers(0, n_pilots, size=n_users)
-        lam = pilot_matrix(AllocationPlan(s[None, :], "t"), 0, book)
+        lam = pilot_matrix(AllocationPlan(s[None, :], "t"), book)
         gram = lam @ lam.conj().T
         expect = np.where(s[:, None] == s[None, :], n_pilots, 0.0)
         assert np.max(np.abs(gram - expect)) < 1e-9
@@ -68,7 +68,7 @@ class TestCorrelation:
     def test_distinct_pilots_give_scaled_identity(self):
         book = build_pilot_book(6)
         plan = AllocationPlan(np.arange(6)[None, :], "t")
-        lam = pilot_matrix(plan, 0, book)
+        lam = pilot_matrix(plan, book)
         r = correlation(lam, lam)
         assert np.max(np.abs(r - 6 * np.eye(6))) < 1e-10
 
@@ -76,7 +76,7 @@ class TestCorrelation:
         # 36 users on 12 pilots: every row has exactly 3 entries equal to 12
         book = build_pilot_book(12)
         s = np.arange(36) % 12
-        lam = pilot_matrix(AllocationPlan(s[None, :], "t"), 0, book)
+        lam = pilot_matrix(AllocationPlan(s[None, :], "t"), book)
         r = np.abs(correlation(lam, lam))
         assert np.all(np.isclose(r, 12.0, atol=1e-9).sum(axis=1) == 3)
         assert np.all(np.isclose(r, 0.0, atol=1e-9).sum(axis=1) == 33)
@@ -84,15 +84,15 @@ class TestCorrelation:
     def test_identical_plans_share_correlation(self):
         book = build_pilot_book(3)
         s = np.array([[0, 1, 2, 0], [0, 1, 2, 0]])
-        lam0 = pilot_matrix(AllocationPlan(s, "t"), 0, book)
-        lam1 = pilot_matrix(AllocationPlan(s, "t"), 1, book)
+        lam = pilot_matrix(AllocationPlan(s, "t"), book)
+        lam0, lam1 = lam[:4], lam[4:]
         assert np.allclose(correlation(lam0, lam1), correlation(lam0, lam0))
 
     def test_hermitian_pairing(self):
         rng = np.random.default_rng(3)
         book = build_pilot_book(5)
-        a = pilot_matrix(AllocationPlan(rng.integers(0, 5, (1, 7)), "t"), 0, book)
-        b = pilot_matrix(AllocationPlan(rng.integers(0, 5, (1, 7)), "t"), 0, book)
+        a = pilot_matrix(AllocationPlan(rng.integers(0, 5, (1, 7)), "t"), book)
+        b = pilot_matrix(AllocationPlan(rng.integers(0, 5, (1, 7)), "t"), book)
         assert np.allclose(correlation(a, b), correlation(b, a).conj().T)
 
     def test_shape_mismatch_rejected(self):
@@ -112,6 +112,28 @@ class TestAllocationPlan:
         plan = AllocationPlan(np.array([[0, 1]]), "random")
         data = json.loads(plan.to_json())
         assert data == {"cells": [[0, 1]], "allocator": "random"}
+
+    @pytest.mark.parametrize("cells", [
+        [[0.7, 1.9]],                       # would truncate to [[0, 1]]
+        np.array([[0.0, 1.0]]),
+        [[True, False]],                    # would read as 0/1
+        np.array([[True, False]]),
+        [[0, True]],
+    ])
+    def test_non_integer_entries_rejected(self, cells):
+        with pytest.raises(ValueError, match="integers"):
+            AllocationPlan(cells, "t")
+
+    def test_integer_tables_accepted(self):
+        for cells in ([[0, 2], [1, 0]], np.array([[0, 2], [1, 0]], dtype=np.int32),
+                      [[np.int64(0), 2], [1, 0]]):
+            plan = AllocationPlan(cells, "t")
+            assert plan.cells.dtype == int
+            assert plan.cells.tolist() == [[0, 2], [1, 0]]
+
+    def test_non_integer_json_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            AllocationPlan.from_json('{"cells": [[0, 1.5]], "allocator": "x"}')
 
     def test_balance_predicate(self):
         assert is_balanced(np.array([0, 1, 2, 0, 1, 2]), 3)
