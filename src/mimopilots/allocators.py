@@ -8,8 +8,8 @@ Five allocators share one signature, (cfg, drop, rng) -> AllocationPlan:
                "random_iid" variant draws pilots i.i.d. per user instead.
 * greedy     — iterative repair of the worst large-scale-interference user.
 * sector     — equal angular sectors, one pilot per sector.
-* exhaustive — brute-force argmax of an evaluator over every assignment
-               (small scenarios only).
+* exhaustive — brute-force argmax of a scorer over every assignment
+               (small scenarios only), scored a block of plans at a time.
 
 loc_aware and greedy read the (L*N, L*N) pair-score matrix that
 `los_metric.los_interference` returns per BS; users are flattened
@@ -29,6 +29,9 @@ from .pilots import AllocationPlan
 
 # largest search space `exhaustive_search` enumerates
 MAX_PLANS = 10 ** 6
+
+# most plans `exhaustive_search` hands its scorer in one call
+_SCORE_BLOCK = 256
 
 
 def partition_tiers(drop: Drop, cell: int, pilot_len: int) -> list[np.ndarray]:
@@ -185,15 +188,17 @@ def allocate_greedy(cfg: NetworkConfig, drop: Drop,
     return AllocationPlan(cells=plan, allocator="greedy")
 
 
-def exhaustive_search(cfg: NetworkConfig, drop: Drop | None,
-                      evaluator: Callable[[AllocationPlan], float]
+def exhaustive_search(cfg: NetworkConfig,
+                      score: Callable[[list[AllocationPlan]], np.ndarray]
                       ) -> tuple[AllocationPlan, float]:
-    """Brute-force argmax of `evaluator` over every per-cell assignment.
+    """Brute-force argmax of `score` over every per-cell assignment.
 
-    Evaluates pilots**N assignments per cell (their product across cells)
-    in lexicographic order; ties keep the first (lowest) plan. The evaluator
-    should fix its own RNG seed so candidates are scored on common random
-    numbers. Refuses search spaces larger than MAX_PLANS.
+    Enumerates pilots**N assignments per cell (their product across cells)
+    in lexicographic order and hands them to `score` in blocks of at most
+    _SCORE_BLOCK plans; `score` maps a list of plans to a (P,) array. It
+    should score every block on the same RNG seed so candidates are
+    compared on common random numbers. Ties keep the first (lowest) plan.
+    Refuses search spaces larger than MAX_PLANS.
     """
     n_pilots = cfg.pilot_len
     per_cell_count = n_pilots ** cfg.N
@@ -203,15 +208,20 @@ def exhaustive_search(cfg: NetworkConfig, drop: Drop | None,
             f"exhaustive search space has {total} plans "
             f"({per_cell_count} per cell over {cfg.L} cells), limit {MAX_PLANS}")
     per_cell = list(itertools.product(range(n_pilots), repeat=cfg.N))
+    combos = itertools.product(per_cell, repeat=cfg.L)
 
     best_plan = None
     best_score = -np.inf
-    for combo in itertools.product(per_cell, repeat=cfg.L):
-        plan = AllocationPlan(cells=np.array(combo, dtype=int), allocator="exhaustive")
-        score = float(evaluator(plan))
-        if score > best_score:
-            best_score = score
-            best_plan = plan
+    while block := [AllocationPlan(cells=np.array(combo, dtype=int), allocator="exhaustive")
+                    for combo in itertools.islice(combos, _SCORE_BLOCK)]:
+        scores = np.asarray(score(block), dtype=float)
+        if scores.shape != (len(block),):
+            raise ValueError(f"scorer returned shape {scores.shape} "
+                             f"for {len(block)} plans")
+        k = int(np.argmax(scores))
+        if scores[k] > best_score:
+            best_score = float(scores[k])
+            best_plan = block[k]
     assert best_plan is not None
     return best_plan, best_score
 

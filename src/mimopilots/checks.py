@@ -93,7 +93,7 @@ def check_los_subtraction() -> tuple[str, bool, str]:
     drop = sample_users(cfg, rng)
     lam = pilot_matrix(_distinct_plan(cfg), build_pilot_book(cfg.pilot_len))
     cs = assemble_channels(drop, cfg, rng)
-    y = synthesize_rx(cs, lam, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
+    y = synthesize_rx(cs.g, lam, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
     resid = y - estimated_los_channel(drop, cfg) @ lam
     worst = float(np.max(np.abs(resid - cs.nlos_effective() @ lam)))
     return "LOS subtraction exact at zero location error", worst < 1e-9, f"max dev {worst:.2e}"
@@ -106,7 +106,7 @@ def check_ls_exactness() -> tuple[str, bool, str]:
     plan, book = _distinct_plan(cfg), build_pilot_book(cfg.pilot_len)
     lam = pilot_matrix(plan, book)
     cs = assemble_channels(drop, cfg, rng)
-    y = synthesize_rx(cs, lam, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
+    y = synthesize_rx(cs.g, lam, np.zeros((cfg.L, cfg.M, cfg.pilot_len)))
     est = ls_estimate(y - estimated_los_channel(drop, cfg) @ lam, book)
     dev = float(np.max(np.abs(est[0][:, plan.cells[0]] - cs.nlos_effective()[0])))
     return "LS estimate exact for orthogonal pilots", dev < 1e-9, f"max dev {dev:.2e}"
@@ -144,7 +144,7 @@ def check_grouped_zf() -> tuple[str, bool, str]:
     lam = pilot_matrix(plan, book)
     noise = np.sqrt(1.0 / cfg.rho) * crandn(rng, (cfg.L, cfg.M, cfg.pilot_len))
     los = estimated_los_channel(drop, cfg)
-    est = ls_estimate(synthesize_rx(assemble_channels(drop, cfg, rng), lam, noise)
+    est = ls_estimate(synthesize_rx(assemble_channels(drop, cfg, rng).g, lam, noise)
                       - los @ lam, book)
     worst, merged = 0.0, 0
     for l in range(cfg.L):

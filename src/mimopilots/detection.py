@@ -13,8 +13,14 @@ every realization and the true channels used as ground truth.
 
 Users are indexed cell-major, cell * N + user: channels and reconstructed
 LOS channels are (L, M, L*N) arrays [BS, antenna, user] and a plan's
-pilots one (L*N, pilot_len) matrix, so a plan's pilot phase, LOS
-subtraction and LS estimate at every BS are one array expression per trial.
+pilots one (L*N, pilot_len) matrix. Trials run in chunks: a chunk's
+channel and noise draws are stacked on a leading trial axis, so a plan's
+pilot phase, LOS subtraction, LS estimate, copilot reduction, combiner
+products and SINR sums over every trial and BS of the chunk are one array
+expression each. The ZF solve is the one step left per trial and BS. The
+chunk holds as many trials as fit a fixed byte budget for the channel
+stack, so its size depends only on (L, M, N), never on the number of plans
+or trials, and the working set stays small at any trial count.
 """
 
 from __future__ import annotations
@@ -27,6 +33,11 @@ from .channel import ChannelSampler, crandn
 from .estimation import estimated_los_channel, ls_estimate, synthesize_rx
 from .model import ConfigError, Drop, NetworkConfig
 from .pilots import AllocationPlan, build_pilot_book, pilot_matrix
+
+# Trials run in chunks whose (T_c, L, M, L*N) complex channel stack stays
+# within this many bytes (at least one trial per chunk), so the per-chunk
+# working set stays in cache at any trial count.
+_CHUNK_BYTES = 512 * 1024
 
 # floor for the SINR denominator when the sample variance underflows
 _DENOM_FLOOR = 1e-12
@@ -111,18 +122,26 @@ class CopilotGroups:
         self.scale = 1.0 / root[inv]                      # (N,)
 
     def combiner(self, est: np.ndarray) -> np.ndarray:
-        """ZF combiner of Ghat = ghat_los + est[:, pilots], shape (M, N).
+        """ZF combiner of Ghat = ghat_los + est[..., pilots], shape (..., M, N).
 
-        With groups, Ghat = Gu @ E for the distinct columns Gu and the 0/1
-        group-to-user map E with E E^T = D, the group sizes. F = D^-1/2 E
-        has orthonormal rows, so pinv(Ghat)^H = zf(Gu D^1/2) D^-1/2 E
-        exactly, whatever the rank of Gu: each user gets its group's
-        combiner of the root-scaled columns divided by the root of the
-        group size, from one `zf_combiner` call on U <= N columns.
+        `est` is one (M, pilot_len) estimate or a stack of them; each
+        matrix of the stack gets its own `zf_combiner` call. With groups,
+        Ghat = Gu @ E for the distinct columns Gu and the 0/1 group-to-user
+        map E with E E^T = D, the group sizes. F = D^-1/2 E has orthonormal
+        rows, so pinv(Ghat)^H = zf(Gu D^1/2) D^-1/2 E exactly, whatever the
+        rank of Gu: each user gets its group's combiner of the root-scaled
+        columns divided by the root of the group size, from one solve on
+        U <= N columns.
         """
         if self.inv is None:
-            return zf_combiner(self.ghat_los + est[:, self.pilots])
-        return zf_combiner(self.los_u + est @ self.pick)[:, self.inv] * self.scale
+            ghat = self.ghat_los + est[..., self.pilots]
+        else:
+            ghat = self.los_u + est @ self.pick
+        w = np.empty_like(ghat)
+        flat = w.reshape(-1, *w.shape[-2:])
+        for i, matrix in enumerate(ghat.reshape(flat.shape)):
+            flat[i] = zf_combiner(matrix)
+        return w if self.inv is None else w[..., self.inv] * self.scale
 
 
 def spectral_efficiency(sinr, pilot_len: int, coherence_len: int):
@@ -145,17 +164,22 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     every plan reuses them (common random numbers): per plan it synthesizes
     the pilot phase, subtracts the reconstructed LOS, forms one LS estimate
     per pilot, and rebuilds the ZF combiner from the distinct estimate
-    columns. A plan's result is therefore the same whichever other plans
-    share the call. Sample means over trials estimate the useful-signal
-    mean, all interference second moments, and the combiner norm; the
-    denominator is floored at 1e-12. A non-finite SINR raises
-    FloatingPointError rather than reaching the SE and the CSV.
+    columns. Trials run in chunks whose channel stack fits `_CHUNK_BYTES`;
+    within a chunk each of those steps, the combiner products and the
+    SINR sums are one array expression over the chunk's trials, and only
+    the ZF solve runs once per trial and BS. The chunk size depends only on
+    (L, M, N), and the draws are taken trial by trial in stream order, so a
+    plan's result is the same whichever other plans share the call. Sample
+    means over trials estimate the useful-signal mean, all interference
+    second moments, and the combiner norm; the denominator is floored at
+    1e-12. A non-finite SINR raises FloatingPointError rather than reaching
+    the SE and the CSV.
     """
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
-    L, N, M = cfg.L, cfg.N, cfg.M
+    L, N, M, K = cfg.L, cfg.N, cfg.M, cfg.pilot_len
     P = len(plans)
-    book = build_pilot_book(cfg.pilot_len)
+    book = build_pilot_book(K)
     sampler = ChannelSampler(drop, cfg)
     noise_var = 1.0 / cfg.rho
 
@@ -165,26 +189,38 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     los = estimated_los_channel(drop, cfg)
     lams = [pilot_matrix(plan, book) for plan in plans]
     ybar = [los @ lam for lam in lams]
-    groups = [[CopilotGroups(los[l][:, l * N:(l + 1) * N], plan.cells[l], cfg.pilot_len)
+    groups = [[CopilotGroups(los[l][:, l * N:(l + 1) * N], plan.cells[l], K)
                for l in range(L)] for plan in plans]
+
+    chunk = max(1, min(trials, _CHUNK_BYTES // (16 * L * M * L * N)))
+    g_stack = np.empty((chunk, L, M, L * N), dtype=complex)
+    z_stack = np.empty((chunk, L, M, K), dtype=complex)
+    w_stack = np.empty((chunk, L, M, N), dtype=complex)
 
     sum_sig = np.zeros((P, L, N), dtype=complex)  # w^H g of the own user
     sum_pow = np.zeros((P, L, N))                 # |w^H g|^2 summed over users
     sum_wsq = np.zeros((P, L, N))                 # ||w||^2
-    diag = np.arange(N)
-    for _ in range(trials):
-        cs = sampler.draw(rng)
-        # one block consumes the stream like L per-BS (M, pilot_len) draws
-        noise = np.sqrt(noise_var) * crandn(rng, (L, M, cfg.pilot_len))
+    for start in range(0, trials, chunk):
+        t = min(chunk, trials - start)
+        g, z, w = g_stack[:t], z_stack[:t], w_stack[:t]
+        for i in range(t):
+            g[i] = sampler.draw(rng).g
+            # one block consumes the stream like L per-BS (M, pilot_len) draws
+            z[i] = crandn(rng, (L, M, K))
+        z *= np.sqrt(noise_var)
         for p in range(P):
-            # one column per pilot at every BS
-            est = ls_estimate(synthesize_rx(cs, lams[p], noise) - ybar[p], book)
+            # one column per pilot at every trial and BS
+            est = ls_estimate(synthesize_rx(g, lams[p], z) - ybar[p], book)
             for l in range(L):
-                w = groups[p][l].combiner(est[l])
-                prod = w.conj().T @ cs.g[l]        # (N, L*N)
-                sum_pow[p, l] += np.sum(np.abs(prod) ** 2, axis=1)
-                sum_sig[p, l] += prod[diag, l * N + diag]
-                sum_wsq[p, l] += np.sum(np.abs(w) ** 2, axis=0)
+                w[:, l] = groups[p][l].combiner(est[:, l])
+            prod = w.conj().swapaxes(-1, -2) @ g                 # (t, L, N, L*N)
+            # the own user's entries, (l, n, l, n) of the (t, L, N, L, N) view
+            sum_sig[p] += np.einsum("tlnln->ln", prod.reshape(t, L, N, L, N))
+            # squared moduli summed over the float views' re/im pairs
+            v = prod.view(float)
+            sum_pow[p] += np.einsum("tlnk,tlnk->ln", v, v)
+            v = w.view(float)
+            sum_wsq[p] += np.einsum("tlmk,tlmk->lk", v, v).reshape(L, N, 2).sum(axis=-1)
 
     mean_sig_sq = np.abs(sum_sig / trials) ** 2
     denom = (sum_pow / trials - mean_sig_sq

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelSet, los_channels
+from .channel import los_channels
 from .model import Drop, NetworkConfig
 
 
@@ -25,19 +25,20 @@ def estimated_los_channel(drop: Drop, cfg: NetworkConfig) -> np.ndarray:
     return los_channels(drop.alpha_est, drop.k_est, drop.aoa_est, cfg)
 
 
-def synthesize_rx(cs: ChannelSet, lam: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Received pilot matrices of every BS, shape (L, M, pilot_len).
+def synthesize_rx(g: np.ndarray, lam: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Received pilot matrices of every BS, shape (..., L, M, pilot_len).
 
-    Y_l = G_l @ Lambda + Z_l = sum_i G_il @ Lambda_i + Z_l, where `noise` is
-    the caller-drawn (L, M, pilot_len) block Z, already scaled (per-entry
-    variance 1/rho under the unit-pilot-power convention; zeros for a
-    noiseless synthesis). The caller draws it so that one draw can serve
-    several plans.
+    Y_l = G_l @ Lambda + Z_l = sum_i G_il @ Lambda_i + Z_l for the
+    (..., L, M, L*N) channels `g` of one realization or a stack of them.
+    `noise` is the caller-drawn block Z of the receive matrices' shape,
+    already scaled (per-entry variance 1/rho under the unit-pilot-power
+    convention; zeros for a noiseless synthesis). The caller draws it so
+    that one draw can serve several plans.
     """
-    shape = (*cs.g.shape[:2], lam.shape[1])
+    shape = (*g.shape[:-1], lam.shape[1])
     if noise.shape != shape:
         raise ValueError(f"noise block must have shape {shape}, got {noise.shape}")
-    return cs.g @ lam + noise
+    return g @ lam + noise
 
 
 def ls_estimate(y_clean: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -47,7 +48,7 @@ def ls_estimate(y_clean: np.ndarray, lam: np.ndarray) -> np.ndarray:
     collides with row k of `lam`, plus filtered noise. With a plan's pilot
     matrix that is one column per user; with the whole pilot book it is one
     column per pilot, and a user's column is the one of its pilot. A stack
-    of receive matrices, one per BS, gives a stack of estimates.
+    of receive matrices, one per BS and trial, gives a stack of estimates.
     """
     pilot_len = lam.shape[1]
     if y_clean.shape[-1] != pilot_len:

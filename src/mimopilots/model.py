@@ -242,19 +242,6 @@ def error_half_width(var: float) -> float:
     return math.sqrt(1.5 * var)
 
 
-def sample_position_error(var: float, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Planar position offsets with E[||offset||^2] == var.
-
-    Always consumes two uniforms per offset (scaled by zero when var == 0)
-    so RNG streams stay aligned across error-variance sweeps.
-    """
-    a = error_half_width(var)
-    size = (2,) if n is None else (n, 2)
-    return a * rng.uniform(-1.0, 1.0, size=size)
-
-
-
-
 @dataclass
 class Drop:
     """User geometry of one drop; every array is (L, N, L), [cell, user, BS].
@@ -303,22 +290,23 @@ class Drop:
 def sample_users(cfg: NetworkConfig, rng: np.random.Generator) -> Drop:
     """Drop N users per cell and derive every per-BS quantity.
 
-    Per user, in cell then user order, the draw order is fixed: serving
-    distance, serving angle, two position-error uniforms, then (in
-    "linear_prob" mode) one LOS uniform per BS. The result is a pure
-    function of (cfg, rng state).
+    One (L, N, 4 + L) block of uniforms is drawn (4 + 0 in "always" LOS
+    mode), so per user, in cell then user order, the stream holds the
+    serving distance, the serving angle, two position-error uniforms, then
+    one LOS uniform per BS. Each is mapped as `Generator.uniform` maps a
+    draw, low + (high - low) * u, so the drop equals that sequence of
+    per-user draws. The result is a pure function of (cfg, rng state).
     """
     bs = bs_positions(cfg)
-    pos = np.empty((cfg.L, cfg.N, 2))
-    pos_est = np.empty((cfg.L, cfg.N, 2))
-    los = np.ones((cfg.L, cfg.N, cfg.L), dtype=bool)
-    for cell in range(cfg.L):
-        for j in range(cfg.N):
-            d = rng.uniform(cfg.min_dist, cfg.cell_radius)
-            theta = rng.uniform(0.0, TWO_PI)
-            pos[cell, j] = bs[cell] + d * np.array([math.cos(theta), math.sin(theta)])
-            pos_est[cell, j] = pos[cell, j] + sample_position_error(cfg.loc_err_var, rng)
-            if cfg.los_model != "always":
-                dist = np.hypot(*(pos[cell, j][None, :] - bs).T)
-                los[cell, j] = rng.random(cfg.L) < los_probability(dist, cfg)
+    u = rng.random((cfg.L, cfg.N, 4 + (cfg.L if cfg.los_model != "always" else 0)))
+    d = cfg.min_dist + (cfg.cell_radius - cfg.min_dist) * u[..., 0]
+    theta = TWO_PI * u[..., 1]
+    pos = bs[:, None, :] + d[..., None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    # per-axis Uniform[-a, a] offsets, planar MSE loc_err_var
+    pos_est = pos + error_half_width(cfg.loc_err_var) * (-1.0 + 2.0 * u[..., 2:4])
+    if cfg.los_model == "always":
+        los = np.ones((cfg.L, cfg.N, cfg.L), dtype=bool)
+    else:
+        rel = pos[:, :, None, :] - bs
+        los = u[..., 4:] < los_probability(np.hypot(rel[..., 0], rel[..., 1]), cfg)
     return Drop.from_positions(cfg, pos, pos_est, los)

@@ -115,7 +115,7 @@ def test_criterion_04_los_subtraction_exact_at_zero_error():
     for _ in range(20):
         drop = sample_users(cfg, rng)
         cs = assemble_channels(drop, cfg, rng)
-        resid = (synthesize_rx(cs, lam, noise_block(cfg))
+        resid = (synthesize_rx(cs.g, lam, noise_block(cfg))
                  - estimated_los_channel(drop, cfg) @ lam)
         worst = max(worst, float(np.max(np.abs(resid - cs.nlos_effective() @ lam))))
     assert worst < 1e-9
@@ -129,7 +129,7 @@ def test_criterion_05_ls_exact_for_orthogonal_pilots():
     rng = np.random.default_rng(105)
     drop = sample_users(cfg, rng)
     cs = assemble_channels(drop, cfg, rng)
-    est = ls_estimate(synthesize_rx(cs, lam, noise_block(cfg))
+    est = ls_estimate(synthesize_rx(cs.g, lam, noise_block(cfg))
                       - estimated_los_channel(drop, cfg) @ lam, book)
     ghat = est[0][:, plan.cells[0]]
     dev = float(np.max(np.abs(ghat - cs.nlos_effective()[0])))

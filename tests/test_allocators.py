@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import is_balanced, make_drop, set_all_nlos
+from mimopilots import allocators
 from mimopilots.allocators import (ALLOCATORS, allocate_greedy, allocate_loc_aware,
                                    allocate_random, allocate_sector,
                                    candidate_proxies, exhaustive_search,
@@ -263,43 +264,64 @@ class TestGreedy:
 class TestExhaustive:
     def test_enumerates_sixteen_plans(self):
         cfg = cfg_for()
-        drop = sample_users(cfg, np.random.default_rng(14))
         seen = []
-        plan, score = exhaustive_search(cfg, drop, lambda p: float(
-            seen.append(p.cells.copy()) or 0.0))
+
+        def score(plans):
+            seen.extend(p.cells.copy() for p in plans)
+            return np.zeros(len(plans))
+
+        plan, best = exhaustive_search(cfg, score)
         assert len(seen) == 16
-        assert score == 0.0
+        assert best == 0.0
         # constant scores keep the first (lexicographically lowest) plan
         assert np.array_equal(plan.cells, np.zeros((1, 4), dtype=int))
 
     def test_single_user_space(self):
         cfg = cfg_for(N=1)
-        drop = sample_users(cfg, np.random.default_rng(15))
-        calls = []
-        plan, _ = exhaustive_search(cfg, drop, lambda p: float(
-            calls.append(1) or 0.0))
-        assert len(calls) == cfg.pilot_len
+        seen = []
+
+        def score(plans):
+            seen.extend(plans)
+            return np.zeros(len(plans))
+
+        plan, _ = exhaustive_search(cfg, score)
+        assert len(seen) == cfg.pilot_len
         assert plan.cells[0][0] == 0
 
     def test_space_guard(self):
         cfg = cfg_for(N=10, pilot_len=4)
-        drop = sample_users(cfg, np.random.default_rng(17))
         with pytest.raises(ConfigError, match="1048576"):
-            exhaustive_search(cfg, drop, lambda p: 0.0)
+            exhaustive_search(cfg, lambda plans: np.zeros(len(plans)))
 
     def test_argmax_returned_with_its_score(self):
         cfg = cfg_for(N=3)
-        drop = sample_users(cfg, np.random.default_rng(18))
         rng = np.random.default_rng(19)
         table = {}
 
-        def evaluator(plan):
-            key = tuple(plan.cells[0].tolist())
-            if key not in table:
-                table[key] = float(rng.uniform())
-            return table[key]
+        def score(plans):
+            for plan in plans:
+                table.setdefault(tuple(plan.cells[0].tolist()), float(rng.uniform()))
+            return np.array([table[tuple(p.cells[0].tolist())] for p in plans])
 
-        plan, score = exhaustive_search(cfg, drop, evaluator)
+        plan, best = exhaustive_search(cfg, score)
         best_key = max(table, key=table.get)
         assert tuple(plan.cells[0].tolist()) == best_key
-        assert score == table[best_key]
+        assert best == table[best_key]
+
+    def test_blocks_keep_order_and_first_of_ties(self, monkeypatch):
+        # 2**6 plans in blocks of 5: the same lexicographic order and the
+        # same first-of-ties winner as one block
+        monkeypatch.setattr(allocators, "_SCORE_BLOCK", 5)
+        cfg = cfg_for(N=6)
+        seen, sizes = [], []
+
+        def score(plans):
+            sizes.append(len(plans))
+            seen.extend(tuple(p.cells[0].tolist()) for p in plans)
+            return np.array([float(sum(k) == 3) for k in seen[-len(plans):]])
+
+        plan, best = exhaustive_search(cfg, score)
+        assert seen == sorted(seen) and len(seen) == 64
+        assert max(sizes) == 5
+        assert best == 1.0
+        assert tuple(plan.cells[0].tolist()) == (0, 0, 0, 1, 1, 1)

@@ -1,9 +1,11 @@
 """ZF combining, SINR Monte Carlo, and spectral-efficiency tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import make_drop, noise_block
+from conftest import estimate_sinr_per_trial, make_drop, noise_block
 from mimopilots import detection
 from mimopilots.allocators import allocate_loc_aware
 from mimopilots.channel import assemble_channels
@@ -16,6 +18,11 @@ from mimopilots.pilots import AllocationPlan, build_pilot_book, pilot_matrix
 
 def crand(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def trial_bytes(cfg):
+    """Bytes of one trial's (L, M, L*N) complex channel stack."""
+    return 16 * cfg.L * cfg.M * cfg.L * cfg.N
 
 
 def pinv_combiner(g):
@@ -142,13 +149,27 @@ class TestCopilotGroups:
         lam = pilot_matrix(plan, book)
         cs = assemble_channels(drop, cfg, rng)
         for noise_var in (0.0, 1.0 / cfg.rho):
-            y = synthesize_rx(cs, lam, noise_block(cfg, noise_var, rng))
+            y = synthesize_rx(cs.g, lam, noise_block(cfg, noise_var, rng))
             est = ls_estimate(y - los @ lam, book)
             ghat = own + est[0][:, plan.cells[0]]
             w = groups.combiner(est[0])
             ref = pinv_combiner(ghat)
             assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
             assert np.allclose(w.conj().T @ ghat, ref.conj().T @ ghat, atol=1e-12)
+
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_stack_of_estimates_matches_one_call_per_estimate(self, grouped):
+        # a (T, L, M, pilot_len) estimate stack sliced at one BS gives each
+        # trial exactly the combiner of its own 2-D call, grouped or not
+        cfg, drop, plan, los, groups = self.desk_cell(41)
+        if not grouped:
+            groups = CopilotGroups(los[0][:, :cfg.N] + 1.0, plan.cells[0], cfg.pilot_len)
+        assert (groups.inv is not None) == grouped
+        est = crand(np.random.default_rng(44), (3, cfg.L, cfg.M, cfg.pilot_len))
+        w = groups.combiner(est[:, 0])
+        assert w.shape == (3, cfg.M, cfg.N)
+        for t in range(3):
+            assert np.array_equal(w[t], groups.combiner(est[t, 0]))
 
     def test_uncaught_duplicate_columns_still_give_the_full_pinv(self):
         # a LOS user whose column equals a co-pilot NLOS group's column stays
@@ -176,7 +197,7 @@ class TestCopilotGroups:
         book = build_pilot_book(cfg.pilot_len)
         lam = pilot_matrix(plan, book)
         rng = np.random.default_rng(45)
-        y = synthesize_rx(assemble_channels(drop, cfg, rng), lam,
+        y = synthesize_rx(assemble_channels(drop, cfg, rng).g, lam,
                           noise_block(cfg, 1.0 / cfg.rho, rng))
         for l in range(cfg.L):
             per_user = ls_estimate(y[l], lam[l * cfg.N:(l + 1) * cfg.N])
@@ -295,21 +316,68 @@ class TestEstimateSinr:
         assert np.all(sinrs[1] >= sinrs[0])
         assert np.all(sinrs[2] >= sinrs[1])
 
-    def test_plans_share_draws_without_changing_results(self):
+    def test_plans_share_draws_without_changing_results(self, monkeypatch):
         # every plan of a call sees the same channel and noise draws, and a
-        # plan's SINR does not depend on which other plans share the call
+        # plan's SINR does not depend on which other plans share the call,
+        # also when the trials span several chunks
         cfg = NetworkConfig(L=2, N=4, M=8, pilot_len=2, k_db=5.0, seed=25)
         drop = sample_users(cfg, np.random.default_rng(25))
         plans = [AllocationPlan(cells, "t") for cells in (
             [[0, 1, 0, 1], [1, 0, 1, 0]],
             [[0, 0, 1, 1], [0, 1, 1, 0]],
             [[1, 1, 1, 0], [0, 0, 0, 1]])]
-        together = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(26))
-        assert together.shape == (3, cfg.L, cfg.N)
-        for k, plan in enumerate(plans):
-            alone = estimate_sinr(cfg, drop, [plan], 7, np.random.default_rng(26))
-            assert np.array_equal(together[k], alone[0])
-        assert not np.array_equal(together[0], together[1])
+        for chunk in (None, 3):
+            if chunk is not None:
+                monkeypatch.setattr(detection, "_CHUNK_BYTES", chunk * trial_bytes(cfg))
+            together = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(26))
+            assert together.shape == (3, cfg.L, cfg.N)
+            for k, plan in enumerate(plans):
+                alone = estimate_sinr(cfg, drop, [plan], 7, np.random.default_rng(26))
+                assert np.array_equal(together[k], alone[0])
+            assert not np.array_equal(together[0], together[1])
+
+    @pytest.mark.parametrize("cfg", [
+        NetworkConfig(L=2, N=6, M=16, pilot_len=2, k_model="distance",
+                      los_model="linear_prob", loc_err_var=9.0, seed=31),
+        NetworkConfig(L=3, N=4, M=8, pilot_len=3, k_db=5.0, loc_err_var=4.0, seed=32),
+    ], ids=["merged-columns", "three-cell"])
+    @pytest.mark.parametrize("chunk", [1, 3, 100])
+    def test_chunk_size_cannot_change_results(self, monkeypatch, cfg, chunk):
+        # 7 trials in chunks of 1, of 3 (a partial last chunk) and in one
+        # chunk agree with the per-trial loop up to summation order
+        drop = sample_users(cfg, np.random.default_rng(cfg.seed))
+        plans = [allocate_loc_aware(cfg, drop),
+                 AllocationPlan(np.arange(cfg.L * cfg.N).reshape(cfg.L, cfg.N)
+                                % cfg.pilot_len, "t")]
+        if cfg.los_model == "linear_prob":
+            los = estimated_los_channel(drop, cfg)
+            assert any(CopilotGroups(los[l][:, l * cfg.N:(l + 1) * cfg.N],
+                                     plan.cells[l], cfg.pilot_len).inv is not None
+                       for plan in plans for l in range(cfg.L))
+        monkeypatch.setattr(detection, "_CHUNK_BYTES", chunk * trial_bytes(cfg))
+        ref = estimate_sinr_per_trial(cfg, drop, plans, 7, np.random.default_rng(33))
+        got = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33))
+        assert np.max(np.abs(got - ref) / ref) < 1e-12
+
+    @pytest.mark.parametrize("cfg", [
+        NetworkConfig(seed=41),
+        NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
+                      los_model="linear_prob", loc_err_var=9.0, seed=42),
+    ], ids=["table", "desk"])
+    def test_chunk_budget_bounds_peak_memory(self, cfg):
+        # 100 trials stacked at once would take 23 MB of channels at Table
+        # scale; the chunked engine's working set stays a few hundred kB
+        drop = sample_users(cfg, np.random.default_rng(cfg.seed))
+        plans = [allocate_loc_aware(cfg, drop),
+                 AllocationPlan(np.arange(cfg.L * cfg.N).reshape(cfg.L, cfg.N)
+                                % cfg.pilot_len, "t")]
+        tracemalloc.start()
+        try:
+            estimate_sinr(cfg, drop, plans, 100, np.random.default_rng(43))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
     def test_non_finite_sinr_raises(self, monkeypatch):
         cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2, seed=27)
@@ -328,7 +396,7 @@ class TestEstimateSinr:
         book = build_pilot_book(cfg.pilot_len)
         lam = pilot_matrix(plan, book)
         cs = assemble_channels(drop, cfg, np.random.default_rng(19))
-        y = synthesize_rx(cs, lam, noise_block(cfg, 1.0 / cfg.rho, np.random.default_rng(20)))
+        y = synthesize_rx(cs.g, lam, noise_block(cfg, 1.0 / cfg.rho, np.random.default_rng(20)))
         los = estimated_los_channel(drop, cfg)
         ghat = los[0] + ls_estimate(y - los @ lam, book)[0][:, plan.cells[0]]
         w = zf_combiner(ghat)

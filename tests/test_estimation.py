@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import make_drop, noise_block, set_all_nlos
+from conftest import make_drop, noise_block, sample_position_error, set_all_nlos
 from mimopilots.channel import ChannelSampler, assemble_channels, steering_vector
 from mimopilots.estimation import estimated_los_channel, ls_estimate, synthesize_rx
-from mimopilots.model import (Drop, NetworkConfig, bs_positions, sample_position_error,
-                              sample_users)
+from mimopilots.model import Drop, NetworkConfig, bs_positions, sample_users
 from mimopilots.pilots import AllocationPlan, build_pilot_book, pilot_matrix
 
 
@@ -36,7 +35,7 @@ class TestSynthesizeRx:
         cs = assemble_channels(drop, cfg, np.random.default_rng(1))
         book = build_pilot_book(cfg.pilot_len)
         plan = AllocationPlan(np.array([[2]]), "t")
-        y = synthesize_rx(cs, pilot_matrix(plan, book), noise_block(cfg))
+        y = synthesize_rx(cs.g, pilot_matrix(plan, book), noise_block(cfg))
         expect = np.outer(cs.g[0][:, 0], book[2])
         assert np.allclose(y[0], expect, atol=1e-12)
 
@@ -47,7 +46,7 @@ class TestSynthesizeRx:
         cs.g[:] = 0.0
         noise_var = 0.37
         rng = np.random.default_rng(5)
-        samples = [synthesize_rx(cs, distinct_plan(cfg),
+        samples = [synthesize_rx(cs.g, distinct_plan(cfg),
                                  noise_block(cfg, noise_var, rng))[0]
                    for _ in range(30)]
         power = np.mean([np.mean(np.abs(s) ** 2) for s in samples])
@@ -55,31 +54,44 @@ class TestSynthesizeRx:
 
     def test_two_cell_synthesis_is_linear(self):
         # full receive matrix = per-cell noiseless parts + the shared noise draw
-        import copy
         cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3, seed=0)
         drop = sample_users(cfg, np.random.default_rng(6))
         cs = assemble_channels(drop, cfg, np.random.default_rng(7))
         lams = distinct_plan(cfg)
         noise_var = 0.1
 
-        cs0, cs1, silent = (copy.deepcopy(cs) for _ in range(3))
-        cs0.g[:, :, cfg.N:] = 0.0      # cell 1's users
-        cs1.g[:, :, :cfg.N] = 0.0      # cell 0's users
-        silent.g[:] = 0.0
+        g0, g1 = cs.g.copy(), cs.g.copy()
+        g0[:, :, cfg.N:] = 0.0      # cell 1's users
+        g1[:, :, :cfg.N] = 0.0      # cell 0's users
 
         z = noise_block(cfg, noise_var, np.random.default_rng(8))
-        full = synthesize_rx(cs, lams, z)
-        part0 = synthesize_rx(cs0, lams, noise_block(cfg))
-        part1 = synthesize_rx(cs1, lams, noise_block(cfg))
-        noise = synthesize_rx(silent, lams, z)
+        full = synthesize_rx(cs.g, lams, z)
+        part0 = synthesize_rx(g0, lams, noise_block(cfg))
+        part1 = synthesize_rx(g1, lams, noise_block(cfg))
+        noise = synthesize_rx(np.zeros_like(cs.g), lams, z)
         assert np.allclose(full, part0 + part1 + noise, atol=1e-10)
+
+    def test_trial_stack_matches_per_trial_calls(self):
+        # a leading trial axis synthesizes every realization of the stack
+        cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3, seed=0)
+        drop = sample_users(cfg, np.random.default_rng(6))
+        sampler, rng = ChannelSampler(drop, cfg), np.random.default_rng(7)
+        g = np.stack([sampler.draw(rng).g for _ in range(3)])
+        z = np.stack([noise_block(cfg, 0.1, rng) for _ in range(3)])
+        lams = distinct_plan(cfg)
+        y = synthesize_rx(g, lams, z)
+        assert y.shape == (3, cfg.L, cfg.M, cfg.pilot_len)
+        for t in range(3):
+            assert np.allclose(y[t], synthesize_rx(g[t], lams, z[t]), rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="noise block"):
+            synthesize_rx(g, lams, z[0])
 
     def test_misshaped_noise_rejected(self):
         cfg = NetworkConfig(L=1, N=1, M=2, pilot_len=2, seed=0)
         drop = sample_users(cfg, np.random.default_rng(0))
         cs = assemble_channels(drop, cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="noise block"):
-            synthesize_rx(cs, pilot_matrix(AllocationPlan(np.array([[0]]), "t"),
+            synthesize_rx(cs.g, pilot_matrix(AllocationPlan(np.array([[0]]), "t"),
                                            build_pilot_book(2)), np.zeros((1, 2, 1)))
 
     def test_three_cells_sum_every_cells_pilots(self):
@@ -92,7 +104,7 @@ class TestSynthesizeRx:
         plan = AllocationPlan(rng.integers(0, cfg.pilot_len, (cfg.L, cfg.N)), "t")
         book = build_pilot_book(cfg.pilot_len)
         z = noise_block(cfg, 0.2, rng)
-        y = synthesize_rx(cs, pilot_matrix(plan, book), z)
+        y = synthesize_rx(cs.g, pilot_matrix(plan, book), z)
         for l in range(cfg.L):
             expect = z[l].copy()
             for i in range(cfg.L):
@@ -109,7 +121,7 @@ class TestSubtractLos:
         drop = sample_users(cfg, np.random.default_rng(2))
         cs = assemble_channels(drop, cfg, np.random.default_rng(3))
         lams = distinct_plan(cfg)
-        y = synthesize_rx(cs, lams, noise_block(cfg))
+        y = synthesize_rx(cs.g, lams, noise_block(cfg))
         resid = los_residual(y, drop, cfg, lams)
         for l in range(cfg.L):
             assert np.max(np.abs(resid[l] - cs.nlos_effective()[l] @ lams)) < 1e-9
@@ -120,7 +132,7 @@ class TestSubtractLos:
         set_all_nlos(drop)
         cs = assemble_channels(drop, cfg, np.random.default_rng(6))
         lams = distinct_plan(cfg)
-        y = synthesize_rx(cs, lams, noise_block(cfg, 0.3, np.random.default_rng(7)))
+        y = synthesize_rx(cs.g, lams, noise_block(cfg, 0.3, np.random.default_rng(7)))
         resid = los_residual(y, drop, cfg, lams)
         assert np.array_equal(resid, y - 0.0)
 
@@ -129,7 +141,7 @@ class TestSubtractLos:
         drop = sample_users(cfg, np.random.default_rng(8))
         cs = assemble_channels(drop, cfg, np.random.default_rng(9))
         lams = distinct_plan(cfg)
-        y = synthesize_rx(cs, lams, noise_block(cfg))
+        y = synthesize_rx(cs.g, lams, noise_block(cfg))
         resid = los_residual(y, drop, cfg, lams)
         for l in range(cfg.L):
             gap = resid[l] - cs.nlos_effective()[l] @ lams
@@ -161,7 +173,7 @@ class TestLsEstimate:
         drop = sample_users(cfg, np.random.default_rng(13))
         cs = assemble_channels(drop, cfg, np.random.default_rng(14))
         lams = distinct_plan(cfg)
-        y = synthesize_rx(cs, lams, noise_block(cfg))
+        y = synthesize_rx(cs.g, lams, noise_block(cfg))
         ghat = ls_estimate(los_residual(y, drop, cfg, lams), lams)[0]
         assert np.max(np.abs(ghat - cs.nlos_effective()[0])) < 1e-9
 
@@ -171,7 +183,7 @@ class TestLsEstimate:
         cs = assemble_channels(drop, cfg, np.random.default_rng(17))
         lams = pilot_matrix(AllocationPlan(np.array([[0, 0, 1, 1]]), "t"),
                             build_pilot_book(cfg.pilot_len))
-        y = synthesize_rx(cs, lams, noise_block(cfg, 0.05, np.random.default_rng(18)))
+        y = synthesize_rx(cs.g, lams, noise_block(cfg, 0.05, np.random.default_rng(18)))
         ghat = ls_estimate(los_residual(y, drop, cfg, lams), lams)[0]
         assert np.allclose(ghat[:, 0], ghat[:, 1])
         assert np.allclose(ghat[:, 2], ghat[:, 3])
@@ -181,7 +193,7 @@ class TestLsEstimate:
         drop = sample_users(cfg, np.random.default_rng(19))
         cs = assemble_channels(drop, cfg, np.random.default_rng(20))
         lams = distinct_plan(cfg)  # same plan in both cells
-        y = synthesize_rx(cs, lams, noise_block(cfg))
+        y = synthesize_rx(cs.g, lams, noise_block(cfg))
         ghat = ls_estimate(los_residual(y, drop, cfg, lams), lams)[0][:, :cfg.N]
         nlos = cs.nlos_effective()[0]
         expect = nlos[:, :cfg.N] + nlos[:, cfg.N:]
@@ -199,23 +211,22 @@ class TestLsEstimate:
     def test_contamination_only_from_copilot_users(self):
         # zeroing channels of non-co-pilot users leaves a column unchanged
         # (up to pilot-book orthogonality round-off), noise seed fixed
-        import copy
         cfg = NetworkConfig(L=2, N=4, M=8, pilot_len=2, seed=9)
         drop = sample_users(cfg, np.random.default_rng(23))
         cs = assemble_channels(drop, cfg, np.random.default_rng(24))
         plan = AllocationPlan(np.array([[0, 0, 1, 1], [0, 1, 1, 0]]), "t")
         lams = pilot_matrix(plan, build_pilot_book(cfg.pilot_len))
         z = noise_block(cfg, 0.02, np.random.default_rng(25))
-        y = synthesize_rx(cs, lams, z)
+        y = synthesize_rx(cs.g, lams, z)
 
         watched = 0  # user (0, 0), pilot 0
         pilot = plan.cells[0][watched]
-        cs_zeroed = copy.deepcopy(cs)
+        g_zeroed = cs.g.copy()
         for i in range(cfg.L):
             for j in range(cfg.N):
                 if plan.cells[i][j] != pilot:
-                    cs_zeroed.g[:, :, i * cfg.N + j] = 0.0
-        y_zeroed = synthesize_rx(cs_zeroed, lams, z)
+                    g_zeroed[:, :, i * cfg.N + j] = 0.0
+        y_zeroed = synthesize_rx(g_zeroed, lams, z)
         col_full = ls_estimate(los_residual(y, drop, cfg, lams), lams)[0][:, watched]
         col_zeroed = ls_estimate(los_residual(y_zeroed, drop, cfg, lams),
                                  lams)[0][:, watched]
@@ -226,7 +237,7 @@ class TestLsEstimate:
         drop = sample_users(cfg, np.random.default_rng(27))
         rng = np.random.default_rng(28)
         book = build_pilot_book(cfg.pilot_len)
-        y = synthesize_rx(assemble_channels(drop, cfg, rng), distinct_plan(cfg),
+        y = synthesize_rx(assemble_channels(drop, cfg, rng).g, distinct_plan(cfg),
                           noise_block(cfg, 0.1, rng))
         stacked = ls_estimate(y, book)
         assert stacked.shape == (cfg.L, cfg.M, cfg.pilot_len)

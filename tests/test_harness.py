@@ -162,15 +162,45 @@ class TestOracleCompare:
         cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2, k_db=10.0, seed=6)
         drop = sample_users(cfg, np.random.default_rng(6))
 
-        def evaluator(plan):
-            sinr = estimate_sinr(cfg, drop, [plan], 6, np.random.default_rng(7))[0]
-            return float(spectral_efficiency(
-                sinr, cfg.pilot_len, cfg.coherence_len)[0].sum())
+        def score(plans):
+            sinr = estimate_sinr(cfg, drop, plans, 6, np.random.default_rng(7))
+            return spectral_efficiency(sinr, cfg.pilot_len,
+                                       cfg.coherence_len)[:, 0].sum(axis=-1)
 
-        _, best = exhaustive_search(cfg, drop, evaluator)
+        _, best = exhaustive_search(cfg, score)
         for name in ("loc_aware", "random", "greedy", "sector", "random_iid"):
             plan = ALLOCATORS[name](cfg, drop, np.random.default_rng(8))
-            assert evaluator(plan) <= best + 1e-12
+            assert score([plan])[0] <= best + 1e-12
+
+    def test_candidate_scores_equal_single_plan_calls(self, monkeypatch):
+        # one block per drop: scoring the whole candidate list in one call
+        # gives every plan the score of its own single-plan call, bit for bit
+        from mimopilots.detection import estimate_sinr, spectral_efficiency
+        from mimopilots.model import sample_users
+        cfg = NetworkConfig(L=2, N=2, M=8, pilot_len=2, k_model="distance",
+                            los_model="linear_prob", seed=9)
+        spec = ExperimentSpec(cfg=cfg, drops=2, trials=5, allocators=("loc_aware",))
+        scored = []
+        search = harness.exhaustive_search
+
+        def recording_search(cfg, score):
+            def recorded(plans):
+                scores = score(plans)
+                scored.append((plans, scores))
+                return scores
+            return search(cfg, recorded)
+
+        monkeypatch.setattr(harness, "exhaustive_search", recording_search)
+        run_oracle_compare(spec)
+        assert sum(len(plans) for plans, _ in scored) == 2 * 16
+        for d, (plans, scores) in enumerate(scored):
+            drop = sample_users(cfg, harness._rng(spec.master_seed, d,
+                                                    harness._STREAM_USERS))
+            for plan, value in zip(plans, scores):
+                sinr = estimate_sinr(cfg, drop, [plan], spec.trials,
+                                     harness._rng(spec.master_seed, d, harness._STREAM_SINR))
+                alone = spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
+                assert np.array_equal(value, alone[0, 0].sum())
 
 
     def test_out_of_range_plan_names_loc_aware(self, monkeypatch):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import sample_position_error, sample_users_per_user
 from mimopilots.model import (ConfigError, Drop, NetworkConfig, bs_positions,
                               error_half_width, k_factor, los_probability, pathloss,
-                              sample_position_error, sample_users)
+                              sample_users)
 
 
 def small_cfg(**kw):
@@ -223,6 +224,24 @@ class TestSampleUsers:
                 assert drop.dist[cell, j, cell] == pytest.approx(d, rel=1e-12)
                 assert drop.aoa[cell, j, cell] == pytest.approx(theta, abs=1e-9)
                 assert np.array_equal(drop.los[cell, j], los)
+
+    @pytest.mark.parametrize("cfg", [
+        NetworkConfig(),
+        NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
+                      los_model="linear_prob", loc_err_var=9.0),
+        NetworkConfig(L=3, N=8, M=16, pilot_len=4, k_model="distance",
+                      los_model="linear_prob", loc_err_var=4.0),
+    ], ids=["table", "desk", "three-cell-linear-prob"])
+    def test_block_draw_matches_per_user_draws(self, cfg):
+        # one block of uniforms gives the drop of the per-user Generator
+        # calls bit for bit, and leaves the stream at the same place
+        for seed in range(200):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            drop, ref = sample_users(cfg, fast), sample_users_per_user(cfg, slow)
+            for name in ("dist", "aoa", "dist_est", "aoa_est", "alpha",
+                         "alpha_est", "k", "k_est", "los"):
+                assert np.array_equal(getattr(drop, name), getattr(ref, name)), name
+            assert np.array_equal(fast.random(4), slow.random(4))
 
     def test_geometry_consistency(self):
         cfg = small_cfg(loc_err_var=9.0)
