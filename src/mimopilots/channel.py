@@ -99,8 +99,3 @@ class ChannelSampler:
         g += self.los
         return ChannelSet(g=g, htilde=htilde, w_nlos=self.w_nlos)
 
-
-def assemble_channels(drop: Drop, cfg: NetworkConfig,
-                      rng: np.random.Generator) -> ChannelSet:
-    """Draw one full set of channel matrices for the scenario."""
-    return ChannelSampler(drop, cfg).draw(rng)

@@ -103,7 +103,7 @@ def _run(args) -> int:
     if args.command == "fig3b":
         spec = _spec_from_args(args, NetworkConfig(), {
             "name": "fig3b", "allocators": ("loc_aware", "random", "greedy")})
-        if args.m:
+        if args.m is not None:
             spec = replace(spec, cfg=replace(spec.cfg, M=args.m))
         if args.allocators:
             spec = replace(spec, allocators=tuple(args.allocators))

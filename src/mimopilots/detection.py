@@ -146,8 +146,6 @@ class CopilotGroups:
 
 def spectral_efficiency(sinr, pilot_len: int, coherence_len: int):
     """SE = (1 - pilot_len/coherence_len) * log2(1 + sinr), in bits/s/Hz."""
-    if pilot_len >= coherence_len:
-        raise ConfigError("pilot_len must be smaller than coherence_len")
     sinr = np.asarray(sinr, dtype=float)
     if np.any(sinr < 0):
         raise ValueError("SINR must be non-negative")

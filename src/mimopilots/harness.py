@@ -14,7 +14,7 @@ import json
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,11 +51,20 @@ class ExperimentSpec:
     n_worst: int = 5
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string, got {self.name!r}")
+        if not isinstance(self.out, (str, type(None))):
+            raise ConfigError(f"out must be a string, got {self.out!r}")
+        for name in ("values", "allocators"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {value!r}")
+            setattr(self, name, tuple(value))
         if self.sweep not in (None, "M", "loc_err_var"):
             raise ConfigError(f"unknown sweep axis {self.sweep!r}")
         if self.sweep is not None and not self.values:
             raise ConfigError("sweep requested but no sweep values given")
-        unknown = [a for a in self.allocators if a not in ALLOCATORS]
+        unknown = [a for a in self.allocators if not isinstance(a, str) or a not in ALLOCATORS]
         if unknown:
             raise ConfigError(f"unknown allocators {unknown}; "
                               f"valid: {sorted(ALLOCATORS)}")
@@ -338,25 +347,22 @@ def load_spec(path, overrides: dict | None = None) -> ExperimentSpec:
     "experiment" object with ExperimentSpec fields (sweep, values,
     allocators, drops, trials, seed, out, threads, n_worst, name).
     """
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid config JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid config JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config JSON must be an object")
     exp = data.pop("experiment", {})
     if not isinstance(exp, dict):
         raise ConfigError("'experiment' must be an object")
     cfg = NetworkConfig.from_dict(data)
-    allowed = {"name", "sweep", "values", "allocators", "drops", "trials",
-               "seed", "out", "threads", "n_worst"}
-    unknown = sorted(set(exp) - allowed)
+    unknown = sorted(set(exp) - {f.name for f in fields(ExperimentSpec)} - {"cfg"})
     if unknown:
         raise ConfigError(f"unknown experiment keys: {unknown}")
     if overrides:
         exp.update({k: v for k, v in overrides.items() if v is not None})
-    for key in ("values", "allocators"):
-        if key in exp:
-            exp[key] = tuple(exp[key])
     return ExperimentSpec(cfg=cfg, **exp)

@@ -13,7 +13,6 @@ directly.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -163,9 +162,6 @@ class NetworkConfig:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkConfig":
         names = {f.name for f in fields(cls)}
@@ -173,16 +169,6 @@ class NetworkConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid config JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config JSON must be an object")
-        return cls.from_dict(data)
 
 
 def bs_positions(cfg: NetworkConfig) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass
 
@@ -41,22 +40,6 @@ class AllocationPlan:
         if self.cells.ndim != 2:
             raise ValueError("plan must be a (cells, users) index table")
 
-    @property
-    def n_cells(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.cells.shape[1]
-
-    def to_json(self) -> str:
-        return json.dumps({"cells": self.cells.tolist(), "allocator": self.allocator})
-
-    @classmethod
-    def from_json(cls, text: str) -> "AllocationPlan":
-        data = json.loads(text)
-        return cls(cells=data["cells"], allocator=data.get("allocator", ""))
-
 
 def pilot_matrix(plan: AllocationPlan, book: np.ndarray) -> np.ndarray:
     """Every user's assigned sequence, (L*N, pilot_len), row cell * N + user."""
@@ -66,15 +49,4 @@ def pilot_matrix(plan: AllocationPlan, book: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"pilot index out of range [0, {n_pilots}): {plan.cells.tolist()}")
     return book[idx]
-
-
-def correlation(lam_a: np.ndarray, lam_b: np.ndarray) -> np.ndarray:
-    """Pilot cross-correlation lam_a @ lam_b^H.
-
-    With a shared orthogonal book the entries are pilot_len where the two
-    users collide and 0 elsewhere.
-    """
-    if lam_a.shape[1] != lam_b.shape[1]:
-        raise ValueError("pilot matrices must share the sequence length")
-    return lam_a @ lam_b.conj().T
 

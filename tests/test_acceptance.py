@@ -12,30 +12,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import noise_block
-from mimopilots.channel import assemble_channels, steering_vector
+from mimopilots.checks import (explicit_pair_score, kernel_vs_brute_force,
+                               kernel_zero_set_dev, los_subtraction_dev,
+                               ls_exactness_dev)
 from mimopilots.detection import estimate_sinr
-from mimopilots.estimation import estimated_los_channel, ls_estimate, synthesize_rx
 from mimopilots.harness import (ExperimentSpec, evaluate_drops,
                                 run_oracle_compare, run_sum_se_sweep,
                                 worst_user_sums, write_rows_csv)
-from mimopilots.los_metric import (dirichlet_kernel_sq, los_interference_from_params,
-                                   mutual_aoa)
+from mimopilots.los_metric import los_interference_from_params, mutual_aoa
 from mimopilots.model import NetworkConfig, sample_users
-from mimopilots.pilots import AllocationPlan, build_pilot_book, pilot_matrix
+from mimopilots.pilots import AllocationPlan
 
 
 def report(criterion: int, detail: str) -> None:
     print(f"\n[criterion {criterion:2d}] PASS  {detail}")
-
-
-def los_vector(alpha, k, theta, m):
-    return np.sqrt(alpha * k / (1 + k)) * steering_vector(m, theta)
-
-
-def distinct_plan(cfg):
-    """The plan giving user j pilot j mod pilot_len in every cell."""
-    return AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)), "t")
 
 
 def gain_ratio(aa, ka, ab, kb):
@@ -44,21 +34,11 @@ def gain_ratio(aa, ka, ab, kb):
 
 def test_criterion_01_kernel_closed_form_vs_brute_force():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(1000):
-        m = int(rng.integers(1, 65))
-        theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-        closed = dirichlet_kernel_sq(m, theta)
-        brute = float(abs(np.exp(-1j * theta * np.arange(m)).sum()) ** 2)
-        if brute > 0:
-            worst = max(worst, abs(closed - brute) / brute)
-    for m in range(2, 17):
-        for b in range(1, m):
-            for sign in (1, -1):
-                assert dirichlet_kernel_sq(m, sign * 2 * b * np.pi / m) < 1e-18 * m * m
+    worst = kernel_vs_brute_force(np.random.default_rng(101), 1000)
+    zero_dev = kernel_zero_set_dev()
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-9
+    assert zero_dev < 1e-18
     assert elapsed < 1.0
     report(1, f"worst rel dev {worst:.2e}, zero set verified, {elapsed * 1e3:.0f} ms")
 
@@ -72,9 +52,7 @@ def test_criterion_02_pair_score_vs_explicit_vector_oracle():
         ka, kb = rng.uniform(0.05, 30.0, size=2)
         ta, tb = rng.uniform(0.0, 2 * np.pi, size=2)
         score = los_interference_from_params(aa, ka, ta, ab, kb, tb, m)
-        ga = los_vector(aa, ka, ta, m)
-        gb = los_vector(ab, kb, tb, m)
-        ref = abs(np.vdot(gb, ga)) ** 2 / abs(np.vdot(gb, gb)) ** 2
+        ref = explicit_pair_score(aa, ka, ta, ab, kb, tb, m)
         worst = max(worst, abs(score - ref) / max(ref, 1e-30))
     self_pair = los_interference_from_params(1.3, 4.0, 0.8, 1.3, 4.0, 0.8, m=32)
     assert self_pair == 1.0
@@ -109,30 +87,14 @@ def test_criterion_03_large_array_limit():
 
 def test_criterion_04_los_subtraction_exact_at_zero_error():
     cfg = NetworkConfig(L=2, N=8, M=32, pilot_len=4, loc_err_var=0.0, seed=104)
-    lam = pilot_matrix(distinct_plan(cfg), build_pilot_book(cfg.pilot_len))
-    worst = 0.0
-    rng = np.random.default_rng(104)
-    for _ in range(20):
-        drop = sample_users(cfg, rng)
-        cs = assemble_channels(drop, cfg, rng)
-        resid = (synthesize_rx(cs.g, lam, noise_block(cfg))
-                 - estimated_los_channel(drop, cfg) @ lam)
-        worst = max(worst, float(np.max(np.abs(resid - cs.nlos_effective() @ lam))))
+    worst = los_subtraction_dev(cfg, np.random.default_rng(104), drops=20)
     assert worst < 1e-9
     report(4, f"20 trials, max abs residual mismatch {worst:.2e}")
 
 
 def test_criterion_05_ls_exact_for_orthogonal_pilots():
     cfg = NetworkConfig(L=1, N=8, M=32, pilot_len=8, seed=105)
-    plan, book = distinct_plan(cfg), build_pilot_book(cfg.pilot_len)
-    lam = pilot_matrix(plan, book)
-    rng = np.random.default_rng(105)
-    drop = sample_users(cfg, rng)
-    cs = assemble_channels(drop, cfg, rng)
-    est = ls_estimate(synthesize_rx(cs.g, lam, noise_block(cfg))
-                      - estimated_los_channel(drop, cfg) @ lam, book)
-    ghat = est[0][:, plan.cells[0]]
-    dev = float(np.max(np.abs(ghat - cs.nlos_effective()[0])))
+    dev = ls_exactness_dev(cfg, np.random.default_rng(105))
     assert dev < 1e-9
     report(5, f"max abs deviation {dev:.2e}")
 

@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import draw_channel, make_drop, set_all_nlos
-from mimopilots.channel import (ChannelSampler, assemble_channels, crandn,
-                                steering_vector)
+from mimopilots.channel import ChannelSampler, crandn, steering_vector
 from mimopilots.model import NetworkConfig, sample_users
 
 
@@ -85,7 +84,7 @@ class TestAssembleChannels:
     def test_shapes_at_table_scale(self):
         cfg = NetworkConfig(L=2, N=36, M=100, pilot_len=12)
         drop = sample_users(cfg, np.random.default_rng(3))
-        cs = assemble_channels(drop, cfg, np.random.default_rng(4))
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(4))
         assert cs.g.shape == (2, 100, 72)
         for l in range(2):
             assert cs.g[l].shape == (100, 72)
@@ -94,7 +93,7 @@ class TestAssembleChannels:
         cfg = cfg_for(los_model="linear_prob", cell_radius=400.0)
         drop = sample_users(cfg, np.random.default_rng(5))
         set_all_nlos(drop)
-        cs = assemble_channels(drop, cfg, np.random.default_rng(6))
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(6))
         assert np.array_equal(cs.g, cs.nlos_effective())
         for i in range(cfg.L):
             for l in range(cfg.L):
@@ -105,7 +104,7 @@ class TestAssembleChannels:
         # matrix assembly consumes the stream identically to per-user draws
         cfg = cfg_for(k_db=5.0)
         drop = sample_users(cfg, np.random.default_rng(7))
-        cs = assemble_channels(drop, cfg, np.random.default_rng(99))
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(99))
         rng = np.random.default_rng(99)
         for i in range(cfg.L):
             for l in range(cfg.L):

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import make_drop, noise_block, sample_position_error, set_all_nlos
-from mimopilots.channel import ChannelSampler, assemble_channels, steering_vector
+from mimopilots.channel import ChannelSampler, steering_vector
+from mimopilots.checks import distinct_plan
 from mimopilots.estimation import estimated_los_channel, ls_estimate, synthesize_rx
 from mimopilots.model import Drop, NetworkConfig, bs_positions, sample_users
 from mimopilots.pilots import AllocationPlan, build_pilot_book, pilot_matrix
 
 
-def distinct_plan(cfg):
-    """Pilot matrix of the plan giving user j pilot j mod pilot_len."""
-    plan = AllocationPlan(np.tile(np.arange(cfg.N) % cfg.pilot_len, (cfg.L, 1)), "t")
-    return pilot_matrix(plan, build_pilot_book(cfg.pilot_len))
+def distinct_pilots(cfg):
+    """Pilot matrix of `distinct_plan`: user j sends pilot j mod pilot_len."""
+    return pilot_matrix(distinct_plan(cfg), build_pilot_book(cfg.pilot_len))
 
 
 def los_residual(y, drop, cfg, lam):
@@ -32,7 +32,7 @@ class TestSynthesizeRx:
     def test_single_user_rank_one(self):
         cfg = NetworkConfig(L=1, N=1, M=8, pilot_len=4, seed=0)
         drop = sample_users(cfg, np.random.default_rng(0))
-        cs = assemble_channels(drop, cfg, np.random.default_rng(1))
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(1))
         book = build_pilot_book(cfg.pilot_len)
         plan = AllocationPlan(np.array([[2]]), "t")
         y = synthesize_rx(cs.g, pilot_matrix(plan, book), noise_block(cfg))
@@ -42,11 +42,11 @@ class TestSynthesizeRx:
     def test_noise_only_calibration(self):
         cfg = NetworkConfig(L=1, N=2, M=64, pilot_len=16, seed=0)
         drop = sample_users(cfg, np.random.default_rng(3))
-        cs = assemble_channels(drop, cfg, np.random.default_rng(4))
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(4))
         cs.g[:] = 0.0
         noise_var = 0.37
         rng = np.random.default_rng(5)
-        samples = [synthesize_rx(cs.g, distinct_plan(cfg),
+        samples = [synthesize_rx(cs.g, distinct_pilots(cfg),
                                  noise_block(cfg, noise_var, rng))[0]
                    for _ in range(30)]
         power = np.mean([np.mean(np.abs(s) ** 2) for s in samples])
@@ -56,8 +56,8 @@ class TestSynthesizeRx:
         # full receive matrix = per-cell noiseless parts + the shared noise draw
         cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3, seed=0)
         drop = sample_users(cfg, np.random.default_rng(6))
-        cs = assemble_channels(drop, cfg, np.random.default_rng(7))
-        lams = distinct_plan(cfg)
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(7))
+        lams = distinct_pilots(cfg)
         noise_var = 0.1
 
         g0, g1 = cs.g.copy(), cs.g.copy()
@@ -78,7 +78,7 @@ class TestSynthesizeRx:
         sampler, rng = ChannelSampler(drop, cfg), np.random.default_rng(7)
         g = np.stack([sampler.draw(rng).g for _ in range(3)])
         z = np.stack([noise_block(cfg, 0.1, rng) for _ in range(3)])
-        lams = distinct_plan(cfg)
+        lams = distinct_pilots(cfg)
         y = synthesize_rx(g, lams, z)
         assert y.shape == (3, cfg.L, cfg.M, cfg.pilot_len)
         for t in range(3):
@@ -89,7 +89,7 @@ class TestSynthesizeRx:
     def test_misshaped_noise_rejected(self):
         cfg = NetworkConfig(L=1, N=1, M=2, pilot_len=2, seed=0)
         drop = sample_users(cfg, np.random.default_rng(0))
-        cs = assemble_channels(drop, cfg, np.random.default_rng(0))
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(0))
         with pytest.raises(ValueError, match="noise block"):
             synthesize_rx(cs.g, pilot_matrix(AllocationPlan(np.array([[0]]), "t"),
                                            build_pilot_book(2)), np.zeros((1, 2, 1)))
@@ -100,7 +100,7 @@ class TestSynthesizeRx:
         cfg = NetworkConfig(L=3, N=4, M=8, pilot_len=3, seed=0)
         drop = sample_users(cfg, np.random.default_rng(30))
         rng = np.random.default_rng(31)
-        cs = assemble_channels(drop, cfg, rng)
+        cs = ChannelSampler(drop, cfg).draw(rng)
         plan = AllocationPlan(rng.integers(0, cfg.pilot_len, (cfg.L, cfg.N)), "t")
         book = build_pilot_book(cfg.pilot_len)
         z = noise_block(cfg, 0.2, rng)
@@ -119,8 +119,8 @@ class TestSubtractLos:
     def test_perfect_locations_leave_scatter_only(self):
         cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4, loc_err_var=0.0, seed=2)
         drop = sample_users(cfg, np.random.default_rng(2))
-        cs = assemble_channels(drop, cfg, np.random.default_rng(3))
-        lams = distinct_plan(cfg)
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(3))
+        lams = distinct_pilots(cfg)
         y = synthesize_rx(cs.g, lams, noise_block(cfg))
         resid = los_residual(y, drop, cfg, lams)
         for l in range(cfg.L):
@@ -130,8 +130,8 @@ class TestSubtractLos:
         cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=3, seed=3)
         drop = sample_users(cfg, np.random.default_rng(5))
         set_all_nlos(drop)
-        cs = assemble_channels(drop, cfg, np.random.default_rng(6))
-        lams = distinct_plan(cfg)
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(6))
+        lams = distinct_pilots(cfg)
         y = synthesize_rx(cs.g, lams, noise_block(cfg, 0.3, np.random.default_rng(7)))
         resid = los_residual(y, drop, cfg, lams)
         assert np.array_equal(resid, y - 0.0)
@@ -139,8 +139,8 @@ class TestSubtractLos:
     def test_location_errors_leave_exactly_the_mismatch(self):
         cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4, loc_err_var=9.0, seed=4)
         drop = sample_users(cfg, np.random.default_rng(8))
-        cs = assemble_channels(drop, cfg, np.random.default_rng(9))
-        lams = distinct_plan(cfg)
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(9))
+        lams = distinct_pilots(cfg)
         y = synthesize_rx(cs.g, lams, noise_block(cfg))
         resid = los_residual(y, drop, cfg, lams)
         for l in range(cfg.L):
@@ -151,7 +151,7 @@ class TestSubtractLos:
 
     def test_mismatch_shrinks_with_error_variance(self):
         cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4, seed=5)
-        lams = distinct_plan(cfg)
+        lams = distinct_pilots(cfg)
         base = sample_users(cfg, np.random.default_rng(11))
         d, theta = Drop.serving(base.dist), Drop.serving(base.aoa)
         pos = bs_positions(cfg)[:, None, :] + np.stack(
@@ -171,8 +171,8 @@ class TestLsEstimate:
     def test_exact_for_orthogonal_pilots(self):
         cfg = NetworkConfig(L=1, N=8, M=32, pilot_len=8, seed=6)
         drop = sample_users(cfg, np.random.default_rng(13))
-        cs = assemble_channels(drop, cfg, np.random.default_rng(14))
-        lams = distinct_plan(cfg)
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(14))
+        lams = distinct_pilots(cfg)
         y = synthesize_rx(cs.g, lams, noise_block(cfg))
         ghat = ls_estimate(los_residual(y, drop, cfg, lams), lams)[0]
         assert np.max(np.abs(ghat - cs.nlos_effective()[0])) < 1e-9
@@ -180,7 +180,7 @@ class TestLsEstimate:
     def test_intra_cell_copilots_share_columns(self):
         cfg = NetworkConfig(L=1, N=4, M=8, pilot_len=2, seed=7)
         drop = sample_users(cfg, np.random.default_rng(16))
-        cs = assemble_channels(drop, cfg, np.random.default_rng(17))
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(17))
         lams = pilot_matrix(AllocationPlan(np.array([[0, 0, 1, 1]]), "t"),
                             build_pilot_book(cfg.pilot_len))
         y = synthesize_rx(cs.g, lams, noise_block(cfg, 0.05, np.random.default_rng(18)))
@@ -191,8 +191,8 @@ class TestLsEstimate:
     def test_cross_cell_contamination_sums_effective_channels(self):
         cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3, seed=8)
         drop = sample_users(cfg, np.random.default_rng(19))
-        cs = assemble_channels(drop, cfg, np.random.default_rng(20))
-        lams = distinct_plan(cfg)  # same plan in both cells
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(20))
+        lams = distinct_pilots(cfg)  # same plan in both cells
         y = synthesize_rx(cs.g, lams, noise_block(cfg))
         ghat = ls_estimate(los_residual(y, drop, cfg, lams), lams)[0][:, :cfg.N]
         nlos = cs.nlos_effective()[0]
@@ -213,7 +213,7 @@ class TestLsEstimate:
         # (up to pilot-book orthogonality round-off), noise seed fixed
         cfg = NetworkConfig(L=2, N=4, M=8, pilot_len=2, seed=9)
         drop = sample_users(cfg, np.random.default_rng(23))
-        cs = assemble_channels(drop, cfg, np.random.default_rng(24))
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(24))
         plan = AllocationPlan(np.array([[0, 0, 1, 1], [0, 1, 1, 0]]), "t")
         lams = pilot_matrix(plan, build_pilot_book(cfg.pilot_len))
         z = noise_block(cfg, 0.02, np.random.default_rng(25))
@@ -237,7 +237,7 @@ class TestLsEstimate:
         drop = sample_users(cfg, np.random.default_rng(27))
         rng = np.random.default_rng(28)
         book = build_pilot_book(cfg.pilot_len)
-        y = synthesize_rx(assemble_channels(drop, cfg, rng).g, distinct_plan(cfg),
+        y = synthesize_rx(ChannelSampler(drop, cfg).draw(rng).g, distinct_pilots(cfg),
                           noise_block(cfg, 0.1, rng))
         stacked = ls_estimate(y, book)
         assert stacked.shape == (cfg.L, cfg.M, cfg.pilot_len)
@@ -263,7 +263,7 @@ class TestLosChannelBuilders:
         # BS 1's LOS receive matrix is formed from every cell's columns
         cfg = NetworkConfig(L=2, N=2, M=4, pilot_len=2, seed=11)
         drop = sample_users(cfg, np.random.default_rng(26))
-        lams = distinct_plan(cfg)
+        lams = distinct_pilots(cfg)
         los = estimated_los_channel(drop, cfg)
         per_cell = [np.ascontiguousarray(steering_vector(cfg.M, drop.aoa_est[i, :, 1]).T)
                     * np.sqrt(drop.alpha_est[i, :, 1] * drop.k_est[i, :, 1]

@@ -28,6 +28,10 @@ def tiny_cfg(**kw):
     return NetworkConfig(**base)
 
 
+def no_monte_carlo(*args, **kwargs):
+    raise RuntimeError("a drop ran before the config was rejected")
+
+
 def tiny_spec(**kw):
     base = dict(cfg=tiny_cfg(), name="tiny", sweep="M", values=(8,),
                 allocators=("loc_aware", "random"), drops=2, trials=2)
@@ -259,6 +263,16 @@ class TestLoadSpec:
         with pytest.raises(ConfigError, match="unknown experiment keys"):
             load_spec(path)
 
+    @pytest.mark.parametrize("exp, message", [
+        ({"allocators": "random"}, "allocators must be a list"),
+        ({"out": 5}, "out must be a string"),
+    ], ids=["string_allocators", "integer_out"])
+    def test_mistyped_experiment_field_rejected(self, tmp_path, exp, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": exp}))
+        with pytest.raises(ConfigError, match=message):
+            load_spec(path)
+
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": {"drops": 50}}))
@@ -341,15 +355,16 @@ class TestCli:
         ({"M": "8"}, {}),
         ({"L": 2, "N": 12, "pathloss_exp": 600.0}, {}),
         ({}, {"drops": 2.0}),
+        ({}, {"values": 5}),
+        ({}, {"allocators": [["x"]]}),
+        ({}, {"name": ["a", "b"]}),
     ], ids=["pilot_len_fills_coherence_block", "one_trial", "fractional_m",
             "nan_pathloss_exp", "inf_pathloss_exp", "nan_k_db", "inf_k_db",
             "nan_loc_err_var", "inf_loc_err_var", "nan_antenna_spacing",
-            "float_n", "string_m", "gain_overflow", "float_drops"])
+            "float_n", "string_m", "gain_overflow", "float_drops",
+            "scalar_values", "nested_allocators", "list_name"])
     def test_boundary_error_exits_two_before_any_drop(self, tmp_path, capsys,
                                                       monkeypatch, cfg_keys, exp_keys):
-        def no_monte_carlo(*args, **kwargs):
-            raise RuntimeError("a drop ran before the config was rejected")
-
         monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
         doc = {"L": 1, "N": 2, "M": 8, "pilot_len": 2, "seed": 3, **cfg_keys,
                "experiment": {"sweep": "M", "values": [8], "drops": 1, "trials": 2,
@@ -364,6 +379,29 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text('{"bogus_key": 1}')
         assert cli_main(["fig3a", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("text", [
+        None, '{"L": 2,', '[{"L": 2}]', '{"L": 2, "experiment": [1]}',
+    ], ids=["missing_file", "malformed_json", "top_level_array", "non_object_experiment"])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli_main(["fig3a", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_fig3b_zero_antennas_exits_two(self, tmp_path, capsys, monkeypatch):
+        # --m 0 is a given value, not a missing one: it must reach the config
+        monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        doc = {"L": 1, "N": 2, "M": 8, "pilot_len": 2, "seed": 3,
+               "experiment": {"drops": 1, "trials": 2, "allocators": ["loc_aware"]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "b.csv"
+        assert cli_main(["fig3b", "--config", str(path), "--m", "0",
+                         "--out", str(out)]) == 2
+        assert "M must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_check_subcommand_passes(self, capsys):
         assert cli_main(["check"]) == 0
@@ -426,4 +464,4 @@ class TestConfigProperty:
                else st.sampled_from([math.nan, math.inf, -math.inf, "1.0", None, True]))
         doc = {"L": 1, "N": 2, "M": 4, "pilot_len": 2, name: data.draw(bad)}
         with pytest.raises(ConfigError):
-            NetworkConfig.from_json(json.dumps(doc))
+            NetworkConfig.from_dict(json.loads(json.dumps(doc)))

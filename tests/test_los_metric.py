@@ -6,18 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_drop
-from mimopilots.channel import steering_vector
+from mimopilots.checks import (brute_kernel_sq, explicit_pair_score, kernel_zero_set_dev,
+                               los_vector, pair_scores_vs_explicit)
 from mimopilots.los_metric import (dirichlet_kernel_sq, los_interference,
                                    los_interference_from_params, mutual_aoa)
 from mimopilots.model import NetworkConfig
-
-
-def brute_kernel_sq(m: int, theta: float) -> float:
-    return float(abs(np.exp(-1j * theta * np.arange(m)).sum()) ** 2)
-
-
-def los_vector(alpha: float, k: float, theta: float, m: int) -> np.ndarray:
-    return np.sqrt(alpha * k / (1 + k)) * steering_vector(m, theta)
 
 
 def gain_ratio(alpha_a, k_a, alpha_b, k_b):
@@ -63,10 +56,7 @@ class TestDirichletKernel:
         assert brute_kernel_sq(4, np.pi) < 1e-25
 
     def test_zero_set(self):
-        for m in range(2, 17):
-            for b in list(range(1, m)) + [-bb for bb in range(1, m)]:
-                val = dirichlet_kernel_sq(m, 2 * b * np.pi / m)
-                assert val < 1e-18 * m * m
+        assert kernel_zero_set_dev() < 1e-18
 
     @given(st.integers(min_value=1, max_value=64),
            st.floats(min_value=-2 * np.pi, max_value=2 * np.pi))
@@ -129,9 +119,7 @@ class TestLosInterference:
             ka, kb = rng.uniform(0.1, 20.0, size=2)
             ta, tb = rng.uniform(0, 2 * np.pi, size=2)
             score = los_interference_from_params(aa, ka, ta, ab, kb, tb, m)
-            ga = los_vector(aa, ka, ta, m)
-            gb = los_vector(ab, kb, tb, m)
-            ref = abs(np.vdot(gb, ga)) ** 2 / abs(np.vdot(gb, gb)) ** 2
+            ref = explicit_pair_score(aa, ka, ta, ab, kb, tb, m)
             assert score == pytest.approx(ref, rel=1e-9, abs=1e-25)
 
     def test_broadcast_matches_scalar_calls(self):
@@ -203,20 +191,10 @@ class TestLosInterference:
         drop = make_drop(cfg, [(150.0, 0.6, 160.0, 0.7), (220.0, 2.0), (330.0, 0.7)],
                          [(180.0, 3.5), (260.0, 1.2, 250.0, 1.25), (390.0, 5.0)],
                          los=los)
+        assert pair_scores_vs_explicit(drop, cfg.M) < 1e-9
         for bs in range(cfg.L):
             scores = los_interference(drop, bs, cfg.M)
             assert scores.shape == (6, 6)
-            a, k, t = (x[:, :, bs].ravel() for x in (drop.alpha_est, drop.k_est,
-                                                     drop.aoa_est))
-            for i, j in np.ndindex(6, 6):
-                v_i, v_j = steering_vector(cfg.M, t[i]), steering_vector(cfg.M, t[j])
-                if k[i] > 0 and k[j] > 0:
-                    g_i, g_j = los_vector(a[i], k[i], t[i], cfg.M), los_vector(
-                        a[j], k[j], t[j], cfg.M)
-                    ref = abs(np.vdot(g_j, g_i)) ** 2 / abs(np.vdot(g_j, g_j)) ** 2
-                else:
-                    ref = abs(np.vdot(v_j, v_i)) ** 2 / cfg.M ** 2
-                assert scores[i, j] == pytest.approx(ref, rel=1e-9, abs=1e-25)
             assert np.all(np.diag(scores) == 1.0)
         assert drop.aoa_est[0, 0, 0] == drop.aoa_est[0, 2, 0]
         scores = los_interference(drop, 0, cfg.M)

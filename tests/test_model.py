@@ -49,17 +49,17 @@ class TestNetworkConfig:
     def test_json_round_trip(self):
         cfg = NetworkConfig(L=3, N=5, M=16, pilot_len=4, snr_db=7.5, k_db=3.0,
                             loc_err_var=2.0, seed=11)
-        again = NetworkConfig.from_json(cfg.to_json())
+        again = NetworkConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
 
     def test_db_suffix_keys(self):
-        data = json.loads(NetworkConfig().to_json())
+        data = NetworkConfig().to_dict()
         assert "snr_db" in data and "k_db" in data
         assert "rho" not in data
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
-            NetworkConfig.from_json('{"snr": 10}')
+            NetworkConfig.from_dict({"snr": 10})
 
 
 class TestPathloss:
