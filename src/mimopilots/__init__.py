@@ -7,8 +7,8 @@ from .channel import ChannelSampler, ChannelSet, steering_vector
 from .detection import estimate_sinr, spectral_efficiency, zf_combiner
 from .estimation import estimated_los_channel, ls_estimate, synthesize_rx
 from .harness import (ExperimentSpec, OracleCompareReport, ResultRow,
-                      evaluate_drops, run_locerr_sweep, run_oracle_compare,
-                      run_sum_se_sweep, run_worst_user_cdf)
+                      evaluate_drops, run_oracle_compare, run_sweep,
+                      run_worst_user_cdf)
 from .los_metric import (dirichlet_kernel_sq, los_interference,
                          los_interference_from_params, mutual_aoa)
 from .model import (ConfigError, Drop, NetworkConfig, bs_positions, k_factor,

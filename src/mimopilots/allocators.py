@@ -188,6 +188,17 @@ def allocate_greedy(cfg: NetworkConfig, drop: Drop,
     return AllocationPlan(cells=plan, allocator="greedy")
 
 
+def search_space_size(cfg: NetworkConfig) -> int:
+    """Number of plans `exhaustive_search` enumerates; ConfigError above MAX_PLANS."""
+    per_cell_count = cfg.pilot_len ** cfg.N
+    total = per_cell_count ** cfg.L
+    if total > MAX_PLANS:
+        raise ConfigError(
+            f"exhaustive search space has {total} plans "
+            f"({per_cell_count} per cell over {cfg.L} cells), limit {MAX_PLANS}")
+    return total
+
+
 def exhaustive_search(cfg: NetworkConfig,
                       score: Callable[[list[AllocationPlan]], np.ndarray]
                       ) -> tuple[AllocationPlan, float]:
@@ -200,13 +211,8 @@ def exhaustive_search(cfg: NetworkConfig,
     compared on common random numbers. Ties keep the first (lowest) plan.
     Refuses search spaces larger than MAX_PLANS.
     """
+    search_space_size(cfg)
     n_pilots = cfg.pilot_len
-    per_cell_count = n_pilots ** cfg.N
-    total = per_cell_count ** cfg.L
-    if total > MAX_PLANS:
-        raise ConfigError(
-            f"exhaustive search space has {total} plans "
-            f"({per_cell_count} per cell over {cfg.L} cells), limit {MAX_PLANS}")
     per_cell = list(itertools.product(range(n_pilots), repeat=cfg.N))
     combos = itertools.product(per_cell, repeat=cfg.L)
 

@@ -3,6 +3,10 @@
 Subcommands map to the experiment runners: `fig3a` (sum SE vs antenna
 count), `fig3b` (worst-user CDF), `fig3c` (sum SE vs localization error),
 `oracle` (ratio to the exhaustive optimum), and `check` (invariant suite).
+
+Each experiment is built one way: the command's `DEFAULTS` document, then
+the `--config` file, then the flags, merged once by `load_spec`; the
+command's own checks run on that spec before any drop.
 Exit codes: 0 success, 2 configuration/usage error, 1 runtime failure.
 """
 
@@ -14,10 +18,25 @@ import traceback
 from dataclasses import replace
 
 from . import checks
-from .harness import (ExperimentSpec, load_spec, run_locerr_sweep,
-                      run_oracle_compare, run_sum_se_sweep, run_worst_user_cdf,
-                      write_cdf_csv, write_rows_csv)
-from .model import ConfigError, NetworkConfig
+from .harness import (ExperimentSpec, load_spec, run_oracle_compare, run_sweep,
+                      run_worst_user_cdf, write_cdf_csv, write_rows_csv)
+from .model import ConfigError
+
+# Each command's defaults as a config document; a command sweeps the axis
+# its defaults name (none for fig3b and oracle).
+DEFAULTS = {
+    "fig3a": {"experiment": {"name": "fig3a", "sweep": "M", "values": (32, 64),
+                             "allocators": ("loc_aware", "random", "greedy")}},
+    "fig3b": {"experiment": {"name": "fig3b",
+                             "allocators": ("loc_aware", "random", "greedy")}},
+    "fig3c": {"k_model": "distance", "los_model": "linear_prob",
+              "experiment": {"name": "fig3c", "sweep": "loc_err_var",
+                             "values": (0.0, 3.0, 9.0, 15.0),
+                             "allocators": ("loc_aware", "sector", "random", "greedy")}},
+    "oracle": {"L": 1, "N": 4, "M": 32, "pilot_len": 2,
+               "experiment": {"name": "oracle", "drops": 100, "trials": 60,
+                              "allocators": ("loc_aware",)}},
+}
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -38,14 +57,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig3a", help="sum SE vs antenna count per allocator")
     _common_flags(p)
-    p.add_argument("--m-values", type=int, nargs="+", default=None)
+    p.add_argument("--m-values", dest="values", type=int, nargs="+", default=None)
     p.add_argument("--k-db", type=float, nargs="+", default=None,
                    help="one run per fixed K value (dB)")
     p.add_argument("--allocators", nargs="+", default=None)
 
     p = sub.add_parser("fig3b", help="worst-user sum-SE CDF per allocator")
     _common_flags(p)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", dest="M", type=int, default=None)
     p.add_argument("--allocators", nargs="+", default=None)
 
     p = sub.add_parser("fig3c", help="sum SE vs localization error variance")
@@ -62,16 +81,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args, default_cfg: NetworkConfig,
-                    default_exp: dict) -> ExperimentSpec:
-    overrides = {"seed": args.seed, "drops": args.drops, "trials": args.trials,
-                 "out": args.out, "threads": args.threads}
-    if args.config:
-        spec = load_spec(args.config, overrides)
-    else:
-        exp = dict(default_exp)
-        exp.update({k: v for k, v in overrides.items() if v is not None})
-        spec = ExperimentSpec(cfg=default_cfg, **exp)
+def _flag_overrides(args) -> dict:
+    """The flags that were given, as a config document."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    doc = {"M": given["M"]} if "M" in given else {}
+    doc["experiment"] = {k: given[k] for k in (
+        "values", "allocators", "seed", "drops", "trials", "out", "threads")
+        if k in given}
+    return doc
+
+
+def _resolve(args) -> ExperimentSpec:
+    """The command's spec: defaults < --config file < flags, then its own checks."""
+    defaults = DEFAULTS[args.command]
+    spec = load_spec(args.config, defaults, _flag_overrides(args))
+    axis = defaults["experiment"].get("sweep")
+    if spec.sweep != axis:
+        raise ConfigError(f"{args.command} sweeps {axis or 'no axis'}, "
+                          f"but the config names sweep {spec.sweep!r}")
+    if args.command == "fig3c" and (spec.cfg.k_model, spec.cfg.los_model) != (
+            "distance", "linear_prob"):
+        raise ConfigError("fig3c requires k_model='distance' and "
+                          "los_model='linear_prob'")
     return spec
 
 
@@ -79,67 +110,29 @@ def _run(args) -> int:
     if args.command == "check":
         return 1 if checks.run_all() else 0
 
-    if args.command == "fig3a":
-        base = NetworkConfig()
-        spec = _spec_from_args(args, base, {
-            "name": "fig3a", "sweep": "M", "values": (32, 64),
-            "allocators": ("loc_aware", "random", "greedy")})
-        if args.m_values:
-            spec = replace(spec, sweep="M", values=tuple(args.m_values))
-        if args.allocators:
-            spec = replace(spec, allocators=tuple(args.allocators))
-        k_values = args.k_db if args.k_db else [spec.cfg.k_db]
-        rows = []
-        for k_db in k_values:
-            cfg_k = replace(spec.cfg, k_model="fixed", k_db=float(k_db))
-            spec_k = replace(spec, cfg=cfg_k,
-                             name=f"{spec.name}[k_db={k_db:g}]")
-            rows.extend(run_sum_se_sweep(spec_k))
-        out = spec.out or "fig3a.csv"
-        write_rows_csv(rows, out)
-        print(f"wrote {len(rows)} rows to {out}")
-        return 0
-
+    spec = _resolve(args)
+    out = spec.out or f"{args.command}.csv"
     if args.command == "fig3b":
-        spec = _spec_from_args(args, NetworkConfig(), {
-            "name": "fig3b", "allocators": ("loc_aware", "random", "greedy")})
-        if args.m is not None:
-            spec = replace(spec, cfg=replace(spec.cfg, M=args.m))
-        if args.allocators:
-            spec = replace(spec, allocators=tuple(args.allocators))
         tables = run_worst_user_cdf(spec)
-        out = spec.out or "fig3b.csv"
         write_cdf_csv(tables, out)
         print(f"wrote CDFs for {len(tables)} allocators to {out}")
         return 0
 
-    if args.command == "fig3c":
-        base = NetworkConfig(k_model="distance", los_model="linear_prob")
-        spec = _spec_from_args(args, base, {
-            "name": "fig3c", "sweep": "loc_err_var", "values": (0.0, 3.0, 9.0, 15.0),
-            "allocators": ("loc_aware", "sector", "random", "greedy")})
-        if args.values:
-            spec = replace(spec, sweep="loc_err_var", values=tuple(args.values))
-        if args.allocators:
-            spec = replace(spec, allocators=tuple(args.allocators))
-        rows = run_locerr_sweep(spec)
-        out = spec.out or "fig3c.csv"
-        write_rows_csv(rows, out)
-        print(f"wrote {len(rows)} rows to {out}")
-        return 0
-
     if args.command == "oracle":
-        base = NetworkConfig(L=1, N=4, M=32, pilot_len=2)
-        spec = _spec_from_args(args, base, {
-            "name": "oracle", "drops": 100, "trials": 60,
-            "allocators": ("loc_aware",)})
         report = run_oracle_compare(spec)
         print(f"oracle ratio over {report.drops} drops "
               f"({report.searched_plans} plans searched): "
               f"mean={report.mean:.4f} min={report.min:.4f} max={report.max:.4f}")
         return 0
 
-    raise ConfigError(f"unknown subcommand {args.command!r}")
+    runs = [spec]
+    if args.command == "fig3a" and args.k_db:
+        runs = [replace(spec, cfg=replace(spec.cfg, k_model="fixed", k_db=k_db),
+                        name=f"{spec.name}[k_db={k_db:g}]") for k_db in args.k_db]
+    rows = [row for run in runs for row in run_sweep(run)]
+    write_rows_csv(rows, out)
+    print(f"wrote {len(rows)} rows to {out}")
+    return 0
 
 
 def cli_main(argv: list[str] | None = None) -> int:

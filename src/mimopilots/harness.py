@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .allocators import ALLOCATORS, allocate_loc_aware, exhaustive_search
+from .allocators import (ALLOCATORS, allocate_loc_aware, exhaustive_search,
+                         search_space_size)
 from .detection import estimate_sinr, spectral_efficiency
 from .model import ConfigError, Drop, NetworkConfig, sample_users
 from .pilots import AllocationPlan
@@ -84,6 +85,8 @@ class ExperimentSpec:
             raise ConfigError("threads must be >= 1")
         if self.n_worst < 1:
             raise ConfigError("n_worst must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.sweep is not None:
             for value in self.values:    # a bad point fails before any drop runs
                 _sweep_cfg(self.cfg, self.sweep, value)
@@ -219,30 +222,6 @@ def run_sweep(spec: ExperimentSpec, clock=time.perf_counter) -> list[ResultRow]:
     return rows
 
 
-def run_sum_se_sweep(spec: ExperimentSpec, clock=time.perf_counter) -> list[ResultRow]:
-    """Sum-SE versus antenna count for each allocator."""
-    if spec.sweep is None:
-        spec = replace(spec, sweep="M", values=(spec.cfg.M,))
-    if spec.sweep != "M":
-        raise ConfigError("run_sum_se_sweep sweeps the antenna count")
-    return run_sweep(spec, clock)
-
-
-def run_locerr_sweep(spec: ExperimentSpec, clock=time.perf_counter) -> list[ResultRow]:
-    """Sum-SE versus localization error variance.
-
-    Requires the distance-dependent K model and the linear LOS-probability
-    model, which the degradation story depends on.
-    """
-    if spec.sweep != "loc_err_var":
-        raise ConfigError("run_locerr_sweep sweeps loc_err_var")
-    if spec.cfg.k_model != "distance" or spec.cfg.los_model != "linear_prob":
-        raise ConfigError(
-            "localization-error sweep requires k_model='distance' and "
-            "los_model='linear_prob'")
-    return run_sweep(spec, clock)
-
-
 def worst_user_sums(per_user_se: np.ndarray, n_worst: int, cell: int = 0) -> np.ndarray:
     """Per drop, the summed SE of the n weakest users in one cell."""
     se = per_user_se[:, cell, :]
@@ -257,6 +236,9 @@ def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def run_worst_user_cdf(spec: ExperimentSpec) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Empirical CDF of the worst-n-user sum SE in the center cell."""
+    if spec.n_worst > spec.cfg.N:
+        raise ConfigError(f"n_worst={spec.n_worst} exceeds the {spec.cfg.N} "
+                          f"users of a cell")
     per_user = evaluate_drops(spec.cfg, spec.allocators, spec.drops,
                               spec.trials, spec.master_seed, spec.threads)
     out = {}
@@ -297,7 +279,7 @@ def run_oracle_compare(spec: ExperimentSpec) -> OracleCompareReport:
     """
     cfg = spec.cfg
     seed = spec.master_seed
-    n_plans = (cfg.pilot_len ** cfg.N) ** cfg.L
+    n_plans = search_space_size(cfg)
     ratios = np.empty(spec.drops)
 
     def work(d: int) -> None:
@@ -340,13 +322,7 @@ def write_cdf_csv(tables: dict[str, tuple[np.ndarray, np.ndarray]], path) -> Non
                 writer.writerow([name, _fmt(float(v)), _fmt(float(p))])
 
 
-def load_spec(path, overrides: dict | None = None) -> ExperimentSpec:
-    """Build an ExperimentSpec from a JSON file.
-
-    The document holds NetworkConfig keys at the top level plus an optional
-    "experiment" object with ExperimentSpec fields (sweep, values,
-    allocators, drops, trials, seed, out, threads, n_worst, name).
-    """
+def _read_config(path) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -356,13 +332,31 @@ def load_spec(path, overrides: dict | None = None) -> ExperimentSpec:
         raise ConfigError(f"invalid config JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config JSON must be an object")
-    exp = data.pop("experiment", {})
-    if not isinstance(exp, dict):
-        raise ConfigError("'experiment' must be an object")
+    return data
+
+
+def load_spec(path=None, defaults: dict | None = None,
+              overrides: dict | None = None) -> ExperimentSpec:
+    """Build an ExperimentSpec from defaults < the JSON file at `path` < overrides.
+
+    Each layer is a config document: NetworkConfig keys at the top level
+    plus an optional "experiment" object with ExperimentSpec fields (sweep,
+    values, allocators, drops, trials, seed, out, threads, n_worst, name).
+    A later layer's keys replace an earlier one's, key by key, at the top
+    level and inside "experiment"; `path` may be None.
+    """
+    data: dict = {}
+    exp: dict = {}
+    for layer in (defaults or {}, {} if path is None else _read_config(path),
+                  overrides or {}):
+        layer = dict(layer)
+        layer_exp = layer.pop("experiment", {})
+        if not isinstance(layer_exp, dict):
+            raise ConfigError("'experiment' must be an object")
+        data.update(layer)
+        exp.update(layer_exp)
     cfg = NetworkConfig.from_dict(data)
     unknown = sorted(set(exp) - {f.name for f in fields(ExperimentSpec)} - {"cfg"})
     if unknown:
         raise ConfigError(f"unknown experiment keys: {unknown}")
-    if overrides:
-        exp.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentSpec(cfg=cfg, **exp)

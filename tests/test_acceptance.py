@@ -17,7 +17,7 @@ from mimopilots.checks import (explicit_pair_score, kernel_vs_brute_force,
                                ls_exactness_dev)
 from mimopilots.detection import estimate_sinr
 from mimopilots.harness import (ExperimentSpec, evaluate_drops,
-                                run_oracle_compare, run_sum_se_sweep,
+                                run_oracle_compare, run_sweep,
                                 worst_user_sums, write_rows_csv)
 from mimopilots.los_metric import los_interference_from_params, mutual_aoa
 from mimopilots.model import NetworkConfig, sample_users
@@ -192,13 +192,13 @@ def test_criterion_11_determinism_and_reduction_stability(tmp_path):
                           name="det", sweep="M", values=(8,),
                           allocators=("loc_aware", "random"), drops=6, trials=4)
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    write_rows_csv(run_sum_se_sweep(spec, clock=lambda: 0.0), p1)
-    write_rows_csv(run_sum_se_sweep(spec, clock=lambda: 0.0), p2)
+    write_rows_csv(run_sweep(spec, clock=lambda: 0.0), p1)
+    write_rows_csv(run_sweep(spec, clock=lambda: 0.0), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
     # real clock: every column but the timing one identical
-    rows_a = run_sum_se_sweep(spec)
-    rows_b = run_sum_se_sweep(spec)
+    rows_a = run_sweep(spec)
+    rows_b = run_sweep(spec)
     for a, b in zip(rows_a, rows_b):
         assert (a.experiment, a.allocator, a.sweep_value, a.cell,
                 a.sum_se, a.stderr) == (b.experiment, b.allocator,

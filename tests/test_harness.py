@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimopilots import harness
+from mimopilots import cli, harness
 from mimopilots.cli import cli_main
 from mimopilots.harness import (CSV_HEADER, ExperimentSpec, bootstrap_stderr,
                                 empirical_cdf, evaluate_drops, load_spec,
-                                run_locerr_sweep, run_oracle_compare,
-                                run_sum_se_sweep, run_sweep, run_worst_user_cdf,
+                                run_oracle_compare, run_sweep, run_worst_user_cdf,
                                 worst_user_sums, write_cdf_csv, write_rows_csv)
 from mimopilots.model import ConfigError, NetworkConfig
 from mimopilots.pilots import AllocationPlan
@@ -30,6 +29,16 @@ def tiny_cfg(**kw):
 
 def no_monte_carlo(*args, **kwargs):
     raise RuntimeError("a drop ran before the config was rejected")
+
+
+# a config document with network keys only: every experiment field is the command's
+NETWORK_ONLY = {"L": 1, "N": 2, "M": 8, "pilot_len": 2, "seed": 3}
+
+
+def write_config(tmp_path, doc) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def tiny_spec(**kw):
@@ -67,7 +76,7 @@ class TestExperimentSpec:
 
 class TestSweeps:
     def test_smoke_run_emits_valid_csv(self, tmp_path):
-        rows = run_sum_se_sweep(tiny_spec(drops=1, trials=2), clock=lambda: 0.0)
+        rows = run_sweep(tiny_spec(drops=1, trials=2), clock=lambda: 0.0)
         path = tmp_path / "out.csv"
         write_rows_csv(rows, path)
         with open(path) as fh:
@@ -80,33 +89,21 @@ class TestSweeps:
 
     def test_row_count_invariant(self):
         spec = tiny_spec(values=(4, 8), drops=2, trials=2)
-        rows = run_sum_se_sweep(spec, clock=lambda: 0.0)
+        rows = run_sweep(spec, clock=lambda: 0.0)
         assert len(rows) == 2 * 2 * spec.cfg.L  # values x allocators x cells
 
     def test_sum_matches_per_user_vector(self):
-        rows = run_sum_se_sweep(tiny_spec(drops=3, trials=3), clock=lambda: 0.0)
+        rows = run_sweep(tiny_spec(drops=3, trials=3), clock=lambda: 0.0)
         for r in rows:
             assert r.sum_se == pytest.approx(float(r.per_user_se.sum()), abs=1e-9)
-
-    def test_wrong_axis_rejected(self):
-        with pytest.raises(ConfigError):
-            run_sum_se_sweep(tiny_spec(sweep="loc_err_var", values=(0.0,)))
-        with pytest.raises(ConfigError):
-            run_locerr_sweep(tiny_spec())
-
-    def test_locerr_requires_distance_models(self):
-        spec = tiny_spec(sweep="loc_err_var", values=(0.0,))
-        with pytest.raises(ConfigError, match="linear_prob"):
-            run_locerr_sweep(spec)
 
     def test_locerr_zero_matches_antenna_sweep_row(self):
         cfg = tiny_cfg(k_model="distance", los_model="linear_prob")
         kw = dict(cfg=cfg, drops=3, trials=3, allocators=("loc_aware",))
         rows_m = run_sweep(ExperimentSpec(sweep="M", values=(cfg.M,), **kw),
                            clock=lambda: 0.0)
-        rows_e = run_locerr_sweep(
-            ExperimentSpec(sweep="loc_err_var", values=(0.0,), **kw),
-            clock=lambda: 0.0)
+        rows_e = run_sweep(ExperimentSpec(sweep="loc_err_var", values=(0.0,), **kw),
+                           clock=lambda: 0.0)
         for a, b in zip(rows_m, rows_e):
             # same pipeline, same seeds: well within two standard errors
             assert a.sum_se == pytest.approx(b.sum_se, abs=1e-12)
@@ -226,8 +223,8 @@ class TestThreadsAndDeterminism:
 
     def test_single_thread_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_rows_csv(run_sum_se_sweep(tiny_spec(), clock=lambda: 0.0), p1)
-        write_rows_csv(run_sum_se_sweep(tiny_spec(), clock=lambda: 0.0), p2)
+        write_rows_csv(run_sweep(tiny_spec(), clock=lambda: 0.0), p1)
+        write_rows_csv(run_sweep(tiny_spec(), clock=lambda: 0.0), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -276,7 +273,7 @@ class TestLoadSpec:
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": {"drops": 50}}))
-        spec = load_spec(path, {"drops": 7, "trials": None})
+        spec = load_spec(path, overrides={"experiment": {"drops": 7}})
         assert spec.drops == 7
 
 
@@ -309,13 +306,14 @@ class TestCli:
                          "--out", str(out)]) == 0
         assert out.read_text().startswith("allocator,value_bits_hz,cum_prob")
 
-    def test_fig3c_requires_distance_models(self, tmp_path):
-        doc = {"L": 2, "N": 4, "M": 8, "pilot_len": 2,
+    def test_fig3c_requires_distance_models(self, tmp_path, capsys):
+        doc = {"L": 2, "N": 4, "M": 8, "pilot_len": 2, "k_model": "fixed",
                "experiment": {"sweep": "loc_err_var", "values": [0.0],
                               "drops": 1, "trials": 2}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         assert cli_main(["fig3c", "--config", str(cfg_path)]) == 2
+        assert "linear_prob" in capsys.readouterr().err
 
     def test_fig3c_smoke(self, tmp_path):
         doc = {"L": 2, "N": 4, "M": 8, "pilot_len": 2, "seed": 3,
@@ -358,11 +356,12 @@ class TestCli:
         ({}, {"values": 5}),
         ({}, {"allocators": [["x"]]}),
         ({}, {"name": ["a", "b"]}),
+        ({}, {"seed": -1}),
     ], ids=["pilot_len_fills_coherence_block", "one_trial", "fractional_m",
             "nan_pathloss_exp", "inf_pathloss_exp", "nan_k_db", "inf_k_db",
             "nan_loc_err_var", "inf_loc_err_var", "nan_antenna_spacing",
             "float_n", "string_m", "gain_overflow", "float_drops",
-            "scalar_values", "nested_allocators", "list_name"])
+            "scalar_values", "nested_allocators", "list_name", "negative_seed"])
     def test_boundary_error_exits_two_before_any_drop(self, tmp_path, capsys,
                                                       monkeypatch, cfg_keys, exp_keys):
         monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
@@ -402,6 +401,84 @@ class TestCli:
                          "--out", str(out)]) == 2
         assert "M must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_fig3b_more_worst_users_than_a_cell_exits_two(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        path = write_config(tmp_path, {**NETWORK_ONLY, "experiment": {
+            "drops": 1, "trials": 2, "n_worst": 50}})
+        out = tmp_path / "b.csv"
+        assert cli_main(["fig3b", "--config", path, "--out", str(out)]) == 2
+        assert "n_worst=50" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_search_space_checked_before_any_drop(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        path = write_config(tmp_path, {"L": 1, "N": 12, "M": 8, "pilot_len": 4})
+        assert cli_main(["oracle", "--config", path]) == 2
+        assert "exhaustive search space" in capsys.readouterr().err
+
+    def test_fig3a_network_only_config_keeps_command_defaults(self, tmp_path):
+        out = tmp_path / "a.csv"
+        assert cli_main(["fig3a", "--config", write_config(tmp_path, NETWORK_ONLY),
+                         "--drops", "1", "--trials", "2", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["experiment"] for r in rows} == {"fig3a"}
+        assert sorted((r["allocator"], r["sweep_name"], r["sweep_value"]) for r in rows) == [
+            (a, "M", m) for a in ("greedy", "loc_aware", "random") for m in ("32.0", "64.0")]
+
+    def test_fig3c_network_only_config_runs_loc_err_sweep(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert cli_main(["fig3c", "--config", write_config(tmp_path, NETWORK_ONLY),
+                         "--drops", "1", "--trials", "2", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["sweep_name"] for r in rows} == {"loc_err_var"}
+        assert len(rows) == 4 * 4          # variances x allocators, one cell
+
+    @pytest.mark.parametrize("exp, flags, drops, allocators", [
+        ({}, [], 200, ("loc_aware", "random", "greedy")),
+        ({"drops": 5, "allocators": ["sector"]}, [], 5, ("sector",)),
+        ({"drops": 5, "allocators": ["sector"]},
+         ["--drops", "7", "--allocators", "random"], 7, ("random",)),
+    ], ids=["default", "file_beats_default", "flag_beats_file"])
+    def test_flag_beats_file_beats_default(self, tmp_path, monkeypatch, exp, flags,
+                                           drops, allocators):
+        specs = []
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: specs.append(spec) or [])
+        path = write_config(tmp_path, {**NETWORK_ONLY, "experiment": exp})
+        assert cli_main(["fig3a", "--config", path,
+                         "--out", str(tmp_path / "a.csv"), *flags]) == 0
+        assert [(s.drops, s.allocators) for s in specs] == [(drops, allocators)]
+
+    @pytest.mark.parametrize("flags, runs", [
+        ([], [("fig3a", "distance", 10.0)]),
+        (["--k-db", "0", "7.5"], [("fig3a[k_db=0]", "fixed", 0.0),
+                                  ("fig3a[k_db=7.5]", "fixed", 7.5)]),
+    ], ids=["file_k_model", "k_db_flag"])
+    def test_fig3a_k_model_from_file_unless_k_db_given(self, tmp_path, monkeypatch,
+                                                       flags, runs):
+        specs = []
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: specs.append(spec) or [])
+        path = write_config(tmp_path, {**NETWORK_ONLY, "k_model": "distance"})
+        assert cli_main(["fig3a", "--config", path,
+                         "--out", str(tmp_path / "a.csv"), *flags]) == 0
+        assert [(s.name, s.cfg.k_model, s.cfg.k_db) for s in specs] == runs
+
+    @pytest.mark.parametrize("command, sweep", [
+        ("fig3a", "loc_err_var"), ("fig3c", "M"), ("fig3b", "M"), ("oracle", "M"),
+    ])
+    def test_wrong_sweep_axis_exits_two_before_any_drop(self, tmp_path, capsys,
+                                                        monkeypatch, command, sweep):
+        monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        path = write_config(tmp_path, {
+            **NETWORK_ONLY, "k_model": "distance", "los_model": "linear_prob",
+            "experiment": {"sweep": sweep, "values": [8], "drops": 1, "trials": 2}})
+        assert cli_main([command, "--config", path,
+                         "--out", str(tmp_path / "out.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_check_subcommand_passes(self, capsys):
         assert cli_main(["check"]) == 0
@@ -449,7 +526,7 @@ class TestConfigProperty:
                                           "greedy", "sector"), drops=1, trials=2)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "out.csv"
-            write_rows_csv(run_sum_se_sweep(spec, clock=lambda: 0.0), path)
+            write_rows_csv(run_sweep(spec, clock=lambda: 0.0), path)
             with open(path) as fh:
                 body = list(csv.DictReader(fh))
         assert len(body) == 5 * cfg.L
