@@ -4,8 +4,8 @@ Five allocators share one signature, (cfg, drop, rng) -> AllocationPlan:
 
 * loc_aware  — tiered location-aware assignment driven by the pairwise LOS
                interference score (the main algorithm).
-* random     — balanced uniform assignment, the usual baseline; a
-               "random_iid" variant draws pilots i.i.d. per user instead.
+* random     — balanced uniform assignment, the usual baseline; the
+               random_iid variant draws pilots i.i.d. per user instead.
 * greedy     — iterative repair of the worst large-scale-interference user.
 * sector     — equal angular sectors, one pilot per sector.
 * exhaustive — brute-force argmax of a scorer over every assignment
@@ -85,21 +85,13 @@ def allocate_loc_aware(cfg: NetworkConfig, drop: Drop,
 
 
 def allocate_random(cfg: NetworkConfig, drop: Drop | None,
-                    rng: np.random.Generator,
-                    balanced: bool = True) -> AllocationPlan:
-    """Random assignment, balanced by default.
+                    rng: np.random.Generator) -> AllocationPlan:
+    """Balanced random assignment: the pilot multiset shuffled per cell.
 
-    Balanced mode shuffles the pilot multiset per cell (which pilots get the
-    extra use when N is not a multiple of pilot_len is itself randomized, so
-    all balanced assignments are equally likely). With balanced=False each
-    user draws a pilot i.i.d. uniformly, so per-pilot reuse counts fluctuate
-    — the heavier collision tail the simple baseline has in practice.
+    Which pilots get the extra use when N is not a multiple of pilot_len is
+    itself randomized, so all balanced assignments are equally likely.
     """
     n_pilots = cfg.pilot_len
-    if not balanced:
-        return AllocationPlan(
-            cells=rng.integers(0, n_pilots, size=(cfg.L, cfg.N)),
-            allocator="random_iid")
     plan = np.empty((cfg.L, cfg.N), dtype=int)
     for cell in range(cfg.L):
         labels = rng.permutation(n_pilots)
@@ -107,6 +99,14 @@ def allocate_random(cfg: NetworkConfig, drop: Drop | None,
         rng.shuffle(seq)
         plan[cell] = seq
     return AllocationPlan(cells=plan, allocator="random")
+
+
+def allocate_random_iid(cfg: NetworkConfig, drop: Drop | None,
+                        rng: np.random.Generator) -> AllocationPlan:
+    """Each user draws a pilot i.i.d. uniformly, so per-pilot reuse counts
+    fluctuate: the heavier collision tail the simple baseline has in practice."""
+    return AllocationPlan(cells=rng.integers(0, cfg.pilot_len, size=(cfg.L, cfg.N)),
+                          allocator="random_iid")
 
 
 def allocate_sector(cfg: NetworkConfig, drop: Drop,
@@ -232,14 +232,10 @@ def exhaustive_search(cfg: NetworkConfig,
     return best_plan, best_score
 
 
-def _allocate_random_iid(cfg, drop, rng):
-    return allocate_random(cfg, drop, rng, balanced=False)
-
-
 ALLOCATORS: dict[str, Callable] = {
     "loc_aware": allocate_loc_aware,
     "random": allocate_random,
-    "random_iid": _allocate_random_iid,
+    "random_iid": allocate_random_iid,
     "greedy": allocate_greedy,
     "sector": allocate_sector,
 }

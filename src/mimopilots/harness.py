@@ -5,6 +5,10 @@ evaluated on identical channel realizations (common random numbers), so
 allocator comparisons are paired. Drop d of a run derives all its randomness
 from SeedSequence([seed, d, purpose]), which makes runs reproducible and
 thread-count independent.
+
+`evaluate_drops` and `run_oracle_compare` take each drop through
+`_drop_plans` and then `_plan_se`, and return one array per allocator,
+indexed by drop.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .allocators import (ALLOCATORS, allocate_loc_aware, exhaustive_search,
-                         search_space_size)
+from .allocators import ALLOCATORS, exhaustive_search, search_space_size
 from .detection import estimate_sinr, spectral_efficiency
 from .model import ConfigError, Drop, NetworkConfig, sample_users
 from .pilots import AllocationPlan
@@ -98,7 +101,9 @@ class ExperimentSpec:
 
 @dataclass
 class ResultRow:
-    """One CSV row: an allocator's mean sum SE in one cell at one sweep point."""
+    """One CSV row: an allocator's mean sum SE in one cell at one sweep point.
+
+    Fields are declared in CSV_HEADER's column order."""
 
     experiment: str
     allocator: str
@@ -111,7 +116,6 @@ class ResultRow:
     trials: int
     seed: int
     wall_ms: int
-    per_user_se: np.ndarray | None = None  # (N,) mean per-user SE, not serialized
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -129,17 +133,27 @@ def _check_plan(cfg: NetworkConfig, name: str, plan: AllocationPlan) -> None:
                            f"[0, {cfg.pilot_len}): {cells.tolist()}")
 
 
-def _one_drop(cfg: NetworkConfig, allocators: tuple[str, ...], trials: int,
-              seed: int, d: int) -> dict[str, np.ndarray]:
-    """Per-user SE of every allocator on location drop d (paired channels)."""
+def _drop_plans(cfg: NetworkConfig, allocators: tuple[str, ...], seed: int,
+                d: int) -> tuple[Drop, list[AllocationPlan]]:
+    """Location drop d and every allocator's plan for it, each checked."""
     drop = sample_users(cfg, _rng(seed, d, _STREAM_USERS))
     plans = [ALLOCATORS[name](cfg, drop, _rng(seed, d, _STREAM_ALLOC + pos))
              for pos, name in enumerate(allocators)]
     for name, plan in zip(allocators, plans):
         _check_plan(cfg, name, plan)
+    return drop, plans
+
+
+def _plan_se(cfg: NetworkConfig, drop: Drop, plans: list[AllocationPlan],
+             trials: int, seed: int, d: int) -> np.ndarray:
+    """(P, L, N) per-user SE of `plans` on drop d's SINR stream.
+
+    Every call starts a fresh generator from the drop's one SINR seed, and a
+    plan's SINR does not depend on the other plans of its call, so plans
+    scored in different calls still see the same channel draws.
+    """
     sinr = estimate_sinr(cfg, drop, plans, trials, _rng(seed, d, _STREAM_SINR))
-    se = spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
-    return dict(zip(allocators, se))
+    return spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
 
 
 def _for_each_drop(work, drops: int, threads: int) -> None:
@@ -162,20 +176,19 @@ def evaluate_drops(cfg: NetworkConfig, allocators: tuple[str, ...], drops: int,
     results = {name: np.empty((drops, cfg.L, cfg.N)) for name in allocators}
 
     def work(d: int) -> None:
-        drop_se = _one_drop(cfg, allocators, trials, seed, d)
-        for name, se in drop_se.items():
+        drop, plans = _drop_plans(cfg, allocators, seed, d)
+        for name, se in zip(allocators, _plan_se(cfg, drop, plans, trials, seed, d)):
             results[name][d] = se
 
     _for_each_drop(work, drops, threads)
     return results
 
 
-def bootstrap_stderr(values: np.ndarray, n_boot: int = 1000,
-                     seed: int = 0) -> float:
-    """Bootstrap standard error of the mean of `values` (resampled drops)."""
+def bootstrap_stderr(values: np.ndarray, seed: int = 0) -> float:
+    """Bootstrap standard error of the mean of `values` (1000 drop resamples)."""
     values = np.asarray(values, dtype=float)
     rng = _rng(seed, 0xB00)
-    idx = rng.integers(0, len(values), size=(n_boot, len(values)))
+    idx = rng.integers(0, len(values), size=(1000, len(values)))
     return float(np.std(values[idx].mean(axis=1)))
 
 
@@ -209,8 +222,7 @@ def run_sweep(spec: ExperimentSpec, clock=time.perf_counter) -> list[ResultRow]:
                                   spec.trials, seed, spec.threads)
         wall_ms = int(round((clock() - t0) * 1000.0))
         for name in spec.allocators:
-            se = per_user[name]                      # (D, L, N)
-            sums = se.sum(axis=2)                    # (D, L)
+            sums = per_user[name].sum(axis=2)        # (D, L)
             for cell in range(cfg_v.L):
                 rows.append(ResultRow(
                     experiment=spec.name, allocator=name, sweep_name=sweep_name,
@@ -218,14 +230,13 @@ def run_sweep(spec: ExperimentSpec, clock=time.perf_counter) -> list[ResultRow]:
                     cell=cell, sum_se=float(sums[:, cell].mean()),
                     stderr=bootstrap_stderr(sums[:, cell], seed=seed),
                     drops=spec.drops, trials=spec.trials, seed=seed,
-                    wall_ms=wall_ms, per_user_se=se[:, cell, :].mean(axis=0)))
+                    wall_ms=wall_ms))
     return rows
 
 
-def worst_user_sums(per_user_se: np.ndarray, n_worst: int, cell: int = 0) -> np.ndarray:
-    """Per drop, the summed SE of the n weakest users in one cell."""
-    se = per_user_se[:, cell, :]
-    return np.sort(se, axis=1)[:, :n_worst].sum(axis=1)
+def worst_user_sums(per_user_se: np.ndarray, n_worst: int) -> np.ndarray:
+    """Per drop, the summed SE of the n weakest users in the center cell."""
+    return np.sort(per_user_se[:, 0, :], axis=1)[:, :n_worst].sum(axis=1)
 
 
 def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,53 +259,32 @@ def run_worst_user_cdf(spec: ExperimentSpec) -> dict[str, tuple[np.ndarray, np.n
     return out
 
 
-@dataclass
-class OracleCompareReport:
-    """Sum-SE ratio of the location-aware plan to the exhaustive argmax."""
+def run_oracle_compare(spec: ExperimentSpec) -> dict[str, np.ndarray]:
+    """Per drop, each allocator's sum SE over the exhaustive-search optimum.
 
-    ratios: np.ndarray
-    mean: float
-    min: float
-    max: float
-    drops: int
-    searched_plans: int
-
-
-def _oracle_scores(cfg: NetworkConfig, drop: Drop, plans: list[AllocationPlan],
-                   trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Cell-0 sum SE of each plan, shape (P,), all plans on the same draws."""
-    sinr = estimate_sinr(cfg, drop, plans, trials, rng)
-    return spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)[:, 0].sum(axis=-1)
-
-
-def run_oracle_compare(spec: ExperimentSpec) -> OracleCompareReport:
-    """Per drop: location-aware sum SE over the exhaustive-search optimum.
-
-    The location-aware plan and every candidate are scored on the drop's
-    one SINR seed: each scoring call, whether of one plan or of a block of
-    candidates, starts a fresh generator from that seed, and a plan's SINR
-    does not depend on the other plans of its call. Both sides therefore
-    see the same channel draws (common random numbers), so the ratio is
-    <= 1 by construction.
+    Ratios of shape (drops,) per allocator. A plan's score is its cell-0
+    sum SE from `_plan_se`, the scorer `exhaustive_search` runs on every
+    candidate block, so the spec's plans and every candidate see the same
+    channel draws (common random numbers) and each ratio is <= 1 by
+    construction.
     """
     cfg = spec.cfg
     seed = spec.master_seed
-    n_plans = search_space_size(cfg)
-    ratios = np.empty(spec.drops)
+    search_space_size(cfg)                 # too large a search fails before any drop
+    ratios = {name: np.empty(spec.drops) for name in spec.allocators}
 
     def work(d: int) -> None:
-        drop = sample_users(cfg, _rng(seed, d, _STREAM_USERS))
-        plan = allocate_loc_aware(cfg, drop)
-        _check_plan(cfg, "loc_aware", plan)
-        own = _oracle_scores(cfg, drop, [plan], spec.trials, _rng(seed, d, _STREAM_SINR))[0]
-        _, best = exhaustive_search(cfg, lambda plans: _oracle_scores(
-            cfg, drop, plans, spec.trials, _rng(seed, d, _STREAM_SINR)))
-        ratios[d] = own / best
+        drop, plans = _drop_plans(cfg, spec.allocators, seed, d)
+
+        def score(block: list[AllocationPlan]) -> np.ndarray:
+            return _plan_se(cfg, drop, block, spec.trials, seed, d)[:, 0].sum(axis=-1)
+
+        _, best = exhaustive_search(cfg, score)
+        for name, own in zip(spec.allocators, score(plans)):
+            ratios[name][d] = own / best
 
     _for_each_drop(work, spec.drops, spec.threads)
-    return OracleCompareReport(ratios=ratios, mean=float(ratios.mean()),
-                               min=float(ratios.min()), max=float(ratios.max()),
-                               drops=spec.drops, searched_plans=n_plans)
+    return ratios
 
 
 def _fmt(value) -> str:
@@ -308,9 +298,7 @@ def write_rows_csv(rows: list[ResultRow], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for r in rows:
-            writer.writerow([_fmt(v) for v in (
-                r.experiment, r.allocator, r.sweep_name, r.sweep_value, r.cell,
-                r.sum_se, r.stderr, r.drops, r.trials, r.seed, r.wall_ms)])
+            writer.writerow([_fmt(getattr(r, f.name)) for f in fields(r)])
 
 
 def write_cdf_csv(tables: dict[str, tuple[np.ndarray, np.ndarray]], path) -> None:

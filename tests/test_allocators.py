@@ -6,8 +6,8 @@ import pytest
 from conftest import is_balanced, make_drop, set_all_nlos
 from mimopilots import allocators
 from mimopilots.allocators import (ALLOCATORS, allocate_greedy, allocate_loc_aware,
-                                   allocate_random, allocate_sector,
-                                   candidate_proxies, exhaustive_search,
+                                   allocate_random, allocate_random_iid,
+                                   allocate_sector, candidate_proxies, exhaustive_search,
                                    partition_tiers, proxy_weights)
 from mimopilots.los_metric import los_interference, los_interference_from_params
 from mimopilots.model import ConfigError, NetworkConfig, sample_users
@@ -171,7 +171,7 @@ class TestRandom:
 
     def test_iid_mode_is_sometimes_unbalanced(self):
         cfg = cfg_for(N=6, pilot_len=3)
-        plans = [allocate_random(cfg, None, np.random.default_rng(s), balanced=False)
+        plans = [allocate_random_iid(cfg, None, np.random.default_rng(s))
                  for s in range(30)]
         assert any(not is_balanced(p.cells[0], 3) for p in plans)
         assert all(p.allocator == "random_iid" for p in plans)
@@ -233,7 +233,7 @@ class TestGreedy:
         drop = sample_users(cfg, np.random.default_rng(20))
         weights = proxy_weights(cfg, drop)
         for seed in range(3):
-            plan = allocate_random(cfg, drop, np.random.default_rng(seed), balanced=False).cells
+            plan = allocate_random_iid(cfg, drop, np.random.default_rng(seed)).cells
             cand = candidate_proxies(weights, plan, cfg.pilot_len)
             assert cand.shape == (cfg.L * cfg.N, cfg.pilot_len)
             for cell, j, p in np.ndindex(cfg.L, cfg.N, cfg.pilot_len):

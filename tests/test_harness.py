@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -85,17 +86,13 @@ class TestSweeps:
             body = list(reader)
         assert tuple(header) == CSV_HEADER
         assert len(body) == len(rows) > 0
+        assert all(len(r) == len(CSV_HEADER) for r in body)
         assert all(float(r[5]) >= 0.0 for r in body)
 
     def test_row_count_invariant(self):
         spec = tiny_spec(values=(4, 8), drops=2, trials=2)
         rows = run_sweep(spec, clock=lambda: 0.0)
         assert len(rows) == 2 * 2 * spec.cfg.L  # values x allocators x cells
-
-    def test_sum_matches_per_user_vector(self):
-        rows = run_sweep(tiny_spec(drops=3, trials=3), clock=lambda: 0.0)
-        for r in rows:
-            assert r.sum_se == pytest.approx(float(r.per_user_se.sum()), abs=1e-9)
 
     def test_locerr_zero_matches_antenna_sweep_row(self):
         cfg = tiny_cfg(k_model="distance", los_model="linear_prob")
@@ -148,13 +145,17 @@ class TestWorstUserCdf:
 
 class TestOracleCompare:
     def test_ratios_bounded_by_construction(self):
+        # every spec allocator gets its own ratios, unchanged by the others
         cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2, seed=5)
         spec = ExperimentSpec(cfg=cfg, drops=3, trials=4,
-                              allocators=("loc_aware",))
-        report = run_oracle_compare(spec)
-        assert report.searched_plans == 8
-        assert np.all(report.ratios <= 1.0 + 1e-12)
-        assert report.min <= report.mean <= report.max
+                              allocators=("random", "loc_aware"))
+        ratios = run_oracle_compare(spec)
+        assert list(ratios) == ["random", "loc_aware"]
+        for values in ratios.values():
+            assert values.shape == (3,)
+            assert np.all(values <= 1.0 + 1e-12)
+        alone = run_oracle_compare(replace(spec, allocators=("loc_aware",)))
+        assert np.array_equal(ratios["loc_aware"], alone["loc_aware"])
 
     def test_exhaustive_beats_every_allocator_on_shared_seed(self):
         from mimopilots.allocators import ALLOCATORS, exhaustive_search
@@ -206,8 +207,9 @@ class TestOracleCompare:
 
     def test_out_of_range_plan_names_loc_aware(self, monkeypatch):
         cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2, seed=5)
-        monkeypatch.setattr(harness, "allocate_loc_aware",
-                            lambda cfg, drop: AllocationPlan([[0, 1, 2]], "loc_aware"))
+        monkeypatch.setitem(harness.ALLOCATORS, "loc_aware",
+                            lambda cfg, drop, rng=None: AllocationPlan([[0, 1, 2]],
+                                                                       "loc_aware"))
         spec = ExperimentSpec(cfg=cfg, drops=1, trials=2, allocators=("loc_aware",))
         with pytest.raises(RuntimeError, match="allocator 'loc_aware'"):
             run_oracle_compare(spec)
@@ -331,12 +333,16 @@ class TestCli:
     def test_oracle_prints_ratio_line(self, tmp_path, capsys):
         doc = {"L": 1, "N": 3, "M": 8, "pilot_len": 2, "seed": 7,
                "experiment": {"drops": 2, "trials": 4,
-                              "allocators": ["loc_aware"]}}
+                              "allocators": ["random", "loc_aware"]}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         assert cli_main(["oracle", "--config", str(cfg_path)]) == 0
-        out = capsys.readouterr().out
-        assert "mean=" in out and "min=" in out and "max=" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" over ")[0] for line in lines] == [
+            "oracle ratio of random", "oracle ratio of loc_aware"]
+        for line in lines:
+            assert "(8 plans searched)" in line
+            assert "mean=" in line and "min=" in line and "max=" in line
 
     @pytest.mark.parametrize("cfg_keys, exp_keys", [
         ({"pilot_len": 4, "coherence_len": 4}, {}),
@@ -484,6 +490,15 @@ class TestCli:
         assert cli_main(["check"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    @pytest.mark.parametrize("flags", [
+        ["--config", "/nonexistent.json", "--seed", "-5"], ["--drops", "2"],
+        ["--allocators", "random"],
+    ], ids=["config_and_seed", "drops", "allocators"])
+    def test_check_rejects_every_flag(self, monkeypatch, capsys, flags):
+        monkeypatch.setattr(cli.checks, "run_all", no_monte_carlo)
+        assert cli_main(["check", *flags]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 INT_FIELDS = ("L", "N", "M", "pilot_len", "coherence_len", "pathloss_sign", "seed")
