@@ -33,6 +33,9 @@ MAX_PLANS = 10 ** 6
 # most plans `exhaustive_search` hands its scorer in one call
 _SCORE_BLOCK = 256
 
+# most repair moves `allocate_greedy` makes
+_GREEDY_MAX_ITERS = 10
+
 
 def partition_tiers(drop: Drop, cell: int, pilot_len: int) -> list[np.ndarray]:
     """One cell's user indices in tiers of pilot_len, closest first.
@@ -148,8 +151,7 @@ def candidate_proxies(weights: np.ndarray, plan: np.ndarray,
     return weights.T @ holds.astype(float)
 
 
-def allocate_greedy(cfg: NetworkConfig, drop: Drop,
-                    rng: np.random.Generator, max_iters: int = 10) -> AllocationPlan:
+def allocate_greedy(cfg: NetworkConfig, drop: Drop, rng: np.random.Generator) -> AllocationPlan:
     """Iterative repair: move the worst-proxy user to its best pilot.
 
     Starts from a random balanced plan. Each iteration scores every user
@@ -157,16 +159,14 @@ def allocate_greedy(cfg: NetworkConfig, drop: Drop,
     to the pilot minimizing its own proxy (ties to the lowest pilot); if the
     move would unbalance the cell, the displaced pilot is swapped onto the
     cell member of the target pilot with the cheapest proxy under it. Stops
-    on no strict improvement or after max_iters.
+    on no strict improvement or after `_GREEDY_MAX_ITERS` moves.
     """
-    if max_iters < 1:
-        raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
     plan = allocate_random(cfg, drop, rng).cells
     n_pilots, N = cfg.pilot_len, cfg.N
     lo, hi = N // n_pilots, -(-N // n_pilots)
     weights = proxy_weights(cfg, drop)
 
-    for _ in range(max_iters):
+    for _ in range(_GREEDY_MAX_ITERS):
         cand = candidate_proxies(weights, plan, n_pilots)
         proxies = cand[np.arange(cand.shape[0]), plan.ravel()]
         worst = int(np.argmax(proxies))

@@ -2,8 +2,9 @@
 
 Subcommands map to the experiment runners: `fig3a` (sum SE vs antenna
 count), `fig3b` (worst-user CDF), `fig3c` (sum SE vs localization error),
-`oracle` (each allocator's ratio to the exhaustive optimum), and `check`
-(invariant suite, which takes no flags).
+`oracle` (each allocator's ratio to the exhaustive optimum, printed; it
+writes no file and rejects `out`), and `check` (the invariant table
+`checks.INVARIANTS`, one PASS/FAIL line per row; it takes no flags).
 
 Each experiment is built one way: the command's `DEFAULTS` document, then
 the `--config` file, then the flags, merged once by `load_spec`; the
@@ -98,6 +99,9 @@ def _resolve(args) -> ExperimentSpec:
     if spec.sweep != axis:
         raise ConfigError(f"{args.command} sweeps {axis or 'no axis'}, "
                           f"but the config names sweep {spec.sweep!r}")
+    if args.command == "oracle" and spec.out is not None:
+        raise ConfigError(f"oracle prints its ratios and writes no file, "
+                          f"but the config names out {spec.out!r}")
     if args.command == "fig3c" and (spec.cfg.k_model, spec.cfg.los_model) != (
             "distance", "linear_prob"):
         raise ConfigError("fig3c requires k_model='distance' and "

@@ -68,6 +68,8 @@ class ExperimentSpec:
             raise ConfigError(f"unknown sweep axis {self.sweep!r}")
         if self.sweep is not None and not self.values:
             raise ConfigError("sweep requested but no sweep values given")
+        if self.sweep is None and self.values:
+            raise ConfigError(f"sweep values {list(self.values)} given but no sweep axis")
         unknown = [a for a in self.allocators if not isinstance(a, str) or a not in ALLOCATORS]
         if unknown:
             raise ConfigError(f"unknown allocators {unknown}; "

@@ -46,7 +46,7 @@ def test_criterion_01_kernel_closed_form_vs_brute_force():
 
 def test_criterion_02_pair_score_vs_explicit_vector_oracle():
     rng = np.random.default_rng(102)
-    worst = 0.0
+    devs = []
     for _ in range(1000):
         m = int(rng.integers(1, 65))
         aa, ab = rng.uniform(0.02, 8.0, size=2)
@@ -54,7 +54,8 @@ def test_criterion_02_pair_score_vs_explicit_vector_oracle():
         ta, tb = rng.uniform(0.0, 2 * np.pi, size=2)
         score = los_interference_from_params(aa, ka, ta, ab, kb, tb, m)
         ref = explicit_pair_score(aa, ka, ta, ab, kb, tb, m)
-        worst = max(worst, abs(score - ref) / max(ref, 1e-30))
+        devs.append(abs(score - ref) / max(ref, 1e-30))
+    worst = np.max(devs)
     self_pair = los_interference_from_params(1.3, 4.0, 0.8, 1.3, 4.0, 0.8, m=32)
     assert self_pair == 1.0
     assert worst <= 1e-9
@@ -207,9 +208,10 @@ def test_criterion_11_determinism_and_reduction_stability(tmp_path):
 
     one = evaluate_drops(spec.cfg, spec.allocators, 8, 4, seed=111, threads=1)
     many = evaluate_drops(spec.cfg, spec.allocators, 8, 4, seed=111, threads=8)
-    worst = 0.0
+    devs = []
     for name in one:
         s1, s8 = one[name].sum(axis=2), many[name].sum(axis=2)
-        worst = max(worst, float(np.max(np.abs(s1 - s8) / np.maximum(s1, 1e-12))))
+        devs.append(np.max(np.abs(s1 - s8) / np.maximum(s1, 1e-12)))
+    worst = np.max(devs)
     assert worst < 1e-6
     report(11, f"byte-identical CSVs; 1 vs 8 threads rel dev {worst:.1e}")

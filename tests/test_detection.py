@@ -241,31 +241,6 @@ class TestSpectralEfficiency:
             spectral_efficiency(-0.5, 12, 196)
 
 
-class TestUseAndForgetDecomposition:
-    def test_four_terms_reassemble_received_sample(self):
-        cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3, seed=1)
-        drop = sample_users(cfg, np.random.default_rng(4))
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(5))
-        rng = np.random.default_rng(6)
-        l, N = 1, cfg.N
-        g = cs.g[l]                          # (M, L*N), user i*N + j
-        w = zf_combiner(estimated_los_channel(drop, cfg)[l][:, l * N:(l + 1) * N])
-        x = crand(rng, (cfg.L, cfg.N))
-        noise = crand(rng, (cfg.M,))
-        y = g @ x.ravel() + noise / np.sqrt(cfg.rho)
-        for k in range(cfg.N):
-            wk = w[:, k]
-            gain = np.vdot(wk, g[:, l * N + k])
-            mean_gain = 0.5 * gain  # any reference value closes the identity
-            terms = (mean_gain * x[l, k]
-                     + (gain - mean_gain) * x[l, k]
-                     + sum(np.vdot(wk, g[:, i * N + j]) * x[i, j]
-                           for i in range(cfg.L) for j in range(cfg.N)
-                           if (i, j) != (l, k))
-                     + np.vdot(wk, noise) / np.sqrt(cfg.rho))
-            assert abs(np.vdot(wk, y) - terms) < 1e-9
-
-
 class TestEstimateSinr:
     def test_requires_two_trials(self):
         cfg = NetworkConfig(L=1, N=1, M=2, pilot_len=1, seed=0)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimopilots import cli, harness
+from mimopilots import checks, cli, harness
 from mimopilots.cli import cli_main
 from mimopilots.harness import (CSV_HEADER, ExperimentSpec, bootstrap_stderr,
                                 empirical_cdf, evaluate_drops, load_spec,
@@ -65,6 +65,8 @@ class TestExperimentSpec:
             ExperimentSpec(cfg=tiny_cfg(), sweep="M", values=(8, 8.5))
         with pytest.raises(ConfigError, match="numbers"):
             ExperimentSpec(cfg=tiny_cfg(), sweep="loc_err_var", values=(0.0, "x"))
+        with pytest.raises(ConfigError, match="no sweep axis"):
+            ExperimentSpec(cfg=tiny_cfg(), values=(8, 16))
         for bad in (dict(drops=2.0), dict(trials="3"), dict(threads=True),
                     dict(seed=1.5)):
             with pytest.raises(ConfigError, match="integer"):
@@ -475,6 +477,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command, sweep", [
         ("fig3a", "loc_err_var"), ("fig3c", "M"), ("fig3b", "M"), ("oracle", "M"),
+        ("fig3b", None), ("oracle", None),
     ])
     def test_wrong_sweep_axis_exits_two_before_any_drop(self, tmp_path, capsys,
                                                         monkeypatch, command, sweep):
@@ -484,19 +487,42 @@ class TestCli:
             "experiment": {"sweep": sweep, "values": [8], "drops": 1, "trials": 2}})
         assert cli_main([command, "--config", path,
                          "--out", str(tmp_path / "out.csv")]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and "sweep" in err
+
+    @pytest.mark.parametrize("exp, flags", [
+        ({}, ["--out", "o.csv"]), ({"out": "o.csv"}, []),
+    ], ids=["flag", "file"])
+    def test_oracle_out_exits_two_before_any_drop(self, tmp_path, capsys, monkeypatch,
+                                                  exp, flags):
+        monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, {**NETWORK_ONLY, "experiment": exp})
+        assert cli_main(["oracle", "--config", path, *flags]) == 2
+        assert "writes no file" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_check_subcommand_passes(self, capsys):
         assert cli_main(["check"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(checks.INVARIANTS)
+        assert all(line.startswith("[PASS] ") for line in lines)
+
+    @pytest.mark.parametrize("dev", [math.nan, 2e-9], ids=["nan", "over_bound"])
+    def test_check_fails_an_entry_not_below_its_bound(self, monkeypatch, capsys, dev):
+        monkeypatch.setattr(checks, "INVARIANTS", (
+            ("fine", lambda: 0.0, 1e-9), ("broken", lambda: dev, 1e-9)))
+        assert cli_main(["check"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "[PASS] fine: deviation 0.00e+00, bound 1e-09",
+            f"[FAIL] broken: deviation {dev:.2e}, bound 1e-09"]
 
     @pytest.mark.parametrize("flags", [
         ["--config", "/nonexistent.json", "--seed", "-5"], ["--drops", "2"],
         ["--allocators", "random"],
     ], ids=["config_and_seed", "drops", "allocators"])
     def test_check_rejects_every_flag(self, monkeypatch, capsys, flags):
-        monkeypatch.setattr(cli.checks, "run_all", no_monte_carlo)
+        monkeypatch.setattr(checks, "run_all", no_monte_carlo)
         assert cli_main(["check", *flags]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
