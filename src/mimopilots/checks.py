@@ -112,26 +112,27 @@ def ls_exactness_dev(cfg: NetworkConfig, rng: np.random.Generator) -> float:
 
 def grouped_zf_dev(cfg: NetworkConfig) -> float:
     """Worst relative deviation, over the cells of one noisy drop of the
-    distinct plan, of the grouped combiner (solved on the distinct columns
-    and expanded, as `estimate_sinr` builds it) from the pseudo-inverse
-    combiner of the full estimate; inf when no column merges, as then the
-    grouped path never ran."""
+    distinct plan, of the grouped combiner products W^H g and ||w||^2
+    (solved on the distinct columns and expanded, as `estimate_sinr` forms
+    them) from those of the pseudo-inverse combiner of the full estimate;
+    inf when no column merges, as then the grouped path never ran."""
     rng = np.random.default_rng(cfg.seed)
     drop = sample_users(cfg, rng)
     plan, book = distinct_plan(cfg), build_pilot_book(cfg.pilot_len)
     lam = pilot_matrix(plan, book)
     noise = np.sqrt(1.0 / cfg.rho) * crandn(rng, (cfg.L, cfg.M, cfg.pilot_len))
     los = estimated_los_channel(drop, cfg)
-    est = ls_estimate(synthesize_rx(ChannelSampler(drop, cfg).draw(rng).g, lam, noise)
-                      - los @ lam, book)
+    g = ChannelSampler(drop, cfg).draw(rng).g
+    est = ls_estimate(synthesize_rx(g, lam, noise) - los @ lam, book)
     devs, merged = [], False
     for l in range(cfg.L):
         own = los[l][:, l * cfg.N:(l + 1) * cfg.N]
         groups = CopilotGroups(own, plan.cells[l], cfg.pilot_len)
         merged |= groups.inv is not None
-        w = groups.combiner(est[l])
-        ref = np.linalg.pinv(own + est[l][:, plan.cells[l]]).conj().T
-        devs.append(np.linalg.norm(w - ref) / np.linalg.norm(ref))
+        w = np.linalg.pinv(own + est[l][:, plan.cells[l]]).conj().T
+        for got, ref in zip(groups.products(est[l], g[l]),
+                            (w.conj().T @ g[l], np.sum(np.abs(w) ** 2, axis=0))):
+            devs.append(np.linalg.norm(got - ref) / np.linalg.norm(ref))
     return float(np.max(devs)) if merged else np.inf
 
 
@@ -178,7 +179,7 @@ def _ls_exactness_dev() -> float:
 def _zf_identity_dev() -> float:
     rng = np.random.default_rng(17)
     g = rng.standard_normal((24, 6)) + 1j * rng.standard_normal((24, 6))
-    return float(np.max(np.abs(zf_combiner(g).conj().T @ g - np.eye(6))))
+    return float(np.max(np.abs((g @ zf_combiner(g)).conj().T @ g - np.eye(6))))
 
 
 def _zf_min_norm_dev() -> float:
@@ -188,7 +189,7 @@ def _zf_min_norm_dev() -> float:
     col = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     g = np.column_stack([col, col, rng.standard_normal(16)])
     expect = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-    return float(np.max(np.abs(zf_combiner(g).conj().T @ g - expect)))
+    return float(np.max(np.abs((g @ zf_combiner(g)).conj().T @ g - expect)))
 
 
 def _channel_power_dev() -> float:

@@ -5,8 +5,10 @@ channel estimate (reconstructed LOS plus least-squares scatter estimate).
 Users of a cell who share a pilot and whose links the BS takes for NLOS get
 identical estimate columns; the combiner is solved on the distinct columns
 only and expanded in closed form to the minimum-norm combiner of the full
-estimate. Each solve inverts the Gram matrix when a condition bound
-certifies it and takes the pseudo-inverse otherwise. SINRs are conditional
+estimate. Each solve returns X = pinv(Ghat^H Ghat), from the Gram inverse
+when a condition bound certifies it and the pseudo-inverse otherwise, and
+W = Ghat @ X is never built: the SINR sums need only W^H G = X Ghat^H G
+and ||w_n||^2 = X_nn. SINRs are conditional
 on user locations: expectations over small-scale fading are sample means
 over fresh channel realizations, with the combiner rebuilt from estimates
 every realization and the true channels used as ground truth.
@@ -15,12 +17,12 @@ Users are indexed cell-major, cell * N + user: channels and reconstructed
 LOS channels are (L, M, L*N) arrays [BS, antenna, user] and a plan's
 pilots one (L*N, pilot_len) matrix. Trials run in chunks: a chunk's
 channel and noise draws are stacked on a leading trial axis, so a plan's
-pilot phase, LOS subtraction, LS estimate, copilot reduction, combiner
-products and SINR sums over every trial and BS of the chunk are one array
-expression each. The ZF solve is the one step left per trial and BS. The
-chunk holds as many trials as fit a fixed byte budget for the channel
-stack, so its size depends only on (L, M, N), never on the number of plans
-or trials, and the working set stays small at any trial count.
+pilot phase, LOS subtraction, LS estimate, copilot reduction, Gram-domain
+combiner products and SINR sums over every trial and BS of the chunk are
+one array expression each. The ZF solve is the one step left per trial and
+BS. The chunk holds as many trials as fit a fixed byte budget for the
+channel stack, so its size depends only on (L, M, N), never on the number
+of plans or trials, and the working set stays small at any trial count.
 """
 
 from __future__ import annotations
@@ -66,21 +68,18 @@ def gram_condition(gram: np.ndarray, gram_inv: np.ndarray) -> float:
 
 
 def zf_combiner(ghat: np.ndarray) -> np.ndarray:
-    """Zero-forcing combiner W = Ghat @ pinv(Ghat^H Ghat).
+    """X = pinv(Ghat^H Ghat) of one 2-D (M, U) estimate, the (U, U) core of
+    the zero-forcing combiner W = Ghat @ X on either path.
 
-    Fast path: W = Ghat @ inv(Ghat^H Ghat), used only when
-    `gram_condition` certifies cond2(Ghat) < 1e4. Otherwise (a singular
-    Gram matrix, rank-deficient or ill-conditioned estimates) the SVD
-    pseudo-inverse with singular values below 1e-8 * sigma_max treated as
-    zero, so duplicated estimate columns resolve to the minimum-norm
-    combiner instead of blowing up. For a single column this is
-    g / (g^H g); for full-rank estimates W^H @ Ghat == I.
+    Fast path: inv(Ghat^H Ghat), used only when `gram_condition` certifies
+    cond2(Ghat) < 1e4. Otherwise (a singular Gram matrix, rank-deficient or
+    ill-conditioned estimates) P @ P^H for the SVD pseudo-inverse P of Ghat
+    with singular values below 1e-8 * sigma_max treated as zero, so
+    duplicated columns resolve to the minimum-norm combiner. The benchmark's
+    tracer counts this function by name, once per solve (plan, trial, BS).
     """
-    ghat = np.asarray(ghat)
     if ghat.ndim != 2:
         raise ValueError("channel estimate must be a 2-D matrix")
-    if not ghat.any():
-        raise ValueError("degenerate estimate: all-zero channel matrix")
     gram = ghat.conj().T @ ghat
     try:
         gram_inv = np.linalg.inv(gram)
@@ -88,8 +87,11 @@ def zf_combiner(ghat: np.ndarray) -> np.ndarray:
         pass                    # Gram matrix exactly singular
     else:
         if gram_condition(gram, gram_inv) < _ZF_COND_BOUND ** 2:
-            return ghat @ gram_inv
-    return np.linalg.pinv(ghat, rcond=_ZF_RCOND).conj().T
+            return gram_inv
+    if not ghat.any():          # an all-zero Gram matrix is singular
+        raise ValueError("degenerate estimate: all-zero channel matrix")
+    p = np.linalg.pinv(ghat, rcond=_ZF_RCOND)
+    return p @ p.conj().T
 
 
 class CopilotGroups:
@@ -121,34 +123,36 @@ class CopilotGroups:
         self.pick[pilots[keep], np.arange(keep.size)] = root
         self.scale = 1.0 / root[inv]                      # (N,)
 
-    def combiner(self, est: np.ndarray) -> np.ndarray:
-        """ZF combiner of Ghat = ghat_los + est[..., pilots], shape (..., M, N).
+    def products(self, est: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(W^H g (..., N, L*N), ||w||^2 (..., N)) of the ZF combiner W of
+        Ghat = ghat_los + est[..., pilots], for one estimate or a stack.
 
-        `est` is one (M, pilot_len) estimate or a stack of them; each
-        matrix of the stack gets its own `zf_combiner` call. With groups,
-        Ghat = Gu @ E for the distinct columns Gu and the 0/1 group-to-user
-        map E with E E^T = D, the group sizes. F = D^-1/2 E has orthonormal
-        rows, so pinv(Ghat)^H = zf(Gu D^1/2) D^-1/2 E exactly, whatever the
-        rank of Gu: each user gets its group's combiner of the root-scaled
-        columns divided by the root of the group size, from one solve on
-        U <= N columns.
+        Each matrix gets its own `zf_combiner` call, X, and W^H g =
+        X @ (Ghat^H g), ||w_n||^2 = X_nn. With groups, Ghat = Gu @ E for the
+        distinct columns Gu and the 0/1 group-to-user map E with E E^T = D,
+        the group sizes. F = D^-1/2 E has orthonormal rows, so pinv(Ghat)^H
+        = W_u F for the combiner W_u of Gu D^1/2, whatever the rank of Gu: a
+        user gets its group's row of W_u^H g over the root of the group size
+        and its ||w||^2 over the size, from one solve on U <= N columns.
         """
         if self.inv is None:
             ghat = self.ghat_los + est[..., self.pilots]
         else:
             ghat = self.los_u + est @ self.pick
-        w = np.empty_like(ghat)
-        flat = w.reshape(-1, *w.shape[-2:])
-        for i, matrix in enumerate(ghat.reshape(flat.shape)):
-            flat[i] = zf_combiner(matrix)
-        return w if self.inv is None else w[..., self.inv] * self.scale
+        x = np.array([zf_combiner(m) for m in ghat.reshape(-1, *ghat.shape[-2:])])
+        x = x.reshape(ghat.shape[:-2] + x.shape[-2:])
+        prod = x @ (ghat.conj().swapaxes(-1, -2) @ g)
+        wsq = np.diagonal(x, axis1=-2, axis2=-1).real
+        if self.inv is None:
+            return prod, wsq
+        return prod[..., self.inv, :] * self.scale[:, None], wsq[..., self.inv] * self.scale ** 2
 
 
 def spectral_efficiency(sinr, pilot_len: int, coherence_len: int):
     """SE = (1 - pilot_len/coherence_len) * log2(1 + sinr), in bits/s/Hz."""
     sinr = np.asarray(sinr, dtype=float)
-    if np.any(sinr < 0):
-        raise ValueError("SINR must be non-negative")
+    if not np.all(np.isfinite(sinr) & (sinr >= 0)):
+        raise ValueError("SINR must be finite and non-negative")
     out = (1.0 - pilot_len / coherence_len) * np.log2(1.0 + sinr)
     return out if out.ndim else float(out)
 
@@ -161,17 +165,14 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     Each trial draws fresh channels and one pilot-phase noise block, and
     every plan reuses them (common random numbers): per plan it synthesizes
     the pilot phase, subtracts the reconstructed LOS, forms one LS estimate
-    per pilot, and rebuilds the ZF combiner from the distinct estimate
-    columns. Trials run in chunks whose channel stack fits `_CHUNK_BYTES`;
-    within a chunk each of those steps, the combiner products and the
-    SINR sums are one array expression over the chunk's trials, and only
-    the ZF solve runs once per trial and BS. The chunk size depends only on
-    (L, M, N), and the draws are taken trial by trial in stream order, so a
-    plan's result is the same whichever other plans share the call. Sample
-    means over trials estimate the useful-signal mean, all interference
-    second moments, and the combiner norm; the denominator is floored at
-    1e-12. A non-finite SINR raises FloatingPointError rather than reaching
-    the SE and the CSV.
+    per pilot, and solves ZF on the distinct estimate columns, one
+    `zf_combiner` call per trial and BS, everything else one array
+    expression per chunk of trials (`_CHUNK_BYTES`). The chunk size depends
+    only on (L, M, N), and the draws are taken trial by trial in stream
+    order, so a plan's result is the same whichever other plans share the
+    call. Sample means over trials estimate the useful-signal mean, all
+    interference second moments and the combiner norm; the denominator is
+    floored at 1e-12. A non-finite SINR raises FloatingPointError.
     """
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
@@ -193,14 +194,15 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     chunk = max(1, min(trials, _CHUNK_BYTES // (16 * L * M * L * N)))
     g_stack = np.empty((chunk, L, M, L * N), dtype=complex)
     z_stack = np.empty((chunk, L, M, K), dtype=complex)
-    w_stack = np.empty((chunk, L, M, N), dtype=complex)
+    prod_stack = np.empty((chunk, L, N, L * N), dtype=complex)   # w^H g
+    wsq_stack = np.empty((chunk, L, N))                          # ||w||^2
 
     sum_sig = np.zeros((P, L, N), dtype=complex)  # w^H g of the own user
     sum_pow = np.zeros((P, L, N))                 # |w^H g|^2 summed over users
     sum_wsq = np.zeros((P, L, N))                 # ||w||^2
     for start in range(0, trials, chunk):
         t = min(chunk, trials - start)
-        g, z, w = g_stack[:t], z_stack[:t], w_stack[:t]
+        g, z, prod, wsq = g_stack[:t], z_stack[:t], prod_stack[:t], wsq_stack[:t]
         for i in range(t):
             g[i] = sampler.draw(rng).g
             # one block consumes the stream like L per-BS (M, pilot_len) draws
@@ -210,19 +212,16 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
             # one column per pilot at every trial and BS
             est = ls_estimate(synthesize_rx(g, lams[p], z) - ybar[p], book)
             for l in range(L):
-                w[:, l] = groups[p][l].combiner(est[:, l])
-            prod = w.conj().swapaxes(-1, -2) @ g                 # (t, L, N, L*N)
+                prod[:, l], wsq[:, l] = groups[p][l].products(est[:, l], g[:, l])
             # the own user's entries, (l, n, l, n) of the (t, L, N, L, N) view
             sum_sig[p] += np.einsum("tlnln->ln", prod.reshape(t, L, N, L, N))
             # squared moduli summed over the float views' re/im pairs
             v = prod.view(float)
             sum_pow[p] += np.einsum("tlnk,tlnk->ln", v, v)
-            v = w.view(float)
-            sum_wsq[p] += np.einsum("tlmk,tlmk->lk", v, v).reshape(L, N, 2).sum(axis=-1)
+            sum_wsq[p] += wsq.sum(axis=0)
 
     mean_sig_sq = np.abs(sum_sig / trials) ** 2
-    denom = (sum_pow / trials - mean_sig_sq
-             + noise_var * sum_wsq / trials)
+    denom = sum_pow / trials - mean_sig_sq + noise_var * sum_wsq / trials
     sinr = mean_sig_sq / np.maximum(denom, _DENOM_FLOOR)
     if not np.all(np.isfinite(sinr)):
         bad = sorted({plans[p].allocator or str(p)

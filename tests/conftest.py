@@ -135,11 +135,10 @@ def estimate_sinr_per_trial(cfg: NetworkConfig, drop: Drop, plans, trials: int,
         for p, lam in enumerate(lams):
             est = ls_estimate(synthesize_rx(g, lam, noise) - los @ lam, book)
             for l in range(L):
-                w = groups[p][l].combiner(est[l])
-                prod = w.conj().T @ g[l]
+                prod, wsq = groups[p][l].products(est[l], g[l])
                 sum_pow[p, l] += np.sum(np.abs(prod) ** 2, axis=1)
                 sum_sig[p, l] += prod[diag, l * N + diag]
-                sum_wsq[p, l] += np.sum(np.abs(w) ** 2, axis=0)
+                sum_wsq[p, l] += wsq
     mean_sig_sq = np.abs(sum_sig / trials) ** 2
     denom = sum_pow / trials - mean_sig_sq + noise_var * sum_wsq / trials
     return mean_sig_sq / np.maximum(denom, 1e-12)
