@@ -11,9 +11,9 @@ Five allocators share one signature, (cfg, drop, rng) -> AllocationPlan:
 * exhaustive — brute-force argmax of a scorer over every assignment
                (small scenarios only), scored a block of plans at a time.
 
-loc_aware and greedy read the (L*N, L*N) pair-score matrix that
-`los_metric.los_interference` returns per BS; users are flattened
-cell-major there (cell * N + user).
+loc_aware and greedy each read the (L*N, L*N) pair-score matrix that
+`los_metric.los_interference` returns, every column at its reference user's
+serving BS; users are flattened cell-major there (cell * N + user).
 """
 
 from __future__ import annotations
@@ -62,27 +62,24 @@ def allocate_loc_aware(cfg: NetworkConfig, drop: Drop,
     """
     n_pilots, N = cfg.pilot_len, cfg.N
     plan = np.full((cfg.L, N), -1, dtype=int)
-    holders: list[list[int]] = [[] for _ in range(n_pilots)]   # flat user indices
+    scores = los_interference(drop, cfg.M)       # [interferer, reference]
 
     for cell in range(cfg.L):
         tiers = partition_tiers(drop, cell, n_pilots)
-        # [reference, interferer]: a row per user of this cell
-        scores = los_interference(drop, cell, cfg.M).T
-        for slot, j in enumerate(tiers[0]):
-            plan[cell, j] = slot
-            holders[slot].append(cell * N + j)
+        plan[cell, tiers[0]] = np.arange(tiers[0].size)
         for tier in tiers[1:]:
             # a tier's own picks land on pilots closed to the rest of the
-            # tier, so every mean the tier compares is fixed before it starts
-            means = np.array([scores[np.ix_(cell * N + tier, h)].mean(axis=1)
-                              for h in holders])          # (n_pilots, tier)
+            # tier, so every mean the tier compares is fixed before it starts;
+            # held[p, u] = 1 when flat user u holds pilot p
+            held = (plan.reshape(-1) == np.arange(n_pilots)[:, None]).astype(float)
+            means = (held @ scores[:, cell * N + tier]
+                     / held.sum(axis=1)[:, None])               # (n_pilots, tier)
             free = np.ones(n_pilots, dtype=bool)
             for col, j in enumerate(tier):
                 open_pilots = np.flatnonzero(free)
                 pilot = int(open_pilots[np.argmin(means[open_pilots, col])])
                 plan[cell, j] = pilot
                 free[pilot] = False
-                holders[pilot].append(cell * N + j)
 
     return AllocationPlan(cells=plan, allocator="loc_aware")
 
@@ -132,13 +129,10 @@ def proxy_weights(cfg: NetworkConfig, drop: Drop) -> np.ndarray:
     the reference's own, plus the pair's LOS interference score. Zero on the
     diagonal, so a user never counts against itself.
     """
-    N = cfg.N
-    weights = np.empty((cfg.L * N, cfg.L * N))
-    for cell in range(cfg.L):
-        refs = slice(cell * N, (cell + 1) * N)
-        gain = drop.alpha_est[:, :, cell].reshape(-1)
-        weights[:, refs] = (gain[:, None] / gain[None, refs]
-                            + los_interference(drop, cell, cfg.M)[:, refs])
+    cells = np.repeat(np.arange(cfg.L), cfg.N)   # each reference's serving BS
+    gain = drop.alpha_est.reshape(-1, cfg.L)     # [interferer, BS]
+    weights = (gain[:, cells] / Drop.serving(drop.alpha_est).reshape(-1)
+               + los_interference(drop, cfg.M))
     np.fill_diagonal(weights, 0.0)
     return weights
 

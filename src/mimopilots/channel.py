@@ -11,6 +11,7 @@ allocators: a realization is one (L, M, L*N) array [BS, antenna, user].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,16 @@ def steering_vector(m: int, theta, spacing: float = 0.5) -> np.ndarray:
 
     Every entry has unit modulus, entry 0 is 1, and the squared norm is m.
     An array of angles gives one response per angle along a new last axis.
+    With b = isqrt(m - 1) + 1, entry i0 + b*i1 is exp(1j*phase*i0) *
+    exp(1j*phase*b*i1): 2*sqrt(m) exponentials per angle instead of m.
     """
     if m < 1:
         raise ValueError("need at least one antenna")
     phase = -2.0 * np.pi * spacing * np.sin(theta)
-    return np.exp(1j * np.multiply.outer(phase, np.arange(m)))
+    b = math.isqrt(m - 1) + 1
+    low = np.exp(1j * np.multiply.outer(phase, np.arange(b)))
+    high = np.exp(1j * np.multiply.outer(phase, np.arange(0, m, b)))
+    return (high[..., :, None] * low[..., None, :]).reshape(*np.shape(phase), -1)[..., :m]
 
 
 def _by_bs(x: np.ndarray) -> np.ndarray:

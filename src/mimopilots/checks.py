@@ -1,11 +1,11 @@
 """Invariant checks, shared by the `check` subcommand and the acceptance suite.
 
-The brute-force oracles (term-by-term kernel sums, explicit steering
-vectors, scatter-only syntheses) are written once here. Each invariant is a
-function that returns one measured deviation, the `np.max` of what it
-collects, so a NaN anywhere makes the deviation NaN. The shared invariants
-take their generator or config and size; `mimopilots check` and the
-acceptance criteria call them, each with its own seed, size and tolerance.
+The brute-force oracles (term-by-term kernel sums, explicit and direct
+steering vectors, scatter-only syntheses) are written once here. Each
+invariant is a function that returns one measured deviation, the `np.max` of
+what it collects, so a NaN anywhere makes the deviation NaN. The shared
+invariants take their generator or config and size; `mimopilots check` and
+the acceptance criteria call them, each with its own seed, size and tolerance.
 `INVARIANTS` lists the `check` suite as (name, deviation, bound) rows, and
 `run_all` is the one place a deviation meets its bound: `dev < bound`, which
 a NaN fails.
@@ -49,6 +49,17 @@ def explicit_pair_score(alpha_a, k_a, theta_a, alpha_b, k_b, theta_b, m: int) ->
     return abs(np.vdot(v_b, v_a)) ** 2 / m ** 2
 
 
+def steering_vs_direct(ms, rng: np.random.Generator, angles: int = 16) -> float:
+    """Largest |steering_vector - its direct form, one exponential per entry|
+    over every m in `ms`, each at `angles` random angles in [0, 2pi)."""
+    devs = []
+    for m in ms:
+        theta = rng.uniform(0.0, 2 * np.pi, angles)
+        direct = np.exp(1j * np.multiply.outer(-np.pi * np.sin(theta), np.arange(m)))
+        devs.append(np.max(np.abs(steering_vector(m, theta) - direct)))
+    return float(np.max(devs))
+
+
 def kernel_vs_brute_force(rng: np.random.Generator, draws: int) -> float:
     """Worst relative deviation of `dirichlet_kernel_sq` from the brute-force
     sum over `draws` random m in 1..64 and theta in [-2pi, 2pi)."""
@@ -68,18 +79,19 @@ def kernel_zero_set_dev() -> float:
 
 
 def pair_scores_vs_explicit(drop: Drop, m: int) -> float:
-    """Worst relative deviation of a drop's pair scores at every BS from
-    `explicit_pair_score` on the same estimated parameters."""
-    devs = []
-    for bs in range(drop.alpha.shape[2]):
-        scores = los_interference(drop, bs, m)
-        alpha, k, theta = (x[:, :, bs].ravel()
-                           for x in (drop.alpha_est, drop.k_est, drop.aoa_est))
-        ref = np.array([explicit_pair_score(alpha[a], k[a], theta[a],
-                                            alpha[b], k[b], theta[b], m)
-                        for a, b in np.ndindex(scores.shape)]).reshape(scores.shape)
-        devs.append(np.abs(scores - ref) / np.maximum(ref, 1e-30))
-    return float(np.max(devs))
+    """Worst relative deviation of a drop's pair scores from
+    `explicit_pair_score` on the same estimated parameters, each pair at its
+    reference user's serving BS."""
+    scores = los_interference(drop, m)
+    n_users = drop.alpha.shape[1]
+    alpha, k, theta = (x.reshape(scores.shape[0], -1)
+                       for x in (drop.alpha_est, drop.k_est, drop.aoa_est))
+    ref = np.empty(scores.shape)
+    for a, b in np.ndindex(scores.shape):
+        bs = b // n_users
+        ref[a, b] = explicit_pair_score(alpha[a, bs], k[a, bs], theta[a, bs],
+                                        alpha[b, bs], k[b, bs], theta[b, bs], m)
+    return float(np.max(np.abs(scores - ref) / np.maximum(ref, 1e-30)))
 
 
 def _noiseless_pilot_phase(cfg: NetworkConfig, rng: np.random.Generator, lam: np.ndarray):
@@ -222,6 +234,8 @@ def _collision_dev() -> float:
 # (name, deviation, bound): the `check` suite, each entry at its own seed and size
 INVARIANTS = (
     ("steering vector unit modulus / norm", _steering_vector_dev, 1e-12),
+    ("steering vector vs direct exponential",
+     lambda: steering_vs_direct(range(1, 513), np.random.default_rng(41)), 1e-12),
     ("pilot book orthogonality", _pilot_book_dev, 1e-10),
     ("closed-form array overlap vs brute force",
      lambda: kernel_vs_brute_force(np.random.default_rng(11), 500), 1e-9),

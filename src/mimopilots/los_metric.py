@@ -1,4 +1,4 @@
-"""Closed-form LOS interference between user pairs, as seen by one BS.
+"""Closed-form LOS interference between user pairs, seen by the reference's BS.
 
 The score for an (interferer, reference) pair factors into a power-ratio
 part built from estimated gains and K-factors, and an AoA part equal to the
@@ -6,7 +6,8 @@ normalized squared overlap of the two estimated steering vectors. The AoA
 part is a Dirichlet kernel in the "mutual AoA" pi*(sin a - sin b).
 
 Every function here is elementwise over broadcast arrays; `los_interference`
-evaluates it for every user pair of a `Drop` at one BS.
+evaluates it for every user pair of a `Drop` at the reference user's serving
+BS, the only BS whose scores the allocators read.
 """
 
 from __future__ import annotations
@@ -59,9 +60,12 @@ def los_interference_from_params(alpha_a, k_a, theta_a, alpha_b, k_b, theta_b,
     the pair. The AoA factor is dirichlet_kernel_sq(m, mutual) / m**2. When
     both K-factors are positive it is multiplied by the power ratio
     (alpha_a * k_a * (1 + k_b)) / (alpha_b * k_b * (1 + k_a)); when either
-    is zero (an NLOS link) the AoA factor alone is the score.
+    is zero (an NLOS link) the AoA factor alone is the score. Raises
+    ValueError on non-finite input, a gain <= 0 or a K-factor < 0.
     """
     alpha_a, k_a, alpha_b, k_b = map(np.asarray, (alpha_a, k_a, alpha_b, k_b))
+    if not all(np.all(np.isfinite(x)) for x in (alpha_a, k_a, theta_a, alpha_b, k_b, theta_b)):
+        raise ValueError("gains, K-factors and angles must be finite")
     if np.any(alpha_a <= 0) or np.any(alpha_b <= 0):
         raise ValueError("large-scale gains must be positive")
     if np.any(k_a < 0) or np.any(k_b < 0):
@@ -74,12 +78,14 @@ def los_interference_from_params(alpha_a, k_a, theta_a, alpha_b, k_b, theta_b,
     return (ratio * overlap)[()]
 
 
-def los_interference(drop: Drop, bs: int, m: int) -> np.ndarray:
-    """Scores of every user pair at BS `bs`, from the estimated quantities.
-
-    Returns an (L*N, L*N) matrix indexed [interferer, reference], users
-    flattened cell-major (cell * N + user).
+def los_interference(drop: Drop, m: int) -> np.ndarray:
+    """Scores of every user pair at the reference user's serving BS, from the
+    estimated quantities: an (L*N, L*N) matrix [interferer, reference],
+    users flattened cell-major (cell * N + user).
     """
-    alpha, k, theta = (x[:, :, bs].reshape(-1, 1)
-                       for x in (drop.alpha_est, drop.k_est, drop.aoa_est))
-    return los_interference_from_params(alpha, k, theta, alpha.T, k.T, theta.T, m)
+    n_cells = drop.alpha_est.shape[0]
+    est = (drop.alpha_est, drop.k_est, drop.aoa_est)
+    # interferers as [BS, interferer, 1] against references as [cell, 1, user]
+    scores = los_interference_from_params(*(x.reshape(-1, n_cells).T[:, :, None] for x in est),
+                                          *(Drop.serving(x)[:, None, :] for x in est), m)
+    return scores.transpose(1, 0, 2).reshape(scores.shape[1], -1)

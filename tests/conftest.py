@@ -8,7 +8,9 @@ import numpy as np
 
 from mimopilots.channel import ChannelSampler, crandn, steering_vector
 from mimopilots.detection import CopilotGroups
+from mimopilots.allocators import partition_tiers
 from mimopilots.estimation import estimated_los_channel, ls_estimate, synthesize_rx
+from mimopilots.los_metric import los_interference_from_params
 from mimopilots.model import (TWO_PI, Drop, NetworkConfig, bs_positions,
                               error_half_width, los_probability)
 from mimopilots.pilots import build_pilot_book, pilot_matrix
@@ -142,3 +144,51 @@ def estimate_sinr_per_trial(cfg: NetworkConfig, drop: Drop, plans, trials: int,
     mean_sig_sq = np.abs(sum_sig / trials) ** 2
     denom = sum_pow / trials - mean_sig_sq + noise_var * sum_wsq / trials
     return mean_sig_sq / np.maximum(denom, 1e-12)
+
+
+def los_interference_at(drop: Drop, bs: int, m: int) -> np.ndarray:
+    """Oracle: the (L*N, L*N) [interferer, reference] scores of every user
+    pair at one BS `bs`, whatever the reference's serving BS."""
+    alpha, k, theta = (x[:, :, bs].reshape(-1, 1)
+                       for x in (drop.alpha_est, drop.k_est, drop.aoa_est))
+    return los_interference_from_params(alpha, k, theta, alpha.T, k.T, theta.T, m)
+
+
+def loc_aware_per_pilot_mean(cfg: NetworkConfig, drop: Drop) -> np.ndarray:
+    """Oracle for `allocators.allocate_loc_aware`: the (L, N) plan with each
+    later-tier mean taken per pilot over a list of its holders, from the
+    per-BS scores of the users' own cell."""
+    n_pilots, N = cfg.pilot_len, cfg.N
+    plan = np.full((cfg.L, N), -1, dtype=int)
+    holders: list[list[int]] = [[] for _ in range(n_pilots)]   # flat user indices
+    for cell in range(cfg.L):
+        tiers = partition_tiers(drop, cell, n_pilots)
+        scores = los_interference_at(drop, cell, cfg.M).T   # [reference, interferer]
+        for slot, j in enumerate(tiers[0]):
+            plan[cell, j] = slot
+            holders[slot].append(cell * N + j)
+        for tier in tiers[1:]:
+            means = np.array([scores[np.ix_(cell * N + tier, h)].mean(axis=1)
+                              for h in holders])          # (n_pilots, tier)
+            free = np.ones(n_pilots, dtype=bool)
+            for col, j in enumerate(tier):
+                open_pilots = np.flatnonzero(free)
+                pilot = int(open_pilots[np.argmin(means[open_pilots, col])])
+                plan[cell, j] = pilot
+                free[pilot] = False
+                holders[pilot].append(cell * N + j)
+    return plan
+
+
+def proxy_weights_per_cell(cfg: NetworkConfig, drop: Drop) -> np.ndarray:
+    """Oracle for `allocators.proxy_weights`: the weights filled one block of
+    reference columns per cell, from the per-BS scores of that cell."""
+    N = cfg.N
+    weights = np.empty((cfg.L * N, cfg.L * N))
+    for cell in range(cfg.L):
+        refs = slice(cell * N, (cell + 1) * N)
+        gain = drop.alpha_est[:, :, cell].reshape(-1)
+        weights[:, refs] = (gain[:, None] / gain[None, refs]
+                            + los_interference_at(drop, cell, cfg.M)[:, refs])
+    np.fill_diagonal(weights, 0.0)
+    return weights

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import is_balanced, make_drop, set_all_nlos
+from conftest import (is_balanced, loc_aware_per_pilot_mean, make_drop,
+                      proxy_weights_per_cell, set_all_nlos)
 from mimopilots import allocators
 from mimopilots.allocators import (ALLOCATORS, allocate_greedy, allocate_loc_aware,
                                    allocate_random, allocate_random_iid,
@@ -17,6 +18,17 @@ def cfg_for(**kw):
     base = dict(L=1, N=4, M=8, pilot_len=2, k_db=10.0, seed=0)
     base.update(kw)
     return NetworkConfig(**base)
+
+
+# the bench's Table and desk scales, and three cells with NLOS links and
+# location error
+PLAN_IDENTITY_CONFIGS = {
+    "table": {},
+    "desk": dict(L=2, N=12, M=64, pilot_len=4, k_model="distance",
+                 los_model="linear_prob", loc_err_var=9.0),
+    "three_cells": dict(L=3, N=10, M=32, pilot_len=4, k_model="distance",
+                        los_model="linear_prob", loc_err_var=25.0),
+}
 
 
 def copilot_proxy(cfg, drop, plan, cell, j, pilot):
@@ -127,7 +139,7 @@ class TestLocAware:
             (100.0, 0.0), (150.0, t2), (300.0, t3), (350.0, t4)])
         plan = allocate_loc_aware(cfg, drop)
         assert list(plan.cells[0]) == [0, 1, 0, 1]
-        scores = los_interference(drop, bs=0, m=cfg.M)
+        scores = los_interference(drop, m=cfg.M)
         assert scores[0, 2] + scores[1, 3] < 1e-20
 
     def test_rayleigh_pairs_scored_by_overlap_only(self):
@@ -138,6 +150,15 @@ class TestLocAware:
         set_all_nlos(drop)
         plan = allocate_loc_aware(cfg, drop)
         assert is_balanced(plan.cells[0], cfg.pilot_len)
+
+
+@pytest.mark.parametrize("kw", PLAN_IDENTITY_CONFIGS.values(), ids=PLAN_IDENTITY_CONFIGS)
+def test_loc_aware_equals_per_pilot_mean_oracle(kw):
+    cfg = NetworkConfig(**kw)
+    for d in range(300):
+        drop = sample_users(cfg, np.random.default_rng([51, d]))
+        assert np.array_equal(allocate_loc_aware(cfg, drop).cells,
+                              loc_aware_per_pilot_mean(cfg, drop)), f"drop {d}"
 
 
 class TestRandom:
@@ -241,6 +262,13 @@ class TestGreedy:
             for cell, j, p in np.ndindex(cfg.L, cfg.N, cfg.pilot_len):
                 assert cand[cell * cfg.N + j, p] == pytest.approx(
                     copilot_proxy(cfg, drop, plan, cell, j, p), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("kw", PLAN_IDENTITY_CONFIGS.values(), ids=PLAN_IDENTITY_CONFIGS)
+    def test_weights_equal_per_cell_oracle(self, kw):
+        cfg = NetworkConfig(**kw)
+        for d in range(20):
+            drop = sample_users(cfg, np.random.default_rng([52, d]))
+            assert np.array_equal(proxy_weights(cfg, drop), proxy_weights_per_cell(cfg, drop))
 
     def test_deterministic_given_seed(self):
         cfg = NetworkConfig(L=2, N=9, M=16, pilot_len=3, k_db=10.0, seed=1)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import draw_channel, make_drop, set_all_nlos
 from mimopilots.channel import ChannelSampler, crandn, steering_vector
+from mimopilots.checks import steering_vs_direct
 from mimopilots.model import NetworkConfig, sample_users
 
 
@@ -39,6 +40,13 @@ class TestSteeringVector:
     def test_rejects_empty_array(self):
         with pytest.raises(ValueError):
             steering_vector(0, 0.0)
+
+    def test_matches_direct_exponential_up_to_4096_antennas(self):
+        # one exponential per entry carries rounding that grows with the index
+        rng = np.random.default_rng(43)
+        for m in (*range(1, 65), 99, 100, 101, 255, 256, 257, 1000, 1023, 1024, 1025,
+                  2047, 2048, 2049, 4095, 4096):
+            assert steering_vs_direct([m], rng) < m * 1e-15
 
     def test_angle_array_gives_one_response_per_angle(self):
         thetas = np.array([[0.3, 1.1], [2.0, 4.5]])

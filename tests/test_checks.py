@@ -25,10 +25,9 @@ class TestNanPropagates:
     def test_one_nan_pair_score_makes_the_deviation_nan(self, monkeypatch):
         real = checks.los_interference
 
-        def one_nan(drop, bs, m):
-            scores = real(drop, bs, m)
-            if bs == 1:
-                scores[0, 1] = np.nan
+        def one_nan(drop, m):
+            scores = real(drop, m)
+            scores[0, 4] = np.nan      # reference user 1 of cell 1, at BS 1
             return scores
         monkeypatch.setattr(checks, "los_interference", one_nan)
         cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3, seed=14)

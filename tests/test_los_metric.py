@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_drop
+from conftest import los_interference_at, make_drop
 from mimopilots.checks import (brute_kernel_sq, explicit_pair_score, kernel_zero_set_dev,
                                los_vector, pair_scores_vs_explicit)
 from mimopilots.los_metric import (dirichlet_kernel_sq, los_interference,
                                    los_interference_from_params, mutual_aoa)
-from mimopilots.model import NetworkConfig
+from mimopilots.model import NetworkConfig, sample_users
 
 
 def gain_ratio(alpha_a, k_a, alpha_b, k_b):
@@ -149,6 +149,20 @@ class TestLosInterference:
         with pytest.raises(ValueError):
             los_interference_from_params(0.3, 1.0, 1.0, 0.0, 2.0, 0.2, m=4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("arg", range(6),
+                             ids=["alpha_a", "k_a", "theta_a", "alpha_b", "k_b", "theta_b"])
+    def test_non_finite_parameter_rejected(self, arg, bad):
+        params = [1.0, 1.0, 0.1, 1.0, 1.0, 0.2]
+        params[arg] = bad
+        with pytest.raises(ValueError):
+            los_interference_from_params(*params, m=4)
+        # one bad entry inside an array is enough
+        params = [np.full(3, p) for p in (1.0, 1.0, 0.1, 1.0, 1.0, 0.2)]
+        params[arg][1] = bad
+        with pytest.raises(ValueError):
+            los_interference_from_params(*params, m=4)
+
     def test_overlap_symmetry(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -174,16 +188,17 @@ class TestLosInterference:
     def test_record_based_wrapper_uses_estimates(self):
         cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2)
         drop = make_drop(cfg, [(200.0, 0.4, 150.0, 0.5), (300.0, 1.4, 320.0, 1.3)])
-        scores = los_interference(drop, bs=0, m=cfg.M)
+        scores = los_interference(drop, m=cfg.M)
         a, k, t = drop.alpha_est[0, :, 0], drop.k_est[0, :, 0], drop.aoa_est[0, :, 0]
         for i, j in np.ndindex(2, 2):
             assert scores[i, j] == los_interference_from_params(
                 a[i], k[i], t[i], a[j], k[j], t[j], cfg.M)
 
     def test_drop_matrix_vs_explicit_vectors(self):
-        # two cells, every pair at both BSs: LOS pairs by the normalized
-        # overlap of the weighted LOS vectors, NLOS pairs by the bare steering
-        # overlap, and the equal-angle pair (users 0, 2) by the gain ratio
+        # two cells, every pair at the reference's serving BS: LOS pairs by
+        # the normalized overlap of the weighted LOS vectors, NLOS pairs by
+        # the bare steering overlap, and the equal-angle pair (users 0, 2) by
+        # the gain ratio
         cfg = NetworkConfig(L=2, N=3, M=12, pilot_len=3)
         los = np.ones((2, 3, 2), dtype=bool)
         los[0, 1, :] = False       # one user NLOS everywhere
@@ -192,15 +207,28 @@ class TestLosInterference:
                          [(180.0, 3.5), (260.0, 1.2, 250.0, 1.25), (390.0, 5.0)],
                          los=los)
         assert pair_scores_vs_explicit(drop, cfg.M) < 1e-9
-        for bs in range(cfg.L):
-            scores = los_interference(drop, bs, cfg.M)
-            assert scores.shape == (6, 6)
-            assert np.all(np.diag(scores) == 1.0)
+        scores = los_interference(drop, cfg.M)
+        assert scores.shape == (6, 6)
+        assert np.all(np.diag(scores) == 1.0)
         assert drop.aoa_est[0, 0, 0] == drop.aoa_est[0, 2, 0]
-        scores = los_interference(drop, 0, cfg.M)
         assert scores[0, 2] == gain_ratio(drop.alpha_est[0, 0, 0], drop.k_est[0, 0, 0],
                                           drop.alpha_est[0, 2, 0], drop.k_est[0, 2, 0])
-        assert scores[1, 4] == overlap(cfg.M, drop.aoa_est[0, 1, 0], drop.aoa_est[1, 1, 0])
+        # reference 4 is user 1 of cell 1, so the pair is seen at BS 1
+        assert scores[1, 4] == overlap(cfg.M, drop.aoa_est[0, 1, 1], drop.aoa_est[1, 1, 1])
+        # the NLOS cross link is read only when its user is an interferer at BS 0
+        assert scores[5, 0] == overlap(cfg.M, drop.aoa_est[1, 2, 0], drop.aoa_est[0, 0, 0])
+
+    def test_columns_match_per_bs_oracle_at_serving_bs(self):
+        cfg = NetworkConfig(L=3, N=8, M=32, pilot_len=4, k_model="distance",
+                            los_model="linear_prob", loc_err_var=25.0, seed=9)
+        drop = sample_users(cfg, np.random.default_rng(9))
+        # NLOS links and location error are both present
+        assert np.any(drop.k_est == 0) and not np.array_equal(drop.aoa_est, drop.aoa)
+        scores = los_interference(drop, cfg.M)
+        serving = np.repeat(np.arange(cfg.L), cfg.N)
+        for b in range(cfg.L * cfg.N):
+            assert np.array_equal(scores[:, b],
+                                  los_interference_at(drop, serving[b], cfg.M)[:, b])
 
 
 class TestAsymptoticLimit:
@@ -217,15 +245,15 @@ class TestAsymptoticLimit:
     def test_equal_angles_keep_gain_ratio(self):
         drop, ratio = self.pair(0.9)
         for m in (8, 64, 512, 4096):
-            assert los_interference(drop, 0, m)[0, 1] == ratio
+            assert los_interference(drop, m)[0, 1] == ratio
 
     def test_distinct_angles_vanish(self):
         drop, ratio = self.pair(1.0)
-        scores = [los_interference(drop, 0, m)[0, 1] for m in (64, 512, 4096)]
+        scores = [los_interference(drop, m)[0, 1] for m in (64, 512, 4096)]
         # envelope ratio / (m^2 sin^2(mutual/2)) ~ 7e-6 * ratio at m = 4096
         assert scores[-1] < 1e-5 * ratio
 
     def test_self_pair(self):
         drop, _ = self.pair(1.0)
         for m in (8, 4096):
-            assert np.all(np.diag(los_interference(drop, 0, m)) == 1.0)
+            assert np.all(np.diag(los_interference(drop, m)) == 1.0)
