@@ -6,7 +6,8 @@ Gaussian. The deterministic LOS part uses the *true* geometry of a `Drop`;
 BS-side estimates of it live in `estimation`.
 
 Users are indexed cell-major, cell * N + user, as in `los_metric` and the
-allocators: a realization is one (L, M, L*N) array [BS, antenna, user].
+allocators: a realization is one (L, M, L*N) array [BS, antenna, user],
+and a stack of realizations one (T, L, M, L*N) array.
 """
 
 from __future__ import annotations
@@ -66,28 +67,22 @@ def los_channels(alpha: np.ndarray, k: np.ndarray, aoa: np.ndarray,
 
 @dataclass
 class ChannelSet:
-    """Channels of one realization; g[l][:, i*N + j] is user j of cell i at BS l.
+    """Stacked realizations; g[t, l][:, i*N + j] is user j of cell i at BS l in trial t.
 
-    g = los + scatter * w_nlos per column, with `los` the sampler's true LOS
-    channels and w_nlos = sqrt(alpha / (1 + K)). The raw scatter draw is kept
-    so tests can reconstruct the scatter component exactly.
+    g = los + htilde * w_nlos per column, with `los` the sampler's true LOS
+    channels, htilde the unit-variance scatter draw in the same layout and
+    w_nlos = sqrt(alpha / (1 + K)).
     """
 
-    g: np.ndarray       # (L, M, L*N) complex [BS, antenna, cell*N + user]
-    htilde: np.ndarray  # (L, L, N, M) scatter draw [cell, BS, user, antenna]
-    w_nlos: np.ndarray  # (L, 1, L*N) scatter weights
-
-    def nlos_effective(self) -> np.ndarray:
-        """Scatter component scaled as it enters the received pilots, (L, M, L*N)."""
-        return self.htilde.transpose(1, 3, 0, 2).reshape(self.g.shape) * self.w_nlos
+    g: np.ndarray       # (T, L, M, L*N) complex [trial, BS, antenna, cell*N + user]
+    htilde: np.ndarray  # (T, L, M, L*N) scatter draw, same layout
 
 
 class ChannelSampler:
     """Precomputes the location-dependent pieces, then draws realizations.
 
-    The scatter block is drawn in [cell, BS, user, antenna] order, so the
-    stream is consumed cell pair by cell pair in (i, l) order and, within a
-    pair, user by user, one (M,) vector per user.
+    The scatter block is drawn in [trial, BS, antenna, user] order, so a
+    draw of T realizations consumes the stream exactly like T draws of one.
     """
 
     def __init__(self, drop: Drop, cfg: NetworkConfig):
@@ -96,12 +91,10 @@ class ChannelSampler:
         alpha, k = _by_bs(drop.alpha), _by_bs(drop.k)
         self.w_nlos = np.sqrt(alpha / (1.0 + k))[:, None, :]
 
-    def draw(self, rng: np.random.Generator) -> ChannelSet:
+    def draw(self, rng: np.random.Generator, trials: int) -> ChannelSet:
+        """`trials` independent realizations, stacked on a leading axis."""
         L, N, M = self.cfg.L, self.cfg.N, self.cfg.M
-        htilde = crandn(rng, (L, L, N, M))
-        g = np.empty((L, M, L, N), dtype=complex)
-        np.multiply(htilde.transpose(1, 3, 0, 2), self.w_nlos.reshape(L, 1, L, N), out=g)
-        g = g.reshape(L, M, L * N)
+        htilde = crandn(rng, (trials, L, M, L * N))
+        g = htilde * self.w_nlos
         g += self.los
-        return ChannelSet(g=g, htilde=htilde, w_nlos=self.w_nlos)
-
+        return ChannelSet(g=g, htilde=htilde)

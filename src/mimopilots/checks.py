@@ -95,11 +95,12 @@ def pair_scores_vs_explicit(drop: Drop, m: int) -> float:
 
 
 def _noiseless_pilot_phase(cfg: NetworkConfig, rng: np.random.Generator, lam: np.ndarray):
-    """A drop and one channel draw, in that stream order: (channels, Y - los @ lam)."""
+    """A drop and one channel draw, in that stream order: (g - los, Y - los_est @ lam)."""
     drop = sample_users(cfg, rng)
-    cs = ChannelSampler(drop, cfg).draw(rng)
-    y = synthesize_rx(cs.g, lam, np.zeros((cfg.L, cfg.M, cfg.pilot_len), dtype=complex))
-    return cs, y - estimated_los_channel(drop, cfg) @ lam
+    sampler = ChannelSampler(drop, cfg)
+    g = sampler.draw(rng, 1).g[0]
+    y = synthesize_rx(g, lam, np.zeros((cfg.L, cfg.M, cfg.pilot_len), dtype=complex))
+    return g - sampler.los, y - estimated_los_channel(drop, cfg) @ lam
 
 
 def los_subtraction_dev(cfg: NetworkConfig, rng: np.random.Generator, drops: int) -> float:
@@ -108,8 +109,8 @@ def los_subtraction_dev(cfg: NetworkConfig, rng: np.random.Generator, drops: int
     lam = pilot_matrix(distinct_plan(cfg), build_pilot_book(cfg.pilot_len))
     devs = []
     for _ in range(drops):
-        cs, resid = _noiseless_pilot_phase(cfg, rng, lam)
-        devs.append(np.max(np.abs(resid - cs.nlos_effective() @ lam)))
+        scatter, resid = _noiseless_pilot_phase(cfg, rng, lam)
+        devs.append(np.max(np.abs(resid - scatter @ lam)))
     return float(np.max(devs))
 
 
@@ -117,9 +118,9 @@ def ls_exactness_dev(cfg: NetworkConfig, rng: np.random.Generator) -> float:
     """Largest |LS estimate - scatter channel| of cell 0 at BS 0 in one
     noiseless drop of the distinct plan: zero for one cell, orthogonal pilots."""
     plan, book = distinct_plan(cfg), build_pilot_book(cfg.pilot_len)
-    cs, resid = _noiseless_pilot_phase(cfg, rng, pilot_matrix(plan, book))
+    scatter, resid = _noiseless_pilot_phase(cfg, rng, pilot_matrix(plan, book))
     est = ls_estimate(resid, book)
-    return float(np.max(np.abs(est[0][:, plan.cells[0]] - cs.nlos_effective()[0][:, :cfg.N])))
+    return float(np.max(np.abs(est[0][:, plan.cells[0]] - scatter[0][:, :cfg.N])))
 
 
 def grouped_zf_dev(cfg: NetworkConfig) -> float:
@@ -134,7 +135,7 @@ def grouped_zf_dev(cfg: NetworkConfig) -> float:
     lam = pilot_matrix(plan, book)
     noise = np.sqrt(1.0 / cfg.rho) * crandn(rng, (cfg.L, cfg.M, cfg.pilot_len))
     los = estimated_los_channel(drop, cfg)
-    g = ChannelSampler(drop, cfg).draw(rng).g
+    g = ChannelSampler(drop, cfg).draw(rng, 1).g[0]
     est = ls_estimate(synthesize_rx(g, lam, noise) - los @ lam, book)
     devs, merged = [], False
     for l in range(cfg.L):
@@ -209,12 +210,8 @@ def _channel_power_dev() -> float:
     cfg = NetworkConfig(L=1, N=2, M=16, pilot_len=2, k_db=3.0, seed=23)
     rng = np.random.default_rng(cfg.seed)
     drop = sample_users(cfg, rng)
-    sampler = ChannelSampler(drop, cfg)
-    trials = 2000
-    acc = np.zeros(cfg.N)
-    for _ in range(trials):
-        acc += np.sum(np.abs(sampler.draw(rng).g[0]) ** 2, axis=0)
-    return float(np.max(np.abs(acc / trials / cfg.M / drop.alpha[0, :, 0] - 1.0)))
+    power = np.mean(np.abs(ChannelSampler(drop, cfg).draw(rng, 2000).g[:, 0]) ** 2, axis=(0, 1))
+    return float(np.max(np.abs(power / drop.alpha[0, :, 0] - 1.0)))
 
 
 def _se_prefactor_dev() -> float:

@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration/usage error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from dataclasses import replace
@@ -102,6 +103,9 @@ def _resolve(args) -> ExperimentSpec:
     if args.command == "oracle" and spec.out is not None:
         raise ConfigError(f"oracle prints its ratios and writes no file, "
                           f"but the config names out {spec.out!r}")
+    if spec.out is not None and (os.path.isdir(spec.out) or
+                                 not os.path.isdir(os.path.dirname(spec.out) or ".")):
+        raise ConfigError(f"out {spec.out!r} is a directory or its directory does not exist")
     if args.command == "fig3c" and (spec.cfg.k_model, spec.cfg.los_model) != (
             "distance", "linear_prob"):
         raise ConfigError("fig3c requires k_model='distance' and "

@@ -16,7 +16,7 @@ every realization and the true channels used as ground truth.
 Users are indexed cell-major, cell * N + user: channels and reconstructed
 LOS channels are (L, M, L*N) arrays [BS, antenna, user] and a plan's
 pilots one (L*N, pilot_len) matrix. Trials run in chunks: a chunk's
-channel and noise draws are stacked on a leading trial axis, so a plan's
+channels and noise are each one draw with a leading trial axis, so a plan's
 pilot phase, LOS subtraction, LS estimate, copilot reduction, Gram-domain
 combiner products and SINR sums over every trial and BS of the chunk are
 one array expression each. The ZF solve is the one step left per trial and
@@ -167,12 +167,13 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     the pilot phase, subtracts the reconstructed LOS, forms one LS estimate
     per pilot, and solves ZF on the distinct estimate columns, one
     `zf_combiner` call per trial and BS, everything else one array
-    expression per chunk of trials (`_CHUNK_BYTES`). The chunk size depends
-    only on (L, M, N), and the draws are taken trial by trial in stream
-    order, so a plan's result is the same whichever other plans share the
-    call. Sample means over trials estimate the useful-signal mean, all
-    interference second moments and the combiner norm; the denominator is
-    floored at 1e-12. A non-finite SINR raises FloatingPointError.
+    expression per chunk of trials (`_CHUNK_BYTES`). Channels come from
+    `rng` and noise from a stream spawned from it, each one block per chunk
+    that consumes its stream trial by trial, so neither the chunk size nor
+    the other plans of the call change a plan's result. Sample means over
+    trials estimate the useful-signal mean, all interference second moments
+    and the combiner norm; the denominator is floored at 1e-12. A non-finite
+    SINR raises FloatingPointError.
     """
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
@@ -192,8 +193,7 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
                for l in range(L)] for plan in plans]
 
     chunk = max(1, min(trials, _CHUNK_BYTES // (16 * L * M * L * N)))
-    g_stack = np.empty((chunk, L, M, L * N), dtype=complex)
-    z_stack = np.empty((chunk, L, M, K), dtype=complex)
+    noise_rng = rng.spawn(1)[0]
     prod_stack = np.empty((chunk, L, N, L * N), dtype=complex)   # w^H g
     wsq_stack = np.empty((chunk, L, N))                          # ||w||^2
 
@@ -202,11 +202,9 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     sum_wsq = np.zeros((P, L, N))                 # ||w||^2
     for start in range(0, trials, chunk):
         t = min(chunk, trials - start)
-        g, z, prod, wsq = g_stack[:t], z_stack[:t], prod_stack[:t], wsq_stack[:t]
-        for i in range(t):
-            g[i] = sampler.draw(rng).g
-            # one block consumes the stream like L per-BS (M, pilot_len) draws
-            z[i] = crandn(rng, (L, M, K))
+        prod, wsq = prod_stack[:t], wsq_stack[:t]
+        g = sampler.draw(rng, t).g
+        z = crandn(noise_rng, (t, L, M, K))
         z *= np.sqrt(noise_var)
         for p in range(P):
             # one column per pilot at every trial and BS

@@ -76,6 +76,9 @@ class ExperimentSpec:
                               f"valid: {sorted(ALLOCATORS)}")
         if not self.allocators:
             raise ConfigError("need at least one allocator")
+        repeated = sorted({a for a in self.allocators if self.allocators.count(a) > 1})
+        if repeated:
+            raise ConfigError(f"allocators named more than once: {repeated}")
         for name in ("drops", "trials", "threads", "n_worst", "seed"):
             value = getattr(self, name)
             if name == "seed" and value is None:
@@ -346,7 +349,8 @@ def load_spec(path=None, defaults: dict | None = None,
         data.update(layer)
         exp.update(layer_exp)
     cfg = NetworkConfig.from_dict(data)
-    unknown = sorted(set(exp) - {f.name for f in fields(ExperimentSpec)} - {"cfg"})
+    # the network config is the document's top level, not an experiment key
+    unknown = sorted(set(exp) - ({f.name for f in fields(ExperimentSpec)} - {"cfg"}))
     if unknown:
         raise ConfigError(f"unknown experiment keys: {unknown}")
     return ExperimentSpec(cfg=cfg, **exp)

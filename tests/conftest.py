@@ -86,17 +86,16 @@ def is_balanced(cell_assignment: np.ndarray, n_pilots: int) -> bool:
     return bool(counts.min() >= n // n_pilots and counts.max() <= -(-n // n_pilots))
 
 
-def draw_channel(drop: Drop, cell: int, j: int, bs: int, m: int,
-                 rng: np.random.Generator, spacing: float = 0.5) -> np.ndarray:
-    """Oracle: one realization of user (cell, j)'s channel to BS `bs`.
+def channel_column(drop: Drop, cell: int, j: int, bs: int, h_nlos: np.ndarray,
+                   spacing: float = 0.5) -> np.ndarray:
+    """Oracle: user (cell, j)'s channel to BS `bs` for the scatter draw `h_nlos`.
 
     Weights are folded into the two components (w_los = sqrt(alpha*K/(1+K)),
     w_nlos = sqrt(alpha/(1+K))) with the same expressions the matrix
-    assembly uses, so shared-stream draws agree bit for bit.
+    assembly uses, so the columns agree bit for bit.
     """
     alpha, k = float(drop.alpha[cell, j, bs]), float(drop.k[cell, j, bs])
-    h_los = steering_vector(m, float(drop.aoa[cell, j, bs]), spacing)
-    h_nlos = crandn(rng, (m,))
+    h_los = steering_vector(h_nlos.size, float(drop.aoa[cell, j, bs]), spacing)
     return (h_los * np.sqrt(alpha * k / (1.0 + k))
             + h_nlos * np.sqrt(alpha / (1.0 + k)))
 
@@ -131,9 +130,10 @@ def estimate_sinr_per_trial(cfg: NetworkConfig, drop: Drop, plans, trials: int,
     sum_pow = np.zeros((len(plans), L, N))
     sum_wsq = np.zeros((len(plans), L, N))
     diag = np.arange(N)
+    noise_rng = rng.spawn(1)[0]
     for _ in range(trials):
-        g = sampler.draw(rng).g
-        noise = np.sqrt(noise_var) * crandn(rng, (L, M, cfg.pilot_len))
+        g = sampler.draw(rng, 1).g[0]
+        noise = np.sqrt(noise_var) * crandn(noise_rng, (L, M, cfg.pilot_len))
         for p, lam in enumerate(lams):
             est = ls_estimate(synthesize_rx(g, lam, noise) - los @ lam, book)
             for l in range(L):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import draw_channel, make_drop, set_all_nlos
+from conftest import channel_column, make_drop, set_all_nlos
 from mimopilots.channel import ChannelSampler, crandn, steering_vector
 from mimopilots.checks import steering_vs_direct
 from mimopilots.model import NetworkConfig, sample_users
@@ -66,7 +66,7 @@ class TestDrawChannel:
     def test_pure_los_limit(self):
         cfg = cfg_for(L=1, N=1, pilot_len=1, k_db=120.0)  # K = 1e12
         drop = self.single_user(cfg)
-        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(0)).g[0][:, 0]
+        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(0), 1).g[0, 0][:, 0]
         ref = np.sqrt(drop.alpha[0, 0, 0]) * steering_vector(cfg.M, drop.aoa[0, 0, 0])
         assert np.linalg.norm(g - ref) / np.linalg.norm(g) < 1e-5
 
@@ -74,61 +74,67 @@ class TestDrawChannel:
         cfg = cfg_for(L=1, N=1, pilot_len=1, k_db=0.0)
         drop = self.single_user(cfg, los=False)  # K forced 0
         assert drop.k[0, 0, 0] == 0.0
-        sampler, rng = ChannelSampler(drop, cfg), np.random.default_rng(1)
-        acc = sum(np.vdot(g, g).real for g in
-                  (sampler.draw(rng).g[0][:, 0] for _ in range(10_000)))
-        assert acc / 10_000 / cfg.M == pytest.approx(drop.alpha[0, 0, 0], rel=0.02)
+        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(1), 10_000).g[:, 0, :, 0]
+        power = np.sum(np.abs(g) ** 2) / 10_000 / cfg.M
+        assert power == pytest.approx(drop.alpha[0, 0, 0], rel=0.02)
 
     def test_rician_power_normalization(self):
         cfg = cfg_for(L=1, N=1, pilot_len=1, k_db=7.0)
         drop = self.single_user(cfg)
-        sampler, rng = ChannelSampler(drop, cfg), np.random.default_rng(2)
-        acc = sum(np.vdot(g, g).real for g in
-                  (sampler.draw(rng).g[0][:, 0] for _ in range(10_000)))
-        assert acc / 10_000 / cfg.M == pytest.approx(drop.alpha[0, 0, 0], rel=0.02)
+        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(2), 10_000).g[:, 0, :, 0]
+        power = np.sum(np.abs(g) ** 2) / 10_000 / cfg.M
+        assert power == pytest.approx(drop.alpha[0, 0, 0], rel=0.02)
 
 
 class TestAssembleChannels:
     def test_shapes_at_table_scale(self):
         cfg = NetworkConfig(L=2, N=36, M=100, pilot_len=12)
         drop = sample_users(cfg, np.random.default_rng(3))
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(4))
-        assert cs.g.shape == (2, 100, 72)
-        for l in range(2):
-            assert cs.g[l].shape == (100, 72)
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(4), 3)
+        assert cs.g.shape == cs.htilde.shape == (3, 2, 100, 72)
 
     def test_all_rayleigh_reduces_to_scatter(self):
         cfg = cfg_for(los_model="linear_prob", cell_radius=400.0)
         drop = sample_users(cfg, np.random.default_rng(5))
         set_all_nlos(drop)
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(6))
-        assert np.array_equal(cs.g, cs.nlos_effective())
+        sampler = ChannelSampler(drop, cfg)
+        cs = sampler.draw(np.random.default_rng(6), 2)
+        assert not sampler.los.any()
         for i in range(cfg.L):
+            users = slice(i * cfg.N, (i + 1) * cfg.N)
             for l in range(cfg.L):
-                expect = cs.htilde[i, l].T * np.sqrt(drop.alpha[i, :, l])[None, :]
-                assert np.allclose(cs.g[l][:, i * cfg.N:(i + 1) * cfg.N], expect)
+                expect = cs.htilde[:, l, :, users] * np.sqrt(drop.alpha[i, :, l])
+                assert np.allclose(cs.g[:, l, :, users], expect)
 
     def test_matches_per_user_draws_exactly(self):
-        # matrix assembly consumes the stream identically to per-user draws
+        # the scatter is one crandn block in [trial, BS, antenna, user]
+        # order, and each column is its user's LOS plus its weighted scatter
         cfg = cfg_for(k_db=5.0)
         drop = sample_users(cfg, np.random.default_rng(7))
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(99))
-        rng = np.random.default_rng(99)
-        for i in range(cfg.L):
-            for l in range(cfg.L):
-                for j in range(cfg.N):
-                    g = draw_channel(drop, i, j, l, cfg.M, rng, cfg.antenna_spacing)
-                    assert np.array_equal(cs.g[l][:, i * cfg.N + j], g)
+        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(99), 2)
+        shape = (2, cfg.L, cfg.M, cfg.L * cfg.N)
+        assert np.array_equal(cs.htilde, crandn(np.random.default_rng(99), shape))
+        for t in range(2):
+            for i in range(cfg.L):
+                for l in range(cfg.L):
+                    for j in range(cfg.N):
+                        u = i * cfg.N + j
+                        g = channel_column(drop, i, j, l, cs.htilde[t, l][:, u],
+                                           cfg.antenna_spacing)
+                        assert np.array_equal(cs.g[t, l][:, u], g)
+
+    def test_block_draw_equals_consecutive_single_draws(self):
+        cfg = cfg_for(los_model="linear_prob", k_model="distance", cell_radius=400.0)
+        drop = sample_users(cfg, np.random.default_rng(12))
+        sampler, rng = ChannelSampler(drop, cfg), np.random.default_rng(13)
+        single = np.stack([sampler.draw(rng, 1).g[0] for _ in range(3)])
+        assert np.array_equal(sampler.draw(np.random.default_rng(13), 3).g, single)
 
     def test_second_moment_per_user(self):
         cfg = cfg_for(L=1, N=2, M=8, k_db=10.0)
         drop = sample_users(cfg, np.random.default_rng(8))
-        sampler = ChannelSampler(drop, cfg)
-        rng = np.random.default_rng(9)
-        acc = np.zeros(cfg.N)
-        for _ in range(10_000):
-            acc += np.sum(np.abs(sampler.draw(rng).g[0]) ** 2, axis=0)
-        ratio = acc / 10_000 / cfg.M / drop.alpha[0, :, 0]
+        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(9), 10_000).g[:, 0]
+        ratio = np.sum(np.abs(g) ** 2, axis=(0, 1)) / 10_000 / cfg.M / drop.alpha[0, :, 0]
         assert np.all(np.abs(ratio - 1.0) < 0.03)
 
     @pytest.mark.parametrize("shape", [(1,), (36, 100), (2, 2, 12, 64)])

@@ -165,13 +165,13 @@ class TestCopilotGroups:
         rng = np.random.default_rng(42)
         book = build_pilot_book(cfg.pilot_len)
         lam = pilot_matrix(plan, book)
-        cs = ChannelSampler(drop, cfg).draw(rng)
+        g = ChannelSampler(drop, cfg).draw(rng, 1).g[0]
         for noise_var in (0.0, 1.0 / cfg.rho):
-            y = synthesize_rx(cs.g, lam, noise_block(cfg, noise_var, rng))
+            y = synthesize_rx(g, lam, noise_block(cfg, noise_var, rng))
             est = ls_estimate(y - los @ lam, book)
             ghat = own + est[0][:, plan.cells[0]]
-            assert_products_close(groups.products(est[0], cs.g[0]),
-                                  pinv_products(ghat, cs.g[0]), 1e-12)
+            assert_products_close(groups.products(est[0], g[0]),
+                                  pinv_products(ghat, g[0]), 1e-12)
             # W^H Ghat, the products with the estimate itself
             assert np.allclose(groups.products(est[0], ghat)[0],
                                pinv_products(ghat, ghat)[0], atol=1e-12)
@@ -220,7 +220,7 @@ class TestCopilotGroups:
         book = build_pilot_book(cfg.pilot_len)
         lam = pilot_matrix(plan, book)
         rng = np.random.default_rng(45)
-        y = synthesize_rx(ChannelSampler(drop, cfg).draw(rng).g, lam,
+        y = synthesize_rx(ChannelSampler(drop, cfg).draw(rng, 1).g[0], lam,
                           noise_block(cfg, 1.0 / cfg.rho, rng))
         for l in range(cfg.L):
             per_user = ls_estimate(y[l], lam[l * cfg.N:(l + 1) * cfg.N])
@@ -395,8 +395,8 @@ class TestEstimateSinr:
         plan = AllocationPlan(np.arange(4)[None, :], "t")
         book = build_pilot_book(cfg.pilot_len)
         lam = pilot_matrix(plan, book)
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(19))
-        y = synthesize_rx(cs.g, lam, noise_block(cfg, 1.0 / cfg.rho, np.random.default_rng(20)))
+        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(19), 1).g[0]
+        y = synthesize_rx(g, lam, noise_block(cfg, 1.0 / cfg.rho, np.random.default_rng(20)))
         los = estimated_los_channel(drop, cfg)
         ghat = los[0] + ls_estimate(y - los @ lam, book)[0][:, plan.cells[0]]
         w = ghat @ zf_combiner(ghat)

@@ -32,21 +32,21 @@ class TestSynthesizeRx:
     def test_single_user_rank_one(self):
         cfg = NetworkConfig(L=1, N=1, M=8, pilot_len=4, seed=0)
         drop = sample_users(cfg, np.random.default_rng(0))
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(1))
+        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(1), 1).g[0]
         book = build_pilot_book(cfg.pilot_len)
         plan = AllocationPlan(np.array([[2]]), "t")
-        y = synthesize_rx(cs.g, pilot_matrix(plan, book), noise_block(cfg))
-        expect = np.outer(cs.g[0][:, 0], book[2])
+        y = synthesize_rx(g, pilot_matrix(plan, book), noise_block(cfg))
+        expect = np.outer(g[0][:, 0], book[2])
         assert np.allclose(y[0], expect, atol=1e-12)
 
     def test_noise_only_calibration(self):
         cfg = NetworkConfig(L=1, N=2, M=64, pilot_len=16, seed=0)
         drop = sample_users(cfg, np.random.default_rng(3))
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(4))
-        cs.g[:] = 0.0
+        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(4), 1).g[0]
+        g[:] = 0.0
         noise_var = 0.37
         rng = np.random.default_rng(5)
-        samples = [synthesize_rx(cs.g, distinct_pilots(cfg),
+        samples = [synthesize_rx(g, distinct_pilots(cfg),
                                  noise_block(cfg, noise_var, rng))[0]
                    for _ in range(30)]
         power = np.mean([np.mean(np.abs(s) ** 2) for s in samples])
@@ -56,19 +56,19 @@ class TestSynthesizeRx:
         # full receive matrix = per-cell noiseless parts + the shared noise draw
         cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3, seed=0)
         drop = sample_users(cfg, np.random.default_rng(6))
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(7))
+        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(7), 1).g[0]
         lams = distinct_pilots(cfg)
         noise_var = 0.1
 
-        g0, g1 = cs.g.copy(), cs.g.copy()
+        g0, g1 = g.copy(), g.copy()
         g0[:, :, cfg.N:] = 0.0      # cell 1's users
         g1[:, :, :cfg.N] = 0.0      # cell 0's users
 
         z = noise_block(cfg, noise_var, np.random.default_rng(8))
-        full = synthesize_rx(cs.g, lams, z)
+        full = synthesize_rx(g, lams, z)
         part0 = synthesize_rx(g0, lams, noise_block(cfg))
         part1 = synthesize_rx(g1, lams, noise_block(cfg))
-        noise = synthesize_rx(np.zeros_like(cs.g), lams, z)
+        noise = synthesize_rx(np.zeros_like(g), lams, z)
         assert np.allclose(full, part0 + part1 + noise, atol=1e-10)
 
     def test_trial_stack_matches_per_trial_calls(self):
@@ -76,7 +76,7 @@ class TestSynthesizeRx:
         cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3, seed=0)
         drop = sample_users(cfg, np.random.default_rng(6))
         sampler, rng = ChannelSampler(drop, cfg), np.random.default_rng(7)
-        g = np.stack([sampler.draw(rng).g for _ in range(3)])
+        g = sampler.draw(rng, 3).g
         z = np.stack([noise_block(cfg, 0.1, rng) for _ in range(3)])
         lams = distinct_pilots(cfg)
         y = synthesize_rx(g, lams, z)
@@ -89,9 +89,9 @@ class TestSynthesizeRx:
     def test_misshaped_noise_rejected(self):
         cfg = NetworkConfig(L=1, N=1, M=2, pilot_len=2, seed=0)
         drop = sample_users(cfg, np.random.default_rng(0))
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(0))
+        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(0), 1).g[0]
         with pytest.raises(ValueError, match="noise block"):
-            synthesize_rx(cs.g, pilot_matrix(AllocationPlan(np.array([[0]]), "t"),
+            synthesize_rx(g, pilot_matrix(AllocationPlan(np.array([[0]]), "t"),
                                            build_pilot_book(2)), np.zeros((1, 2, 1)))
 
     def test_three_cells_sum_every_cells_pilots(self):
@@ -100,16 +100,16 @@ class TestSynthesizeRx:
         cfg = NetworkConfig(L=3, N=4, M=8, pilot_len=3, seed=0)
         drop = sample_users(cfg, np.random.default_rng(30))
         rng = np.random.default_rng(31)
-        cs = ChannelSampler(drop, cfg).draw(rng)
+        g = ChannelSampler(drop, cfg).draw(rng, 1).g[0]
         plan = AllocationPlan(rng.integers(0, cfg.pilot_len, (cfg.L, cfg.N)), "t")
         book = build_pilot_book(cfg.pilot_len)
         z = noise_block(cfg, 0.2, rng)
-        y = synthesize_rx(cs.g, pilot_matrix(plan, book), z)
+        y = synthesize_rx(g, pilot_matrix(plan, book), z)
         for l in range(cfg.L):
             expect = z[l].copy()
             for i in range(cfg.L):
                 g_il = np.column_stack([
-                    cs.g[l][:, i * cfg.N + j] for j in range(cfg.N)])
+                    g[l][:, i * cfg.N + j] for j in range(cfg.N)])
                 expect += g_il @ book[plan.cells[i]]
             assert np.allclose(y[l], expect, rtol=0.0,
                                atol=1e-12 * np.max(np.abs(expect)))
@@ -119,32 +119,34 @@ class TestSubtractLos:
     def test_perfect_locations_leave_scatter_only(self):
         cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4, loc_err_var=0.0, seed=2)
         drop = sample_users(cfg, np.random.default_rng(2))
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(3))
+        sampler = ChannelSampler(drop, cfg)
+        g = sampler.draw(np.random.default_rng(3), 1).g[0]
         lams = distinct_pilots(cfg)
-        y = synthesize_rx(cs.g, lams, noise_block(cfg))
+        y = synthesize_rx(g, lams, noise_block(cfg))
         resid = los_residual(y, drop, cfg, lams)
         for l in range(cfg.L):
-            assert np.max(np.abs(resid[l] - cs.nlos_effective()[l] @ lams)) < 1e-9
+            assert np.max(np.abs(resid[l] - (g - sampler.los)[l] @ lams)) < 1e-9
 
     def test_rayleigh_users_make_subtraction_a_noop(self):
         cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=3, seed=3)
         drop = sample_users(cfg, np.random.default_rng(5))
         set_all_nlos(drop)
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(6))
+        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(6), 1).g[0]
         lams = distinct_pilots(cfg)
-        y = synthesize_rx(cs.g, lams, noise_block(cfg, 0.3, np.random.default_rng(7)))
+        y = synthesize_rx(g, lams, noise_block(cfg, 0.3, np.random.default_rng(7)))
         resid = los_residual(y, drop, cfg, lams)
         assert np.array_equal(resid, y - 0.0)
 
     def test_location_errors_leave_exactly_the_mismatch(self):
         cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4, loc_err_var=9.0, seed=4)
         drop = sample_users(cfg, np.random.default_rng(8))
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(9))
+        sampler = ChannelSampler(drop, cfg)
+        g = sampler.draw(np.random.default_rng(9), 1).g[0]
         lams = distinct_pilots(cfg)
-        y = synthesize_rx(cs.g, lams, noise_block(cfg))
+        y = synthesize_rx(g, lams, noise_block(cfg))
         resid = los_residual(y, drop, cfg, lams)
         for l in range(cfg.L):
-            gap = resid[l] - cs.nlos_effective()[l] @ lams
+            gap = resid[l] - (g - sampler.los)[l] @ lams
             xi = los_mismatch(drop, cfg, lams, l)
             assert np.linalg.norm(gap) > 1e-3
             assert np.allclose(gap, xi.sum(axis=0), atol=1e-9)
@@ -171,19 +173,20 @@ class TestLsEstimate:
     def test_exact_for_orthogonal_pilots(self):
         cfg = NetworkConfig(L=1, N=8, M=32, pilot_len=8, seed=6)
         drop = sample_users(cfg, np.random.default_rng(13))
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(14))
+        sampler = ChannelSampler(drop, cfg)
+        g = sampler.draw(np.random.default_rng(14), 1).g[0]
         lams = distinct_pilots(cfg)
-        y = synthesize_rx(cs.g, lams, noise_block(cfg))
+        y = synthesize_rx(g, lams, noise_block(cfg))
         ghat = ls_estimate(los_residual(y, drop, cfg, lams), lams)[0]
-        assert np.max(np.abs(ghat - cs.nlos_effective()[0])) < 1e-9
+        assert np.max(np.abs(ghat - (g - sampler.los)[0])) < 1e-9
 
     def test_intra_cell_copilots_share_columns(self):
         cfg = NetworkConfig(L=1, N=4, M=8, pilot_len=2, seed=7)
         drop = sample_users(cfg, np.random.default_rng(16))
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(17))
+        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(17), 1).g[0]
         lams = pilot_matrix(AllocationPlan(np.array([[0, 0, 1, 1]]), "t"),
                             build_pilot_book(cfg.pilot_len))
-        y = synthesize_rx(cs.g, lams, noise_block(cfg, 0.05, np.random.default_rng(18)))
+        y = synthesize_rx(g, lams, noise_block(cfg, 0.05, np.random.default_rng(18)))
         ghat = ls_estimate(los_residual(y, drop, cfg, lams), lams)[0]
         assert np.allclose(ghat[:, 0], ghat[:, 1])
         assert np.allclose(ghat[:, 2], ghat[:, 3])
@@ -191,11 +194,12 @@ class TestLsEstimate:
     def test_cross_cell_contamination_sums_effective_channels(self):
         cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3, seed=8)
         drop = sample_users(cfg, np.random.default_rng(19))
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(20))
+        sampler = ChannelSampler(drop, cfg)
+        g = sampler.draw(np.random.default_rng(20), 1).g[0]
         lams = distinct_pilots(cfg)  # same plan in both cells
-        y = synthesize_rx(cs.g, lams, noise_block(cfg))
+        y = synthesize_rx(g, lams, noise_block(cfg))
         ghat = ls_estimate(los_residual(y, drop, cfg, lams), lams)[0][:, :cfg.N]
-        nlos = cs.nlos_effective()[0]
+        nlos = (g - sampler.los)[0]
         expect = nlos[:, :cfg.N] + nlos[:, cfg.N:]
         assert np.allclose(ghat, expect, atol=1e-9)
 
@@ -213,15 +217,15 @@ class TestLsEstimate:
         # (up to pilot-book orthogonality round-off), noise seed fixed
         cfg = NetworkConfig(L=2, N=4, M=8, pilot_len=2, seed=9)
         drop = sample_users(cfg, np.random.default_rng(23))
-        cs = ChannelSampler(drop, cfg).draw(np.random.default_rng(24))
+        g = ChannelSampler(drop, cfg).draw(np.random.default_rng(24), 1).g[0]
         plan = AllocationPlan(np.array([[0, 0, 1, 1], [0, 1, 1, 0]]), "t")
         lams = pilot_matrix(plan, build_pilot_book(cfg.pilot_len))
         z = noise_block(cfg, 0.02, np.random.default_rng(25))
-        y = synthesize_rx(cs.g, lams, z)
+        y = synthesize_rx(g, lams, z)
 
         watched = 0  # user (0, 0), pilot 0
         pilot = plan.cells[0][watched]
-        g_zeroed = cs.g.copy()
+        g_zeroed = g.copy()
         for i in range(cfg.L):
             for j in range(cfg.N):
                 if plan.cells[i][j] != pilot:
@@ -237,7 +241,7 @@ class TestLsEstimate:
         drop = sample_users(cfg, np.random.default_rng(27))
         rng = np.random.default_rng(28)
         book = build_pilot_book(cfg.pilot_len)
-        y = synthesize_rx(ChannelSampler(drop, cfg).draw(rng).g, distinct_pilots(cfg),
+        y = synthesize_rx(ChannelSampler(drop, cfg).draw(rng, 1).g[0], distinct_pilots(cfg),
                           noise_block(cfg, 0.1, rng))
         stacked = ls_estimate(y, book)
         assert stacked.shape == (cfg.L, cfg.M, cfg.pilot_len)

@@ -67,6 +67,8 @@ class TestExperimentSpec:
             ExperimentSpec(cfg=tiny_cfg(), sweep="loc_err_var", values=(0.0, "x"))
         with pytest.raises(ConfigError, match="no sweep axis"):
             ExperimentSpec(cfg=tiny_cfg(), values=(8, 16))
+        with pytest.raises(ConfigError, match=r"more than once: \['greedy'\]"):
+            ExperimentSpec(cfg=tiny_cfg(), allocators=("greedy", "random", "greedy"))
         for bad in (dict(drops=2.0), dict(trials="3"), dict(threads=True),
                     dict(seed=1.5)):
             with pytest.raises(ConfigError, match="integer"):
@@ -365,11 +367,13 @@ class TestCli:
         ({}, {"allocators": [["x"]]}),
         ({}, {"name": ["a", "b"]}),
         ({}, {"seed": -1}),
+        ({}, {"cfg": {"L": 2}}),
     ], ids=["pilot_len_fills_coherence_block", "one_trial", "fractional_m",
             "nan_pathloss_exp", "inf_pathloss_exp", "nan_k_db", "inf_k_db",
             "nan_loc_err_var", "inf_loc_err_var", "nan_antenna_spacing",
             "float_n", "string_m", "gain_overflow", "float_drops",
-            "scalar_values", "nested_allocators", "list_name", "negative_seed"])
+            "scalar_values", "nested_allocators", "list_name", "negative_seed",
+            "nested_cfg"])
     def test_boundary_error_exits_two_before_any_drop(self, tmp_path, capsys,
                                                       monkeypatch, cfg_keys, exp_keys):
         monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
@@ -501,6 +505,34 @@ class TestCli:
         assert cli_main(["oracle", "--config", path, *flags]) == 2
         assert "writes no file" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("fig3a", ["--m-values", "8", "--allocators", "random", "random"]),
+        ("oracle", ["--allocators", "loc_aware", "loc_aware"]),
+    ], ids=["fig3a", "oracle"])
+    def test_repeated_allocator_flag_exits_two_before_any_drop(self, tmp_path, capsys,
+                                                               monkeypatch, command, flags):
+        monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, {**NETWORK_ONLY, "experiment": {"drops": 2, "trials": 2}})
+        assert cli_main([command, "--config", path, *flags]) == 2
+        assert "allocators named more than once" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.csv").exists()
+
+    @pytest.mark.parametrize("command, out", [
+        ("fig3a", "missing/out.csv"), ("fig3b", "missing/out.csv"),
+        ("fig3c", "missing/out.csv"), ("fig3a", "."),
+    ], ids=["fig3a", "fig3b", "fig3c", "fig3a_out_is_a_directory"])
+    def test_unwritable_out_exits_two_before_any_drop(self, tmp_path, capsys, monkeypatch,
+                                                      command, out):
+        # a drop would raise through `no_monte_carlo` and exit 1
+        monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        path = write_config(tmp_path, {**NETWORK_ONLY, "k_model": "distance",
+                                       "los_model": "linear_prob",
+                                       "experiment": {"drops": 1, "trials": 2}})
+        assert cli_main([command, "--config", path, "--out", str(tmp_path / out)]) == 2
+        assert "directory" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     def test_check_subcommand_passes(self, capsys):
         assert cli_main(["check"]) == 0
