@@ -123,12 +123,22 @@ def ls_exactness_dev(cfg: NetworkConfig, rng: np.random.Generator) -> float:
     return float(np.max(np.abs(est[0][:, plan.cells[0]] - scatter[0][:, :cfg.N])))
 
 
+def pinv_moments(ghat: np.ndarray, g: np.ndarray, own: np.ndarray):
+    """(w_n^H g_own[n], sum |w_n^H g|^2, ||w_n||^2), the moments that
+    `CopilotGroups.moments` sums, of the explicit pseudo-inverse ZF combiner
+    W of one 2-D estimate `ghat`, user n at flat channel column own[n]."""
+    wh = np.linalg.pinv(ghat, rcond=1e-8)                 # W^H
+    prod = wh @ g
+    return (prod[np.arange(own.size), own], np.sum(np.abs(prod) ** 2, axis=1),
+            np.sum(np.abs(wh) ** 2, axis=1))
+
+
 def grouped_zf_dev(cfg: NetworkConfig) -> float:
     """Worst relative deviation, over the cells of one noisy drop of the
-    distinct plan, of the grouped combiner products W^H g and ||w||^2
-    (solved on the distinct columns and expanded, as `estimate_sinr` forms
-    them) from those of the pseudo-inverse combiner of the full estimate;
-    inf when no column merges, as then the grouped path never ran."""
+    distinct plan, of the `CopilotGroups.moments` that `estimate_sinr` sums
+    (solved on the distinct columns and expanded) from the `pinv_moments` of
+    the full estimate; inf when no column merges, as then every group has
+    one user."""
     rng = np.random.default_rng(cfg.seed)
     drop = sample_users(cfg, rng)
     plan, book = distinct_plan(cfg), build_pilot_book(cfg.pilot_len)
@@ -139,12 +149,11 @@ def grouped_zf_dev(cfg: NetworkConfig) -> float:
     est = ls_estimate(synthesize_rx(g, lam, noise) - los @ lam, book)
     devs, merged = [], False
     for l in range(cfg.L):
-        own = los[l][:, l * cfg.N:(l + 1) * cfg.N]
-        groups = CopilotGroups(own, plan.cells[l], cfg.pilot_len)
-        merged |= groups.inv is not None
-        w = np.linalg.pinv(own + est[l][:, plan.cells[l]]).conj().T
-        for got, ref in zip(groups.products(est[l], g[l]),
-                            (w.conj().T @ g[l], np.sum(np.abs(w) ** 2, axis=0))):
+        groups = CopilotGroups(los[l], l, plan.cells[l], cfg.pilot_len)
+        merged |= groups.pilots_u.size < cfg.N
+        ghat = los[l][:, groups.own] + est[l][:, plan.cells[l]]
+        for got, ref in zip(groups.moments(est[l][None], g[l][None]),
+                            pinv_moments(ghat, g[l], groups.own)):
             devs.append(np.linalg.norm(got - ref) / np.linalg.norm(ref))
     return float(np.max(devs)) if merged else np.inf
 

@@ -135,8 +135,11 @@ def _run(args) -> int:
 
     runs = [spec]
     if args.command == "fig3a" and args.k_db:
-        runs = [replace(spec, cfg=replace(spec.cfg, k_model="fixed", k_db=k_db),
-                        name=f"{spec.name}[k_db={k_db:g}]") for k_db in args.k_db]
+        names = [f"{spec.name}[k_db={k_db:g}]" for k_db in args.k_db]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"--k-db values give two runs the same name: {names}")
+        runs = [replace(spec, cfg=replace(spec.cfg, k_model="fixed", k_db=k_db), name=name)
+                for k_db, name in zip(args.k_db, names)]
     rows = [row for run in runs for row in run_sweep(run)]
     write_rows_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}")

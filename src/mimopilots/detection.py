@@ -3,26 +3,27 @@
 The detector at each BS combines with the zero-forcing combiner of its
 channel estimate (reconstructed LOS plus least-squares scatter estimate).
 Users of a cell who share a pilot and whose links the BS takes for NLOS get
-identical estimate columns; the combiner is solved on the distinct columns
-only and expanded in closed form to the minimum-norm combiner of the full
-estimate. Each solve returns X = pinv(Ghat^H Ghat), from the Gram inverse
-when a condition bound certifies it and the pseudo-inverse otherwise, and
-W = Ghat @ X is never built: the SINR sums need only W^H G = X Ghat^H G
-and ||w_n||^2 = X_nn. SINRs are conditional
-on user locations: expectations over small-scale fading are sample means
-over fresh channel realizations, with the combiner rebuilt from estimates
-every realization and the true channels used as ground truth.
+identical estimate columns; each cell is solved on its distinct columns,
+which maps in closed form to the minimum-norm combiner of the full estimate.
+Each solve returns X = pinv(Ghat^H Ghat), from the Gram inverse when a
+condition bound certifies it and the pseudo-inverse otherwise. W = Ghat @ X
+is never built: the SINR needs only each user's trial sums of its own w^H g,
+sum |w^H g|^2 and ||w||^2, from W^H G = X Ghat^H G and ||w_n||^2 = X_nn.
+SINRs are conditional on user locations: expectations over small-scale
+fading are sample means over fresh channel realizations, with the combiner
+rebuilt from estimates every realization and the true channels used as
+ground truth.
 
 Users are indexed cell-major, cell * N + user: channels and reconstructed
 LOS channels are (L, M, L*N) arrays [BS, antenna, user] and a plan's
 pilots one (L*N, pilot_len) matrix. Trials run in chunks: a chunk's
 channels and noise are each one draw with a leading trial axis, so a plan's
-pilot phase, LOS subtraction, LS estimate, copilot reduction, Gram-domain
-combiner products and SINR sums over every trial and BS of the chunk are
-one array expression each. The ZF solve is the one step left per trial and
-BS. The chunk holds as many trials as fit a fixed byte budget for the
-channel stack, so its size depends only on (L, M, N), never on the number
-of plans or trials, and the working set stays small at any trial count.
+pilot phase, LOS subtraction and LS estimate over every trial and BS of the
+chunk are one array expression each, and its moments one per BS. The ZF
+solve is the one step left per trial and BS. The chunk holds as many trials
+as fit a fixed byte budget for the channel stack, so its size depends only
+on (L, M, N), never on the number of plans or trials, and the working set
+stays small at any trial count.
 """
 
 from __future__ import annotations
@@ -97,55 +98,49 @@ def zf_combiner(ghat: np.ndarray) -> np.ndarray:
 class CopilotGroups:
     """One cell's estimate at its own BS, reduced to its distinct columns.
 
-    The estimate is Ghat = ghat_los + est[:, pilots], with `ghat_los` the
-    cell's reconstructed LOS channel at its BS, `pilots` the cell's pilot
-    indices and `est` the LS estimate with one column per pilot. Users who
-    share a pilot and whose LOS column is exactly zero (an NLOS link) get
-    identical columns and form one group; every other user is a group of
-    one. `inv` maps each user to its group and is None when every group has
-    one user, and then the full estimate is solved as it is.
+    The estimate is Ghat = los[:, own] + est[:, pilots], with `los` the
+    reconstructed LOS channels (M, L*N) at the cell's BS, `own` the cell's
+    flat user columns, `pilots` its users' pilot indices and `est` the LS
+    estimate with one column per pilot. Users who share a pilot and whose
+    LOS column is exactly zero (an NLOS link) get identical columns and form
+    one group; every other user is a group of one. `inv` maps each user to
+    its group, `root` is the root of each group's size, and the U <= N
+    distinct columns are kept scaled by it: `los_u` and `pilots_u`.
     """
 
-    def __init__(self, ghat_los: np.ndarray, pilots: np.ndarray, pilot_len: int):
-        self.ghat_los, self.pilots, self.inv = ghat_los, pilots, None
-        nlos = ~ghat_los.any(axis=0)
-        if np.count_nonzero(nlos) < 2:
-            return
-        key = np.where(nlos, pilots, pilot_len + np.arange(pilots.size))
-        _, keep, inv, size = np.unique(key, return_index=True,
-                                       return_inverse=True, return_counts=True)
-        if keep.size == pilots.size:
-            return
-        root = np.sqrt(size)
-        self.inv = inv
-        self.los_u = ghat_los[:, keep] * root             # (M, U)
-        self.pick = np.zeros((pilot_len, keep.size), dtype=complex)
-        self.pick[pilots[keep], np.arange(keep.size)] = root
-        self.scale = 1.0 / root[inv]                      # (N,)
+    def __init__(self, los: np.ndarray, cell: int, pilots: np.ndarray, pilot_len: int):
+        self.own = cell * pilots.size + np.arange(pilots.size)
+        own_los = los[:, self.own]
+        # NLOS users (zero LOS column) on one pilot share a key, others have their own
+        key = np.where(own_los.any(axis=0), pilot_len + self.own, pilots)
+        _, keep, self.inv, self.size = np.unique(key, return_index=True,
+                                                 return_inverse=True, return_counts=True)
+        self.root = np.sqrt(self.size)
+        self.los_u = own_los[:, keep] * self.root         # (M, U)
+        self.pilots_u = pilots[keep]
 
-    def products(self, est: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(W^H g (..., N, L*N), ||w||^2 (..., N)) of the ZF combiner W of
-        Ghat = ghat_los + est[..., pilots], for one estimate or a stack.
+    def moments(self, est: np.ndarray, g: np.ndarray):
+        """Trial sums of each user's SINR moments (w^H g_own, sum |w^H g|^2,
+        ||w||^2), each of shape (N,), for the ZF combiner W of Ghat over a
+        (t, M, pilot_len) estimate stack and (t, M, L*N) channels.
 
-        Each matrix gets its own `zf_combiner` call, X, and W^H g =
-        X @ (Ghat^H g), ||w_n||^2 = X_nn. With groups, Ghat = Gu @ E for the
-        distinct columns Gu and the 0/1 group-to-user map E with E E^T = D,
-        the group sizes. F = D^-1/2 E has orthonormal rows, so pinv(Ghat)^H
-        = W_u F for the combiner W_u of Gu D^1/2, whatever the rank of Gu: a
-        user gets its group's row of W_u^H g over the root of the group size
-        and its ||w||^2 over the size, from one solve on U <= N columns.
+        One `zf_combiner` call per trial, X, on the U distinct columns
+        Ghat_u = Gu D^1/2 gives B = X @ (Ghat_u^H g) and ||w_u||^2 = X_uu.
+        Ghat = Gu @ E for the 0/1 group-to-user map E with E E^T = D, the
+        group sizes, and F = D^-1/2 E has orthonormal rows, so pinv(Ghat)^H =
+        W_u F whatever the rank of Gu: user n of group u has w_n^H g =
+        B_u / sqrt(D_u) and ||w_n||^2 = X_uu / D_u. Squared moduli and X_uu
+        are summed per group, and only these (U,) sums and the own-user
+        entries of B are expanded to the N users.
         """
-        if self.inv is None:
-            ghat = self.ghat_los + est[..., self.pilots]
-        else:
-            ghat = self.los_u + est @ self.pick
-        x = np.array([zf_combiner(m) for m in ghat.reshape(-1, *ghat.shape[-2:])])
-        x = x.reshape(ghat.shape[:-2] + x.shape[-2:])
-        prod = x @ (ghat.conj().swapaxes(-1, -2) @ g)
-        wsq = np.diagonal(x, axis1=-2, axis2=-1).real
-        if self.inv is None:
-            return prod, wsq
-        return prod[..., self.inv, :] * self.scale[:, None], wsq[..., self.inv] * self.scale ** 2
+        ghat = self.los_u + est[..., self.pilots_u] * self.root
+        x = np.array([zf_combiner(m) for m in ghat])
+        prod = x @ (ghat.conj().swapaxes(-1, -2) @ g)      # (t, U, L*N)
+        v = prod.view(float)                               # squared moduli from re/im pairs
+        pow_u, wsq_u = np.einsum("tuk,tuk->u", v, v), np.einsum("tuu->u", x).real
+        inv, size = self.inv, self.size[self.inv]
+        return (prod[:, inv, self.own].sum(axis=0) / self.root[inv],
+                pow_u[inv] / size, wsq_u[inv] / size)
 
 
 def spectral_efficiency(sinr, pilot_len: int, coherence_len: int):
@@ -165,20 +160,20 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     Each trial draws fresh channels and one pilot-phase noise block, and
     every plan reuses them (common random numbers): per plan it synthesizes
     the pilot phase, subtracts the reconstructed LOS, forms one LS estimate
-    per pilot, and solves ZF on the distinct estimate columns, one
-    `zf_combiner` call per trial and BS, everything else one array
-    expression per chunk of trials (`_CHUNK_BYTES`). Channels come from
-    `rng` and noise from a stream spawned from it, each one block per chunk
-    that consumes its stream trial by trial, so neither the chunk size nor
-    the other plans of the call change a plan's result. Sample means over
-    trials estimate the useful-signal mean, all interference second moments
-    and the combiner norm; the denominator is floored at 1e-12. A non-finite
-    SINR raises FloatingPointError.
+    per pilot, and at each BS adds the `CopilotGroups.moments` of its cell,
+    one `zf_combiner` call per trial and BS on the distinct estimate
+    columns, everything else one array expression per chunk of trials
+    (`_CHUNK_BYTES`). Channels come from `rng` and noise from a stream
+    spawned from it, each one block per chunk that consumes its stream trial
+    by trial, so neither the chunk size nor the other plans of the call
+    change a plan's result. Sample means over trials estimate the
+    useful-signal mean, all interference second moments and the combiner
+    norm; the denominator is floored at 1e-12. A non-finite SINR raises
+    FloatingPointError.
     """
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
     L, N, M, K = cfg.L, cfg.N, cfg.M, cfg.pilot_len
-    P = len(plans)
     book = build_pilot_book(K)
     sampler = ChannelSampler(drop, cfg)
     noise_var = 1.0 / cfg.rho
@@ -189,35 +184,24 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     los = estimated_los_channel(drop, cfg)
     lams = [pilot_matrix(plan, book) for plan in plans]
     ybar = [los @ lam for lam in lams]
-    groups = [[CopilotGroups(los[l][:, l * N:(l + 1) * N], plan.cells[l], K)
-               for l in range(L)] for plan in plans]
+    groups = [[CopilotGroups(los[l], l, plan.cells[l], K) for l in range(L)] for plan in plans]
 
     chunk = max(1, min(trials, _CHUNK_BYTES // (16 * L * M * L * N)))
     noise_rng = rng.spawn(1)[0]
-    prod_stack = np.empty((chunk, L, N, L * N), dtype=complex)   # w^H g
-    wsq_stack = np.empty((chunk, L, N))                          # ||w||^2
-
-    sum_sig = np.zeros((P, L, N), dtype=complex)  # w^H g of the own user
-    sum_pow = np.zeros((P, L, N))                 # |w^H g|^2 summed over users
-    sum_wsq = np.zeros((P, L, N))                 # ||w||^2
+    # trial sums of the moments: own-user w^H g, |w^H g|^2 over all users, ||w||^2
+    sums = np.zeros((3, len(plans), L, N), dtype=complex)
     for start in range(0, trials, chunk):
         t = min(chunk, trials - start)
-        prod, wsq = prod_stack[:t], wsq_stack[:t]
         g = sampler.draw(rng, t).g
         z = crandn(noise_rng, (t, L, M, K))
         z *= np.sqrt(noise_var)
-        for p in range(P):
+        for p in range(len(plans)):
             # one column per pilot at every trial and BS
             est = ls_estimate(synthesize_rx(g, lams[p], z) - ybar[p], book)
             for l in range(L):
-                prod[:, l], wsq[:, l] = groups[p][l].products(est[:, l], g[:, l])
-            # the own user's entries, (l, n, l, n) of the (t, L, N, L, N) view
-            sum_sig[p] += np.einsum("tlnln->ln", prod.reshape(t, L, N, L, N))
-            # squared moduli summed over the float views' re/im pairs
-            v = prod.view(float)
-            sum_pow[p] += np.einsum("tlnk,tlnk->ln", v, v)
-            sum_wsq[p] += wsq.sum(axis=0)
+                sums[:, p, l] += groups[p][l].moments(est[:, l], g[:, l])
 
+    sum_sig, sum_pow, sum_wsq = sums[0], sums[1].real, sums[2].real
     mean_sig_sq = np.abs(sum_sig / trials) ** 2
     denom = sum_pow / trials - mean_sig_sq + noise_var * sum_wsq / trials
     sinr = mean_sig_sq / np.maximum(denom, _DENOM_FLOOR)

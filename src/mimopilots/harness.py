@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -85,19 +86,19 @@ class ExperimentSpec:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.drops < 1:
-            raise ConfigError("drops must be >= 1")
+        for name in ("drops", "threads", "n_worst"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.trials < 2:
             raise ConfigError(f"need at least 2 trials, got {self.trials}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.n_worst < 1:
-            raise ConfigError("n_worst must be >= 1")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.sweep is not None:
-            for value in self.values:    # a bad point fails before any drop runs
-                _sweep_cfg(self.cfg, self.sweep, value)
+        if self.sweep is not None:     # a bad point, or one named twice, fails before any drop
+            points = [getattr(_sweep_cfg(self.cfg, self.sweep, value), self.sweep)
+                      for value in self.values]
+            repeated = sorted({p for p in points if points.count(p) > 1})
+            if repeated:
+                raise ConfigError(f"{self.sweep} sweep points named more than once: {repeated}")
 
     @property
     def master_seed(self) -> int:
@@ -162,9 +163,11 @@ def _plan_se(cfg: NetworkConfig, drop: Drop, plans: list[AllocationPlan],
 
 
 def _for_each_drop(work, drops: int, threads: int) -> None:
-    """Run work(d) for every drop d, on `threads` worker threads when above one."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    """Run work(d) for every drop d, on min(threads, drops, cores) worker
+    threads when that is above one and in a plain loop otherwise."""
+    workers = min(threads, drops, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(drops)))
     else:
         for d in range(drops):

@@ -124,12 +124,11 @@ def estimate_sinr_per_trial(cfg: NetworkConfig, drop: Drop, plans, trials: int,
     noise_var = 1.0 / cfg.rho
     los = estimated_los_channel(drop, cfg)
     lams = [pilot_matrix(plan, book) for plan in plans]
-    groups = [[CopilotGroups(los[l][:, l * N:(l + 1) * N], plan.cells[l], cfg.pilot_len)
-               for l in range(L)] for plan in plans]
+    groups = [[CopilotGroups(los[l], l, plan.cells[l], cfg.pilot_len) for l in range(L)]
+              for plan in plans]
     sum_sig = np.zeros((len(plans), L, N), dtype=complex)
     sum_pow = np.zeros((len(plans), L, N))
     sum_wsq = np.zeros((len(plans), L, N))
-    diag = np.arange(N)
     noise_rng = rng.spawn(1)[0]
     for _ in range(trials):
         g = sampler.draw(rng, 1).g[0]
@@ -137,9 +136,9 @@ def estimate_sinr_per_trial(cfg: NetworkConfig, drop: Drop, plans, trials: int,
         for p, lam in enumerate(lams):
             est = ls_estimate(synthesize_rx(g, lam, noise) - los @ lam, book)
             for l in range(L):
-                prod, wsq = groups[p][l].products(est[l], g[l])
-                sum_pow[p, l] += np.sum(np.abs(prod) ** 2, axis=1)
-                sum_sig[p, l] += prod[diag, l * N + diag]
+                sig, pow_, wsq = groups[p][l].moments(est[l][None], g[l][None])
+                sum_sig[p, l] += sig
+                sum_pow[p, l] += pow_
                 sum_wsq[p, l] += wsq
     mean_sig_sq = np.abs(sum_sig / trials) ** 2
     denom = sum_pow / trials - mean_sig_sq + noise_var * sum_wsq / trials

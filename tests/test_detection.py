@@ -9,7 +9,7 @@ from conftest import estimate_sinr_per_trial, make_drop, noise_block
 from mimopilots import detection
 from mimopilots.allocators import allocate_loc_aware
 from mimopilots.channel import ChannelSampler
-from mimopilots.checks import distinct_plan
+from mimopilots.checks import distinct_plan, pinv_moments
 from mimopilots.detection import (CopilotGroups, estimate_sinr, gram_condition,
                                   spectral_efficiency, zf_combiner)
 from mimopilots.estimation import estimated_los_channel, ls_estimate, synthesize_rx
@@ -36,13 +36,8 @@ def pinv_gram_inverse(g):
     return p @ p.conj().T
 
 
-def pinv_products(ghat, g):
-    """(W^H g, ||w||^2) of the explicit pseudo-inverse combiner W of ghat."""
-    w = pinv_combiner(ghat)
-    return w.conj().T @ g, np.sum(np.abs(w) ** 2, axis=0)
-
-
-def assert_products_close(got, ref, rtol):
+def assert_moments_close(got, ref, rtol):
+    assert len(got) == len(ref) == 3
     for a, b in zip(got, ref):
         assert a.shape == b.shape
         assert np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
@@ -153,15 +148,14 @@ class TestCopilotGroups:
         drop = sample_users(cfg, np.random.default_rng(seed))
         plan = distinct_plan(cfg)
         los = estimated_los_channel(drop, cfg)
-        return cfg, drop, plan, los, CopilotGroups(los[0][:, :cfg.N], plan.cells[0],
-                                                   cfg.pilot_len)
+        return cfg, drop, plan, los, CopilotGroups(los[0], 0, plan.cells[0], cfg.pilot_len)
 
     def test_grouped_combiner_matches_full_pinv(self):
         cfg, drop, plan, los, groups = self.desk_cell(41)
         own = los[0][:, :cfg.N]
         nlos = ~own.any(axis=0)
         assert np.max(np.bincount(plan.cells[0][nlos])) >= 2   # co-pilot NLOS users
-        assert groups.inv is not None
+        assert groups.pilots_u.size < cfg.N
         rng = np.random.default_rng(42)
         book = build_pilot_book(cfg.pilot_len)
         lam = pilot_matrix(plan, book)
@@ -170,34 +164,45 @@ class TestCopilotGroups:
             y = synthesize_rx(g, lam, noise_block(cfg, noise_var, rng))
             est = ls_estimate(y - los @ lam, book)
             ghat = own + est[0][:, plan.cells[0]]
-            assert_products_close(groups.products(est[0], g[0]),
-                                  pinv_products(ghat, g[0]), 1e-12)
-            # W^H Ghat, the products with the estimate itself
-            assert np.allclose(groups.products(est[0], ghat)[0],
-                               pinv_products(ghat, ghat)[0], atol=1e-12)
+            assert_moments_close(groups.moments(est[0][None], g[0][None]),
+                                 pinv_moments(ghat, g[0], groups.own), 1e-12)
+            # W^H Ghat, the moments with the estimate itself as the channels
+            got = groups.moments(est[0][None], ghat[None])
+            ref = pinv_moments(ghat, ghat, groups.own)
+            for a, b in zip(got[:2], ref[:2]):
+                assert np.allclose(a, b, atol=1e-12)
 
     @pytest.mark.parametrize("grouped", [True, False])
-    def test_stack_of_estimates_matches_one_call_per_estimate(self, grouped):
-        # a (T, L, M, pilot_len) estimate stack sliced at one BS gives each
-        # trial exactly the products of its own 2-D call, grouped or not
+    def test_stack_of_estimates_matches_one_call_per_estimate(self, monkeypatch, grouped):
+        # a (T, L, M, pilot_len) estimate stack sliced at one BS solves each
+        # trial on exactly the input of its own single-trial call, grouped or
+        # not, and sums the single-trial moments
         cfg, drop, plan, los, groups = self.desk_cell(41)
         if not grouped:
-            groups = CopilotGroups(los[0][:, :cfg.N] + 1.0, plan.cells[0], cfg.pilot_len)
-        assert (groups.inv is not None) == grouped
+            groups = CopilotGroups(los[0] + 1.0, 0, plan.cells[0], cfg.pilot_len)
+        assert (groups.pilots_u.size < cfg.N) == grouped
         rng = np.random.default_rng(44)
         est = crand(rng, (3, cfg.L, cfg.M, cfg.pilot_len))
         g = crand(rng, (3, cfg.L, cfg.M, cfg.L * cfg.N))
-        prod, wsq = groups.products(est[:, 0], g[:, 0])
-        assert prod.shape == (3, cfg.N, cfg.L * cfg.N) and wsq.shape == (3, cfg.N)
+        inputs = []
+
+        def recording(ghat):
+            inputs.append(ghat.copy())
+            return zf_combiner(ghat)
+
+        monkeypatch.setattr(detection, "zf_combiner", recording)
+        stacked = groups.moments(est[:, 0], g[:, 0])
+        assert [m.shape for m in stacked] == [(cfg.N,)] * 3
+        singles = [groups.moments(est[t:t + 1, 0], g[t:t + 1, 0]) for t in range(3)]
+        assert len(inputs) == 6
         for t in range(3):
-            one = groups.products(est[t, 0], g[t, 0])
-            assert np.array_equal(prod[t], one[0])
-            assert np.array_equal(wsq[t], one[1])
+            assert np.array_equal(inputs[t], inputs[3 + t])
+        assert_moments_close(stacked, [sum(m) for m in zip(*singles)], 1e-12)
 
     def test_uncaught_duplicate_columns_still_give_the_full_pinv(self):
         # a LOS user whose column equals a co-pilot NLOS group's column stays
         # a group of its own, so the distinct columns are rank deficient;
-        # the root-scaled expansion still gives the products of the full
+        # the root-scaled expansion still gives the moments of the full
         # pseudo-inverse combiner
         cfg, drop, plan, los, _ = self.desk_cell(41)
         own = los[0][:, :cfg.N]
@@ -208,12 +213,13 @@ class TestCopilotGroups:
         parts = np.random.default_rng(43).integers(-8, 9, (cfg.M, cfg.pilot_len, 2))
         est = parts @ np.array([1.0, 1.0j])
         own[:, b] = est[:, p] - est[:, pilots[b]]
-        groups = CopilotGroups(own, pilots, cfg.pilot_len)
+        groups = CopilotGroups(own, 0, pilots, cfg.pilot_len)
         assert np.sum(groups.inv == groups.inv[b]) == 1
         ghat = own + est[:, pilots]
         assert np.array_equal(ghat[:, b], est[:, p])
         g = crand(np.random.default_rng(47), (cfg.M, cfg.L * cfg.N))
-        assert_products_close(groups.products(est, g), pinv_products(ghat, g), 1e-12)
+        assert_moments_close(groups.moments(est[None], g[None]),
+                             pinv_moments(ghat, g, groups.own), 1e-12)
 
     def test_per_pilot_estimate_indexed_by_plan_is_the_per_user_estimate(self):
         cfg, drop, plan, los, _ = self.desk_cell(44)
@@ -235,17 +241,16 @@ class TestCopilotGroups:
         plan = allocate_loc_aware(cfg, drop)
         los = estimated_los_channel(drop, cfg)
         for l in range(cfg.L):
-            groups = CopilotGroups(los[l][:, l * cfg.N:(l + 1) * cfg.N],
-                                   plan.cells[l], cfg.pilot_len)
-            assert groups.inv is None
+            groups = CopilotGroups(los[l], l, plan.cells[l], cfg.pilot_len)
+            assert groups.pilots_u.size == cfg.N
 
     def test_nlos_users_on_distinct_pilots_stay_ungrouped(self):
         cfg, drop, plan, los, _ = self.desk_cell(41)
         own = los[0][:, :cfg.N]
         own[:, :4] = 0.0                     # NLOS users on pilots 0..3
         own[:, 4:] += 1.0
-        groups = CopilotGroups(own, plan.cells[0], cfg.pilot_len)
-        assert groups.inv is None
+        groups = CopilotGroups(own, 0, plan.cells[0], cfg.pilot_len)
+        assert groups.pilots_u.size == cfg.N
 
 
 class TestSpectralEfficiency:
@@ -351,9 +356,8 @@ class TestEstimateSinr:
                                 % cfg.pilot_len, "t")]
         if cfg.los_model == "linear_prob":
             los = estimated_los_channel(drop, cfg)
-            assert any(CopilotGroups(los[l][:, l * cfg.N:(l + 1) * cfg.N],
-                                     plan.cells[l], cfg.pilot_len).inv is not None
-                       for plan in plans for l in range(cfg.L))
+            assert any(CopilotGroups(los[l], l, plan.cells[l], cfg.pilot_len).pilots_u.size
+                       < cfg.N for plan in plans for l in range(cfg.L))
         monkeypatch.setattr(detection, "_CHUNK_BYTES", chunk * trial_bytes(cfg))
         ref = estimate_sinr_per_trial(cfg, drop, plans, 7, np.random.default_rng(33))
         got = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33))
@@ -411,9 +415,8 @@ class TestEstimateSinr:
         drop = sample_users(cfg, np.random.default_rng(41))
         plans = [distinct_plan(cfg), allocate_loc_aware(cfg, drop)]
         los = estimated_los_channel(drop, cfg)
-        assert any(CopilotGroups(los[l][:, l * cfg.N:(l + 1) * cfg.N],
-                                 plan.cells[l], cfg.pilot_len).inv is not None
-                   for plan in plans for l in range(cfg.L))
+        assert any(CopilotGroups(los[l], l, plan.cells[l], cfg.pilot_len).pilots_u.size
+                   < cfg.N for plan in plans for l in range(cfg.L))
         monkeypatch.setattr(detection, "_CHUNK_BYTES", 3 * trial_bytes(cfg))
         ndims = []
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -69,6 +70,10 @@ class TestExperimentSpec:
             ExperimentSpec(cfg=tiny_cfg(), values=(8, 16))
         with pytest.raises(ConfigError, match=r"more than once: \['greedy'\]"):
             ExperimentSpec(cfg=tiny_cfg(), allocators=("greedy", "random", "greedy"))
+        with pytest.raises(ConfigError, match=r"M sweep points named more than once: \[8\]"):
+            ExperimentSpec(cfg=tiny_cfg(), sweep="M", values=(8, 16, 8.0))
+        with pytest.raises(ConfigError, match=r"more than once: \[0.0\]"):
+            ExperimentSpec(cfg=tiny_cfg(), sweep="loc_err_var", values=(0, 3.0, 0.0))
         for bad in (dict(drops=2.0), dict(trials="3"), dict(threads=True),
                     dict(seed=1.5)):
             with pytest.raises(ConfigError, match="integer"):
@@ -226,6 +231,35 @@ class TestThreadsAndDeterminism:
         b = evaluate_drops(cfg, ("loc_aware", "random"), 4, 3, seed=1, threads=8)
         for name in a:
             assert np.array_equal(a[name], b[name])
+
+    @pytest.mark.parametrize("threads, drops, cores, workers", [
+        (64, 3, 4, 3), (64, 10, 4, 4), (2, 10, 4, 2), (8, 1, 4, None),
+        (8, 10, 1, None), (8, 10, None, None), (1, 10, 4, None),
+    ])
+    def test_pool_is_bounded_by_drops_and_cores(self, monkeypatch, threads, drops,
+                                                cores, workers):
+        # min(threads, drops, cores) workers, and no pool at all when that is 1
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+        done = []
+        harness._for_each_drop(done.append, drops, threads)
+        assert done == list(range(drops))
+        assert started == ([] if workers is None else [workers])
 
     def test_single_thread_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -517,6 +551,27 @@ class TestCli:
         path = write_config(tmp_path, {**NETWORK_ONLY, "experiment": {"drops": 2, "trials": 2}})
         assert cli_main([command, "--config", path, *flags]) == 2
         assert "allocators named more than once" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.csv").exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("fig3a", ["--m-values", "8", "8"], r"M sweep points named more than once: \[8\]"),
+        ("fig3c", ["--values", "0", "3", "0.0"],
+         r"loc_err_var sweep points named more than once: \[0.0\]"),
+        ("fig3a", ["--k-db", "10", "7.5", "10.0"],
+         r"--k-db values give two runs the same name: .*fig3a\[k_db=10\].*fig3a\[k_db=10\]"),
+        # distinct values that print alike would label two runs alike
+        ("fig3a", ["--k-db", "10", "10.0000001"],
+         r"--k-db values give two runs the same name: .*fig3a\[k_db=10\]"),
+    ], ids=["fig3a_m", "fig3c_variance", "fig3a_k_db", "fig3a_k_db_same_label"])
+    def test_repeated_sweep_point_exits_two_before_any_drop(self, tmp_path, capsys,
+                                                            monkeypatch, command, flags,
+                                                            message):
+        # a drop would raise through `no_monte_carlo` and exit 1
+        monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, {**NETWORK_ONLY, "experiment": {"drops": 1, "trials": 2}})
+        assert cli_main([command, "--config", path, *flags]) == 2
+        assert re.search(message, capsys.readouterr().err)
         assert not (tmp_path / f"{command}.csv").exists()
 
     @pytest.mark.parametrize("command, out", [
