@@ -6,9 +6,9 @@ allocator comparisons are paired. Drop d of a run derives all its randomness
 from SeedSequence([seed, d, purpose]), which makes runs reproducible and
 thread-count independent.
 
-`evaluate_drops` and `run_oracle_compare` take each drop through
-`_drop_plans` and then `_plan_se`, and return one array per allocator,
-indexed by drop.
+`evaluate_drops` and `run_oracle_compare` map a module-level drop function,
+`_drop_se` or `_drop_ratios`, over the drop indices with `_for_each_drop`
+and stack what it returns into one array per allocator, indexed by drop.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -58,8 +59,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ConfigError(f"name must be a string, got {self.name!r}")
-        if not isinstance(self.out, (str, type(None))):
-            raise ConfigError(f"out must be a string, got {self.out!r}")
+        if not isinstance(self.out, (str, type(None))) or self.out == "":
+            raise ConfigError(f"out must be a string naming a file, got {self.out!r}")
         for name in ("values", "allocators"):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)):
@@ -162,34 +163,48 @@ def _plan_se(cfg: NetworkConfig, drop: Drop, plans: list[AllocationPlan],
     return spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
 
 
-def _for_each_drop(work, drops: int, threads: int) -> None:
-    """Run work(d) for every drop d, on min(threads, drops, cores) worker
-    threads when that is above one and in a plain loop otherwise."""
+def _drop_se(cfg: NetworkConfig, allocators: tuple[str, ...], trials: int,
+             seed: int, d: int) -> np.ndarray:
+    """Drop d's (P, L, N) per-user SE, one row per allocator."""
+    return _plan_se(cfg, *_drop_plans(cfg, allocators, seed, d), trials, seed, d)
+
+
+def _drop_ratios(cfg: NetworkConfig, allocators: tuple[str, ...], trials: int,
+                 seed: int, d: int) -> np.ndarray:
+    """Drop d's (P,) ratios of each allocator's cell-0 sum SE to the
+    exhaustive-search optimum; `score` gives its plans and every candidate
+    the same channel draws, so each ratio is <= 1 by construction."""
+    drop, plans = _drop_plans(cfg, allocators, seed, d)
+
+    def score(block: list[AllocationPlan]) -> np.ndarray:
+        return _plan_se(cfg, drop, block, trials, seed, d)[:, 0].sum(axis=-1)
+
+    _, best = exhaustive_search(cfg, score)
+    return score(plans) / best
+
+
+def _for_each_drop(fn, drops: int, threads: int) -> list:
+    """[fn(d) for d in range(drops)] in drop order, on min(threads, drops,
+    cores) worker threads when that is above one, else in a plain loop."""
     workers = min(threads, drops, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(drops)))
-    else:
-        for d in range(drops):
-            work(d)
+            return list(pool.map(fn, range(drops)))
+    return [fn(d) for d in range(drops)]
 
 
 def evaluate_drops(cfg: NetworkConfig, allocators: tuple[str, ...], drops: int,
                    trials: int, seed: int, threads: int = 1) -> dict[str, np.ndarray]:
     """Per-user SE arrays of shape (drops, L, N) for each allocator.
 
-    Drops are independent work units; results land in preallocated slots,
-    so the output is identical for any thread count.
+    Each drop's SE comes from `_drop_se` on the drop's own seeds and is
+    stacked in drop order, so the output is identical for any thread count.
     """
-    results = {name: np.empty((drops, cfg.L, cfg.N)) for name in allocators}
-
-    def work(d: int) -> None:
-        drop, plans = _drop_plans(cfg, allocators, seed, d)
-        for name, se in zip(allocators, _plan_se(cfg, drop, plans, trials, seed, d)):
-            results[name][d] = se
-
-    _for_each_drop(work, drops, threads)
-    return results
+    if drops < 1:
+        raise ConfigError("drops must be >= 1")
+    se = np.stack(_for_each_drop(partial(_drop_se, cfg, allocators, trials, seed),
+                                 drops, threads), axis=1)
+    return dict(zip(allocators, se))
 
 
 def bootstrap_stderr(values: np.ndarray, seed: int = 0) -> float:
@@ -270,29 +285,14 @@ def run_worst_user_cdf(spec: ExperimentSpec) -> dict[str, tuple[np.ndarray, np.n
 def run_oracle_compare(spec: ExperimentSpec) -> dict[str, np.ndarray]:
     """Per drop, each allocator's sum SE over the exhaustive-search optimum.
 
-    Ratios of shape (drops,) per allocator. A plan's score is its cell-0
-    sum SE from `_plan_se`, the scorer `exhaustive_search` runs on every
-    candidate block, so the spec's plans and every candidate see the same
-    channel draws (common random numbers) and each ratio is <= 1 by
-    construction.
+    Ratios of shape (drops,) per allocator, each drop's from `_drop_ratios`,
+    which scores every plan with `_plan_se` on the drop's SINR stream.
     """
-    cfg = spec.cfg
-    seed = spec.master_seed
-    search_space_size(cfg)                 # too large a search fails before any drop
-    ratios = {name: np.empty(spec.drops) for name in spec.allocators}
-
-    def work(d: int) -> None:
-        drop, plans = _drop_plans(cfg, spec.allocators, seed, d)
-
-        def score(block: list[AllocationPlan]) -> np.ndarray:
-            return _plan_se(cfg, drop, block, spec.trials, seed, d)[:, 0].sum(axis=-1)
-
-        _, best = exhaustive_search(cfg, score)
-        for name, own in zip(spec.allocators, score(plans)):
-            ratios[name][d] = own / best
-
-    _for_each_drop(work, spec.drops, spec.threads)
-    return ratios
+    search_space_size(spec.cfg)            # too large a search fails before any drop
+    ratios = np.stack(_for_each_drop(partial(_drop_ratios, spec.cfg, spec.allocators,
+                                             spec.trials, spec.master_seed),
+                                     spec.drops, spec.threads), axis=1)
+    return dict(zip(spec.allocators, ratios))
 
 
 def _fmt(value) -> str:

@@ -3,9 +3,11 @@
 import csv
 import json
 import math
+import pickle
 import re
 import tempfile
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -224,13 +226,41 @@ class TestOracleCompare:
             run_oracle_compare(spec)
 
 
+def run_evaluate(cfg, allocators, drops, trials, seed, threads=1):
+    return evaluate_drops(cfg, allocators, drops, trials, seed, threads)
+
+
+def run_oracle(cfg, allocators, drops, trials, seed, threads=1):
+    return run_oracle_compare(ExperimentSpec(cfg=cfg, allocators=allocators, drops=drops,
+                                             trials=trials, seed=seed, threads=threads))
+
+
 class TestThreadsAndDeterminism:
-    def test_thread_count_does_not_change_results(self):
-        cfg = tiny_cfg()
-        a = evaluate_drops(cfg, ("loc_aware", "random"), 4, 3, seed=1, threads=1)
-        b = evaluate_drops(cfg, ("loc_aware", "random"), 4, 3, seed=1, threads=8)
+    @pytest.mark.parametrize("run, cfg", [
+        (run_evaluate, tiny_cfg()), (run_oracle, tiny_cfg(L=1, N=3)),
+    ], ids=["evaluate_drops", "run_oracle_compare"])
+    def test_thread_count_does_not_change_results(self, run, cfg):
+        a = run(cfg, ("loc_aware", "random"), 4, 3, seed=1, threads=1)
+        b = run(cfg, ("loc_aware", "random"), 4, 3, seed=1, threads=8)
+        assert list(a) == list(b) == ["loc_aware", "random"]
         for name in a:
             assert np.array_equal(a[name], b[name])
+
+    @pytest.mark.parametrize("fn, run", [
+        (harness._drop_se, run_evaluate), (harness._drop_ratios, run_oracle),
+    ], ids=["drop_se", "drop_ratios"])
+    def test_drop_function_partial_pickles(self, fn, run):
+        # a worker process receives the drop function as a pickled partial
+        cfg, allocators, trials, seed = tiny_cfg(L=1, N=3), ("loc_aware", "random"), 3, 1
+        work = pickle.loads(pickle.dumps(partial(fn, cfg, allocators, trials, seed)))
+        results = run(cfg, allocators, 2, trials, seed)
+        for d in range(2):
+            for name, value in zip(allocators, work(d)):
+                assert np.array_equal(value, results[name][d])
+
+    def test_zero_drops_rejected(self):
+        with pytest.raises(ConfigError, match="drops must be >= 1"):
+            evaluate_drops(tiny_cfg(), ("loc_aware",), 0, 2, 1)
 
     @pytest.mark.parametrize("threads, drops, cores, workers", [
         (64, 3, 4, 3), (64, 10, 4, 4), (2, 10, 4, 2), (8, 1, 4, None),
@@ -256,9 +286,8 @@ class TestThreadsAndDeterminism:
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
-        done = []
-        harness._for_each_drop(done.append, drops, threads)
-        assert done == list(range(drops))
+        assert harness._for_each_drop(lambda d: d * d, drops, threads) == [
+            d * d for d in range(drops)]
         assert started == ([] if workers is None else [workers])
 
     def test_single_thread_byte_identical(self, tmp_path):
@@ -588,6 +617,21 @@ class TestCli:
         assert cli_main([command, "--config", path, "--out", str(tmp_path / out)]) == 2
         assert "directory" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command", ["fig3a", "fig3b", "fig3c", "oracle"])
+    def test_empty_out_exits_two_before_any_drop(self, tmp_path, capsys, monkeypatch,
+                                                 command, source):
+        # an empty out must not fall back to the command's default file name
+        monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        monkeypatch.chdir(tmp_path)
+        exp = {"drops": 1, "trials": 2, **({"out": ""} if source == "file" else {})}
+        path = write_config(tmp_path, {**NETWORK_ONLY, "k_model": "distance",
+                                       "los_model": "linear_prob", "experiment": exp})
+        flags = ["--out", ""] if source == "flag" else []
+        assert cli_main([command, "--config", path, *flags]) == 2
+        assert "out must be a string naming a file" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.csv").exists()
 
     def test_check_subcommand_passes(self, capsys):
         assert cli_main(["check"]) == 0
