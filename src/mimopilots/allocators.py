@@ -11,9 +11,9 @@ Five allocators share one signature, (cfg, drop, rng) -> AllocationPlan:
 * exhaustive — brute-force argmax of a scorer over every assignment
                (small scenarios only), scored a block of plans at a time.
 
-loc_aware and greedy each read the (L*N, L*N) pair-score matrix that
-`los_metric.los_interference` returns, every column at its reference user's
-serving BS; users are flattened cell-major there (cell * N + user).
+loc_aware and greedy read one (L*N, L*N) pair-score matrix per drop,
+`los_metric.pair_scores`, every column at its reference user's serving BS;
+users are flattened cell-major there (cell * N + user).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .los_metric import los_interference
+from .los_metric import pair_scores
 from .model import TWO_PI, ConfigError, Drop, NetworkConfig
 from .pilots import AllocationPlan
 
@@ -62,7 +62,7 @@ def allocate_loc_aware(cfg: NetworkConfig, drop: Drop,
     """
     n_pilots, N = cfg.pilot_len, cfg.N
     plan = np.full((cfg.L, N), -1, dtype=int)
-    scores = los_interference(drop, cfg.M)       # [interferer, reference]
+    scores = pair_scores(drop, cfg.M)            # [interferer, reference]
 
     for cell in range(cfg.L):
         tiers = partition_tiers(drop, cell, n_pilots)
@@ -74,12 +74,12 @@ def allocate_loc_aware(cfg: NetworkConfig, drop: Drop,
             held = (plan.reshape(-1) == np.arange(n_pilots)[:, None]).astype(float)
             means = (held @ scores[:, cell * N + tier]
                      / held.sum(axis=1)[:, None])               # (n_pilots, tier)
-            free = np.ones(n_pilots, dtype=bool)
-            for col, j in enumerate(tier):
-                open_pilots = np.flatnonzero(free)
-                pilot = int(open_pilots[np.argmin(means[open_pilots, col])])
+            # min over an ascending list keeps the first of ties
+            open_pilots = list(range(n_pilots))
+            for j, row in zip(tier, means.T.tolist()):
+                pilot = min(open_pilots, key=row.__getitem__)
                 plan[cell, j] = pilot
-                free[pilot] = False
+                open_pilots.remove(pilot)
 
     return AllocationPlan(cells=plan, allocator="loc_aware")
 
@@ -132,7 +132,7 @@ def proxy_weights(cfg: NetworkConfig, drop: Drop) -> np.ndarray:
     cells = np.repeat(np.arange(cfg.L), cfg.N)   # each reference's serving BS
     gain = drop.alpha_est.reshape(-1, cfg.L)     # [interferer, BS]
     weights = (gain[:, cells] / Drop.serving(drop.alpha_est).reshape(-1)
-               + los_interference(drop, cfg.M))
+               + pair_scores(drop, cfg.M))
     np.fill_diagonal(weights, 0.0)
     return weights
 

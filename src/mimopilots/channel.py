@@ -35,33 +35,38 @@ def steering_vector(m: int, theta, spacing: float = 0.5) -> np.ndarray:
     """Uniform-linear-array response: entry i = exp(-1j*i*2*pi*spacing*sin(theta)).
 
     Every entry has unit modulus, entry 0 is 1, and the squared norm is m.
-    An array of angles gives one response per angle along a new last axis.
-    With b = isqrt(m - 1) + 1, entry i0 + b*i1 is exp(1j*phase*i0) *
-    exp(1j*phase*b*i1): 2*sqrt(m) exponentials per angle instead of m.
+    A scalar angle gives an (m,) vector; angles of shape (..., n) give
+    (..., m, n), one response per column, the [antenna, user] layout of a
+    channel matrix. With b = isqrt(m - 1) + 1, entry i0 + b*i1 is
+    exp(1j*phase*i0) * exp(1j*phase*b*i1): 2*sqrt(m) exponentials per angle
+    instead of m, multiplied with the angles innermost.
     """
     if m < 1:
         raise ValueError("need at least one antenna")
     phase = -2.0 * np.pi * spacing * np.sin(theta)
+    cols = np.atleast_1d(phase)[..., None, :]                   # (..., 1, n)
     b = math.isqrt(m - 1) + 1
-    low = np.exp(1j * np.multiply.outer(phase, np.arange(b)))
-    high = np.exp(1j * np.multiply.outer(phase, np.arange(0, m, b)))
-    return (high[..., :, None] * low[..., None, :]).reshape(*np.shape(phase), -1)[..., :m]
+    low = np.exp(1j * (np.arange(b)[:, None] * cols))           # (..., b, n)
+    high = np.exp(1j * (np.arange(0, m, b)[:, None] * cols))    # (..., ceil(m/b), n)
+    steer = (high[..., :, None, :] * low[..., None, :, :]).reshape(
+        *cols.shape[:-2], -1, cols.shape[-1])[..., :m, :]
+    return steer if np.ndim(phase) else steer[:, 0]
 
 
 def _by_bs(x: np.ndarray) -> np.ndarray:
-    """A per-link [cell, user, BS] array as [BS, cell*N + user]."""
+    """A per-link [cell, user, BS] array as a C-contiguous [BS, cell*N + user]
+    one, so that products with it keep the C layout of their other operand."""
     n_cells, n_users, n_bs = x.shape
-    return x.transpose(2, 0, 1).reshape(n_bs, n_cells * n_users)
+    return np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(n_bs, n_cells * n_users)
 
 
 def los_channels(alpha: np.ndarray, k: np.ndarray, aoa: np.ndarray,
                  cfg: NetworkConfig) -> np.ndarray:
     """LOS channels sqrt(alpha*K/(1+K)) * steering(aoa) of every user at
-    every BS, (L, M, L*N), from [cell, user, BS] gains, K-factors and
-    angles; all-zero columns where K = 0."""
+    every BS, a C-contiguous (L, M, L*N) array, from [cell, user, BS] gains,
+    K-factors and angles; all-zero columns where K = 0."""
     alpha, k = _by_bs(alpha), _by_bs(k)
-    steer = steering_vector(cfg.M, _by_bs(aoa), cfg.antenna_spacing)  # (L, L*N, M)
-    return (np.ascontiguousarray(steer.swapaxes(1, 2))
+    return (steering_vector(cfg.M, _by_bs(aoa), cfg.antenna_spacing)
             * np.sqrt(alpha * k / (1.0 + k))[:, None, :])
 
 

@@ -55,7 +55,7 @@ def steering_vs_direct(ms, rng: np.random.Generator, angles: int = 16) -> float:
     devs = []
     for m in ms:
         theta = rng.uniform(0.0, 2 * np.pi, angles)
-        direct = np.exp(1j * np.multiply.outer(-np.pi * np.sin(theta), np.arange(m)))
+        direct = np.exp(1j * np.multiply.outer(np.arange(m), -np.pi * np.sin(theta)))
         devs.append(np.max(np.abs(steering_vector(m, theta) - direct)))
     return float(np.max(devs))
 

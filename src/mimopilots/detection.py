@@ -109,12 +109,19 @@ class CopilotGroups:
     """
 
     def __init__(self, los: np.ndarray, cell: int, pilots: np.ndarray, pilot_len: int):
-        self.own = cell * pilots.size + np.arange(pilots.size)
+        users = np.arange(pilots.size)
+        self.own = cell * pilots.size + users
         own_los = los[:, self.own]
-        # NLOS users (zero LOS column) on one pilot share a key, others have their own
-        key = np.where(own_los.any(axis=0), pilot_len + self.own, pilots)
-        _, keep, self.inv, self.size = np.unique(key, return_index=True,
-                                                 return_inverse=True, return_counts=True)
+        # NLOS users (zero LOS column) on one pilot share a key, others have
+        # their own; groups run in key order, each kept at its first user
+        key = np.where(own_los.any(axis=0), pilot_len + users, pilots)
+        counts = np.bincount(key)
+        occupied = counts > 0
+        self.inv = (np.cumsum(occupied) - 1)[key]
+        self.size = counts[occupied]
+        first = np.full(counts.size, pilots.size)
+        np.minimum.at(first, key, users)
+        keep = first[occupied]
         self.root = np.sqrt(self.size)
         self.los_u = own_los[:, keep] * self.root         # (M, U)
         self.pilots_u = pilots[keep]

@@ -7,7 +7,8 @@ part is a Dirichlet kernel in the "mutual AoA" pi*(sin a - sin b).
 
 Every function here is elementwise over broadcast arrays; `los_interference`
 evaluates it for every user pair of a `Drop` at the reference user's serving
-BS, the only BS whose scores the allocators read.
+BS, the only BS whose scores the allocators read, and `pair_scores` keeps
+that matrix on the drop, so the allocators of one drop compute it once.
 """
 
 from __future__ import annotations
@@ -89,3 +90,14 @@ def los_interference(drop: Drop, m: int) -> np.ndarray:
     scores = los_interference_from_params(*(x.reshape(-1, n_cells).T[:, :, None] for x in est),
                                           *(Drop.serving(x)[:, None, :] for x in est), m)
     return scores.transpose(1, 0, 2).reshape(scores.shape[1], -1)
+
+
+def pair_scores(drop: Drop, m: int) -> np.ndarray:
+    """`los_interference(drop, m)`, computed on first use and kept in the
+    drop's `score_memo`; read-only, since every allocator of the drop
+    shares it."""
+    scores = drop.score_memo.get(m)
+    if scores is None:
+        scores = drop.score_memo[m] = los_interference(drop, m)
+        scores.flags.writeable = False
+    return scores

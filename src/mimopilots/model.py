@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -237,6 +237,11 @@ class Drop:
     any BS the user has no line of sight to, and `k_est` is zeroed on the
     same links: the LOS/NLOS condition is channel state, not part of the
     position estimate.
+
+    `score_memo` keeps the drop's pair-score matrices by antenna count, each
+    computed on first use by `los_metric.pair_scores`, so every allocator of
+    a drop reads one matrix. Change no array of a drop after it is scored:
+    the memo would still hold the old scores.
     """
 
     dist: np.ndarray       # true distance
@@ -248,6 +253,8 @@ class Drop:
     k: np.ndarray          # Rice factor (linear) from the true distance
     k_est: np.ndarray      # Rice factor from the estimated distance
     los: np.ndarray        # bool, LOS condition
+    score_memo: dict[int, np.ndarray] = field(default_factory=dict, init=False,
+                                              compare=False, repr=False)
 
     @classmethod
     def from_positions(cls, cfg: NetworkConfig, pos: np.ndarray,

@@ -73,7 +73,10 @@ def sample_users_per_user(cfg: NetworkConfig, rng: np.random.Generator) -> Drop:
 
 
 def set_all_nlos(drop: Drop) -> None:
-    """Turn every link of a drop NLOS (K = 0, true and estimated)."""
+    """Turn every link of a drop NLOS (K = 0, true and estimated); the drop
+    must not be scored yet, or its kept pair scores would go stale."""
+    if drop.score_memo:
+        raise ValueError("drop already scored; change it before scoring")
     drop.los[:] = False
     drop.k[:] = 0.0
     drop.k_est[:] = 0.0

@@ -1,5 +1,7 @@
 """Tests for the five pilot-allocation strategies."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,18 @@ class TestLocAware:
         assert list(plan.cells[0]) == [1, 0]
         assert plan.allocator == "loc_aware"
 
+    def test_tie_goes_to_the_lowest_open_pilot(self):
+        # users 1 and 2 stand on one spot and hold pilots 1 and 2, so those
+        # pilots score every later user exactly alike; pilot 0's holder
+        # overlaps user 3, who takes pilot 1, the lower of the tie
+        cfg = cfg_for(N=5, pilot_len=3)
+        drop = make_drop(cfg, [(100.0, 0.2), (150.0, 2.0), (150.0, 2.0),
+                               (300.0, 0.4), (350.0, 4.0)])
+        scores = los_interference(drop, cfg.M)
+        assert scores[1, 3] == scores[2, 3] < scores[0, 3]
+        assert scores[0, 4] < scores[2, 4]
+        assert allocate_loc_aware(cfg, drop).cells[0].tolist() == [0, 1, 2, 1, 0]
+
     def test_hand_worked_four_user_plan(self):
         # tier 1 = two near users; the far user overlapping the nearest in
         # angle must avoid its pilot, the last user takes the leftover
@@ -108,7 +122,8 @@ class TestLocAware:
         cfg = cfg_for(L=2, N=6, pilot_len=3)
         drop = sample_users(cfg, np.random.default_rng(5))
         perm = np.random.default_rng(6).permutation(cfg.N)
-        shuffled = type(drop)(**{name: value[:, perm] for name, value in vars(drop).items()})
+        shuffled = type(drop)(**{f.name: getattr(drop, f.name)[:, perm]
+                                 for f in fields(drop) if f.init})
         a = allocate_loc_aware(cfg, drop)
         b = allocate_loc_aware(cfg, shuffled)
         assert np.array_equal(a.cells[:, perm], b.cells)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import channel_column, make_drop, set_all_nlos
-from mimopilots.channel import ChannelSampler, crandn, steering_vector
+from mimopilots.channel import ChannelSampler, crandn, los_channels, steering_vector
 from mimopilots.checks import steering_vs_direct
 from mimopilots.model import NetworkConfig, sample_users
 
@@ -49,11 +49,12 @@ class TestSteeringVector:
             assert steering_vs_direct([m], rng) < m * 1e-15
 
     def test_angle_array_gives_one_response_per_angle(self):
-        thetas = np.array([[0.3, 1.1], [2.0, 4.5]])
+        # angles (..., n) give (..., m, n), one response per column
+        thetas = np.array([[0.3, 1.1, 2.7], [2.0, 4.5, 5.9]])
         v = steering_vector(8, thetas, spacing=0.7)
-        assert v.shape == (2, 2, 8)
-        for idx in np.ndindex(thetas.shape):
-            assert np.array_equal(v[idx], steering_vector(8, float(thetas[idx]), 0.7))
+        assert v.shape == (2, 8, 3)
+        for i, j in np.ndindex(thetas.shape):
+            assert np.array_equal(v[i, :, j], steering_vector(8, float(thetas[i, j]), 0.7))
 
 
 class TestDrawChannel:
@@ -84,6 +85,23 @@ class TestDrawChannel:
         g = ChannelSampler(drop, cfg).draw(np.random.default_rng(2), 10_000).g[:, 0, :, 0]
         power = np.sum(np.abs(g) ** 2) / 10_000 / cfg.M
         assert power == pytest.approx(drop.alpha[0, 0, 0], rel=0.02)
+
+
+@pytest.mark.parametrize("m", [1, 7, 64, 100])
+def test_los_channels_equal_per_column_steering(m):
+    # the antenna axis sits between BS and user with no transpose copy, and
+    # each column is bit-equal to its user's own steering vector, zero on
+    # the K = 0 links
+    cfg = NetworkConfig(L=2, N=6, M=m, pilot_len=3, k_model="distance",
+                        los_model="linear_prob", antenna_spacing=0.6)
+    drop = sample_users(cfg, np.random.default_rng(31))
+    assert np.any(drop.k == 0) and np.any(drop.k > 0)
+    los = los_channels(drop.alpha, drop.k, drop.aoa, cfg)
+    assert los.shape == (cfg.L, m, cfg.L * cfg.N) and los.flags.c_contiguous
+    for i, j, l in np.ndindex(drop.k.shape):
+        a, k = drop.alpha[i, j, l], drop.k[i, j, l]
+        ref = np.sqrt(a * k / (1.0 + k)) * steering_vector(m, drop.aoa[i, j, l], 0.6)
+        assert np.array_equal(los[l, :, i * cfg.N + j], ref)
 
 
 class TestAssembleChannels:

@@ -269,7 +269,7 @@ class TestLosChannelBuilders:
         drop = sample_users(cfg, np.random.default_rng(26))
         lams = distinct_pilots(cfg)
         los = estimated_los_channel(drop, cfg)
-        per_cell = [np.ascontiguousarray(steering_vector(cfg.M, drop.aoa_est[i, :, 1]).T)
+        per_cell = [steering_vector(cfg.M, drop.aoa_est[i, :, 1])
                     * np.sqrt(drop.alpha_est[i, :, 1] * drop.k_est[i, :, 1]
                               / (1.0 + drop.k_est[i, :, 1]))
                     for i in range(cfg.L)]

@@ -1,15 +1,18 @@
 """LOS-interference metric tests, checked against explicit array constructions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import los_interference_at, make_drop
+from mimopilots import harness, los_metric
 from mimopilots.checks import (brute_kernel_sq, explicit_pair_score, kernel_zero_set_dev,
                                los_vector, pair_scores_vs_explicit)
 from mimopilots.los_metric import (dirichlet_kernel_sq, los_interference,
-                                   los_interference_from_params, mutual_aoa)
+                                   los_interference_from_params, mutual_aoa, pair_scores)
 from mimopilots.model import NetworkConfig, sample_users
 
 
@@ -229,6 +232,50 @@ class TestLosInterference:
         for b in range(cfg.L * cfg.N):
             assert np.array_equal(scores[:, b],
                                   los_interference_at(drop, serving[b], cfg.M)[:, b])
+
+
+class TestPairScores:
+    """One `los_interference` call per drop and antenna count."""
+
+    @staticmethod
+    def count_calls(monkeypatch) -> list:
+        calls = []
+        score = los_metric.los_interference
+
+        def counted(drop, m):
+            calls.append(m)
+            return score(drop, m)
+
+        monkeypatch.setattr(los_metric, "los_interference", counted)
+        return calls
+
+    def test_one_scoring_per_drop(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        cfg = NetworkConfig()
+        harness._drop_plans(cfg, ("loc_aware", "greedy"), 5, 0)
+        assert calls == [cfg.M]
+
+    def test_each_antenna_count_scored_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        cfg = NetworkConfig(L=2, N=6, M=16, pilot_len=3)
+        drop = sample_users(cfg, np.random.default_rng(41))
+        small, large = pair_scores(drop, 8), pair_scores(drop, 16)
+        assert not np.array_equal(small, large)
+        assert pair_scores(drop, 8) is small and pair_scores(drop, 16) is large
+        assert calls == [8, 16]
+        assert np.array_equal(large, los_interference(drop, 16))
+        with pytest.raises(ValueError):
+            large[0, 0] = 0.0       # shared by every allocator of the drop
+
+    def test_drops_never_share_a_memo(self):
+        cfg = NetworkConfig(L=2, N=6, M=16, pilot_len=3)
+        first, second = (sample_users(cfg, np.random.default_rng(42)) for _ in range(2))
+        copy = replace(first)
+        pair_scores(first, cfg.M)
+        assert cfg.M in first.score_memo
+        assert not second.score_memo and not copy.score_memo
+        assert np.array_equal(pair_scores(second, cfg.M), pair_scores(first, cfg.M))
+        assert pair_scores(second, cfg.M) is not pair_scores(first, cfg.M)
 
 
 class TestAsymptoticLimit:
