@@ -51,7 +51,7 @@ class ExperimentSpec:
     allocators: tuple[str, ...] = ("loc_aware", "random")
     drops: int = 200
     trials: int = 100
-    seed: int | None = None                # defaults to cfg.seed
+    seed: int = 0
     out: str | None = None
     threads: int = 1
     n_worst: int = 5
@@ -83,8 +83,6 @@ class ExperimentSpec:
             raise ConfigError(f"allocators named more than once: {repeated}")
         for name in ("drops", "trials", "threads", "n_worst", "seed"):
             value = getattr(self, name)
-            if name == "seed" and value is None:
-                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("drops", "threads", "n_worst"):
@@ -92,7 +90,7 @@ class ExperimentSpec:
                 raise ConfigError(f"{name} must be >= 1")
         if self.trials < 2:
             raise ConfigError(f"need at least 2 trials, got {self.trials}")
-        if self.seed is not None and self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.sweep is not None:     # a bad point, or one named twice, fails before any drop
             points = [getattr(_sweep_cfg(self.cfg, self.sweep, value), self.sweep)
@@ -100,10 +98,6 @@ class ExperimentSpec:
             repeated = sorted({p for p in points if points.count(p) > 1})
             if repeated:
                 raise ConfigError(f"{self.sweep} sweep points named more than once: {repeated}")
-
-    @property
-    def master_seed(self) -> int:
-        return self.cfg.seed if self.seed is None else self.seed
 
 
 @dataclass
@@ -234,7 +228,7 @@ def run_sweep(spec: ExperimentSpec, clock=time.perf_counter) -> list[ResultRow]:
     Mean sum SE over drops with a 1000-resample bootstrap standard error;
     one row per cell, |values| * |allocators| * L rows in total.
     """
-    seed = spec.master_seed
+    seed = spec.seed
     values = spec.values if spec.sweep is not None else (None,)
     sweep_name = spec.sweep or "none"
     rows: list[ResultRow] = []
@@ -274,7 +268,7 @@ def run_worst_user_cdf(spec: ExperimentSpec) -> dict[str, tuple[np.ndarray, np.n
         raise ConfigError(f"n_worst={spec.n_worst} exceeds the {spec.cfg.N} "
                           f"users of a cell")
     per_user = evaluate_drops(spec.cfg, spec.allocators, spec.drops,
-                              spec.trials, spec.master_seed, spec.threads)
+                              spec.trials, spec.seed, spec.threads)
     out = {}
     for name in spec.allocators:
         sums = worst_user_sums(per_user[name], spec.n_worst)
@@ -290,7 +284,7 @@ def run_oracle_compare(spec: ExperimentSpec) -> dict[str, np.ndarray]:
     """
     search_space_size(spec.cfg)            # too large a search fails before any drop
     ratios = np.stack(_for_each_drop(partial(_drop_ratios, spec.cfg, spec.allocators,
-                                             spec.trials, spec.master_seed),
+                                             spec.trials, spec.seed),
                                      spec.drops, spec.threads), axis=1)
     return dict(zip(spec.allocators, ratios))
 

@@ -43,15 +43,14 @@ class NetworkConfig:
     snr_db         : uplink SNR in dB; `rho` is the linear value.
     cell_radius    : cell radius in meters (also the pathloss reference).
     min_dist       : minimum user distance from the serving BS in meters.
-    pathloss_exp   : pathloss exponent v; gain is (d / cell_radius)**(sign*v).
-    pathloss_sign  : -1 (gain decays with distance, default) or +1.
+    pathloss_exp   : pathloss exponent v; gain is (d / cell_radius)**-v, so
+                     a negative v gives the increasing law (d / cell_radius)**|v|.
     k_model        : "fixed" (k_db everywhere) or "distance"
                      (K in dB = k_intercept_db - k_slope_db_per_m * d).
     los_model      : "always" or "linear_prob" (P(LOS) = 1 - d/cell_radius,
                      clamped to [0, 1]).
     antenna_spacing: antenna spacing over wavelength (r/lambda).
     loc_err_var    : localization error variance in m^2 (planar MSE).
-    seed           : base RNG seed (non-negative).
 
     dB-valued JSON inputs carry a `_db` suffix (snr_db, k_db).
     """
@@ -65,7 +64,6 @@ class NetworkConfig:
     cell_radius: float = 400.0
     min_dist: float = 100.0
     pathloss_exp: float = 3.76
-    pathloss_sign: int = -1
     k_model: str = "fixed"
     k_db: float = 10.0
     k_intercept_db: float = 13.0
@@ -73,7 +71,6 @@ class NetworkConfig:
     los_model: str = "always"
     antenna_spacing: float = 0.5
     loc_err_var: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         self.validate()
@@ -109,8 +106,6 @@ class NetworkConfig:
                 f"need 0 < min_dist < cell_radius, got "
                 f"{self.min_dist}, {self.cell_radius}"
             )
-        if self.pathloss_sign not in (-1, 1):
-            raise ConfigError(f"pathloss_sign must be -1 or +1, got {self.pathloss_sign}")
         if self.k_model not in K_MODELS:
             raise ConfigError(f"k_model must be one of {K_MODELS}, got {self.k_model!r}")
         if self.los_model not in LOS_MODELS:
@@ -119,8 +114,6 @@ class NetworkConfig:
             raise ConfigError("antenna_spacing must be positive")
         if self.loc_err_var < 0:
             raise ConfigError("loc_err_var must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
         self._check_gains()
 
     def _check_gains(self) -> None:
@@ -178,15 +171,16 @@ def bs_positions(cfg: NetworkConfig) -> np.ndarray:
 
 
 def pathloss(d: float | np.ndarray, cfg: NetworkConfig):
-    """Large-scale gain (d / cell_radius)**(pathloss_sign * pathloss_exp).
+    """Large-scale gain (d / cell_radius)**-pathloss_exp.
 
-    With the default sign of -1 the gain decays with distance and equals 1
-    at d == cell_radius. Raises on non-positive distances.
+    The gain equals 1 at d == cell_radius; it decays with distance for a
+    positive exponent and grows for a negative one. Raises on non-positive
+    distances.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("pathloss requires a positive distance")
-    out = (d / cfg.cell_radius) ** (cfg.pathloss_sign * cfg.pathloss_exp)
+    out = (d / cfg.cell_radius) ** -cfg.pathloss_exp
     return out if out.ndim else float(out)
 
 
@@ -236,7 +230,8 @@ class Drop:
     estimated positions (distances clamped to >= 1 m). `k` is zero toward
     any BS the user has no line of sight to, and `k_est` is zeroed on the
     same links: the LOS/NLOS condition is channel state, not part of the
-    position estimate.
+    position estimate. A valid config keeps every K-factor positive, so a
+    link is LOS exactly where `k > 0`.
 
     `score_memo` keeps the drop's pair-score matrices by antenna count, each
     computed on first use by `los_metric.pair_scores`, so every allocator of
@@ -252,7 +247,6 @@ class Drop:
     alpha_est: np.ndarray  # large-scale gain from the estimated distance
     k: np.ndarray          # Rice factor (linear) from the true distance
     k_est: np.ndarray      # Rice factor from the estimated distance
-    los: np.ndarray        # bool, LOS condition
     score_memo: dict[int, np.ndarray] = field(default_factory=dict, init=False,
                                               compare=False, repr=False)
 
@@ -265,13 +259,12 @@ class Drop:
         rel_e = pos_est[:, :, None, :] - bs_positions(cfg)
         dist = np.hypot(rel[..., 0], rel[..., 1])
         dist_est = np.maximum(np.hypot(rel_e[..., 0], rel_e[..., 1]), 1.0)
-        los = np.array(los, dtype=bool)
         return cls(dist=dist, aoa=np.mod(np.arctan2(rel[..., 1], rel[..., 0]), TWO_PI),
                    dist_est=dist_est,
                    aoa_est=np.mod(np.arctan2(rel_e[..., 1], rel_e[..., 0]), TWO_PI),
                    alpha=pathloss(dist, cfg), alpha_est=pathloss(dist_est, cfg),
                    k=np.where(los, k_factor(dist, cfg), 0.0),
-                   k_est=np.where(los, k_factor(dist_est, cfg), 0.0), los=los)
+                   k_est=np.where(los, k_factor(dist_est, cfg), 0.0))
 
     @staticmethod
     def serving(x: np.ndarray) -> np.ndarray:

@@ -77,7 +77,6 @@ def set_all_nlos(drop: Drop) -> None:
     must not be scored yet, or its kept pair scores would go stale."""
     if drop.score_memo:
         raise ValueError("drop already scored; change it before scoring")
-    drop.los[:] = False
     drop.k[:] = 0.0
     drop.k_est[:] = 0.0
 

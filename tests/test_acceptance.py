@@ -88,21 +88,21 @@ def test_criterion_03_large_array_limit():
 
 
 def test_criterion_04_los_subtraction_exact_at_zero_error():
-    cfg = NetworkConfig(L=2, N=8, M=32, pilot_len=4, loc_err_var=0.0, seed=104)
+    cfg = NetworkConfig(L=2, N=8, M=32, pilot_len=4, loc_err_var=0.0)
     worst = los_subtraction_dev(cfg, np.random.default_rng(104), drops=20)
     assert worst < 1e-9
     report(4, f"20 trials, max abs residual mismatch {worst:.2e}")
 
 
 def test_criterion_05_ls_exact_for_orthogonal_pilots():
-    cfg = NetworkConfig(L=1, N=8, M=32, pilot_len=8, seed=105)
+    cfg = NetworkConfig(L=1, N=8, M=32, pilot_len=8)
     dev = ls_exactness_dev(cfg, np.random.default_rng(105))
     assert dev < 1e-9
     report(5, f"max abs deviation {dev:.2e}")
 
 
 def test_criterion_06_zf_beamforming_gain():
-    cfg = NetworkConfig(L=1, N=1, M=32, pilot_len=32, k_db=120.0, seed=106)
+    cfg = NetworkConfig(L=1, N=1, M=32, pilot_len=32, k_db=120.0)
     drop = sample_users(cfg, np.random.default_rng(106))
     plan = AllocationPlan(np.array([[0]]), "t")
     sinr = float(estimate_sinr(cfg, drop, [plan], 500,
@@ -115,7 +115,7 @@ def test_criterion_06_zf_beamforming_gain():
 
 def test_criterion_07_allocator_ordering_at_desk_scale():
     t0 = time.perf_counter()
-    cfg = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_db=10.0, seed=107)
+    cfg = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_db=10.0)
     se = evaluate_drops(cfg, ("loc_aware", "random"), drops=200, trials=100,
                         seed=107)
     prop = se["loc_aware"].sum(axis=2)[:, 0]
@@ -130,9 +130,9 @@ def test_criterion_07_allocator_ordering_at_desk_scale():
 
 
 def test_criterion_08_oracle_ratio_band():
-    cfg = NetworkConfig(L=1, N=4, M=32, pilot_len=2, seed=108)
+    cfg = NetworkConfig(L=1, N=4, M=32, pilot_len=2)
     spec = ExperimentSpec(cfg=cfg, drops=100, trials=60,
-                          allocators=("loc_aware",))
+                          allocators=("loc_aware",), seed=108)
     ratios = run_oracle_compare(spec)["loc_aware"]
     assert search_space_size(cfg) == 16
     assert np.all(ratios <= 1.0 + 1e-12)
@@ -143,7 +143,7 @@ def test_criterion_08_oracle_ratio_band():
 
 def test_criterion_09_localization_error_degradation():
     base = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
-                         los_model="linear_prob", seed=109)
+                         los_model="linear_prob")
     sums = {}
     for var in (0.0, 3.0, 15.0):
         cfg = replace(base, loc_err_var=var)
@@ -174,7 +174,7 @@ def test_criterion_10_worst_user_cdf_dominance():
     every far user with a near one); they are reported alongside,
     non-gating.
     """
-    cfg = NetworkConfig(L=2, N=24, M=64, pilot_len=12, k_db=10.0, seed=110)
+    cfg = NetworkConfig(L=2, N=24, M=64, pilot_len=12, k_db=10.0)
     se = evaluate_drops(cfg, ("loc_aware", "random_iid", "random"),
                         drops=200, trials=60, seed=110)
     w_prop = worst_user_sums(se["loc_aware"], 5)
@@ -190,9 +190,10 @@ def test_criterion_10_worst_user_cdf_dominance():
 
 
 def test_criterion_11_determinism_and_reduction_stability(tmp_path):
-    spec = ExperimentSpec(cfg=NetworkConfig(L=2, N=4, M=8, pilot_len=2, seed=111),
+    spec = ExperimentSpec(cfg=NetworkConfig(L=2, N=4, M=8, pilot_len=2),
                           name="det", sweep="M", values=(8,),
-                          allocators=("loc_aware", "random"), drops=6, trials=4)
+                          allocators=("loc_aware", "random"), drops=6, trials=4,
+                          seed=111)
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     write_rows_csv(run_sweep(spec, clock=lambda: 0.0), p1)
     write_rows_csv(run_sweep(spec, clock=lambda: 0.0), p2)

@@ -17,7 +17,7 @@ from mimopilots.model import ConfigError, NetworkConfig, sample_users
 
 
 def cfg_for(**kw):
-    base = dict(L=1, N=4, M=8, pilot_len=2, k_db=10.0, seed=0)
+    base = dict(L=1, N=4, M=8, pilot_len=2, k_db=10.0)
     base.update(kw)
     return NetworkConfig(**base)
 
@@ -52,7 +52,7 @@ def copilot_proxy(cfg, drop, plan, cell, j, pilot):
 
 class TestPartitionTiers:
     def test_table_scale(self):
-        cfg = NetworkConfig(L=1, N=36, M=4, pilot_len=12, seed=0)
+        cfg = NetworkConfig(L=1, N=36, M=4, pilot_len=12)
         drop = sample_users(cfg, np.random.default_rng(0))
         tiers = partition_tiers(drop, 0, cfg.pilot_len)
         assert len(tiers) == 3
@@ -129,7 +129,7 @@ class TestLocAware:
         assert np.array_equal(a.cells[:, perm], b.cells)
 
     def test_no_pilot_repeats_inside_a_tier(self):
-        cfg = NetworkConfig(L=2, N=10, M=16, pilot_len=3, seed=7)
+        cfg = NetworkConfig(L=2, N=10, M=16, pilot_len=3)
         drop = sample_users(cfg, np.random.default_rng(7))
         plan = allocate_loc_aware(cfg, drop)
         for cell in range(cfg.L):
@@ -138,7 +138,7 @@ class TestLocAware:
                 assert len(set(pilots.tolist())) == len(pilots)
 
     def test_balanced_per_cell(self):
-        cfg = NetworkConfig(L=2, N=10, M=16, pilot_len=3, seed=8)
+        cfg = NetworkConfig(L=2, N=10, M=16, pilot_len=3)
         drop = sample_users(cfg, np.random.default_rng(8))
         plan = allocate_loc_aware(cfg, drop)
         for cell in range(cfg.L):
@@ -183,7 +183,7 @@ class TestRandom:
         assert sorted(plan.cells[0].tolist()) == [0, 1]
 
     def test_balanced_multiset(self):
-        cfg = NetworkConfig(L=2, N=36, M=4, pilot_len=12, seed=0)
+        cfg = NetworkConfig(L=2, N=36, M=4, pilot_len=12)
         plan = allocate_random(cfg, None, np.random.default_rng(10))
         for cell in range(cfg.L):
             counts = np.bincount(plan.cells[cell], minlength=12)
@@ -239,7 +239,7 @@ class TestSector:
 
 class TestGreedy:
     def fixture(self):
-        cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2, k_db=10.0, seed=0)
+        cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2, k_db=10.0)
         # near and far user share an angle; seed 0 initializes them co-pilot
         drop = make_drop(cfg, [(100.0, 0.7), (390.0, 0.7), (250.0, 2.5)])
         return cfg, drop
@@ -286,7 +286,7 @@ class TestGreedy:
             assert np.array_equal(proxy_weights(cfg, drop), proxy_weights_per_cell(cfg, drop))
 
     def test_deterministic_given_seed(self):
-        cfg = NetworkConfig(L=2, N=9, M=16, pilot_len=3, k_db=10.0, seed=1)
+        cfg = NetworkConfig(L=2, N=9, M=16, pilot_len=3, k_db=10.0)
         drop = sample_users(cfg, np.random.default_rng(12))
         a = allocate_greedy(cfg, drop, np.random.default_rng(13))
         b = allocate_greedy(cfg, drop, np.random.default_rng(13))
@@ -294,7 +294,7 @@ class TestGreedy:
 
     def test_stays_balanced(self):
         for seed in range(10):
-            cfg = NetworkConfig(L=2, N=9, M=16, pilot_len=3, k_db=10.0, seed=seed)
+            cfg = NetworkConfig(L=2, N=9, M=16, pilot_len=3, k_db=10.0)
             drop = sample_users(cfg, np.random.default_rng(seed))
             plan = allocate_greedy(cfg, drop, np.random.default_rng(seed + 100))
             for cell in range(cfg.L):

@@ -12,7 +12,7 @@ from mimopilots.model import NetworkConfig, sample_users
 
 
 def cfg_for(**kw):
-    base = dict(L=2, N=3, M=8, pilot_len=3, seed=0)
+    base = dict(L=2, N=3, M=8, pilot_len=3)
     base.update(kw)
     return NetworkConfig(**base)
 

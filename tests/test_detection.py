@@ -144,7 +144,7 @@ class TestCopilotGroups:
         """A desk-scale drop, the plan j -> j mod pilot_len, the LOS channels
         and cell 0's groups at BS 0. los[0][:, :N] is cell 0 at BS 0."""
         cfg = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
-                            los_model="linear_prob", loc_err_var=9.0, seed=seed)
+                            los_model="linear_prob", loc_err_var=9.0)
         drop = sample_users(cfg, np.random.default_rng(seed))
         plan = distinct_plan(cfg)
         los = estimated_los_channel(drop, cfg)
@@ -276,7 +276,7 @@ class TestSpectralEfficiency:
 
 class TestEstimateSinr:
     def test_requires_two_trials(self):
-        cfg = NetworkConfig(L=1, N=1, M=2, pilot_len=1, seed=0)
+        cfg = NetworkConfig(L=1, N=1, M=2, pilot_len=1)
         drop = sample_users(cfg, np.random.default_rng(7))
         plan = AllocationPlan(np.array([[0]]), "t")
         with pytest.raises(ConfigError):
@@ -284,7 +284,7 @@ class TestEstimateSinr:
 
     def test_pure_los_beamforming_gain(self):
         # no interferers: sinr approaches rho * alpha * M
-        cfg = NetworkConfig(L=1, N=1, M=32, pilot_len=32, k_db=120.0, seed=9)
+        cfg = NetworkConfig(L=1, N=1, M=32, pilot_len=32, k_db=120.0)
         drop = sample_users(cfg, np.random.default_rng(9))
         plan = AllocationPlan(np.array([[0]]), "t")
         sinr = estimate_sinr(cfg, drop, [plan], 500, np.random.default_rng(10))[0]
@@ -293,7 +293,7 @@ class TestEstimateSinr:
 
     def test_identical_copilot_users_saturate_near_unity(self):
         # same location, same pilot: the other user is full-power interference
-        cfg = NetworkConfig(L=1, N=2, M=16, pilot_len=2, k_db=10.0, seed=11)
+        cfg = NetworkConfig(L=1, N=2, M=16, pilot_len=2, k_db=10.0)
         drop = make_drop(cfg, [(250.0, 1.1), (250.0, 1.1)])
         plan = AllocationPlan(np.array([[0, 0]]), "t")
         sinr = estimate_sinr(cfg, drop, [plan], 300, np.random.default_rng(12))[0]
@@ -303,7 +303,7 @@ class TestEstimateSinr:
         # pure LOS, essentially no noise: the variance estimate underflows
         # and the floored denominator caps the SINR at sig^2 / 1e-12
         cfg = NetworkConfig(L=1, N=1, M=4, pilot_len=4, k_db=120.0,
-                            snr_db=310.0, seed=23)
+                            snr_db=310.0)
         drop = sample_users(cfg, np.random.default_rng(23))
         plan = AllocationPlan(np.array([[0]]), "t")
         sinr = estimate_sinr(cfg, drop, [plan], 5, np.random.default_rng(24))[0]
@@ -311,11 +311,11 @@ class TestEstimateSinr:
         assert sinr[0, 0] == pytest.approx(1e12, rel=1e-3)
 
     def test_monotone_in_snr(self):
-        cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2, k_db=5.0, seed=16)
+        cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2, k_db=5.0)
         drop = sample_users(cfg, np.random.default_rng(16))
         plan = AllocationPlan(np.array([[0, 1]]), "t")
         sinrs = [estimate_sinr(NetworkConfig(L=1, N=2, M=8, pilot_len=2, k_db=5.0,
-                                             seed=16, snr_db=snr),
+                                             snr_db=snr),
                                drop, [plan], 50, np.random.default_rng(17))[0]
                  for snr in (0.0, 10.0, 20.0)]
         assert np.all(sinrs[1] >= sinrs[0])
@@ -325,7 +325,7 @@ class TestEstimateSinr:
         # every plan of a call sees the same channel and noise draws, and a
         # plan's SINR does not depend on which other plans share the call,
         # also when the trials span several chunks
-        cfg = NetworkConfig(L=2, N=4, M=8, pilot_len=2, k_db=5.0, seed=25)
+        cfg = NetworkConfig(L=2, N=4, M=8, pilot_len=2, k_db=5.0)
         drop = sample_users(cfg, np.random.default_rng(25))
         plans = [AllocationPlan(cells, "t") for cells in (
             [[0, 1, 0, 1], [1, 0, 1, 0]],
@@ -341,16 +341,16 @@ class TestEstimateSinr:
                 assert np.array_equal(together[k], alone[0])
             assert not np.array_equal(together[0], together[1])
 
-    @pytest.mark.parametrize("cfg", [
-        NetworkConfig(L=2, N=6, M=16, pilot_len=2, k_model="distance",
-                      los_model="linear_prob", loc_err_var=9.0, seed=31),
-        NetworkConfig(L=3, N=4, M=8, pilot_len=3, k_db=5.0, loc_err_var=4.0, seed=32),
+    @pytest.mark.parametrize("cfg, seed", [
+        (NetworkConfig(L=2, N=6, M=16, pilot_len=2, k_model="distance",
+                       los_model="linear_prob", loc_err_var=9.0), 31),
+        (NetworkConfig(L=3, N=4, M=8, pilot_len=3, k_db=5.0, loc_err_var=4.0), 32),
     ], ids=["merged-columns", "three-cell"])
     @pytest.mark.parametrize("chunk", [1, 3, 100])
-    def test_chunk_size_cannot_change_results(self, monkeypatch, cfg, chunk):
+    def test_chunk_size_cannot_change_results(self, monkeypatch, cfg, seed, chunk):
         # 7 trials in chunks of 1, of 3 (a partial last chunk) and in one
         # chunk agree with the per-trial loop up to summation order
-        drop = sample_users(cfg, np.random.default_rng(cfg.seed))
+        drop = sample_users(cfg, np.random.default_rng(seed))
         plans = [allocate_loc_aware(cfg, drop),
                  AllocationPlan(np.arange(cfg.L * cfg.N).reshape(cfg.L, cfg.N)
                                 % cfg.pilot_len, "t")]
@@ -363,15 +363,15 @@ class TestEstimateSinr:
         got = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33))
         assert np.max(np.abs(got - ref) / ref) < 1e-12
 
-    @pytest.mark.parametrize("cfg", [
-        NetworkConfig(seed=41),
-        NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
-                      los_model="linear_prob", loc_err_var=9.0, seed=42),
+    @pytest.mark.parametrize("cfg, seed", [
+        (NetworkConfig(), 41),
+        (NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
+                       los_model="linear_prob", loc_err_var=9.0), 42),
     ], ids=["table", "desk"])
-    def test_chunk_budget_bounds_peak_memory(self, cfg):
+    def test_chunk_budget_bounds_peak_memory(self, cfg, seed):
         # 100 trials stacked at once would take 23 MB of channels at Table
         # scale; the chunked engine's working set stays a few hundred kB
-        drop = sample_users(cfg, np.random.default_rng(cfg.seed))
+        drop = sample_users(cfg, np.random.default_rng(seed))
         plans = [allocate_loc_aware(cfg, drop),
                  AllocationPlan(np.arange(cfg.L * cfg.N).reshape(cfg.L, cfg.N)
                                 % cfg.pilot_len, "t")]
@@ -384,7 +384,7 @@ class TestEstimateSinr:
         assert peak <= 4 * 2 ** 20
 
     def test_non_finite_sinr_raises(self, monkeypatch):
-        cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2, seed=27)
+        cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2)
         drop = sample_users(cfg, np.random.default_rng(27))
         plan = AllocationPlan(np.array([[0, 1]]), "nan-plan")
         monkeypatch.setattr(detection, "zf_combiner",
@@ -394,7 +394,7 @@ class TestEstimateSinr:
 
     def test_zf_nulls_estimated_interference_inside_chain(self):
         # the combiner built inside the chain nulls co-scheduled estimates
-        cfg = NetworkConfig(L=1, N=4, M=16, pilot_len=4, seed=18)
+        cfg = NetworkConfig(L=1, N=4, M=16, pilot_len=4)
         drop = sample_users(cfg, np.random.default_rng(18))
         plan = AllocationPlan(np.arange(4)[None, :], "t")
         book = build_pilot_book(cfg.pilot_len)
@@ -411,7 +411,7 @@ class TestEstimateSinr:
         # rank of its first argument: one 2-D estimate per plan, trial and
         # BS, also with merged columns and trials in chunks of 3
         cfg = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
-                            los_model="linear_prob", loc_err_var=9.0, seed=41)
+                            los_model="linear_prob", loc_err_var=9.0)
         drop = sample_users(cfg, np.random.default_rng(41))
         plans = [distinct_plan(cfg), allocate_loc_aware(cfg, drop)]
         los = estimated_los_channel(drop, cfg)

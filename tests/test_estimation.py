@@ -30,7 +30,7 @@ def los_mismatch(drop, cfg, lam, bs):
 
 class TestSynthesizeRx:
     def test_single_user_rank_one(self):
-        cfg = NetworkConfig(L=1, N=1, M=8, pilot_len=4, seed=0)
+        cfg = NetworkConfig(L=1, N=1, M=8, pilot_len=4)
         drop = sample_users(cfg, np.random.default_rng(0))
         g = ChannelSampler(drop, cfg).draw(np.random.default_rng(1), 1).g[0]
         book = build_pilot_book(cfg.pilot_len)
@@ -40,7 +40,7 @@ class TestSynthesizeRx:
         assert np.allclose(y[0], expect, atol=1e-12)
 
     def test_noise_only_calibration(self):
-        cfg = NetworkConfig(L=1, N=2, M=64, pilot_len=16, seed=0)
+        cfg = NetworkConfig(L=1, N=2, M=64, pilot_len=16)
         drop = sample_users(cfg, np.random.default_rng(3))
         g = ChannelSampler(drop, cfg).draw(np.random.default_rng(4), 1).g[0]
         g[:] = 0.0
@@ -54,7 +54,7 @@ class TestSynthesizeRx:
 
     def test_two_cell_synthesis_is_linear(self):
         # full receive matrix = per-cell noiseless parts + the shared noise draw
-        cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3, seed=0)
+        cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3)
         drop = sample_users(cfg, np.random.default_rng(6))
         g = ChannelSampler(drop, cfg).draw(np.random.default_rng(7), 1).g[0]
         lams = distinct_pilots(cfg)
@@ -73,7 +73,7 @@ class TestSynthesizeRx:
 
     def test_trial_stack_matches_per_trial_calls(self):
         # a leading trial axis synthesizes every realization of the stack
-        cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3, seed=0)
+        cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3)
         drop = sample_users(cfg, np.random.default_rng(6))
         sampler, rng = ChannelSampler(drop, cfg), np.random.default_rng(7)
         g = sampler.draw(rng, 3).g
@@ -87,7 +87,7 @@ class TestSynthesizeRx:
             synthesize_rx(g, lams, z[0])
 
     def test_misshaped_noise_rejected(self):
-        cfg = NetworkConfig(L=1, N=1, M=2, pilot_len=2, seed=0)
+        cfg = NetworkConfig(L=1, N=1, M=2, pilot_len=2)
         drop = sample_users(cfg, np.random.default_rng(0))
         g = ChannelSampler(drop, cfg).draw(np.random.default_rng(0), 1).g[0]
         with pytest.raises(ValueError, match="noise block"):
@@ -97,7 +97,7 @@ class TestSynthesizeRx:
     def test_three_cells_sum_every_cells_pilots(self):
         # Y_l = sum_i G_il Lambda_i + Z_l written out per cell pair, with the
         # cell * N offset running past two cells
-        cfg = NetworkConfig(L=3, N=4, M=8, pilot_len=3, seed=0)
+        cfg = NetworkConfig(L=3, N=4, M=8, pilot_len=3)
         drop = sample_users(cfg, np.random.default_rng(30))
         rng = np.random.default_rng(31)
         g = ChannelSampler(drop, cfg).draw(rng, 1).g[0]
@@ -117,7 +117,7 @@ class TestSynthesizeRx:
 
 class TestSubtractLos:
     def test_perfect_locations_leave_scatter_only(self):
-        cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4, loc_err_var=0.0, seed=2)
+        cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4, loc_err_var=0.0)
         drop = sample_users(cfg, np.random.default_rng(2))
         sampler = ChannelSampler(drop, cfg)
         g = sampler.draw(np.random.default_rng(3), 1).g[0]
@@ -128,7 +128,7 @@ class TestSubtractLos:
             assert np.max(np.abs(resid[l] - (g - sampler.los)[l] @ lams)) < 1e-9
 
     def test_rayleigh_users_make_subtraction_a_noop(self):
-        cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=3, seed=3)
+        cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=3)
         drop = sample_users(cfg, np.random.default_rng(5))
         set_all_nlos(drop)
         g = ChannelSampler(drop, cfg).draw(np.random.default_rng(6), 1).g[0]
@@ -138,7 +138,7 @@ class TestSubtractLos:
         assert np.array_equal(resid, y - 0.0)
 
     def test_location_errors_leave_exactly_the_mismatch(self):
-        cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4, loc_err_var=9.0, seed=4)
+        cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4, loc_err_var=9.0)
         drop = sample_users(cfg, np.random.default_rng(8))
         sampler = ChannelSampler(drop, cfg)
         g = sampler.draw(np.random.default_rng(9), 1).g[0]
@@ -152,7 +152,7 @@ class TestSubtractLos:
             assert np.allclose(gap, xi.sum(axis=0), atol=1e-9)
 
     def test_mismatch_shrinks_with_error_variance(self):
-        cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4, seed=5)
+        cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4)
         lams = distinct_pilots(cfg)
         base = sample_users(cfg, np.random.default_rng(11))
         d, theta = Drop.serving(base.dist), Drop.serving(base.aoa)
@@ -162,7 +162,8 @@ class TestSubtractLos:
         for var in (1.0, 0.1, 0.01):
             # same offset draws, scaled by the half-width of each variance
             offsets = sample_position_error(var, np.random.default_rng(12), n=cfg.L * cfg.N)
-            drop = Drop.from_positions(cfg, pos, pos + offsets.reshape(pos.shape), base.los)
+            drop = Drop.from_positions(cfg, pos, pos + offsets.reshape(pos.shape),
+                                       base.k > 0)
             norms.append(np.linalg.norm(los_mismatch(drop, cfg, lams, 0)))
         assert norms[0] > norms[1] > norms[2]
         # first order, the mismatch scales with the offset ~ sqrt(var)
@@ -171,7 +172,7 @@ class TestSubtractLos:
 
 class TestLsEstimate:
     def test_exact_for_orthogonal_pilots(self):
-        cfg = NetworkConfig(L=1, N=8, M=32, pilot_len=8, seed=6)
+        cfg = NetworkConfig(L=1, N=8, M=32, pilot_len=8)
         drop = sample_users(cfg, np.random.default_rng(13))
         sampler = ChannelSampler(drop, cfg)
         g = sampler.draw(np.random.default_rng(14), 1).g[0]
@@ -181,7 +182,7 @@ class TestLsEstimate:
         assert np.max(np.abs(ghat - (g - sampler.los)[0])) < 1e-9
 
     def test_intra_cell_copilots_share_columns(self):
-        cfg = NetworkConfig(L=1, N=4, M=8, pilot_len=2, seed=7)
+        cfg = NetworkConfig(L=1, N=4, M=8, pilot_len=2)
         drop = sample_users(cfg, np.random.default_rng(16))
         g = ChannelSampler(drop, cfg).draw(np.random.default_rng(17), 1).g[0]
         lams = pilot_matrix(AllocationPlan(np.array([[0, 0, 1, 1]]), "t"),
@@ -192,7 +193,7 @@ class TestLsEstimate:
         assert np.allclose(ghat[:, 2], ghat[:, 3])
 
     def test_cross_cell_contamination_sums_effective_channels(self):
-        cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3, seed=8)
+        cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=3)
         drop = sample_users(cfg, np.random.default_rng(19))
         sampler = ChannelSampler(drop, cfg)
         g = sampler.draw(np.random.default_rng(20), 1).g[0]
@@ -215,7 +216,7 @@ class TestLsEstimate:
     def test_contamination_only_from_copilot_users(self):
         # zeroing channels of non-co-pilot users leaves a column unchanged
         # (up to pilot-book orthogonality round-off), noise seed fixed
-        cfg = NetworkConfig(L=2, N=4, M=8, pilot_len=2, seed=9)
+        cfg = NetworkConfig(L=2, N=4, M=8, pilot_len=2)
         drop = sample_users(cfg, np.random.default_rng(23))
         g = ChannelSampler(drop, cfg).draw(np.random.default_rng(24), 1).g[0]
         plan = AllocationPlan(np.array([[0, 0, 1, 1], [0, 1, 1, 0]]), "t")
@@ -237,7 +238,7 @@ class TestLsEstimate:
         assert np.allclose(col_full, col_zeroed, atol=1e-9)
 
     def test_stacked_estimate_matches_per_bs_calls(self):
-        cfg = NetworkConfig(L=3, N=4, M=8, pilot_len=3, seed=10)
+        cfg = NetworkConfig(L=3, N=4, M=8, pilot_len=3)
         drop = sample_users(cfg, np.random.default_rng(27))
         rng = np.random.default_rng(28)
         book = build_pilot_book(cfg.pilot_len)
@@ -251,7 +252,7 @@ class TestLsEstimate:
 
 class TestLosChannelBuilders:
     def test_estimated_uses_estimates_true_uses_truth(self):
-        cfg = NetworkConfig(L=1, N=1, M=8, pilot_len=1, seed=10)
+        cfg = NetworkConfig(L=1, N=1, M=8, pilot_len=1)
         drop = make_drop(cfg, [(200.0, 0.3, 120.0, 0.8)])
         est = estimated_los_channel(drop, cfg)[0][:, 0]
         tru = ChannelSampler(drop, cfg).los[0][:, 0]
@@ -265,7 +266,7 @@ class TestLosChannelBuilders:
 
     def test_estimated_rx_stacks_all_cells(self):
         # BS 1's LOS receive matrix is formed from every cell's columns
-        cfg = NetworkConfig(L=2, N=2, M=4, pilot_len=2, seed=11)
+        cfg = NetworkConfig(L=2, N=2, M=4, pilot_len=2)
         drop = sample_users(cfg, np.random.default_rng(26))
         lams = distinct_pilots(cfg)
         los = estimated_los_channel(drop, cfg)
@@ -280,16 +281,17 @@ class TestLosChannelBuilders:
         # column i*N + j at BS l is user (i, j)'s reconstructed LOS channel,
         # and exactly zero on an NLOS link
         cfg = NetworkConfig(L=3, N=5, M=16, pilot_len=5, k_model="distance",
-                            los_model="linear_prob", loc_err_var=9.0, seed=12)
+                            los_model="linear_prob", loc_err_var=9.0)
         drop = sample_users(cfg, np.random.default_rng(29))
-        assert 0 < np.count_nonzero(~drop.los) < drop.los.size
+        nlos = drop.k == 0
+        assert 0 < np.count_nonzero(nlos) < nlos.size
         los = estimated_los_channel(drop, cfg)
         assert los.shape == (cfg.L, cfg.M, cfg.L * cfg.N)
         for l in range(cfg.L):
             for i in range(cfg.L):
                 for j in range(cfg.N):
                     col = los[l][:, i * cfg.N + j]
-                    if not drop.los[i, j, l]:
+                    if nlos[i, j, l]:
                         assert not col.any()
                         continue
                     a, k = drop.alpha_est[i, j, l], drop.k_est[i, j, l]

@@ -26,7 +26,7 @@ from mimopilots.pilots import AllocationPlan
 
 
 def tiny_cfg(**kw):
-    base = dict(L=2, N=4, M=8, pilot_len=2, seed=3)
+    base = dict(L=2, N=4, M=8, pilot_len=2)
     base.update(kw)
     return NetworkConfig(**base)
 
@@ -36,7 +36,7 @@ def no_monte_carlo(*args, **kwargs):
 
 
 # a config document with network keys only: every experiment field is the command's
-NETWORK_ONLY = {"L": 1, "N": 2, "M": 8, "pilot_len": 2, "seed": 3}
+NETWORK_ONLY = {"L": 1, "N": 2, "M": 8, "pilot_len": 2}
 
 
 def write_config(tmp_path, doc) -> str:
@@ -47,7 +47,7 @@ def write_config(tmp_path, doc) -> str:
 
 def tiny_spec(**kw):
     base = dict(cfg=tiny_cfg(), name="tiny", sweep="M", values=(8,),
-                allocators=("loc_aware", "random"), drops=2, trials=2)
+                allocators=("loc_aware", "random"), drops=2, trials=2, seed=3)
     base.update(kw)
     return ExperimentSpec(**base)
 
@@ -81,9 +81,9 @@ class TestExperimentSpec:
             with pytest.raises(ConfigError, match="integer"):
                 ExperimentSpec(cfg=tiny_cfg(), **bad)
 
-    def test_master_seed_defaults_to_config(self):
-        assert tiny_spec().master_seed == 3
-        assert tiny_spec(seed=9).master_seed == 9
+    def test_seed_defaults_to_zero(self):
+        assert ExperimentSpec(cfg=tiny_cfg()).seed == 0
+        assert tiny_spec(seed=9).seed == 9
 
 
 class TestSweeps:
@@ -107,7 +107,7 @@ class TestSweeps:
 
     def test_locerr_zero_matches_antenna_sweep_row(self):
         cfg = tiny_cfg(k_model="distance", los_model="linear_prob")
-        kw = dict(cfg=cfg, drops=3, trials=3, allocators=("loc_aware",))
+        kw = dict(cfg=cfg, drops=3, trials=3, allocators=("loc_aware",), seed=3)
         rows_m = run_sweep(ExperimentSpec(sweep="M", values=(cfg.M,), **kw),
                            clock=lambda: 0.0)
         rows_e = run_sweep(ExperimentSpec(sweep="loc_err_var", values=(0.0,), **kw),
@@ -157,9 +157,9 @@ class TestWorstUserCdf:
 class TestOracleCompare:
     def test_ratios_bounded_by_construction(self):
         # every spec allocator gets its own ratios, unchanged by the others
-        cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2, seed=5)
+        cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2)
         spec = ExperimentSpec(cfg=cfg, drops=3, trials=4,
-                              allocators=("random", "loc_aware"))
+                              allocators=("random", "loc_aware"), seed=5)
         ratios = run_oracle_compare(spec)
         assert list(ratios) == ["random", "loc_aware"]
         for values in ratios.values():
@@ -172,7 +172,7 @@ class TestOracleCompare:
         from mimopilots.allocators import ALLOCATORS, exhaustive_search
         from mimopilots.detection import estimate_sinr, spectral_efficiency
         from mimopilots.model import sample_users
-        cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2, k_db=10.0, seed=6)
+        cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2, k_db=10.0)
         drop = sample_users(cfg, np.random.default_rng(6))
 
         def score(plans):
@@ -191,8 +191,8 @@ class TestOracleCompare:
         from mimopilots.detection import estimate_sinr, spectral_efficiency
         from mimopilots.model import sample_users
         cfg = NetworkConfig(L=2, N=2, M=8, pilot_len=2, k_model="distance",
-                            los_model="linear_prob", seed=9)
-        spec = ExperimentSpec(cfg=cfg, drops=2, trials=5, allocators=("loc_aware",))
+                            los_model="linear_prob")
+        spec = ExperimentSpec(cfg=cfg, drops=2, trials=5, allocators=("loc_aware",), seed=9)
         scored = []
         search = harness.exhaustive_search
 
@@ -207,21 +207,20 @@ class TestOracleCompare:
         run_oracle_compare(spec)
         assert sum(len(plans) for plans, _ in scored) == 2 * 16
         for d, (plans, scores) in enumerate(scored):
-            drop = sample_users(cfg, harness._rng(spec.master_seed, d,
-                                                    harness._STREAM_USERS))
+            drop = sample_users(cfg, harness._rng(spec.seed, d, harness._STREAM_USERS))
             for plan, value in zip(plans, scores):
                 sinr = estimate_sinr(cfg, drop, [plan], spec.trials,
-                                     harness._rng(spec.master_seed, d, harness._STREAM_SINR))
+                                     harness._rng(spec.seed, d, harness._STREAM_SINR))
                 alone = spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
                 assert np.array_equal(value, alone[0, 0].sum())
 
 
     def test_out_of_range_plan_names_loc_aware(self, monkeypatch):
-        cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2, seed=5)
+        cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2)
         monkeypatch.setitem(harness.ALLOCATORS, "loc_aware",
                             lambda cfg, drop, rng=None: AllocationPlan([[0, 1, 2]],
                                                                        "loc_aware"))
-        spec = ExperimentSpec(cfg=cfg, drops=1, trials=2, allocators=("loc_aware",))
+        spec = ExperimentSpec(cfg=cfg, drops=1, trials=2, allocators=("loc_aware",), seed=5)
         with pytest.raises(RuntimeError, match="allocator 'loc_aware'"):
             run_oracle_compare(spec)
 
@@ -312,16 +311,17 @@ class TestPostConditions:
 
 class TestLoadSpec:
     def test_full_document(self, tmp_path):
-        doc = {"L": 2, "N": 4, "M": 8, "pilot_len": 2, "seed": 3,
+        doc = {"L": 2, "N": 4, "M": 8, "pilot_len": 2,
                "experiment": {"name": "x", "sweep": "M", "values": [4, 8],
                               "allocators": ["loc_aware"], "drops": 2,
-                              "trials": 2, "threads": 2}}
+                              "trials": 2, "threads": 2, "seed": 3}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         spec = load_spec(path)
         assert spec.cfg.N == 4
         assert spec.values == (4, 8)
         assert spec.threads == 2
+        assert spec.seed == 3
 
     def test_unknown_experiment_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -345,16 +345,25 @@ class TestLoadSpec:
         spec = load_spec(path, overrides={"experiment": {"drops": 7}})
         assert spec.drops == 7
 
+    def test_readme_example_loads(self, tmp_path):
+        # the one JSON document in the README is a valid config file
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "readme.json"
+        path.write_text(blocks[0])
+        assert load_spec(path).seed == 42
+
 
 class TestCli:
     def test_unknown_subcommand_exits_two(self, capsys):
         assert cli_main(["frobnicate"]) == 2
 
     def test_fig3a_smoke(self, tmp_path, capsys):
-        doc = {"L": 2, "N": 4, "M": 8, "pilot_len": 2, "seed": 3,
+        doc = {"L": 2, "N": 4, "M": 8, "pilot_len": 2,
                "experiment": {"name": "fig3a", "sweep": "M", "values": [8],
                               "allocators": ["loc_aware", "random"],
-                              "drops": 1, "trials": 2}}
+                              "drops": 1, "trials": 2, "seed": 3}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         out = tmp_path / "a.csv"
@@ -366,8 +375,8 @@ class TestCli:
 
     def test_fig3b_smoke(self, tmp_path):
         out = tmp_path / "b.csv"
-        doc = {"L": 2, "N": 6, "M": 8, "pilot_len": 2, "seed": 3,
-               "experiment": {"name": "fig3b", "drops": 2, "trials": 2,
+        doc = {"L": 2, "N": 6, "M": 8, "pilot_len": 2,
+               "experiment": {"name": "fig3b", "drops": 2, "trials": 2, "seed": 3,
                               "allocators": ["loc_aware", "random"]}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
@@ -385,11 +394,11 @@ class TestCli:
         assert "linear_prob" in capsys.readouterr().err
 
     def test_fig3c_smoke(self, tmp_path):
-        doc = {"L": 2, "N": 4, "M": 8, "pilot_len": 2, "seed": 3,
+        doc = {"L": 2, "N": 4, "M": 8, "pilot_len": 2,
                "k_model": "distance", "los_model": "linear_prob",
                "experiment": {"sweep": "loc_err_var", "values": [0.0, 3.0],
                               "allocators": ["loc_aware", "sector"],
-                              "drops": 1, "trials": 2}}
+                              "drops": 1, "trials": 2, "seed": 3}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         out = tmp_path / "c.csv"
@@ -398,8 +407,8 @@ class TestCli:
         assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 2
 
     def test_oracle_prints_ratio_line(self, tmp_path, capsys):
-        doc = {"L": 1, "N": 3, "M": 8, "pilot_len": 2, "seed": 7,
-               "experiment": {"drops": 2, "trials": 4,
+        doc = {"L": 1, "N": 3, "M": 8, "pilot_len": 2,
+               "experiment": {"drops": 2, "trials": 4, "seed": 7,
                               "allocators": ["random", "loc_aware"]}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
@@ -440,14 +449,44 @@ class TestCli:
     def test_boundary_error_exits_two_before_any_drop(self, tmp_path, capsys,
                                                       monkeypatch, cfg_keys, exp_keys):
         monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
-        doc = {"L": 1, "N": 2, "M": 8, "pilot_len": 2, "seed": 3, **cfg_keys,
+        doc = {"L": 1, "N": 2, "M": 8, "pilot_len": 2, **cfg_keys,
                "experiment": {"sweep": "M", "values": [8], "drops": 1, "trials": 2,
-                              "allocators": ["loc_aware"], **exp_keys}}
+                              "seed": 3, "allocators": ["loc_aware"], **exp_keys}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert cli_main(["fig3a", "--config", str(path),
                          "--out", str(tmp_path / "a.csv")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("seed", 5), ("pathloss_sign", 1)])
+    def test_removed_network_key_exits_two_before_any_drop(self, tmp_path, capsys,
+                                                           monkeypatch, key, value):
+        # the run seed is experiment.seed; a negative pathloss_exp gives the
+        # increasing law: neither has a second, top-level spelling
+        monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, {**NETWORK_ONLY, key: value,
+                                       "experiment": {"drops": 1, "trials": 2, "seed": 7}})
+        assert cli_main(["fig3a", "--config", path]) == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "fig3a.csv").exists()
+
+    def test_seed_flag_and_file_seed_write_same_rows(self, tmp_path):
+        doc = {**NETWORK_ONLY, "experiment": {"drops": 2, "trials": 2,
+                                              "allocators": ["loc_aware", "random"]}}
+        by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
+        assert cli_main(["fig3a", "--config", write_config(tmp_path, doc), "--seed", "7",
+                         "--m-values", "8", "--out", str(by_flag)]) == 0
+        doc["experiment"]["seed"] = 7
+        assert cli_main(["fig3a", "--config", write_config(tmp_path, doc),
+                         "--m-values", "8", "--out", str(by_file)]) == 0
+        rows = []
+        for path in (by_flag, by_file):
+            with open(path) as fh:
+                rows.append([{k: v for k, v in r.items() if k != "wall_ms"}
+                             for r in csv.DictReader(fh)])
+        assert rows[0] == rows[1]
+        assert {r["seed"] for r in rows[0]} == {"7"}
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -467,8 +506,9 @@ class TestCli:
     def test_fig3b_zero_antennas_exits_two(self, tmp_path, capsys, monkeypatch):
         # --m 0 is a given value, not a missing one: it must reach the config
         monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
-        doc = {"L": 1, "N": 2, "M": 8, "pilot_len": 2, "seed": 3,
-               "experiment": {"drops": 1, "trials": 2, "allocators": ["loc_aware"]}}
+        doc = {"L": 1, "N": 2, "M": 8, "pilot_len": 2,
+               "experiment": {"drops": 1, "trials": 2, "seed": 3,
+                              "allocators": ["loc_aware"]}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "b.csv"
@@ -497,7 +537,8 @@ class TestCli:
     def test_fig3a_network_only_config_keeps_command_defaults(self, tmp_path):
         out = tmp_path / "a.csv"
         assert cli_main(["fig3a", "--config", write_config(tmp_path, NETWORK_ONLY),
-                         "--drops", "1", "--trials", "2", "--out", str(out)]) == 0
+                         "--drops", "1", "--trials", "2", "--seed", "3",
+                         "--out", str(out)]) == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert {r["experiment"] for r in rows} == {"fig3a"}
@@ -507,7 +548,8 @@ class TestCli:
     def test_fig3c_network_only_config_runs_loc_err_sweep(self, tmp_path):
         out = tmp_path / "c.csv"
         assert cli_main(["fig3c", "--config", write_config(tmp_path, NETWORK_ONLY),
-                         "--drops", "1", "--trials", "2", "--out", str(out)]) == 0
+                         "--drops", "1", "--trials", "2", "--seed", "3",
+                         "--out", str(out)]) == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert {r["sweep_name"] for r in rows} == {"loc_err_var"}
@@ -660,13 +702,14 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-INT_FIELDS = ("L", "N", "M", "pilot_len", "coherence_len", "pathloss_sign", "seed")
+INT_FIELDS = ("L", "N", "M", "pilot_len", "coherence_len")
 FLOAT_FIELDS = ("snr_db", "cell_radius", "min_dist", "pathloss_exp", "k_db",
                 "k_intercept_db", "k_slope_db_per_m", "antenna_spacing", "loc_err_var")
 
 
 @st.composite
 def tiny_config_fields(draw):
+    """NetworkConfig fields, and a run seed for the ExperimentSpec."""
     radius = draw(st.floats(1.0, 1e4))
     return {
         "L": draw(st.integers(1, 2)), "N": draw(st.integers(1, 4)),
@@ -674,8 +717,7 @@ def tiny_config_fields(draw):
         "coherence_len": draw(st.integers(2, 300)),
         "snr_db": draw(st.floats(-400.0, 400.0)),
         "cell_radius": radius, "min_dist": radius * draw(st.floats(0.001, 0.999)),
-        "pathloss_exp": draw(st.floats(0.0, 400.0)),
-        "pathloss_sign": draw(st.sampled_from([-1, 1])),
+        "pathloss_exp": draw(st.floats(-400.0, 400.0)),
         "k_model": draw(st.sampled_from(["fixed", "distance"])),
         "k_db": draw(st.floats(-400.0, 400.0)),
         "k_intercept_db": draw(st.floats(-100.0, 100.0)),
@@ -683,21 +725,22 @@ def tiny_config_fields(draw):
         "los_model": draw(st.sampled_from(["always", "linear_prob"])),
         "antenna_spacing": draw(st.floats(0.01, 10.0)),
         "loc_err_var": draw(st.floats(0.0, 1e4)),
-        "seed": draw(st.integers(0, 2 ** 32)),
-    }
+    }, draw(st.integers(0, 2 ** 32))
 
 
 class TestConfigProperty:
     @given(tiny_config_fields())
     @settings(max_examples=60, deadline=None)
-    def test_validated_config_gives_finite_csv(self, fields):
+    def test_validated_config_gives_finite_csv(self, drawn):
+        fields, seed = drawn
         try:
             cfg = NetworkConfig(**fields)
         except ConfigError:
             return                       # rejected at the boundary
         spec = ExperimentSpec(cfg=cfg, name="prop", sweep="M", values=(cfg.M,),
                               allocators=("loc_aware", "random", "random_iid",
-                                          "greedy", "sector"), drops=1, trials=2)
+                                          "greedy", "sector"), drops=1, trials=2,
+                              seed=seed)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "out.csv"
             write_rows_csv(run_sweep(spec, clock=lambda: 0.0), path)

@@ -223,7 +223,7 @@ class TestLosInterference:
 
     def test_columns_match_per_bs_oracle_at_serving_bs(self):
         cfg = NetworkConfig(L=3, N=8, M=32, pilot_len=4, k_model="distance",
-                            los_model="linear_prob", loc_err_var=25.0, seed=9)
+                            los_model="linear_prob", loc_err_var=25.0)
         drop = sample_users(cfg, np.random.default_rng(9))
         # NLOS links and location error are both present
         assert np.any(drop.k_est == 0) and not np.array_equal(drop.aoa_est, drop.aoa)

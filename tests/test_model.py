@@ -15,7 +15,7 @@ from mimopilots.model import (ConfigError, Drop, NetworkConfig, bs_positions,
 
 
 def small_cfg(**kw):
-    base = dict(L=2, N=4, M=8, pilot_len=2, seed=0)
+    base = dict(L=2, N=4, M=8, pilot_len=2)
     base.update(kw)
     return NetworkConfig(**base)
 
@@ -43,12 +43,14 @@ class TestNetworkConfig:
         dict(snr_db=4000.0),
     ])
     def test_invalid_configs_rejected(self, bad):
+        # pathloss_sign and seed are unknown keys: a negative pathloss_exp
+        # gives the increasing law, and the run seed is ExperimentSpec.seed
         with pytest.raises(ConfigError):
-            NetworkConfig(**bad)
+            NetworkConfig.from_dict(bad)
 
     def test_json_round_trip(self):
         cfg = NetworkConfig(L=3, N=5, M=16, pilot_len=4, snr_db=7.5, k_db=3.0,
-                            loc_err_var=2.0, seed=11)
+                            loc_err_var=2.0)
         again = NetworkConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
 
@@ -58,20 +60,24 @@ class TestNetworkConfig:
         assert "rho" not in data
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            NetworkConfig.from_dict({"snr": 10})
+        for key, value in (("snr", 10), ("seed", 5), ("pathloss_sign", 1)):
+            with pytest.raises(ConfigError, match=rf"unknown config keys: \['{key}'\]"):
+                NetworkConfig.from_dict({key: value})
 
 
 class TestPathloss:
     def test_unity_at_cell_radius_for_either_sign(self):
-        for sign in (-1, 1):
-            cfg = small_cfg(pathloss_sign=sign)
+        for v in (3.76, -3.76):
+            cfg = small_cfg(pathloss_exp=v)
             assert pathloss(cfg.cell_radius, cfg) == pytest.approx(1.0)
 
     def test_table_formula_literal(self):
-        # d=100, radius=400, increasing form: (1/4)**3.76
-        cfg = small_cfg(pathloss_sign=1)
+        # d=100, radius=400, the paper's increasing form (d/R)**3.76 from a
+        # negative exponent: (1/4)**3.76, bit for bit over a range of distances
+        cfg = small_cfg(pathloss_exp=-3.76)
         assert pathloss(100.0, cfg) == pytest.approx(0.25 ** 3.76, rel=1e-12)
+        d = np.linspace(1.0, 1200.0, 50)
+        assert np.array_equal(pathloss(d, cfg), (d / cfg.cell_radius) ** 3.76)
 
     def test_default_sign_decays(self):
         cfg = small_cfg()
@@ -84,7 +90,7 @@ class TestPathloss:
         cfg = small_cfg()
         lo, hi = sorted((d1, d2))
         assert pathloss(lo, cfg) >= pathloss(hi, cfg)
-        cfg_inc = small_cfg(pathloss_sign=1)
+        cfg_inc = small_cfg(pathloss_exp=-3.76)
         assert pathloss(lo, cfg_inc) <= pathloss(hi, cfg_inc)
 
     def test_nonpositive_distance_rejected(self):
@@ -131,14 +137,14 @@ class TestLosState:
         ref = np.random.default_rng(0)
         ref.random(4 * cfg.L * cfg.N)
         assert rng.bit_generator.state == ref.bit_generator.state
-        assert drop.los.all()
+        assert (drop.k > 0).all()
 
     def test_empirical_frequency(self):
         # serving links are LOS with probability 1 - d/radius, d ~ U[100, 400]:
         # 0.375 overall (binomial std ~ 0.0024 at 4e4 users), 0.7125 near 115 m
         cfg = NetworkConfig(L=1, N=40_000, M=1, pilot_len=1, los_model="linear_prob")
         drop = sample_users(cfg, np.random.default_rng(123))
-        los, d = drop.los[0, :, 0], drop.dist[0, :, 0]
+        los, d = drop.k[0, :, 0] > 0, drop.dist[0, :, 0]
         assert los.mean() == pytest.approx(0.375, abs=0.01)
         assert los[d < 130.0].mean() == pytest.approx(0.7125, abs=0.03)
 
@@ -170,7 +176,7 @@ class TestLocalizationError:
         assert not np.allclose(drop.dist_est, drop.dist)
         assert np.allclose(drop.alpha_est, pathloss(drop.dist_est, cfg))
         assert np.allclose(drop.k_est,
-                           np.where(drop.los, k_factor(drop.dist_est, cfg), 0.0))
+                           np.where(drop.k > 0, k_factor(drop.dist_est, cfg), 0.0))
 
     def test_distance_clamped_to_one_meter(self):
         # users almost on top of the BS, perturbed hard, never estimate < 1 m
@@ -187,10 +193,10 @@ class TestLocalizationError:
 
 class TestSampleUsers:
     def test_counts_and_shapes(self):
-        cfg = NetworkConfig(L=2, N=36, M=4, pilot_len=12, seed=1)
+        cfg = NetworkConfig(L=2, N=36, M=4, pilot_len=12)
         drop = sample_users(cfg, np.random.default_rng(1))
         for name in ("dist", "aoa", "dist_est", "aoa_est", "alpha", "alpha_est",
-                     "k", "k_est", "los"):
+                     "k", "k_est"):
             assert getattr(drop, name).shape == (2, 36, 2)
         d = Drop.serving(drop.dist)
         assert np.all((cfg.min_dist <= d) & (d <= cfg.cell_radius))
@@ -207,7 +213,7 @@ class TestSampleUsers:
                         k_model="distance")
         a = sample_users(cfg, np.random.default_rng(42))
         b = sample_users(cfg, np.random.default_rng(42))
-        for name in ("dist", "aoa", "dist_est", "aoa_est", "k_est", "los"):
+        for name in ("dist", "aoa", "dist_est", "aoa_est", "k", "k_est"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_per_user_draw_order(self):
@@ -223,7 +229,7 @@ class TestSampleUsers:
                 los = rng.random(cfg.L) < los_probability(drop.dist[cell, j], cfg)
                 assert drop.dist[cell, j, cell] == pytest.approx(d, rel=1e-12)
                 assert drop.aoa[cell, j, cell] == pytest.approx(theta, abs=1e-9)
-                assert np.array_equal(drop.los[cell, j], los)
+                assert np.array_equal(drop.k[cell, j] > 0, los)
 
     @pytest.mark.parametrize("cfg", [
         NetworkConfig(),
@@ -239,7 +245,7 @@ class TestSampleUsers:
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
             drop, ref = sample_users(cfg, fast), sample_users_per_user(cfg, slow)
             for name in ("dist", "aoa", "dist_est", "aoa_est", "alpha",
-                         "alpha_est", "k", "k_est", "los"):
+                         "alpha_est", "k", "k_est"):
                 assert np.array_equal(getattr(drop, name), getattr(ref, name)), name
             assert np.array_equal(fast.random(4), slow.random(4))
 
@@ -260,6 +266,6 @@ class TestSampleUsers:
     def test_nlos_forces_zero_k(self):
         cfg = small_cfg(los_model="linear_prob", k_model="distance", N=16)
         drop = sample_users(cfg, np.random.default_rng(9))
-        assert not drop.los.all()
-        assert np.all(drop.k[~drop.los] == 0.0) and np.all(drop.k_est[~drop.los] == 0.0)
-        assert np.all(drop.k[drop.los] > 0.0)
+        los = drop.k > 0
+        assert not los.all()
+        assert np.array_equal(drop.k_est > 0, los)
