@@ -201,7 +201,8 @@ def _ls_exactness_dev() -> float:
 def _zf_identity_dev() -> float:
     rng = np.random.default_rng(17)
     g = rng.standard_normal((24, 6)) + 1j * rng.standard_normal((24, 6))
-    return float(np.max(np.abs((g @ zf_combiner(g)).conj().T @ g - np.eye(6))))
+    w = g @ zf_combiner(g, g.conj().T @ g)
+    return float(np.max(np.abs(w.conj().T @ g - np.eye(6))))
 
 
 def _zf_min_norm_dev() -> float:
@@ -211,7 +212,8 @@ def _zf_min_norm_dev() -> float:
     col = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     g = np.column_stack([col, col, rng.standard_normal(16)])
     expect = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-    return float(np.max(np.abs((g @ zf_combiner(g)).conj().T @ g - expect)))
+    w = g @ zf_combiner(g, g.conj().T @ g)
+    return float(np.max(np.abs(w.conj().T @ g - expect)))
 
 
 def _channel_power_dev() -> float:

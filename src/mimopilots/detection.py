@@ -19,11 +19,13 @@ LOS channels are (L, M, L*N) arrays [BS, antenna, user] and a plan's
 pilots one (L*N, pilot_len) matrix. Trials run in chunks: a chunk's
 channels and noise are each one draw with a leading trial axis, so a plan's
 pilot phase, LOS subtraction and LS estimate over every trial and BS of the
-chunk are one array expression each, and its moments one per BS. The ZF
-solve is the one step left per trial and BS. The chunk holds as many trials
-as fit a fixed byte budget for the channel stack, so its size depends only
-on (L, M, N), never on the number of plans or trials, and the working set
-stays small at any trial count.
+chunk are one array expression each, and its moments one per BS: one
+conjugate copy of the chunk's estimates at a BS gives both batched products,
+the Gram matrices Ghat^H Ghat of all its trials and Ghat^H G. The ZF solve,
+handed its trial's Gram matrix, is the one step left per trial and BS. The
+chunk holds as many trials as fit a fixed byte budget for the channel
+stack, so its size depends only on (L, M, N), never on the number of plans
+or trials, and the working set stays small at any trial count.
 """
 
 from __future__ import annotations
@@ -68,20 +70,25 @@ def gram_condition(gram: np.ndarray, gram_inv: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(gram, gram).real * np.vdot(gram_inv, gram_inv).real))
 
 
-def zf_combiner(ghat: np.ndarray) -> np.ndarray:
-    """X = pinv(Ghat^H Ghat) of one 2-D (M, U) estimate, the (U, U) core of
-    the zero-forcing combiner W = Ghat @ X on either path.
+def zf_combiner(ghat: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """X = pinv(Ghat^H Ghat) of one 2-D (M, U) estimate, given its (U, U)
+    Gram matrix `gram` = Ghat^H Ghat; the core of the zero-forcing combiner
+    W = Ghat @ X on either path.
 
-    Fast path: inv(Ghat^H Ghat), used only when `gram_condition` certifies
+    Fast path: inv(gram), used only when `gram_condition` certifies
     cond2(Ghat) < 1e4. Otherwise (a singular Gram matrix, rank-deficient or
     ill-conditioned estimates) P @ P^H for the SVD pseudo-inverse P of Ghat
     with singular values below 1e-8 * sigma_max treated as zero, so
-    duplicated columns resolve to the minimum-norm combiner. The benchmark's
-    tracer counts this function by name, once per solve (plan, trial, BS).
+    duplicated columns resolve to the minimum-norm combiner. The Gram matrix
+    is the caller's, so a stack of them can come from one batched product.
+    The benchmark's tracer counts this function by name, once per solve
+    (plan, trial, BS), and probes the rank of `ghat`.
     """
     if ghat.ndim != 2:
         raise ValueError("channel estimate must be a 2-D matrix")
-    gram = ghat.conj().T @ ghat
+    if gram.shape != (ghat.shape[1],) * 2:
+        raise ValueError(f"Gram matrix of shape {gram.shape} does not match "
+                         f"an estimate with {ghat.shape[1]} columns")
     try:
         gram_inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
@@ -131,18 +138,21 @@ class CopilotGroups:
         ||w||^2), each of shape (N,), for the ZF combiner W of Ghat over a
         (t, M, pilot_len) estimate stack and (t, M, L*N) channels.
 
-        One `zf_combiner` call per trial, X, on the U distinct columns
-        Ghat_u = Gu D^1/2 gives B = X @ (Ghat_u^H g) and ||w_u||^2 = X_uu.
-        Ghat = Gu @ E for the 0/1 group-to-user map E with E E^T = D, the
-        group sizes, and F = D^-1/2 E has orthonormal rows, so pinv(Ghat)^H =
-        W_u F whatever the rank of Gu: user n of group u has w_n^H g =
+        The chunk's Gram matrices Ghat_u^H Ghat_u are one batched product, and
+        one `zf_combiner` call per trial, handed its Gram matrix, gives X on
+        the U distinct columns Ghat_u = Gu D^1/2; then B = X @ (Ghat_u^H g),
+        another batched product, and ||w_u||^2 = X_uu. Ghat = Gu @ E for the
+        0/1 group-to-user map E with E E^T = D, the group sizes, and
+        F = D^-1/2 E has orthonormal rows, so pinv(Ghat)^H = W_u F whatever
+        the rank of Gu: user n of group u has w_n^H g =
         B_u / sqrt(D_u) and ||w_n||^2 = X_uu / D_u. Squared moduli and X_uu
         are summed per group, and only these (U,) sums and the own-user
         entries of B are expanded to the N users.
         """
         ghat = self.los_u + est[..., self.pilots_u] * self.root
-        x = np.array([zf_combiner(m) for m in ghat])
-        prod = x @ (ghat.conj().swapaxes(-1, -2) @ g)      # (t, U, L*N)
+        gh = ghat.conj().swapaxes(-1, -2)                  # (t, U, M)
+        x = np.array([zf_combiner(m, a) for m, a in zip(ghat, gh @ ghat)])
+        prod = x @ (gh @ g)                                # (t, U, L*N)
         v = prod.view(float)                               # squared moduli from re/im pairs
         pow_u, wsq_u = np.einsum("tuk,tuk->u", v, v), np.einsum("tuu->u", x).real
         inv, size = self.inv, self.size[self.inv]
@@ -169,7 +179,8 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     the pilot phase, subtracts the reconstructed LOS, forms one LS estimate
     per pilot, and at each BS adds the `CopilotGroups.moments` of its cell,
     one `zf_combiner` call per trial and BS on the distinct estimate
-    columns, everything else one array expression per chunk of trials
+    columns and their Gram matrix, everything else (the Gram matrices
+    included) one array expression per chunk of trials
     (`_CHUNK_BYTES`). Channels come from `rng` and noise from a stream
     spawned from it, each one block per chunk that consumes its stream trial
     by trial, so neither the chunk size nor the other plans of the call

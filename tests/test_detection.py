@@ -26,6 +26,11 @@ def trial_bytes(cfg):
     return 16 * cfg.L * cfg.M * cfg.L * cfg.N
 
 
+def gram_of(g):
+    """The Gram matrix G^H G that `zf_combiner` takes beside G."""
+    return g.conj().T @ g
+
+
 def pinv_combiner(g):
     return np.linalg.pinv(g, rcond=1e-8).conj().T
 
@@ -47,7 +52,7 @@ class TestZfCombiner:
     def test_single_column_matches_normalized_form(self):
         rng = np.random.default_rng(0)
         g = crand(rng, (16, 1))
-        w = g @ zf_combiner(g)
+        w = g @ zf_combiner(g, gram_of(g))
         expect = g / np.vdot(g, g).real
         assert np.allclose(w, expect, atol=1e-12)
 
@@ -55,7 +60,7 @@ class TestZfCombiner:
         # columns of norm c: W = G / c^2 and W^H G = I
         q, _ = np.linalg.qr(crand(np.random.default_rng(1), (12, 4)))
         g = 3.0 * q
-        w = g @ zf_combiner(g)
+        w = g @ zf_combiner(g, gram_of(g))
         assert np.allclose(w, g / 9.0, atol=1e-10)
         assert np.allclose(w.conj().T @ g, np.eye(4), atol=1e-10)
 
@@ -63,7 +68,7 @@ class TestZfCombiner:
         rng = np.random.default_rng(2)
         col = crand(rng, (8,))
         g = np.column_stack([col, col])
-        w = g @ zf_combiner(g)
+        w = g @ zf_combiner(g, gram_of(g))
         block = w.conj().T @ g
         assert np.allclose(block, [[0.5, 0.5], [0.5, 0.5]], atol=1e-10)
         # cross-check against an SVD-built pseudo-inverse
@@ -74,12 +79,19 @@ class TestZfCombiner:
 
     def test_full_rank_identity(self):
         g = crand(np.random.default_rng(3), (24, 6))
-        w = g @ zf_combiner(g)
+        w = g @ zf_combiner(g, gram_of(g))
         assert np.max(np.abs(w.conj().T @ g - np.eye(6))) < 1e-8
 
     def test_all_zero_estimate_rejected(self):
         with pytest.raises(ValueError, match="degenerate estimate"):
-            zf_combiner(np.zeros((8, 2), dtype=complex))
+            zf_combiner(np.zeros((8, 2), dtype=complex), np.zeros((2, 2), dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3, 3), (3, 4), (4, 3), (2, 2), (4, 4)],
+                             ids=["1-d", "3-d", "wide", "tall", "smaller", "larger"])
+    def test_gram_of_the_wrong_shape_rejected(self, shape):
+        g = crand(np.random.default_rng(9), (8, 3))
+        with pytest.raises(ValueError, match="Gram matrix of shape"):
+            zf_combiner(g, np.ones(shape, dtype=complex))
 
     @pytest.mark.parametrize("shape", [(8, 1), (24, 6), (64, 12), (100, 36)])
     def test_full_rank_matches_pinv(self, shape):
@@ -88,7 +100,7 @@ class TestZfCombiner:
         for _ in range(5):
             g = crand(rng, shape)
             ref = pinv_combiner(g)
-            w = g @ zf_combiner(g)
+            w = g @ zf_combiner(g, gram_of(g))
             assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("ratio", [1e-6, 1e-10])
@@ -99,14 +111,14 @@ class TestZfCombiner:
         u, _ = np.linalg.qr(crand(rng, (40, 6)))
         v, _ = np.linalg.qr(crand(rng, (6, 6)))
         g = (u * np.logspace(0, np.log10(ratio), 6)) @ v.conj().T
-        assert np.array_equal(zf_combiner(g), pinv_gram_inverse(g))
+        assert np.array_equal(zf_combiner(g, gram_of(g)), pinv_gram_inverse(g))
 
     def test_duplicated_columns_take_pinv(self):
         rng = np.random.default_rng(6)
         g = crand(rng, (64, 12))
         g[:, 7] = g[:, 2]
         g[:, 9] = g[:, 2]
-        assert np.array_equal(zf_combiner(g), pinv_gram_inverse(g))
+        assert np.array_equal(zf_combiner(g, gram_of(g)), pinv_gram_inverse(g))
 
     @pytest.mark.parametrize("cond", [1e1, 1e2, 1e3, 5e3])
     def test_gram_condition_is_the_frobenius_condition_of_the_gram(self, cond):
@@ -135,7 +147,7 @@ class TestZfCombiner:
             g = crand(rng, (m, n))
             src, dst = rng.choice(n, size=2, replace=False)
             g[:, dst] = g[:, src] * (1.0 if rng.random() < 0.5 else rng.standard_normal())
-            assert np.array_equal(zf_combiner(g), pinv_gram_inverse(g))
+            assert np.array_equal(zf_combiner(g, gram_of(g)), pinv_gram_inverse(g))
 
 
 class TestCopilotGroups:
@@ -175,8 +187,8 @@ class TestCopilotGroups:
     @pytest.mark.parametrize("grouped", [True, False])
     def test_stack_of_estimates_matches_one_call_per_estimate(self, monkeypatch, grouped):
         # a (T, L, M, pilot_len) estimate stack sliced at one BS solves each
-        # trial on exactly the input of its own single-trial call, grouped or
-        # not, and sums the single-trial moments
+        # trial on exactly the estimate and Gram matrix of its own
+        # single-trial call, grouped or not, and sums the single-trial moments
         cfg, drop, plan, los, groups = self.desk_cell(41)
         if not grouped:
             groups = CopilotGroups(los[0] + 1.0, 0, plan.cells[0], cfg.pilot_len)
@@ -186,9 +198,9 @@ class TestCopilotGroups:
         g = crand(rng, (3, cfg.L, cfg.M, cfg.L * cfg.N))
         inputs = []
 
-        def recording(ghat):
-            inputs.append(ghat.copy())
-            return zf_combiner(ghat)
+        def recording(ghat, gram):
+            inputs.append((ghat.copy(), gram.copy()))
+            return zf_combiner(ghat, gram)
 
         monkeypatch.setattr(detection, "zf_combiner", recording)
         stacked = groups.moments(est[:, 0], g[:, 0])
@@ -196,7 +208,8 @@ class TestCopilotGroups:
         singles = [groups.moments(est[t:t + 1, 0], g[t:t + 1, 0]) for t in range(3)]
         assert len(inputs) == 6
         for t in range(3):
-            assert np.array_equal(inputs[t], inputs[3 + t])
+            for stacked_input, single_input in zip(inputs[t], inputs[3 + t]):
+                assert np.array_equal(stacked_input, single_input)
         assert_moments_close(stacked, [sum(m) for m in zip(*singles)], 1e-12)
 
     def test_uncaught_duplicate_columns_still_give_the_full_pinv(self):
@@ -388,7 +401,7 @@ class TestEstimateSinr:
         drop = sample_users(cfg, np.random.default_rng(27))
         plan = AllocationPlan(np.array([[0, 1]]), "nan-plan")
         monkeypatch.setattr(detection, "zf_combiner",
-                            lambda ghat: np.full((ghat.shape[1],) * 2, np.nan, dtype=complex))
+                            lambda ghat, gram: np.full(gram.shape, np.nan, dtype=complex))
         with pytest.raises(FloatingPointError, match="nan-plan"):
             estimate_sinr(cfg, drop, [plan], 3, np.random.default_rng(28))
 
@@ -403,13 +416,14 @@ class TestEstimateSinr:
         y = synthesize_rx(g, lam, noise_block(cfg, 1.0 / cfg.rho, np.random.default_rng(20)))
         los = estimated_los_channel(drop, cfg)
         ghat = los[0] + ls_estimate(y - los @ lam, book)[0][:, plan.cells[0]]
-        w = ghat @ zf_combiner(ghat)
+        w = ghat @ zf_combiner(ghat, gram_of(ghat))
         assert np.max(np.abs(w.conj().T @ ghat - np.eye(4))) < 1e-8
 
     def test_one_zf_solve_per_plan_trial_and_bs(self, monkeypatch):
         # the benchmark's tracer counts `zf_combiner` by name and probes the
         # rank of its first argument: one 2-D estimate per plan, trial and
-        # BS, also with merged columns and trials in chunks of 3
+        # BS, also with merged columns and trials in chunks of 3, each with
+        # the Gram matrix of that estimate
         cfg = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
                             los_model="linear_prob", loc_err_var=9.0)
         drop = sample_users(cfg, np.random.default_rng(41))
@@ -420,9 +434,10 @@ class TestEstimateSinr:
         monkeypatch.setattr(detection, "_CHUNK_BYTES", 3 * trial_bytes(cfg))
         ndims = []
 
-        def counting(ghat):
+        def counting(ghat, gram):
             ndims.append(ghat.ndim)
-            return zf_combiner(ghat)
+            assert np.allclose(gram, ghat.conj().T @ ghat, rtol=1e-13, atol=0)
+            return zf_combiner(ghat, gram)
 
         monkeypatch.setattr(detection, "zf_combiner", counting)
         estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(42))

@@ -296,6 +296,22 @@ class TestThreadsAndDeterminism:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestPinnedResults:
+    PINNED = json.loads((Path(__file__).parent / "data" / "evaluate_drops_se.json").read_text())
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_evaluate_drops_matches_pinned_se(self, case):
+        # per-user SE of one drop, recorded at commit bda7f15; a speed-up
+        # that reorders no arithmetic leaves it unchanged, and rtol 1e-10
+        # leaves room only for BLAS builds that sum in another order
+        pin = self.PINNED[case]
+        got = evaluate_drops(NetworkConfig(**pin["config"]), tuple(pin["allocators"]),
+                             1, pin["trials"], pin["seed"])
+        assert list(got) == pin["allocators"] == list(pin["se"])
+        for name, se in pin["se"].items():
+            np.testing.assert_allclose(got[name][0], se, rtol=1e-10, atol=0)
+
+
 class TestPostConditions:
     @pytest.mark.parametrize("cells", [
         [[0, 1, 0], [1, 0, 1]],             # one user of each cell left out
