@@ -12,8 +12,9 @@ Five allocators share one signature, (cfg, drop, rng) -> AllocationPlan:
                (small scenarios only), scored a block of plans at a time.
 
 loc_aware and greedy read one (L*N, L*N) pair-score matrix per drop,
-`los_metric.pair_scores`, every column at its reference user's serving BS;
-users are flattened cell-major there (cell * N + user).
+`los_metric.pair_scores`, every column at its reference user's serving BS.
+Users are flattened cell-major (cell * N + user) there, as in the drop's
+(L, L*N) [BS, user] arrays, so cell c at its own BS is [c, c*N:(c+1)*N].
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def partition_tiers(drop: Drop, cell: int, pilot_len: int) -> list[np.ndarray]:
     estimated angle and then the user index. Every tier except possibly the
     last has exactly pilot_len members.
     """
-    dist, aoa = drop.dist_est[cell, :, cell], drop.aoa_est[cell, :, cell]
+    dist, aoa = (x[cell].reshape(x.shape[0], -1)[cell] for x in (drop.dist_est, drop.aoa_est))
     order = np.lexsort((np.arange(dist.size), aoa, dist))
     return [order[start:start + pilot_len] for start in range(0, dist.size, pilot_len)]
 
@@ -130,8 +131,7 @@ def proxy_weights(cfg: NetworkConfig, drop: Drop) -> np.ndarray:
     diagonal, so a user never counts against itself.
     """
     cells = np.repeat(np.arange(cfg.L), cfg.N)   # each reference's serving BS
-    gain = drop.alpha_est.reshape(-1, cfg.L)     # [interferer, BS]
-    weights = (gain[:, cells] / Drop.serving(drop.alpha_est).reshape(-1)
+    weights = (drop.alpha_est[cells].T / Drop.serving(drop.alpha_est).reshape(-1)
                + pair_scores(drop, cfg.M))
     np.fill_diagonal(weights, 0.0)
     return weights

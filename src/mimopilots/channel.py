@@ -6,8 +6,9 @@ Gaussian. The deterministic LOS part uses the *true* geometry of a `Drop`;
 BS-side estimates of it live in `estimation`.
 
 Users are indexed cell-major, cell * N + user, as in `los_metric` and the
-allocators: a realization is one (L, M, L*N) array [BS, antenna, user],
-and a stack of realizations one (T, L, M, L*N) array.
+allocators: a drop's (L, L*N) [BS, user] arrays broadcast straight onto a
+realization, one (L, M, L*N) array [BS, antenna, user], and a stack of
+realizations is one (T, L, M, L*N) array.
 """
 
 from __future__ import annotations
@@ -53,20 +54,12 @@ def steering_vector(m: int, theta, spacing: float = 0.5) -> np.ndarray:
     return steer if np.ndim(phase) else steer[:, 0]
 
 
-def _by_bs(x: np.ndarray) -> np.ndarray:
-    """A per-link [cell, user, BS] array as a C-contiguous [BS, cell*N + user]
-    one, so that products with it keep the C layout of their other operand."""
-    n_cells, n_users, n_bs = x.shape
-    return np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(n_bs, n_cells * n_users)
-
-
 def los_channels(alpha: np.ndarray, k: np.ndarray, aoa: np.ndarray,
                  cfg: NetworkConfig) -> np.ndarray:
     """LOS channels sqrt(alpha*K/(1+K)) * steering(aoa) of every user at
-    every BS, a C-contiguous (L, M, L*N) array, from [cell, user, BS] gains,
-    K-factors and angles; all-zero columns where K = 0."""
-    alpha, k = _by_bs(alpha), _by_bs(k)
-    return (steering_vector(cfg.M, _by_bs(aoa), cfg.antenna_spacing)
+    every BS, a C-contiguous (L, M, L*N) array, from (L, L*N) [BS, user]
+    gains, K-factors and angles; all-zero columns where K = 0."""
+    return (steering_vector(cfg.M, aoa, cfg.antenna_spacing)
             * np.sqrt(alpha * k / (1.0 + k))[:, None, :])
 
 
@@ -93,8 +86,7 @@ class ChannelSampler:
     def __init__(self, drop: Drop, cfg: NetworkConfig):
         self.cfg = cfg
         self.los = los_channels(drop.alpha, drop.k, drop.aoa, cfg)
-        alpha, k = _by_bs(drop.alpha), _by_bs(drop.k)
-        self.w_nlos = np.sqrt(alpha / (1.0 + k))[:, None, :]
+        self.w_nlos = np.sqrt(drop.alpha / (1.0 + drop.k))[:, None, :]
 
     def draw(self, rng: np.random.Generator, trials: int) -> ChannelSet:
         """`trials` independent realizations, stacked on a leading axis."""

@@ -83,14 +83,12 @@ def pair_scores_vs_explicit(drop: Drop, m: int) -> float:
     `explicit_pair_score` on the same estimated parameters, each pair at its
     reference user's serving BS."""
     scores = los_interference(drop, m)
-    n_users = drop.alpha.shape[1]
-    alpha, k, theta = (x.reshape(scores.shape[0], -1)
-                       for x in (drop.alpha_est, drop.k_est, drop.aoa_est))
+    est = (drop.alpha_est, drop.k_est, drop.aoa_est)      # [BS, user]
+    n_users = scores.shape[0] // drop.alpha_est.shape[0]
     ref = np.empty(scores.shape)
     for a, b in np.ndindex(scores.shape):
         bs = b // n_users
-        ref[a, b] = explicit_pair_score(alpha[a, bs], k[a, bs], theta[a, bs],
-                                        alpha[b, bs], k[b, bs], theta[b, bs], m)
+        ref[a, b] = explicit_pair_score(*(x[bs, a] for x in est), *(x[bs, b] for x in est), m)
     return float(np.max(np.abs(scores - ref) / np.maximum(ref, 1e-30)))
 
 
@@ -222,7 +220,7 @@ def _channel_power_dev() -> float:
     rng = np.random.default_rng(23)
     drop = sample_users(cfg, rng)
     power = np.mean(np.abs(ChannelSampler(drop, cfg).draw(rng, 2000).g[:, 0]) ** 2, axis=(0, 1))
-    return float(np.max(np.abs(power / drop.alpha[0, :, 0] - 1.0)))
+    return float(np.max(np.abs(power / drop.alpha[0] - 1.0)))
 
 
 def _se_prefactor_dev() -> float:

@@ -252,7 +252,7 @@ def run_sweep(spec: ExperimentSpec, clock=time.perf_counter) -> list[ResultRow]:
 
 
 def worst_user_sums(per_user_se: np.ndarray, n_worst: int) -> np.ndarray:
-    """Per drop, the summed SE of the n weakest users in the center cell."""
+    """Per drop, the summed SE of the n weakest users in cell 0."""
     return np.sort(per_user_se[:, 0, :], axis=1)[:, :n_worst].sum(axis=1)
 
 
@@ -263,7 +263,7 @@ def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_worst_user_cdf(spec: ExperimentSpec) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Empirical CDF of the worst-n-user sum SE in the center cell."""
+    """Empirical CDF of the worst-n-user sum SE in cell 0."""
     if spec.n_worst > spec.cfg.N:
         raise ConfigError(f"n_worst={spec.n_worst} exceeds the {spec.cfg.N} "
                           f"users of a cell")

@@ -9,6 +9,8 @@ Every function here is elementwise over broadcast arrays; `los_interference`
 evaluates it for every user pair of a `Drop` at the reference user's serving
 BS, the only BS whose scores the allocators read, and `pair_scores` keeps
 that matrix on the drop, so the allocators of one drop compute it once.
+A row of the drop's (L, L*N) [BS, cell*N + user] arrays is every interferer
+at one BS.
 """
 
 from __future__ import annotations
@@ -84,10 +86,9 @@ def los_interference(drop: Drop, m: int) -> np.ndarray:
     estimated quantities: an (L*N, L*N) matrix [interferer, reference],
     users flattened cell-major (cell * N + user).
     """
-    n_cells = drop.alpha_est.shape[0]
     est = (drop.alpha_est, drop.k_est, drop.aoa_est)
     # interferers as [BS, interferer, 1] against references as [cell, 1, user]
-    scores = los_interference_from_params(*(x.reshape(-1, n_cells).T[:, :, None] for x in est),
+    scores = los_interference_from_params(*(x[:, :, None] for x in est),
                                           *(Drop.serving(x)[:, None, :] for x in est), m)
     return scores.transpose(1, 0, 2).reshape(scores.shape[1], -1)
 

@@ -6,9 +6,9 @@ angle around their serving BS. Every quantity the BSs are allowed to know is
 derived from the *estimated* user position (the true position plus a bounded
 uniform error); the true position drives the actual channels.
 
-One drop is a `Drop`: per-link arrays of shape (L, N, L) indexed
-[cell, user, BS], which the channel, estimation and allocation stages index
-directly.
+One drop is a `Drop`: per-link arrays of shape (L, L*N) indexed
+[BS, cell*N + user], users flattened cell-major. That is the order the
+channels, pair scores and allocators compute in, so no stage reorders a drop.
 """
 
 from __future__ import annotations
@@ -224,7 +224,8 @@ def error_half_width(var: float) -> float:
 
 @dataclass
 class Drop:
-    """User geometry of one drop; every array is (L, N, L), [cell, user, BS].
+    """User geometry of one drop; every array is a C-contiguous (L, L*N)
+    array [BS, cell*N + user], and `serving` picks each user's own BS.
 
     The estimated quantities are what the BSs know, derived from the
     estimated positions (distances clamped to >= 1 m). `k` is zero toward
@@ -254,9 +255,12 @@ class Drop:
     def from_positions(cls, cfg: NetworkConfig, pos: np.ndarray,
                        pos_est: np.ndarray, los: np.ndarray) -> "Drop":
         """Derive every per-BS quantity from (L, N, 2) true and estimated
-        positions and the (L, N, L) LOS flags."""
-        rel = pos[:, :, None, :] - bs_positions(cfg)
-        rel_e = pos_est[:, :, None, :] - bs_positions(cfg)
+        positions and the (L, L*N) [BS, cell*N + user] LOS flags."""
+        if np.shape(los) != (cfg.L, cfg.L * cfg.N):
+            raise ValueError(f"LOS flags must have shape (L, L*N), got {np.shape(los)}")
+        bs = bs_positions(cfg)[:, None, :]
+        rel = pos.reshape(-1, 2) - bs
+        rel_e = pos_est.reshape(-1, 2) - bs
         dist = np.hypot(rel[..., 0], rel[..., 1])
         dist_est = np.maximum(np.hypot(rel_e[..., 0], rel_e[..., 1]), 1.0)
         return cls(dist=dist, aoa=np.mod(np.arctan2(rel[..., 1], rel[..., 0]), TWO_PI),
@@ -268,9 +272,9 @@ class Drop:
 
     @staticmethod
     def serving(x: np.ndarray) -> np.ndarray:
-        """The (L, N) entries of an (L, N, L) array at each user's own BS."""
+        """The (L, N) entries of an (L, L*N) array at each user's own BS."""
         cells = np.arange(x.shape[0])
-        return x[cells, :, cells]
+        return x.reshape(cells.size, cells.size, -1)[cells, cells]
 
 
 def sample_users(cfg: NetworkConfig, rng: np.random.Generator) -> Drop:
@@ -281,7 +285,8 @@ def sample_users(cfg: NetworkConfig, rng: np.random.Generator) -> Drop:
     serving distance, the serving angle, two position-error uniforms, then
     one LOS uniform per BS. Each is mapped as `Generator.uniform` maps a
     draw, low + (high - low) * u, so the drop equals that sequence of
-    per-user draws. The result is a pure function of (cfg, rng state).
+    per-user draws, with the LOS uniforms then laid out [BS, cell*N + user].
+    The result is a pure function of (cfg, rng state).
     """
     bs = bs_positions(cfg)
     u = rng.random((cfg.L, cfg.N, 4 + (cfg.L if cfg.los_model != "always" else 0)))
@@ -291,8 +296,9 @@ def sample_users(cfg: NetworkConfig, rng: np.random.Generator) -> Drop:
     # per-axis Uniform[-a, a] offsets, planar MSE loc_err_var
     pos_est = pos + error_half_width(cfg.loc_err_var) * (-1.0 + 2.0 * u[..., 2:4])
     if cfg.los_model == "always":
-        los = np.ones((cfg.L, cfg.N, cfg.L), dtype=bool)
+        los = np.ones((cfg.L, cfg.L * cfg.N), dtype=bool)
     else:
-        rel = pos[:, :, None, :] - bs
-        los = u[..., 4:] < los_probability(np.hypot(rel[..., 0], rel[..., 1]), cfg)
+        rel = pos.reshape(-1, 2) - bs[:, None, :]
+        los = (u[..., 4:].transpose(2, 0, 1).reshape(cfg.L, -1)
+               < los_probability(np.hypot(rel[..., 0], rel[..., 1]), cfg))
     return Drop.from_positions(cfg, pos, pos_est, los)

@@ -21,7 +21,7 @@ def make_drop(cfg: NetworkConfig, *cells, los=None) -> Drop:
     (d, theta) or (d, theta, d_est, theta_est) tuple around the serving BS.
 
     Estimated locations default to the true ones; `los` may be a bool or an
-    (L, N, L) array (default: every link LOS).
+    (L, L*N) [BS, cell*N + user] array (default: every link LOS).
     """
     bs = bs_positions(cfg)
     pos = np.empty((cfg.L, cfg.N, 2))
@@ -35,7 +35,7 @@ def make_drop(cfg: NetworkConfig, *cells, los=None) -> Drop:
     if los is None:
         los = True
     return Drop.from_positions(cfg, pos, pos_est,
-                               np.broadcast_to(los, (cfg.L, cfg.N, cfg.L)))
+                               np.broadcast_to(los, (cfg.L, cfg.L * cfg.N)))
 
 
 def sample_position_error(var: float, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -59,7 +59,7 @@ def sample_users_per_user(cfg: NetworkConfig, rng: np.random.Generator) -> Drop:
     bs = bs_positions(cfg)
     pos = np.empty((cfg.L, cfg.N, 2))
     pos_est = np.empty((cfg.L, cfg.N, 2))
-    los = np.ones((cfg.L, cfg.N, cfg.L), dtype=bool)
+    los = np.ones((cfg.L, cfg.L * cfg.N), dtype=bool)
     for cell in range(cfg.L):
         for j in range(cfg.N):
             d = rng.uniform(cfg.min_dist, cfg.cell_radius)
@@ -68,7 +68,7 @@ def sample_users_per_user(cfg: NetworkConfig, rng: np.random.Generator) -> Drop:
             pos_est[cell, j] = pos[cell, j] + sample_position_error(cfg.loc_err_var, rng)
             if cfg.los_model != "always":
                 dist = np.hypot(*(pos[cell, j][None, :] - bs).T)
-                los[cell, j] = rng.random(cfg.L) < los_probability(dist, cfg)
+                los[:, cell * cfg.N + j] = rng.random(cfg.L) < los_probability(dist, cfg)
     return Drop.from_positions(cfg, pos, pos_est, los)
 
 
@@ -96,8 +96,9 @@ def channel_column(drop: Drop, cell: int, j: int, bs: int, h_nlos: np.ndarray,
     w_nlos = sqrt(alpha/(1+K))) with the same expressions the matrix
     assembly uses, so the columns agree bit for bit.
     """
-    alpha, k = float(drop.alpha[cell, j, bs]), float(drop.k[cell, j, bs])
-    h_los = steering_vector(h_nlos.size, float(drop.aoa[cell, j, bs]), spacing)
+    user = cell * (drop.alpha.shape[1] // drop.alpha.shape[0]) + j
+    alpha, k = float(drop.alpha[bs, user]), float(drop.k[bs, user])
+    h_los = steering_vector(h_nlos.size, float(drop.aoa[bs, user]), spacing)
     return (h_los * np.sqrt(alpha * k / (1.0 + k))
             + h_nlos * np.sqrt(alpha / (1.0 + k)))
 
@@ -150,7 +151,7 @@ def estimate_sinr_per_trial(cfg: NetworkConfig, drop: Drop, plans, trials: int,
 def los_interference_at(drop: Drop, bs: int, m: int) -> np.ndarray:
     """Oracle: the (L*N, L*N) [interferer, reference] scores of every user
     pair at one BS `bs`, whatever the reference's serving BS."""
-    alpha, k, theta = (x[:, :, bs].reshape(-1, 1)
+    alpha, k, theta = (x[bs].reshape(-1, 1)
                        for x in (drop.alpha_est, drop.k_est, drop.aoa_est))
     return los_interference_from_params(alpha, k, theta, alpha.T, k.T, theta.T, m)
 
@@ -188,7 +189,7 @@ def proxy_weights_per_cell(cfg: NetworkConfig, drop: Drop) -> np.ndarray:
     weights = np.empty((cfg.L * N, cfg.L * N))
     for cell in range(cfg.L):
         refs = slice(cell * N, (cell + 1) * N)
-        gain = drop.alpha_est[:, :, cell].reshape(-1)
+        gain = drop.alpha_est[cell]
         weights[:, refs] = (gain[:, None] / gain[None, refs]
                             + los_interference_at(drop, cell, cfg.M)[:, refs])
     np.fill_diagonal(weights, 0.0)

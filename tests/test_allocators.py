@@ -37,16 +37,17 @@ def copilot_proxy(cfg, drop, plan, cell, j, pilot):
     """Oracle: greedy's proxy of user (cell, j) if it held `pilot`, one
     co-pilot user at a time: the estimated-gain ratio at the victim's BS
     plus the pair's LOS interference score."""
-    own = float(drop.alpha_est[cell, j, cell])
-    est = (drop.alpha_est[..., cell], drop.k_est[..., cell], drop.aoa_est[..., cell])
+    N = cfg.N
+    own = float(drop.alpha_est[cell, cell * N + j])
+    est = (drop.alpha_est[cell], drop.k_est[cell], drop.aoa_est[cell])
     total = 0.0
     for i in range(cfg.L):
         for jj in np.flatnonzero(plan[i] == pilot):
             if i == cell and jj == j:
                 continue
-            total += float(drop.alpha_est[i, jj, cell]) / own
+            total += float(drop.alpha_est[cell, i * N + jj]) / own
             total += float(los_interference_from_params(
-                *(x[i, jj] for x in est), *(x[cell, j] for x in est), cfg.M))
+                *(x[i * N + jj] for x in est), *(x[cell * N + j] for x in est), cfg.M))
     return total
 
 
@@ -73,7 +74,7 @@ class TestPartitionTiers:
         drop = sample_users(cfg, np.random.default_rng(3))
         for cell in range(cfg.L):
             tiers = partition_tiers(drop, cell, 3)
-            flat = drop.dist_est[cell, np.concatenate(tiers), cell].tolist()
+            flat = drop.dist_est[cell, cell * cfg.N + np.concatenate(tiers)].tolist()
             assert flat == sorted(flat)
             assert sorted(np.concatenate(tiers).tolist()) == list(range(cfg.N))
 
@@ -122,7 +123,8 @@ class TestLocAware:
         cfg = cfg_for(L=2, N=6, pilot_len=3)
         drop = sample_users(cfg, np.random.default_rng(5))
         perm = np.random.default_rng(6).permutation(cfg.N)
-        shuffled = type(drop)(**{f.name: getattr(drop, f.name)[:, perm]
+        shuffled = type(drop)(**{f.name: getattr(drop, f.name).reshape(cfg.L, cfg.L, cfg.N)
+                                 [..., perm].reshape(cfg.L, -1)
                                  for f in fields(drop) if f.init})
         a = allocate_loc_aware(cfg, drop)
         b = allocate_loc_aware(cfg, shuffled)

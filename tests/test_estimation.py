@@ -256,12 +256,12 @@ class TestLosChannelBuilders:
         drop = make_drop(cfg, [(200.0, 0.3, 120.0, 0.8)])
         est = estimated_los_channel(drop, cfg)[0][:, 0]
         tru = ChannelSampler(drop, cfg).los[0][:, 0]
-        a_e, k_e = drop.alpha_est[0, 0, 0], drop.k_est[0, 0, 0]
-        a, k = drop.alpha[0, 0, 0], drop.k[0, 0, 0]
+        a_e, k_e = drop.alpha_est[0, 0], drop.k_est[0, 0]
+        a, k = drop.alpha[0, 0], drop.k[0, 0]
         assert np.allclose(est, np.sqrt(a_e * k_e / (1 + k_e))
-                           * steering_vector(cfg.M, drop.aoa_est[0, 0, 0]))
+                           * steering_vector(cfg.M, drop.aoa_est[0, 0]))
         assert np.allclose(tru, np.sqrt(a * k / (1 + k))
-                           * steering_vector(cfg.M, drop.aoa[0, 0, 0]))
+                           * steering_vector(cfg.M, drop.aoa[0, 0]))
         assert not np.allclose(est, tru)
 
     def test_estimated_rx_stacks_all_cells(self):
@@ -270,10 +270,11 @@ class TestLosChannelBuilders:
         drop = sample_users(cfg, np.random.default_rng(26))
         lams = distinct_pilots(cfg)
         los = estimated_los_channel(drop, cfg)
-        per_cell = [steering_vector(cfg.M, drop.aoa_est[i, :, 1])
-                    * np.sqrt(drop.alpha_est[i, :, 1] * drop.k_est[i, :, 1]
-                              / (1.0 + drop.k_est[i, :, 1]))
-                    for i in range(cfg.L)]
+        cells = [slice(i * cfg.N, (i + 1) * cfg.N) for i in range(cfg.L)]
+        per_cell = [steering_vector(cfg.M, drop.aoa_est[1, users])
+                    * np.sqrt(drop.alpha_est[1, users] * drop.k_est[1, users]
+                              / (1.0 + drop.k_est[1, users]))
+                    for users in cells]
         assert np.array_equal(los[1], np.concatenate(per_cell, axis=1))
         assert np.array_equal((los @ lams)[1], np.concatenate(per_cell, axis=1) @ lams)
 
@@ -290,11 +291,12 @@ class TestLosChannelBuilders:
         for l in range(cfg.L):
             for i in range(cfg.L):
                 for j in range(cfg.N):
-                    col = los[l][:, i * cfg.N + j]
-                    if nlos[i, j, l]:
+                    u = i * cfg.N + j
+                    col = los[l][:, u]
+                    if nlos[l, u]:
                         assert not col.any()
                         continue
-                    a, k = drop.alpha_est[i, j, l], drop.k_est[i, j, l]
+                    a, k = drop.alpha_est[l, u], drop.k_est[l, u]
                     ref = (np.sqrt(a * k / (1 + k))
-                           * steering_vector(cfg.M, drop.aoa_est[i, j, l]))
+                           * steering_vector(cfg.M, drop.aoa_est[l, u]))
                     assert np.max(np.abs(col - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -301,9 +301,10 @@ class TestPinnedResults:
 
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_evaluate_drops_matches_pinned_se(self, case):
-        # per-user SE of one drop, recorded at commit bda7f15; a speed-up
-        # that reorders no arithmetic leaves it unchanged, and rtol 1e-10
-        # leaves room only for BLAS builds that sum in another order
+        # per-user SE of one drop, desk and table recorded at commit bda7f15
+        # and three_cells (L=3, odd N, all five allocators) at 87b419c; a
+        # change that reorders no arithmetic leaves it unchanged, and rtol
+        # 1e-10 leaves room only for BLAS builds that sum in another order
         pin = self.PINNED[case]
         got = evaluate_drops(NetworkConfig(**pin["config"]), tuple(pin["allocators"]),
                              1, pin["trials"], pin["seed"])

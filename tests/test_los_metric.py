@@ -192,7 +192,7 @@ class TestLosInterference:
         cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2)
         drop = make_drop(cfg, [(200.0, 0.4, 150.0, 0.5), (300.0, 1.4, 320.0, 1.3)])
         scores = los_interference(drop, m=cfg.M)
-        a, k, t = drop.alpha_est[0, :, 0], drop.k_est[0, :, 0], drop.aoa_est[0, :, 0]
+        a, k, t = drop.alpha_est[0], drop.k_est[0], drop.aoa_est[0]
         for i, j in np.ndindex(2, 2):
             assert scores[i, j] == los_interference_from_params(
                 a[i], k[i], t[i], a[j], k[j], t[j], cfg.M)
@@ -203,9 +203,9 @@ class TestLosInterference:
         # the bare steering overlap, and the equal-angle pair (users 0, 2) by
         # the gain ratio
         cfg = NetworkConfig(L=2, N=3, M=12, pilot_len=3)
-        los = np.ones((2, 3, 2), dtype=bool)
-        los[0, 1, :] = False       # one user NLOS everywhere
-        los[1, 2, 0] = False       # one cross link NLOS
+        los = np.ones((2, 6), dtype=bool)
+        los[:, 1] = False          # one user NLOS everywhere
+        los[0, 5] = False          # one cross link NLOS
         drop = make_drop(cfg, [(150.0, 0.6, 160.0, 0.7), (220.0, 2.0), (330.0, 0.7)],
                          [(180.0, 3.5), (260.0, 1.2, 250.0, 1.25), (390.0, 5.0)],
                          los=los)
@@ -213,13 +213,13 @@ class TestLosInterference:
         scores = los_interference(drop, cfg.M)
         assert scores.shape == (6, 6)
         assert np.all(np.diag(scores) == 1.0)
-        assert drop.aoa_est[0, 0, 0] == drop.aoa_est[0, 2, 0]
-        assert scores[0, 2] == gain_ratio(drop.alpha_est[0, 0, 0], drop.k_est[0, 0, 0],
-                                          drop.alpha_est[0, 2, 0], drop.k_est[0, 2, 0])
+        assert drop.aoa_est[0, 0] == drop.aoa_est[0, 2]
+        assert scores[0, 2] == gain_ratio(drop.alpha_est[0, 0], drop.k_est[0, 0],
+                                          drop.alpha_est[0, 2], drop.k_est[0, 2])
         # reference 4 is user 1 of cell 1, so the pair is seen at BS 1
-        assert scores[1, 4] == overlap(cfg.M, drop.aoa_est[0, 1, 1], drop.aoa_est[1, 1, 1])
+        assert scores[1, 4] == overlap(cfg.M, drop.aoa_est[1, 1], drop.aoa_est[1, 4])
         # the NLOS cross link is read only when its user is an interferer at BS 0
-        assert scores[5, 0] == overlap(cfg.M, drop.aoa_est[1, 2, 0], drop.aoa_est[0, 0, 0])
+        assert scores[5, 0] == overlap(cfg.M, drop.aoa_est[0, 5], drop.aoa_est[0, 0])
 
     def test_columns_match_per_bs_oracle_at_serving_bs(self):
         cfg = NetworkConfig(L=3, N=8, M=32, pilot_len=4, k_model="distance",
@@ -285,8 +285,8 @@ class TestAsymptoticLimit:
     def pair(theta_b):
         cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2)
         drop = make_drop(cfg, [(150.0, 0.9), (350.0, theta_b)])
-        ratio = gain_ratio(drop.alpha_est[0, 0, 0], drop.k_est[0, 0, 0],
-                           drop.alpha_est[0, 1, 0], drop.k_est[0, 1, 0])
+        ratio = gain_ratio(drop.alpha_est[0, 0], drop.k_est[0, 0],
+                           drop.alpha_est[0, 1], drop.k_est[0, 1])
         return drop, ratio
 
     def test_equal_angles_keep_gain_ratio(self):

@@ -144,7 +144,7 @@ class TestLosState:
         # 0.375 overall (binomial std ~ 0.0024 at 4e4 users), 0.7125 near 115 m
         cfg = NetworkConfig(L=1, N=40_000, M=1, pilot_len=1, los_model="linear_prob")
         drop = sample_users(cfg, np.random.default_rng(123))
-        los, d = drop.k[0, :, 0] > 0, drop.dist[0, :, 0]
+        los, d = drop.k[0] > 0, drop.dist[0]
         assert los.mean() == pytest.approx(0.375, abs=0.01)
         assert los[d < 130.0].mean() == pytest.approx(0.7125, abs=0.03)
 
@@ -185,8 +185,8 @@ class TestLocalizationError:
         pos = np.tile([1.5, 0.0], (1, cfg.N, 1))
         offsets = sample_position_error(50.0, np.random.default_rng(5), n=cfg.N)
         drop = Drop.from_positions(cfg, pos, pos + offsets[None],
-                                   np.ones((1, cfg.N, 1), dtype=bool))
-        dists = drop.dist_est[0, :, 0]
+                                   np.ones((1, cfg.N), dtype=bool))
+        dists = drop.dist_est[0]
         assert dists.min() == 1.0  # the clamp engaged at least once
         assert np.all(dists >= 1.0)
 
@@ -197,7 +197,7 @@ class TestSampleUsers:
         drop = sample_users(cfg, np.random.default_rng(1))
         for name in ("dist", "aoa", "dist_est", "aoa_est", "alpha", "alpha_est",
                      "k", "k_est"):
-            assert getattr(drop, name).shape == (2, 36, 2)
+            assert getattr(drop, name).shape == (2, 72)
         d = Drop.serving(drop.dist)
         assert np.all((cfg.min_dist <= d) & (d <= cfg.cell_radius))
         assert np.all((0.0 <= drop.aoa) & (drop.aoa < 2 * np.pi))
@@ -226,10 +226,11 @@ class TestSampleUsers:
                 d = rng.uniform(cfg.min_dist, cfg.cell_radius)
                 theta = rng.uniform(0.0, 2 * np.pi)
                 rng.uniform(-1.0, 1.0, size=2)
-                los = rng.random(cfg.L) < los_probability(drop.dist[cell, j], cfg)
-                assert drop.dist[cell, j, cell] == pytest.approx(d, rel=1e-12)
-                assert drop.aoa[cell, j, cell] == pytest.approx(theta, abs=1e-9)
-                assert np.array_equal(drop.k[cell, j] > 0, los)
+                u = cell * cfg.N + j
+                los = rng.random(cfg.L) < los_probability(drop.dist[:, u], cfg)
+                assert drop.dist[cell, u] == pytest.approx(d, rel=1e-12)
+                assert drop.aoa[cell, u] == pytest.approx(theta, abs=1e-9)
+                assert np.array_equal(drop.k[:, u] > 0, los)
 
     @pytest.mark.parametrize("cfg", [
         NetworkConfig(),
@@ -255,13 +256,14 @@ class TestSampleUsers:
         bs = bs_positions(cfg)
         for cell in range(cfg.L):
             for j in range(cfg.N):
-                d, theta = drop.dist[cell, j, cell], drop.aoa[cell, j, cell]
+                u = cell * cfg.N + j
+                d, theta = drop.dist[cell, u], drop.aoa[cell, u]
                 pos = bs[cell] + d * np.array([np.cos(theta), np.sin(theta)])
                 for l in range(cfg.L):
                     rel = pos - bs[l]
-                    assert drop.dist[cell, j, l] == pytest.approx(np.hypot(*rel), rel=1e-9)
-                    assert math.sin(drop.aoa[cell, j, l]) == pytest.approx(
-                        rel[1] / drop.dist[cell, j, l], abs=1e-9)
+                    assert drop.dist[l, u] == pytest.approx(np.hypot(*rel), rel=1e-9)
+                    assert math.sin(drop.aoa[l, u]) == pytest.approx(
+                        rel[1] / drop.dist[l, u], abs=1e-9)
 
     def test_nlos_forces_zero_k(self):
         cfg = small_cfg(los_model="linear_prob", k_model="distance", N=16)
@@ -269,3 +271,56 @@ class TestSampleUsers:
         los = drop.k > 0
         assert not los.all()
         assert np.array_equal(drop.k_est > 0, los)
+
+
+class TestDropLayout:
+    """Every per-link array of a drop is (L, L*N), [BS, cell*N + user]."""
+
+    FIELDS = ("dist", "aoa", "dist_est", "aoa_est", "alpha", "alpha_est", "k", "k_est")
+
+    def test_sample_users_indexes_bs_then_flat_user(self):
+        cfg = NetworkConfig(L=3, N=4, M=8, pilot_len=2, k_model="distance",
+                            los_model="linear_prob", loc_err_var=4.0)
+        drop = sample_users(cfg, np.random.default_rng(10))
+        for name in self.FIELDS:
+            x = getattr(drop, name)
+            assert x.shape == (cfg.L, cfg.L * cfg.N) and x.flags.c_contiguous, name
+        # true and estimated positions from the per-user draws, then every
+        # user's distance and angle to every BS, one link at a time
+        rng, bs = np.random.default_rng(10), bs_positions(cfg)
+        for cell in range(cfg.L):
+            for j in range(cfg.N):
+                d = rng.uniform(cfg.min_dist, cfg.cell_radius)
+                theta = rng.uniform(0.0, 2 * np.pi)
+                pos = bs[cell] + d * np.array([math.cos(theta), math.sin(theta)])
+                pos_est = pos + sample_position_error(cfg.loc_err_var, rng)
+                rng.random(cfg.L)
+                for l in range(cfg.L):
+                    for p, dist, aoa in ((pos, drop.dist, drop.aoa),
+                                         (pos_est, drop.dist_est, drop.aoa_est)):
+                        dx, dy = p - bs[l]
+                        assert dist[l, cell * cfg.N + j] == pytest.approx(
+                            math.hypot(dx, dy), rel=1e-9)
+                        assert aoa[l, cell * cfg.N + j] == pytest.approx(
+                            math.atan2(dy, dx) % (2 * math.pi), abs=1e-9)
+
+    def test_serving_is_each_cells_own_bs_block(self):
+        cfg = NetworkConfig(L=3, N=4, M=8, pilot_len=2, los_model="linear_prob")
+        drop = sample_users(cfg, np.random.default_rng(11))
+        for name in self.FIELDS:
+            x, own = getattr(drop, name), Drop.serving(getattr(drop, name))
+            assert own.shape == (cfg.L, cfg.N), name
+            for cell in range(cfg.L):
+                assert np.array_equal(own[cell], x[cell, cell * cfg.N:(cell + 1) * cfg.N])
+
+    @pytest.mark.parametrize("L, N, shape", [(2, 1, (2, 1, 2)), (3, 3, (3, 3, 3)),
+                                             (2, 3, (6, 2))],
+                             ids=["cell_user_bs_n1", "cell_user_bs_square", "transposed"])
+    def test_from_positions_rejects_other_los_shapes(self, L, N, shape):
+        # (2, 1, 2) flags would broadcast against (2, 2) links without the guard
+        cfg = small_cfg(L=L, N=N)
+        pos = bs_positions(cfg)[:, None, :] + np.full((L, N, 2), 150.0)
+        assert Drop.from_positions(cfg, pos, pos, np.ones((L, L * N), dtype=bool)).k.shape \
+            == (L, L * N)
+        with pytest.raises(ValueError, match="LOS flags must have shape"):
+            Drop.from_positions(cfg, pos, pos, np.ones(shape, dtype=bool))
