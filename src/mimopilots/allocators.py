@@ -96,7 +96,7 @@ def allocate_random(cfg: NetworkConfig, drop: Drop | None,
     plan = np.empty((cfg.L, cfg.N), dtype=int)
     for cell in range(cfg.L):
         labels = rng.permutation(n_pilots)
-        seq = np.array([labels[t % n_pilots] for t in range(cfg.N)])
+        seq = labels[np.arange(cfg.N) % n_pilots]
         rng.shuffle(seq)
         plan[cell] = seq
     return AllocationPlan(cells=plan, allocator="random")

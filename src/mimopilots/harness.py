@@ -29,9 +29,6 @@ from .detection import estimate_sinr, spectral_efficiency
 from .model import ConfigError, Drop, NetworkConfig, sample_users
 from .pilots import AllocationPlan
 
-CSV_HEADER = ("experiment", "allocator", "sweep_name", "sweep_value", "cell",
-              "sum_se_bits_hz", "stderr", "drops", "trials", "seed", "wall_ms")
-
 CDF_HEADER = ("allocator", "value_bits_hz", "cum_prob")
 
 # purpose tags for per-drop substreams
@@ -102,21 +99,23 @@ class ExperimentSpec:
 
 @dataclass
 class ResultRow:
-    """One CSV row: an allocator's mean sum SE in one cell at one sweep point.
-
-    Fields are declared in CSV_HEADER's column order."""
+    """One CSV row: an allocator's mean sum SE in one cell at one sweep point;
+    the fields are the columns."""
 
     experiment: str
     allocator: str
     sweep_name: str
     sweep_value: float
     cell: int
-    sum_se: float
+    sum_se_bits_hz: float
     stderr: float
     drops: int
     trials: int
     seed: int
     wall_ms: int
+
+
+CSV_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -244,7 +243,7 @@ def run_sweep(spec: ExperimentSpec, clock=time.perf_counter) -> list[ResultRow]:
                 rows.append(ResultRow(
                     experiment=spec.name, allocator=name, sweep_name=sweep_name,
                     sweep_value=(0.0 if value is None else float(value)),
-                    cell=cell, sum_se=float(sums[:, cell].mean()),
+                    cell=cell, sum_se_bits_hz=float(sums[:, cell].mean()),
                     stderr=bootstrap_stderr(sums[:, cell], seed=seed),
                     drops=spec.drops, trials=spec.trials, seed=seed,
                     wall_ms=wall_ms))

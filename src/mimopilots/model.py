@@ -73,14 +73,6 @@ class NetworkConfig:
     loc_err_var: float = 0.0
 
     def __post_init__(self):
-        self.validate()
-
-    @property
-    def rho(self) -> float:
-        """Uplink SNR as a linear power ratio."""
-        return 10.0 ** (self.snr_db / 10.0)
-
-    def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool)
@@ -115,6 +107,11 @@ class NetworkConfig:
         if self.loc_err_var < 0:
             raise ConfigError("loc_err_var must be >= 0")
         self._check_gains()
+
+    @property
+    def rho(self) -> float:
+        """Uplink SNR as a linear power ratio."""
+        return 10.0 ** (self.snr_db / 10.0)
 
     def _check_gains(self) -> None:
         """Gains, K-factors and the linear SNR must be finite and positive
@@ -222,7 +219,7 @@ def error_half_width(var: float) -> float:
     return math.sqrt(1.5 * var)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Drop:
     """User geometry of one drop; every array is a C-contiguous (L, L*N)
     array [BS, cell*N + user], and `serving` picks each user's own BS.
@@ -234,10 +231,12 @@ class Drop:
     position estimate. A valid config keeps every K-factor positive, so a
     link is LOS exactly where `k > 0`.
 
+    A drop is read-only: construction checks that the eight arrays share
+    one (L, L*N) shape and clears their `writeable` flags in place, so no
+    array can change after the drop is scored.
     `score_memo` keeps the drop's pair-score matrices by antenna count, each
     computed on first use by `los_metric.pair_scores`, so every allocator of
-    a drop reads one matrix. Change no array of a drop after it is scored:
-    the memo would still hold the old scores.
+    a drop reads one matrix; `dataclasses.replace` gives a fresh memo.
     """
 
     dist: np.ndarray       # true distance
@@ -251,11 +250,26 @@ class Drop:
     score_memo: dict[int, np.ndarray] = field(default_factory=dict, init=False,
                                               compare=False, repr=False)
 
+    def __post_init__(self):
+        arrays = [getattr(self, f.name) for f in fields(self) if f.init]
+        shape = np.shape(arrays[0])
+        if (len(shape) != 2 or not 0 < shape[0] <= shape[1] or shape[1] % shape[0]
+                or not all(isinstance(x, np.ndarray) and x.shape == shape
+                           for x in arrays)):
+            raise ValueError(f"drop arrays must share one (L, L*N) shape, got "
+                             f"{[np.shape(x) for x in arrays]}")
+        for x in arrays:
+            x.setflags(write=False)
+
     @classmethod
     def from_positions(cls, cfg: NetworkConfig, pos: np.ndarray,
                        pos_est: np.ndarray, los: np.ndarray) -> "Drop":
-        """Derive every per-BS quantity from (L, N, 2) true and estimated
-        positions and the (L, L*N) [BS, cell*N + user] LOS flags."""
+        """Derive every per-BS quantity from finite (L, N, 2) true and
+        estimated positions and the (L, L*N) [BS, cell*N + user] LOS flags."""
+        for name, p in (("true", pos), ("estimated", pos_est)):
+            if np.shape(p) != (cfg.L, cfg.N, 2) or not np.isfinite(p).all():
+                raise ValueError(f"{name} positions must be a finite (L, N, 2) "
+                                 f"array, got shape {np.shape(p)}")
         if np.shape(los) != (cfg.L, cfg.L * cfg.N):
             raise ValueError(f"LOS flags must have shape (L, L*N), got {np.shape(los)}")
         bs = bs_positions(cfg)[:, None, :]

@@ -72,15 +72,6 @@ def sample_users_per_user(cfg: NetworkConfig, rng: np.random.Generator) -> Drop:
     return Drop.from_positions(cfg, pos, pos_est, los)
 
 
-def set_all_nlos(drop: Drop) -> None:
-    """Turn every link of a drop NLOS (K = 0, true and estimated); the drop
-    must not be scored yet, or its kept pair scores would go stale."""
-    if drop.score_memo:
-        raise ValueError("drop already scored; change it before scoring")
-    drop.k[:] = 0.0
-    drop.k_est[:] = 0.0
-
-
 def is_balanced(cell_assignment: np.ndarray, n_pilots: int) -> bool:
     """True when every pilot is used floor(N/n) or ceil(N/n) times."""
     counts = np.bincount(np.asarray(cell_assignment, dtype=int), minlength=n_pilots)

@@ -204,8 +204,8 @@ def test_criterion_11_determinism_and_reduction_stability(tmp_path):
     rows_b = run_sweep(spec)
     for a, b in zip(rows_a, rows_b):
         assert (a.experiment, a.allocator, a.sweep_value, a.cell,
-                a.sum_se, a.stderr) == (b.experiment, b.allocator,
-                                        b.sweep_value, b.cell, b.sum_se, b.stderr)
+                a.sum_se_bits_hz, a.stderr) == (b.experiment, b.allocator, b.sweep_value,
+                                                b.cell, b.sum_se_bits_hz, b.stderr)
 
     one = evaluate_drops(spec.cfg, spec.allocators, 8, 4, seed=111, threads=1)
     many = evaluate_drops(spec.cfg, spec.allocators, 8, 4, seed=111, threads=8)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (is_balanced, loc_aware_per_pilot_mean, make_drop,
-                      proxy_weights_per_cell, set_all_nlos)
+                      proxy_weights_per_cell)
 from mimopilots import allocators
 from mimopilots.allocators import (ALLOCATORS, allocate_greedy, allocate_loc_aware,
                                    allocate_random, allocate_random_iid,
@@ -163,8 +163,7 @@ class TestLocAware:
         # all-NLOS scenario still allocates (scores fall back to the AoA part)
         cfg = cfg_for(N=4, los_model="linear_prob")
         drop = make_drop(cfg, [(100.0, 0.1), (150.0, 1.3),
-                               (300.0, 2.1), (350.0, 4.0)])
-        set_all_nlos(drop)
+                               (300.0, 2.1), (350.0, 4.0)], los=False)
         plan = allocate_loc_aware(cfg, drop)
         assert is_balanced(plan.cells[0], cfg.pilot_len)
 

@@ -1,11 +1,13 @@
 """Steering-vector and Rician channel-draw tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import channel_column, make_drop, set_all_nlos
+from conftest import channel_column, make_drop
 from mimopilots.channel import ChannelSampler, crandn, los_channels, steering_vector
 from mimopilots.checks import steering_vs_direct
 from mimopilots.model import NetworkConfig, sample_users
@@ -114,7 +116,7 @@ class TestAssembleChannels:
     def test_all_rayleigh_reduces_to_scatter(self):
         cfg = cfg_for(los_model="linear_prob", cell_radius=400.0)
         drop = sample_users(cfg, np.random.default_rng(5))
-        set_all_nlos(drop)
+        drop = replace(drop, k=np.zeros_like(drop.k), k_est=np.zeros_like(drop.k_est))
         sampler = ChannelSampler(drop, cfg)
         cs = sampler.draw(np.random.default_rng(6), 2)
         assert not sampler.los.any()

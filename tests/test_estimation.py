@@ -1,9 +1,11 @@
 """Pilot-phase synthesis, LOS subtraction, and LS estimation tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import make_drop, noise_block, sample_position_error, set_all_nlos
+from conftest import make_drop, noise_block, sample_position_error
 from mimopilots.channel import ChannelSampler, steering_vector
 from mimopilots.checks import distinct_plan
 from mimopilots.estimation import estimated_los_channel, ls_estimate, synthesize_rx
@@ -130,7 +132,7 @@ class TestSubtractLos:
     def test_rayleigh_users_make_subtraction_a_noop(self):
         cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=3)
         drop = sample_users(cfg, np.random.default_rng(5))
-        set_all_nlos(drop)
+        drop = replace(drop, k=np.zeros_like(drop.k), k_est=np.zeros_like(drop.k_est))
         g = ChannelSampler(drop, cfg).draw(np.random.default_rng(6), 1).g[0]
         lams = distinct_pilots(cfg)
         y = synthesize_rx(g, lams, noise_block(cfg, 0.3, np.random.default_rng(7)))

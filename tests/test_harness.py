@@ -95,7 +95,11 @@ class TestSweeps:
             reader = csv.reader(fh)
             header = next(reader)
             body = list(reader)
-        assert tuple(header) == CSV_HEADER
+        # the columns are ResultRow's field names; renaming a field must not
+        # change the file
+        assert tuple(header) == CSV_HEADER == (
+            "experiment", "allocator", "sweep_name", "sweep_value", "cell",
+            "sum_se_bits_hz", "stderr", "drops", "trials", "seed", "wall_ms")
         assert len(body) == len(rows) > 0
         assert all(len(r) == len(CSV_HEADER) for r in body)
         assert all(float(r[5]) >= 0.0 for r in body)
@@ -114,7 +118,7 @@ class TestSweeps:
                            clock=lambda: 0.0)
         for a, b in zip(rows_m, rows_e):
             # same pipeline, same seeds: well within two standard errors
-            assert a.sum_se == pytest.approx(b.sum_se, abs=1e-12)
+            assert a.sum_se_bits_hz == pytest.approx(b.sum_se_bits_hz, abs=1e-12)
 
     def test_bootstrap_stderr_scales_with_drops(self):
         rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 """Scenario configuration, sampling, and propagation-model tests."""
 
+import dataclasses
 import json
 import math
 
@@ -324,3 +325,66 @@ class TestDropLayout:
             == (L, L * N)
         with pytest.raises(ValueError, match="LOS flags must have shape"):
             Drop.from_positions(cfg, pos, pos, np.ones(shape, dtype=bool))
+
+
+class TestReadOnlyDrop:
+    """A drop cannot change once built, so its kept pair scores cannot go
+    stale, and arrays that disagree in shape never make a drop."""
+
+    FIELDS = TestDropLayout.FIELDS
+
+    @staticmethod
+    def _drop(how: str) -> Drop:
+        cfg = NetworkConfig(L=2, N=3, M=4, pilot_len=3, los_model="linear_prob")
+        drop = sample_users(cfg, np.random.default_rng(5))
+        if how == "from_positions":
+            pos = bs_positions(cfg)[:, None, :] + np.full((cfg.L, cfg.N, 2), 150.0)
+            return Drop.from_positions(cfg, pos, pos, drop.k > 0)
+        if how == "replace":
+            return dataclasses.replace(drop, k=np.zeros_like(drop.k),
+                                       k_est=np.zeros_like(drop.k_est))
+        return drop
+
+    @pytest.mark.parametrize("how", ["sample_users", "from_positions", "replace"])
+    def test_no_array_can_be_written(self, how):
+        drop = self._drop(how)
+        for name in self.FIELDS:
+            x = getattr(drop, name)
+            assert not x.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                x[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                x.T[...] = 1.0          # a view of a drop array is read-only too
+
+    def test_no_field_can_be_assigned(self):
+        drop = self._drop("sample_users")
+        for name in self.FIELDS + ("score_memo",):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(drop, name, getattr(drop, name).copy())
+
+    @pytest.mark.parametrize("k_shape", [(2, 5), (6, 2), (2, 3, 2), (12,)],
+                             ids=["other_n", "transposed", "cell_user_bs", "flat"])
+    def test_replace_rejects_a_wrong_shaped_array(self, k_shape):
+        drop = self._drop("sample_users")
+        with pytest.raises(ValueError, match=r"share one \(L, L\*N\) shape"):
+            dataclasses.replace(drop, k=np.zeros(k_shape))
+
+    @pytest.mark.parametrize("shape", [(2, 5), (3, 2), (0, 0)],
+                             ids=["not_a_multiple", "fewer_users_than_bs", "empty"])
+    def test_construction_rejects_a_shape_that_is_not_l_by_ln(self, shape):
+        with pytest.raises(ValueError, match=r"share one \(L, L\*N\) shape"):
+            Drop(*(np.ones(shape) for _ in self.FIELDS))
+
+    @pytest.mark.parametrize("which, bad", [
+        ("pos", np.full((1, 1, 2), 150.0)),      # used to give (2, 1) dist beside (2, 6) k
+        ("pos_est", np.full((2, 3, 3), 150.0)),
+        ("pos", np.full((2, 3, 2), np.nan)),
+        ("pos_est", np.full((2, 3, 2), np.inf)),
+    ], ids=["too_few_users", "three_coordinates", "nan", "inf"])
+    def test_from_positions_rejects_bad_positions(self, which, bad):
+        cfg = NetworkConfig(L=2, N=3, M=4, pilot_len=3)
+        args = {"pos": np.full((2, 3, 2), 150.0), "pos_est": np.full((2, 3, 2), 150.0)}
+        args[which] = bad
+        with pytest.raises(ValueError, match=r"positions must be a finite \(L, N, 2\)"):
+            Drop.from_positions(cfg, args["pos"], args["pos_est"],
+                                np.ones((cfg.L, cfg.L * cfg.N), dtype=bool))
