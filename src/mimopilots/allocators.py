@@ -45,7 +45,7 @@ def partition_tiers(drop: Drop, cell: int, pilot_len: int) -> list[np.ndarray]:
     estimated angle and then the user index. Every tier except possibly the
     last has exactly pilot_len members.
     """
-    dist, aoa = (x[cell].reshape(x.shape[0], -1)[cell] for x in (drop.dist_est, drop.aoa_est))
+    dist, aoa = (Drop.serving(x)[cell] for x in (drop.dist_est, drop.aoa_est))
     order = np.lexsort((np.arange(dist.size), aoa, dist))
     return [order[start:start + pilot_len] for start in range(0, dist.size, pilot_len)]
 

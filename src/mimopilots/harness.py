@@ -2,9 +2,9 @@
 
 A drop is one set of user locations; within a drop every allocator is
 evaluated on identical channel realizations (common random numbers), so
-allocator comparisons are paired. Drop d of a run derives all its randomness
-from SeedSequence([seed, d, purpose]), which makes runs reproducible and
-thread-count independent.
+allocator comparisons are paired. All randomness of a run derives from
+SeedSequence([seed, d, purpose]) for its drops d, and no draw is made outside
+a drop, which makes runs reproducible and thread-count independent.
 
 `evaluate_drops` and `run_oracle_compare` map a module-level drop function,
 `_drop_se` or `_drop_ratios`, over the drop indices with `_for_each_drop`
@@ -118,8 +118,8 @@ class ResultRow:
 CSV_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
-def _rng(*key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(list(key)))
+def _rng(seed: int, d: int, purpose: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([seed, d, purpose]))
 
 
 def _check_plan(cfg: NetworkConfig, name: str, plan: AllocationPlan) -> None:
@@ -200,12 +200,10 @@ def evaluate_drops(cfg: NetworkConfig, allocators: tuple[str, ...], drops: int,
     return dict(zip(allocators, se))
 
 
-def bootstrap_stderr(values: np.ndarray, seed: int = 0) -> float:
-    """Bootstrap standard error of the mean of `values` (1000 drop resamples)."""
-    values = np.asarray(values, dtype=float)
-    rng = _rng(seed, 0xB00)
-    idx = rng.integers(0, len(values), size=(1000, len(values)))
-    return float(np.std(values[idx].mean(axis=1)))
+def standard_error(values: np.ndarray) -> float:
+    """Standard error of the mean of `values`, std (ddof 0) / sqrt(size): the
+    exact value a bootstrap of the mean estimates, and 0.0 for one value."""
+    return float(np.std(values) / np.sqrt(np.size(values)))
 
 
 def _sweep_cfg(cfg: NetworkConfig, sweep: str | None, value) -> NetworkConfig:
@@ -224,8 +222,8 @@ def _sweep_cfg(cfg: NetworkConfig, sweep: str | None, value) -> NetworkConfig:
 def run_sweep(spec: ExperimentSpec, clock=time.perf_counter) -> list[ResultRow]:
     """Evaluate every (sweep value, allocator, cell) combination.
 
-    Mean sum SE over drops with a 1000-resample bootstrap standard error;
-    one row per cell, |values| * |allocators| * L rows in total.
+    Mean sum SE over drops with its `standard_error`; one row per cell,
+    |values| * |allocators| * L rows in total.
     """
     seed = spec.seed
     values = spec.values if spec.sweep is not None else (None,)
@@ -244,7 +242,7 @@ def run_sweep(spec: ExperimentSpec, clock=time.perf_counter) -> list[ResultRow]:
                     experiment=spec.name, allocator=name, sweep_name=sweep_name,
                     sweep_value=(0.0 if value is None else float(value)),
                     cell=cell, sum_se_bits_hz=float(sums[:, cell].mean()),
-                    stderr=bootstrap_stderr(sums[:, cell], seed=seed),
+                    stderr=standard_error(sums[:, cell]),
                     drops=spec.drops, trials=spec.trials, seed=seed,
                     wall_ms=wall_ms))
     return rows

@@ -219,7 +219,7 @@ def error_half_width(var: float) -> float:
     return math.sqrt(1.5 * var)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Drop:
     """User geometry of one drop; every array is a C-contiguous (L, L*N)
     array [BS, cell*N + user], and `serving` picks each user's own BS.
@@ -231,9 +231,9 @@ class Drop:
     position estimate. A valid config keeps every K-factor positive, so a
     link is LOS exactly where `k > 0`.
 
-    A drop is read-only: construction checks that the eight arrays share
-    one (L, L*N) shape and clears their `writeable` flags in place, so no
-    array can change after the drop is scored.
+    A drop is read-only and compares by identity: construction checks the
+    eight arrays share one (L, L*N) shape, copies any view, and clears their
+    `writeable` flags, so no array can change after the drop is scored.
     `score_memo` keeps the drop's pair-score matrices by antenna count, each
     computed on first use by `los_metric.pair_scores`, so every allocator of
     a drop reads one matrix; `dataclasses.replace` gives a fresh memo.
@@ -247,8 +247,7 @@ class Drop:
     alpha_est: np.ndarray  # large-scale gain from the estimated distance
     k: np.ndarray          # Rice factor (linear) from the true distance
     k_est: np.ndarray      # Rice factor from the estimated distance
-    score_memo: dict[int, np.ndarray] = field(default_factory=dict, init=False,
-                                              compare=False, repr=False)
+    score_memo: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         arrays = [getattr(self, f.name) for f in fields(self) if f.init]
@@ -258,7 +257,9 @@ class Drop:
                            for x in arrays)):
             raise ValueError(f"drop arrays must share one (L, L*N) shape, got "
                              f"{[np.shape(x) for x in arrays]}")
-        for x in arrays:
+        for f, x in zip(fields(self), arrays):     # the array fields come first
+            if not x.flags.owndata:     # a view stays writable through its base
+                object.__setattr__(self, f.name, x := x.copy())
             x.setflags(write=False)
 
     @classmethod

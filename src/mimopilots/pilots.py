@@ -20,7 +20,7 @@ def build_pilot_book(n_pilots: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n_pilots)
 
 
-@dataclass
+@dataclass(eq=False)
 class AllocationPlan:
     """Per-cell pilot indices: cells[l][j] is the pilot of user j in cell l."""
 

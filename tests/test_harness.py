@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 import tempfile
+import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 
 from mimopilots import checks, cli, harness
 from mimopilots.cli import cli_main
-from mimopilots.harness import (CSV_HEADER, ExperimentSpec, bootstrap_stderr,
-                                empirical_cdf, evaluate_drops, load_spec,
-                                run_oracle_compare, run_sweep, run_worst_user_cdf,
+from mimopilots.harness import (CSV_HEADER, ExperimentSpec, empirical_cdf,
+                                evaluate_drops, load_spec, run_oracle_compare,
+                                run_sweep, run_worst_user_cdf, standard_error,
                                 worst_user_sums, write_cdf_csv, write_rows_csv)
 from mimopilots.model import ConfigError, NetworkConfig
 from mimopilots.pilots import AllocationPlan
@@ -120,13 +121,48 @@ class TestSweeps:
             # same pipeline, same seeds: well within two standard errors
             assert a.sum_se_bits_hz == pytest.approx(b.sum_se_bits_hz, abs=1e-12)
 
-    def test_bootstrap_stderr_scales_with_drops(self):
+    def test_standard_error_scales_with_drops(self):
         rng = np.random.default_rng(0)
         x = rng.normal(10.0, 2.0, size=400)
-        se_small = bootstrap_stderr(x[:100], seed=1)
-        se_big = bootstrap_stderr(x, seed=1)
+        se_small = standard_error(x[:100])
+        se_big = standard_error(x)
         # quadrupling the sample roughly halves the error bar
         assert se_big == pytest.approx(se_small / 2, rel=0.30)
+
+    @pytest.mark.parametrize("drops", [2, 30, 120])
+    def test_standard_error_is_the_bootstrap_limit(self, drops):
+        rng = np.random.default_rng(drops)
+        x = rng.gamma(2.0, 3.0, size=drops)
+        resampled = x[rng.integers(0, drops, size=(20_000, drops))].mean(axis=1)
+        assert standard_error(x) == pytest.approx(np.std(resampled), rel=0.03)
+
+    def test_standard_error_of_one_drop_is_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert standard_error(np.array([4.2])) == 0.0
+
+    @pytest.mark.parametrize("drops", [1, 3])
+    def test_stderr_column_is_the_standard_error_of_drop_sums(self, drops):
+        spec = tiny_spec(drops=drops, trials=3)
+        rows = run_sweep(spec, clock=lambda: 0.0)
+        per_user = evaluate_drops(spec.cfg, spec.allocators, drops, spec.trials, spec.seed)
+        for row in rows:
+            sums = per_user[row.allocator].sum(axis=2)[:, row.cell]
+            assert row.sum_se_bits_hz == float(sums.mean())
+            assert row.stderr == standard_error(sums)
+
+    def test_every_stream_belongs_to_a_drop(self, monkeypatch):
+        # every generator a run makes is keyed (seed, drop, purpose)
+        keys, make = [], harness._rng
+        monkeypatch.setattr(harness, "_rng", lambda *key: keys.append(key) or make(*key))
+        spec = tiny_spec(cfg=tiny_cfg(L=1, N=3), drops=3, seed=7, n_worst=2)
+        run_sweep(spec, clock=lambda: 0.0)
+        run_worst_user_cdf(replace(spec, sweep=None, values=()))
+        run_oracle_compare(replace(spec, sweep=None, values=()))
+        purposes = harness._STREAM_ALLOC + len(spec.allocators)
+        assert keys and all(len(key) == 3 and key[0] == spec.seed
+                            and 0 <= key[1] < spec.drops and 0 <= key[2] < purposes
+                            for key in keys), sorted(set(keys))
 
 
 class TestWorstUserCdf:

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import sample_position_error, sample_users_per_user
+from mimopilots.los_metric import pair_scores
 from mimopilots.model import (ConfigError, Drop, NetworkConfig, bs_positions,
                               error_half_width, k_factor, los_probability, pathloss,
                               sample_users)
@@ -355,6 +356,21 @@ class TestReadOnlyDrop:
                 x[0, 0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 x.T[...] = 1.0          # a view of a drop array is read-only too
+
+    def test_a_view_is_copied_so_its_base_cannot_change_the_drop(self):
+        drop = self._drop("sample_users")
+        base = np.array(drop.k)
+        view = dataclasses.replace(drop, k=base[:, :])
+        scores = pair_scores(view, 4).copy()
+        base[:] = 0.0
+        assert np.array_equal(view.k, drop.k)
+        assert np.array_equal(pair_scores(view, 4), scores)
+
+    def test_compares_and_hashes_by_identity(self):
+        drop = self._drop("sample_users")
+        twin = dataclasses.replace(drop)        # equal arrays, another drop
+        assert drop == drop and (drop == twin) is False and drop != twin
+        assert len({drop, twin, drop}) == 2
 
     def test_no_field_can_be_assigned(self):
         drop = self._drop("sample_users")

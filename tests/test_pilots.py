@@ -117,6 +117,11 @@ class TestAllocationPlan:
             assert plan.cells.dtype == int
             assert plan.cells.tolist() == [[0, 2], [1, 0]]
 
+    def test_compares_by_identity(self):
+        plan = AllocationPlan(np.zeros((2, 3), dtype=int))
+        twin = AllocationPlan(np.zeros((2, 3), dtype=int))
+        assert plan == plan and (plan == twin) is False
+
     def test_balance_predicate(self):
         assert is_balanced(np.array([0, 1, 2, 0, 1, 2]), 3)
         assert is_balanced(np.array([0, 1, 2, 0]), 3)
