@@ -90,9 +90,9 @@ class ExperimentSpec:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.sweep is not None:     # a bad point, or one named twice, fails before any drop
-            points = [getattr(_sweep_cfg(self.cfg, self.sweep, value), self.sweep)
-                      for value in self.values]
-            repeated = sorted({p for p in points if points.count(p) > 1})
+            for value in self.values:
+                replace(self.cfg, **{self.sweep: value})
+            repeated = sorted({v for v in self.values if self.values.count(v) > 1})
             if repeated:
                 raise ConfigError(f"{self.sweep} sweep points named more than once: {repeated}")
 
@@ -192,12 +192,13 @@ def evaluate_drops(cfg: NetworkConfig, allocators: tuple[str, ...], drops: int,
 
     Each drop's SE comes from `_drop_se` on the drop's own seeds and is
     stacked in drop order, so the output is identical for any thread count.
+    The arguments must make a valid `ExperimentSpec`, else ConfigError.
     """
-    if drops < 1:
-        raise ConfigError("drops must be >= 1")
-    se = np.stack(_for_each_drop(partial(_drop_se, cfg, allocators, trials, seed),
+    spec = ExperimentSpec(cfg=cfg, allocators=allocators, drops=drops, trials=trials,
+                          seed=seed, threads=threads)
+    se = np.stack(_for_each_drop(partial(_drop_se, cfg, spec.allocators, trials, seed),
                                  drops, threads), axis=1)
-    return dict(zip(allocators, se))
+    return dict(zip(spec.allocators, se))
 
 
 def standard_error(values: np.ndarray) -> float:
@@ -206,31 +207,18 @@ def standard_error(values: np.ndarray) -> float:
     return float(np.std(values) / np.sqrt(np.size(values)))
 
 
-def _sweep_cfg(cfg: NetworkConfig, sweep: str | None, value) -> NetworkConfig:
-    """The config at one sweep point; raises ConfigError for a bad value."""
-    if sweep is None:
-        return cfg
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{sweep} sweep values must be numbers, got {value!r}")
-    if sweep == "M":
-        if not float(value).is_integer():
-            raise ConfigError(f"M sweep values must be integers, got {value!r}")
-        return replace(cfg, M=int(value))
-    return replace(cfg, loc_err_var=float(value))
-
-
 def run_sweep(spec: ExperimentSpec, clock=time.perf_counter) -> list[ResultRow]:
     """Evaluate every (sweep value, allocator, cell) combination.
 
     Mean sum SE over drops with its `standard_error`; one row per cell,
     |values| * |allocators| * L rows in total.
     """
+    if spec.sweep is None:
+        raise ConfigError(f"run_sweep needs a spec with a sweep, and {spec.name!r} has none")
     seed = spec.seed
-    values = spec.values if spec.sweep is not None else (None,)
-    sweep_name = spec.sweep or "none"
     rows: list[ResultRow] = []
-    for value in values:
-        cfg_v = _sweep_cfg(spec.cfg, spec.sweep, value)
+    for value in spec.values:
+        cfg_v = replace(spec.cfg, **{spec.sweep: value})
         t0 = clock()
         per_user = evaluate_drops(cfg_v, spec.allocators, spec.drops,
                                   spec.trials, seed, spec.threads)
@@ -239,13 +227,19 @@ def run_sweep(spec: ExperimentSpec, clock=time.perf_counter) -> list[ResultRow]:
             sums = per_user[name].sum(axis=2)        # (D, L)
             for cell in range(cfg_v.L):
                 rows.append(ResultRow(
-                    experiment=spec.name, allocator=name, sweep_name=sweep_name,
-                    sweep_value=(0.0 if value is None else float(value)),
+                    experiment=spec.name, allocator=name, sweep_name=spec.sweep,
+                    sweep_value=float(value),
                     cell=cell, sum_se_bits_hz=float(sums[:, cell].mean()),
                     stderr=standard_error(sums[:, cell]),
                     drops=spec.drops, trials=spec.trials, seed=seed,
                     wall_ms=wall_ms))
     return rows
+
+
+def _check_no_sweep(spec: ExperimentSpec) -> None:
+    if spec.sweep is not None:
+        raise ConfigError(f"{spec.name!r} sweeps {spec.sweep}, but this runner "
+                          f"evaluates one config and would ignore the sweep")
 
 
 def worst_user_sums(per_user_se: np.ndarray, n_worst: int) -> np.ndarray:
@@ -260,7 +254,8 @@ def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_worst_user_cdf(spec: ExperimentSpec) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Empirical CDF of the worst-n-user sum SE in cell 0."""
+    """Empirical CDF of the worst-n-user sum SE in cell 0, at a spec with no sweep."""
+    _check_no_sweep(spec)
     if spec.n_worst > spec.cfg.N:
         raise ConfigError(f"n_worst={spec.n_worst} exceeds the {spec.cfg.N} "
                           f"users of a cell")
@@ -277,8 +272,10 @@ def run_oracle_compare(spec: ExperimentSpec) -> dict[str, np.ndarray]:
     """Per drop, each allocator's sum SE over the exhaustive-search optimum.
 
     Ratios of shape (drops,) per allocator, each drop's from `_drop_ratios`,
-    which scores every plan with `_plan_se` on the drop's SINR stream.
+    which scores every plan with `_plan_se` on the drop's SINR stream; the
+    spec must have no sweep.
     """
+    _check_no_sweep(spec)
     search_space_size(spec.cfg)            # too large a search fails before any drop
     ratios = np.stack(_for_each_drop(partial(_drop_ratios, spec.cfg, spec.allocators,
                                              spec.trials, spec.seed),

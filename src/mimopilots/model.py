@@ -232,8 +232,9 @@ class Drop:
     link is LOS exactly where `k > 0`.
 
     A drop is read-only and compares by identity: construction checks the
-    eight arrays share one (L, L*N) shape, copies any view, and clears their
-    `writeable` flags, so no array can change after the drop is scored.
+    eight arrays share one (L, L*N) shape, stores a C-ordered copy of each
+    and clears its `writeable` flag, so no array can change after the drop
+    is scored.
     `score_memo` keeps the drop's pair-score matrices by antenna count, each
     computed on first use by `los_metric.pair_scores`, so every allocator of
     a drop reads one matrix; `dataclasses.replace` gives a fresh memo.
@@ -258,8 +259,7 @@ class Drop:
             raise ValueError(f"drop arrays must share one (L, L*N) shape, got "
                              f"{[np.shape(x) for x in arrays]}")
         for f, x in zip(fields(self), arrays):     # the array fields come first
-            if not x.flags.owndata:     # a view stays writable through its base
-                object.__setattr__(self, f.name, x := x.copy())
+            object.__setattr__(self, f.name, x := x.copy(order="C"))
             x.setflags(write=False)
 
     @classmethod

@@ -65,22 +65,36 @@ class TestExperimentSpec:
             ExperimentSpec(cfg=tiny_cfg(), drops=0)
         with pytest.raises(ConfigError, match="2 trials"):
             ExperimentSpec(cfg=tiny_cfg(), trials=1)
-        with pytest.raises(ConfigError, match="integers"):
+        with pytest.raises(ConfigError, match="M must be an integer"):
             ExperimentSpec(cfg=tiny_cfg(), sweep="M", values=(8, 8.5))
-        with pytest.raises(ConfigError, match="numbers"):
+        with pytest.raises(ConfigError, match="loc_err_var must be a finite number"):
             ExperimentSpec(cfg=tiny_cfg(), sweep="loc_err_var", values=(0.0, "x"))
         with pytest.raises(ConfigError, match="no sweep axis"):
             ExperimentSpec(cfg=tiny_cfg(), values=(8, 16))
         with pytest.raises(ConfigError, match=r"more than once: \['greedy'\]"):
             ExperimentSpec(cfg=tiny_cfg(), allocators=("greedy", "random", "greedy"))
         with pytest.raises(ConfigError, match=r"M sweep points named more than once: \[8\]"):
-            ExperimentSpec(cfg=tiny_cfg(), sweep="M", values=(8, 16, 8.0))
-        with pytest.raises(ConfigError, match=r"more than once: \[0.0\]"):
+            ExperimentSpec(cfg=tiny_cfg(), sweep="M", values=(8, 16, 8))
+        with pytest.raises(ConfigError, match=r"more than once: \[0\]"):
             ExperimentSpec(cfg=tiny_cfg(), sweep="loc_err_var", values=(0, 3.0, 0.0))
         for bad in (dict(drops=2.0), dict(trials="3"), dict(threads=True),
                     dict(seed=1.5)):
             with pytest.raises(ConfigError, match="integer"):
                 ExperimentSpec(cfg=tiny_cfg(), **bad)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("M", 8.0), ("M", True), ("M", "8"),
+        ("loc_err_var", math.nan), ("loc_err_var", "x"),
+    ], ids=["float_m", "bool_m", "string_m", "nan_loc_err_var", "string_loc_err_var"])
+    def test_sweep_value_follows_its_field_rule(self, field, bad):
+        # a sweep point fails exactly as the same value as a top-level key
+        with pytest.raises(ConfigError) as top:
+            load_spec(overrides={**NETWORK_ONLY, field: bad})
+        with pytest.raises(ConfigError) as point:
+            load_spec(overrides={**NETWORK_ONLY,
+                                 "experiment": {"sweep": field, "values": [bad]}})
+        assert str(point.value) == str(top.value)
+        assert str(top.value).startswith(f"{field} must be")
 
     def test_seed_defaults_to_zero(self):
         assert ExperimentSpec(cfg=tiny_cfg()).seed == 0
@@ -150,6 +164,18 @@ class TestSweeps:
             sums = per_user[row.allocator].sum(axis=2)[:, row.cell]
             assert row.sum_se_bits_hz == float(sums.mean())
             assert row.stderr == standard_error(sums)
+
+    def test_spec_without_a_sweep_rejected(self):
+        with pytest.raises(ConfigError, match="has none"):
+            run_sweep(tiny_spec(sweep=None, values=()), clock=lambda: 0.0)
+
+    @pytest.mark.parametrize("runner", [run_worst_user_cdf, run_oracle_compare],
+                             ids=["worst_user_cdf", "oracle_compare"])
+    def test_single_config_runners_reject_a_sweep(self, monkeypatch, runner):
+        monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        spec = tiny_spec(cfg=tiny_cfg(L=1, N=3), values=(16, 32), n_worst=2)
+        with pytest.raises(ConfigError, match="sweeps M"):
+            runner(spec)
 
     def test_every_stream_belongs_to_a_drop(self, monkeypatch):
         # every generator a run makes is keyed (seed, drop, purpose)
@@ -300,6 +326,18 @@ class TestThreadsAndDeterminism:
     def test_zero_drops_rejected(self):
         with pytest.raises(ConfigError, match="drops must be >= 1"):
             evaluate_drops(tiny_cfg(), ("loc_aware",), 0, 2, 1)
+
+    @pytest.mark.parametrize("allocators, drops, message", [
+        ((), 1, "at least one allocator"),
+        (("loc_aware", "loc_aware"), 1, r"more than once: \['loc_aware'\]"),
+        (("nope",), 1, r"unknown allocators \['nope'\]"),
+        (("loc_aware",), True, "drops must be an integer"),
+    ], ids=["no_allocator", "repeated_allocator", "unknown_allocator", "bool_drops"])
+    def test_arguments_follow_the_spec_rules(self, monkeypatch, allocators, drops,
+                                             message):
+        monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        with pytest.raises(ConfigError, match=message):
+            evaluate_drops(tiny_cfg(), allocators, drops, 2, 1)
 
     @pytest.mark.parametrize("threads, drops, cores, workers", [
         (64, 3, 4, 3), (64, 10, 4, 4), (2, 10, 4, 2), (8, 1, 4, None),

@@ -366,6 +366,23 @@ class TestReadOnlyDrop:
         assert np.array_equal(view.k, drop.k)
         assert np.array_equal(pair_scores(view, 4), scores)
 
+    def test_a_view_taken_before_construction_cannot_change_the_drop(self):
+        drop = self._drop("sample_users")
+        owner = np.array(drop.k)
+        view = owner[:]                     # taken before the drop exists
+        kept = dataclasses.replace(drop, k=owner)
+        scores = pair_scores(kept, 4).copy()
+        view[:] = 0.0
+        assert np.array_equal(kept.k, drop.k)
+        assert np.array_equal(pair_scores(kept, 4), scores)
+
+    def test_every_array_is_stored_c_contiguous(self):
+        drop = self._drop("sample_users")
+        kept = dataclasses.replace(drop, k=np.asfortranarray(drop.k))
+        for name in self.FIELDS:
+            assert getattr(kept, name).flags.c_contiguous, name
+        assert np.array_equal(kept.k, drop.k)
+
     def test_compares_and_hashes_by_identity(self):
         drop = self._drop("sample_users")
         twin = dataclasses.replace(drop)        # equal arrays, another drop
