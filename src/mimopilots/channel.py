@@ -32,19 +32,20 @@ def crandn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return z.view(complex)[..., 0]
 
 
-def steering_vector(m: int, theta, spacing: float = 0.5) -> np.ndarray:
-    """Uniform-linear-array response: entry i = exp(-1j*i*2*pi*spacing*sin(theta)).
+def steering_vector(m: int, theta) -> np.ndarray:
+    """Half-wavelength ULA response: entry i = exp(-1j*i*pi*sin(theta)).
 
-    Every entry has unit modulus, entry 0 is 1, and the squared norm is m.
-    A scalar angle gives an (m,) vector; angles of shape (..., n) give
-    (..., m, n), one response per column, the [antenna, user] layout of a
-    channel matrix. With b = isqrt(m - 1) + 1, entry i0 + b*i1 is
-    exp(1j*phase*i0) * exp(1j*phase*b*i1): 2*sqrt(m) exponentials per angle
-    instead of m, multiplied with the angles innermost.
+    The one array model: `los_metric.mutual_aoa` is the gap of two users'
+    phases pi*sin(theta). Every entry has unit modulus, entry 0 is 1, and
+    the squared norm is m. A scalar angle gives an (m,) vector; angles of
+    shape (..., n) give (..., m, n), one response per column, the [antenna,
+    user] layout of a channel matrix. With b = isqrt(m - 1) + 1, entry
+    i0 + b*i1 is exp(1j*phase*i0) * exp(1j*phase*b*i1): 2*sqrt(m)
+    exponentials per angle instead of m, multiplied with the angles innermost.
     """
     if m < 1:
         raise ValueError("need at least one antenna")
-    phase = -2.0 * np.pi * spacing * np.sin(theta)
+    phase = -np.pi * np.sin(theta)
     cols = np.atleast_1d(phase)[..., None, :]                   # (..., 1, n)
     b = math.isqrt(m - 1) + 1
     low = np.exp(1j * (np.arange(b)[:, None] * cols))           # (..., b, n)
@@ -55,12 +56,11 @@ def steering_vector(m: int, theta, spacing: float = 0.5) -> np.ndarray:
 
 
 def los_channels(alpha: np.ndarray, k: np.ndarray, aoa: np.ndarray,
-                 cfg: NetworkConfig) -> np.ndarray:
+                 m: int) -> np.ndarray:
     """LOS channels sqrt(alpha*K/(1+K)) * steering(aoa) of every user at
-    every BS, a C-contiguous (L, M, L*N) array, from (L, L*N) [BS, user]
-    gains, K-factors and angles; all-zero columns where K = 0."""
-    return (steering_vector(cfg.M, aoa, cfg.antenna_spacing)
-            * np.sqrt(alpha * k / (1.0 + k))[:, None, :])
+    every BS of m antennas, a C-contiguous (L, m, L*N) array, from (L, L*N)
+    [BS, user] gains, K-factors and angles; all-zero columns where K = 0."""
+    return steering_vector(m, aoa) * np.sqrt(alpha * k / (1.0 + k))[:, None, :]
 
 
 @dataclass
@@ -85,7 +85,7 @@ class ChannelSampler:
 
     def __init__(self, drop: Drop, cfg: NetworkConfig):
         self.cfg = cfg
-        self.los = los_channels(drop.alpha, drop.k, drop.aoa, cfg)
+        self.los = los_channels(drop.alpha, drop.k, drop.aoa, cfg.M)
         self.w_nlos = np.sqrt(drop.alpha / (1.0 + drop.k))[:, None, :]
 
     def draw(self, rng: np.random.Generator, trials: int) -> ChannelSet:

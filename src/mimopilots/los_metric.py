@@ -3,7 +3,9 @@
 The score for an (interferer, reference) pair factors into a power-ratio
 part built from estimated gains and K-factors, and an AoA part equal to the
 normalized squared overlap of the two estimated steering vectors. The AoA
-part is a Dirichlet kernel in the "mutual AoA" pi*(sin a - sin b).
+part is a Dirichlet kernel in the "mutual AoA" pi*(sin a - sin b), the gap
+between the per-antenna phases of the half-wavelength array of
+`channel.steering_vector`.
 
 Every function here is elementwise over broadcast arrays; `los_interference`
 evaluates it for every user pair of a `Drop` at the reference user's serving

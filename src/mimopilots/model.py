@@ -37,7 +37,8 @@ class ConfigError(ValueError):
 class NetworkConfig:
     """All scenario parameters for one simulation.
 
-    L, N, M        : number of cells, users per cell, BS antennas.
+    L, N, M        : number of cells, users per cell, BS antennas (a
+                     half-wavelength uniform linear array).
     pilot_len      : pilot sequence length (number of orthogonal pilots).
     coherence_len  : channel uses per coherence block.
     snr_db         : uplink SNR in dB; `rho` is the linear value.
@@ -49,7 +50,6 @@ class NetworkConfig:
                      (K in dB = k_intercept_db - k_slope_db_per_m * d).
     los_model      : "always" or "linear_prob" (P(LOS) = 1 - d/cell_radius,
                      clamped to [0, 1]).
-    antenna_spacing: antenna spacing over wavelength (r/lambda).
     loc_err_var    : localization error variance in m^2 (planar MSE).
 
     dB-valued JSON inputs carry a `_db` suffix (snr_db, k_db).
@@ -69,7 +69,6 @@ class NetworkConfig:
     k_intercept_db: float = 13.0
     k_slope_db_per_m: float = 0.03
     los_model: str = "always"
-    antenna_spacing: float = 0.5
     loc_err_var: float = 0.0
 
     def __post_init__(self):
@@ -102,8 +101,6 @@ class NetworkConfig:
             raise ConfigError(f"k_model must be one of {K_MODELS}, got {self.k_model!r}")
         if self.los_model not in LOS_MODELS:
             raise ConfigError(f"los_model must be one of {LOS_MODELS}, got {self.los_model!r}")
-        if self.antenna_spacing <= 0:
-            raise ConfigError("antenna_spacing must be positive")
         if self.loc_err_var < 0:
             raise ConfigError("loc_err_var must be >= 0")
         self._check_gains()
@@ -191,7 +188,7 @@ def k_factor(d: float | np.ndarray, cfg: NetworkConfig):
     if np.any(d < 0):
         raise ValueError("k_factor requires a non-negative distance")
     if cfg.k_model == "fixed":
-        k = np.full_like(d, 10.0 ** (cfg.k_db / 10.0))
+        k = np.full_like(d, np.float64(10.0) ** (cfg.k_db / 10.0))
     else:
         k_db = cfg.k_intercept_db - cfg.k_slope_db_per_m * d
         k = 10.0 ** (k_db / 10.0)

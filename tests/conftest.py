@@ -79,8 +79,8 @@ def is_balanced(cell_assignment: np.ndarray, n_pilots: int) -> bool:
     return bool(counts.min() >= n // n_pilots and counts.max() <= -(-n // n_pilots))
 
 
-def channel_column(drop: Drop, cell: int, j: int, bs: int, h_nlos: np.ndarray,
-                   spacing: float = 0.5) -> np.ndarray:
+def channel_column(drop: Drop, cell: int, j: int, bs: int,
+                   h_nlos: np.ndarray) -> np.ndarray:
     """Oracle: user (cell, j)'s channel to BS `bs` for the scatter draw `h_nlos`.
 
     Weights are folded into the two components (w_los = sqrt(alpha*K/(1+K)),
@@ -89,7 +89,7 @@ def channel_column(drop: Drop, cell: int, j: int, bs: int, h_nlos: np.ndarray,
     """
     user = cell * (drop.alpha.shape[1] // drop.alpha.shape[0]) + j
     alpha, k = float(drop.alpha[bs, user]), float(drop.k[bs, user])
-    h_los = steering_vector(h_nlos.size, float(drop.aoa[bs, user]), spacing)
+    h_los = steering_vector(h_nlos.size, float(drop.aoa[bs, user]))
     return (h_los * np.sqrt(alpha * k / (1.0 + k))
             + h_nlos * np.sqrt(alpha / (1.0 + k)))
 

@@ -28,7 +28,7 @@ class TestSteeringVector:
 
     def test_endfire_alternates(self):
         # half-wavelength spacing, angle pi/2: entries exp(-1j*m*pi)
-        v = steering_vector(4, np.pi / 2, spacing=0.5)
+        v = steering_vector(4, np.pi / 2)
         assert np.allclose(v, [1, -1, 1, -1], atol=1e-12)
 
     @given(st.integers(min_value=1, max_value=128),
@@ -53,10 +53,10 @@ class TestSteeringVector:
     def test_angle_array_gives_one_response_per_angle(self):
         # angles (..., n) give (..., m, n), one response per column
         thetas = np.array([[0.3, 1.1, 2.7], [2.0, 4.5, 5.9]])
-        v = steering_vector(8, thetas, spacing=0.7)
+        v = steering_vector(8, thetas)
         assert v.shape == (2, 8, 3)
         for i, j in np.ndindex(thetas.shape):
-            assert np.array_equal(v[i, :, j], steering_vector(8, float(thetas[i, j]), 0.7))
+            assert np.array_equal(v[i, :, j], steering_vector(8, float(thetas[i, j])))
 
 
 class TestDrawChannel:
@@ -95,14 +95,14 @@ def test_los_channels_equal_per_column_steering(m):
     # each column is bit-equal to its user's own steering vector, zero on
     # the K = 0 links
     cfg = NetworkConfig(L=2, N=6, M=m, pilot_len=3, k_model="distance",
-                        los_model="linear_prob", antenna_spacing=0.6)
+                        los_model="linear_prob")
     drop = sample_users(cfg, np.random.default_rng(31))
     assert np.any(drop.k == 0) and np.any(drop.k > 0)
-    los = los_channels(drop.alpha, drop.k, drop.aoa, cfg)
+    los = los_channels(drop.alpha, drop.k, drop.aoa, m)
     assert los.shape == (cfg.L, m, cfg.L * cfg.N) and los.flags.c_contiguous
     for l, u in np.ndindex(drop.k.shape):
         a, k = drop.alpha[l, u], drop.k[l, u]
-        ref = np.sqrt(a * k / (1.0 + k)) * steering_vector(m, drop.aoa[l, u], 0.6)
+        ref = np.sqrt(a * k / (1.0 + k)) * steering_vector(m, drop.aoa[l, u])
         assert np.array_equal(los[l, :, u], ref)
 
 
@@ -139,8 +139,7 @@ class TestAssembleChannels:
                 for l in range(cfg.L):
                     for j in range(cfg.N):
                         u = i * cfg.N + j
-                        g = channel_column(drop, i, j, l, cs.htilde[t, l][:, u],
-                                           cfg.antenna_spacing)
+                        g = channel_column(drop, i, j, l, cs.htilde[t, l][:, u])
                         assert np.array_equal(cs.g[t, l][:, u], g)
 
     def test_block_draw_equals_consecutive_single_draws(self):

@@ -553,11 +553,13 @@ class TestCli:
                          "--out", str(tmp_path / "a.csv")]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("seed", 5), ("pathloss_sign", 1)])
+    @pytest.mark.parametrize("key, value", [("seed", 5), ("pathloss_sign", 1),
+                                            ("antenna_spacing", 0.25)])
     def test_removed_network_key_exits_two_before_any_drop(self, tmp_path, capsys,
                                                            monkeypatch, key, value):
-        # the run seed is experiment.seed; a negative pathloss_exp gives the
-        # increasing law: neither has a second, top-level spelling
+        # the run seed is experiment.seed and a negative pathloss_exp gives the
+        # increasing law, so neither has a second, top-level spelling; the
+        # array is always the half-wavelength ULA the pair scores assume
         monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
         monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, {**NETWORK_ONLY, key: value,
@@ -610,6 +612,15 @@ class TestCli:
         assert cli_main(["fig3b", "--config", str(path), "--m", "0",
                          "--out", str(out)]) == 2
         assert "M must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fig3a_k_db_overflow_exits_two(self, tmp_path, capsys, monkeypatch):
+        # 10**(k_db/10) overflows a float: the K-factor check reports it
+        monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        out = tmp_path / "a.csv"
+        assert cli_main(["fig3a", "--config", write_config(tmp_path, NETWORK_ONLY),
+                         "--k-db", "4000", "--out", str(out)]) == 2
+        assert "K-factor leaves the positive finite range" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fig3b_more_worst_users_than_a_cell_exits_two(self, tmp_path, capsys,
@@ -799,7 +810,7 @@ class TestCli:
 
 INT_FIELDS = ("L", "N", "M", "pilot_len", "coherence_len")
 FLOAT_FIELDS = ("snr_db", "cell_radius", "min_dist", "pathloss_exp", "k_db",
-                "k_intercept_db", "k_slope_db_per_m", "antenna_spacing", "loc_err_var")
+                "k_intercept_db", "k_slope_db_per_m", "loc_err_var")
 
 
 @st.composite
@@ -810,15 +821,14 @@ def tiny_config_fields(draw):
         "L": draw(st.integers(1, 2)), "N": draw(st.integers(1, 4)),
         "M": draw(st.integers(1, 8)), "pilot_len": draw(st.integers(1, 4)),
         "coherence_len": draw(st.integers(2, 300)),
-        "snr_db": draw(st.floats(-400.0, 400.0)),
+        "snr_db": draw(st.floats(-4000.0, 4000.0)),
         "cell_radius": radius, "min_dist": radius * draw(st.floats(0.001, 0.999)),
         "pathloss_exp": draw(st.floats(-400.0, 400.0)),
         "k_model": draw(st.sampled_from(["fixed", "distance"])),
-        "k_db": draw(st.floats(-400.0, 400.0)),
+        "k_db": draw(st.floats(-4000.0, 4000.0)),
         "k_intercept_db": draw(st.floats(-100.0, 100.0)),
         "k_slope_db_per_m": draw(st.floats(-1.0, 1.0)),
         "los_model": draw(st.sampled_from(["always", "linear_prob"])),
-        "antenna_spacing": draw(st.floats(0.01, 10.0)),
         "loc_err_var": draw(st.floats(0.0, 1e4)),
     }, draw(st.integers(0, 2 ** 32))
 

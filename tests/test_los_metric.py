@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import los_interference_at, make_drop
 from mimopilots import harness, los_metric
+from mimopilots.channel import steering_vector
 from mimopilots.checks import (brute_kernel_sq, explicit_pair_score, kernel_zero_set_dev,
                                los_vector, pair_scores_vs_explicit)
+from mimopilots.estimation import estimated_los_channel
 from mimopilots.los_metric import (dirichlet_kernel_sq, los_interference,
                                    los_interference_from_params, mutual_aoa, pair_scores)
 from mimopilots.model import NetworkConfig, sample_users
@@ -220,6 +222,36 @@ class TestLosInterference:
         assert scores[1, 4] == overlap(cfg.M, drop.aoa_est[1, 1], drop.aoa_est[1, 4])
         # the NLOS cross link is read only when its user is an interferer at BS 0
         assert scores[5, 0] == overlap(cfg.M, drop.aoa_est[0, 5], drop.aoa_est[0, 0])
+
+    @pytest.mark.parametrize("kw", [
+        dict(L=2, N=12, M=64, pilot_len=4, k_model="distance",
+             los_model="linear_prob", loc_err_var=9.0),
+        dict(L=3, N=7, M=17, pilot_len=3, k_model="distance",
+             los_model="linear_prob", loc_err_var=4.0),
+        {},
+    ], ids=["desk", "three_cells", "table"])
+    def test_scores_are_overlaps_of_the_channels_array(self, kw):
+        # the closed form must describe the array the channels are built on:
+        # at the reference's serving BS, a LOS pair scores the overlap
+        # |g_b^H g_a|^2 / |g_b|^4 of the BS-side LOS channels, any other pair
+        # the overlap |v_b^H v_a|^2 / M^2 of the bare steering vectors
+        cfg = NetworkConfig(**kw)
+        serving = np.repeat(np.arange(cfg.L), cfg.N)    # BS of each reference b
+        users = np.arange(cfg.L * cfg.N)
+        for seed in range(5):
+            drop = sample_users(cfg, np.random.default_rng(seed))
+            g = estimated_los_channel(drop, cfg)
+            v = steering_vector(cfg.M, drop.aoa_est)
+            # [BS, b, a] Gram matrices, read at each reference's serving BS as [a, b]
+            g_gram = (np.abs(g.conj().transpose(0, 2, 1) @ g) ** 2)[serving, users].T
+            v_gram = (np.abs(v.conj().transpose(0, 2, 1) @ v) ** 2)[serving, users].T
+            g_norm_sq = np.sum(np.abs(g) ** 2, axis=1)[serving, users]
+            both_los = (drop.k_est[serving, users] > 0) & (drop.k_est[serving].T > 0)
+            los_ref = np.divide(g_gram, g_norm_sq ** 2, out=np.zeros(g_gram.shape),
+                                where=both_los)
+            ref = np.where(both_los, los_ref, v_gram / cfg.M ** 2)
+            scores = los_interference(drop, cfg.M)
+            assert np.max(np.abs(scores - ref) / np.maximum(ref, 1e-30)) < 1e-9
 
     def test_columns_match_per_bs_oracle_at_serving_bs(self):
         cfg = NetworkConfig(L=3, N=8, M=32, pilot_len=4, k_model="distance",

@@ -42,11 +42,12 @@ class TestNetworkConfig:
         dict(N=4.0), dict(M="8"), dict(L=True), dict(k_db="10"),
         dict(L=2, N=12, pathloss_exp=600.0),
         dict(k_model="distance", k_slope_db_per_m=-10.0),
-        dict(snr_db=4000.0),
+        dict(snr_db=4000.0), dict(k_db=4000.0),
     ])
     def test_invalid_configs_rejected(self, bad):
-        # pathloss_sign and seed are unknown keys: a negative pathloss_exp
-        # gives the increasing law, and the run seed is ExperimentSpec.seed
+        # pathloss_sign, seed and antenna_spacing are unknown keys: a negative
+        # pathloss_exp gives the increasing law, the run seed is
+        # ExperimentSpec.seed, and the array is a half-wavelength ULA
         with pytest.raises(ConfigError):
             NetworkConfig.from_dict(bad)
 
