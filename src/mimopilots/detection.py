@@ -30,6 +30,7 @@ or trials, and the working set stays small at any trial count.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -66,8 +67,22 @@ def gram_condition(gram: np.ndarray, gram_inv: np.ndarray) -> float:
     ||X A - I|| is of order eps * ||X|| * ||A||, so a numerically singular
     A, whose computed inverse is garbage of norm about 1 / (eps * ||A||),
     scores about 1 / eps.
+
+    The squared norms of a Gram matrix far from unit scale (a very low or
+    high SNR) can overflow or underflow a float; both factors are then
+    taken on A / tr(A) and X * tr(A), which leaves the product unchanged.
+    A score that still overflows is inf and certifies nothing.
     """
-    return float(np.sqrt(np.vdot(gram, gram).real * np.vdot(gram_inv, gram_inv).real))
+    a = float(np.vdot(gram, gram).real)
+    x = float(np.vdot(gram_inv, gram_inv).real)
+    if not (0.0 < a < math.inf and 0.0 < x < math.inf):
+        # tr(A) > 0 bounds every |A_ij| <= sqrt(A_ii A_jj) for A != 0
+        t = float(np.trace(gram).real)
+        with np.errstate(over="ignore"):
+            scaled, scaled_inv = gram / t, gram_inv * t
+        a = float(np.vdot(scaled, scaled).real)
+        x = float(np.vdot(scaled_inv, scaled_inv).real)
+    return math.sqrt(a * x)
 
 
 def zf_combiner(ghat: np.ndarray, gram: np.ndarray) -> np.ndarray:

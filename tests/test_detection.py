@@ -137,6 +137,17 @@ class TestZfCombiner:
         assert cond ** 2 * (1 - 1e-6) <= value
         assert value <= (np.linalg.norm(chol) * np.linalg.norm(np.linalg.inv(chol))) ** 2
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    def test_gram_condition_is_scale_invariant(self, scale):
+        # a Gram matrix far from unit scale overflows or underflows the
+        # squared norms; the certificate must still read the same
+        rng = np.random.default_rng(9)
+        g = crand(rng, (16, 4))
+        gram = g.conj().T @ g
+        gram_inv = np.linalg.inv(gram)
+        value = gram_condition(gram * scale, gram_inv / scale)
+        assert value == pytest.approx(gram_condition(gram, gram_inv), rel=1e-12)
+
     def test_rank_deficient_inputs_never_take_the_gram_inverse(self):
         # copies and multiples of columns make the Gram matrix singular; its
         # computed inverse scores about 1/eps and every such input takes pinv
