@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelSampler, crandn, steering_vector
-from .detection import CopilotGroups, spectral_efficiency, zf_combiner
+from .detection import CopilotGroups, gram_inverses, spectral_efficiency, zf_combiner
 from .estimation import estimated_los_channel, ls_estimate, synthesize_rx
 from .los_metric import dirichlet_kernel_sq, los_interference
 from .model import Drop, NetworkConfig, sample_users
@@ -121,6 +121,15 @@ def ls_exactness_dev(cfg: NetworkConfig, rng: np.random.Generator) -> float:
     return float(np.max(np.abs(est[0][:, plan.cells[0]] - scatter[0][:, :cfg.N])))
 
 
+def zf_solve(ghat: np.ndarray) -> np.ndarray:
+    """X = pinv(Ghat^H Ghat) of one 2-D estimate through the path that
+    `CopilotGroups.moments` takes: `zf_combiner` on its Gram matrix and the
+    candidate inverse that `gram_inverses` gives a one-matrix stack."""
+    gram = ghat.conj().T @ ghat
+    _, (candidate,) = gram_inverses(gram[None])
+    return zf_combiner(ghat, gram, candidate)
+
+
 def pinv_moments(ghat: np.ndarray, g: np.ndarray, own: np.ndarray):
     """(w_n^H g_own[n], sum |w_n^H g|^2, ||w_n||^2), the moments that
     `CopilotGroups.moments` sums, of the explicit pseudo-inverse ZF combiner
@@ -199,7 +208,7 @@ def _ls_exactness_dev() -> float:
 def _zf_identity_dev() -> float:
     rng = np.random.default_rng(17)
     g = rng.standard_normal((24, 6)) + 1j * rng.standard_normal((24, 6))
-    w = g @ zf_combiner(g, g.conj().T @ g)
+    w = g @ zf_solve(g)
     return float(np.max(np.abs(w.conj().T @ g - np.eye(6))))
 
 
@@ -210,7 +219,7 @@ def _zf_min_norm_dev() -> float:
     col = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     g = np.column_stack([col, col, rng.standard_normal(16)])
     expect = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-    w = g @ zf_combiner(g, g.conj().T @ g)
+    w = g @ zf_solve(g)
     return float(np.max(np.abs(w.conj().T @ g - expect)))
 
 

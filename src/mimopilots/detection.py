@@ -21,8 +21,11 @@ channels and noise are each one draw with a leading trial axis, so a plan's
 pilot phase, LOS subtraction and LS estimate over every trial and BS of the
 chunk are one array expression each, and its moments one per BS: one
 conjugate copy of the chunk's estimates at a BS gives both batched products,
-the Gram matrices Ghat^H Ghat of all its trials and Ghat^H G. The ZF solve,
-handed its trial's Gram matrix, is the one step left per trial and BS. The
+the Gram matrices Ghat^H Ghat of all its trials and Ghat^H G, and their
+inverses are one batched LAPACK call per chunk and BS. Only the ZF solve's
+certificate and its pinv fallback are left per trial and BS, because the
+benchmark counts `zf_combiner` calls; batching them too waits on a
+benchmark that counts solved matrices instead (ROADMAP item 4, step 1). The
 chunk holds as many trials as fit a fixed byte budget for the channel
 stack, so its size depends only on (L, M, N), never on the number of plans
 or trials, and the working set stays small at any trial count.
@@ -85,32 +88,62 @@ def gram_condition(gram: np.ndarray, gram_inv: np.ndarray) -> float:
     return math.sqrt(a * x)
 
 
-def zf_combiner(ghat: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """X = pinv(Ghat^H Ghat) of one 2-D (M, U) estimate, given its (U, U)
-    Gram matrix `gram` = Ghat^H Ghat; the core of the zero-forcing combiner
-    W = Ghat @ X on either path.
+def gram_inverses(grams: np.ndarray) -> tuple[np.ndarray, list]:
+    """Candidate inverses of a (t, U, U) stack of Gram matrices, one per
+    `zf_combiner` call: the (t, U, U) stack of their inverses and, per
+    matrix, its slot of that stack, or None where the matrix is exactly
+    singular.
 
-    Fast path: inv(gram), used only when `gram_condition` certifies
+    The stack is one batched LAPACK call. numpy runs the same routine on
+    each matrix of a stack as on a single 2-D matrix, so every candidate is
+    bit-identical to `np.linalg.inv` of its matrix alone. The batched call
+    raises if any member is exactly singular; only then are the matrices
+    inverted one by one. A single matrix takes a one-matrix stack.
+    """
+    try:
+        inv = np.linalg.inv(grams)
+    except np.linalg.LinAlgError:
+        pass                    # some member exactly singular
+    else:
+        return inv, list(inv)
+    inv = np.zeros_like(grams)
+    candidates = []
+    for gram, slot in zip(grams, inv):
+        try:
+            slot[...] = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:
+            candidates.append(None)
+        else:
+            candidates.append(slot)
+    return inv, candidates
+
+
+def zf_combiner(ghat: np.ndarray, gram: np.ndarray,
+                gram_inv: np.ndarray | None) -> np.ndarray:
+    """X = pinv(Ghat^H Ghat) of one 2-D (M, U) estimate, given its (U, U)
+    Gram matrix `gram` = Ghat^H Ghat and the candidate inverse `gram_inv`
+    that `gram_inverses` gives it (None for an exactly singular Gram
+    matrix); the core of the zero-forcing combiner W = Ghat @ X on either
+    path.
+
+    Fast path: `gram_inv` itself, used only when `gram_condition` certifies
     cond2(Ghat) < 1e4. Otherwise (a singular Gram matrix, rank-deficient or
     ill-conditioned estimates) P @ P^H for the SVD pseudo-inverse P of Ghat
     with singular values below 1e-8 * sigma_max treated as zero, so
-    duplicated columns resolve to the minimum-norm combiner. The Gram matrix
-    is the caller's, so a stack of them can come from one batched product.
-    The benchmark's tracer counts this function by name, once per solve
-    (plan, trial, BS), and probes the rank of `ghat`.
+    duplicated columns resolve to the minimum-norm combiner. Nothing is
+    inverted here: the caller inverts a chunk's Gram matrices in one
+    batched call, while the certificate and the pinv fallback stay one call
+    per matrix, because the benchmark's tracer counts this function by name,
+    once per solve (plan, trial, BS), and probes the rank of `ghat`.
     """
     if ghat.ndim != 2:
         raise ValueError("channel estimate must be a 2-D matrix")
-    if gram.shape != (ghat.shape[1],) * 2:
-        raise ValueError(f"Gram matrix of shape {gram.shape} does not match "
-                         f"an estimate with {ghat.shape[1]} columns")
-    try:
-        gram_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        pass                    # Gram matrix exactly singular
-    else:
-        if gram_condition(gram, gram_inv) < _ZF_COND_BOUND ** 2:
-            return gram_inv
+    shape = (ghat.shape[1],) * 2
+    if gram.shape != shape or (gram_inv is not None and gram_inv.shape != shape):
+        raise ValueError(f"Gram matrix of shape {gram.shape} or its inverse does "
+                         f"not match an estimate with {ghat.shape[1]} columns")
+    if gram_inv is not None and gram_condition(gram, gram_inv) < _ZF_COND_BOUND ** 2:
+        return gram_inv
     if not ghat.any():          # an all-zero Gram matrix is singular
         raise ValueError("degenerate estimate: all-zero channel matrix")
     p = np.linalg.pinv(ghat, rcond=_ZF_RCOND)
@@ -153,9 +186,14 @@ class CopilotGroups:
         ||w||^2), each of shape (N,), for the ZF combiner W of Ghat over a
         (t, M, pilot_len) estimate stack and (t, M, L*N) channels.
 
-        The chunk's Gram matrices Ghat_u^H Ghat_u are one batched product, and
-        one `zf_combiner` call per trial, handed its Gram matrix, gives X on
-        the U distinct columns Ghat_u = Gu D^1/2; then B = X @ (Ghat_u^H g),
+        The chunk's Gram matrices Ghat_u^H Ghat_u are one batched product
+        and their candidate inverses one batched LAPACK call
+        (`gram_inverses`); one `zf_combiner` call per trial, handed its Gram
+        matrix and candidate, certifies the candidate or replaces it by the
+        pinv fallback, and gives X on the U distinct columns
+        Ghat_u = Gu D^1/2. The certificate and the fallback stay per matrix
+        because the benchmark counts `zf_combiner` calls; batching them
+        waits on ROADMAP item 4, step 1. Then B = X @ (Ghat_u^H g),
         another batched product, and ||w_u||^2 = X_uu. Ghat = Gu @ E for the
         0/1 group-to-user map E with E E^T = D, the group sizes, and
         F = D^-1/2 E has orthonormal rows, so pinv(Ghat)^H = W_u F whatever
@@ -166,7 +204,12 @@ class CopilotGroups:
         """
         ghat = self.los_u + est[..., self.pilots_u] * self.root
         gh = ghat.conj().swapaxes(-1, -2)                  # (t, U, M)
-        x = np.array([zf_combiner(m, a) for m, a in zip(ghat, gh @ ghat)])
+        grams = gh @ ghat
+        x, candidates = gram_inverses(grams)
+        for i, (m, a, c) in enumerate(zip(ghat, grams, candidates)):
+            xi = zf_combiner(m, a, c)
+            if xi is not c:                                # took pinv
+                x[i] = xi
         prod = x @ (gh @ g)                                # (t, U, L*N)
         v = prod.view(float)                               # squared moduli from re/im pairs
         pow_u, wsq_u = np.einsum("tuk,tuk->u", v, v), np.einsum("tuu->u", x).real
@@ -194,8 +237,9 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     the pilot phase, subtracts the reconstructed LOS, forms one LS estimate
     per pilot, and at each BS adds the `CopilotGroups.moments` of its cell,
     one `zf_combiner` call per trial and BS on the distinct estimate
-    columns and their Gram matrix, everything else (the Gram matrices
-    included) one array expression per chunk of trials
+    columns, their Gram matrix and its candidate inverse, everything else
+    (the Gram matrices and their inverses included) one array expression
+    per chunk of trials
     (`_CHUNK_BYTES`). Channels come from `rng` and noise from a stream
     spawned from it, each one block per chunk that consumes its stream trial
     by trial, so neither the chunk size nor the other plans of the call

@@ -115,7 +115,9 @@ class NetworkConfig:
         over every distance a drop can produce: true distances up to the far
         edge of the last cell, estimated ones moved by up to sqrt(2) error
         half-widths and clamped to >= 1 m. Both models are monotone in
-        distance, so the two ends of that range bound them."""
+        distance, so the two ends of that range bound them. The linear SNR
+        must also leave the Gram matrices of noise-dominated estimates
+        finite."""
         reach = math.sqrt(2.0) * error_half_width(self.loc_err_var)
         ends = np.array([min(self.min_dist, max(1.0, self.min_dist - reach)),
                          max((2 * self.L - 1) * self.cell_radius + reach, 1.0)])
@@ -123,6 +125,10 @@ class NetworkConfig:
         with np.errstate(all="ignore"):
             gain, k = pathloss(ends, self), k_factor(ends, self)
             rho = np.power(10.0, self.snr_db / 10.0)
+            # the largest sum the SINR engine forms is a Gram entry of
+            # noise-dominated estimates, of order N * M / rho; the factor
+            # 1e3 covers its spread over noise draws
+            noise_gram = 1e3 * self.N * self.M / rho
             spread = gain.max() / gain.min()
             # the pair score's numerator alpha*K*(1+K) at its largest over its
             # denominator at its smallest, plus the gain ratio beside it,
@@ -143,8 +149,10 @@ class NetworkConfig:
         if not np.isfinite(score_sum):
             raise ConfigError(f"gain and K-factor spread {span} overflows the "
                               f"allocators' interference sums")
-        if not (np.isfinite(rho) and rho > 0):
-            raise ConfigError(f"snr_db={self.snr_db} gives a linear SNR of {rho}")
+        if not (np.isfinite(rho) and rho > 0 and np.isfinite(noise_gram)):
+            raise ConfigError(f"snr_db={self.snr_db} gives a linear SNR of {rho}, "
+                              f"outside the range where the estimates' Gram "
+                              f"matrices stay finite for N={self.N}, M={self.M}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

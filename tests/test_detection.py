@@ -9,9 +9,9 @@ from conftest import estimate_sinr_per_trial, make_drop, noise_block
 from mimopilots import detection
 from mimopilots.allocators import allocate_loc_aware
 from mimopilots.channel import ChannelSampler
-from mimopilots.checks import distinct_plan, pinv_moments
+from mimopilots.checks import distinct_plan, pinv_moments, zf_solve
 from mimopilots.detection import (CopilotGroups, estimate_sinr, gram_condition,
-                                  spectral_efficiency, zf_combiner)
+                                  gram_inverses, spectral_efficiency, zf_combiner)
 from mimopilots.estimation import estimated_los_channel, ls_estimate, synthesize_rx
 from mimopilots.model import ConfigError, NetworkConfig, sample_users
 from mimopilots.pilots import AllocationPlan, build_pilot_book, pilot_matrix
@@ -24,11 +24,6 @@ def crand(rng, shape):
 def trial_bytes(cfg):
     """Bytes of one trial's (L, M, L*N) complex channel stack."""
     return 16 * cfg.L * cfg.M * cfg.L * cfg.N
-
-
-def gram_of(g):
-    """The Gram matrix G^H G that `zf_combiner` takes beside G."""
-    return g.conj().T @ g
 
 
 def pinv_combiner(g):
@@ -52,7 +47,7 @@ class TestZfCombiner:
     def test_single_column_matches_normalized_form(self):
         rng = np.random.default_rng(0)
         g = crand(rng, (16, 1))
-        w = g @ zf_combiner(g, gram_of(g))
+        w = g @ zf_solve(g)
         expect = g / np.vdot(g, g).real
         assert np.allclose(w, expect, atol=1e-12)
 
@@ -60,7 +55,7 @@ class TestZfCombiner:
         # columns of norm c: W = G / c^2 and W^H G = I
         q, _ = np.linalg.qr(crand(np.random.default_rng(1), (12, 4)))
         g = 3.0 * q
-        w = g @ zf_combiner(g, gram_of(g))
+        w = g @ zf_solve(g)
         assert np.allclose(w, g / 9.0, atol=1e-10)
         assert np.allclose(w.conj().T @ g, np.eye(4), atol=1e-10)
 
@@ -68,7 +63,7 @@ class TestZfCombiner:
         rng = np.random.default_rng(2)
         col = crand(rng, (8,))
         g = np.column_stack([col, col])
-        w = g @ zf_combiner(g, gram_of(g))
+        w = g @ zf_solve(g)
         block = w.conj().T @ g
         assert np.allclose(block, [[0.5, 0.5], [0.5, 0.5]], atol=1e-10)
         # cross-check against an SVD-built pseudo-inverse
@@ -79,19 +74,23 @@ class TestZfCombiner:
 
     def test_full_rank_identity(self):
         g = crand(np.random.default_rng(3), (24, 6))
-        w = g @ zf_combiner(g, gram_of(g))
+        w = g @ zf_solve(g)
         assert np.max(np.abs(w.conj().T @ g - np.eye(6))) < 1e-8
 
     def test_all_zero_estimate_rejected(self):
         with pytest.raises(ValueError, match="degenerate estimate"):
-            zf_combiner(np.zeros((8, 2), dtype=complex), np.zeros((2, 2), dtype=complex))
+            zf_solve(np.zeros((8, 2), dtype=complex))
 
     @pytest.mark.parametrize("shape", [(3,), (1, 3, 3), (3, 4), (4, 3), (2, 2), (4, 4)],
                              ids=["1-d", "3-d", "wide", "tall", "smaller", "larger"])
     def test_gram_of_the_wrong_shape_rejected(self, shape):
+        # a Gram matrix or a candidate inverse that is not (U, U)
         g = crand(np.random.default_rng(9), (8, 3))
+        wrong = np.ones(shape, dtype=complex)
         with pytest.raises(ValueError, match="Gram matrix of shape"):
-            zf_combiner(g, np.ones(shape, dtype=complex))
+            zf_combiner(g, wrong, None)
+        with pytest.raises(ValueError, match="Gram matrix of shape"):
+            zf_combiner(g, g.conj().T @ g, wrong)
 
     @pytest.mark.parametrize("shape", [(8, 1), (24, 6), (64, 12), (100, 36)])
     def test_full_rank_matches_pinv(self, shape):
@@ -100,7 +99,7 @@ class TestZfCombiner:
         for _ in range(5):
             g = crand(rng, shape)
             ref = pinv_combiner(g)
-            w = g @ zf_combiner(g, gram_of(g))
+            w = g @ zf_solve(g)
             assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("ratio", [1e-6, 1e-10])
@@ -111,14 +110,14 @@ class TestZfCombiner:
         u, _ = np.linalg.qr(crand(rng, (40, 6)))
         v, _ = np.linalg.qr(crand(rng, (6, 6)))
         g = (u * np.logspace(0, np.log10(ratio), 6)) @ v.conj().T
-        assert np.array_equal(zf_combiner(g, gram_of(g)), pinv_gram_inverse(g))
+        assert np.array_equal(zf_solve(g), pinv_gram_inverse(g))
 
     def test_duplicated_columns_take_pinv(self):
         rng = np.random.default_rng(6)
         g = crand(rng, (64, 12))
         g[:, 7] = g[:, 2]
         g[:, 9] = g[:, 2]
-        assert np.array_equal(zf_combiner(g, gram_of(g)), pinv_gram_inverse(g))
+        assert np.array_equal(zf_solve(g), pinv_gram_inverse(g))
 
     @pytest.mark.parametrize("cond", [1e1, 1e2, 1e3, 5e3])
     def test_gram_condition_is_the_frobenius_condition_of_the_gram(self, cond):
@@ -158,7 +157,7 @@ class TestZfCombiner:
             g = crand(rng, (m, n))
             src, dst = rng.choice(n, size=2, replace=False)
             g[:, dst] = g[:, src] * (1.0 if rng.random() < 0.5 else rng.standard_normal())
-            assert np.array_equal(zf_combiner(g, gram_of(g)), pinv_gram_inverse(g))
+            assert np.array_equal(zf_solve(g), pinv_gram_inverse(g))
 
 
 class TestCopilotGroups:
@@ -209,9 +208,10 @@ class TestCopilotGroups:
         g = crand(rng, (3, cfg.L, cfg.M, cfg.L * cfg.N))
         inputs = []
 
-        def recording(ghat, gram):
-            inputs.append((ghat.copy(), gram.copy()))
-            return zf_combiner(ghat, gram)
+        def recording(ghat, gram, gram_inv):
+            inputs.append((ghat.copy(), gram.copy(),
+                           None if gram_inv is None else gram_inv.copy()))
+            return zf_combiner(ghat, gram, gram_inv)
 
         monkeypatch.setattr(detection, "zf_combiner", recording)
         stacked = groups.moments(est[:, 0], g[:, 0])
@@ -220,7 +220,10 @@ class TestCopilotGroups:
         assert len(inputs) == 6
         for t in range(3):
             for stacked_input, single_input in zip(inputs[t], inputs[3 + t]):
-                assert np.array_equal(stacked_input, single_input)
+                if single_input is None:
+                    assert stacked_input is None
+                else:
+                    assert np.array_equal(stacked_input, single_input)
         assert_moments_close(stacked, [sum(m) for m in zip(*singles)], 1e-12)
 
     def test_uncaught_duplicate_columns_still_give_the_full_pinv(self):
@@ -244,6 +247,59 @@ class TestCopilotGroups:
         g = crand(np.random.default_rng(47), (cfg.M, cfg.L * cfg.N))
         assert_moments_close(groups.moments(est[None], g[None]),
                              pinv_moments(ghat, g, groups.own), 1e-12)
+
+    def test_exactly_singular_member_alone_takes_pinv(self, monkeypatch):
+        # in trial 0 of a 2-trial chunk, a LOS user's reconstructed LOS
+        # column cancels its LS estimate exactly; the zero estimate column
+        # zeroes a row and a column of the Gram matrix, so LU meets an exact
+        # zero pivot in any operation order and the chunk's batched inverse
+        # raises. Trial 1 is regular and keeps its candidate. (The root-scaled
+        # duplicate of the test above, like two equal columns, need not give
+        # LU an exact zero pivot; such inputs take pinv through the
+        # certificate.)
+        cfg, drop, plan, los, _ = self.desk_cell(41)
+        own, pilots = los[0][:, :cfg.N], plan.cells[0]
+        b = np.flatnonzero(own.any(axis=0))[0]
+        rng = np.random.default_rng(48)
+        est = crand(rng, (cfg.M, cfg.pilot_len))
+        own[:, b] = -est[:, pilots[b]]
+        groups = CopilotGroups(own, 0, pilots, cfg.pilot_len)
+        ests = np.stack([est, crand(rng, est.shape)])
+        g = crand(rng, (2, cfg.M, cfg.L * cfg.N))
+        ghat_u = groups.los_u + ests[..., groups.pilots_u] * groups.root
+        assert not ghat_u[0][:, groups.inv[b]].any()
+        grams = ghat_u.conj().swapaxes(-1, -2) @ ghat_u
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(grams)
+        candidates = []
+
+        def recording(ghat, gram, gram_inv):
+            candidates.append(None if gram_inv is None else gram_inv.copy())
+            return zf_combiner(ghat, gram, gram_inv)
+
+        monkeypatch.setattr(detection, "zf_combiner", recording)
+        stacked = groups.moments(ests, g)
+        assert candidates[0] is None
+        assert np.array_equal(candidates[1], np.linalg.inv(grams[1]))
+        singles = [groups.moments(ests[t:t + 1], g[t:t + 1]) for t in range(2)]
+        assert_moments_close(stacked, [sum(m) for m in zip(*singles)], 1e-12)
+        ghat = own + est[:, pilots]
+        assert_moments_close(singles[0], pinv_moments(ghat, g[0], groups.own), 1e-12)
+
+    @pytest.mark.parametrize("t, m, u", [(10, 64, 12), (10, 64, 7), (2, 100, 36)],
+                             ids=["desk", "desk-merged", "table"])
+    def test_stacked_candidates_are_the_per_matrix_inverses(self, t, m, u):
+        # a chunk's Gram stack at desk (T_c = 10, U <= 12) and Table
+        # (T_c = 2, U = 36) sizes: one batched inverse gives every matrix,
+        # bit for bit, the inverse of its own 2-D call
+        rng = np.random.default_rng(u)
+        ghat = crand(rng, (t, m, u))
+        grams = ghat.conj().swapaxes(-1, -2) @ ghat
+        x, candidates = gram_inverses(grams)
+        assert x.shape == grams.shape and len(candidates) == t
+        for gram, slot, candidate in zip(grams, x, candidates):
+            assert np.array_equal(slot, np.linalg.inv(gram))
+            assert candidate is not None and np.shares_memory(candidate, slot)
 
     def test_per_pilot_estimate_indexed_by_plan_is_the_per_user_estimate(self):
         cfg, drop, plan, los, _ = self.desk_cell(44)
@@ -412,7 +468,8 @@ class TestEstimateSinr:
         drop = sample_users(cfg, np.random.default_rng(27))
         plan = AllocationPlan(np.array([[0, 1]]), "nan-plan")
         monkeypatch.setattr(detection, "zf_combiner",
-                            lambda ghat, gram: np.full(gram.shape, np.nan, dtype=complex))
+                            lambda ghat, gram, gram_inv: np.full(gram.shape, np.nan,
+                                                                 dtype=complex))
         with pytest.raises(FloatingPointError, match="nan-plan"):
             estimate_sinr(cfg, drop, [plan], 3, np.random.default_rng(28))
 
@@ -427,14 +484,15 @@ class TestEstimateSinr:
         y = synthesize_rx(g, lam, noise_block(cfg, 1.0 / cfg.rho, np.random.default_rng(20)))
         los = estimated_los_channel(drop, cfg)
         ghat = los[0] + ls_estimate(y - los @ lam, book)[0][:, plan.cells[0]]
-        w = ghat @ zf_combiner(ghat, gram_of(ghat))
+        w = ghat @ zf_solve(ghat)
         assert np.max(np.abs(w.conj().T @ ghat - np.eye(4))) < 1e-8
 
     def test_one_zf_solve_per_plan_trial_and_bs(self, monkeypatch):
         # the benchmark's tracer counts `zf_combiner` by name and probes the
         # rank of its first argument: one 2-D estimate per plan, trial and
         # BS, also with merged columns and trials in chunks of 3, each with
-        # the Gram matrix of that estimate
+        # the Gram matrix of that estimate and, unless that matrix is exactly
+        # singular, a candidate bit-identical to its own 2-D inverse
         cfg = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
                             los_model="linear_prob", loc_err_var=9.0)
         drop = sample_users(cfg, np.random.default_rng(41))
@@ -445,10 +503,15 @@ class TestEstimateSinr:
         monkeypatch.setattr(detection, "_CHUNK_BYTES", 3 * trial_bytes(cfg))
         ndims = []
 
-        def counting(ghat, gram):
+        def counting(ghat, gram, gram_inv):
             ndims.append(ghat.ndim)
             assert np.allclose(gram, ghat.conj().T @ ghat, rtol=1e-13, atol=0)
-            return zf_combiner(ghat, gram)
+            if gram_inv is None:
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.inv(gram)
+            else:
+                assert np.array_equal(gram_inv, np.linalg.inv(gram))
+            return zf_combiner(ghat, gram, gram_inv)
 
         monkeypatch.setattr(detection, "zf_combiner", counting)
         estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(42))

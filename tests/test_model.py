@@ -43,6 +43,8 @@ class TestNetworkConfig:
         dict(L=2, N=12, pathloss_exp=600.0),
         dict(k_model="distance", k_slope_db_per_m=-10.0),
         dict(snr_db=4000.0), dict(k_db=4000.0),
+        dict(L=1, N=1, M=1, pilot_len=1, snr_db=-3083.0),
+        dict(L=1, N=1, M=8, pilot_len=1, snr_db=-3075.0),
     ])
     def test_invalid_configs_rejected(self, bad):
         # pathloss_sign, seed and antenna_spacing are unknown keys: a negative
