@@ -29,12 +29,23 @@ benchmark that counts solved matrices instead (ROADMAP item 4, step 1). The
 chunk holds as many trials as fit a fixed byte budget for the channel
 stack, so its size depends only on (L, M, N), never on the number of plans
 or trials, and the working set stays small at any trial count.
+
+The chunks are drawn in order, each channel draw and noise draw after the
+previous chunk's, by one thread at a time. With `prefetch`, which the
+harness turns on when it has a core to spare, one helper thread draws the
+next chunk while the caller scores the current one: numpy's normal draws,
+its large ufuncs and BLAS release the interpreter lock, so the draw and
+the scoring overlap, and the streams are consumed exactly as without it.
+At most two chunks of draws are alive, the one scored and the one drawn.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 
@@ -229,7 +240,7 @@ def spectral_efficiency(sinr, pilot_len: int, coherence_len: int):
 
 def estimate_sinr(cfg: NetworkConfig, drop: Drop,
                   plans: Sequence[AllocationPlan], trials: int,
-                  rng: np.random.Generator) -> np.ndarray:
+                  rng: np.random.Generator, prefetch: bool = False) -> np.ndarray:
     """Per-user SINR of each plan, shape (P, L, N), for fixed locations.
 
     Each trial draws fresh channels and one pilot-phase noise block, and
@@ -247,6 +258,14 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     useful-signal mean, all interference second moments and the combiner
     norm; the denominator is floored at 1e-12. A non-finite SINR raises
     FloatingPointError.
+
+    One chunk loop draws and scores. Chunk 0 is drawn inline. With
+    `prefetch` and more than one chunk, chunk i + 1 is drawn on one helper
+    thread, started for this call, while chunk i is scored; otherwise each
+    chunk is drawn inline when the loop reaches it. The draws run in chunk
+    order either way, so the result is bit-identical, and at most two
+    chunks of draws are alive. The helper is joined before the call returns
+    or raises, and an exception raised by its draw is raised here unchanged.
     """
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
@@ -264,19 +283,35 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     groups = [[CopilotGroups(los[l], l, plan.cells[l], K) for l in range(L)] for plan in plans]
 
     chunk = max(1, min(trials, _CHUNK_BYTES // (16 * L * M * L * N)))
+    starts = range(0, trials, chunk)
     noise_rng = rng.spawn(1)[0]
-    # trial sums of the moments: own-user w^H g, |w^H g|^2 over all users, ||w||^2
-    sums = np.zeros((3, len(plans), L, N), dtype=complex)
-    for start in range(0, trials, chunk):
+
+    def draw(start: int) -> tuple[np.ndarray, np.ndarray]:
+        # the chunk's channels and its scaled pilot-phase noise block
         t = min(chunk, trials - start)
         g = sampler.draw(rng, t).g
         z = crandn(noise_rng, (t, L, M, K))
         z *= np.sqrt(noise_var)
-        for p in range(len(plans)):
-            # one column per pilot at every trial and BS
-            est = ls_estimate(synthesize_rx(g, lams[p], z) - ybar[p], book)
-            for l in range(L):
-                sums[:, p, l] += groups[p][l].moments(est[:, l], g[:, l])
+        return g, z
+
+    # trial sums of the moments: own-user w^H g, |w^H g|^2 over all users, ||w||^2
+    sums = np.zeros((3, len(plans), L, N), dtype=complex)
+    with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="draw-ahead")
+          if prefetch and len(starts) > 1 else nullcontext()) as helper:
+        # `pending` gives the next chunk's draws: a future's result on the
+        # helper, which has drawn it while the previous chunk was scored,
+        # else a call that draws it inline
+        pending = partial(draw, 0)
+        for start in starts:
+            g, z = pending()
+            if start + chunk < trials:
+                pending = (helper.submit(draw, start + chunk).result if helper
+                           else partial(draw, start + chunk))
+            for p in range(len(plans)):
+                # one column per pilot at every trial and BS
+                est = ls_estimate(synthesize_rx(g, lams[p], z) - ybar[p], book)
+                for l in range(L):
+                    sums[:, p, l] += groups[p][l].moments(est[:, l], g[:, l])
 
     sum_sig, sum_pow, sum_wsq = sums[0], sums[1].real, sums[2].real
     mean_sig_sq = np.abs(sum_sig / trials) ** 2

@@ -145,45 +145,65 @@ def _drop_plans(cfg: NetworkConfig, allocators: tuple[str, ...], seed: int,
 
 
 def _plan_se(cfg: NetworkConfig, drop: Drop, plans: list[AllocationPlan],
-             trials: int, seed: int, d: int) -> np.ndarray:
+             trials: int, seed: int, d: int, prefetch: bool) -> np.ndarray:
     """(P, L, N) per-user SE of `plans` on drop d's SINR stream.
 
     Every call starts a fresh generator from the drop's one SINR seed, and a
     plan's SINR does not depend on the other plans of its call, so plans
-    scored in different calls still see the same channel draws.
+    scored in different calls still see the same channel draws. `prefetch`
+    goes to `estimate_sinr` and cannot change the result.
     """
-    sinr = estimate_sinr(cfg, drop, plans, trials, _rng(seed, d, _STREAM_SINR))
+    sinr = estimate_sinr(cfg, drop, plans, trials, _rng(seed, d, _STREAM_SINR),
+                         prefetch=prefetch)
     return spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
 
 
 def _drop_se(cfg: NetworkConfig, allocators: tuple[str, ...], trials: int,
-             seed: int, d: int) -> np.ndarray:
+             seed: int, d: int, prefetch: bool = False) -> np.ndarray:
     """Drop d's (P, L, N) per-user SE, one row per allocator."""
-    return _plan_se(cfg, *_drop_plans(cfg, allocators, seed, d), trials, seed, d)
+    return _plan_se(cfg, *_drop_plans(cfg, allocators, seed, d), trials, seed, d,
+                    prefetch)
 
 
 def _drop_ratios(cfg: NetworkConfig, allocators: tuple[str, ...], trials: int,
-                 seed: int, d: int) -> np.ndarray:
+                 seed: int, d: int, prefetch: bool = False) -> np.ndarray:
     """Drop d's (P,) ratios of each allocator's cell-0 sum SE to the
     exhaustive-search optimum; `score` gives its plans and every candidate
     the same channel draws, so each ratio is <= 1 by construction."""
     drop, plans = _drop_plans(cfg, allocators, seed, d)
 
     def score(block: list[AllocationPlan]) -> np.ndarray:
-        return _plan_se(cfg, drop, block, trials, seed, d)[:, 0].sum(axis=-1)
+        return _plan_se(cfg, drop, block, trials, seed, d, prefetch)[:, 0].sum(axis=-1)
 
     _, best = exhaustive_search(cfg, score)
     return score(plans) / best
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity mask where the
+    platform reports one (a `taskset` or cgroup limit), else the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _for_each_drop(fn, drops: int, threads: int) -> list:
-    """[fn(d) for d in range(drops)] in drop order, on min(threads, drops,
-    cores) worker threads when that is above one, else in a plain loop."""
-    workers = min(threads, drops, os.cpu_count() or 1)
+    """[fn(d, prefetch=...) for d in range(drops)] in drop order, on
+    min(threads, drops, usable cores) worker threads when that is above one,
+    else in a plain loop.
+
+    The harness owns the CPU budget. Only a plain loop on more than one
+    usable core leaves a core idle, so only then does each drop's
+    `estimate_sinr` draw ahead on one helper thread (`prefetch`); worker
+    threads already keep the cores busy and start no helper.
+    """
+    cores = _usable_cores()
+    workers = min(threads, drops, cores)
+    run = partial(fn, prefetch=workers == 1 and cores > 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(drops)))
-    return [fn(d) for d in range(drops)]
+            return list(pool.map(run, range(drops)))
+    return [run(d) for d in range(drops)]
 
 
 def evaluate_drops(cfg: NetworkConfig, allocators: tuple[str, ...], drops: int,

@@ -1,6 +1,9 @@
 """ZF combining, SINR Monte Carlo, and spectral-efficiency tests."""
 
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -41,6 +44,24 @@ def assert_moments_close(got, ref, rtol):
     for a, b in zip(got, ref):
         assert a.shape == b.shape
         assert np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
+
+
+def loc_aware_and_cyclic(cfg, drop):
+    """The loc_aware plan and the plan that deals pilots out cyclically."""
+    return [allocate_loc_aware(cfg, drop),
+            AllocationPlan(np.arange(cfg.L * cfg.N).reshape(cfg.L, cfg.N)
+                           % cfg.pilot_len, "t")]
+
+
+# (config, drop seed): co-pilot NLOS users with merged estimate columns, and
+# three cells
+CHUNK_CASES = [
+    pytest.param(NetworkConfig(L=2, N=6, M=16, pilot_len=2, k_model="distance",
+                               los_model="linear_prob", loc_err_var=9.0), 31,
+                 id="merged-columns"),
+    pytest.param(NetworkConfig(L=3, N=4, M=8, pilot_len=3, k_db=5.0, loc_err_var=4.0),
+                 32, id="three-cell"),
+]
 
 
 class TestZfCombiner:
@@ -421,19 +442,13 @@ class TestEstimateSinr:
                 assert np.array_equal(together[k], alone[0])
             assert not np.array_equal(together[0], together[1])
 
-    @pytest.mark.parametrize("cfg, seed", [
-        (NetworkConfig(L=2, N=6, M=16, pilot_len=2, k_model="distance",
-                       los_model="linear_prob", loc_err_var=9.0), 31),
-        (NetworkConfig(L=3, N=4, M=8, pilot_len=3, k_db=5.0, loc_err_var=4.0), 32),
-    ], ids=["merged-columns", "three-cell"])
+    @pytest.mark.parametrize("cfg, seed", CHUNK_CASES)
     @pytest.mark.parametrize("chunk", [1, 3, 100])
     def test_chunk_size_cannot_change_results(self, monkeypatch, cfg, seed, chunk):
         # 7 trials in chunks of 1, of 3 (a partial last chunk) and in one
         # chunk agree with the per-trial loop up to summation order
         drop = sample_users(cfg, np.random.default_rng(seed))
-        plans = [allocate_loc_aware(cfg, drop),
-                 AllocationPlan(np.arange(cfg.L * cfg.N).reshape(cfg.L, cfg.N)
-                                % cfg.pilot_len, "t")]
+        plans = loc_aware_and_cyclic(cfg, drop)
         if cfg.los_model == "linear_prob":
             los = estimated_los_channel(drop, cfg)
             assert any(CopilotGroups(los[l], l, plan.cells[l], cfg.pilot_len).pilots_u.size
@@ -452,9 +467,7 @@ class TestEstimateSinr:
         # 100 trials stacked at once would take 23 MB of channels at Table
         # scale; the chunked engine's working set stays a few hundred kB
         drop = sample_users(cfg, np.random.default_rng(seed))
-        plans = [allocate_loc_aware(cfg, drop),
-                 AllocationPlan(np.arange(cfg.L * cfg.N).reshape(cfg.L, cfg.N)
-                                % cfg.pilot_len, "t")]
+        plans = loc_aware_and_cyclic(cfg, drop)
         tracemalloc.start()
         try:
             estimate_sinr(cfg, drop, plans, 100, np.random.default_rng(43))
@@ -516,3 +529,157 @@ class TestEstimateSinr:
         monkeypatch.setattr(detection, "zf_combiner", counting)
         estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(42))
         assert ndims == [2] * (2 * 7 * cfg.L)
+
+
+class DrawLog:
+    """Records every `ChannelSampler.draw`: the thread it runs on, how many
+    channel stacks of earlier draws are still alive when it starts, and how
+    many draws are running; the draw numbered `fail_at` (from 1) raises
+    `error` instead."""
+
+    def __init__(self, monkeypatch, fail_at=None):
+        self.threads, self.alive_before, self.running = [], [], 0
+        self.error = RuntimeError("draw failed")
+        self._stacks = []
+        original = ChannelSampler.draw
+
+        def draw(sampler, rng, trials):
+            self.threads.append(threading.get_ident())
+            self.alive_before.append(sum(ref() is not None for ref in self._stacks))
+            self.running += 1
+            try:
+                if len(self.threads) == fail_at:
+                    raise self.error
+                out = original(sampler, rng, trials)
+            finally:
+                self.running -= 1
+            self._stacks.append(weakref.ref(out.g))
+            return out
+
+        monkeypatch.setattr(ChannelSampler, "draw", draw)
+
+
+class TestDrawAhead:
+    """`estimate_sinr(prefetch=True)`: one helper thread draws the next chunk
+    while the caller scores the current one."""
+
+    @staticmethod
+    def setup(cfg, seed, monkeypatch, chunk):
+        monkeypatch.setattr(detection, "_CHUNK_BYTES", chunk * trial_bytes(cfg))
+        drop = sample_users(cfg, np.random.default_rng(seed))
+        return drop, loc_aware_and_cyclic(cfg, drop)
+
+    @pytest.mark.parametrize("cfg, seed", [
+        *CHUNK_CASES, pytest.param(NetworkConfig(), 41, id="table")])
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_draw_ahead_cannot_change_results(self, monkeypatch, cfg, seed, chunk):
+        # 7 trials in chunks of 1 and of 3 (a partial last chunk): chunk 0 is
+        # drawn by the caller and every later chunk by one other thread, the
+        # SINR is bit-identical to drawing inline, and no draw starts while
+        # more than one earlier chunk's channels are alive
+        drop, plans = self.setup(cfg, seed, monkeypatch, chunk)
+        runs = {}
+        for prefetch in (False, True):
+            log = DrawLog(monkeypatch)
+            runs[prefetch] = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
+                                           prefetch=prefetch)
+            assert len(log.threads) == -(-7 // chunk)
+            assert log.threads[0] == threading.get_ident()
+            assert len(set(log.threads[1:])) == 1
+            assert (log.threads[1] != log.threads[0]) == prefetch
+            assert max(log.alive_before) <= 1
+        assert np.array_equal(runs[True], runs[False])
+
+    def test_identity_holds_under_fast_thread_switching(self, monkeypatch):
+        # the caller and the helper hand the generators over at each future;
+        # switching threads every microsecond must not reorder a draw
+        cfg, seed = CHUNK_CASES[1].values
+        drop, plans = self.setup(cfg, seed, monkeypatch, 1)
+        inline = estimate_sinr(cfg, drop, plans, 40, np.random.default_rng(34))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ahead = [estimate_sinr(cfg, drop, plans, 40, np.random.default_rng(34),
+                                   prefetch=True) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for sinr in ahead:
+            assert np.array_equal(sinr, inline)
+
+    def test_single_chunk_starts_no_thread(self, monkeypatch):
+        cfg, seed = CHUNK_CASES[0].values
+        drop, plans = self.setup(cfg, seed, monkeypatch, 3)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a helper thread was started")
+
+        monkeypatch.setattr(detection, "ThreadPoolExecutor", no_pool)
+        log = DrawLog(monkeypatch)
+        estimate_sinr(cfg, drop, plans, 2, np.random.default_rng(33), prefetch=True)
+        assert log.threads == [threading.get_ident()]
+
+    @pytest.mark.parametrize("prefetch", [True, False])
+    def test_scoring_error_surfaces_and_leaves_no_draw_running(self, monkeypatch,
+                                                               prefetch):
+        # the combiner raises on the second chunk while the helper draws the
+        # third; the call raises that error only after the draw has finished
+        cfg = NetworkConfig()
+        drop, plans = self.setup(cfg, 41, monkeypatch, 1)
+        fresh = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33))
+        error, calls = RuntimeError("scoring failed"), []
+
+        def failing(ghat, gram, gram_inv):
+            calls.append(1)
+            if len(calls) > len(plans) * cfg.L:
+                raise error
+            return zf_combiner(ghat, gram, gram_inv)
+
+        monkeypatch.setattr(detection, "zf_combiner", failing)
+        log = DrawLog(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
+                          prefetch=prefetch)
+        assert info.value is error
+        assert threading.active_count() == before
+        assert log.running == 0
+        assert len(log.threads) == (3 if prefetch else 2)
+        monkeypatch.setattr(detection, "zf_combiner", zf_combiner)
+        again = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
+                              prefetch=prefetch)
+        assert np.array_equal(again, fresh)
+
+    @pytest.mark.parametrize("prefetch", [True, False])
+    def test_draw_error_surfaces_unchanged(self, monkeypatch, prefetch):
+        # the second draw, the helper's first, raises: the call raises that
+        # very exception and leaves no thread behind
+        cfg = NetworkConfig()
+        drop, plans = self.setup(cfg, 41, monkeypatch, 1)
+        fresh = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33))
+        with monkeypatch.context() as patch:
+            log = DrawLog(patch, fail_at=2)
+            before = threading.active_count()
+            with pytest.raises(RuntimeError) as info:
+                estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
+                              prefetch=prefetch)
+            assert info.value is log.error
+            assert threading.active_count() == before
+            assert len(log.threads) == 2
+            assert (log.threads[1] != threading.get_ident()) == prefetch
+        again = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
+                              prefetch=prefetch)
+        assert np.array_equal(again, fresh)
+
+    def test_two_chunks_fit_the_memory_bound(self):
+        # the bound of test_chunk_budget_bounds_peak_memory holds with the
+        # helper's chunk alive next to the scored one, at Table scale
+        cfg = NetworkConfig()
+        drop = sample_users(cfg, np.random.default_rng(41))
+        plans = loc_aware_and_cyclic(cfg, drop)
+        tracemalloc.start()
+        try:
+            estimate_sinr(cfg, drop, plans, 100, np.random.default_rng(43), prefetch=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20

@@ -300,6 +300,28 @@ def run_oracle(cfg, allocators, drops, trials, seed, threads=1):
                                              trials=trials, seed=seed, threads=threads))
 
 
+def inline_pool(monkeypatch) -> list:
+    """Replace the harness's thread pool by one that maps inline; returns
+    the list of the worker counts it is started with."""
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+    return started
+
+
 class TestThreadsAndDeterminism:
     @pytest.mark.parametrize("run, cfg", [
         (run_evaluate, tiny_cfg()), (run_oracle, tiny_cfg(L=1, N=3)),
@@ -345,27 +367,37 @@ class TestThreadsAndDeterminism:
     ])
     def test_pool_is_bounded_by_drops_and_cores(self, monkeypatch, threads, drops,
                                                 cores, workers):
-        # min(threads, drops, cores) workers, and no pool at all when that is 1
-        started = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+        # min(threads, drops, cores) workers, and no pool at all when that is 1;
+        # without an affinity mask the host's count is used, 1 if unknown
+        started = inline_pool(monkeypatch)
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
-        assert harness._for_each_drop(lambda d: d * d, drops, threads) == [
+        assert harness._for_each_drop(lambda d, prefetch: d * d, drops, threads) == [
             d * d for d in range(drops)]
         assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("threads, drops, cores, prefetch", [
+        (1, 3, 2, True), (8, 1, 2, True), (2, 3, 2, False), (1, 3, 1, False),
+    ])
+    def test_only_a_plain_loop_on_several_cores_draws_ahead(self, monkeypatch, threads,
+                                                             drops, cores, prefetch):
+        # one worker on 2 cores (also when one drop caps the pool) leaves a
+        # core for the draw-ahead helper; 2 workers or 1 core leave none
+        inline_pool(monkeypatch)
+        monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+        assert harness._for_each_drop(lambda d, prefetch: prefetch, drops,
+                                      threads) == [prefetch] * drops
+
+    def test_cores_are_those_the_process_may_run_on(self, monkeypatch):
+        # a process pinned to one core of an 8-core host runs a plain loop
+        # and starts no helper
+        started = inline_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {3},
+                            raising=False)
+        assert harness._usable_cores() == 1
+        assert harness._for_each_drop(lambda d, prefetch: prefetch, 4, 8) == [False] * 4
+        assert started == []
 
     def test_single_thread_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
