@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 import traceback
 from dataclasses import replace
 
@@ -140,9 +141,11 @@ def _run(args) -> int:
             raise ConfigError(f"--k-db values give two runs the same name: {names}")
         runs = [replace(spec, cfg=replace(spec.cfg, k_model="fixed", k_db=k_db), name=name)
                 for k_db, name in zip(args.k_db, names)]
+    t0 = time.perf_counter()
     rows = [row for run in runs for row in run_sweep(run)]
+    seconds = time.perf_counter() - t0
     write_rows_csv(rows, out)
-    print(f"wrote {len(rows)} rows to {out}")
+    print(f"wrote {len(rows)} rows to {out} in {seconds:.1f} s")
     return 0
 
 

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -26,7 +24,7 @@ import numpy as np
 
 from .allocators import ALLOCATORS, exhaustive_search, search_space_size
 from .detection import estimate_sinr, spectral_efficiency
-from .model import ConfigError, Drop, NetworkConfig, sample_users
+from .model import ConfigError, Drop, NetworkConfig, check_field_types, sample_users
 from .pilots import AllocationPlan
 
 CDF_HEADER = ("allocator", "value_bits_hz", "cum_prob")
@@ -78,10 +76,7 @@ class ExperimentSpec:
         repeated = sorted({a for a in self.allocators if self.allocators.count(a) > 1})
         if repeated:
             raise ConfigError(f"allocators named more than once: {repeated}")
-        for name in ("drops", "trials", "threads", "n_worst", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_field_types(self)
         for name in ("drops", "threads", "n_worst"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -100,7 +95,7 @@ class ExperimentSpec:
 @dataclass
 class ResultRow:
     """One CSV row: an allocator's mean sum SE in one cell at one sweep point;
-    the fields are the columns."""
+    the fields are the columns, and each follows from the spec alone."""
 
     experiment: str
     allocator: str
@@ -112,7 +107,6 @@ class ResultRow:
     drops: int
     trials: int
     seed: int
-    wall_ms: int
 
 
 CSV_HEADER = tuple(f.name for f in fields(ResultRow))
@@ -227,22 +221,19 @@ def standard_error(values: np.ndarray) -> float:
     return float(np.std(values) / np.sqrt(np.size(values)))
 
 
-def run_sweep(spec: ExperimentSpec, clock=time.perf_counter) -> list[ResultRow]:
+def run_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     """Evaluate every (sweep value, allocator, cell) combination.
 
     Mean sum SE over drops with its `standard_error`; one row per cell,
-    |values| * |allocators| * L rows in total.
+    |values| * |allocators| * L rows in total, the same at any thread count.
     """
     if spec.sweep is None:
         raise ConfigError(f"run_sweep needs a spec with a sweep, and {spec.name!r} has none")
-    seed = spec.seed
     rows: list[ResultRow] = []
     for value in spec.values:
         cfg_v = replace(spec.cfg, **{spec.sweep: value})
-        t0 = clock()
         per_user = evaluate_drops(cfg_v, spec.allocators, spec.drops,
-                                  spec.trials, seed, spec.threads)
-        wall_ms = int(round((clock() - t0) * 1000.0))
+                                  spec.trials, spec.seed, spec.threads)
         for name in spec.allocators:
             sums = per_user[name].sum(axis=2)        # (D, L)
             for cell in range(cfg_v.L):
@@ -251,8 +242,7 @@ def run_sweep(spec: ExperimentSpec, clock=time.perf_counter) -> list[ResultRow]:
                     sweep_value=float(value),
                     cell=cell, sum_se_bits_hz=float(sums[:, cell].mean()),
                     stderr=standard_error(sums[:, cell]),
-                    drops=spec.drops, trials=spec.trials, seed=seed,
-                    wall_ms=wall_ms))
+                    drops=spec.drops, trials=spec.trials, seed=spec.seed))
     return rows
 
 

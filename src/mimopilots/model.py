@@ -33,6 +33,20 @@ class ConfigError(ValueError):
     """A configuration value violates its contract."""
 
 
+def check_field_types(record) -> None:
+    """Raise ConfigError unless each `int` field of dataclass `record` holds an
+    integer and each `float` field a finite number (a bool is neither)."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type == "int" and (isinstance(value, bool)
+                                or not isinstance(value, numbers.Integral)):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Real)
+                                  or not math.isfinite(value)):
+            raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """All scenario parameters for one simulation.
@@ -72,15 +86,7 @@ class NetworkConfig:
     loc_err_var: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, numbers.Integral)):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Real)
-                                      or not math.isfinite(value)):
-                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+        check_field_types(self)
         if self.L < 1:
             raise ConfigError(f"L must be >= 1, got {self.L}")
         if self.N < 1:

@@ -190,29 +190,13 @@ def test_criterion_10_worst_user_cdf_dominance():
 
 
 def test_criterion_11_determinism_and_reduction_stability(tmp_path):
+    # drops are stacked in drop order, so the thread count cannot change a byte
     spec = ExperimentSpec(cfg=NetworkConfig(L=2, N=4, M=8, pilot_len=2),
                           name="det", sweep="M", values=(8,),
-                          allocators=("loc_aware", "random"), drops=6, trials=4,
+                          allocators=("loc_aware", "random"), drops=8, trials=4,
                           seed=111)
-    p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    write_rows_csv(run_sweep(spec, clock=lambda: 0.0), p1)
-    write_rows_csv(run_sweep(spec, clock=lambda: 0.0), p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-    # real clock: every column but the timing one identical
-    rows_a = run_sweep(spec)
-    rows_b = run_sweep(spec)
-    for a, b in zip(rows_a, rows_b):
-        assert (a.experiment, a.allocator, a.sweep_value, a.cell,
-                a.sum_se_bits_hz, a.stderr) == (b.experiment, b.allocator, b.sweep_value,
-                                                b.cell, b.sum_se_bits_hz, b.stderr)
-
-    one = evaluate_drops(spec.cfg, spec.allocators, 8, 4, seed=111, threads=1)
-    many = evaluate_drops(spec.cfg, spec.allocators, 8, 4, seed=111, threads=8)
-    devs = []
-    for name in one:
-        s1, s8 = one[name].sum(axis=2), many[name].sum(axis=2)
-        devs.append(np.max(np.abs(s1 - s8) / np.maximum(s1, 1e-12)))
-    worst = np.max(devs)
-    assert worst < 1e-6
-    report(11, f"byte-identical CSVs; 1 vs 8 threads rel dev {worst:.1e}")
+    one, many = tmp_path / "t1.csv", tmp_path / "t8.csv"
+    write_rows_csv(run_sweep(spec), one)
+    write_rows_csv(run_sweep(replace(spec, threads=8)), many)
+    assert one.read_bytes() == many.read_bytes()
+    report(11, "byte-identical CSVs at 1 and 8 threads")

@@ -103,7 +103,7 @@ class TestExperimentSpec:
 
 class TestSweeps:
     def test_smoke_run_emits_valid_csv(self, tmp_path):
-        rows = run_sweep(tiny_spec(drops=1, trials=2), clock=lambda: 0.0)
+        rows = run_sweep(tiny_spec(drops=1, trials=2))
         path = tmp_path / "out.csv"
         write_rows_csv(rows, path)
         with open(path) as fh:
@@ -114,23 +114,21 @@ class TestSweeps:
         # change the file
         assert tuple(header) == CSV_HEADER == (
             "experiment", "allocator", "sweep_name", "sweep_value", "cell",
-            "sum_se_bits_hz", "stderr", "drops", "trials", "seed", "wall_ms")
+            "sum_se_bits_hz", "stderr", "drops", "trials", "seed")
         assert len(body) == len(rows) > 0
         assert all(len(r) == len(CSV_HEADER) for r in body)
         assert all(float(r[5]) >= 0.0 for r in body)
 
     def test_row_count_invariant(self):
         spec = tiny_spec(values=(4, 8), drops=2, trials=2)
-        rows = run_sweep(spec, clock=lambda: 0.0)
+        rows = run_sweep(spec)
         assert len(rows) == 2 * 2 * spec.cfg.L  # values x allocators x cells
 
     def test_locerr_zero_matches_antenna_sweep_row(self):
         cfg = tiny_cfg(k_model="distance", los_model="linear_prob")
         kw = dict(cfg=cfg, drops=3, trials=3, allocators=("loc_aware",), seed=3)
-        rows_m = run_sweep(ExperimentSpec(sweep="M", values=(cfg.M,), **kw),
-                           clock=lambda: 0.0)
-        rows_e = run_sweep(ExperimentSpec(sweep="loc_err_var", values=(0.0,), **kw),
-                           clock=lambda: 0.0)
+        rows_m = run_sweep(ExperimentSpec(sweep="M", values=(cfg.M,), **kw))
+        rows_e = run_sweep(ExperimentSpec(sweep="loc_err_var", values=(0.0,), **kw))
         for a, b in zip(rows_m, rows_e):
             # same pipeline, same seeds: well within two standard errors
             assert a.sum_se_bits_hz == pytest.approx(b.sum_se_bits_hz, abs=1e-12)
@@ -158,7 +156,7 @@ class TestSweeps:
     @pytest.mark.parametrize("drops", [1, 3])
     def test_stderr_column_is_the_standard_error_of_drop_sums(self, drops):
         spec = tiny_spec(drops=drops, trials=3)
-        rows = run_sweep(spec, clock=lambda: 0.0)
+        rows = run_sweep(spec)
         per_user = evaluate_drops(spec.cfg, spec.allocators, drops, spec.trials, spec.seed)
         for row in rows:
             sums = per_user[row.allocator].sum(axis=2)[:, row.cell]
@@ -167,7 +165,7 @@ class TestSweeps:
 
     def test_spec_without_a_sweep_rejected(self):
         with pytest.raises(ConfigError, match="has none"):
-            run_sweep(tiny_spec(sweep=None, values=()), clock=lambda: 0.0)
+            run_sweep(tiny_spec(sweep=None, values=()))
 
     @pytest.mark.parametrize("runner", [run_worst_user_cdf, run_oracle_compare],
                              ids=["worst_user_cdf", "oracle_compare"])
@@ -182,7 +180,7 @@ class TestSweeps:
         keys, make = [], harness._rng
         monkeypatch.setattr(harness, "_rng", lambda *key: keys.append(key) or make(*key))
         spec = tiny_spec(cfg=tiny_cfg(L=1, N=3), drops=3, seed=7, n_worst=2)
-        run_sweep(spec, clock=lambda: 0.0)
+        run_sweep(spec)
         run_worst_user_cdf(replace(spec, sweep=None, values=()))
         run_oracle_compare(replace(spec, sweep=None, values=()))
         purposes = harness._STREAM_ALLOC + len(spec.allocators)
@@ -399,12 +397,6 @@ class TestThreadsAndDeterminism:
         assert harness._for_each_drop(lambda d, prefetch: prefetch, 4, 8) == [False] * 4
         assert started == []
 
-    def test_single_thread_byte_identical(self, tmp_path):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_rows_csv(run_sweep(tiny_spec(), clock=lambda: 0.0), p1)
-        write_rows_csv(run_sweep(tiny_spec(), clock=lambda: 0.0), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
 
 class TestPinnedResults:
     PINNED = json.loads((Path(__file__).parent / "data" / "evaluate_drops_se.json").read_text())
@@ -499,6 +491,8 @@ class TestCli:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header == ",".join(CSV_HEADER)
+        # the wall time goes to the console, not into the CSV
+        assert re.fullmatch(r"wrote \d+ rows to .* in \d+\.\d s\n", capsys.readouterr().out)
 
     def test_fig3b_smoke(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -609,13 +603,9 @@ class TestCli:
         doc["experiment"]["seed"] = 7
         assert cli_main(["fig3a", "--config", write_config(tmp_path, doc),
                          "--m-values", "8", "--out", str(by_file)]) == 0
-        rows = []
-        for path in (by_flag, by_file):
-            with open(path) as fh:
-                rows.append([{k: v for k, v in r.items() if k != "wall_ms"}
-                             for r in csv.DictReader(fh)])
-        assert rows[0] == rows[1]
-        assert {r["seed"] for r in rows[0]} == {"7"}
+        assert by_flag.read_bytes() == by_file.read_bytes()
+        with open(by_flag) as fh:
+            assert {r["seed"] for r in csv.DictReader(fh)} == {"7"}
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -880,7 +870,7 @@ class TestConfigProperty:
                               seed=seed)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "out.csv"
-            write_rows_csv(run_sweep(spec, clock=lambda: 0.0), path)
+            write_rows_csv(run_sweep(spec), path)
             with open(path) as fh:
                 body = list(csv.DictReader(fh))
         assert len(body) == 5 * cfg.L
