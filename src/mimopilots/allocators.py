@@ -45,7 +45,7 @@ def partition_tiers(drop: Drop, cell: int, pilot_len: int) -> list[np.ndarray]:
     estimated angle and then the user index. Every tier except possibly the
     last has exactly pilot_len members.
     """
-    dist, aoa = (Drop.serving(x)[cell] for x in (drop.dist_est, drop.aoa_est))
+    dist, aoa = (Drop.serving(x)[cell] for x in (drop.est.dist, drop.est.aoa))
     order = np.lexsort((np.arange(dist.size), aoa, dist))
     return [order[start:start + pilot_len] for start in range(0, dist.size, pilot_len)]
 
@@ -118,7 +118,7 @@ def allocate_sector(cfg: NetworkConfig, drop: Drop,
     construction.
     """
     width = TWO_PI / cfg.pilot_len
-    sectors = (Drop.serving(drop.aoa_est) // width).astype(int)
+    sectors = (Drop.serving(drop.est.aoa) // width).astype(int)
     return AllocationPlan(cells=np.minimum(sectors, cfg.pilot_len - 1),
                           allocator="sector")
 
@@ -131,7 +131,7 @@ def proxy_weights(cfg: NetworkConfig, drop: Drop) -> np.ndarray:
     diagonal, so a user never counts against itself.
     """
     cells = np.repeat(np.arange(cfg.L), cfg.N)   # each reference's serving BS
-    weights = (drop.alpha_est[cells].T / Drop.serving(drop.alpha_est).reshape(-1)
+    weights = (drop.est.alpha[cells].T / Drop.serving(drop.est.alpha).reshape(-1)
                + pair_scores(drop, cfg.M))
     np.fill_diagonal(weights, 0.0)
     return weights

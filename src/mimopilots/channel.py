@@ -2,8 +2,8 @@
 
 Each uplink channel is sqrt(alpha) * (sqrt(K/(1+K)) * steering(theta)
 + sqrt(1/(1+K)) * h_scatter) with h_scatter i.i.d. unit-variance complex
-Gaussian. The deterministic LOS part uses the *true* geometry of a `Drop`;
-BS-side estimates of it live in `estimation`.
+Gaussian. The channels follow a `Drop`'s `true` links; BS-side estimates of
+the LOS part, from its `est` links, live in `estimation`.
 
 Users are indexed cell-major, cell * N + user, as in `los_metric` and the
 allocators: a drop's (L, L*N) [BS, user] arrays broadcast straight onto a
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Drop, NetworkConfig
+from .model import Drop, Links, NetworkConfig
 
 
 def crandn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -55,12 +55,12 @@ def steering_vector(m: int, theta) -> np.ndarray:
     return steer if np.ndim(phase) else steer[:, 0]
 
 
-def los_channels(alpha: np.ndarray, k: np.ndarray, aoa: np.ndarray,
-                 m: int) -> np.ndarray:
+def los_channels(links: Links, m: int) -> np.ndarray:
     """LOS channels sqrt(alpha*K/(1+K)) * steering(aoa) of every user at
-    every BS of m antennas, a C-contiguous (L, m, L*N) array, from (L, L*N)
-    [BS, user] gains, K-factors and angles; all-zero columns where K = 0."""
-    return steering_vector(m, aoa) * np.sqrt(alpha * k / (1.0 + k))[:, None, :]
+    every BS of m antennas, a C-contiguous (L, m, L*N) array, from one view
+    of a drop's links; all-zero columns where K = 0."""
+    return (steering_vector(m, links.aoa)
+            * np.sqrt(links.alpha * links.k / (1.0 + links.k))[:, None, :])
 
 
 @dataclass
@@ -85,8 +85,8 @@ class ChannelSampler:
 
     def __init__(self, drop: Drop, cfg: NetworkConfig):
         self.cfg = cfg
-        self.los = los_channels(drop.alpha, drop.k, drop.aoa, cfg.M)
-        self.w_nlos = np.sqrt(drop.alpha / (1.0 + drop.k))[:, None, :]
+        self.los = los_channels(drop.true, cfg.M)
+        self.w_nlos = np.sqrt(drop.true.alpha / (1.0 + drop.true.k))[:, None, :]
 
     def draw(self, rng: np.random.Generator, trials: int) -> ChannelSet:
         """`trials` independent realizations, stacked on a leading axis."""

@@ -83,8 +83,8 @@ def pair_scores_vs_explicit(drop: Drop, m: int) -> float:
     `explicit_pair_score` on the same estimated parameters, each pair at its
     reference user's serving BS."""
     scores = los_interference(drop, m)
-    est = (drop.alpha_est, drop.k_est, drop.aoa_est)      # [BS, user]
-    n_users = scores.shape[0] // drop.alpha_est.shape[0]
+    est = (drop.est.alpha, drop.est.k, drop.est.aoa)      # [BS, user]
+    n_users = scores.shape[0] // drop.est.alpha.shape[0]
     ref = np.empty(scores.shape)
     for a, b in np.ndindex(scores.shape):
         bs = b // n_users
@@ -229,7 +229,7 @@ def _channel_power_dev() -> float:
     rng = np.random.default_rng(23)
     drop = sample_users(cfg, rng)
     power = np.mean(np.abs(ChannelSampler(drop, cfg).draw(rng, 2000).g[:, 0]) ** 2, axis=(0, 1))
-    return float(np.max(np.abs(power / drop.alpha[0] - 1.0)))
+    return float(np.max(np.abs(power / drop.true.alpha[0] - 1.0)))
 
 
 def _se_prefactor_dev() -> float:

@@ -104,9 +104,10 @@ def _resolve(args) -> ExperimentSpec:
     if args.command == "oracle" and spec.out is not None:
         raise ConfigError(f"oracle prints its ratios and writes no file, "
                           f"but the config names out {spec.out!r}")
-    if spec.out is not None and (os.path.isdir(spec.out) or
-                                 not os.path.isdir(os.path.dirname(spec.out) or ".")):
-        raise ConfigError(f"out {spec.out!r} is a directory or its directory does not exist")
+    if args.command != "oracle":
+        spec = replace(spec, out=spec.out or f"{args.command}.csv")
+        if os.path.isdir(spec.out) or not os.path.isdir(os.path.dirname(spec.out) or "."):
+            raise ConfigError(f"out {spec.out!r} is a directory or its directory does not exist")
     if args.command == "fig3c" and (spec.cfg.k_model, spec.cfg.los_model) != (
             "distance", "linear_prob"):
         raise ConfigError("fig3c requires k_model='distance' and "
@@ -119,11 +120,10 @@ def _run(args) -> int:
         return 1 if checks.run_all() else 0
 
     spec = _resolve(args)
-    out = spec.out or f"{args.command}.csv"
     if args.command == "fig3b":
         tables = run_worst_user_cdf(spec)
-        write_cdf_csv(tables, out)
-        print(f"wrote CDFs for {len(tables)} allocators to {out}")
+        write_cdf_csv(tables, spec.out)
+        print(f"wrote CDFs for {len(tables)} allocators to {spec.out}")
         return 0
 
     if args.command == "oracle":
@@ -144,8 +144,8 @@ def _run(args) -> int:
     t0 = time.perf_counter()
     rows = [row for run in runs for row in run_sweep(run)]
     seconds = time.perf_counter() - t0
-    write_rows_csv(rows, out)
-    print(f"wrote {len(rows)} rows to {out} in {seconds:.1f} s")
+    write_rows_csv(rows, spec.out)
+    print(f"wrote {len(rows)} rows to {spec.out} in {seconds:.1f} s")
     return 0
 
 

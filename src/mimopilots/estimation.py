@@ -22,7 +22,7 @@ from .model import Drop, NetworkConfig
 def estimated_los_channel(drop: Drop, cfg: NetworkConfig) -> np.ndarray:
     """BS-side LOS channels of every user at every BS, (L, M, L*N), from
     estimated locations; all-zero columns for NLOS links."""
-    return los_channels(drop.alpha_est, drop.k_est, drop.aoa_est, cfg.M)
+    return los_channels(drop.est, cfg.M)
 
 
 def synthesize_rx(g: np.ndarray, lam: np.ndarray, noise: np.ndarray) -> np.ndarray:

@@ -88,7 +88,7 @@ def los_interference(drop: Drop, m: int) -> np.ndarray:
     estimated quantities: an (L*N, L*N) matrix [interferer, reference],
     users flattened cell-major (cell * N + user).
     """
-    est = (drop.alpha_est, drop.k_est, drop.aoa_est)
+    est = (drop.est.alpha, drop.est.k, drop.est.aoa)
     # interferers as [BS, interferer, 1] against references as [cell, 1, user]
     scores = los_interference_from_params(*(x[:, :, None] for x in est),
                                           *(Drop.serving(x)[:, None, :] for x in est), m)

@@ -6,9 +6,10 @@ angle around their serving BS. Every quantity the BSs are allowed to know is
 derived from the *estimated* user position (the true position plus a bounded
 uniform error); the true position drives the actual channels.
 
-One drop is a `Drop`: per-link arrays of shape (L, L*N) indexed
-[BS, cell*N + user], users flattened cell-major. That is the order the
-channels, pair scores and allocators compute in, so no stage reorders a drop.
+One drop is a `Drop` of two `Links` views, `true` and `est`, each a set of
+per-link arrays of shape (L, L*N) indexed [BS, cell*N + user], users
+flattened cell-major. That is the order the channels, pair scores and
+allocators compute in, so no stage reorders a drop.
 """
 
 from __future__ import annotations
@@ -231,70 +232,83 @@ def error_half_width(var: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class Drop:
-    """User geometry of one drop; every array is a C-contiguous (L, L*N)
-    array [BS, cell*N + user], and `serving` picks each user's own BS.
+class Links:
+    """One view of a drop's links: C-contiguous (L, L*N) arrays indexed
+    [BS, cell*N + user], all derived from one set of user positions.
 
-    The estimated quantities are what the BSs know, derived from the
-    estimated positions (distances clamped to >= 1 m). `k` is zero toward
-    any BS the user has no line of sight to, and `k_est` is zeroed on the
-    same links: the LOS/NLOS condition is channel state, not part of the
-    position estimate. A valid config keeps every K-factor positive, so a
-    link is LOS exactly where `k > 0`.
-
-    A drop is read-only and compares by identity: construction checks the
-    eight arrays share one (L, L*N) shape, stores a C-ordered copy of each
-    and clears its `writeable` flag, so no array can change after the drop
-    is scored.
-    `score_memo` keeps the drop's pair-score matrices by antenna count, each
-    computed on first use by `los_metric.pair_scores`, so every allocator of
-    a drop reads one matrix; `dataclasses.replace` gives a fresh memo.
+    A view is read-only and compares by identity: construction checks the
+    four arrays share one (L, L*N) shape, stores a C-ordered copy of each
+    and clears its `writeable` flag, so no array can change after a drop
+    holding the view is scored.
     """
 
-    dist: np.ndarray       # true distance
-    aoa: np.ndarray        # true angle of arrival, in [0, 2*pi)
-    dist_est: np.ndarray   # estimated distance
-    aoa_est: np.ndarray    # estimated angle of arrival
-    alpha: np.ndarray      # large-scale gain from the true distance
-    alpha_est: np.ndarray  # large-scale gain from the estimated distance
-    k: np.ndarray          # Rice factor (linear) from the true distance
-    k_est: np.ndarray      # Rice factor from the estimated distance
-    score_memo: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    dist: np.ndarray   # distance to each BS
+    aoa: np.ndarray    # angle of arrival at each BS, in [0, 2*pi)
+    alpha: np.ndarray  # large-scale gain at that distance
+    k: np.ndarray      # Rice factor (linear) at that distance; 0 on NLOS links
 
     def __post_init__(self):
-        arrays = [getattr(self, f.name) for f in fields(self) if f.init]
+        arrays = [getattr(self, f.name) for f in fields(self)]
         shape = np.shape(arrays[0])
         if (len(shape) != 2 or not 0 < shape[0] <= shape[1] or shape[1] % shape[0]
                 or not all(isinstance(x, np.ndarray) and x.shape == shape
                            for x in arrays)):
-            raise ValueError(f"drop arrays must share one (L, L*N) shape, got "
+            raise ValueError(f"link arrays must share one (L, L*N) shape, got "
                              f"{[np.shape(x) for x in arrays]}")
-        for f, x in zip(fields(self), arrays):     # the array fields come first
+        for f, x in zip(fields(self), arrays):
             object.__setattr__(self, f.name, x := x.copy(order="C"))
             x.setflags(write=False)
 
     @classmethod
-    def from_positions(cls, cfg: NetworkConfig, pos: np.ndarray,
-                       pos_est: np.ndarray, los: np.ndarray) -> "Drop":
-        """Derive every per-BS quantity from finite (L, N, 2) true and
-        estimated positions and the (L, L*N) [BS, cell*N + user] LOS flags."""
-        for name, p in (("true", pos), ("estimated", pos_est)):
-            if np.shape(p) != (cfg.L, cfg.N, 2) or not np.isfinite(p).all():
-                raise ValueError(f"{name} positions must be a finite (L, N, 2) "
-                                 f"array, got shape {np.shape(p)}")
+    def from_positions(cls, cfg: NetworkConfig, pos: np.ndarray, los: np.ndarray,
+                       min_dist: float = 0.0) -> "Links":
+        """Every user's links from finite (L, N, 2) positions and the (L, L*N)
+        [BS, cell*N + user] LOS flags, distances clamped to >= `min_dist`."""
+        if np.shape(pos) != (cfg.L, cfg.N, 2) or not np.isfinite(pos).all():
+            raise ValueError(f"positions must be a finite (L, N, 2) array, "
+                             f"got shape {np.shape(pos)}")
         if np.shape(los) != (cfg.L, cfg.L * cfg.N):
             raise ValueError(f"LOS flags must have shape (L, L*N), got {np.shape(los)}")
-        bs = bs_positions(cfg)[:, None, :]
-        rel = pos.reshape(-1, 2) - bs
-        rel_e = pos_est.reshape(-1, 2) - bs
-        dist = np.hypot(rel[..., 0], rel[..., 1])
-        dist_est = np.maximum(np.hypot(rel_e[..., 0], rel_e[..., 1]), 1.0)
+        rel = pos.reshape(-1, 2) - bs_positions(cfg)[:, None, :]
+        dist = np.maximum(np.hypot(rel[..., 0], rel[..., 1]), min_dist)
         return cls(dist=dist, aoa=np.mod(np.arctan2(rel[..., 1], rel[..., 0]), TWO_PI),
-                   dist_est=dist_est,
-                   aoa_est=np.mod(np.arctan2(rel_e[..., 1], rel_e[..., 0]), TWO_PI),
-                   alpha=pathloss(dist, cfg), alpha_est=pathloss(dist_est, cfg),
-                   k=np.where(los, k_factor(dist, cfg), 0.0),
-                   k_est=np.where(los, k_factor(dist_est, cfg), 0.0))
+                   alpha=pathloss(dist, cfg), k=np.where(los, k_factor(dist, cfg), 0.0))
+
+
+@dataclass(frozen=True, eq=False)
+class Drop:
+    """One drop: the `true` links, which the channels follow, and the `est`
+    links the BSs derive from the estimated positions (distances clamped to
+    >= 1 m), which the allocators and the LOS reconstruction read.
+
+    Both views carry the same LOS/NLOS condition, since it is channel state
+    and not part of the position estimate; construction raises unless they
+    mark the same links LOS (`k > 0`), which also requires equal shapes. A
+    valid config keeps every K-factor positive, so every drop
+    `from_positions` builds passes. `dataclasses.replace(drop, est=...)`
+    gives a drop that shares `drop.true` by reference.
+
+    A drop compares by identity. `score_memo` keeps the drop's pair-score
+    matrices by antenna count, each computed on first use by
+    `los_metric.pair_scores`, so every allocator of a drop reads one
+    matrix; `dataclasses.replace` gives a fresh memo.
+    """
+
+    true: Links
+    est: Links
+    score_memo: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if not np.array_equal(self.true.k > 0, self.est.k > 0):
+            raise ValueError("true and estimated links must mark the same links LOS")
+
+    @classmethod
+    def from_positions(cls, cfg: NetworkConfig, pos: np.ndarray,
+                       pos_est: np.ndarray, los: np.ndarray) -> "Drop":
+        """Both views from finite (L, N, 2) true and estimated positions and
+        the (L, L*N) [BS, cell*N + user] LOS flags."""
+        return cls(true=Links.from_positions(cfg, pos, los),
+                   est=Links.from_positions(cfg, pos_est, los, min_dist=1.0))
 
     @staticmethod
     def serving(x: np.ndarray) -> np.ndarray:

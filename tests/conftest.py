@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,6 +37,12 @@ def make_drop(cfg: NetworkConfig, *cells, los=None) -> Drop:
         los = True
     return Drop.from_positions(cfg, pos, pos_est,
                                np.broadcast_to(los, (cfg.L, cfg.L * cfg.N)))
+
+
+def all_nlos(drop: Drop) -> Drop:
+    """`drop` with every link NLOS: K zeroed in both views."""
+    return replace(drop, true=replace(drop.true, k=np.zeros_like(drop.true.k)),
+                   est=replace(drop.est, k=np.zeros_like(drop.est.k)))
 
 
 def sample_position_error(var: float, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -87,9 +94,9 @@ def channel_column(drop: Drop, cell: int, j: int, bs: int,
     w_nlos = sqrt(alpha/(1+K))) with the same expressions the matrix
     assembly uses, so the columns agree bit for bit.
     """
-    user = cell * (drop.alpha.shape[1] // drop.alpha.shape[0]) + j
-    alpha, k = float(drop.alpha[bs, user]), float(drop.k[bs, user])
-    h_los = steering_vector(h_nlos.size, float(drop.aoa[bs, user]))
+    user = cell * (drop.true.alpha.shape[1] // drop.true.alpha.shape[0]) + j
+    alpha, k = float(drop.true.alpha[bs, user]), float(drop.true.k[bs, user])
+    h_los = steering_vector(h_nlos.size, float(drop.true.aoa[bs, user]))
     return (h_los * np.sqrt(alpha * k / (1.0 + k))
             + h_nlos * np.sqrt(alpha / (1.0 + k)))
 
@@ -143,7 +150,7 @@ def los_interference_at(drop: Drop, bs: int, m: int) -> np.ndarray:
     """Oracle: the (L*N, L*N) [interferer, reference] scores of every user
     pair at one BS `bs`, whatever the reference's serving BS."""
     alpha, k, theta = (x[bs].reshape(-1, 1)
-                       for x in (drop.alpha_est, drop.k_est, drop.aoa_est))
+                       for x in (drop.est.alpha, drop.est.k, drop.est.aoa))
     return los_interference_from_params(alpha, k, theta, alpha.T, k.T, theta.T, m)
 
 
@@ -180,7 +187,7 @@ def proxy_weights_per_cell(cfg: NetworkConfig, drop: Drop) -> np.ndarray:
     weights = np.empty((cfg.L * N, cfg.L * N))
     for cell in range(cfg.L):
         refs = slice(cell * N, (cell + 1) * N)
-        gain = drop.alpha_est[cell]
+        gain = drop.est.alpha[cell]
         weights[:, refs] = (gain[:, None] / gain[None, refs]
                             + los_interference_at(drop, cell, cfg.M)[:, refs])
     np.fill_diagonal(weights, 0.0)

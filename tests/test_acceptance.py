@@ -107,7 +107,7 @@ def test_criterion_06_zf_beamforming_gain():
     plan = AllocationPlan(np.array([[0]]), "t")
     sinr = float(estimate_sinr(cfg, drop, [plan], 500,
                                np.random.default_rng(107))[0, 0, 0])
-    expect = cfg.rho * float(drop.alpha[0, 0]) * cfg.M
+    expect = cfg.rho * float(drop.true.alpha[0, 0]) * cfg.M
     rel = abs(sinr - expect) / expect
     assert rel < 0.10
     report(6, f"measured {sinr:.1f} vs rho*alpha*M {expect:.1f} (rel {rel:.3f})")

@@ -13,7 +13,7 @@ from mimopilots.allocators import (ALLOCATORS, allocate_greedy, allocate_loc_awa
                                    allocate_sector, candidate_proxies, exhaustive_search,
                                    partition_tiers, proxy_weights)
 from mimopilots.los_metric import los_interference, los_interference_from_params
-from mimopilots.model import ConfigError, NetworkConfig, sample_users
+from mimopilots.model import ConfigError, Drop, Links, NetworkConfig, sample_users
 
 
 def cfg_for(**kw):
@@ -38,14 +38,14 @@ def copilot_proxy(cfg, drop, plan, cell, j, pilot):
     co-pilot user at a time: the estimated-gain ratio at the victim's BS
     plus the pair's LOS interference score."""
     N = cfg.N
-    own = float(drop.alpha_est[cell, cell * N + j])
-    est = (drop.alpha_est[cell], drop.k_est[cell], drop.aoa_est[cell])
+    own = float(drop.est.alpha[cell, cell * N + j])
+    est = (drop.est.alpha[cell], drop.est.k[cell], drop.est.aoa[cell])
     total = 0.0
     for i in range(cfg.L):
         for jj in np.flatnonzero(plan[i] == pilot):
             if i == cell and jj == j:
                 continue
-            total += float(drop.alpha_est[cell, i * N + jj]) / own
+            total += float(drop.est.alpha[cell, i * N + jj]) / own
             total += float(los_interference_from_params(
                 *(x[i * N + jj] for x in est), *(x[cell * N + j] for x in est), cfg.M))
     return total
@@ -74,7 +74,7 @@ class TestPartitionTiers:
         drop = sample_users(cfg, np.random.default_rng(3))
         for cell in range(cfg.L):
             tiers = partition_tiers(drop, cell, 3)
-            flat = drop.dist_est[cell, cell * cfg.N + np.concatenate(tiers)].tolist()
+            flat = drop.est.dist[cell, cell * cfg.N + np.concatenate(tiers)].tolist()
             assert flat == sorted(flat)
             assert sorted(np.concatenate(tiers).tolist()) == list(range(cfg.N))
 
@@ -123,9 +123,9 @@ class TestLocAware:
         cfg = cfg_for(L=2, N=6, pilot_len=3)
         drop = sample_users(cfg, np.random.default_rng(5))
         perm = np.random.default_rng(6).permutation(cfg.N)
-        shuffled = type(drop)(**{f.name: getattr(drop, f.name).reshape(cfg.L, cfg.L, cfg.N)
-                                 [..., perm].reshape(cfg.L, -1)
-                                 for f in fields(drop) if f.init})
+        shuffled = Drop(*(Links(*(getattr(links, f.name).reshape(cfg.L, cfg.L, cfg.N)
+                                  [..., perm].reshape(cfg.L, -1) for f in fields(links)))
+                          for links in (drop.true, drop.est)))
         a = allocate_loc_aware(cfg, drop)
         b = allocate_loc_aware(cfg, shuffled)
         assert np.array_equal(a.cells[:, perm], b.cells)

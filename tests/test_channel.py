@@ -1,13 +1,11 @@
 """Steering-vector and Rician channel-draw tests."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import channel_column, make_drop
+from conftest import all_nlos, channel_column, make_drop
 from mimopilots.channel import ChannelSampler, crandn, los_channels, steering_vector
 from mimopilots.checks import steering_vs_direct
 from mimopilots.model import NetworkConfig, sample_users
@@ -70,23 +68,23 @@ class TestDrawChannel:
         cfg = cfg_for(L=1, N=1, pilot_len=1, k_db=120.0)  # K = 1e12
         drop = self.single_user(cfg)
         g = ChannelSampler(drop, cfg).draw(np.random.default_rng(0), 1).g[0, 0][:, 0]
-        ref = np.sqrt(drop.alpha[0, 0]) * steering_vector(cfg.M, drop.aoa[0, 0])
+        ref = np.sqrt(drop.true.alpha[0, 0]) * steering_vector(cfg.M, drop.true.aoa[0, 0])
         assert np.linalg.norm(g - ref) / np.linalg.norm(g) < 1e-5
 
     def test_rayleigh_power(self):
         cfg = cfg_for(L=1, N=1, pilot_len=1, k_db=0.0)
         drop = self.single_user(cfg, los=False)  # K forced 0
-        assert drop.k[0, 0] == 0.0
+        assert drop.true.k[0, 0] == 0.0
         g = ChannelSampler(drop, cfg).draw(np.random.default_rng(1), 10_000).g[:, 0, :, 0]
         power = np.sum(np.abs(g) ** 2) / 10_000 / cfg.M
-        assert power == pytest.approx(drop.alpha[0, 0], rel=0.02)
+        assert power == pytest.approx(drop.true.alpha[0, 0], rel=0.02)
 
     def test_rician_power_normalization(self):
         cfg = cfg_for(L=1, N=1, pilot_len=1, k_db=7.0)
         drop = self.single_user(cfg)
         g = ChannelSampler(drop, cfg).draw(np.random.default_rng(2), 10_000).g[:, 0, :, 0]
         power = np.sum(np.abs(g) ** 2) / 10_000 / cfg.M
-        assert power == pytest.approx(drop.alpha[0, 0], rel=0.02)
+        assert power == pytest.approx(drop.true.alpha[0, 0], rel=0.02)
 
 
 @pytest.mark.parametrize("m", [1, 7, 64, 100])
@@ -97,12 +95,12 @@ def test_los_channels_equal_per_column_steering(m):
     cfg = NetworkConfig(L=2, N=6, M=m, pilot_len=3, k_model="distance",
                         los_model="linear_prob")
     drop = sample_users(cfg, np.random.default_rng(31))
-    assert np.any(drop.k == 0) and np.any(drop.k > 0)
-    los = los_channels(drop.alpha, drop.k, drop.aoa, m)
+    assert np.any(drop.true.k == 0) and np.any(drop.true.k > 0)
+    los = los_channels(drop.true, m)
     assert los.shape == (cfg.L, m, cfg.L * cfg.N) and los.flags.c_contiguous
-    for l, u in np.ndindex(drop.k.shape):
-        a, k = drop.alpha[l, u], drop.k[l, u]
-        ref = np.sqrt(a * k / (1.0 + k)) * steering_vector(m, drop.aoa[l, u])
+    for l, u in np.ndindex(drop.true.k.shape):
+        a, k = drop.true.alpha[l, u], drop.true.k[l, u]
+        ref = np.sqrt(a * k / (1.0 + k)) * steering_vector(m, drop.true.aoa[l, u])
         assert np.array_equal(los[l, :, u], ref)
 
 
@@ -116,14 +114,14 @@ class TestAssembleChannels:
     def test_all_rayleigh_reduces_to_scatter(self):
         cfg = cfg_for(los_model="linear_prob", cell_radius=400.0)
         drop = sample_users(cfg, np.random.default_rng(5))
-        drop = replace(drop, k=np.zeros_like(drop.k), k_est=np.zeros_like(drop.k_est))
+        drop = all_nlos(drop)
         sampler = ChannelSampler(drop, cfg)
         cs = sampler.draw(np.random.default_rng(6), 2)
         assert not sampler.los.any()
         for i in range(cfg.L):
             users = slice(i * cfg.N, (i + 1) * cfg.N)
             for l in range(cfg.L):
-                expect = cs.htilde[:, l, :, users] * np.sqrt(drop.alpha[l, users])
+                expect = cs.htilde[:, l, :, users] * np.sqrt(drop.true.alpha[l, users])
                 assert np.allclose(cs.g[:, l, :, users], expect)
 
     def test_matches_per_user_draws_exactly(self):
@@ -153,7 +151,7 @@ class TestAssembleChannels:
         cfg = cfg_for(L=1, N=2, M=8, k_db=10.0)
         drop = sample_users(cfg, np.random.default_rng(8))
         g = ChannelSampler(drop, cfg).draw(np.random.default_rng(9), 10_000).g[:, 0]
-        ratio = np.sum(np.abs(g) ** 2, axis=(0, 1)) / 10_000 / cfg.M / drop.alpha[0]
+        ratio = np.sum(np.abs(g) ** 2, axis=(0, 1)) / 10_000 / cfg.M / drop.true.alpha[0]
         assert np.all(np.abs(ratio - 1.0) < 0.03)
 
     @pytest.mark.parametrize("shape", [(1,), (36, 100), (2, 2, 12, 64)])

@@ -389,7 +389,7 @@ class TestEstimateSinr:
         drop = sample_users(cfg, np.random.default_rng(9))
         plan = AllocationPlan(np.array([[0]]), "t")
         sinr = estimate_sinr(cfg, drop, [plan], 500, np.random.default_rng(10))[0]
-        expect = cfg.rho * drop.alpha[0, 0] * cfg.M
+        expect = cfg.rho * drop.true.alpha[0, 0] * cfg.M
         assert sinr[0, 0] == pytest.approx(expect, rel=0.10)
 
     def test_identical_copilot_users_saturate_near_unity(self):

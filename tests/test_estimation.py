@@ -1,11 +1,9 @@
 """Pilot-phase synthesis, LOS subtraction, and LS estimation tests."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from conftest import make_drop, noise_block, sample_position_error
+from conftest import all_nlos, make_drop, noise_block, sample_position_error
 from mimopilots.channel import ChannelSampler, steering_vector
 from mimopilots.checks import distinct_plan
 from mimopilots.estimation import estimated_los_channel, ls_estimate, synthesize_rx
@@ -132,7 +130,7 @@ class TestSubtractLos:
     def test_rayleigh_users_make_subtraction_a_noop(self):
         cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=3)
         drop = sample_users(cfg, np.random.default_rng(5))
-        drop = replace(drop, k=np.zeros_like(drop.k), k_est=np.zeros_like(drop.k_est))
+        drop = all_nlos(drop)
         g = ChannelSampler(drop, cfg).draw(np.random.default_rng(6), 1).g[0]
         lams = distinct_pilots(cfg)
         y = synthesize_rx(g, lams, noise_block(cfg, 0.3, np.random.default_rng(7)))
@@ -157,7 +155,7 @@ class TestSubtractLos:
         cfg = NetworkConfig(L=2, N=4, M=16, pilot_len=4)
         lams = distinct_pilots(cfg)
         base = sample_users(cfg, np.random.default_rng(11))
-        d, theta = Drop.serving(base.dist), Drop.serving(base.aoa)
+        d, theta = Drop.serving(base.true.dist), Drop.serving(base.true.aoa)
         pos = bs_positions(cfg)[:, None, :] + np.stack(
             [d * np.cos(theta), d * np.sin(theta)], axis=-1)
         norms = []
@@ -165,7 +163,7 @@ class TestSubtractLos:
             # same offset draws, scaled by the half-width of each variance
             offsets = sample_position_error(var, np.random.default_rng(12), n=cfg.L * cfg.N)
             drop = Drop.from_positions(cfg, pos, pos + offsets.reshape(pos.shape),
-                                       base.k > 0)
+                                       base.true.k > 0)
             norms.append(np.linalg.norm(los_mismatch(drop, cfg, lams, 0)))
         assert norms[0] > norms[1] > norms[2]
         # first order, the mismatch scales with the offset ~ sqrt(var)
@@ -258,12 +256,12 @@ class TestLosChannelBuilders:
         drop = make_drop(cfg, [(200.0, 0.3, 120.0, 0.8)])
         est = estimated_los_channel(drop, cfg)[0][:, 0]
         tru = ChannelSampler(drop, cfg).los[0][:, 0]
-        a_e, k_e = drop.alpha_est[0, 0], drop.k_est[0, 0]
-        a, k = drop.alpha[0, 0], drop.k[0, 0]
+        a_e, k_e = drop.est.alpha[0, 0], drop.est.k[0, 0]
+        a, k = drop.true.alpha[0, 0], drop.true.k[0, 0]
         assert np.allclose(est, np.sqrt(a_e * k_e / (1 + k_e))
-                           * steering_vector(cfg.M, drop.aoa_est[0, 0]))
+                           * steering_vector(cfg.M, drop.est.aoa[0, 0]))
         assert np.allclose(tru, np.sqrt(a * k / (1 + k))
-                           * steering_vector(cfg.M, drop.aoa[0, 0]))
+                           * steering_vector(cfg.M, drop.true.aoa[0, 0]))
         assert not np.allclose(est, tru)
 
     def test_estimated_rx_stacks_all_cells(self):
@@ -273,9 +271,9 @@ class TestLosChannelBuilders:
         lams = distinct_pilots(cfg)
         los = estimated_los_channel(drop, cfg)
         cells = [slice(i * cfg.N, (i + 1) * cfg.N) for i in range(cfg.L)]
-        per_cell = [steering_vector(cfg.M, drop.aoa_est[1, users])
-                    * np.sqrt(drop.alpha_est[1, users] * drop.k_est[1, users]
-                              / (1.0 + drop.k_est[1, users]))
+        per_cell = [steering_vector(cfg.M, drop.est.aoa[1, users])
+                    * np.sqrt(drop.est.alpha[1, users] * drop.est.k[1, users]
+                              / (1.0 + drop.est.k[1, users]))
                     for users in cells]
         assert np.array_equal(los[1], np.concatenate(per_cell, axis=1))
         assert np.array_equal((los @ lams)[1], np.concatenate(per_cell, axis=1) @ lams)
@@ -286,7 +284,7 @@ class TestLosChannelBuilders:
         cfg = NetworkConfig(L=3, N=5, M=16, pilot_len=5, k_model="distance",
                             los_model="linear_prob", loc_err_var=9.0)
         drop = sample_users(cfg, np.random.default_rng(29))
-        nlos = drop.k == 0
+        nlos = drop.true.k == 0
         assert 0 < np.count_nonzero(nlos) < nlos.size
         los = estimated_los_channel(drop, cfg)
         assert los.shape == (cfg.L, cfg.M, cfg.L * cfg.N)
@@ -298,7 +296,7 @@ class TestLosChannelBuilders:
                     if nlos[l, u]:
                         assert not col.any()
                         continue
-                    a, k = drop.alpha_est[l, u], drop.k_est[l, u]
+                    a, k = drop.est.alpha[l, u], drop.est.k[l, u]
                     ref = (np.sqrt(a * k / (1 + k))
-                           * steering_vector(cfg.M, drop.aoa_est[l, u]))
+                           * steering_vector(cfg.M, drop.est.aoa[l, u]))
                     assert np.max(np.abs(col - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -776,17 +776,35 @@ class TestCli:
     @pytest.mark.parametrize("command, out", [
         ("fig3a", "missing/out.csv"), ("fig3b", "missing/out.csv"),
         ("fig3c", "missing/out.csv"), ("fig3a", "."),
-    ], ids=["fig3a", "fig3b", "fig3c", "fig3a_out_is_a_directory"])
+        ("fig3a", None), ("fig3b", None), ("fig3c", None),
+    ], ids=["fig3a", "fig3b", "fig3c", "fig3a_out_is_a_directory",
+            "fig3a_default", "fig3b_default", "fig3c_default"])
     def test_unwritable_out_exits_two_before_any_drop(self, tmp_path, capsys, monkeypatch,
                                                       command, out):
-        # a drop would raise through `no_monte_carlo` and exit 1
+        # a drop would raise through `no_monte_carlo` and exit 1; without
+        # --out, a directory holds the default name `<command>.csv`
         monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)
+        monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, {**NETWORK_ONLY, "k_model": "distance",
                                        "los_model": "linear_prob",
                                        "experiment": {"drops": 1, "trials": 2}})
-        assert cli_main([command, "--config", path, "--out", str(tmp_path / out)]) == 2
+        if out is None:
+            (tmp_path / f"{command}.csv").mkdir()
+        flags = [] if out is None else ["--out", str(tmp_path / out)]
+        assert cli_main([command, "--config", path, *flags]) == 2
         assert "directory" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", ["fig3a", "fig3b", "fig3c"])
+    def test_run_without_out_writes_the_default_name(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, {**NETWORK_ONLY, "N": 6, "k_model": "distance",
+                                       "los_model": "linear_prob",
+                                       "experiment": {"drops": 1, "trials": 2}})
+        assert cli_main([command, "--config", path]) == 0
+        assert f"to {command}.csv" in capsys.readouterr().out
+        assert (tmp_path / f"{command}.csv").read_text().count("\n") > 1
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("command", ["fig3a", "fig3b", "fig3c", "oracle"])

@@ -194,7 +194,7 @@ class TestLosInterference:
         cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2)
         drop = make_drop(cfg, [(200.0, 0.4, 150.0, 0.5), (300.0, 1.4, 320.0, 1.3)])
         scores = los_interference(drop, m=cfg.M)
-        a, k, t = drop.alpha_est[0], drop.k_est[0], drop.aoa_est[0]
+        a, k, t = drop.est.alpha[0], drop.est.k[0], drop.est.aoa[0]
         for i, j in np.ndindex(2, 2):
             assert scores[i, j] == los_interference_from_params(
                 a[i], k[i], t[i], a[j], k[j], t[j], cfg.M)
@@ -215,13 +215,13 @@ class TestLosInterference:
         scores = los_interference(drop, cfg.M)
         assert scores.shape == (6, 6)
         assert np.all(np.diag(scores) == 1.0)
-        assert drop.aoa_est[0, 0] == drop.aoa_est[0, 2]
-        assert scores[0, 2] == gain_ratio(drop.alpha_est[0, 0], drop.k_est[0, 0],
-                                          drop.alpha_est[0, 2], drop.k_est[0, 2])
+        assert drop.est.aoa[0, 0] == drop.est.aoa[0, 2]
+        assert scores[0, 2] == gain_ratio(drop.est.alpha[0, 0], drop.est.k[0, 0],
+                                          drop.est.alpha[0, 2], drop.est.k[0, 2])
         # reference 4 is user 1 of cell 1, so the pair is seen at BS 1
-        assert scores[1, 4] == overlap(cfg.M, drop.aoa_est[1, 1], drop.aoa_est[1, 4])
+        assert scores[1, 4] == overlap(cfg.M, drop.est.aoa[1, 1], drop.est.aoa[1, 4])
         # the NLOS cross link is read only when its user is an interferer at BS 0
-        assert scores[5, 0] == overlap(cfg.M, drop.aoa_est[0, 5], drop.aoa_est[0, 0])
+        assert scores[5, 0] == overlap(cfg.M, drop.est.aoa[0, 5], drop.est.aoa[0, 0])
 
     @pytest.mark.parametrize("kw", [
         dict(L=2, N=12, M=64, pilot_len=4, k_model="distance",
@@ -241,12 +241,12 @@ class TestLosInterference:
         for seed in range(5):
             drop = sample_users(cfg, np.random.default_rng(seed))
             g = estimated_los_channel(drop, cfg)
-            v = steering_vector(cfg.M, drop.aoa_est)
+            v = steering_vector(cfg.M, drop.est.aoa)
             # [BS, b, a] Gram matrices, read at each reference's serving BS as [a, b]
             g_gram = (np.abs(g.conj().transpose(0, 2, 1) @ g) ** 2)[serving, users].T
             v_gram = (np.abs(v.conj().transpose(0, 2, 1) @ v) ** 2)[serving, users].T
             g_norm_sq = np.sum(np.abs(g) ** 2, axis=1)[serving, users]
-            both_los = (drop.k_est[serving, users] > 0) & (drop.k_est[serving].T > 0)
+            both_los = (drop.est.k[serving, users] > 0) & (drop.est.k[serving].T > 0)
             los_ref = np.divide(g_gram, g_norm_sq ** 2, out=np.zeros(g_gram.shape),
                                 where=both_los)
             ref = np.where(both_los, los_ref, v_gram / cfg.M ** 2)
@@ -258,7 +258,7 @@ class TestLosInterference:
                             los_model="linear_prob", loc_err_var=25.0)
         drop = sample_users(cfg, np.random.default_rng(9))
         # NLOS links and location error are both present
-        assert np.any(drop.k_est == 0) and not np.array_equal(drop.aoa_est, drop.aoa)
+        assert np.any(drop.est.k == 0) and not np.array_equal(drop.est.aoa, drop.true.aoa)
         scores = los_interference(drop, cfg.M)
         serving = np.repeat(np.arange(cfg.L), cfg.N)
         for b in range(cfg.L * cfg.N):
@@ -317,8 +317,8 @@ class TestAsymptoticLimit:
     def pair(theta_b):
         cfg = NetworkConfig(L=1, N=2, M=8, pilot_len=2)
         drop = make_drop(cfg, [(150.0, 0.9), (350.0, theta_b)])
-        ratio = gain_ratio(drop.alpha_est[0, 0], drop.k_est[0, 0],
-                           drop.alpha_est[0, 1], drop.k_est[0, 1])
+        ratio = gain_ratio(drop.est.alpha[0, 0], drop.est.k[0, 0],
+                           drop.est.alpha[0, 1], drop.est.k[0, 1])
         return drop, ratio
 
     def test_equal_angles_keep_gain_ratio(self):

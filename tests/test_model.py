@@ -9,11 +9,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import sample_position_error, sample_users_per_user
-from mimopilots.los_metric import pair_scores
-from mimopilots.model import (ConfigError, Drop, NetworkConfig, bs_positions,
+from conftest import all_nlos, sample_position_error, sample_users_per_user
+from mimopilots.allocators import ALLOCATORS
+from mimopilots.channel import ChannelSampler
+from mimopilots.estimation import estimated_los_channel
+from mimopilots.los_metric import los_interference, pair_scores
+from mimopilots.model import (ConfigError, Drop, Links, NetworkConfig, bs_positions,
                               error_half_width, k_factor, los_probability, pathloss,
                               sample_users)
+
+FIELDS = ("dist", "aoa", "alpha", "k")      # the arrays of one `Links` view
+
+
+def link_arrays(drop: Drop) -> dict[str, np.ndarray]:
+    """Every array of both views of `drop`, by name ("true.dist", ...)."""
+    return {f"{view}.{name}": getattr(getattr(drop, view), name)
+            for view in ("true", "est") for name in FIELDS}
 
 
 def small_cfg(**kw):
@@ -142,14 +153,14 @@ class TestLosState:
         ref = np.random.default_rng(0)
         ref.random(4 * cfg.L * cfg.N)
         assert rng.bit_generator.state == ref.bit_generator.state
-        assert (drop.k > 0).all()
+        assert (drop.true.k > 0).all()
 
     def test_empirical_frequency(self):
         # serving links are LOS with probability 1 - d/radius, d ~ U[100, 400]:
         # 0.375 overall (binomial std ~ 0.0024 at 4e4 users), 0.7125 near 115 m
         cfg = NetworkConfig(L=1, N=40_000, M=1, pilot_len=1, los_model="linear_prob")
         drop = sample_users(cfg, np.random.default_rng(123))
-        los, d = drop.k[0] > 0, drop.dist[0]
+        los, d = drop.true.k[0] > 0, drop.true.dist[0]
         assert los.mean() == pytest.approx(0.375, abs=0.01)
         assert los[d < 130.0].mean() == pytest.approx(0.7125, abs=0.03)
 
@@ -171,17 +182,28 @@ class TestLocalizationError:
 
     def test_zero_variance_is_identity(self):
         drop = sample_users(small_cfg(loc_err_var=0.0), np.random.default_rng(3))
-        assert np.array_equal(drop.dist_est, drop.dist)
-        assert np.array_equal(drop.aoa_est, drop.aoa)
-        assert np.array_equal(drop.alpha_est, drop.alpha)
+        assert np.array_equal(drop.est.dist, drop.true.dist)
+        assert np.array_equal(drop.est.aoa, drop.true.aoa)
+        assert np.array_equal(drop.est.alpha, drop.true.alpha)
 
     def test_estimates_rederived_from_estimated_distance(self):
         cfg = small_cfg(loc_err_var=25.0, los_model="linear_prob", k_model="distance")
         drop = sample_users(cfg, np.random.default_rng(4))
-        assert not np.allclose(drop.dist_est, drop.dist)
-        assert np.allclose(drop.alpha_est, pathloss(drop.dist_est, cfg))
-        assert np.allclose(drop.k_est,
-                           np.where(drop.k > 0, k_factor(drop.dist_est, cfg), 0.0))
+        assert not np.allclose(drop.est.dist, drop.true.dist)
+        assert np.allclose(drop.est.alpha, pathloss(drop.est.dist, cfg))
+        assert np.allclose(drop.est.k,
+                           np.where(drop.true.k > 0, k_factor(drop.est.dist, cfg), 0.0))
+
+    def test_truth_does_not_depend_on_loc_err_var(self):
+        # on the fig3c config one seed gives one truth at every error
+        # variance; only the estimates move
+        cfg = NetworkConfig(k_model="distance", los_model="linear_prob")
+        drops = [sample_users(dataclasses.replace(cfg, loc_err_var=var),
+                              np.random.default_rng(13)) for var in (0.0, 3.0, 15.0)]
+        for a, b in ((drops[0], drops[1]), (drops[0], drops[2]), (drops[1], drops[2])):
+            for name in FIELDS:
+                assert np.array_equal(getattr(a.true, name), getattr(b.true, name)), name
+                assert not np.array_equal(getattr(a.est, name), getattr(b.est, name)), name
 
     def test_distance_clamped_to_one_meter(self):
         # users almost on top of the BS, perturbed hard, never estimate < 1 m
@@ -191,7 +213,7 @@ class TestLocalizationError:
         offsets = sample_position_error(50.0, np.random.default_rng(5), n=cfg.N)
         drop = Drop.from_positions(cfg, pos, pos + offsets[None],
                                    np.ones((1, cfg.N), dtype=bool))
-        dists = drop.dist_est[0]
+        dists = drop.est.dist[0]
         assert dists.min() == 1.0  # the clamp engaged at least once
         assert np.all(dists >= 1.0)
 
@@ -200,17 +222,16 @@ class TestSampleUsers:
     def test_counts_and_shapes(self):
         cfg = NetworkConfig(L=2, N=36, M=4, pilot_len=12)
         drop = sample_users(cfg, np.random.default_rng(1))
-        for name in ("dist", "aoa", "dist_est", "aoa_est", "alpha", "alpha_est",
-                     "k", "k_est"):
-            assert getattr(drop, name).shape == (2, 72)
-        d = Drop.serving(drop.dist)
+        for name, x in link_arrays(drop).items():
+            assert x.shape == (2, 72), name
+        d = Drop.serving(drop.true.dist)
         assert np.all((cfg.min_dist <= d) & (d <= cfg.cell_radius))
-        assert np.all((0.0 <= drop.aoa) & (drop.aoa < 2 * np.pi))
+        assert np.all((0.0 <= drop.true.aoa) & (drop.true.aoa < 2 * np.pi))
 
     def test_degenerate_distance_interval(self):
         eps = 1e-6
         cfg = small_cfg(min_dist=400.0 - eps, cell_radius=400.0)
-        d = Drop.serving(sample_users(cfg, np.random.default_rng(2)).dist)
+        d = Drop.serving(sample_users(cfg, np.random.default_rng(2)).true.dist)
         assert np.all((400.0 - eps <= d) & (d <= 400.0))
 
     def test_deterministic_given_seed(self):
@@ -218,8 +239,8 @@ class TestSampleUsers:
                         k_model="distance")
         a = sample_users(cfg, np.random.default_rng(42))
         b = sample_users(cfg, np.random.default_rng(42))
-        for name in ("dist", "aoa", "dist_est", "aoa_est", "k", "k_est"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+        for name, x in link_arrays(a).items():
+            assert np.array_equal(x, link_arrays(b)[name]), name
 
     def test_per_user_draw_order(self):
         # per user, cell-major: distance, angle, two offsets, one LOS uniform per BS
@@ -232,10 +253,10 @@ class TestSampleUsers:
                 theta = rng.uniform(0.0, 2 * np.pi)
                 rng.uniform(-1.0, 1.0, size=2)
                 u = cell * cfg.N + j
-                los = rng.random(cfg.L) < los_probability(drop.dist[:, u], cfg)
-                assert drop.dist[cell, u] == pytest.approx(d, rel=1e-12)
-                assert drop.aoa[cell, u] == pytest.approx(theta, abs=1e-9)
-                assert np.array_equal(drop.k[:, u] > 0, los)
+                los = rng.random(cfg.L) < los_probability(drop.true.dist[:, u], cfg)
+                assert drop.true.dist[cell, u] == pytest.approx(d, rel=1e-12)
+                assert drop.true.aoa[cell, u] == pytest.approx(theta, abs=1e-9)
+                assert np.array_equal(drop.true.k[:, u] > 0, los)
 
     @pytest.mark.parametrize("cfg", [
         NetworkConfig(),
@@ -250,9 +271,8 @@ class TestSampleUsers:
         for seed in range(200):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
             drop, ref = sample_users(cfg, fast), sample_users_per_user(cfg, slow)
-            for name in ("dist", "aoa", "dist_est", "aoa_est", "alpha",
-                         "alpha_est", "k", "k_est"):
-                assert np.array_equal(getattr(drop, name), getattr(ref, name)), name
+            for name, x in link_arrays(drop).items():
+                assert np.array_equal(x, link_arrays(ref)[name]), name
             assert np.array_equal(fast.random(4), slow.random(4))
 
     def test_geometry_consistency(self):
@@ -262,33 +282,30 @@ class TestSampleUsers:
         for cell in range(cfg.L):
             for j in range(cfg.N):
                 u = cell * cfg.N + j
-                d, theta = drop.dist[cell, u], drop.aoa[cell, u]
+                d, theta = drop.true.dist[cell, u], drop.true.aoa[cell, u]
                 pos = bs[cell] + d * np.array([np.cos(theta), np.sin(theta)])
                 for l in range(cfg.L):
                     rel = pos - bs[l]
-                    assert drop.dist[l, u] == pytest.approx(np.hypot(*rel), rel=1e-9)
-                    assert math.sin(drop.aoa[l, u]) == pytest.approx(
-                        rel[1] / drop.dist[l, u], abs=1e-9)
+                    assert drop.true.dist[l, u] == pytest.approx(np.hypot(*rel), rel=1e-9)
+                    assert math.sin(drop.true.aoa[l, u]) == pytest.approx(
+                        rel[1] / drop.true.dist[l, u], abs=1e-9)
 
     def test_nlos_forces_zero_k(self):
         cfg = small_cfg(los_model="linear_prob", k_model="distance", N=16)
         drop = sample_users(cfg, np.random.default_rng(9))
-        los = drop.k > 0
+        los = drop.true.k > 0
         assert not los.all()
-        assert np.array_equal(drop.k_est > 0, los)
+        assert np.array_equal(drop.est.k > 0, los)
 
 
 class TestDropLayout:
     """Every per-link array of a drop is (L, L*N), [BS, cell*N + user]."""
 
-    FIELDS = ("dist", "aoa", "dist_est", "aoa_est", "alpha", "alpha_est", "k", "k_est")
-
     def test_sample_users_indexes_bs_then_flat_user(self):
         cfg = NetworkConfig(L=3, N=4, M=8, pilot_len=2, k_model="distance",
                             los_model="linear_prob", loc_err_var=4.0)
         drop = sample_users(cfg, np.random.default_rng(10))
-        for name in self.FIELDS:
-            x = getattr(drop, name)
+        for name, x in link_arrays(drop).items():
             assert x.shape == (cfg.L, cfg.L * cfg.N) and x.flags.c_contiguous, name
         # true and estimated positions from the per-user draws, then every
         # user's distance and angle to every BS, one link at a time
@@ -301,8 +318,8 @@ class TestDropLayout:
                 pos_est = pos + sample_position_error(cfg.loc_err_var, rng)
                 rng.random(cfg.L)
                 for l in range(cfg.L):
-                    for p, dist, aoa in ((pos, drop.dist, drop.aoa),
-                                         (pos_est, drop.dist_est, drop.aoa_est)):
+                    for p, dist, aoa in ((pos, drop.true.dist, drop.true.aoa),
+                                         (pos_est, drop.est.dist, drop.est.aoa)):
                         dx, dy = p - bs[l]
                         assert dist[l, cell * cfg.N + j] == pytest.approx(
                             math.hypot(dx, dy), rel=1e-9)
@@ -312,8 +329,8 @@ class TestDropLayout:
     def test_serving_is_each_cells_own_bs_block(self):
         cfg = NetworkConfig(L=3, N=4, M=8, pilot_len=2, los_model="linear_prob")
         drop = sample_users(cfg, np.random.default_rng(11))
-        for name in self.FIELDS:
-            x, own = getattr(drop, name), Drop.serving(getattr(drop, name))
+        for name, x in link_arrays(drop).items():
+            own = Drop.serving(x)
             assert own.shape == (cfg.L, cfg.N), name
             for cell in range(cfg.L):
                 assert np.array_equal(own[cell], x[cell, cell * cfg.N:(cell + 1) * cfg.N])
@@ -325,7 +342,7 @@ class TestDropLayout:
         # (2, 1, 2) flags would broadcast against (2, 2) links without the guard
         cfg = small_cfg(L=L, N=N)
         pos = bs_positions(cfg)[:, None, :] + np.full((L, N, 2), 150.0)
-        assert Drop.from_positions(cfg, pos, pos, np.ones((L, L * N), dtype=bool)).k.shape \
+        assert Drop.from_positions(cfg, pos, pos, np.ones((L, L * N), dtype=bool)).true.k.shape \
             == (L, L * N)
         with pytest.raises(ValueError, match="LOS flags must have shape"):
             Drop.from_positions(cfg, pos, pos, np.ones(shape, dtype=bool))
@@ -335,25 +352,26 @@ class TestReadOnlyDrop:
     """A drop cannot change once built, so its kept pair scores cannot go
     stale, and arrays that disagree in shape never make a drop."""
 
-    FIELDS = TestDropLayout.FIELDS
-
     @staticmethod
     def _drop(how: str) -> Drop:
         cfg = NetworkConfig(L=2, N=3, M=4, pilot_len=3, los_model="linear_prob")
         drop = sample_users(cfg, np.random.default_rng(5))
         if how == "from_positions":
             pos = bs_positions(cfg)[:, None, :] + np.full((cfg.L, cfg.N, 2), 150.0)
-            return Drop.from_positions(cfg, pos, pos, drop.k > 0)
+            return Drop.from_positions(cfg, pos, pos, drop.true.k > 0)
         if how == "replace":
-            return dataclasses.replace(drop, k=np.zeros_like(drop.k),
-                                       k_est=np.zeros_like(drop.k_est))
+            return all_nlos(drop)
         return drop
+
+    @staticmethod
+    def _with_k(drop: Drop, view: str, k) -> Drop:
+        """`drop` with the K-factors of one view replaced by `k`."""
+        links = dataclasses.replace(getattr(drop, view), k=k)
+        return dataclasses.replace(drop, **{view: links})
 
     @pytest.mark.parametrize("how", ["sample_users", "from_positions", "replace"])
     def test_no_array_can_be_written(self, how):
-        drop = self._drop(how)
-        for name in self.FIELDS:
-            x = getattr(drop, name)
+        for name, x in link_arrays(self._drop(how)).items():
             assert not x.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 x[0, 0] = 1.0
@@ -362,54 +380,66 @@ class TestReadOnlyDrop:
 
     def test_a_view_is_copied_so_its_base_cannot_change_the_drop(self):
         drop = self._drop("sample_users")
-        base = np.array(drop.k)
-        view = dataclasses.replace(drop, k=base[:, :])
+        base = np.array(drop.est.k)
+        view = self._with_k(drop, "est", base[:, :])
         scores = pair_scores(view, 4).copy()
         base[:] = 0.0
-        assert np.array_equal(view.k, drop.k)
+        assert np.array_equal(view.est.k, drop.est.k)
         assert np.array_equal(pair_scores(view, 4), scores)
 
     def test_a_view_taken_before_construction_cannot_change_the_drop(self):
         drop = self._drop("sample_users")
-        owner = np.array(drop.k)
+        owner = np.array(drop.est.k)
         view = owner[:]                     # taken before the drop exists
-        kept = dataclasses.replace(drop, k=owner)
+        kept = self._with_k(drop, "est", owner)
         scores = pair_scores(kept, 4).copy()
         view[:] = 0.0
-        assert np.array_equal(kept.k, drop.k)
+        assert np.array_equal(kept.est.k, drop.est.k)
         assert np.array_equal(pair_scores(kept, 4), scores)
 
     def test_every_array_is_stored_c_contiguous(self):
         drop = self._drop("sample_users")
-        kept = dataclasses.replace(drop, k=np.asfortranarray(drop.k))
-        for name in self.FIELDS:
-            assert getattr(kept, name).flags.c_contiguous, name
-        assert np.array_equal(kept.k, drop.k)
+        kept = self._with_k(drop, "est", np.asfortranarray(drop.est.k))
+        for name, x in link_arrays(kept).items():
+            assert x.flags.c_contiguous, name
+        assert np.array_equal(kept.est.k, drop.est.k)
 
     def test_compares_and_hashes_by_identity(self):
         drop = self._drop("sample_users")
-        twin = dataclasses.replace(drop)        # equal arrays, another drop
-        assert drop == drop and (drop == twin) is False and drop != twin
-        assert len({drop, twin, drop}) == 2
+        for record in (drop, drop.true):
+            twin = dataclasses.replace(record)      # equal arrays, another record
+            assert record == record and (record == twin) is False and record != twin
+            assert len({record, twin, record}) == 2
 
     def test_no_field_can_be_assigned(self):
         drop = self._drop("sample_users")
-        for name in self.FIELDS + ("score_memo",):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(drop, name, getattr(drop, name).copy())
+        for record, names in ((drop, ("true", "est", "score_memo")),
+                              (drop.true, FIELDS), (drop.est, FIELDS)):
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, None)
 
     @pytest.mark.parametrize("k_shape", [(2, 5), (6, 2), (2, 3, 2), (12,)],
                              ids=["other_n", "transposed", "cell_user_bs", "flat"])
     def test_replace_rejects_a_wrong_shaped_array(self, k_shape):
         drop = self._drop("sample_users")
         with pytest.raises(ValueError, match=r"share one \(L, L\*N\) shape"):
-            dataclasses.replace(drop, k=np.zeros(k_shape))
+            dataclasses.replace(drop.est, k=np.zeros(k_shape))
 
     @pytest.mark.parametrize("shape", [(2, 5), (3, 2), (0, 0)],
                              ids=["not_a_multiple", "fewer_users_than_bs", "empty"])
     def test_construction_rejects_a_shape_that_is_not_l_by_ln(self, shape):
         with pytest.raises(ValueError, match=r"share one \(L, L\*N\) shape"):
-            Drop(*(np.ones(shape) for _ in self.FIELDS))
+            Links(*(np.ones(shape) for _ in FIELDS))
+
+    def test_views_must_mark_the_same_links_los(self):
+        drop = self._drop("sample_users")
+        with pytest.raises(ValueError, match="same links LOS"):
+            self._with_k(drop, "true", np.zeros_like(drop.true.k))
+        other = sample_users(NetworkConfig(L=2, N=4, M=4, pilot_len=3),
+                             np.random.default_rng(5))
+        with pytest.raises(ValueError, match="same links LOS"):
+            Drop(true=drop.true, est=other.est)          # (2, 6) beside (2, 8)
 
     @pytest.mark.parametrize("which, bad", [
         ("pos", np.full((1, 1, 2), 150.0)),      # used to give (2, 1) dist beside (2, 6) k
@@ -424,3 +454,36 @@ class TestReadOnlyDrop:
         with pytest.raises(ValueError, match=r"positions must be a finite \(L, N, 2\)"):
             Drop.from_positions(cfg, args["pos"], args["pos_est"],
                                 np.ones((cfg.L, cfg.L * cfg.N), dtype=bool))
+
+
+class TestEachConsumerReadsOneView:
+    """A drop with B's true links and A's estimated ones is allocated and
+    reconstructed as A and drawn as B."""
+
+    CFG = NetworkConfig(L=2, N=6, M=16, pilot_len=3, loc_err_var=9.0)   # every link LOS
+
+    def _drops(self) -> tuple[Drop, Drop, Drop]:
+        a, b = (sample_users(self.CFG, np.random.default_rng(seed)) for seed in (1, 2))
+        return a, b, Drop(true=b.true, est=a.est)
+
+    @pytest.mark.parametrize("name", sorted(ALLOCATORS))
+    def test_allocators_read_the_estimates(self, name):
+        a, _, mixed = self._drops()
+        plan, ref = (ALLOCATORS[name](self.CFG, drop, np.random.default_rng(3))
+                     for drop in (mixed, a))
+        assert np.array_equal(plan.cells, ref.cells)
+
+    def test_bs_side_los_reads_the_estimates(self):
+        a, b, mixed = self._drops()
+        m = self.CFG.M
+        assert np.array_equal(los_interference(mixed, m), los_interference(a, m))
+        assert not np.array_equal(los_interference(b, m), los_interference(a, m))
+        assert np.array_equal(estimated_los_channel(mixed, self.CFG),
+                              estimated_los_channel(a, self.CFG))
+
+    def test_channels_follow_the_truth(self):
+        a, b, mixed = self._drops()
+        g, ref, other = (ChannelSampler(drop, self.CFG).draw(np.random.default_rng(4), 3).g
+                         for drop in (mixed, b, a))
+        assert np.array_equal(g, ref)
+        assert not np.array_equal(g, other)
