@@ -124,10 +124,11 @@ def ls_exactness_dev(cfg: NetworkConfig, rng: np.random.Generator) -> float:
 def zf_solve(ghat: np.ndarray) -> np.ndarray:
     """X = pinv(Ghat^H Ghat) of one 2-D estimate through the path that
     `CopilotGroups.moments` takes: `zf_combiner` on its Gram matrix and the
-    candidate inverse that `gram_inverses` gives a one-matrix stack."""
+    slot of the stack that `gram_inverses` gives a one-matrix stack, or None
+    when there is no stack."""
     gram = ghat.conj().T @ ghat
-    _, (candidate,) = gram_inverses(gram[None])
-    return zf_combiner(ghat, gram, candidate)
+    inv = gram_inverses(gram[None])
+    return zf_combiner(ghat, gram, None if inv is None else inv[0])
 
 
 def pinv_moments(ghat: np.ndarray, g: np.ndarray, own: np.ndarray):

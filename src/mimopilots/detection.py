@@ -99,46 +99,32 @@ def gram_condition(gram: np.ndarray, gram_inv: np.ndarray) -> float:
     return math.sqrt(a * x)
 
 
-def gram_inverses(grams: np.ndarray) -> tuple[np.ndarray, list]:
-    """Candidate inverses of a (t, U, U) stack of Gram matrices, one per
-    `zf_combiner` call: the (t, U, U) stack of their inverses and, per
-    matrix, its slot of that stack, or None where the matrix is exactly
-    singular.
+def gram_inverses(grams: np.ndarray) -> np.ndarray | None:
+    """The (t, U, U) stack of inverses of a (t, U, U) stack of Gram
+    matrices, one batched LAPACK call, or None when that call raises because
+    some member is exactly singular. A single matrix takes a one-matrix
+    stack.
 
-    The stack is one batched LAPACK call. numpy runs the same routine on
-    each matrix of a stack as on a single 2-D matrix, so every candidate is
-    bit-identical to `np.linalg.inv` of its matrix alone. The batched call
-    raises if any member is exactly singular; only then are the matrices
-    inverted one by one. A single matrix takes a one-matrix stack.
+    numpy runs the same routine on each matrix of a stack as on a single
+    2-D matrix, so each slot is bit-identical to `np.linalg.inv` of its
+    matrix alone.
     """
     try:
-        inv = np.linalg.inv(grams)
+        return np.linalg.inv(grams)
     except np.linalg.LinAlgError:
-        pass                    # some member exactly singular
-    else:
-        return inv, list(inv)
-    inv = np.zeros_like(grams)
-    candidates = []
-    for gram, slot in zip(grams, inv):
-        try:
-            slot[...] = np.linalg.inv(gram)
-        except np.linalg.LinAlgError:
-            candidates.append(None)
-        else:
-            candidates.append(slot)
-    return inv, candidates
+        return None
 
 
 def zf_combiner(ghat: np.ndarray, gram: np.ndarray,
                 gram_inv: np.ndarray | None) -> np.ndarray:
     """X = pinv(Ghat^H Ghat) of one 2-D (M, U) estimate, given its (U, U)
-    Gram matrix `gram` = Ghat^H Ghat and the candidate inverse `gram_inv`
-    that `gram_inverses` gives it (None for an exactly singular Gram
-    matrix); the core of the zero-forcing combiner W = Ghat @ X on either
+    Gram matrix `gram` = Ghat^H Ghat and the candidate inverse `gram_inv`,
+    its slot of the stack that `gram_inverses` gives, or None when there is
+    no stack; the core of the zero-forcing combiner W = Ghat @ X on either
     path.
 
     Fast path: `gram_inv` itself, used only when `gram_condition` certifies
-    cond2(Ghat) < 1e4. Otherwise (a singular Gram matrix, rank-deficient or
+    cond2(Ghat) < 1e4. Otherwise (no candidate, rank-deficient or
     ill-conditioned estimates) P @ P^H for the SVD pseudo-inverse P of Ghat
     with singular values below 1e-8 * sigma_max treated as zero, so
     duplicated columns resolve to the minimum-norm combiner. Nothing is
@@ -181,13 +167,8 @@ class CopilotGroups:
         # NLOS users (zero LOS column) on one pilot share a key, others have
         # their own; groups run in key order, each kept at its first user
         key = np.where(own_los.any(axis=0), pilot_len + users, pilots)
-        counts = np.bincount(key)
-        occupied = counts > 0
-        self.inv = (np.cumsum(occupied) - 1)[key]
-        self.size = counts[occupied]
-        first = np.full(counts.size, pilots.size)
-        np.minimum.at(first, key, users)
-        keep = first[occupied]
+        _, keep, self.inv = np.unique(key, return_index=True, return_inverse=True)
+        self.size = np.bincount(self.inv)
         self.root = np.sqrt(self.size)
         self.los_u = own_los[:, keep] * self.root         # (M, U)
         self.pilots_u = pilots[keep]
@@ -198,26 +179,32 @@ class CopilotGroups:
         (t, M, pilot_len) estimate stack and (t, M, L*N) channels.
 
         The chunk's Gram matrices Ghat_u^H Ghat_u are one batched product
-        and their candidate inverses one batched LAPACK call
-        (`gram_inverses`); one `zf_combiner` call per trial, handed its Gram
-        matrix and candidate, certifies the candidate or replaces it by the
-        pinv fallback, and gives X on the U distinct columns
-        Ghat_u = Gu D^1/2. The certificate and the fallback stay per matrix
-        because the benchmark counts `zf_combiner` calls; batching them
-        waits on ROADMAP item 4, step 1. Then B = X @ (Ghat_u^H g),
-        another batched product, and ||w_u||^2 = X_uu. Ghat = Gu @ E for the
-        0/1 group-to-user map E with E E^T = D, the group sizes, and
-        F = D^-1/2 E has orthonormal rows, so pinv(Ghat)^H = W_u F whatever
-        the rank of Gu: user n of group u has w_n^H g =
-        B_u / sqrt(D_u) and ||w_n||^2 = X_uu / D_u. Squared moduli and X_uu
-        are summed per group, and only these (U,) sums and the own-user
-        entries of B are expanded to the N users.
+        and their inverses one batched LAPACK call (`gram_inverses`); one
+        `zf_combiner` call per trial, handed its Gram matrix and its slot of
+        that stack, certifies the slot or replaces it by the pinv fallback,
+        and gives X on the U distinct columns Ghat_u = Gu D^1/2. When the
+        batched call raises, every trial is handed None and takes pinv. That
+        changes no result: the trials of a chunk share the plan, BS and
+        locations, so a member is exactly singular only through more
+        distinct columns than antennas or a duplicated column, and then
+        every member is rank deficient and none could pass the certificate.
+        The certificate and the fallback stay per matrix because the
+        benchmark counts `zf_combiner` calls; batching them waits on ROADMAP
+        item 4, step 1. Then B = X @ (Ghat_u^H g), another batched product,
+        and ||w_u||^2 = X_uu. Ghat = Gu @ E for the 0/1 group-to-user map E
+        with E E^T = D, the group sizes, and F = D^-1/2 E has orthonormal
+        rows, so pinv(Ghat)^H = W_u F whatever the rank of Gu: user n of
+        group u has w_n^H g = B_u / sqrt(D_u) and ||w_n||^2 = X_uu / D_u.
+        Squared moduli and X_uu are summed per group, and only these (U,)
+        sums and the own-user entries of B are expanded to the N users.
         """
         ghat = self.los_u + est[..., self.pilots_u] * self.root
         gh = ghat.conj().swapaxes(-1, -2)                  # (t, U, M)
         grams = gh @ ghat
-        x, candidates = gram_inverses(grams)
-        for i, (m, a, c) in enumerate(zip(ghat, grams, candidates)):
+        inv = gram_inverses(grams)
+        x = np.empty_like(grams) if inv is None else inv
+        for i, (m, a) in enumerate(zip(ghat, grams)):
+            c = None if inv is None else inv[i]
             xi = zf_combiner(m, a, c)
             if xi is not c:                                # took pinv
                 x[i] = xi
@@ -246,15 +233,15 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     Each trial draws fresh channels and one pilot-phase noise block, and
     every plan reuses them (common random numbers): per plan it synthesizes
     the pilot phase, subtracts the reconstructed LOS, forms one LS estimate
-    per pilot, and at each BS adds the `CopilotGroups.moments` of its cell,
+    per pilot, and at each BS adds the `CopilotGroups.moments` of its cell:
     one `zf_combiner` call per trial and BS on the distinct estimate
-    columns, their Gram matrix and its candidate inverse, everything else
-    (the Gram matrices and their inverses included) one array expression
-    per chunk of trials
-    (`_CHUNK_BYTES`). Channels come from `rng` and noise from a stream
-    spawned from it, each one block per chunk that consumes its stream trial
-    by trial, so neither the chunk size nor the other plans of the call
-    change a plan's result. Sample means over trials estimate the
+    columns, their Gram matrix and its candidate inverse, and everything
+    else (the Gram matrices and their inverses included) one array
+    expression per chunk of trials, a chunk being as many trials as fit
+    `_CHUNK_BYTES` of channels. Channels come from `rng` and noise from a
+    stream spawned from it, each one block per chunk that consumes its
+    stream trial by trial, so neither the chunk size nor the other plans of
+    the call change a plan's result. Sample means over trials estimate the
     useful-signal mean, all interference second moments and the combiner
     norm; the denominator is floored at 1e-12. A non-finite SINR raises
     FloatingPointError.

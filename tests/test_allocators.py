@@ -334,6 +334,14 @@ class TestExhaustive:
         with pytest.raises(ConfigError, match="1048576"):
             exhaustive_search(cfg, lambda plans: np.zeros(len(plans)))
 
+    @pytest.mark.parametrize("score", [lambda plans: np.zeros(len(plans) + 1),
+                                       lambda plans: np.zeros((len(plans), 1)),
+                                       lambda plans: 0.0],
+                             ids=["too_long", "column", "scalar"])
+    def test_scorer_of_the_wrong_shape_rejected(self, score):
+        with pytest.raises(ValueError, match="scorer returned shape"):
+            exhaustive_search(cfg_for(), score)
+
     def test_argmax_returned_with_its_score(self):
         cfg = cfg_for(N=3)
         rng = np.random.default_rng(19)

@@ -53,14 +53,18 @@ def loc_aware_and_cyclic(cfg, drop):
                            % cfg.pilot_len, "t")]
 
 
-# (config, drop seed): co-pilot NLOS users with merged estimate columns, and
-# three cells
+# (config, drop seed): co-pilot NLOS users with merged estimate columns,
+# three cells, and fewer antennas than users, where some chunks' batched
+# inverse raises and the whole chunk takes pinv
 CHUNK_CASES = [
     pytest.param(NetworkConfig(L=2, N=6, M=16, pilot_len=2, k_model="distance",
                                los_model="linear_prob", loc_err_var=9.0), 31,
                  id="merged-columns"),
     pytest.param(NetworkConfig(L=3, N=4, M=8, pilot_len=3, k_db=5.0, loc_err_var=4.0),
                  32, id="three-cell"),
+    pytest.param(NetworkConfig(L=2, N=4, M=2, pilot_len=2, k_model="distance",
+                               los_model="linear_prob", loc_err_var=3.0), 35,
+                 id="fewer-antennas"),
 ]
 
 
@@ -112,6 +116,13 @@ class TestZfCombiner:
             zf_combiner(g, wrong, None)
         with pytest.raises(ValueError, match="Gram matrix of shape"):
             zf_combiner(g, g.conj().T @ g, wrong)
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 8, 3)], ids=["1-d", "3-d"])
+    def test_estimate_that_is_not_a_matrix_rejected(self, shape):
+        ghat = np.ones(shape, dtype=complex)
+        gram = np.eye(shape[-1], dtype=complex)
+        with pytest.raises(ValueError, match="2-D matrix"):
+            zf_combiner(ghat, gram, None)
 
     @pytest.mark.parametrize("shape", [(8, 1), (24, 6), (64, 12), (100, 36)])
     def test_full_rank_matches_pinv(self, shape):
@@ -219,7 +230,12 @@ class TestCopilotGroups:
     def test_stack_of_estimates_matches_one_call_per_estimate(self, monkeypatch, grouped):
         # a (T, L, M, pilot_len) estimate stack sliced at one BS solves each
         # trial on exactly the estimate and Gram matrix of its own
-        # single-trial call, grouped or not, and sums the single-trial moments
+        # single-trial call, grouped or not, and sums the single-trial
+        # moments. Ungrouped, the NLOS co-pilot users' columns of `los + 1.0`
+        # coincide, so the stacked inverse raises and hands every trial None,
+        # where a single-trial inverse may still give a candidate that the
+        # certificate rejects; candidates are compared where the stacked call
+        # has one.
         cfg, drop, plan, los, groups = self.desk_cell(41)
         if not grouped:
             groups = CopilotGroups(los[0] + 1.0, 0, plan.cells[0], cfg.pilot_len)
@@ -239,12 +255,12 @@ class TestCopilotGroups:
         assert [m.shape for m in stacked] == [(cfg.N,)] * 3
         singles = [groups.moments(est[t:t + 1, 0], g[t:t + 1, 0]) for t in range(3)]
         assert len(inputs) == 6
+        assert [inv is None for _, _, inv in inputs[:3]] == [not grouped] * 3
         for t in range(3):
-            for stacked_input, single_input in zip(inputs[t], inputs[3 + t]):
-                if single_input is None:
-                    assert stacked_input is None
-                else:
-                    assert np.array_equal(stacked_input, single_input)
+            (ghat, gram, inv), (ghat1, gram1, inv1) = inputs[t], inputs[3 + t]
+            assert np.array_equal(ghat, ghat1) and np.array_equal(gram, gram1)
+            if inv is not None:
+                assert np.array_equal(inv, inv1)
         assert_moments_close(stacked, [sum(m) for m in zip(*singles)], 1e-12)
 
     def test_uncaught_duplicate_columns_still_give_the_full_pinv(self):
@@ -269,15 +285,16 @@ class TestCopilotGroups:
         assert_moments_close(groups.moments(est[None], g[None]),
                              pinv_moments(ghat, g, groups.own), 1e-12)
 
-    def test_exactly_singular_member_alone_takes_pinv(self, monkeypatch):
+    def test_exactly_singular_member_sends_the_whole_chunk_to_pinv(self, monkeypatch):
         # in trial 0 of a 2-trial chunk, a LOS user's reconstructed LOS
         # column cancels its LS estimate exactly; the zero estimate column
         # zeroes a row and a column of the Gram matrix, so LU meets an exact
         # zero pivot in any operation order and the chunk's batched inverse
-        # raises. Trial 1 is regular and keeps its candidate. (The root-scaled
-        # duplicate of the test above, like two equal columns, need not give
-        # LU an exact zero pivot; such inputs take pinv through the
-        # certificate.)
+        # raises. Every trial of the chunk then takes pinv, the regular
+        # trial 1 too, and still gives the moments of its own single-trial
+        # call. (The root-scaled duplicate of the test above, like two equal
+        # columns, need not give LU an exact zero pivot; such inputs take
+        # pinv through the certificate.)
         cfg, drop, plan, los, _ = self.desk_cell(41)
         own, pilots = los[0][:, :cfg.N], plan.cells[0]
         b = np.flatnonzero(own.any(axis=0))[0]
@@ -300,8 +317,7 @@ class TestCopilotGroups:
 
         monkeypatch.setattr(detection, "zf_combiner", recording)
         stacked = groups.moments(ests, g)
-        assert candidates[0] is None
-        assert np.array_equal(candidates[1], np.linalg.inv(grams[1]))
+        assert [c is None for c in candidates] == [True, True]
         singles = [groups.moments(ests[t:t + 1], g[t:t + 1]) for t in range(2)]
         assert_moments_close(stacked, [sum(m) for m in zip(*singles)], 1e-12)
         ghat = own + est[:, pilots]
@@ -316,11 +332,10 @@ class TestCopilotGroups:
         rng = np.random.default_rng(u)
         ghat = crand(rng, (t, m, u))
         grams = ghat.conj().swapaxes(-1, -2) @ ghat
-        x, candidates = gram_inverses(grams)
-        assert x.shape == grams.shape and len(candidates) == t
-        for gram, slot, candidate in zip(grams, x, candidates):
+        x = gram_inverses(grams)
+        assert x.shape == grams.shape
+        for gram, slot in zip(grams, x):
             assert np.array_equal(slot, np.linalg.inv(gram))
-            assert candidate is not None and np.shares_memory(candidate, slot)
 
     def test_per_pilot_estimate_indexed_by_plan_is_the_per_user_estimate(self):
         cfg, drop, plan, los, _ = self.desk_cell(44)
@@ -504,8 +519,10 @@ class TestEstimateSinr:
         # the benchmark's tracer counts `zf_combiner` by name and probes the
         # rank of its first argument: one 2-D estimate per plan, trial and
         # BS, also with merged columns and trials in chunks of 3, each with
-        # the Gram matrix of that estimate and, unless that matrix is exactly
-        # singular, a candidate bit-identical to its own 2-D inverse
+        # the Gram matrix of that estimate and a candidate bit-identical to
+        # its own 2-D inverse, or None for every trial of a chunk whose
+        # batched inverse raised: some member was exactly singular, so all
+        # of them, sharing plan, BS and locations, are rank deficient
         cfg = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
                             los_model="linear_prob", loc_err_var=9.0)
         drop = sample_users(cfg, np.random.default_rng(41))
@@ -520,8 +537,7 @@ class TestEstimateSinr:
             ndims.append(ghat.ndim)
             assert np.allclose(gram, ghat.conj().T @ ghat, rtol=1e-13, atol=0)
             if gram_inv is None:
-                with pytest.raises(np.linalg.LinAlgError):
-                    np.linalg.inv(gram)
+                assert np.linalg.matrix_rank(ghat) < ghat.shape[1]
             else:
                 assert np.array_equal(gram_inv, np.linalg.inv(gram))
             return zf_combiner(ghat, gram, gram_inv)

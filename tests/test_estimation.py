@@ -171,6 +171,10 @@ class TestSubtractLos:
 
 
 class TestLsEstimate:
+    def test_mismatched_pilot_length_rejected(self):
+        with pytest.raises(ValueError, match="disagree on pilot length"):
+            ls_estimate(np.zeros((2, 8, 3), dtype=complex), build_pilot_book(4))
+
     def test_exact_for_orthogonal_pilots(self):
         cfg = NetworkConfig(L=1, N=8, M=32, pilot_len=8)
         drop = sample_users(cfg, np.random.default_rng(13))

@@ -478,6 +478,20 @@ class TestCli:
     def test_unknown_subcommand_exits_two(self, capsys):
         assert cli_main(["frobnicate"]) == 2
 
+    def test_runtime_failure_prints_traceback_and_exits_one(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # a failure past the config boundary is a defect, not a bad input
+        def failing(*args, **kwargs):
+            raise RuntimeError("the SINR engine failed")
+
+        monkeypatch.setattr(harness, "estimate_sinr", failing)
+        out = tmp_path / "a.csv"
+        assert cli_main(["fig3a", "--config", write_config(tmp_path, NETWORK_ONLY),
+                         "--drops", "1", "--trials", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "RuntimeError: the SINR engine failed" in err
+        assert not out.exists()
+
     def test_fig3a_smoke(self, tmp_path, capsys):
         doc = {"L": 2, "N": 4, "M": 8, "pilot_len": 2,
                "experiment": {"name": "fig3a", "sweep": "M", "values": [8],
@@ -561,12 +575,14 @@ class TestCli:
         ({}, {"name": ["a", "b"]}),
         ({}, {"seed": -1}),
         ({}, {"cfg": {"L": 2}}),
+        ({"L": 2, "k_model": "distance", "k_intercept_db": 100.0,
+          "k_slope_db_per_m": -1.0, "cell_radius": 500.0, "min_dist": 100.0}, {}),
     ], ids=["pilot_len_fills_coherence_block", "one_trial", "fractional_m",
             "nan_pathloss_exp", "inf_pathloss_exp", "nan_k_db", "inf_k_db",
             "nan_loc_err_var", "inf_loc_err_var", "nan_antenna_spacing",
             "float_n", "string_m", "gain_overflow", "float_drops",
             "scalar_values", "nested_allocators", "list_name", "negative_seed",
-            "nested_cfg"])
+            "nested_cfg", "interference_sum_overflow"])
     def test_boundary_error_exits_two_before_any_drop(self, tmp_path, capsys,
                                                       monkeypatch, cfg_keys, exp_keys):
         monkeypatch.setattr(harness, "estimate_sinr", no_monte_carlo)

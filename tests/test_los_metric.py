@@ -60,6 +60,10 @@ class TestDirichletKernel:
         assert dirichlet_kernel_sq(4, np.pi) < 1e-25
         assert brute_kernel_sq(4, np.pi) < 1e-25
 
+    def test_no_antennas_rejected(self):
+        with pytest.raises(ValueError, match="at least one antenna"):
+            dirichlet_kernel_sq(0, 0.5)
+
     def test_zero_set(self):
         assert kernel_zero_set_dev() < 1e-18
 
@@ -149,6 +153,13 @@ class TestLosInterference:
         expect = overlap(4, 1.0, 0.2)
         assert los_interference_from_params(0.3, 0.0, 1.0, 0.8, 2.0, 0.2, m=4) == expect
         assert los_interference_from_params(0.3, 2.0, 1.0, 0.8, 0.0, 0.2, m=4) == expect
+
+    @pytest.mark.parametrize("params", [(0.3, -1.0, 1.0, 0.8, 2.0, 0.2),
+                                        (0.3, 1.0, 1.0, 0.8, -2.0, 0.2)],
+                             ids=["k_a", "k_b"])
+    def test_negative_k_rejected(self, params):
+        with pytest.raises(ValueError, match="non-negative"):
+            los_interference_from_params(*params, m=4)
 
     def test_zero_reference_gain_rejected(self):
         with pytest.raises(ValueError):

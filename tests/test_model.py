@@ -64,6 +64,13 @@ class TestNetworkConfig:
         with pytest.raises(ConfigError):
             NetworkConfig.from_dict(bad)
 
+    def test_interference_sum_overflow_rejected(self):
+        # every gain and K-factor is finite, but alpha*K*(1+K) at 100 m over
+        # its value at 1500 m overflows, and so would the allocators' sums
+        with pytest.raises(ConfigError, match="overflows the allocators' interference sums"):
+            NetworkConfig(L=2, k_model="distance", k_intercept_db=100.0,
+                          k_slope_db_per_m=-1.0, cell_radius=500.0, min_dist=100.0)
+
     def test_json_round_trip(self):
         cfg = NetworkConfig(L=3, N=5, M=16, pilot_len=4, snr_db=7.5, k_db=3.0,
                             loc_err_var=2.0)
@@ -137,6 +144,11 @@ class TestKFactor:
         k = k_factor(d, cfg)
         assert np.all(np.diff(k) < 0)
 
+    def test_negative_distance_rejected(self):
+        for k_model in ("fixed", "distance"):
+            with pytest.raises(ValueError, match="non-negative distance"):
+                k_factor(-1.0, small_cfg(k_model=k_model))
+
 
 class TestLosState:
     def test_boundaries(self):
@@ -144,6 +156,12 @@ class TestLosState:
         assert los_probability(0.0, cfg) == pytest.approx(1.0)
         assert los_probability(cfg.cell_radius, cfg) == pytest.approx(0.0)
         assert los_probability(10 * cfg.cell_radius, cfg) == 0.0
+
+    def test_always_mode_is_certain(self):
+        cfg = small_cfg(los_model="always")
+        assert los_probability(10 * cfg.cell_radius, cfg) == 1.0
+        d = np.array([0.0, cfg.cell_radius, 10 * cfg.cell_radius])
+        assert np.array_equal(los_probability(d, cfg), np.ones(3))
 
     def test_always_mode_consumes_no_randomness(self):
         # four uniforms per user (distance, angle, two offsets), no LOS draws

@@ -110,6 +110,10 @@ class TestAllocationPlan:
         with pytest.raises(ValueError, match="integers"):
             AllocationPlan(cells, "t")
 
+    def test_one_dimensional_table_rejected(self):
+        with pytest.raises(ValueError, match=r"\(cells, users\) index table"):
+            AllocationPlan([0, 1, 0], "t")
+
     def test_integer_tables_accepted(self):
         for cells in ([[0, 2], [1, 0]], np.array([[0, 2], [1, 0]], dtype=np.int32),
                       [[np.int64(0), 2], [1, 0]]):
