@@ -31,12 +31,17 @@ stack, so its size depends only on (L, M, N), never on the number of plans
 or trials, and the working set stays small at any trial count.
 
 The chunks are drawn in order, each channel draw and noise draw after the
-previous chunk's, by one thread at a time. With `prefetch`, which the
-harness turns on when it has a core to spare, one helper thread draws the
-next chunk while the caller scores the current one: numpy's normal draws,
-its large ufuncs and BLAS release the interpreter lock, so the draw and
-the scoring overlap, and the streams are consumed exactly as without it.
-At most two chunks of draws are alive, the one scored and the one drawn.
+previous chunk's, by one thread at a time. A chunk runs in two stages: the
+draws and the pilot phase up to the LS estimates, then the moments. With
+`prefetch`, which the harness turns on when it has a core to spare, one
+helper thread runs the first stage of the next chunk while the caller runs
+the second of the current one: numpy's normal draws, its large ufuncs and
+BLAS release the interpreter lock, so the stages overlap, and the streams
+are consumed exactly as without it. The helper estimates only the leading
+plans whose estimate stacks fit the chunk budget together; the caller
+estimates the rest when it reaches them, so the working set does not grow
+with the number of plans. At most two chunks of draws and estimates are
+alive, the one scored and the one drawn.
 """
 
 from __future__ import annotations
@@ -246,13 +251,16 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     norm; the denominator is floored at 1e-12. A non-finite SINR raises
     FloatingPointError.
 
-    One chunk loop draws and scores. Chunk 0 is drawn inline. With
-    `prefetch` and more than one chunk, chunk i + 1 is drawn on one helper
-    thread, started for this call, while chunk i is scored; otherwise each
-    chunk is drawn inline when the loop reaches it. The draws run in chunk
-    order either way, so the result is bit-identical, and at most two
-    chunks of draws are alive. The helper is joined before the call returns
-    or raises, and an exception raised by its draw is raised here unchanged.
+    One chunk loop draws, estimates and scores. Chunk 0 is drawn inline.
+    With `prefetch` and more than one chunk, one helper thread, started for
+    this call, draws chunk i + 1 and forms the LS estimates of its leading
+    plans, as many as fit `_CHUNK_BYTES` of estimates, while chunk i is
+    scored; otherwise each chunk is drawn inline when the loop reaches it.
+    Every other estimate is formed inline by the same function when the
+    loop reaches its plan. The draws run in chunk order either way, so the
+    result is bit-identical, and at most two chunks of draws are alive. The
+    helper is joined before the call returns or raises, and an exception
+    raised by its draw or estimate is raised here unchanged.
     """
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
@@ -272,31 +280,39 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     chunk = max(1, min(trials, _CHUNK_BYTES // (16 * L * M * L * N)))
     starts = range(0, trials, chunk)
     noise_rng = rng.spawn(1)[0]
+    # the leading plans whose (T_c, L, M, pilot_len) estimate stacks fit
+    # the chunk budget together are estimated on the helper
+    ahead = min(len(plans), _CHUNK_BYTES // (16 * chunk * L * M * K))
 
-    def draw(start: int) -> tuple[np.ndarray, np.ndarray]:
-        # the chunk's channels and its scaled pilot-phase noise block
+    def estimate(g: np.ndarray, z: np.ndarray, p: int) -> np.ndarray:
+        # one column per pilot at every trial and BS
+        return ls_estimate(synthesize_rx(g, lams[p], z) - ybar[p], book)
+
+    def draw(start: int, plans_ahead: int = 0) -> tuple[np.ndarray, np.ndarray, list]:
+        # the chunk's channels, its scaled pilot-phase noise block and the
+        # estimates of its first `plans_ahead` plans
         t = min(chunk, trials - start)
         g = sampler.draw(rng, t).g
         z = crandn(noise_rng, (t, L, M, K))
         z *= np.sqrt(noise_var)
-        return g, z
+        return g, z, [estimate(g, z, p) for p in range(plans_ahead)]
 
     # trial sums of the moments: own-user w^H g, |w^H g|^2 over all users, ||w||^2
     sums = np.zeros((3, len(plans), L, N), dtype=complex)
     with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="draw-ahead")
           if prefetch and len(starts) > 1 else nullcontext()) as helper:
-        # `pending` gives the next chunk's draws: a future's result on the
-        # helper, which has drawn it while the previous chunk was scored,
-        # else a call that draws it inline
+        # `pending` gives the next chunk's draws and leading estimates: a
+        # future's result on the helper, which has formed them while the
+        # previous chunk was scored, else a call that draws inline and
+        # leaves every estimate to the loop
         pending = partial(draw, 0)
         for start in starts:
-            g, z = pending()
+            g, z, ests = pending()
             if start + chunk < trials:
-                pending = (helper.submit(draw, start + chunk).result if helper
+                pending = (helper.submit(draw, start + chunk, ahead).result if helper
                            else partial(draw, start + chunk))
             for p in range(len(plans)):
-                # one column per pilot at every trial and BS
-                est = ls_estimate(synthesize_rx(g, lams[p], z) - ybar[p], book)
+                est = ests.pop(0) if ests else estimate(g, z, p)
                 for l in range(L):
                     sums[:, p, l] += groups[p][l].moments(est[:, l], g[:, l])
 

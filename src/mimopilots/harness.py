@@ -188,8 +188,10 @@ def _for_each_drop(fn, drops: int, threads: int) -> list:
 
     The harness owns the CPU budget. Only a plain loop on more than one
     usable core leaves a core idle, so only then does each drop's
-    `estimate_sinr` draw ahead on one helper thread (`prefetch`); worker
-    threads already keep the cores busy and start no helper.
+    `estimate_sinr` pipeline its chunks (`prefetch`): one helper thread
+    draws the next chunk and forms the LS estimates of its leading plans
+    while the caller runs the ZF stage of the current one. Worker threads
+    already keep the cores busy and start no helper.
     """
     cores = _usable_cores()
     workers = min(threads, drops, cores)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import estimate_sinr_per_trial, make_drop, noise_block
 from mimopilots import detection
-from mimopilots.allocators import allocate_loc_aware
+from mimopilots.allocators import allocate_loc_aware, allocate_random
 from mimopilots.channel import ChannelSampler
 from mimopilots.checks import distinct_plan, pinv_moments, zf_solve
 from mimopilots.detection import (CopilotGroups, estimate_sinr, gram_condition,
@@ -575,9 +575,46 @@ class DrawLog:
         monkeypatch.setattr(ChannelSampler, "draw", draw)
 
 
+class EstimateLog:
+    """Records every `ls_estimate` call of `estimate_sinr` as (chunk, thread),
+    the chunk being the position in `draws`, a `DrawLog`, of the channel
+    stack that the call's pilot phase was synthesized from; the call in
+    chunk `fail_chunk` raises `error` instead."""
+
+    def __init__(self, monkeypatch, draws, fail_chunk=None):
+        self.calls, self.error = [], RuntimeError("estimate failed")
+        current = threading.local()
+
+        def synthesize(g, lam, noise):
+            current.chunk = next(i for i, ref in enumerate(draws._stacks) if ref() is g)
+            return synthesize_rx(g, lam, noise)
+
+        def estimate(y_clean, lam):
+            self.calls.append((current.chunk, threading.get_ident()))
+            if current.chunk == fail_chunk:
+                raise self.error
+            return ls_estimate(y_clean, lam)
+
+        monkeypatch.setattr(detection, "synthesize_rx", synthesize)
+        monkeypatch.setattr(detection, "ls_estimate", estimate)
+
+    def threads(self, chunk):
+        return [thread for c, thread in self.calls if c == chunk]
+
+
+def random_plans(cfg, drop, count, seed):
+    rng = np.random.default_rng(seed)
+    return [allocate_random(cfg, drop, rng) for _ in range(count)]
+
+
+DESK = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
+                     los_model="linear_prob", loc_err_var=9.0)
+
+
 class TestDrawAhead:
     """`estimate_sinr(prefetch=True)`: one helper thread draws the next chunk
-    while the caller scores the current one."""
+    and forms the LS estimates of its leading plans while the caller scores
+    the current one."""
 
     @staticmethod
     def setup(cfg, seed, monkeypatch, chunk):
@@ -695,6 +732,75 @@ class TestDrawAhead:
         tracemalloc.start()
         try:
             estimate_sinr(cfg, drop, plans, 100, np.random.default_rng(43), prefetch=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
+
+    @pytest.mark.parametrize("prefetch", [True, False])
+    def test_estimates_run_on_the_drawing_thread_within_the_budget(self, monkeypatch,
+                                                                   prefetch):
+        # 32 desk plans in chunks of 3 trials: the estimate stacks of 6 plans
+        # fit the chunk budget. Chunk 0 and every plan past the budget are
+        # estimated by the caller; with prefetch, the budgeted plans of every
+        # later chunk are estimated by the helper thread that drew the chunk
+        drop = sample_users(DESK, np.random.default_rng(42))
+        plans = random_plans(DESK, drop, 32, 44)
+        monkeypatch.setattr(detection, "_CHUNK_BYTES", 3 * trial_bytes(DESK))
+        draws = DrawLog(monkeypatch)
+        log = EstimateLog(monkeypatch, draws)
+        estimate_sinr(DESK, drop, plans, 7, np.random.default_rng(33), prefetch=prefetch)
+        caller = threading.get_ident()
+        assert len(draws.threads) == 3
+        for chunk, drawn_by in enumerate(draws.threads):
+            threads = log.threads(chunk)
+            assert len(threads) == len(plans)
+            ahead = 6 if prefetch and chunk > 0 else 0
+            assert threads[:ahead] == [drawn_by] * ahead
+            assert drawn_by != caller or not ahead
+            assert threads[ahead:] == [caller] * (len(plans) - ahead)
+
+    @pytest.mark.parametrize("prefetch", [True, False])
+    def test_estimate_error_surfaces_unchanged(self, monkeypatch, prefetch):
+        # the LS estimate of chunk 1, the helper's with prefetch, raises: the
+        # call raises that very exception and leaves no thread or draw behind
+        cfg = NetworkConfig()
+        drop, plans = self.setup(cfg, 41, monkeypatch, 1)
+        fresh = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33))
+        with monkeypatch.context() as patch:
+            draws = DrawLog(patch)
+            log = EstimateLog(patch, draws, fail_chunk=1)
+            before = threading.active_count()
+            with pytest.raises(RuntimeError) as info:
+                estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
+                              prefetch=prefetch)
+            assert info.value is log.error
+            assert threading.active_count() == before
+            assert draws.running == 0
+            assert (log.threads(1)[0] != threading.get_ident()) == prefetch
+        again = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
+                              prefetch=prefetch)
+        assert np.array_equal(again, fresh)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_plans_past_the_budget_cannot_change_results(self, monkeypatch, chunk):
+        # 32 desk plans, 6 of them estimated ahead: bit-identical with and
+        # without prefetch
+        drop = sample_users(DESK, np.random.default_rng(42))
+        plans = random_plans(DESK, drop, 32, 44)
+        monkeypatch.setattr(detection, "_CHUNK_BYTES", chunk * trial_bytes(DESK))
+        runs = [estimate_sinr(DESK, drop, plans, 7, np.random.default_rng(33),
+                              prefetch=prefetch) for prefetch in (False, True)]
+        assert np.array_equal(runs[0], runs[1])
+
+    def test_many_plans_fit_the_memory_bound(self):
+        # the helper estimates only the plans that fit the chunk budget, so
+        # the peak does not grow with the plan count
+        drop = sample_users(DESK, np.random.default_rng(42))
+        plans = random_plans(DESK, drop, 32, 44)
+        tracemalloc.start()
+        try:
+            estimate_sinr(DESK, drop, plans, 100, np.random.default_rng(43), prefetch=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
