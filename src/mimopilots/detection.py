@@ -31,17 +31,20 @@ stack, so its size depends only on (L, M, N), never on the number of plans
 or trials, and the working set stays small at any trial count.
 
 The chunks are drawn in order, each channel draw and noise draw after the
-previous chunk's, by one thread at a time. A chunk runs in two stages: the
-draws and the pilot phase up to the LS estimates, then the moments. With
-`prefetch`, which the harness turns on when it has a core to spare, one
-helper thread runs the first stage of the next chunk while the caller runs
-the second of the current one: numpy's normal draws, its large ufuncs and
-BLAS release the interpreter lock, so the stages overlap, and the streams
-are consumed exactly as without it. The helper estimates only the leading
-plans whose estimate stacks fit the chunk budget together; the caller
-estimates the rest when it reaches them, so the working set does not grow
-with the number of plans. At most two chunks of draws and estimates are
-alive, the one scored and the one drawn.
+previous chunk's, by one thread at a time. With `prefetch`, which the
+harness turns on when it has a core to spare, the caller and one helper
+thread run the same chunk loop side by side: each draws the next chunk
+under a lock and scores it outside it, its LS estimates and moments, while
+the other scores its own. numpy's normal draws, its large ufuncs and BLAS
+release the interpreter lock, so the two overlap. A chunk's sums wait
+until every earlier chunk's are added, so the streams are consumed and the
+sums formed exactly as without it. At most two chunks of draws are alive,
+one per worker.
+
+The SINR is the use-and-then-forget form |E[w^H g_k]|^2 / (sum_i
+E|w^H g_i|^2 - |E[w^H g_k]|^2 + sigma^2 E||w||^2), with every expectation a
+sample mean over trials; on all-NLOS links with one user per pilot and cell
+it has a closed form, which the tests check it against.
 """
 
 from __future__ import annotations
@@ -49,8 +52,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from functools import partial
+from threading import Lock
 
 import numpy as np
 
@@ -251,16 +253,17 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     norm; the denominator is floored at 1e-12. A non-finite SINR raises
     FloatingPointError.
 
-    One chunk loop draws, estimates and scores. Chunk 0 is drawn inline.
-    With `prefetch` and more than one chunk, one helper thread, started for
-    this call, draws chunk i + 1 and forms the LS estimates of its leading
-    plans, as many as fit `_CHUNK_BYTES` of estimates, while chunk i is
-    scored; otherwise each chunk is drawn inline when the loop reaches it.
-    Every other estimate is formed inline by the same function when the
-    loop reaches its plan. The draws run in chunk order either way, so the
-    result is bit-identical, and at most two chunks of draws are alive. The
-    helper is joined before the call returns or raises, and an exception
-    raised by its draw or estimate is raised here unchanged.
+    With `prefetch` and more than one chunk, the caller and one helper
+    thread, started for this call, both run one chunk loop: under a lock,
+    take the next chunk and draw its channels and noise, then form its LS
+    estimates and moments outside it, and add them to the trial sums in
+    chunk order, a chunk scored before an earlier one waiting until that
+    one is in. Otherwise the caller draws and scores each chunk in turn.
+    The draws run in chunk order either way and the sums take the chunks
+    in the same order, so the result is bit-identical, and at most two
+    chunks of draws are alive, one per worker. A worker that raises stops
+    the other before it takes another chunk; the helper is joined before
+    the call returns or raises, and the exception is raised here unchanged.
     """
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
@@ -280,41 +283,67 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     chunk = max(1, min(trials, _CHUNK_BYTES // (16 * L * M * L * N)))
     starts = range(0, trials, chunk)
     noise_rng = rng.spawn(1)[0]
-    # the leading plans whose (T_c, L, M, pilot_len) estimate stacks fit
-    # the chunk budget together are estimated on the helper
-    ahead = min(len(plans), _CHUNK_BYTES // (16 * chunk * L * M * K))
 
-    def estimate(g: np.ndarray, z: np.ndarray, p: int) -> np.ndarray:
-        # one column per pilot at every trial and BS
-        return ls_estimate(synthesize_rx(g, lams[p], z) - ybar[p], book)
-
-    def draw(start: int, plans_ahead: int = 0) -> tuple[np.ndarray, np.ndarray, list]:
-        # the chunk's channels, its scaled pilot-phase noise block and the
-        # estimates of its first `plans_ahead` plans
-        t = min(chunk, trials - start)
-        g = sampler.draw(rng, t).g
-        z = crandn(noise_rng, (t, L, M, K))
-        z *= np.sqrt(noise_var)
-        return g, z, [estimate(g, z, p) for p in range(plans_ahead)]
+    def draws():
+        # each chunk's index, channels and unscaled pilot-phase noise block,
+        # in chunk order; the generator keeps no chunk it has handed out
+        for i, start in enumerate(starts):
+            t = min(chunk, trials - start)
+            yield i, sampler.draw(rng, t).g, crandn(noise_rng, (t, L, M, K))
 
     # trial sums of the moments: own-user w^H g, |w^H g|^2 over all users, ||w||^2
     sums = np.zeros((3, len(plans), L, N), dtype=complex)
-    with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="draw-ahead")
-          if prefetch and len(starts) > 1 else nullcontext()) as helper:
-        # `pending` gives the next chunk's draws and leading estimates: a
-        # future's result on the helper, which has formed them while the
-        # previous chunk was scored, else a call that draws inline and
-        # leaves every estimate to the loop
-        pending = partial(draw, 0)
-        for start in starts:
-            g, z, ests = pending()
-            if start + chunk < trials:
-                pending = (helper.submit(draw, start + chunk, ahead).result if helper
-                           else partial(draw, start + chunk))
+    chunks = draws()
+    if not (prefetch and len(starts) > 1):
+        # scored inline, not by the workers' `score`: each LS estimate then
+        # lives until the next one is formed, across the next chunk's draws
+        # too, so the allocator reuses its pages instead of trimming the
+        # heap and faulting them back in
+        for _, g, z in chunks:
+            z *= np.sqrt(noise_var)
             for p in range(len(plans)):
-                est = ests.pop(0) if ests else estimate(g, z, p)
+                est = ls_estimate(synthesize_rx(g, lams[p], z) - ybar[p], book)
                 for l in range(L):
                     sums[:, p, l] += groups[p][l].moments(est[:, l], g[:, l])
+    else:
+        lock = Lock()
+        ready, added = {}, 0        # chunks scored before an earlier one
+
+        def score(g: np.ndarray, z: np.ndarray) -> np.ndarray:
+            # the chunk's (3, P, L, N) trial sums of the moments
+            z *= np.sqrt(noise_var)
+            out = np.empty_like(sums)
+            for p in range(len(plans)):
+                # one LS estimate column per pilot at every trial and BS
+                est = ls_estimate(synthesize_rx(g, lams[p], z) - ybar[p], book)
+                for l in range(L):
+                    out[:, p, l] = groups[p][l].moments(est[:, l], g[:, l])
+            return out
+
+        def work() -> None:
+            nonlocal added
+            try:
+                while True:
+                    with lock:
+                        i, g, z = next(chunks, (None, None, None))
+                    if i is None:
+                        return
+                    out = score(g, z)
+                    del g, z        # before this worker draws its next chunk
+                    with lock:
+                        ready[i] = out
+                        while added in ready:
+                            np.add(sums, ready.pop(added), out=sums)
+                            added += 1
+            except BaseException:
+                with lock:          # the other worker takes no further chunk
+                    chunks.close()
+                raise
+
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="score") as pool:
+            helper = pool.submit(work)
+            work()
+            helper.result()
 
     sum_sig, sum_pow, sum_wsq = sums[0], sums[1].real, sums[2].real
     mean_sig_sq = np.abs(sum_sig / trials) ** 2

@@ -14,11 +14,12 @@ and stack what it returns into one array per allocator, indexed by drop.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -181,21 +182,61 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+# thread-count queries of OpenBLAS (plain, 64-bit-interface and numpy's
+# bundled scipy-openblas builds) and of MKL
+_BLAS_THREAD_QUERIES = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                        "scipy_openblas_get_num_threads64_",
+                        "scipy_openblas_get_num_threads", "MKL_Get_Max_Threads")
+
+
+@cache
+def _blas_thread_query():
+    """The loaded BLAS library's thread-count function, found among the
+    shared objects mapped into this process, or None where the process map
+    is unreadable (no /proc) or no mapped library exports one."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "blas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_QUERIES:
+            query = getattr(lib, name, None)
+            if query is not None:
+                query.restype, query.argtypes = ctypes.c_int, []
+                return query
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads the loaded BLAS runs a call on, asked of the library now (a
+    program may change it at run time), or None where it cannot be asked."""
+    query = _blas_thread_query()
+    return None if query is None else int(query())
+
+
 def _for_each_drop(fn, drops: int, threads: int) -> list:
     """[fn(d, prefetch=...) for d in range(drops)] in drop order, on
     min(threads, drops, usable cores) worker threads when that is above one,
     else in a plain loop.
 
     The harness owns the CPU budget. Only a plain loop on more than one
-    usable core leaves a core idle, so only then does each drop's
-    `estimate_sinr` pipeline its chunks (`prefetch`): one helper thread
-    draws the next chunk and forms the LS estimates of its leading plans
-    while the caller runs the ZF stage of the current one. Worker threads
-    already keep the cores busy and start no helper.
+    usable core, with BLAS on one thread, leaves a core idle, so only then
+    does each drop's `estimate_sinr` score its chunks on two workers
+    (`prefetch`): the caller and one helper thread each draw the next chunk
+    in turn and score it. Worker threads already keep the cores busy, and
+    so do the threads of a multi-threaded BLAS (OpenBLAS starts one per
+    core unless told otherwise) or one whose thread count cannot be asked;
+    then no helper is started.
     """
     cores = _usable_cores()
     workers = min(threads, drops, cores)
-    run = partial(fn, prefetch=workers == 1 and cores > 1)
+    run = partial(fn, prefetch=workers == 1 and cores > 1 and _blas_threads() == 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, range(drops)))

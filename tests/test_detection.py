@@ -1,17 +1,19 @@
 """ZF combining, SINR Monte Carlo, and spectral-efficiency tests."""
 
+import hashlib
 import sys
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from conftest import estimate_sinr_per_trial, make_drop, noise_block
+from conftest import all_nlos, estimate_sinr_per_trial, make_drop, noise_block
 from mimopilots import detection
 from mimopilots.allocators import allocate_loc_aware, allocate_random
-from mimopilots.channel import ChannelSampler
+from mimopilots.channel import ChannelSampler, crandn
 from mimopilots.checks import distinct_plan, pinv_moments, zf_solve
 from mimopilots.detection import (CopilotGroups, estimate_sinr, gram_condition,
                                   gram_inverses, spectral_efficiency, zf_combiner)
@@ -515,14 +517,16 @@ class TestEstimateSinr:
         w = ghat @ zf_solve(ghat)
         assert np.max(np.abs(w.conj().T @ ghat - np.eye(4))) < 1e-8
 
-    def test_one_zf_solve_per_plan_trial_and_bs(self, monkeypatch):
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_one_zf_solve_per_plan_trial_and_bs(self, monkeypatch, prefetch):
         # the benchmark's tracer counts `zf_combiner` by name and probes the
         # rank of its first argument: one 2-D estimate per plan, trial and
-        # BS, also with merged columns and trials in chunks of 3, each with
-        # the Gram matrix of that estimate and a candidate bit-identical to
-        # its own 2-D inverse, or None for every trial of a chunk whose
-        # batched inverse raised: some member was exactly singular, so all
-        # of them, sharing plan, BS and locations, are rank deficient
+        # BS, on one worker or two, also with merged columns and trials in
+        # chunks of 3, each with the Gram matrix of that estimate and a
+        # candidate bit-identical to its own 2-D inverse, or None for every
+        # trial of a chunk whose batched inverse raised: some member was
+        # exactly singular, so all of them, sharing plan, BS and locations,
+        # are rank deficient
         cfg = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
                             los_model="linear_prob", loc_err_var=9.0)
         drop = sample_users(cfg, np.random.default_rng(41))
@@ -543,18 +547,50 @@ class TestEstimateSinr:
             return zf_combiner(ghat, gram, gram_inv)
 
         monkeypatch.setattr(detection, "zf_combiner", counting)
-        estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(42))
+        estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(42), prefetch=prefetch)
         assert ndims == [2] * (2 * 7 * cfg.L)
+
+    @pytest.mark.parametrize("cfg, trials, seed", [
+        (NetworkConfig(L=1, N=4, M=32, pilot_len=4, snr_db=0.0), 20000, 51),
+        (NetworkConfig(L=2, N=4, M=32, pilot_len=4, snr_db=0.0), 20000, 52),
+        (NetworkConfig(L=2, N=6, M=64, pilot_len=6, snr_db=10.0), 8000, 53),
+    ], ids=["one-cell", "two-cells", "six-users"])
+    def test_matches_the_closed_form_on_rayleigh_links(self, cfg, trials, seed):
+        # ZF on LS estimates of all-NLOS links, user j on pilot j in every
+        # cell, M > N: at BS l with beta_cj = alpha[l, c*N + j], LS noise
+        # eps = sigma^2 / pilot_len and estimate variance v_j = sum_c beta_cj
+        # + eps, E[(Ghat^H Ghat)^-1] = D^-1 / (M - N) gives the
+        # use-and-then-forget SINR in closed form, pilot contamination
+        # first in its denominator. Checked on the two-worker path
+        drop = all_nlos(sample_users(cfg, np.random.default_rng(seed)))
+        L, N, sigma2 = cfg.L, cfg.N, 1.0 / cfg.rho
+        expect = np.empty((L, N))
+        for l in range(L):
+            beta = drop.true.alpha[l].reshape(L, N)
+            v = beta.sum(axis=0) + sigma2 / cfg.pilot_len
+            ratio = (beta / v) ** 2
+            noise = ((beta - beta ** 2 / v).sum() + sigma2) / ((cfg.M - N) * v)
+            expect[l] = ratio[l] / (ratio.sum(axis=0) - ratio[l] + noise)
+        got = estimate_sinr(cfg, drop, [distinct_plan(cfg)], trials,
+                            np.random.default_rng(seed + 100), prefetch=True)[0]
+        assert np.max(np.abs(got / expect - 1)) < 0.02
+
+
+def digest(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
 
 
 class DrawLog:
-    """Records every `ChannelSampler.draw`: the thread it runs on, how many
-    channel stacks of earlier draws are still alive when it starts, and how
-    many draws are running; the draw numbered `fail_at` (from 1) raises
-    `error` instead."""
+    """Records every channel draw and pilot-noise draw of `estimate_sinr`:
+    the thread each channel draw runs on, how many channel stacks of earlier
+    draws are still alive when it starts, how many are running, and a digest
+    of every channel and noise block in draw order. The channel draw
+    numbered `fail_at` (from 1) calls `before_fail` and raises `error`
+    instead."""
 
-    def __init__(self, monkeypatch, fail_at=None):
+    def __init__(self, monkeypatch, fail_at=None, before_fail=None):
         self.threads, self.alive_before, self.running = [], [], 0
+        self.channels, self.noise = [], []
         self.error = RuntimeError("draw failed")
         self._stacks = []
         original = ChannelSampler.draw
@@ -565,41 +601,101 @@ class DrawLog:
             self.running += 1
             try:
                 if len(self.threads) == fail_at:
+                    if before_fail is not None:
+                        before_fail()
                     raise self.error
                 out = original(sampler, rng, trials)
             finally:
                 self.running -= 1
             self._stacks.append(weakref.ref(out.g))
+            self.channels.append(digest(out.g))
             return out
 
+        def noise(rng, shape):
+            z = crandn(rng, shape)
+            self.noise.append(digest(z))
+            return z
+
         monkeypatch.setattr(ChannelSampler, "draw", draw)
+        monkeypatch.setattr(detection, "crandn", noise)
+
+    def chunk_of(self, g):
+        """The chunk of channel stack `g` or of the stack it is a view of:
+        its position among the draws."""
+        stack = g if g.base is None else g.base
+        return next(i for i, ref in enumerate(self._stacks) if ref() is stack)
 
 
-class EstimateLog:
-    """Records every `ls_estimate` call of `estimate_sinr` as (chunk, thread),
-    the chunk being the position in `draws`, a `DrawLog`, of the channel
-    stack that the call's pilot phase was synthesized from; the call in
-    chunk `fail_chunk` raises `error` instead."""
+class ScoreLog:
+    """Records every LS estimate ("ls") and ZF solve ("zf") of
+    `estimate_sinr` as (chunk, thread), the chunk being the one, in `draws`,
+    a `DrawLog`, whose channel stack the pilot phase or the moments were
+    formed from. `hook(kind, chunk)` runs before each call and may block or
+    raise."""
 
-    def __init__(self, monkeypatch, draws, fail_chunk=None):
-        self.calls, self.error = [], RuntimeError("estimate failed")
+    def __init__(self, monkeypatch, draws, hook=None):
+        self.calls = {"ls": [], "zf": []}
         current = threading.local()
+        moments = CopilotGroups.moments
+
+        def record(kind):
+            self.calls[kind].append((current.chunk, threading.get_ident()))
+            if hook is not None:
+                hook(kind, current.chunk)
 
         def synthesize(g, lam, noise):
-            current.chunk = next(i for i, ref in enumerate(draws._stacks) if ref() is g)
+            current.chunk = draws.chunk_of(g)
             return synthesize_rx(g, lam, noise)
 
         def estimate(y_clean, lam):
-            self.calls.append((current.chunk, threading.get_ident()))
-            if current.chunk == fail_chunk:
-                raise self.error
+            record("ls")
             return ls_estimate(y_clean, lam)
+
+        def chunk_moments(groups, est, g):
+            current.chunk = draws.chunk_of(g)
+            return moments(groups, est, g)
+
+        def solve(ghat, gram, gram_inv):
+            record("zf")
+            return zf_combiner(ghat, gram, gram_inv)
 
         monkeypatch.setattr(detection, "synthesize_rx", synthesize)
         monkeypatch.setattr(detection, "ls_estimate", estimate)
+        monkeypatch.setattr(CopilotGroups, "moments", chunk_moments)
+        monkeypatch.setattr(detection, "zf_combiner", solve)
 
-    def threads(self, chunk):
-        return [thread for c, thread in self.calls if c == chunk]
+    def threads(self, kind, chunk):
+        return [thread for c, thread in self.calls[kind] if c == chunk]
+
+
+class PoolLog:
+    """Records every thread pool that `estimate_sinr` starts, by its worker
+    count, and the thread that each job submitted to one runs on; `stopped`
+    is set once a job has ended or the pool is shut down."""
+
+    def __init__(self, monkeypatch):
+        self.pools, self.threads, self.stopped = [], [], threading.Event()
+        log = self
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                super().__init__(max_workers, **kwargs)
+                log.pools.append(max_workers)
+
+            def submit(self, fn, /, *args, **kwargs):
+                def job(*args, **kwargs):
+                    log.threads.append(threading.get_ident())
+                    try:
+                        return fn(*args, **kwargs)
+                    finally:
+                        log.stopped.set()
+                return super().submit(job, *args, **kwargs)
+
+            def shutdown(self, *args, **kwargs):
+                log.stopped.set()
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(detection, "ThreadPoolExecutor", Pool)
 
 
 def random_plans(cfg, drop, count, seed):
@@ -612,9 +708,9 @@ DESK = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
 
 
 class TestDrawAhead:
-    """`estimate_sinr(prefetch=True)`: one helper thread draws the next chunk
-    and forms the LS estimates of its leading plans while the caller scores
-    the current one."""
+    """`estimate_sinr(prefetch=True)`: the caller and one helper thread each
+    draw the next chunk in turn and score it, and the chunks' sums are added
+    in chunk order."""
 
     @staticmethod
     def setup(cfg, seed, monkeypatch, chunk):
@@ -626,106 +722,158 @@ class TestDrawAhead:
         *CHUNK_CASES, pytest.param(NetworkConfig(), 41, id="table")])
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_draw_ahead_cannot_change_results(self, monkeypatch, cfg, seed, chunk):
-        # 7 trials in chunks of 1 and of 3 (a partial last chunk): chunk 0 is
-        # drawn by the caller and every later chunk by one other thread, the
-        # SINR is bit-identical to drawing inline, and no draw starts while
-        # more than one earlier chunk's channels are alive
+        # 7 trials in chunks of 1 and of 3 (a partial last chunk): with
+        # prefetch the call starts one pool of one helper thread, and only
+        # the caller and that helper draw; both streams are consumed in
+        # chunk order, the SINR is bit-identical to one worker's, and no
+        # draw starts while more than one earlier chunk's channels are alive
         drop, plans = self.setup(cfg, seed, monkeypatch, chunk)
-        runs = {}
+        caller, runs, draws = threading.get_ident(), {}, {}
         for prefetch in (False, True):
-            log = DrawLog(monkeypatch)
-            runs[prefetch] = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
-                                           prefetch=prefetch)
-            assert len(log.threads) == -(-7 // chunk)
-            assert log.threads[0] == threading.get_ident()
-            assert len(set(log.threads[1:])) == 1
-            assert (log.threads[1] != log.threads[0]) == prefetch
+            with monkeypatch.context() as patch:
+                pools = PoolLog(patch)
+                log = draws[prefetch] = DrawLog(patch)
+                runs[prefetch] = estimate_sinr(cfg, drop, plans, 7,
+                                               np.random.default_rng(33), prefetch=prefetch)
+            assert pools.pools == ([1] if prefetch else [])
+            assert len(pools.threads) == prefetch
+            assert caller not in pools.threads
+            assert set(log.threads) <= {caller, *pools.threads}
+            assert len(log.threads) == len(log.noise) == -(-7 // chunk)
             assert max(log.alive_before) <= 1
+        assert draws[True].channels == draws[False].channels
+        assert draws[True].noise == draws[False].noise
         assert np.array_equal(runs[True], runs[False])
 
     def test_identity_holds_under_fast_thread_switching(self, monkeypatch):
-        # the caller and the helper hand the generators over at each future;
-        # switching threads every microsecond must not reorder a draw
+        # the two workers take the generators in turn under a lock and add
+        # their chunks in order; switching threads every microsecond must
+        # not reorder a draw or a sum
         cfg, seed = CHUNK_CASES[1].values
         drop, plans = self.setup(cfg, seed, monkeypatch, 1)
         inline = estimate_sinr(cfg, drop, plans, 40, np.random.default_rng(34))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            ahead = [estimate_sinr(cfg, drop, plans, 40, np.random.default_rng(34),
-                                   prefetch=True) for _ in range(3)]
+            paired = [estimate_sinr(cfg, drop, plans, 40, np.random.default_rng(34),
+                                    prefetch=True) for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
-        for sinr in ahead:
+        for sinr in paired:
             assert np.array_equal(sinr, inline)
 
     def test_single_chunk_starts_no_thread(self, monkeypatch):
+        # one chunk runs on the caller alone, with no pool and no lock
         cfg, seed = CHUNK_CASES[0].values
         drop, plans = self.setup(cfg, seed, monkeypatch, 3)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a helper thread was started")
+        def unused(*args, **kwargs):
+            raise AssertionError("a helper thread or a lock was made")
 
-        monkeypatch.setattr(detection, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(detection, "ThreadPoolExecutor", unused)
+        monkeypatch.setattr(detection, "Lock", unused)
         log = DrawLog(monkeypatch)
         estimate_sinr(cfg, drop, plans, 2, np.random.default_rng(33), prefetch=True)
         assert log.threads == [threading.get_ident()]
 
+    def check_error_in_one_worker(self, monkeypatch, kind, prefetch):
+        # 7 Table trials in chunks of 1. Without prefetch the first call of
+        # `kind` in chunk 1 raises. With prefetch both workers first meet at
+        # a barrier, each holding one chunk; then the caller's first call of
+        # `kind` raises while the helper waits until the caller has
+        # stopped, and in a second call the roles swap. So whatever the
+        # timing, one named worker fails, the other stops before it takes a
+        # third chunk, and two chunks are drawn. The call raises that very
+        # error, no thread or draw is left behind, and the next call is
+        # unchanged
+        cfg = NetworkConfig()
+        drop, plans = self.setup(cfg, 41, monkeypatch, 1)
+        fresh = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33))
+        caller = threading.get_ident()
+        for role in ("caller", "helper") if prefetch else ("caller",):
+            error, both, entered = RuntimeError(f"{kind} failed"), threading.Barrier(2), set()
+            waited = []
+
+            def hook(call, chunk):
+                me = threading.get_ident()
+                if not prefetch:
+                    if call == kind and chunk == 1:
+                        raise error
+                    return
+                if me not in entered:
+                    entered.add(me)
+                    both.wait(30)
+                if (me == caller) == (role == "caller"):
+                    if call == kind:
+                        raise error
+                elif not waited:
+                    waited.append(pools.stopped.wait(30))
+
+            with monkeypatch.context() as patch:
+                pools = PoolLog(patch)
+                draws = DrawLog(patch)
+                log = ScoreLog(patch, draws, hook)
+                before = threading.active_count()
+                with pytest.raises(RuntimeError) as info:
+                    estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
+                                  prefetch=prefetch)
+                assert info.value is error
+                assert waited == ([True] if prefetch else [])
+                assert threading.active_count() == before
+                assert draws.running == 0
+                assert len(draws.threads) == 2
+                failed = next(c for c, t in enumerate(draws.threads)
+                              if (t == caller) == (role == "caller")) if prefetch else 1
+                assert log.threads(kind, failed) == [draws.threads[failed]]
+            again = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
+                                  prefetch=prefetch)
+            assert np.array_equal(again, fresh)
+
     @pytest.mark.parametrize("prefetch", [True, False])
     def test_scoring_error_surfaces_and_leaves_no_draw_running(self, monkeypatch,
                                                                prefetch):
-        # the combiner raises on the second chunk while the helper draws the
-        # third; the call raises that error only after the draw has finished
-        cfg = NetworkConfig()
-        drop, plans = self.setup(cfg, 41, monkeypatch, 1)
-        fresh = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33))
-        error, calls = RuntimeError("scoring failed"), []
+        self.check_error_in_one_worker(monkeypatch, "zf", prefetch)
 
-        def failing(ghat, gram, gram_inv):
-            calls.append(1)
-            if len(calls) > len(plans) * cfg.L:
-                raise error
-            return zf_combiner(ghat, gram, gram_inv)
-
-        monkeypatch.setattr(detection, "zf_combiner", failing)
-        log = DrawLog(monkeypatch)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
-                          prefetch=prefetch)
-        assert info.value is error
-        assert threading.active_count() == before
-        assert log.running == 0
-        assert len(log.threads) == (3 if prefetch else 2)
-        monkeypatch.setattr(detection, "zf_combiner", zf_combiner)
-        again = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
-                              prefetch=prefetch)
-        assert np.array_equal(again, fresh)
+    @pytest.mark.parametrize("prefetch", [True, False])
+    def test_estimate_error_surfaces_unchanged(self, monkeypatch, prefetch):
+        self.check_error_in_one_worker(monkeypatch, "ls", prefetch)
 
     @pytest.mark.parametrize("prefetch", [True, False])
     def test_draw_error_surfaces_unchanged(self, monkeypatch, prefetch):
-        # the second draw, the helper's first, raises: the call raises that
-        # very exception and leaves no thread behind
+        # the second draw raises. With prefetch, the worker holding chunk 0
+        # waits in its first LS estimate until that draw has raised, so the
+        # other worker makes it; a draw that raises ends the chunks for
+        # both, so exactly two draws are made whatever the timing. The call
+        # raises that very exception and leaves no thread behind
         cfg = NetworkConfig()
         drop, plans = self.setup(cfg, 41, monkeypatch, 1)
         fresh = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33))
+        failed, waited = threading.Event(), []
+
+        def hook(call, chunk):
+            if prefetch and chunk == 0 and not waited:
+                waited.append(failed.wait(30))
+
         with monkeypatch.context() as patch:
-            log = DrawLog(patch, fail_at=2)
+            draws = DrawLog(patch, fail_at=2, before_fail=failed.set)
+            ScoreLog(patch, draws, hook)
             before = threading.active_count()
             with pytest.raises(RuntimeError) as info:
                 estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
                               prefetch=prefetch)
-            assert info.value is log.error
+            assert info.value is draws.error
+            assert waited == ([True] if prefetch else [])
             assert threading.active_count() == before
-            assert len(log.threads) == 2
-            assert (log.threads[1] != threading.get_ident()) == prefetch
+            assert draws.running == 0
+            assert len(draws.threads) == 2
+            assert (draws.threads[0] != draws.threads[1]) == prefetch
         again = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
                               prefetch=prefetch)
         assert np.array_equal(again, fresh)
 
     def test_two_chunks_fit_the_memory_bound(self):
-        # the bound of test_chunk_budget_bounds_peak_memory holds with the
-        # helper's chunk alive next to the scored one, at Table scale
+        # the bound of test_chunk_budget_bounds_peak_memory holds with both
+        # workers' chunks alive, at Table scale
         cfg = NetworkConfig()
         drop = sample_users(cfg, np.random.default_rng(41))
         plans = loc_aware_and_cyclic(cfg, drop)
@@ -740,52 +888,28 @@ class TestDrawAhead:
     @pytest.mark.parametrize("prefetch", [True, False])
     def test_estimates_run_on_the_drawing_thread_within_the_budget(self, monkeypatch,
                                                                    prefetch):
-        # 32 desk plans in chunks of 3 trials: the estimate stacks of 6 plans
-        # fit the chunk budget. Chunk 0 and every plan past the budget are
-        # estimated by the caller; with prefetch, the budgeted plans of every
-        # later chunk are estimated by the helper thread that drew the chunk
+        # 32 desk plans, whose estimate stacks together exceed the chunk
+        # budget, in chunks of 3 trials: every LS estimate and ZF solve of a
+        # chunk runs on the thread that drew it, one estimate per plan and
+        # one solve per plan, trial and BS, and without prefetch that thread
+        # is the caller
         drop = sample_users(DESK, np.random.default_rng(42))
         plans = random_plans(DESK, drop, 32, 44)
         monkeypatch.setattr(detection, "_CHUNK_BYTES", 3 * trial_bytes(DESK))
         draws = DrawLog(monkeypatch)
-        log = EstimateLog(monkeypatch, draws)
+        log = ScoreLog(monkeypatch, draws)
         estimate_sinr(DESK, drop, plans, 7, np.random.default_rng(33), prefetch=prefetch)
-        caller = threading.get_ident()
         assert len(draws.threads) == 3
-        for chunk, drawn_by in enumerate(draws.threads):
-            threads = log.threads(chunk)
-            assert len(threads) == len(plans)
-            ahead = 6 if prefetch and chunk > 0 else 0
-            assert threads[:ahead] == [drawn_by] * ahead
-            assert drawn_by != caller or not ahead
-            assert threads[ahead:] == [caller] * (len(plans) - ahead)
-
-    @pytest.mark.parametrize("prefetch", [True, False])
-    def test_estimate_error_surfaces_unchanged(self, monkeypatch, prefetch):
-        # the LS estimate of chunk 1, the helper's with prefetch, raises: the
-        # call raises that very exception and leaves no thread or draw behind
-        cfg = NetworkConfig()
-        drop, plans = self.setup(cfg, 41, monkeypatch, 1)
-        fresh = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33))
-        with monkeypatch.context() as patch:
-            draws = DrawLog(patch)
-            log = EstimateLog(patch, draws, fail_chunk=1)
-            before = threading.active_count()
-            with pytest.raises(RuntimeError) as info:
-                estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
-                              prefetch=prefetch)
-            assert info.value is log.error
-            assert threading.active_count() == before
-            assert draws.running == 0
-            assert (log.threads(1)[0] != threading.get_ident()) == prefetch
-        again = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
-                              prefetch=prefetch)
-        assert np.array_equal(again, fresh)
+        for chunk, (drawn_by, trials) in enumerate(zip(draws.threads, (3, 3, 1))):
+            assert log.threads("ls", chunk) == [drawn_by] * len(plans)
+            assert log.threads("zf", chunk) == [drawn_by] * (len(plans) * trials * DESK.L)
+        if not prefetch:
+            assert set(draws.threads) == {threading.get_ident()}
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_plans_past_the_budget_cannot_change_results(self, monkeypatch, chunk):
-        # 32 desk plans, 6 of them estimated ahead: bit-identical with and
-        # without prefetch
+        # 32 desk plans, whose estimate stacks together exceed the chunk
+        # budget: bit-identical with and without prefetch
         drop = sample_users(DESK, np.random.default_rng(42))
         plans = random_plans(DESK, drop, 32, 44)
         monkeypatch.setattr(detection, "_CHUNK_BYTES", chunk * trial_bytes(DESK))
@@ -794,8 +918,8 @@ class TestDrawAhead:
         assert np.array_equal(runs[0], runs[1])
 
     def test_many_plans_fit_the_memory_bound(self):
-        # the helper estimates only the plans that fit the chunk budget, so
-        # the peak does not grow with the plan count
+        # each worker holds one plan's estimate stack at a time, so the peak
+        # does not grow with the plan count
         drop = sample_users(DESK, np.random.default_rng(42))
         plans = random_plans(DESK, drop, 32, 44)
         tracemalloc.start()

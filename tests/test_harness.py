@@ -380,11 +380,48 @@ class TestThreadsAndDeterminism:
     def test_only_a_plain_loop_on_several_cores_draws_ahead(self, monkeypatch, threads,
                                                              drops, cores, prefetch):
         # one worker on 2 cores (also when one drop caps the pool) leaves a
-        # core for the draw-ahead helper; 2 workers or 1 core leave none
+        # core for the SINR helper worker; 2 workers or 1 core leave none
         inline_pool(monkeypatch)
         monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(harness, "_blas_threads", lambda: 1)
         assert harness._for_each_drop(lambda d, prefetch: prefetch, drops,
                                       threads) == [prefetch] * drops
+
+    @pytest.mark.parametrize("blas", [2, 64, None])
+    def test_a_multi_threaded_or_unknown_blas_starts_no_helper(self, monkeypatch, blas):
+        # BLAS threads already take the spare cores, and a BLAS that cannot
+        # be asked may; the plain loop then scores on one worker
+        inline_pool(monkeypatch)
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(harness, "_blas_threads", lambda: blas)
+        assert harness._for_each_drop(lambda d, prefetch: prefetch, 3, 1) == [False] * 3
+
+    def test_blas_threads_are_asked_of_the_library_at_each_call(self, monkeypatch):
+        counts = iter([1, 4])
+        monkeypatch.setattr(harness, "_blas_thread_query", lambda: lambda: next(counts))
+        assert [harness._blas_threads(), harness._blas_threads()] == [1, 4]
+        monkeypatch.setattr(harness, "_blas_thread_query", lambda: None)
+        assert harness._blas_threads() is None
+
+    def test_the_loaded_blas_is_found(self, monkeypatch):
+        # numpy's OpenBLAS (the wheels' build) is found through the process
+        # map and reports at least one thread; without a readable process
+        # map the count is unknown
+        threads = harness._blas_threads()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if Path("/proc/self/maps").exists() and "openblas" in str(blas.get("name")):
+            assert threads is not None
+        assert threads is None or threads >= 1
+
+        def unreadable(*args, **kwargs):
+            raise OSError("no process map")
+
+        harness._blas_thread_query.cache_clear()
+        monkeypatch.setattr(harness, "open", unreadable, raising=False)
+        try:
+            assert harness._blas_thread_query() is None
+        finally:
+            harness._blas_thread_query.cache_clear()
 
     def test_cores_are_those_the_process_may_run_on(self, monkeypatch):
         # a process pinned to one core of an 8-core host runs a plain loop
