@@ -21,13 +21,17 @@ import numpy as np
 from .model import Drop, Links, NetworkConfig
 
 
-def crandn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def crandn(rng: np.random.Generator, shape: tuple[int, ...],
+           out: np.ndarray | None = None) -> np.ndarray:
     """Circularly-symmetric complex normals, unit variance per entry.
 
     Real/imaginary parts are interleaved per entry, so drawing an (N, M)
-    block consumes the stream exactly like N consecutive (M,) draws.
+    block consumes the stream exactly like N consecutive (M,) draws. With
+    `out`, a C-contiguous float array of shape (*shape, 2), the draw fills
+    it in place, consuming the stream as a fresh draw does, and the result
+    is a complex view of it.
     """
-    z = rng.standard_normal((*shape, 2))
+    z = rng.standard_normal((*shape, 2), out=out)
     z *= 1.0 / np.sqrt(2.0)
     return z.view(complex)[..., 0]
 
@@ -88,10 +92,20 @@ class ChannelSampler:
         self.los = los_channels(drop.true, cfg.M)
         self.w_nlos = np.sqrt(drop.true.alpha / (1.0 + drop.true.k))[:, None, :]
 
-    def draw(self, rng: np.random.Generator, trials: int) -> ChannelSet:
-        """`trials` independent realizations, stacked on a leading axis."""
+    def draw(self, rng: np.random.Generator, trials: int,
+             out: tuple[np.ndarray, np.ndarray] | None = None) -> ChannelSet:
+        """`trials` independent realizations, stacked on a leading axis.
+
+        With `out`, a pair of buffers (scatter, g), the draw fills them in
+        place: `scatter` as `crandn`'s float `out` of shape (trials, L, M,
+        L*N, 2), `g` complex of shape (trials, L, M, L*N); a None in the
+        pair gets a fresh array. The values and the stream consumed are
+        those of a fresh draw, and `htilde` and `g` of the result are views
+        of the two buffers.
+        """
         L, N, M = self.cfg.L, self.cfg.N, self.cfg.M
-        htilde = crandn(rng, (trials, L, M, L * N))
-        g = htilde * self.w_nlos
+        scatter, g = (None, None) if out is None else out
+        htilde = crandn(rng, (trials, L, M, L * N), out=scatter)
+        g = np.multiply(htilde, self.w_nlos, out=g)
         g += self.los
         return ChannelSet(g=g, htilde=htilde)

@@ -31,20 +31,23 @@ stack, so its size depends only on (L, M, N), never on the number of plans
 or trials, and the working set stays small at any trial count.
 
 The chunks are drawn in order, each channel draw and noise draw after the
-previous chunk's, by one thread at a time. With `prefetch`, which the
-harness turns on when it has a core to spare, the caller and one helper
-thread run the same chunk loop side by side: each draws the next chunk
-under a lock and scores it outside it, its LS estimates and moments, while
-the other scores its own. numpy's normal draws, its large ufuncs and BLAS
-release the interpreter lock, so the two overlap. A chunk's sums wait
-until every earlier chunk's are added, so the streams are consumed and the
-sums formed exactly as without it. At most two chunks of draws are alive,
-one per worker.
+previous chunk's, by one thread at a time. Every path runs one chunk loop:
+a worker draws the next chunk into its own chunk-sized buffer set, reused
+for every chunk it takes (a call of one chunk draws it fresh), scores it
+(its LS estimates and moments), and adds its sums once every earlier
+chunk's are in. The caller runs the loop
+alone or, with `prefetch`, which the harness turns on when it has a core to
+spare, side by side with one helper thread, each drawing under a lock and
+scoring outside it. numpy's normal draws, its large ufuncs and BLAS release
+the interpreter lock, so the two overlap. The streams are consumed and the
+sums formed exactly as by one worker, and a call holds one buffer set per
+worker.
 
 The SINR is the use-and-then-forget form |E[w^H g_k]|^2 / (sum_i
 E|w^H g_i|^2 - |E[w^H g_k]|^2 + sigma^2 E||w||^2), with every expectation a
 sample mean over trials; on all-NLOS links with one user per pilot and cell
-it has a closed form, which the tests check it against.
+it has a closed form, `checks.closed_form_sinr`, which `mimopilots check`
+and the tests check it against.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from threading import Lock
 
 import numpy as np
@@ -253,17 +257,20 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     norm; the denominator is floored at 1e-12. A non-finite SINR raises
     FloatingPointError.
 
-    With `prefetch` and more than one chunk, the caller and one helper
-    thread, started for this call, both run one chunk loop: under a lock,
-    take the next chunk and draw its channels and noise, then form its LS
-    estimates and moments outside it, and add them to the trial sums in
-    chunk order, a chunk scored before an earlier one waiting until that
-    one is in. Otherwise the caller draws and scores each chunk in turn.
-    The draws run in chunk order either way and the sums take the chunks
-    in the same order, so the result is bit-identical, and at most two
-    chunks of draws are alive, one per worker. A worker that raises stops
-    the other before it takes another chunk; the helper is joined before
-    the call returns or raises, and the exception is raised here unchanged.
+    Every path runs one chunk loop per worker: take the next chunk, draw
+    its channels and noise into the worker's one buffer set, allocated once
+    per call and reused for every chunk it takes (a call of one chunk draws
+    it fresh), then form its LS
+    estimates and moments and add them to the trial sums in chunk order, a
+    chunk scored before an earlier one waiting until that one is in. With
+    `prefetch` and more than one chunk, the caller and one helper thread,
+    started for this call, both run the loop, each taking and drawing its
+    chunk under a lock; otherwise the caller runs it alone, with no thread
+    and no lock. The draws run in chunk order either way and the sums take
+    the chunks in the same order, so the result is bit-identical, and a
+    call holds one buffer set per worker. A worker that raises stops the
+    other before it takes another chunk; the helper is joined before the
+    call returns or raises, and the exception is raised here unchanged.
     """
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
@@ -283,67 +290,59 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     chunk = max(1, min(trials, _CHUNK_BYTES // (16 * L * M * L * N)))
     starts = range(0, trials, chunk)
     noise_rng = rng.spawn(1)[0]
-
-    def draws():
-        # each chunk's index, channels and unscaled pilot-phase noise block,
-        # in chunk order; the generator keeps no chunk it has handed out
-        for i, start in enumerate(starts):
-            t = min(chunk, trials - start)
-            yield i, sampler.draw(rng, t).g, crandn(noise_rng, (t, L, M, K))
+    # the chunks not taken yet, (index, first trial) in order; a generator,
+    # so that a worker that raises can close it for the other
+    chunks = (item for item in enumerate(starts))
 
     # trial sums of the moments: own-user w^H g, |w^H g|^2 over all users, ||w||^2
     sums = np.zeros((3, len(plans), L, N), dtype=complex)
-    chunks = draws()
-    if not (prefetch and len(starts) > 1):
-        # scored inline, not by the workers' `score`: each LS estimate then
-        # lives until the next one is formed, across the next chunk's draws
-        # too, so the allocator reuses its pages instead of trimming the
-        # heap and faulting them back in
-        for _, g, z in chunks:
-            z *= np.sqrt(noise_var)
-            for p in range(len(plans)):
-                est = ls_estimate(synthesize_rx(g, lams[p], z) - ybar[p], book)
-                for l in range(L):
-                    sums[:, p, l] += groups[p][l].moments(est[:, l], g[:, l])
-    else:
-        lock = Lock()
-        ready, added = {}, 0        # chunks scored before an earlier one
+    ready, added = {}, 0        # chunks scored before an earlier one
 
-        def score(g: np.ndarray, z: np.ndarray) -> np.ndarray:
-            # the chunk's (3, P, L, N) trial sums of the moments
-            z *= np.sqrt(noise_var)
-            out = np.empty_like(sums)
-            for p in range(len(plans)):
-                # one LS estimate column per pilot at every trial and BS
-                est = ls_estimate(synthesize_rx(g, lams[p], z) - ybar[p], book)
-                for l in range(L):
-                    out[:, p, l] = groups[p][l].moments(est[:, l], g[:, l])
-            return out
-
-        def work() -> None:
-            nonlocal added
-            try:
-                while True:
-                    with lock:
-                        i, g, z = next(chunks, (None, None, None))
+    def work(lock) -> None:
+        nonlocal added
+        # this worker's one buffer set, which every chunk it takes is drawn
+        # into: the scatter block, the channels and the unscaled pilot noise.
+        # A call of one chunk draws it fresh: a set would serve it once and
+        # only hold the scatter block past its use
+        buffers = (np.empty((chunk, L, M, L * N, 2)),
+                   np.empty((chunk, L, M, L * N), dtype=complex),
+                   np.empty((chunk, L, M, K, 2))) if len(starts) > 1 else None
+        try:
+            while True:
+                with lock:
+                    i, start = next(chunks, (None, None))
                     if i is None:
                         return
-                    out = score(g, z)
-                    del g, z        # before this worker draws its next chunk
-                    with lock:
-                        ready[i] = out
-                        while added in ready:
-                            np.add(sums, ready.pop(added), out=sums)
-                            added += 1
-            except BaseException:
-                with lock:          # the other worker takes no further chunk
-                    chunks.close()
-                raise
+                    t = min(chunk, trials - start)
+                    scatter, channels, noise = ((None,) * 3 if buffers is None
+                                                else (b[:t] for b in buffers))
+                    g = sampler.draw(rng, t, out=(scatter, channels)).g
+                    z = crandn(noise_rng, (t, L, M, K), out=noise)
+                z *= np.sqrt(noise_var)
+                out = np.empty_like(sums)       # the chunk's trial sums
+                for p in range(len(plans)):
+                    # one LS estimate column per pilot at every trial and BS
+                    est = ls_estimate(synthesize_rx(g, lams[p], z) - ybar[p], book)
+                    for l in range(L):
+                        out[:, p, l] = groups[p][l].moments(est[:, l], g[:, l])
+                with lock:
+                    ready[i] = out
+                    while added in ready:
+                        np.add(sums, ready.pop(added), out=sums)
+                        added += 1
+        except BaseException:
+            with lock:          # the other worker takes no further chunk
+                chunks.close()
+            raise
 
+    if prefetch and len(starts) > 1:
+        lock = Lock()
         with ThreadPoolExecutor(max_workers=1, thread_name_prefix="score") as pool:
-            helper = pool.submit(work)
-            work()
+            helper = pool.submit(work, lock)
+            work(lock)
             helper.result()
+    else:
+        work(nullcontext())
 
     sum_sig, sum_pow, sum_wsq = sums[0], sums[1].real, sums[2].real
     mean_sig_sq = np.abs(sum_sig / trials) ** 2

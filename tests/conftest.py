@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -37,12 +36,6 @@ def make_drop(cfg: NetworkConfig, *cells, los=None) -> Drop:
         los = True
     return Drop.from_positions(cfg, pos, pos_est,
                                np.broadcast_to(los, (cfg.L, cfg.L * cfg.N)))
-
-
-def all_nlos(drop: Drop) -> Drop:
-    """`drop` with every link NLOS: K zeroed in both views."""
-    return replace(drop, true=replace(drop.true, k=np.zeros_like(drop.true.k)),
-                   est=replace(drop.est, k=np.zeros_like(drop.est.k)))
 
 
 def sample_position_error(var: float, rng: np.random.Generator, n: int | None = None) -> np.ndarray:

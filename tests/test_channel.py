@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_nlos, channel_column, make_drop
+from conftest import channel_column, make_drop
 from mimopilots.channel import ChannelSampler, crandn, los_channels, steering_vector
-from mimopilots.checks import steering_vs_direct
+from mimopilots.checks import all_nlos, steering_vs_direct
 from mimopilots.model import NetworkConfig, sample_users
 
 
@@ -164,6 +164,40 @@ class TestAssembleChannels:
         assert got.shape == shape
         assert np.array_equal(got, ref)
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(ref.view(float)))
+
+    @pytest.mark.parametrize("t", [3, 2], ids=["full", "short"])
+    def test_crandn_into_a_buffer_equals_a_fresh_draw(self, t):
+        # a draw into a buffer of 3 blocks gives the fresh draw's values and
+        # leaves the generator where a fresh draw does; a short last chunk
+        # fills only buf[:t]
+        shape = (4, 5)
+        buf = np.full((3, *shape, 2), np.nan)
+        rng, fresh_rng = np.random.default_rng(14), np.random.default_rng(14)
+        got = crandn(rng, (t, *shape), out=buf[:t])
+        assert np.array_equal(got, crandn(fresh_rng, (t, *shape)))
+        assert np.shares_memory(got, buf)
+        assert np.isnan(buf[t:]).all()
+        assert rng.bit_generator.state == fresh_rng.bit_generator.state
+
+    @pytest.mark.parametrize("t", [3, 2], ids=["full", "short"])
+    def test_draw_into_buffers_equals_a_fresh_draw(self, t):
+        # both arrays of the set are the fresh draw's, views of the two
+        # buffers, the generator ends in the same state, and a short last
+        # chunk fills only the first t trials of each buffer
+        cfg = cfg_for(los_model="linear_prob", k_model="distance", cell_radius=400.0)
+        drop = sample_users(cfg, np.random.default_rng(15))
+        sampler = ChannelSampler(drop, cfg)
+        shape = (3, cfg.L, cfg.M, cfg.L * cfg.N)
+        scatter, g = np.full((*shape, 2), np.nan), np.full(shape, np.nan, dtype=complex)
+        rng, fresh_rng = np.random.default_rng(16), np.random.default_rng(16)
+        got = sampler.draw(rng, t, out=(scatter[:t], g[:t]))
+        fresh = sampler.draw(fresh_rng, t)
+        assert np.array_equal(got.g, fresh.g)
+        assert np.array_equal(got.htilde, fresh.htilde)
+        assert got.g.shape == got.htilde.shape == (t, *shape[1:])
+        assert np.shares_memory(got.g, g) and np.shares_memory(got.htilde, scatter)
+        assert np.isnan(scatter[t:]).all() and np.isnan(g[t:]).all()
+        assert rng.bit_generator.state == fresh_rng.bit_generator.state
 
     def test_crandn_unit_variance(self):
         z = crandn(np.random.default_rng(10), (200_000,))

@@ -4,17 +4,16 @@ import hashlib
 import sys
 import threading
 import tracemalloc
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from conftest import all_nlos, estimate_sinr_per_trial, make_drop, noise_block
+from conftest import estimate_sinr_per_trial, make_drop, noise_block
 from mimopilots import detection
 from mimopilots.allocators import allocate_loc_aware, allocate_random
 from mimopilots.channel import ChannelSampler, crandn
-from mimopilots.checks import distinct_plan, pinv_moments, zf_solve
+from mimopilots.checks import closed_form_dev, distinct_plan, pinv_moments, zf_solve
 from mimopilots.detection import (CopilotGroups, estimate_sinr, gram_condition,
                                   gram_inverses, spectral_efficiency, zf_combiner)
 from mimopilots.estimation import estimated_los_channel, ls_estimate, synthesize_rx
@@ -557,23 +556,9 @@ class TestEstimateSinr:
     ], ids=["one-cell", "two-cells", "six-users"])
     def test_matches_the_closed_form_on_rayleigh_links(self, cfg, trials, seed):
         # ZF on LS estimates of all-NLOS links, user j on pilot j in every
-        # cell, M > N: at BS l with beta_cj = alpha[l, c*N + j], LS noise
-        # eps = sigma^2 / pilot_len and estimate variance v_j = sum_c beta_cj
-        # + eps, E[(Ghat^H Ghat)^-1] = D^-1 / (M - N) gives the
-        # use-and-then-forget SINR in closed form, pilot contamination
-        # first in its denominator. Checked on the two-worker path
-        drop = all_nlos(sample_users(cfg, np.random.default_rng(seed)))
-        L, N, sigma2 = cfg.L, cfg.N, 1.0 / cfg.rho
-        expect = np.empty((L, N))
-        for l in range(L):
-            beta = drop.true.alpha[l].reshape(L, N)
-            v = beta.sum(axis=0) + sigma2 / cfg.pilot_len
-            ratio = (beta / v) ** 2
-            noise = ((beta - beta ** 2 / v).sum() + sigma2) / ((cfg.M - N) * v)
-            expect[l] = ratio[l] / (ratio.sum(axis=0) - ratio[l] + noise)
-        got = estimate_sinr(cfg, drop, [distinct_plan(cfg)], trials,
-                            np.random.default_rng(seed + 100), prefetch=True)[0]
-        assert np.max(np.abs(got / expect - 1)) < 0.02
+        # cell, M > N: `checks.closed_form_sinr`, checked on the two-worker
+        # path
+        assert closed_form_dev(cfg, seed, trials, prefetch=True) < 0.02
 
 
 def digest(a):
@@ -582,37 +567,38 @@ def digest(a):
 
 class DrawLog:
     """Records every channel draw and pilot-noise draw of `estimate_sinr`:
-    the thread each channel draw runs on, how many channel stacks of earlier
-    draws are still alive when it starts, how many are running, and a digest
-    of every channel and noise block in draw order. The channel draw
+    the thread each channel draw runs on, how many are running, the channel
+    and noise blocks themselves (views of the drawing worker's buffers) and a
+    digest of each, taken as it is drawn, in draw order. The channel draw
     numbered `fail_at` (from 1) calls `before_fail` and raises `error`
     instead."""
 
     def __init__(self, monkeypatch, fail_at=None, before_fail=None):
-        self.threads, self.alive_before, self.running = [], [], 0
+        self.threads, self.running = [], 0
+        self.stacks, self.noise_blocks = [], []
         self.channels, self.noise = [], []
         self.error = RuntimeError("draw failed")
-        self._stacks = []
         original = ChannelSampler.draw
 
-        def draw(sampler, rng, trials):
+        def draw(sampler, rng, trials, out=None):
             self.threads.append(threading.get_ident())
-            self.alive_before.append(sum(ref() is not None for ref in self._stacks))
+            self.stacks.append(None)
             self.running += 1
             try:
                 if len(self.threads) == fail_at:
                     if before_fail is not None:
                         before_fail()
                     raise self.error
-                out = original(sampler, rng, trials)
+                drawn = original(sampler, rng, trials, out=out)
             finally:
                 self.running -= 1
-            self._stacks.append(weakref.ref(out.g))
-            self.channels.append(digest(out.g))
-            return out
+            self.stacks[-1] = drawn.g
+            self.channels.append(digest(drawn.g))
+            return drawn
 
-        def noise(rng, shape):
-            z = crandn(rng, shape)
+        def noise(rng, shape, out=None):
+            z = crandn(rng, shape, out=out)
+            self.noise_blocks.append(z)
             self.noise.append(digest(z))
             return z
 
@@ -620,18 +606,32 @@ class DrawLog:
         monkeypatch.setattr(detection, "crandn", noise)
 
     def chunk_of(self, g):
-        """The chunk of channel stack `g` or of the stack it is a view of:
-        its position among the draws."""
-        stack = g if g.base is None else g.base
-        return next(i for i, ref in enumerate(self._stacks) if ref() is stack)
+        """The chunk of channel stack `g` or of a view of it: the last chunk
+        the calling thread drew, whose buffer `g` must share."""
+        me = threading.get_ident()
+        chunk = max(c for c, thread in enumerate(self.threads) if thread == me)
+        assert np.shares_memory(g, self.stacks[chunk])
+        return chunk
+
+    def buffer_sets(self):
+        """The number of buffer sets the draws used: every channel and noise
+        block a thread draws must share memory with the first it drew, and
+        with no block of another thread, so there is one set per thread."""
+        for blocks in (self.stacks, self.noise_blocks):
+            first = {}
+            for thread, block in zip(self.threads, blocks, strict=True):
+                first.setdefault(thread, block)
+                for other, base in first.items():
+                    assert np.shares_memory(block, base) == (other == thread)
+        return len(set(self.threads))
 
 
 class ScoreLog:
     """Records every LS estimate ("ls") and ZF solve ("zf") of
     `estimate_sinr` as (chunk, thread), the chunk being the one, in `draws`,
-    a `DrawLog`, whose channel stack the pilot phase or the moments were
-    formed from. `hook(kind, chunk)` runs before each call and may block or
-    raise."""
+    a `DrawLog`, that the calling thread drew last and whose channel stack
+    the pilot phase or the moments were formed from. `hook(kind, chunk)`
+    runs before each call and may block or raise."""
 
     def __init__(self, monkeypatch, draws, hook=None):
         self.calls = {"ls": [], "zf": []}
@@ -725,8 +725,8 @@ class TestDrawAhead:
         # 7 trials in chunks of 1 and of 3 (a partial last chunk): with
         # prefetch the call starts one pool of one helper thread, and only
         # the caller and that helper draw; both streams are consumed in
-        # chunk order, the SINR is bit-identical to one worker's, and no
-        # draw starts while more than one earlier chunk's channels are alive
+        # chunk order, the SINR is bit-identical to one worker's, and each
+        # worker draws every chunk it takes into its one buffer set
         drop, plans = self.setup(cfg, seed, monkeypatch, chunk)
         caller, runs, draws = threading.get_ident(), {}, {}
         for prefetch in (False, True):
@@ -740,7 +740,7 @@ class TestDrawAhead:
             assert caller not in pools.threads
             assert set(log.threads) <= {caller, *pools.threads}
             assert len(log.threads) == len(log.noise) == -(-7 // chunk)
-            assert max(log.alive_before) <= 1
+            assert log.buffer_sets() <= 1 + prefetch
         assert draws[True].channels == draws[False].channels
         assert draws[True].noise == draws[False].noise
         assert np.array_equal(runs[True], runs[False])
@@ -873,7 +873,7 @@ class TestDrawAhead:
 
     def test_two_chunks_fit_the_memory_bound(self):
         # the bound of test_chunk_budget_bounds_peak_memory holds with both
-        # workers' chunks alive, at Table scale
+        # workers' buffer sets and chunks in flight, at Table scale
         cfg = NetworkConfig()
         drop = sample_users(cfg, np.random.default_rng(41))
         plans = loc_aware_and_cyclic(cfg, drop)

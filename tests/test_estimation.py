@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import all_nlos, make_drop, noise_block, sample_position_error
+from conftest import make_drop, noise_block, sample_position_error
 from mimopilots.channel import ChannelSampler, steering_vector
-from mimopilots.checks import distinct_plan
+from mimopilots.checks import all_nlos, distinct_plan
 from mimopilots.estimation import estimated_los_channel, ls_estimate, synthesize_rx
 from mimopilots.model import Drop, NetworkConfig, bs_positions, sample_users
 from mimopilots.pilots import AllocationPlan, build_pilot_book, pilot_matrix

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_nlos, sample_position_error, sample_users_per_user
+from conftest import sample_position_error, sample_users_per_user
 from mimopilots.allocators import ALLOCATORS
 from mimopilots.channel import ChannelSampler
+from mimopilots.checks import all_nlos
 from mimopilots.estimation import estimated_los_channel
 from mimopilots.los_metric import los_interference, pair_scores
 from mimopilots.model import (ConfigError, Drop, Links, NetworkConfig, bs_positions,
