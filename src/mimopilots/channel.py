@@ -93,19 +93,16 @@ class ChannelSampler:
         self.w_nlos = np.sqrt(drop.true.alpha / (1.0 + drop.true.k))[:, None, :]
 
     def draw(self, rng: np.random.Generator, trials: int,
-             out: tuple[np.ndarray, np.ndarray] | None = None) -> ChannelSet:
+             out: np.ndarray | None = None) -> ChannelSet:
         """`trials` independent realizations, stacked on a leading axis.
 
-        With `out`, a pair of buffers (scatter, g), the draw fills them in
-        place: `scatter` as `crandn`'s float `out` of shape (trials, L, M,
-        L*N, 2), `g` complex of shape (trials, L, M, L*N); a None in the
-        pair gets a fresh array. The values and the stream consumed are
-        those of a fresh draw, and `htilde` and `g` of the result are views
-        of the two buffers.
+        With `out`, a complex array of shape (trials, L, M, L*N), the
+        channels are formed in it in place and `g` of the result is `out`;
+        the scatter block is drawn fresh either way. The values and the
+        stream consumed are those of a fresh draw.
         """
         L, N, M = self.cfg.L, self.cfg.N, self.cfg.M
-        scatter, g = (None, None) if out is None else out
-        htilde = crandn(rng, (trials, L, M, L * N), out=scatter)
-        g = np.multiply(htilde, self.w_nlos, out=g)
+        htilde = crandn(rng, (trials, L, M, L * N))
+        g = np.multiply(htilde, self.w_nlos, out=out)
         g += self.los
         return ChannelSet(g=g, htilde=htilde)

@@ -32,15 +32,14 @@ or trials, and the working set stays small at any trial count.
 
 The chunks are drawn in order, each channel draw and noise draw after the
 previous chunk's, by one thread at a time. Every path runs one chunk loop:
-a worker draws the next chunk into its own chunk-sized buffer set, reused
-for every chunk it takes (a call of one chunk draws it fresh), scores it
-(its LS estimates and moments), and adds its sums once every earlier
-chunk's are in. The caller runs the loop
-alone or, with `prefetch`, which the harness turns on when it has a core to
-spare, side by side with one helper thread, each drawing under a lock and
-scoring outside it. numpy's normal draws, its large ufuncs and BLAS release
-the interpreter lock, so the two overlap. The streams are consumed and the
-sums formed exactly as by one worker, and a call holds one buffer set per
+a worker draws the next chunk's channels and noise into its own
+chunk-sized buffers, reused for every chunk it takes, scores it (its LS
+estimates and moments), and adds its sums once every earlier chunk's are
+in. The caller runs the loop alone or, with `prefetch`, which the harness
+turns on when it has a core to spare, side by side with one helper
+thread, each drawing under a lock and scoring outside it. numpy's normal
+draws, its large ufuncs and BLAS release the interpreter lock, so the two
+overlap. The streams are consumed and the sums formed exactly as by one
 worker.
 
 The SINR is the use-and-then-forget form |E[w^H g_k]|^2 / (sum_i
@@ -258,19 +257,19 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     FloatingPointError.
 
     Every path runs one chunk loop per worker: take the next chunk, draw
-    its channels and noise into the worker's one buffer set, allocated once
-    per call and reused for every chunk it takes (a call of one chunk draws
-    it fresh), then form its LS
+    its channels and noise into the worker's own buffers, allocated once
+    per call and reused for every chunk it takes, then form its LS
     estimates and moments and add them to the trial sums in chunk order, a
-    chunk scored before an earlier one waiting until that one is in. With
-    `prefetch` and more than one chunk, the caller and one helper thread,
-    started for this call, both run the loop, each taking and drawing its
-    chunk under a lock; otherwise the caller runs it alone, with no thread
-    and no lock. The draws run in chunk order either way and the sums take
-    the chunks in the same order, so the result is bit-identical, and a
-    call holds one buffer set per worker. A worker that raises stops the
-    other before it takes another chunk; the helper is joined before the
-    call returns or raises, and the exception is raised here unchanged.
+    chunk scored before an earlier one waiting until that one is in. The
+    scatter block behind the channels is drawn fresh and freed with the
+    draw, so the estimates reuse its memory. With `prefetch` and more than
+    one chunk, the caller and one helper thread, started for this call,
+    both run the loop, each taking and drawing its chunk under a lock;
+    otherwise the caller runs it alone, with no thread and no lock. The
+    draws run in chunk order either way and the sums take the chunks in the
+    same order, so the result is bit-identical. A worker that raises stops
+    the other before it takes another chunk; the helper is joined before
+    the call returns or raises, and the exception is raised here unchanged.
     """
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
@@ -300,13 +299,10 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
 
     def work(lock) -> None:
         nonlocal added
-        # this worker's one buffer set, which every chunk it takes is drawn
-        # into: the scatter block, the channels and the unscaled pilot noise.
-        # A call of one chunk draws it fresh: a set would serve it once and
-        # only hold the scatter block past its use
-        buffers = (np.empty((chunk, L, M, L * N, 2)),
-                   np.empty((chunk, L, M, L * N), dtype=complex),
-                   np.empty((chunk, L, M, K, 2))) if len(starts) > 1 else None
+        # this worker's buffers, which every chunk it takes is drawn into:
+        # its channels and its unscaled pilot noise
+        channels = np.empty((chunk, L, M, L * N), dtype=complex)
+        noise = np.empty((chunk, L, M, K, 2))
         try:
             while True:
                 with lock:
@@ -314,10 +310,8 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
                     if i is None:
                         return
                     t = min(chunk, trials - start)
-                    scatter, channels, noise = ((None,) * 3 if buffers is None
-                                                else (b[:t] for b in buffers))
-                    g = sampler.draw(rng, t, out=(scatter, channels)).g
-                    z = crandn(noise_rng, (t, L, M, K), out=noise)
+                    g = sampler.draw(rng, t, out=channels[:t]).g
+                    z = crandn(noise_rng, (t, L, M, K), out=noise[:t])
                 z *= np.sqrt(noise_var)
                 out = np.empty_like(sums)       # the chunk's trial sums
                 for p in range(len(plans)):

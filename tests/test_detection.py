@@ -873,7 +873,7 @@ class TestDrawAhead:
 
     def test_two_chunks_fit_the_memory_bound(self):
         # the bound of test_chunk_budget_bounds_peak_memory holds with both
-        # workers' buffer sets and chunks in flight, at Table scale
+        # workers' buffers and chunks in flight, at Table scale
         cfg = NetworkConfig()
         drop = sample_users(cfg, np.random.default_rng(41))
         plans = loc_aware_and_cyclic(cfg, drop)
