@@ -8,8 +8,9 @@ Five allocators share one signature, (cfg, drop, rng) -> AllocationPlan:
                random_iid variant draws pilots i.i.d. per user instead.
 * greedy     — iterative repair of the worst large-scale-interference user.
 * sector     — equal angular sectors, one pilot per sector.
-* exhaustive — brute-force argmax of a scorer over every assignment
-               (small scenarios only), scored a block of plans at a time.
+* exhaustive — every assignment's score, in enumeration order (small
+               scenarios only), scored a block of plans at a time;
+               `plan_index` gives a plan's position in that order.
 
 loc_aware and greedy read one (L*N, L*N) pair-score matrix per drop,
 `los_metric.pair_scores`, every column at its reference user's serving BS.
@@ -194,36 +195,39 @@ def search_space_size(cfg: NetworkConfig) -> int:
 
 
 def exhaustive_search(cfg: NetworkConfig,
-                      score: Callable[[list[AllocationPlan]], np.ndarray]
-                      ) -> tuple[AllocationPlan, float]:
-    """Brute-force argmax of `score` over every per-cell assignment.
+                      score: Callable[[list[AllocationPlan]], np.ndarray]) -> np.ndarray:
+    """Every per-cell assignment's score, in enumeration order.
 
     Enumerates pilots**N assignments per cell (their product across cells)
     in lexicographic order and hands them to `score` in blocks of at most
     _SCORE_BLOCK plans; `score` maps a list of plans to a (P,) array. It
     should score every block on the same RNG seed so candidates are
-    compared on common random numbers. Ties keep the first (lowest) plan.
+    compared on common random numbers. Returns the (search_space_size,)
+    array of the scores, plan `plan_index(cfg, plan)` at that position.
     Refuses search spaces larger than MAX_PLANS.
     """
-    search_space_size(cfg)
-    n_pilots = cfg.pilot_len
-    per_cell = list(itertools.product(range(n_pilots), repeat=cfg.N))
+    scores = np.empty(search_space_size(cfg))
+    per_cell = list(itertools.product(range(cfg.pilot_len), repeat=cfg.N))
     combos = itertools.product(per_cell, repeat=cfg.L)
 
-    best_plan = None
-    best_score = -np.inf
-    while block := [AllocationPlan(cells=np.array(combo, dtype=int), allocator="exhaustive")
-                    for combo in itertools.islice(combos, _SCORE_BLOCK)]:
-        scores = np.asarray(score(block), dtype=float)
-        if scores.shape != (len(block),):
-            raise ValueError(f"scorer returned shape {scores.shape} "
+    for start in range(0, scores.size, _SCORE_BLOCK):
+        block = [AllocationPlan(cells=np.array(combo, dtype=int), allocator="exhaustive")
+                 for combo in itertools.islice(combos, _SCORE_BLOCK)]
+        block_scores = np.asarray(score(block), dtype=float)
+        if block_scores.shape != (len(block),):
+            raise ValueError(f"scorer returned shape {block_scores.shape} "
                              f"for {len(block)} plans")
-        k = int(np.argmax(scores))
-        if scores[k] > best_score:
-            best_score = float(scores[k])
-            best_plan = block[k]
-    assert best_plan is not None
-    return best_plan, best_score
+        scores[start:start + len(block)] = block_scores
+    return scores
+
+
+def plan_index(cfg: NetworkConfig, plan: AllocationPlan) -> int:
+    """Position of `plan` in `exhaustive_search`'s enumeration order: its
+    cells, cell-major, as the digits of a base-pilot_len number."""
+    index = 0
+    for pilot in plan.cells.ravel().tolist():
+        index = index * cfg.pilot_len + pilot
+    return index
 
 
 ALLOCATORS: dict[str, Callable] = {

@@ -23,7 +23,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .allocators import ALLOCATORS, exhaustive_search, search_space_size
+from .allocators import ALLOCATORS, exhaustive_search, plan_index, search_space_size
 from .detection import estimate_sinr, spectral_efficiency
 from .model import ConfigError, Drop, NetworkConfig, check_field_types, sample_users
 from .pilots import AllocationPlan
@@ -163,15 +163,14 @@ def _drop_se(cfg: NetworkConfig, allocators: tuple[str, ...], trials: int,
 def _drop_ratios(cfg: NetworkConfig, allocators: tuple[str, ...], trials: int,
                  seed: int, d: int, prefetch: bool = False) -> np.ndarray:
     """Drop d's (P,) ratios of each allocator's cell-0 sum SE to the
-    exhaustive-search optimum; `score` gives its plans and every candidate
-    the same channel draws, so each ratio is <= 1 by construction."""
+    exhaustive-search optimum, in one pass over the candidates: every
+    allocator plan is one of them, so its score is read from the search's
+    scores by `plan_index`, and each ratio, one entry over their maximum,
+    is <= 1 by construction."""
     drop, plans = _drop_plans(cfg, allocators, seed, d)
-
-    def score(block: list[AllocationPlan]) -> np.ndarray:
-        return _plan_se(cfg, drop, block, trials, seed, d, prefetch)[:, 0].sum(axis=-1)
-
-    _, best = exhaustive_search(cfg, score)
-    return score(plans) / best
+    scores = exhaustive_search(cfg, lambda block: _plan_se(
+        cfg, drop, block, trials, seed, d, prefetch)[:, 0].sum(axis=-1))
+    return scores[[plan_index(cfg, plan) for plan in plans]] / scores.max()
 
 
 def _usable_cores() -> int:
@@ -325,8 +324,9 @@ def run_oracle_compare(spec: ExperimentSpec) -> dict[str, np.ndarray]:
     """Per drop, each allocator's sum SE over the exhaustive-search optimum.
 
     Ratios of shape (drops,) per allocator, each drop's from `_drop_ratios`,
-    which scores every plan with `_plan_se` on the drop's SINR stream; the
-    spec must have no sweep.
+    which scores every candidate plan once with `_plan_se` on the drop's
+    SINR stream and reads the allocators' scores from those; the spec must
+    have no sweep.
     """
     _check_no_sweep(spec)
     search_space_size(spec.cfg)            # too large a search fails before any drop

@@ -11,9 +11,10 @@ from mimopilots import allocators
 from mimopilots.allocators import (ALLOCATORS, allocate_greedy, allocate_loc_aware,
                                    allocate_random, allocate_random_iid,
                                    allocate_sector, candidate_proxies, exhaustive_search,
-                                   partition_tiers, proxy_weights)
+                                   partition_tiers, plan_index, proxy_weights)
 from mimopilots.los_metric import los_interference, los_interference_from_params
 from mimopilots.model import ConfigError, Drop, Links, NetworkConfig, sample_users
+from mimopilots.pilots import AllocationPlan
 
 
 def cfg_for(**kw):
@@ -311,11 +312,11 @@ class TestExhaustive:
             seen.extend(p.cells.copy() for p in plans)
             return np.zeros(len(plans))
 
-        plan, best = exhaustive_search(cfg, score)
+        scores = exhaustive_search(cfg, score)
         assert len(seen) == 16
-        assert best == 0.0
-        # constant scores keep the first (lexicographically lowest) plan
-        assert np.array_equal(plan.cells, np.zeros((1, 4), dtype=int))
+        assert scores.max() == 0.0
+        # constant scores: the first (lexicographically lowest) plan wins
+        assert np.argmax(scores) == plan_index(cfg, AllocationPlan(np.zeros((1, 4), dtype=int)))
 
     def test_single_user_space(self):
         cfg = cfg_for(N=1)
@@ -325,9 +326,9 @@ class TestExhaustive:
             seen.extend(plans)
             return np.zeros(len(plans))
 
-        plan, _ = exhaustive_search(cfg, score)
+        scores = exhaustive_search(cfg, score)
         assert len(seen) == cfg.pilot_len
-        assert plan.cells[0][0] == 0
+        assert np.argmax(scores) == plan_index(cfg, AllocationPlan([[0]]))
 
     def test_space_guard(self):
         cfg = cfg_for(N=10, pilot_len=4)
@@ -352,14 +353,15 @@ class TestExhaustive:
                 table.setdefault(tuple(plan.cells[0].tolist()), float(rng.uniform()))
             return np.array([table[tuple(p.cells[0].tolist())] for p in plans])
 
-        plan, best = exhaustive_search(cfg, score)
+        scores = exhaustive_search(cfg, score)
         best_key = max(table, key=table.get)
-        assert tuple(plan.cells[0].tolist()) == best_key
-        assert best == table[best_key]
+        assert np.argmax(scores) == plan_index(cfg, AllocationPlan([best_key]))
+        assert scores.max() == table[best_key]
 
     def test_blocks_keep_order_and_first_of_ties(self, monkeypatch):
         # 2**6 plans in blocks of 5: the same lexicographic order and the
-        # same first-of-ties winner as one block
+        # same first-of-ties winner as one block, and each block's scores
+        # at its plans' positions
         monkeypatch.setattr(allocators, "_SCORE_BLOCK", 5)
         cfg = cfg_for(N=6)
         seen, sizes = [], []
@@ -369,8 +371,34 @@ class TestExhaustive:
             seen.extend(tuple(p.cells[0].tolist()) for p in plans)
             return np.array([float(sum(k) == 3) for k in seen[-len(plans):]])
 
-        plan, best = exhaustive_search(cfg, score)
+        scores = exhaustive_search(cfg, score)
         assert seen == sorted(seen) and len(seen) == 64
         assert max(sizes) == 5
-        assert best == 1.0
-        assert tuple(plan.cells[0].tolist()) == (0, 0, 0, 1, 1, 1)
+        assert np.array_equal(scores, [float(sum(k) == 3) for k in seen])
+        assert scores.max() == 1.0
+        assert np.argmax(scores) == plan_index(cfg, AllocationPlan([(0, 0, 0, 1, 1, 1)]))
+
+    def test_plan_index_is_the_position_the_scorer_sees(self):
+        # two cells of two users on three pilots: 81 plans, cell 0 the
+        # leading digits
+        cfg = cfg_for(L=2, N=2, pilot_len=3)
+        seen = []
+
+        def score(plans):
+            seen.extend(plans)
+            return np.arange(len(seen) - len(plans), len(seen), dtype=float)
+
+        scores = exhaustive_search(cfg, score)
+        assert len(seen) == 81
+        assert [plan_index(cfg, plan) for plan in seen] == list(range(81))
+        assert np.array_equal(scores, np.arange(81.0))
+        assert plan_index(cfg, AllocationPlan([[0, 0], [0, 1]])) == 1
+        assert plan_index(cfg, AllocationPlan([[1, 0], [0, 0]])) == 27
+
+    def test_plan_index_of_a_one_pilot_space_is_zero(self):
+        # 72 users on one pilot: one plan, at position 0; 72 digits are more
+        # axes than np.ravel_multi_index takes on numpy 1.25
+        cfg = cfg_for(L=2, N=36, pilot_len=1)
+        scores = exhaustive_search(cfg, lambda plans: np.ones(len(plans)))
+        assert scores.shape == (1,)
+        assert plan_index(cfg, AllocationPlan(np.zeros((2, 36), dtype=int))) == 0

@@ -886,13 +886,11 @@ class TestDrawAhead:
         assert peak <= 4 * 2 ** 20
 
     @pytest.mark.parametrize("prefetch", [True, False])
-    def test_estimates_run_on_the_drawing_thread_within_the_budget(self, monkeypatch,
-                                                                   prefetch):
-        # 32 desk plans, whose estimate stacks together exceed the chunk
-        # budget, in chunks of 3 trials: every LS estimate and ZF solve of a
-        # chunk runs on the thread that drew it, one estimate per plan and
-        # one solve per plan, trial and BS, and without prefetch that thread
-        # is the caller
+    def test_estimates_run_on_the_drawing_thread(self, monkeypatch, prefetch):
+        # 32 desk plans in chunks of 3 trials: every LS estimate and ZF
+        # solve of a chunk runs on the thread that drew it, one estimate per
+        # plan and one solve per plan, trial and BS, and without prefetch
+        # that thread is the caller
         drop = sample_users(DESK, np.random.default_rng(42))
         plans = random_plans(DESK, drop, 32, 44)
         monkeypatch.setattr(detection, "_CHUNK_BYTES", 3 * trial_bytes(DESK))
@@ -907,9 +905,10 @@ class TestDrawAhead:
             assert set(draws.threads) == {threading.get_ident()}
 
     @pytest.mark.parametrize("chunk", [1, 3])
-    def test_plans_past_the_budget_cannot_change_results(self, monkeypatch, chunk):
-        # 32 desk plans, whose estimate stacks together exceed the chunk
-        # budget: bit-identical with and without prefetch
+    def test_many_plans_cannot_change_results(self, monkeypatch, chunk):
+        # 32 desk plans in chunks of 1 or 3 trials, each worker holding one
+        # plan's estimate stack at a time: bit-identical with and without
+        # prefetch
         drop = sample_users(DESK, np.random.default_rng(42))
         plans = random_plans(DESK, drop, 32, 44)
         monkeypatch.setattr(detection, "_CHUNK_BYTES", chunk * trial_bytes(DESK))

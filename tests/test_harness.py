@@ -1,6 +1,7 @@
 """Experiment-runner and CLI tests (small scales; statistics live in acceptance)."""
 
 import csv
+import itertools
 import json
 import math
 import pickle
@@ -30,6 +31,10 @@ def tiny_cfg(**kw):
     base = dict(L=2, N=4, M=8, pilot_len=2)
     base.update(kw)
     return NetworkConfig(**base)
+
+
+# the `mimopilots oracle` command's network: 16 plans
+ORACLE_CFG = harness.load_spec(defaults=cli.DEFAULTS["oracle"]).cfg
 
 
 def no_monte_carlo(*args, **kwargs):
@@ -233,7 +238,7 @@ class TestOracleCompare:
         assert np.array_equal(ratios["loc_aware"], alone["loc_aware"])
 
     def test_exhaustive_beats_every_allocator_on_shared_seed(self):
-        from mimopilots.allocators import ALLOCATORS, exhaustive_search
+        from mimopilots.allocators import ALLOCATORS, exhaustive_search, plan_index
         from mimopilots.detection import estimate_sinr, spectral_efficiency
         from mimopilots.model import sample_users
         cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2, k_db=10.0)
@@ -244,10 +249,13 @@ class TestOracleCompare:
             return spectral_efficiency(sinr, cfg.pilot_len,
                                        cfg.coherence_len)[:, 0].sum(axis=-1)
 
-        _, best = exhaustive_search(cfg, score)
+        scores = exhaustive_search(cfg, score)
         for name in ("loc_aware", "random", "greedy", "sector", "random_iid"):
             plan = ALLOCATORS[name](cfg, drop, np.random.default_rng(8))
-            assert score([plan])[0] <= best + 1e-12
+            alone = score([plan])[0]
+            assert alone <= scores.max() + 1e-12
+            # the plan alone scores what it scored among the candidates
+            assert alone == scores[plan_index(cfg, plan)]
 
     def test_candidate_scores_equal_single_plan_calls(self, monkeypatch):
         # one block per drop: scoring the whole candidate list in one call
@@ -278,6 +286,44 @@ class TestOracleCompare:
                 alone = spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
                 assert np.array_equal(value, alone[0, 0].sum())
 
+    @pytest.mark.parametrize("prefetch", [True, False])
+    def test_one_pass_equals_the_two_pass_reference(self, monkeypatch, prefetch):
+        # the oracle config in blocks of 5 plans and chunks of 3 trials:
+        # each ratio read from the candidates' scores is, bit for bit, the
+        # allocator's plan scored alone over the largest candidate score
+        from mimopilots import allocators, detection
+        monkeypatch.setattr(allocators, "_SCORE_BLOCK", 5)
+        L, N, M = ORACLE_CFG.L, ORACLE_CFG.N, ORACLE_CFG.M
+        monkeypatch.setattr(detection, "_CHUNK_BYTES", 3 * 16 * L * M * L * N)
+        names, trials, seed = tuple(harness.ALLOCATORS), 7, 5
+        for d in range(2):
+            drop, plans = harness._drop_plans(ORACLE_CFG, names, seed, d)
+
+            def score(block):
+                return harness._plan_se(ORACLE_CFG, drop, block, trials, seed, d,
+                                        prefetch)[:, 0].sum(axis=-1)
+
+            candidates = [AllocationPlan([combo]) for combo in
+                          itertools.product(range(ORACLE_CFG.pilot_len), repeat=ORACLE_CFG.N)]
+            reference = score(plans) / score(candidates).max()
+            ratios = harness._drop_ratios(ORACLE_CFG, names, trials, seed, d, prefetch)
+            assert np.array_equal(ratios, reference)
+
+    def test_one_sinr_call_per_block(self, monkeypatch):
+        # 16 plans in blocks of 5 are 4 SINR calls per drop; the allocators'
+        # plans take none of their own
+        from mimopilots import allocators
+        monkeypatch.setattr(allocators, "_SCORE_BLOCK", 5)
+        calls = []
+        estimate = harness.estimate_sinr
+
+        def counted(cfg, drop, plans, *args, **kwargs):
+            calls.append(len(plans))
+            return estimate(cfg, drop, plans, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate_sinr", counted)
+        run_oracle(ORACLE_CFG, tuple(harness.ALLOCATORS), 3, 2, seed=4)
+        assert calls == [5, 5, 5, 1] * 3
 
     def test_out_of_range_plan_names_loc_aware(self, monkeypatch):
         cfg = NetworkConfig(L=1, N=3, M=8, pilot_len=2)
