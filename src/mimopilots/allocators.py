@@ -8,8 +8,8 @@ Five allocators share one signature, (cfg, drop, rng) -> AllocationPlan:
                random_iid variant draws pilots i.i.d. per user instead.
 * greedy     — iterative repair of the worst large-scale-interference user.
 * sector     — equal angular sectors, one pilot per sector.
-* exhaustive — every assignment's score, in enumeration order (small
-               scenarios only), scored a block of plans at a time;
+* exhaustive — every assignment, in enumeration order (small scenarios
+               only), a block of plans at a time for the caller to score;
                `plan_index` gives a plan's position in that order.
 
 loc_aware and greedy read one (L*N, L*N) pair-score matrix per drop,
@@ -21,7 +21,7 @@ Users are flattened cell-major (cell * N + user) there, as in the drop's
 from __future__ import annotations
 
 import itertools
-from typing import Callable
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .pilots import AllocationPlan
 # largest search space `exhaustive_search` enumerates
 MAX_PLANS = 10 ** 6
 
-# most plans `exhaustive_search` hands its scorer in one call
+# most plans in one block of `exhaustive_search`
 _SCORE_BLOCK = 256
 
 # most repair moves `allocate_greedy` makes
@@ -194,31 +194,21 @@ def search_space_size(cfg: NetworkConfig) -> int:
     return total
 
 
-def exhaustive_search(cfg: NetworkConfig,
-                      score: Callable[[list[AllocationPlan]], np.ndarray]) -> np.ndarray:
-    """Every per-cell assignment's score, in enumeration order.
+def exhaustive_search(cfg: NetworkConfig) -> Iterator[list[AllocationPlan]]:
+    """Every per-cell assignment, in blocks of at most _SCORE_BLOCK plans.
 
     Enumerates pilots**N assignments per cell (their product across cells)
-    in lexicographic order and hands them to `score` in blocks of at most
-    _SCORE_BLOCK plans; `score` maps a list of plans to a (P,) array. It
-    should score every block on the same RNG seed so candidates are
-    compared on common random numbers. Returns the (search_space_size,)
-    array of the scores, plan `plan_index(cfg, plan)` at that position.
-    Refuses search spaces larger than MAX_PLANS.
+    in lexicographic order, plan `plan_index(cfg, plan)` at that position.
+    The caller should score every block on the same RNG seed so candidates
+    are compared on common random numbers. Refuses search spaces larger
+    than MAX_PLANS before the first block.
     """
-    scores = np.empty(search_space_size(cfg))
+    search_space_size(cfg)
     per_cell = list(itertools.product(range(cfg.pilot_len), repeat=cfg.N))
     combos = itertools.product(per_cell, repeat=cfg.L)
-
-    for start in range(0, scores.size, _SCORE_BLOCK):
-        block = [AllocationPlan(cells=np.array(combo, dtype=int), allocator="exhaustive")
-                 for combo in itertools.islice(combos, _SCORE_BLOCK)]
-        block_scores = np.asarray(score(block), dtype=float)
-        if block_scores.shape != (len(block),):
-            raise ValueError(f"scorer returned shape {block_scores.shape} "
-                             f"for {len(block)} plans")
-        scores[start:start + len(block)] = block_scores
-    return scores
+    while block := [AllocationPlan(cells=np.array(combo, dtype=int), allocator="exhaustive")
+                    for combo in itertools.islice(combos, _SCORE_BLOCK)]:
+        yield block
 
 
 def plan_index(cfg: NetworkConfig, plan: AllocationPlan) -> int:

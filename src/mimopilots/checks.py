@@ -199,13 +199,13 @@ def closed_form_sinr(cfg: NetworkConfig, drop: Drop) -> np.ndarray:
 
 
 def closed_form_dev(cfg: NetworkConfig, seed: int, trials: int,
-                    prefetch: bool = False) -> float:
+                    helper: bool = False) -> float:
     """Worst relative deviation of the `estimate_sinr` of `distinct_plan`
     over `trials` trials from `closed_form_sinr`, on the all-NLOS version of
     the drop of generator `seed`, the trials drawn from generator seed + 100."""
     drop = all_nlos(sample_users(cfg, np.random.default_rng(seed)))
     got = estimate_sinr(cfg, drop, [distinct_plan(cfg)], trials,
-                        np.random.default_rng(seed + 100), prefetch=prefetch)[0]
+                        np.random.default_rng(seed + 100), helper=helper)[0]
     return float(np.max(np.abs(got / closed_form_sinr(cfg, drop) - 1)))
 
 

@@ -23,19 +23,18 @@ chunk are one array expression each, and its moments one per BS: one
 conjugate copy of the chunk's estimates at a BS gives both batched products,
 the Gram matrices Ghat^H Ghat of all its trials and Ghat^H G, and their
 inverses are one batched LAPACK call per chunk and BS. Only the ZF solve's
-certificate and its pinv fallback are left per trial and BS, because the
-benchmark counts `zf_combiner` calls; batching them too waits on a
-benchmark that counts solved matrices instead (ROADMAP item 4, step 1). The
-chunk holds as many trials as fit a fixed byte budget for the channel
-stack, so its size depends only on (L, M, N), never on the number of plans
-or trials, and the working set stays small at any trial count.
+certificate and its pinv fallback are left per trial and BS, for the reason
+`zf_combiner` gives. The chunk holds as many trials as fit a fixed byte
+budget for the channel stack, so its size depends only on (L, M, N), never
+on the number of plans or trials, and the working set stays small at any
+trial count.
 
 The chunks are drawn in order, each channel draw and noise draw after the
 previous chunk's, by one thread at a time. Every path runs one chunk loop:
 a worker draws the next chunk's channels and noise into its own
 chunk-sized buffers, reused for every chunk it takes, scores it (its LS
 estimates and moments), and adds its sums once every earlier chunk's are
-in. The caller runs the loop alone or, with `prefetch`, which the harness
+in. The caller runs the loop alone or, with `helper`, which the harness
 turns on when it has a core to spare, side by side with one helper
 thread, each drawing under a lock and scoring outside it. numpy's normal
 draws, its large ufuncs and BLAS release the interpreter lock, so the two
@@ -141,7 +140,9 @@ def zf_combiner(ghat: np.ndarray, gram: np.ndarray,
     inverted here: the caller inverts a chunk's Gram matrices in one
     batched call, while the certificate and the pinv fallback stay one call
     per matrix, because the benchmark's tracer counts this function by name,
-    once per solve (plan, trial, BS), and probes the rank of `ghat`.
+    once per solve (plan, trial, BS), and probes the rank of `ghat`;
+    batching them too waits on a benchmark that counts solved matrices
+    instead (ROADMAP item 4, step 1).
     """
     if ghat.ndim != 2:
         raise ValueError("channel estimate must be a 2-D matrix")
@@ -198,13 +199,13 @@ class CopilotGroups:
         locations, so a member is exactly singular only through more
         distinct columns than antennas or a duplicated column, and then
         every member is rank deficient and none could pass the certificate.
-        The certificate and the fallback stay per matrix because the
-        benchmark counts `zf_combiner` calls; batching them waits on ROADMAP
-        item 4, step 1. Then B = X @ (Ghat_u^H g), another batched product,
-        and ||w_u||^2 = X_uu. Ghat = Gu @ E for the 0/1 group-to-user map E
-        with E E^T = D, the group sizes, and F = D^-1/2 E has orthonormal
-        rows, so pinv(Ghat)^H = W_u F whatever the rank of Gu: user n of
-        group u has w_n^H g = B_u / sqrt(D_u) and ||w_n||^2 = X_uu / D_u.
+        The certificate and the fallback stay per matrix, for the reason
+        `zf_combiner` gives. Then B = X @ (Ghat_u^H g), another batched
+        product, and ||w_u||^2 = X_uu. Ghat = Gu @ E for the 0/1
+        group-to-user map E with E E^T = D, the group sizes, and
+        F = D^-1/2 E has orthonormal rows, so pinv(Ghat)^H = W_u F whatever
+        the rank of Gu: user n of group u has w_n^H g = B_u / sqrt(D_u) and
+        ||w_n||^2 = X_uu / D_u.
         Squared moduli and X_uu are summed per group, and only these (U,)
         sums and the own-user entries of B are expanded to the N users.
         """
@@ -237,7 +238,7 @@ def spectral_efficiency(sinr, pilot_len: int, coherence_len: int):
 
 def estimate_sinr(cfg: NetworkConfig, drop: Drop,
                   plans: Sequence[AllocationPlan], trials: int,
-                  rng: np.random.Generator, prefetch: bool = False) -> np.ndarray:
+                  rng: np.random.Generator, helper: bool = False) -> np.ndarray:
     """Per-user SINR of each plan, shape (P, L, N), for fixed locations.
 
     Each trial draws fresh channels and one pilot-phase noise block, and
@@ -262,7 +263,7 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     estimates and moments and add them to the trial sums in chunk order, a
     chunk scored before an earlier one waiting until that one is in. The
     scatter block behind the channels is drawn fresh and freed with the
-    draw, so the estimates reuse its memory. With `prefetch` and more than
+    draw, so the estimates reuse its memory. With `helper` and more than
     one chunk, the caller and one helper thread, started for this call,
     both run the loop, each taking and drawing its chunk under a lock;
     otherwise the caller runs it alone, with no thread and no lock. The
@@ -329,12 +330,12 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
                 chunks.close()
             raise
 
-    if prefetch and len(starts) > 1:
+    if helper and len(starts) > 1:
         lock = Lock()
         with ThreadPoolExecutor(max_workers=1, thread_name_prefix="score") as pool:
-            helper = pool.submit(work, lock)
+            second = pool.submit(work, lock)
             work(lock)
-            helper.result()
+            second.result()
     else:
         work(nullcontext())
 

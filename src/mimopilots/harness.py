@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import cache, partial
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .allocators import ALLOCATORS, exhaustive_search, plan_index, search_space_size
 from .detection import estimate_sinr, spectral_efficiency
@@ -140,36 +141,38 @@ def _drop_plans(cfg: NetworkConfig, allocators: tuple[str, ...], seed: int,
 
 
 def _plan_se(cfg: NetworkConfig, drop: Drop, plans: list[AllocationPlan],
-             trials: int, seed: int, d: int, prefetch: bool) -> np.ndarray:
+             trials: int, seed: int, d: int, helper: bool) -> np.ndarray:
     """(P, L, N) per-user SE of `plans` on drop d's SINR stream.
 
     Every call starts a fresh generator from the drop's one SINR seed, and a
     plan's SINR does not depend on the other plans of its call, so plans
-    scored in different calls still see the same channel draws. `prefetch`
+    scored in different calls still see the same channel draws. `helper`
     goes to `estimate_sinr` and cannot change the result.
     """
     sinr = estimate_sinr(cfg, drop, plans, trials, _rng(seed, d, _STREAM_SINR),
-                         prefetch=prefetch)
+                         helper=helper)
     return spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
 
 
 def _drop_se(cfg: NetworkConfig, allocators: tuple[str, ...], trials: int,
-             seed: int, d: int, prefetch: bool = False) -> np.ndarray:
+             seed: int, d: int, helper: bool = False) -> np.ndarray:
     """Drop d's (P, L, N) per-user SE, one row per allocator."""
     return _plan_se(cfg, *_drop_plans(cfg, allocators, seed, d), trials, seed, d,
-                    prefetch)
+                    helper)
 
 
 def _drop_ratios(cfg: NetworkConfig, allocators: tuple[str, ...], trials: int,
-                 seed: int, d: int, prefetch: bool = False) -> np.ndarray:
+                 seed: int, d: int, helper: bool = False) -> np.ndarray:
     """Drop d's (P,) ratios of each allocator's cell-0 sum SE to the
-    exhaustive-search optimum, in one pass over the candidates: every
-    allocator plan is one of them, so its score is read from the search's
-    scores by `plan_index`, and each ratio, one entry over their maximum,
-    is <= 1 by construction."""
+    exhaustive-search optimum, in one pass over the candidates: each block
+    of `exhaustive_search` is scored in one `_plan_se` call, and every
+    allocator plan is one of the candidates, so its score is read from
+    theirs by `plan_index`; each ratio, one entry over their maximum, is
+    <= 1 by construction."""
     drop, plans = _drop_plans(cfg, allocators, seed, d)
-    scores = exhaustive_search(cfg, lambda block: _plan_se(
-        cfg, drop, block, trials, seed, d, prefetch)[:, 0].sum(axis=-1))
+    scores = np.concatenate([
+        _plan_se(cfg, drop, block, trials, seed, d, helper)[:, 0].sum(axis=-1)
+        for block in exhaustive_search(cfg)])
     return scores[[plan_index(cfg, plan) for plan in plans]] / scores.max()
 
 
@@ -190,25 +193,20 @@ _BLAS_THREAD_QUERIES = ("openblas_get_num_threads", "openblas_get_num_threads64_
 
 @cache
 def _blas_thread_query():
-    """The loaded BLAS library's thread-count function, found among the
-    shared objects mapped into this process, or None where the process map
-    is unreadable (no /proc) or no mapped library exports one."""
+    """numpy's BLAS thread-count function, or None where it cannot be
+    found. It is looked up through numpy's linalg extension, whose symbol
+    lookup also searches the libraries that extension links, so another
+    BLAS loaded into the process (scipy's own OpenBLAS, say) is never
+    asked."""
     try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "blas" in line.lower() and ".so" in line})
+        lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _BLAS_THREAD_QUERIES:
-            query = getattr(lib, name, None)
-            if query is not None:
-                query.restype, query.argtypes = ctypes.c_int, []
-                return query
+    for name in _BLAS_THREAD_QUERIES:
+        query = getattr(lib, name, None)
+        if query is not None:
+            query.restype, query.argtypes = ctypes.c_int, []
+            return query
     return None
 
 
@@ -220,14 +218,14 @@ def _blas_threads() -> int | None:
 
 
 def _for_each_drop(fn, drops: int, threads: int) -> list:
-    """[fn(d, prefetch=...) for d in range(drops)] in drop order, on
+    """[fn(d, helper=...) for d in range(drops)] in drop order, on
     min(threads, drops, usable cores) worker threads when that is above one,
     else in a plain loop.
 
     The harness owns the CPU budget. Only a plain loop on more than one
     usable core, with BLAS on one thread, leaves a core idle, so only then
     does each drop's `estimate_sinr` score its chunks on two workers
-    (`prefetch`): the caller and one helper thread each draw the next chunk
+    (`helper`): the caller and one helper thread each draw the next chunk
     in turn and score it. Worker threads already keep the cores busy, and
     so do the threads of a multi-threaded BLAS (OpenBLAS starts one per
     core unless told otherwise) or one whose thread count cannot be asked;
@@ -235,7 +233,7 @@ def _for_each_drop(fn, drops: int, threads: int) -> list:
     """
     cores = _usable_cores()
     workers = min(threads, drops, cores)
-    run = partial(fn, prefetch=workers == 1 and cores > 1 and _blas_threads() == 1)
+    run = partial(fn, helper=workers == 1 and cores > 1 and _blas_threads() == 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, range(drops)))

@@ -303,47 +303,36 @@ class TestGreedy:
                 assert is_balanced(plan.cells[cell], cfg.pilot_len)
 
 
+def search_order(cfg):
+    """Every plan of `exhaustive_search`, as (L, N) tuples, in the order given."""
+    return [tuple(map(tuple, plan.cells.tolist()))
+            for block in exhaustive_search(cfg) for plan in block]
+
+
 class TestExhaustive:
     def test_enumerates_sixteen_plans(self):
         cfg = cfg_for()
-        seen = []
-
-        def score(plans):
-            seen.extend(p.cells.copy() for p in plans)
-            return np.zeros(len(plans))
-
-        scores = exhaustive_search(cfg, score)
-        assert len(seen) == 16
-        assert scores.max() == 0.0
-        # constant scores: the first (lexicographically lowest) plan wins
-        assert np.argmax(scores) == plan_index(cfg, AllocationPlan(np.zeros((1, 4), dtype=int)))
+        seen = search_order(cfg)
+        assert len(seen) == len(set(seen)) == 16
+        # the lexicographically lowest plan comes first
+        assert seen[0] == ((0, 0, 0, 0),)
 
     def test_single_user_space(self):
         cfg = cfg_for(N=1)
-        seen = []
-
-        def score(plans):
-            seen.extend(plans)
-            return np.zeros(len(plans))
-
-        scores = exhaustive_search(cfg, score)
-        assert len(seen) == cfg.pilot_len
-        assert np.argmax(scores) == plan_index(cfg, AllocationPlan([[0]]))
+        assert search_order(cfg) == [((p,),) for p in range(cfg.pilot_len)]
 
     def test_space_guard(self):
+        # the guard raises before the first block, so no plan is scored
         cfg = cfg_for(N=10, pilot_len=4)
+        scored = []
         with pytest.raises(ConfigError, match="1048576"):
-            exhaustive_search(cfg, lambda plans: np.zeros(len(plans)))
-
-    @pytest.mark.parametrize("score", [lambda plans: np.zeros(len(plans) + 1),
-                                       lambda plans: np.zeros((len(plans), 1)),
-                                       lambda plans: 0.0],
-                             ids=["too_long", "column", "scalar"])
-    def test_scorer_of_the_wrong_shape_rejected(self, score):
-        with pytest.raises(ValueError, match="scorer returned shape"):
-            exhaustive_search(cfg_for(), score)
+            for block in exhaustive_search(cfg):
+                scored.extend(block)
+        assert scored == []
 
     def test_argmax_returned_with_its_score(self):
+        # scores concatenated block by block put each plan's score at its
+        # `plan_index`, the best one's too
         cfg = cfg_for(N=3)
         rng = np.random.default_rng(19)
         table = {}
@@ -353,45 +342,30 @@ class TestExhaustive:
                 table.setdefault(tuple(plan.cells[0].tolist()), float(rng.uniform()))
             return np.array([table[tuple(p.cells[0].tolist())] for p in plans])
 
-        scores = exhaustive_search(cfg, score)
+        scores = np.concatenate([score(block) for block in exhaustive_search(cfg)])
         best_key = max(table, key=table.get)
         assert np.argmax(scores) == plan_index(cfg, AllocationPlan([best_key]))
         assert scores.max() == table[best_key]
 
     def test_blocks_keep_order_and_first_of_ties(self, monkeypatch):
-        # 2**6 plans in blocks of 5: the same lexicographic order and the
-        # same first-of-ties winner as one block, and each block's scores
-        # at its plans' positions
+        # 2**6 plans in blocks of 5: lexicographic order across blocks, so
+        # the first of tied scores is the lowest tied plan
         monkeypatch.setattr(allocators, "_SCORE_BLOCK", 5)
         cfg = cfg_for(N=6)
-        seen, sizes = [], []
-
-        def score(plans):
-            sizes.append(len(plans))
-            seen.extend(tuple(p.cells[0].tolist()) for p in plans)
-            return np.array([float(sum(k) == 3) for k in seen[-len(plans):]])
-
-        scores = exhaustive_search(cfg, score)
-        assert seen == sorted(seen) and len(seen) == 64
-        assert max(sizes) == 5
-        assert np.array_equal(scores, [float(sum(k) == 3) for k in seen])
-        assert scores.max() == 1.0
+        blocks = list(exhaustive_search(cfg))
+        assert [len(block) for block in blocks] == [5] * 12 + [4]
+        seen = [tuple(p.cells[0].tolist()) for block in blocks for p in block]
+        assert seen == sorted(seen) and len(set(seen)) == 64
+        scores = np.array([float(sum(k) == 3) for k in seen])
         assert np.argmax(scores) == plan_index(cfg, AllocationPlan([(0, 0, 0, 1, 1, 1)]))
 
     def test_plan_index_is_the_position_the_scorer_sees(self):
         # two cells of two users on three pilots: 81 plans, cell 0 the
         # leading digits
         cfg = cfg_for(L=2, N=2, pilot_len=3)
-        seen = []
-
-        def score(plans):
-            seen.extend(plans)
-            return np.arange(len(seen) - len(plans), len(seen), dtype=float)
-
-        scores = exhaustive_search(cfg, score)
+        seen = [plan for block in exhaustive_search(cfg) for plan in block]
         assert len(seen) == 81
         assert [plan_index(cfg, plan) for plan in seen] == list(range(81))
-        assert np.array_equal(scores, np.arange(81.0))
         assert plan_index(cfg, AllocationPlan([[0, 0], [0, 1]])) == 1
         assert plan_index(cfg, AllocationPlan([[1, 0], [0, 0]])) == 27
 
@@ -399,6 +373,5 @@ class TestExhaustive:
         # 72 users on one pilot: one plan, at position 0; 72 digits are more
         # axes than np.ravel_multi_index takes on numpy 1.25
         cfg = cfg_for(L=2, N=36, pilot_len=1)
-        scores = exhaustive_search(cfg, lambda plans: np.ones(len(plans)))
-        assert scores.shape == (1,)
+        assert search_order(cfg) == [((0,) * 36,) * 2]
         assert plan_index(cfg, AllocationPlan(np.zeros((2, 36), dtype=int))) == 0

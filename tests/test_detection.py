@@ -516,8 +516,8 @@ class TestEstimateSinr:
         w = ghat @ zf_solve(ghat)
         assert np.max(np.abs(w.conj().T @ ghat - np.eye(4))) < 1e-8
 
-    @pytest.mark.parametrize("prefetch", [False, True])
-    def test_one_zf_solve_per_plan_trial_and_bs(self, monkeypatch, prefetch):
+    @pytest.mark.parametrize("helper", [False, True])
+    def test_one_zf_solve_per_plan_trial_and_bs(self, monkeypatch, helper):
         # the benchmark's tracer counts `zf_combiner` by name and probes the
         # rank of its first argument: one 2-D estimate per plan, trial and
         # BS, on one worker or two, also with merged columns and trials in
@@ -546,7 +546,7 @@ class TestEstimateSinr:
             return zf_combiner(ghat, gram, gram_inv)
 
         monkeypatch.setattr(detection, "zf_combiner", counting)
-        estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(42), prefetch=prefetch)
+        estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(42), helper=helper)
         assert ndims == [2] * (2 * 7 * cfg.L)
 
     @pytest.mark.parametrize("cfg, trials, seed", [
@@ -558,7 +558,7 @@ class TestEstimateSinr:
         # ZF on LS estimates of all-NLOS links, user j on pilot j in every
         # cell, M > N: `checks.closed_form_sinr`, checked on the two-worker
         # path
-        assert closed_form_dev(cfg, seed, trials, prefetch=True) < 0.02
+        assert closed_form_dev(cfg, seed, trials, helper=True) < 0.02
 
 
 def digest(a):
@@ -708,7 +708,7 @@ DESK = NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
 
 
 class TestDrawAhead:
-    """`estimate_sinr(prefetch=True)`: the caller and one helper thread each
+    """`estimate_sinr(helper=True)`: the caller and one helper thread each
     draw the next chunk in turn and score it, and the chunks' sums are added
     in chunk order."""
 
@@ -722,25 +722,25 @@ class TestDrawAhead:
         *CHUNK_CASES, pytest.param(NetworkConfig(), 41, id="table")])
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_draw_ahead_cannot_change_results(self, monkeypatch, cfg, seed, chunk):
-        # 7 trials in chunks of 1 and of 3 (a partial last chunk): with
-        # prefetch the call starts one pool of one helper thread, and only
+        # 7 trials in chunks of 1 and of 3 (a partial last chunk): with a
+        # helper the call starts one pool of one helper thread, and only
         # the caller and that helper draw; both streams are consumed in
         # chunk order, the SINR is bit-identical to one worker's, and each
         # worker draws every chunk it takes into its one buffer set
         drop, plans = self.setup(cfg, seed, monkeypatch, chunk)
         caller, runs, draws = threading.get_ident(), {}, {}
-        for prefetch in (False, True):
+        for helper in (False, True):
             with monkeypatch.context() as patch:
                 pools = PoolLog(patch)
-                log = draws[prefetch] = DrawLog(patch)
-                runs[prefetch] = estimate_sinr(cfg, drop, plans, 7,
-                                               np.random.default_rng(33), prefetch=prefetch)
-            assert pools.pools == ([1] if prefetch else [])
-            assert len(pools.threads) == prefetch
+                log = draws[helper] = DrawLog(patch)
+                runs[helper] = estimate_sinr(cfg, drop, plans, 7,
+                                               np.random.default_rng(33), helper=helper)
+            assert pools.pools == ([1] if helper else [])
+            assert len(pools.threads) == helper
             assert caller not in pools.threads
             assert set(log.threads) <= {caller, *pools.threads}
             assert len(log.threads) == len(log.noise) == -(-7 // chunk)
-            assert log.buffer_sets() <= 1 + prefetch
+            assert log.buffer_sets() <= 1 + helper
         assert draws[True].channels == draws[False].channels
         assert draws[True].noise == draws[False].noise
         assert np.array_equal(runs[True], runs[False])
@@ -756,7 +756,7 @@ class TestDrawAhead:
         sys.setswitchinterval(1e-6)
         try:
             paired = [estimate_sinr(cfg, drop, plans, 40, np.random.default_rng(34),
-                                    prefetch=True) for _ in range(3)]
+                                    helper=True) for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
         for sinr in paired:
@@ -773,12 +773,12 @@ class TestDrawAhead:
         monkeypatch.setattr(detection, "ThreadPoolExecutor", unused)
         monkeypatch.setattr(detection, "Lock", unused)
         log = DrawLog(monkeypatch)
-        estimate_sinr(cfg, drop, plans, 2, np.random.default_rng(33), prefetch=True)
+        estimate_sinr(cfg, drop, plans, 2, np.random.default_rng(33), helper=True)
         assert log.threads == [threading.get_ident()]
 
-    def check_error_in_one_worker(self, monkeypatch, kind, prefetch):
-        # 7 Table trials in chunks of 1. Without prefetch the first call of
-        # `kind` in chunk 1 raises. With prefetch both workers first meet at
+    def check_error_in_one_worker(self, monkeypatch, kind, helper):
+        # 7 Table trials in chunks of 1. Without a helper the first call of
+        # `kind` in chunk 1 raises. With one both workers first meet at
         # a barrier, each holding one chunk; then the caller's first call of
         # `kind` raises while the helper waits until the caller has
         # stopped, and in a second call the roles swap. So whatever the
@@ -790,13 +790,13 @@ class TestDrawAhead:
         drop, plans = self.setup(cfg, 41, monkeypatch, 1)
         fresh = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33))
         caller = threading.get_ident()
-        for role in ("caller", "helper") if prefetch else ("caller",):
+        for role in ("caller", "helper") if helper else ("caller",):
             error, both, entered = RuntimeError(f"{kind} failed"), threading.Barrier(2), set()
             waited = []
 
             def hook(call, chunk):
                 me = threading.get_ident()
-                if not prefetch:
+                if not helper:
                     if call == kind and chunk == 1:
                         raise error
                     return
@@ -816,31 +816,31 @@ class TestDrawAhead:
                 before = threading.active_count()
                 with pytest.raises(RuntimeError) as info:
                     estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
-                                  prefetch=prefetch)
+                                  helper=helper)
                 assert info.value is error
-                assert waited == ([True] if prefetch else [])
+                assert waited == ([True] if helper else [])
                 assert threading.active_count() == before
                 assert draws.running == 0
                 assert len(draws.threads) == 2
                 failed = next(c for c, t in enumerate(draws.threads)
-                              if (t == caller) == (role == "caller")) if prefetch else 1
+                              if (t == caller) == (role == "caller")) if helper else 1
                 assert log.threads(kind, failed) == [draws.threads[failed]]
             again = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
-                                  prefetch=prefetch)
+                                  helper=helper)
             assert np.array_equal(again, fresh)
 
-    @pytest.mark.parametrize("prefetch", [True, False])
+    @pytest.mark.parametrize("helper", [True, False])
     def test_scoring_error_surfaces_and_leaves_no_draw_running(self, monkeypatch,
-                                                               prefetch):
-        self.check_error_in_one_worker(monkeypatch, "zf", prefetch)
+                                                               helper):
+        self.check_error_in_one_worker(monkeypatch, "zf", helper)
 
-    @pytest.mark.parametrize("prefetch", [True, False])
-    def test_estimate_error_surfaces_unchanged(self, monkeypatch, prefetch):
-        self.check_error_in_one_worker(monkeypatch, "ls", prefetch)
+    @pytest.mark.parametrize("helper", [True, False])
+    def test_estimate_error_surfaces_unchanged(self, monkeypatch, helper):
+        self.check_error_in_one_worker(monkeypatch, "ls", helper)
 
-    @pytest.mark.parametrize("prefetch", [True, False])
-    def test_draw_error_surfaces_unchanged(self, monkeypatch, prefetch):
-        # the second draw raises. With prefetch, the worker holding chunk 0
+    @pytest.mark.parametrize("helper", [True, False])
+    def test_draw_error_surfaces_unchanged(self, monkeypatch, helper):
+        # the second draw raises. With a helper, the worker holding chunk 0
         # waits in its first LS estimate until that draw has raised, so the
         # other worker makes it; a draw that raises ends the chunks for
         # both, so exactly two draws are made whatever the timing. The call
@@ -851,7 +851,7 @@ class TestDrawAhead:
         failed, waited = threading.Event(), []
 
         def hook(call, chunk):
-            if prefetch and chunk == 0 and not waited:
+            if helper and chunk == 0 and not waited:
                 waited.append(failed.wait(30))
 
         with monkeypatch.context() as patch:
@@ -860,15 +860,15 @@ class TestDrawAhead:
             before = threading.active_count()
             with pytest.raises(RuntimeError) as info:
                 estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
-                              prefetch=prefetch)
+                              helper=helper)
             assert info.value is draws.error
-            assert waited == ([True] if prefetch else [])
+            assert waited == ([True] if helper else [])
             assert threading.active_count() == before
             assert draws.running == 0
             assert len(draws.threads) == 2
-            assert (draws.threads[0] != draws.threads[1]) == prefetch
+            assert (draws.threads[0] != draws.threads[1]) == helper
         again = estimate_sinr(cfg, drop, plans, 7, np.random.default_rng(33),
-                              prefetch=prefetch)
+                              helper=helper)
         assert np.array_equal(again, fresh)
 
     def test_two_chunks_fit_the_memory_bound(self):
@@ -879,41 +879,41 @@ class TestDrawAhead:
         plans = loc_aware_and_cyclic(cfg, drop)
         tracemalloc.start()
         try:
-            estimate_sinr(cfg, drop, plans, 100, np.random.default_rng(43), prefetch=True)
+            estimate_sinr(cfg, drop, plans, 100, np.random.default_rng(43), helper=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20
 
-    @pytest.mark.parametrize("prefetch", [True, False])
-    def test_estimates_run_on_the_drawing_thread(self, monkeypatch, prefetch):
+    @pytest.mark.parametrize("helper", [True, False])
+    def test_estimates_run_on_the_drawing_thread(self, monkeypatch, helper):
         # 32 desk plans in chunks of 3 trials: every LS estimate and ZF
         # solve of a chunk runs on the thread that drew it, one estimate per
-        # plan and one solve per plan, trial and BS, and without prefetch
+        # plan and one solve per plan, trial and BS, and without a helper
         # that thread is the caller
         drop = sample_users(DESK, np.random.default_rng(42))
         plans = random_plans(DESK, drop, 32, 44)
         monkeypatch.setattr(detection, "_CHUNK_BYTES", 3 * trial_bytes(DESK))
         draws = DrawLog(monkeypatch)
         log = ScoreLog(monkeypatch, draws)
-        estimate_sinr(DESK, drop, plans, 7, np.random.default_rng(33), prefetch=prefetch)
+        estimate_sinr(DESK, drop, plans, 7, np.random.default_rng(33), helper=helper)
         assert len(draws.threads) == 3
         for chunk, (drawn_by, trials) in enumerate(zip(draws.threads, (3, 3, 1))):
             assert log.threads("ls", chunk) == [drawn_by] * len(plans)
             assert log.threads("zf", chunk) == [drawn_by] * (len(plans) * trials * DESK.L)
-        if not prefetch:
+        if not helper:
             assert set(draws.threads) == {threading.get_ident()}
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_many_plans_cannot_change_results(self, monkeypatch, chunk):
         # 32 desk plans in chunks of 1 or 3 trials, each worker holding one
         # plan's estimate stack at a time: bit-identical with and without
-        # prefetch
+        # a helper
         drop = sample_users(DESK, np.random.default_rng(42))
         plans = random_plans(DESK, drop, 32, 44)
         monkeypatch.setattr(detection, "_CHUNK_BYTES", chunk * trial_bytes(DESK))
         runs = [estimate_sinr(DESK, drop, plans, 7, np.random.default_rng(33),
-                              prefetch=prefetch) for prefetch in (False, True)]
+                              helper=helper) for helper in (False, True)]
         assert np.array_equal(runs[0], runs[1])
 
     def test_many_plans_fit_the_memory_bound(self):
@@ -923,7 +923,7 @@ class TestDrawAhead:
         plans = random_plans(DESK, drop, 32, 44)
         tracemalloc.start()
         try:
-            estimate_sinr(DESK, drop, plans, 100, np.random.default_rng(43), prefetch=True)
+            estimate_sinr(DESK, drop, plans, 100, np.random.default_rng(43), helper=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

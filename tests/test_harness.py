@@ -1,12 +1,15 @@
 """Experiment-runner and CLI tests (small scales; statistics live in acceptance)."""
 
 import csv
+import ctypes
 import itertools
 import json
 import math
 import pickle
 import re
+import sys
 import tempfile
+import types
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -249,7 +252,7 @@ class TestOracleCompare:
             return spectral_efficiency(sinr, cfg.pilot_len,
                                        cfg.coherence_len)[:, 0].sum(axis=-1)
 
-        scores = exhaustive_search(cfg, score)
+        scores = np.concatenate([score(block) for block in exhaustive_search(cfg)])
         for name in ("loc_aware", "random", "greedy", "sector", "random_iid"):
             plan = ALLOCATORS[name](cfg, drop, np.random.default_rng(8))
             alone = score([plan])[0]
@@ -266,16 +269,14 @@ class TestOracleCompare:
                             los_model="linear_prob")
         spec = ExperimentSpec(cfg=cfg, drops=2, trials=5, allocators=("loc_aware",), seed=9)
         scored = []
-        search = harness.exhaustive_search
+        plan_se = harness._plan_se
 
-        def recording_search(cfg, score):
-            def recorded(plans):
-                scores = score(plans)
-                scored.append((plans, scores))
-                return scores
-            return search(cfg, recorded)
+        def recording_plan_se(cfg, drop, plans, *args):
+            se = plan_se(cfg, drop, plans, *args)
+            scored.append((plans, se[:, 0].sum(axis=-1)))
+            return se
 
-        monkeypatch.setattr(harness, "exhaustive_search", recording_search)
+        monkeypatch.setattr(harness, "_plan_se", recording_plan_se)
         run_oracle_compare(spec)
         assert sum(len(plans) for plans, _ in scored) == 2 * 16
         for d, (plans, scores) in enumerate(scored):
@@ -286,8 +287,8 @@ class TestOracleCompare:
                 alone = spectral_efficiency(sinr, cfg.pilot_len, cfg.coherence_len)
                 assert np.array_equal(value, alone[0, 0].sum())
 
-    @pytest.mark.parametrize("prefetch", [True, False])
-    def test_one_pass_equals_the_two_pass_reference(self, monkeypatch, prefetch):
+    @pytest.mark.parametrize("helper", [True, False])
+    def test_one_pass_equals_the_two_pass_reference(self, monkeypatch, helper):
         # the oracle config in blocks of 5 plans and chunks of 3 trials:
         # each ratio read from the candidates' scores is, bit for bit, the
         # allocator's plan scored alone over the largest candidate score
@@ -301,12 +302,12 @@ class TestOracleCompare:
 
             def score(block):
                 return harness._plan_se(ORACLE_CFG, drop, block, trials, seed, d,
-                                        prefetch)[:, 0].sum(axis=-1)
+                                        helper)[:, 0].sum(axis=-1)
 
             candidates = [AllocationPlan([combo]) for combo in
                           itertools.product(range(ORACLE_CFG.pilot_len), repeat=ORACLE_CFG.N)]
             reference = score(plans) / score(candidates).max()
-            ratios = harness._drop_ratios(ORACLE_CFG, names, trials, seed, d, prefetch)
+            ratios = harness._drop_ratios(ORACLE_CFG, names, trials, seed, d, helper)
             assert np.array_equal(ratios, reference)
 
     def test_one_sinr_call_per_block(self, monkeypatch):
@@ -381,7 +382,8 @@ class TestThreadsAndDeterminism:
         (harness._drop_se, run_evaluate), (harness._drop_ratios, run_oracle),
     ], ids=["drop_se", "drop_ratios"])
     def test_drop_function_partial_pickles(self, fn, run):
-        # a worker process receives the drop function as a pickled partial
+        # no process pool runs the drops, but a pickled partial stays a
+        # drop function, which keeps ROADMAP item 5's worker-process design open
         cfg, allocators, trials, seed = tiny_cfg(L=1, N=3), ("loc_aware", "random"), 3, 1
         work = pickle.loads(pickle.dumps(partial(fn, cfg, allocators, trials, seed)))
         results = run(cfg, allocators, 2, trials, seed)
@@ -416,22 +418,22 @@ class TestThreadsAndDeterminism:
         started = inline_pool(monkeypatch)
         monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
-        assert harness._for_each_drop(lambda d, prefetch: d * d, drops, threads) == [
+        assert harness._for_each_drop(lambda d, helper: d * d, drops, threads) == [
             d * d for d in range(drops)]
         assert started == ([] if workers is None else [workers])
 
-    @pytest.mark.parametrize("threads, drops, cores, prefetch", [
+    @pytest.mark.parametrize("threads, drops, cores, helper", [
         (1, 3, 2, True), (8, 1, 2, True), (2, 3, 2, False), (1, 3, 1, False),
     ])
     def test_only_a_plain_loop_on_several_cores_draws_ahead(self, monkeypatch, threads,
-                                                             drops, cores, prefetch):
+                                                             drops, cores, helper):
         # one worker on 2 cores (also when one drop caps the pool) leaves a
         # core for the SINR helper worker; 2 workers or 1 core leave none
         inline_pool(monkeypatch)
         monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
         monkeypatch.setattr(harness, "_blas_threads", lambda: 1)
-        assert harness._for_each_drop(lambda d, prefetch: prefetch, drops,
-                                      threads) == [prefetch] * drops
+        assert harness._for_each_drop(lambda d, helper: helper, drops,
+                                      threads) == [helper] * drops
 
     @pytest.mark.parametrize("blas", [2, 64, None])
     def test_a_multi_threaded_or_unknown_blas_starts_no_helper(self, monkeypatch, blas):
@@ -440,7 +442,7 @@ class TestThreadsAndDeterminism:
         inline_pool(monkeypatch)
         monkeypatch.setattr(harness, "_usable_cores", lambda: 8)
         monkeypatch.setattr(harness, "_blas_threads", lambda: blas)
-        assert harness._for_each_drop(lambda d, prefetch: prefetch, 3, 1) == [False] * 3
+        assert harness._for_each_drop(lambda d, helper: helper, 3, 1) == [False] * 3
 
     def test_blas_threads_are_asked_of_the_library_at_each_call(self, monkeypatch):
         counts = iter([1, 4])
@@ -450,24 +452,60 @@ class TestThreadsAndDeterminism:
         assert harness._blas_threads() is None
 
     def test_the_loaded_blas_is_found(self, monkeypatch):
-        # numpy's OpenBLAS (the wheels' build) is found through the process
-        # map and reports at least one thread; without a readable process
-        # map the count is unknown
+        # numpy's OpenBLAS (the wheels' build) is found through numpy's
+        # linalg extension and reports at least one thread; where that
+        # extension cannot be opened or nothing it links exports a query,
+        # the count is unknown
         threads = harness._blas_threads()
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        if Path("/proc/self/maps").exists() and "openblas" in str(blas.get("name")):
+        if sys.platform.startswith("linux") and "openblas" in str(blas.get("name")):
             assert threads is not None
         assert threads is None or threads >= 1
 
-        def unreadable(*args, **kwargs):
-            raise OSError("no process map")
-
         harness._blas_thread_query.cache_clear()
-        monkeypatch.setattr(harness, "open", unreadable, raising=False)
         try:
-            assert harness._blas_thread_query() is None
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "_BLAS_THREAD_QUERIES", ("no_such_query",))
+                assert harness._blas_thread_query() is None
+            harness._blas_thread_query.cache_clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "_umath_linalg",
+                              types.SimpleNamespace(__file__="/no/such/library.so"))
+                assert harness._blas_thread_query() is None
         finally:
             harness._blas_thread_query.cache_clear()
+
+    def test_numpys_blas_is_asked_when_scipys_is_loaded(self):
+        # scipy's wheels load an OpenBLAS of their own; set to another
+        # thread count than numpy's, it is not the library asked. Both
+        # counts are restored afterwards
+        fblas = pytest.importorskip("scipy.linalg._fblas")
+
+        def openblas_threads(path):
+            lib = ctypes.CDLL(path)
+            for name in harness._BLAS_THREAD_QUERIES:
+                get = getattr(lib, name, None)
+                put = getattr(lib, name.replace("_get_", "_set_"), None)
+                if "openblas" in name and get is not None and put is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    put.restype, put.argtypes = None, [ctypes.c_int]
+                    return get, put
+            pytest.skip(f"no OpenBLAS thread-count functions through {path}")
+
+        numpy_get, numpy_set = openblas_threads(harness._umath_linalg.__file__)
+        scipy_get, scipy_set = openblas_threads(fblas.__file__)
+        before = numpy_get(), scipy_get()
+        try:
+            for mine, theirs in ((1, 2), (2, 1)):
+                numpy_set(mine)
+                scipy_set(theirs)
+                if numpy_get() == scipy_get():
+                    pytest.skip("numpy's and scipy's BLAS counts cannot be set apart")
+                assert harness._blas_threads() == numpy_get()
+        finally:
+            numpy_set(before[0])
+            scipy_set(before[1])
+        assert (numpy_get(), scipy_get()) == before
 
     def test_cores_are_those_the_process_may_run_on(self, monkeypatch):
         # a process pinned to one core of an 8-core host runs a plain loop
@@ -477,7 +515,7 @@ class TestThreadsAndDeterminism:
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {3},
                             raising=False)
         assert harness._usable_cores() == 1
-        assert harness._for_each_drop(lambda d, prefetch: prefetch, 4, 8) == [False] * 4
+        assert harness._for_each_drop(lambda d, helper: helper, 4, 8) == [False] * 4
         assert started == []
 
 
