@@ -27,7 +27,9 @@ certificate and its pinv fallback are left per trial and BS, for the reason
 `zf_combiner` gives. The chunk holds as many trials as fit a fixed byte
 budget for the channel stack, so its size depends only on (L, M, N), never
 on the number of plans or trials, and the working set stays small at any
-trial count.
+trial count. Each intermediate of a chunk is formed in place where it can
+be and freed before the next is formed, so a worker holds little beyond
+its channel and noise buffers (`estimate_sinr` lists what).
 
 The chunks are drawn in order, each channel draw and noise draw after the
 previous chunk's, by one thread at a time. Every path runs one chunk loop:
@@ -65,8 +67,9 @@ from .pilots import AllocationPlan, build_pilot_book, pilot_matrix
 
 # Trials run in chunks whose (T_c, L, M, L*N) complex channel stack stays
 # within this many bytes (at least one trial per chunk), so the per-chunk
-# working set stays in cache at any trial count.
-_CHUNK_BYTES = 512 * 1024
+# working set stays small at any trial count: 3 trials at the paper's Table
+# scale and 16 at desk scale (L=2, N=12, M=64).
+_CHUNK_BYTES = 768 * 1024
 
 # floor for the SINR denominator when the sample variance underflows
 _DENOM_FLOOR = 1e-12
@@ -167,21 +170,23 @@ class CopilotGroups:
     estimate with one column per pilot. Users who share a pilot and whose
     LOS column is exactly zero (an NLOS link) get identical columns and form
     one group; every other user is a group of one. `inv` maps each user to
-    its group, `root` is the root of each group's size, and the U <= N
-    distinct columns are kept scaled by it: `los_u` and `pilots_u`.
+    its group and `root` is the root of each group's size. The U <= N
+    distinct columns are read, group by group, from the LOS column `cols`
+    of `los` and the estimate column `pilots_u`, and scaled by `root`, the
+    scale being 1 wherever the LOS column is nonzero. `los` is kept as
+    given, not copied, and must not change while the groups are in use.
     """
 
     def __init__(self, los: np.ndarray, cell: int, pilots: np.ndarray, pilot_len: int):
         users = np.arange(pilots.size)
         self.own = cell * pilots.size + users
-        own_los = los[:, self.own]
         # NLOS users (zero LOS column) on one pilot share a key, others have
         # their own; groups run in key order, each kept at its first user
-        key = np.where(own_los.any(axis=0), pilot_len + users, pilots)
+        key = np.where(los[:, self.own].any(axis=0), pilot_len + users, pilots)
         _, keep, self.inv = np.unique(key, return_index=True, return_inverse=True)
         self.size = np.bincount(self.inv)
         self.root = np.sqrt(self.size)
-        self.los_u = own_los[:, keep] * self.root         # (M, U)
+        self.los, self.cols = los, self.own[keep]
         self.pilots_u = pilots[keep]
 
     def moments(self, est: np.ndarray, g: np.ndarray):
@@ -209,17 +214,24 @@ class CopilotGroups:
         Squared moduli and X_uu are summed per group, and only these (U,)
         sums and the own-user entries of B are expanded to the N users.
         """
-        ghat = self.los_u + est[..., self.pilots_u] * self.root
+        # Ghat_u = (los_u + est_u) * root, formed in one array; it equals
+        # los_u * root + est_u * root, as only groups of one have LOS
+        ghat = np.take(est, self.pilots_u, axis=-1)        # (t, M, U)
+        ghat += self.los[:, self.cols]
+        ghat *= self.root
         gh = ghat.conj().swapaxes(-1, -2)                  # (t, U, M)
         grams = gh @ ghat
         inv = gram_inverses(grams)
         x = np.empty_like(grams) if inv is None else inv
-        for i, (m, a) in enumerate(zip(ghat, grams)):
+        for i in range(len(grams)):
             c = None if inv is None else inv[i]
-            xi = zf_combiner(m, a, c)
+            xi = zf_combiner(ghat[i], grams[i], c)
             if xi is not c:                                # took pinv
                 x[i] = xi
-        prod = x @ (gh @ g)                                # (t, U, L*N)
+        del ghat, grams                 # freed once nothing reads them
+        hg = gh @ g                                        # (t, U, L*N)
+        del gh
+        prod = x @ hg
         v = prod.view(float)                               # squared moduli from re/im pairs
         pow_u, wsq_u = np.einsum("tuk,tuk->u", v, v), np.einsum("tuu->u", x).real
         inv, size = self.inv, self.size[self.inv]
@@ -263,7 +275,12 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
     estimates and moments and add them to the trial sums in chunk order, a
     chunk scored before an earlier one waiting until that one is in. The
     scatter block behind the channels is drawn fresh and freed with the
-    draw, so the estimates reuse its memory. With `helper` and more than
+    draw, so the estimates reuse its memory. Beyond its buffers a worker
+    holds one plan's receive matrices, then its estimate stack, freed
+    before the next plan's are formed and before the worker's next draw,
+    and one BS's moment intermediates at a time (`CopilotGroups.moments`).
+    So the 768 KiB `_CHUNK_BYTES`, 3 trials at Table scale, keeps two
+    workers within a few MiB. With `helper` and more than
     one chunk, the caller and one helper thread, started for this call,
     both run the loop, each taking and drawing its chunk under a lock;
     otherwise the caller runs it alone, with no thread and no lock. The
@@ -317,9 +334,13 @@ def estimate_sinr(cfg: NetworkConfig, drop: Drop,
                 out = np.empty_like(sums)       # the chunk's trial sums
                 for p in range(len(plans)):
                     # one LS estimate column per pilot at every trial and BS
-                    est = ls_estimate(synthesize_rx(g, lams[p], z) - ybar[p], book)
+                    y = synthesize_rx(g, lams[p], z)
+                    y -= ybar[p]
+                    est = ls_estimate(y, book)
+                    del y
                     for l in range(L):
                         out[:, p, l] = groups[p][l].moments(est[:, l], g[:, l])
+                    del est     # before the next plan's or chunk's arrays
                 with lock:
                     ready[i] = out
                     while added in ready:

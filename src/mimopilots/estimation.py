@@ -33,12 +33,15 @@ def synthesize_rx(g: np.ndarray, lam: np.ndarray, noise: np.ndarray) -> np.ndarr
     `noise` is the caller-drawn block Z of the receive matrices' shape,
     already scaled (per-entry variance 1/rho under the unit-pilot-power
     convention; zeros for a noiseless synthesis). The caller draws it so
-    that one draw can serve several plans.
+    that one draw can serve several plans. The result is a new array, and
+    the arguments are left unchanged.
     """
     shape = (*g.shape[:-1], lam.shape[1])
     if noise.shape != shape:
         raise ValueError(f"noise block must have shape {shape}, got {noise.shape}")
-    return g @ lam + noise
+    y = g @ lam
+    y += noise
+    return y
 
 
 def ls_estimate(y_clean: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -49,8 +52,11 @@ def ls_estimate(y_clean: np.ndarray, lam: np.ndarray) -> np.ndarray:
     matrix that is one column per user; with the whole pilot book it is one
     column per pilot, and a user's column is the one of its pilot. A stack
     of receive matrices, one per BS and trial, gives a stack of estimates.
+    The result is a new array, and the arguments are left unchanged.
     """
     pilot_len = lam.shape[1]
     if y_clean.shape[-1] != pilot_len:
         raise ValueError("receive matrix and pilot matrix disagree on pilot length")
-    return y_clean @ lam.conj().T / pilot_len
+    est = y_clean @ lam.conj().T
+    est /= pilot_len
+    return est

@@ -68,6 +68,17 @@ CHUNK_CASES = [
                  id="fewer-antennas"),
 ]
 
+# (config, drop seed) whose plans merge co-pilot NLOS users into groups of
+# more than one: desk scale, three cells, and fewer antennas than users
+MERGED_CASES = [
+    pytest.param(NetworkConfig(L=2, N=12, M=64, pilot_len=4, k_model="distance",
+                               los_model="linear_prob", loc_err_var=9.0), 42, id="desk"),
+    pytest.param(NetworkConfig(L=3, N=5, M=16, pilot_len=2, k_model="distance",
+                               los_model="linear_prob", loc_err_var=4.0), 32,
+                 id="three-cell"),
+    pytest.param(*CHUNK_CASES[2].values, id="tiny-M"),
+]
+
 
 class TestZfCombiner:
     def test_single_column_matches_normalized_form(self):
@@ -205,6 +216,56 @@ class TestCopilotGroups:
         los = estimated_los_channel(drop, cfg)
         return cfg, drop, plan, los, CopilotGroups(los[0], 0, plan.cells[0], cfg.pilot_len)
 
+    @staticmethod
+    def all_groups(cfg, seed):
+        """(LOS channels at BS l, cell l's groups) at every BS for the
+        loc_aware, the cyclic and two random plans of one drop."""
+        drop = sample_users(cfg, np.random.default_rng(seed))
+        los = estimated_los_channel(drop, cfg)
+        plans = loc_aware_and_cyclic(cfg, drop) + random_plans(cfg, drop, 2, seed)
+        return [(los[l], CopilotGroups(los[l], l, plan.cells[l], cfg.pilot_len))
+                for plan in plans for l in range(cfg.L)]
+
+    @pytest.mark.parametrize("cfg, seed", MERGED_CASES)
+    def test_merged_groups_have_all_zero_los_columns(self, cfg, seed):
+        # `moments` scales the LOS columns by the group roots, which leaves
+        # them unchanged only because every member of a group of more than
+        # one user has an all-zero reconstructed LOS column
+        merged = 0
+        for los, groups in self.all_groups(cfg, seed):
+            for u in np.flatnonzero(groups.size > 1):
+                members = groups.own[groups.inv == u]
+                assert groups.cols[u] in members
+                assert not los[:, members].any()
+                merged += 1
+        assert merged > 0
+
+    @pytest.mark.parametrize("cfg, seed", MERGED_CASES)
+    def test_estimate_formed_in_place_is_the_root_scaled_sum(self, monkeypatch,
+                                                             cfg, seed):
+        # every trial's estimate and Gram matrix handed to the ZF solve are,
+        # bit for bit, those of los_u * root + est_u * root
+        seen = []
+
+        def recording(ghat, gram, gram_inv):
+            seen.append((ghat.copy(), gram.copy()))
+            return zf_combiner(ghat, gram, gram_inv)
+
+        monkeypatch.setattr(detection, "zf_combiner", recording)
+        rng = np.random.default_rng(seed)
+        for los, groups in self.all_groups(cfg, seed):
+            est = crand(rng, (3, cfg.M, cfg.pilot_len))
+            g = crand(rng, (3, cfg.M, cfg.L * cfg.N))
+            seen.clear()
+            groups.moments(est, g)
+            ref = (los[:, groups.cols] * groups.root
+                   + est[..., groups.pilots_u] * groups.root)
+            grams = ref.conj().swapaxes(-1, -2) @ ref
+            assert len(seen) == 3
+            for (ghat, gram), r, a in zip(seen, ref, grams):
+                assert np.array_equal(ghat, r)
+                assert np.array_equal(gram, a)
+
     def test_grouped_combiner_matches_full_pinv(self):
         cfg, drop, plan, los, groups = self.desk_cell(41)
         own = los[0][:, :cfg.N]
@@ -305,7 +366,8 @@ class TestCopilotGroups:
         groups = CopilotGroups(own, 0, pilots, cfg.pilot_len)
         ests = np.stack([est, crand(rng, est.shape)])
         g = crand(rng, (2, cfg.M, cfg.L * cfg.N))
-        ghat_u = groups.los_u + ests[..., groups.pilots_u] * groups.root
+        ghat_u = (own[:, groups.cols] * groups.root
+                  + ests[..., groups.pilots_u] * groups.root)
         assert not ghat_u[0][:, groups.inv[b]].any()
         grams = ghat_u.conj().swapaxes(-1, -2) @ ghat_u
         with pytest.raises(np.linalg.LinAlgError):

@@ -254,6 +254,37 @@ class TestLsEstimate:
             assert np.array_equal(stacked[l], ls_estimate(y[l], book))
 
 
+class TestFreshResults:
+    @pytest.mark.parametrize("trials", [None, 3], ids=["one", "stack"])
+    def test_inputs_unchanged_and_unshared(self, trials):
+        # both stages form their result in place, always in a new array:
+        # the caller's channels, pilots, noise and residual stay as they were
+        cfg = NetworkConfig(L=2, N=3, M=8, pilot_len=2)
+        drop = sample_users(cfg, np.random.default_rng(32))
+        rng = np.random.default_rng(33)
+        g = ChannelSampler(drop, cfg).draw(rng, trials or 1).g
+        noise = np.stack([noise_block(cfg, 0.1, rng) for _ in range(trials or 1)])
+        if trials is None:
+            g, noise = g[0], noise[0]
+        lam = pilot_matrix(AllocationPlan(np.array([[0, 1, 1], [1, 0, 0]]), "t"),
+                           build_pilot_book(cfg.pilot_len))
+        inputs = [g, lam, noise]
+        kept = [a.copy() for a in inputs]
+        y = synthesize_rx(g, lam, noise)
+        y_clean = los_residual(y, drop, cfg, lam)
+        kept_y = y_clean.copy()
+        for pilots in (lam, build_pilot_book(cfg.pilot_len)):
+            kept_pilots = pilots.copy()
+            est = ls_estimate(y_clean, pilots)
+            assert np.array_equal(y_clean, kept_y)
+            assert np.array_equal(pilots, kept_pilots)
+            assert not np.shares_memory(est, y_clean)
+            assert not np.shares_memory(est, pilots)
+        for a, b in zip(inputs, kept):
+            assert np.array_equal(a, b)
+            assert not np.shares_memory(y, a)
+
+
 class TestLosChannelBuilders:
     def test_estimated_uses_estimates_true_uses_truth(self):
         cfg = NetworkConfig(L=1, N=1, M=8, pilot_len=1)
